@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check doccheck fuzz-smoke bench bench-fleet bench-content bench-edge bench-learn edge-smoke sweep-smoke learn-smoke examples clean
+.PHONY: all build test race vet check fuzz-smoke bench edge-smoke sweep-smoke learn-smoke telemetry-smoke examples clean
 
 all: vet check build test
 
@@ -15,13 +15,6 @@ all: vet check build test
 # //qarv:allow directive.
 check:
 	$(GO) run ./cmd/qarvcheck ./...
-
-# doccheck is the retired cmd/doccheck CLI, preserved byte-for-byte
-# behind `qarvcheck -doccheck`: fails when any exported identifier
-# lacks a doc comment. Redundant with `make check` (which includes the
-# same pass) but kept for scripts that depend on the legacy interface.
-doccheck:
-	$(GO) run ./cmd/qarvcheck -doccheck -q . internal/* cmd/* examples/*
 
 # fuzz-smoke runs each fuzz target briefly — enough to replay the
 # checked-in corpora and catch regressions in the parsers' error paths
@@ -44,40 +37,18 @@ race:
 vet:
 	$(GO) vet ./...
 
-bench: bench-fleet
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/fleet
-
-# bench-fleet records the fleet engine's headline capacity number
-# (device-slots/sec, plus the full streaming report) into the bench
-# history artifact BENCH_fleet.json.
-bench-fleet:
-	$(GO) run ./cmd/qarvfleet -n 20000 -slots 500 -churn 0.001 -json > BENCH_fleet.json
-
-# bench-content records the content pipeline's timings (octree build,
-# PLY decode, stream-size ladder, full profile build) into the bench
-# history artifact BENCH_content.json. BENCHTIME=1x makes it a smoke.
-BENCHTIME ?= 1s
-bench-content:
-	$(GO) run ./cmd/qarvbench -benchtime $(BENCHTIME) > BENCH_content.json
-
-# bench-edge records the live edge service's capacity numbers
-# (sessions/sec, frames/sec, p50/p99/max end-to-end frame latency) from
-# EDGE_SESSIONS concurrent loopback TCP sessions against one
-# stream.Server, into the bench history artifact BENCH_edge.json.
-# EDGE_SESSIONS=64 makes it a CI smoke; history runs use the default.
-EDGE_SESSIONS ?= 1000
-EDGE_FRAMES ?= 20
-bench-edge:
-	$(GO) run ./cmd/qarvbench -edge -sessions $(EDGE_SESSIONS) \
-		-frames $(EDGE_FRAMES) -payload 4096 > BENCH_edge.json
-
-# bench-learn records the learning layer's per-slot overhead (every
-# ByName-reachable allocator's Allocate+Learn cycle, the display-policy
-# wrappers' Decide) into the bench history artifact BENCH_learn.json.
-# BENCHTIME=1x makes it a smoke.
-bench-learn:
-	$(GO) run ./cmd/qarvbench -learn -benchtime $(BENCHTIME) > BENCH_learn.json
+# bench runs the repository's benchmark (perfbench, declared in
+# BENCHMARK.json) once per workload at a one-second horizon, untraced,
+# and fails unless each run's JSON result line reports "correct":true.
+# It is the smoke form of the benchmark; BENCHMARK.json's run_seconds
+# gives the measured form. perfbench is a nested module, so this is the
+# only target that builds it.
+bench:
+	for w in fleet-mix content-build edge-live; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "bench: $$w not correct" >&2; exit 1;; esac; \
+	done
 
 # edge-smoke runs the socket-level edge suite: the soak/conservation,
 # drain, shed, idle-timeout, and ack-failure tests under the race
@@ -95,8 +66,8 @@ sweep-smoke:
 
 # learn-smoke runs the learning layer end to end through cmd/qarvsweep:
 # a small learned-allocator × network grid must produce byte-identical
-# JSON at -workers 1 and -workers 4, a learned-policy axis must run
-# through the fleet-shaped grid, and the learn bench must execute at 1x.
+# JSON at -workers 1 and -workers 4, and a learned-policy axis must run
+# through the fleet-shaped grid.
 learn-smoke:
 	$(GO) run ./cmd/qarvsweep -samples 60000 -slots 200 -seed 1 \
 		-axis alloc=equal,bandit:4,gradient:0.2 -axis net=static,markov:0.8:64 \
@@ -109,7 +80,6 @@ learn-smoke:
 	$(GO) run ./cmd/qarvsweep -samples 60000 -slots 200 -seed 1 \
 		-axis policy=proposed,predictive-delayed:6 -axis net=static \
 		-json > /dev/null
-	$(GO) run ./cmd/qarvbench -learn -benchtime 1x > /dev/null
 
 # telemetry-smoke runs the observability layer end to end: the pin
 # tests proving metric snapshots are byte-identical per seed at any

@@ -31,26 +31,25 @@ func TestCalibrateAgainstRealLODTimings(t *testing.T) {
 		t.Fatal(err)
 	}
 	depths := []int{4, 5, 6, 7, 8, 9, 10}
-	points := make([]float64, 0, len(depths))
-	durations := make([]time.Duration, 0, len(depths))
-	for _, d := range depths {
-		// Median of 5 runs to suppress scheduler noise.
-		var best time.Duration
-		var lodLen int
-		for rep := 0; rep < 5; rep++ {
+	points := make([]float64, len(depths))
+	durations := make([]time.Duration, len(depths))
+	// Minimum of 15 runs per depth to suppress scheduler noise. Each
+	// round visits every depth once, so one burst of preemption inflates
+	// at most a round's worth of samples instead of every sample of one
+	// depth.
+	for rep := 0; rep < 15; rep++ {
+		for i, d := range depths {
 			start := time.Now()
 			lod, err := tree.LOD(d, octree.LODCentroid)
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lodLen = lod.Len()
-			if rep == 0 || elapsed < best {
-				best = elapsed
+			points[i] = float64(lod.Len())
+			if rep == 0 || elapsed < durations[i] {
+				durations[i] = elapsed
 			}
 		}
-		points = append(points, float64(lodLen))
-		durations = append(durations, best)
 	}
 	cal, err := CalibrateFromMeasurements(points, durations)
 	if err != nil {

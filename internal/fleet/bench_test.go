@@ -28,9 +28,9 @@ func benchProfile() Profile {
 	}
 }
 
-// BenchmarkFleet measures engine throughput in device-slots/sec — the
-// headline capacity number the bench history (BENCH_fleet.json) tracks —
-// across fleet sizes. b.N multiplies whole fleet runs; the custom metric
+// BenchmarkFleet measures engine throughput in device-slots/sec across
+// fleet sizes (perfbench's fleet-mix workload is the end-to-end form of
+// this number). b.N multiplies whole fleet runs; the custom metric
 // normalizes to simulated device-time per wall second.
 func BenchmarkFleet(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {

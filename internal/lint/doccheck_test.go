@@ -7,38 +7,21 @@ import (
 	"testing"
 )
 
-// doccheckFixtureDir is the fixture package shared by the byte-compat
-// and analyzer-mode tests.
+// doccheckFixtureDir is the fixture package with five undocumented
+// exported identifiers.
 const doccheckFixtureDir = "testdata/doccheck/src/qarv/internal/render"
 
-// doccheckLegacyOutput is the exact stdout the retired cmd/doccheck
-// produced on the fixture (captured from the old binary before the
-// merge). DoccheckDir must reproduce it byte for byte — that is the
-// migration contract behind `qarvcheck -doccheck`.
-const doccheckLegacyOutput = doccheckFixtureDir + "/render.go:9: exported type Undocumented is missing a doc comment\n" +
+// doccheckWant is the analyzer's expected findings on the fixture, one
+// line per undocumented identifier.
+const doccheckWant = doccheckFixtureDir + "/render.go:9: exported type Undocumented is missing a doc comment\n" +
 	doccheckFixtureDir + "/render.go:17: exported var V is missing a doc comment\n" +
 	doccheckFixtureDir + "/render.go:22: exported function UndocumentedFunc is missing a doc comment\n" +
 	doccheckFixtureDir + "/render.go:32: exported method N is missing a doc comment\n" +
 	doccheckFixtureDir + "/render.go:38: exported var Y is missing a doc comment\n"
 
-func TestDoccheckDirByteCompat(t *testing.T) {
-	var out bytes.Buffer
-	n, err := DoccheckDir(&out, doccheckFixtureDir)
-	if err != nil {
-		t.Fatalf("DoccheckDir: %v", err)
-	}
-	if n != 5 {
-		t.Errorf("missing count = %d, want 5", n)
-	}
-	if out.String() != doccheckLegacyOutput {
-		t.Errorf("output diverged from the retired cmd/doccheck:\ngot:\n%swant:\n%s", out.String(), doccheckLegacyOutput)
-	}
-}
-
-// TestDoccheckAnalyzerMatchesLegacy pins the analyzer mode to the
-// legacy dir mode: same files, same finding lines, same messages —
-// only the framing (qarvcheck diagnostics vs. raw lines) differs.
-func TestDoccheckAnalyzerMatchesLegacy(t *testing.T) {
+// TestDoccheckAnalyzerFindings pins the analyzer's findings on the
+// fixture: same files, same lines, same messages.
+func TestDoccheckAnalyzerFindings(t *testing.T) {
 	loader := NewLoaderAt("qarv", filepath.Join("testdata", "doccheck", "src", "qarv"))
 	pkg, err := loader.Load("qarv/internal/render")
 	if err != nil {
@@ -52,19 +35,7 @@ func TestDoccheckAnalyzerMatchesLegacy(t *testing.T) {
 	for _, d := range diags {
 		fmt.Fprintf(&got, "%s:%d: %s\n", filepath.ToSlash(d.Pos.Filename), d.Pos.Line, d.Message)
 	}
-	if got.String() != doccheckLegacyOutput {
-		t.Errorf("analyzer findings diverged from the legacy dir mode:\ngot:\n%swant:\n%s", got.String(), doccheckLegacyOutput)
-	}
-}
-
-func TestDoccheckCleanDir(t *testing.T) {
-	var out bytes.Buffer
-	// The geom stub in the reseedclone fixture is fully documented.
-	n, err := DoccheckDir(&out, "testdata/reseedclone/src/qarv/internal/geom")
-	if err != nil {
-		t.Fatalf("DoccheckDir: %v", err)
-	}
-	if n != 0 || out.Len() != 0 {
-		t.Errorf("clean dir reported %d finding(s): %q", n, out.String())
+	if got.String() != doccheckWant {
+		t.Errorf("analyzer findings diverged:\ngot:\n%swant:\n%s", got.String(), doccheckWant)
 	}
 }

@@ -107,8 +107,7 @@ func (c *Client) BacklogBytes() float64 {
 
 // AllocatedBps returns the edge's most recently acknowledged allocation
 // for this connection in bytes/second — the ack-carried backpressure
-// signal (zero before the first ack, against an unpaced server, or from
-// a protocol-v1 peer).
+// signal (zero before the first ack or against an unpaced server).
 func (c *Client) AllocatedBps() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -7,9 +7,10 @@ import (
 )
 
 // seedMessages returns representative wire messages for the fuzz corpus:
-// valid v2 frames and acks, a legacy v1 ack, and the classic malformed
-// shapes (bad magic, bad version, bad type, oversized length, truncated
-// payload, huge claimed length with no body).
+// valid v2 frames and acks, a retired protocol-v1 ack (which readers
+// must reject with ErrBadVersion), and the classic malformed shapes (bad
+// magic, bad version, bad type, oversized length, truncated payload,
+// huge claimed length with no body).
 func seedMessages() [][]byte {
 	var frame bytes.Buffer
 	if err := WriteFrame(&frame, Frame{ID: 7, Depth: 9, Payload: []byte("octree bits")}); err != nil {
@@ -19,7 +20,8 @@ func seedMessages() [][]byte {
 	if err := WriteAck(&ack, Ack{FrameID: 7, ServedBytes: 4096, AllocatedBps: 250_000}); err != nil {
 		panic(err)
 	}
-	// A protocol-v1 ack: 12-byte payload, no allocated rate.
+	// A protocol-v1 ack (12-byte payload, no allocated rate): no longer
+	// accepted on the wire.
 	v1ack := []byte("QSTR\x01\x02\x0c\x00\x00\x00")
 	v1ack = binary.LittleEndian.AppendUint32(v1ack, 7)
 	v1ack = binary.LittleEndian.AppendUint64(v1ack, 4096)
@@ -44,9 +46,8 @@ func seedMessages() [][]byte {
 
 // FuzzReadMessage drives the wire decoder with arbitrary bytes. The
 // invariants: never panic, never allocate beyond the bytes actually
-// present, exactly one of (frame, ack) on success, and every decoded
-// message re-encodes byte-identically when the input was version-2 wire
-// (v1 acks re-encode as v2, which must itself round-trip).
+// present, exactly one of (frame, ack) on success, only version-2 input
+// decodes, and every decoded message re-encodes byte-identically.
 func FuzzReadMessage(f *testing.F) {
 	for _, seed := range seedMessages() {
 		f.Add(seed)
@@ -68,8 +69,11 @@ func FuzzReadMessage(f *testing.F) {
 			t.Fatalf("frame payload %d bytes from %d consumed input", len(frame.Payload), consumed)
 		}
 
-		// Re-encode and require byte-identity with the consumed prefix
-		// for version-2 input.
+		if data[4] != ProtocolVersion {
+			t.Fatalf("decoded a version-%d message", data[4])
+		}
+
+		// Re-encode and require byte-identity with the consumed prefix.
 		var buf bytes.Buffer
 		if frame != nil {
 			if err := WriteFrame(&buf, *frame); err != nil {
@@ -80,7 +84,7 @@ func FuzzReadMessage(f *testing.F) {
 				t.Fatalf("re-encode ack: %v", err)
 			}
 		}
-		if data[4] == ProtocolVersion && !bytes.Equal(buf.Bytes(), data[:consumed]) {
+		if !bytes.Equal(buf.Bytes(), data[:consumed]) {
 			t.Fatalf("v2 round trip not byte-identical:\nin  %x\nout %x", data[:consumed], buf.Bytes())
 		}
 

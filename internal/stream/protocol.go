@@ -15,8 +15,8 @@
 // Version 2 extended the ack with allocatedBps, the sender's current
 // share of the edge's uplink budget in bytes/second — the ack-carried
 // backpressure signal a device-side controller can calibrate against.
-// Readers still accept version-1 messages, whose acks simply lack the
-// field (AllocatedBps reads as zero); writers always emit version 2.
+// Writers emit version 2 and readers reject any other version with
+// ErrBadVersion.
 package stream
 
 import (
@@ -33,11 +33,9 @@ const (
 	msgAck   byte = 2
 )
 
-// Protocol versions. Writers emit ProtocolVersion; readers accept both.
-const (
-	protoV1         byte = 1
-	ProtocolVersion byte = 2
-)
+// ProtocolVersion is the only wire version writers emit and readers
+// accept.
+const ProtocolVersion byte = 2
 
 // protocol limits: a frame payload is bounded to keep a hostile peer from
 // forcing unbounded allocation, and reads above initialPayloadAlloc grow
@@ -48,7 +46,6 @@ const (
 	initialPayloadAlloc = 64 << 10 // grow-from-here cap for large reads
 	headerLen           = 4 + 1 + 1 + 4
 	frameMetaLen        = 4 + 1
-	ackPayloadLenV1     = 4 + 8
 	ackPayloadLen       = 4 + 8 + 8
 )
 
@@ -75,9 +72,9 @@ type Ack struct {
 	FrameID     uint32
 	ServedBytes uint64 // cumulative bytes the server has fully processed
 	// AllocatedBps is the sender's current share of the edge's shared
-	// uplink budget in bytes/second — zero on an unpaced server or in a
-	// version-1 ack. Devices use it as the ack-carried backpressure
-	// signal alongside the unacked-byte backlog.
+	// uplink budget in bytes/second — zero on an unpaced server. Devices
+	// use it as the ack-carried backpressure signal alongside the
+	// unacked-byte backlog.
 	AllocatedBps uint64
 }
 
@@ -97,33 +94,31 @@ func writeMessage(w io.Writer, msgType byte, payload []byte) error {
 	return err
 }
 
-// readMessage reads one message and returns its version, type, and
-// payload.
-func readMessage(r io.Reader) (byte, byte, []byte, error) {
+// readMessage reads one message and returns its type and payload.
+func readMessage(r io.Reader) (byte, []byte, error) {
 	hdr := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, 0, nil, err // io.EOF passes through for clean shutdown
+		return 0, nil, err // io.EOF passes through for clean shutdown
 	}
 	if [4]byte(hdr[:4]) != wireMagic {
-		return 0, 0, nil, ErrBadWireMagic
+		return 0, nil, ErrBadWireMagic
 	}
-	version := hdr[4]
-	if version != protoV1 && version != ProtocolVersion {
-		return 0, 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
+	if version := hdr[4]; version != ProtocolVersion {
+		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
 	}
 	msgType := hdr[5]
 	if msgType != msgFrame && msgType != msgAck {
-		return 0, 0, nil, fmt.Errorf("%w: %d", ErrBadMessageType, msgType)
+		return 0, nil, fmt.Errorf("%w: %d", ErrBadMessageType, msgType)
 	}
 	n := binary.LittleEndian.Uint32(hdr[6:])
 	if n > maxPayload {
-		return 0, 0, nil, fmt.Errorf("%w: %d bytes", ErrOversized, n)
+		return 0, nil, fmt.Errorf("%w: %d bytes", ErrOversized, n)
 	}
 	payload, err := readPayload(r, int(n))
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("%w: %v", ErrShortMessage, err)
+		return 0, nil, fmt.Errorf("%w: %v", ErrShortMessage, err)
 	}
-	return version, msgType, payload, nil
+	return msgType, payload, nil
 }
 
 // readPayload reads exactly n payload bytes. Small payloads are read
@@ -167,7 +162,7 @@ func WriteAck(w io.Writer, a Ack) error {
 // ReadMessage reads the next frame or ack; exactly one of the returns is
 // non-nil on success.
 func ReadMessage(r io.Reader) (*Frame, *Ack, error) {
-	version, msgType, payload, err := readMessage(r)
+	msgType, payload, err := readMessage(r)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -182,18 +177,14 @@ func ReadMessage(r io.Reader) (*Frame, *Ack, error) {
 			Payload: payload[frameMetaLen:],
 		}, nil, nil
 	case msgAck:
-		a := &Ack{}
-		switch {
-		case version == protoV1 && len(payload) == ackPayloadLenV1:
-			// Version 1 acks predate the allocated-rate field.
-		case version == ProtocolVersion && len(payload) == ackPayloadLen:
-			a.AllocatedBps = binary.LittleEndian.Uint64(payload[12:])
-		default:
+		if len(payload) != ackPayloadLen {
 			return nil, nil, ErrShortMessage
 		}
-		a.FrameID = binary.LittleEndian.Uint32(payload)
-		a.ServedBytes = binary.LittleEndian.Uint64(payload[4:])
-		return nil, a, nil
+		return nil, &Ack{
+			FrameID:      binary.LittleEndian.Uint32(payload),
+			ServedBytes:  binary.LittleEndian.Uint64(payload[4:]),
+			AllocatedBps: binary.LittleEndian.Uint64(payload[12:]),
+		}, nil
 	default:
 		return nil, nil, ErrBadMessageType
 	}

@@ -47,11 +47,16 @@ func TestWireErrors(t *testing.T) {
 	if _, _, err := ReadMessage(bytes.NewReader([]byte("QSTR\x07\x01\x00\x00\x00\x00"))); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version: %v", err)
 	}
-	if _, _, err := ReadMessage(bytes.NewReader([]byte("QSTR\x01\x09\x00\x00\x00\x00"))); !errors.Is(err, ErrBadMessageType) {
+	// A retired protocol-v1 ack (12-byte payload) is refused, not decoded.
+	v1ack := []byte("QSTR\x01\x02\x0c\x00\x00\x00\x07\x00\x00\x00\x00\x10\x00\x00\x00\x00\x00\x00")
+	if _, _, err := ReadMessage(bytes.NewReader(v1ack)); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("v1 ack: %v", err)
+	}
+	if _, _, err := ReadMessage(bytes.NewReader([]byte("QSTR\x02\x09\x00\x00\x00\x00"))); !errors.Is(err, ErrBadMessageType) {
 		t.Errorf("bad type: %v", err)
 	}
 	// Oversized length field.
-	big := []byte("QSTR\x01\x01\xff\xff\xff\xff")
+	big := []byte("QSTR\x02\x01\xff\xff\xff\xff")
 	if _, _, err := ReadMessage(bytes.NewReader(big)); !errors.Is(err, ErrOversized) {
 		t.Errorf("oversized: %v", err)
 	}

@@ -375,45 +375,6 @@ func TestSessionPoolLateCancelKeepsCompletedBatch(t *testing.T) {
 	}
 }
 
-func TestRunSimSessionEquivalence(t *testing.T) {
-	// The deprecated flat entry point and the Session API must produce
-	// identical results for identical configurations and seeds.
-	cost, util := cheapModels(t)
-	mk := func() SimConfig {
-		p, err := NewRandomPolicy([]int{2, 3, 4, 5}, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return SimConfig{
-			Policy:   p,
-			Arrivals: &DeterministicArrivals{PerSlot: 1},
-			Cost:     cost,
-			Utility:  util,
-			Service:  &ConstantService{Rate: 4000},
-			Slots:    3000,
-		}
-	}
-	legacy, err := RunSim(mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := mk()
-	s, err := NewSession(
-		WithPolicy(cfg.Policy), WithArrivals(cfg.Arrivals), WithCost(cfg.Cost),
-		WithUtility(cfg.Utility), WithService(cfg.Service), WithSlots(cfg.Slots),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, rep.Sim) {
-		t.Error("RunSim and Session results differ for identical seeds")
-	}
-}
-
 func TestSessionScenarioDefaultsAndOverrides(t *testing.T) {
 	scn, err := NewScenario(ScenarioParams{Samples: 30_000, Slots: 400, KneeSlot: 100, Seed: 6})
 	if err != nil {
