@@ -14,9 +14,11 @@ import (
 	"qarv/internal/queueing"
 )
 
-// The fleet engine re-implements sim's per-device slot loop in streaming
-// form, so its aggregates must not merely resemble Session.Run's — they
-// must match it exactly. This property test runs a tiny stochastic fleet
+// The fleet engine steps the same sim.Kernel as a Session run and only
+// records differently — streaming sketches and a decimated trajectory
+// instead of per-slot series — so its aggregates must not merely
+// resemble Session.Run's, they must match it exactly. This test pins
+// that recording and accumulation. It runs a tiny stochastic fleet
 // (Poisson arrivals, noisy service, drift-plus-penalty controller), then
 // replays every seat as an individual qarv Session built from the same
 // RNG streams (fleet.SeatSeed documents the seat→stream derivation) and

@@ -2,8 +2,9 @@
 // 10k–1M scale — the engine behind the ROADMAP's "millions of users"
 // north star. The paper's drift-plus-penalty controller is explicitly
 // distributed (each device decides from its own backlog only), so a
-// fleet is N independent slot loops; what makes scale hard is
-// accounting, not coupling. The engine therefore:
+// fleet is N independent slot loops, each stepping the same sim.Kernel
+// as a single sim run; what makes scale hard is accounting, not
+// coupling. The engine therefore:
 //
 //   - stripes N device "seats" across GOMAXPROCS-bounded shards, each
 //     shard running its seats' sessions sequentially (one live session
@@ -48,6 +49,7 @@ import (
 	"qarv/internal/policy"
 	"qarv/internal/quality"
 	"qarv/internal/queueing"
+	"qarv/internal/sim"
 	"qarv/internal/stats"
 )
 
@@ -100,7 +102,7 @@ type Spec struct {
 	// and the RNG streams handed to the per-session factories.
 	Seed uint64
 	// Accuracy is the quantile sketches' relative error bound; <= 0
-	// takes stats.DefaultSketchAccuracy (1%).
+	// takes stats.DefaultSketchAccuracy (1%). Must be finite and below 1.
 	Accuracy float64
 	// Metrics, when non-nil, enables telemetry: each shard accumulates
 	// the fleet_* series into a private registry; the shard registries
@@ -119,15 +121,16 @@ type Spec struct {
 
 // Spec validation errors.
 var (
-	ErrNoSessions = errors.New("fleet: session count must be positive")
-	ErrBadSlots   = errors.New("fleet: slot count must be positive")
-	ErrBadChurn   = errors.New("fleet: churn must lie in [0, 1)")
-	ErrNoProfiles = errors.New("fleet: at least one profile required")
-	ErrBadWeight  = errors.New("fleet: profile weight must be positive")
-	ErrNilPolicy  = errors.New("fleet: profile needs a NewPolicy factory")
-	ErrNilService = errors.New("fleet: profile needs a NewService factory")
-	ErrNilCost    = errors.New("fleet: profile needs a cost model")
-	ErrNilUtility = errors.New("fleet: profile needs a utility model")
+	ErrNoSessions  = errors.New("fleet: session count must be positive")
+	ErrBadSlots    = errors.New("fleet: slot count must be positive")
+	ErrBadChurn    = errors.New("fleet: churn must lie in [0, 1)")
+	ErrBadAccuracy = errors.New("fleet: sketch accuracy must be finite and below 1")
+	ErrNoProfiles  = errors.New("fleet: at least one profile required")
+	ErrBadWeight   = errors.New("fleet: profile weight must be positive")
+	ErrNilPolicy   = errors.New("fleet: profile needs a NewPolicy factory")
+	ErrNilService  = errors.New("fleet: profile needs a NewService factory")
+	ErrNilCost     = errors.New("fleet: profile needs a cost model")
+	ErrNilUtility  = errors.New("fleet: profile needs a utility model")
 )
 
 // Validate checks the spec without running it.
@@ -139,6 +142,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("%w: %d", ErrBadSlots, s.Slots)
 	case s.Churn < 0 || s.Churn >= 1 || math.IsNaN(s.Churn):
 		return fmt.Errorf("%w: %v", ErrBadChurn, s.Churn)
+	case s.Accuracy >= 1 || math.IsNaN(s.Accuracy) || math.IsInf(s.Accuracy, 0):
+		return fmt.Errorf("%w: %v", ErrBadAccuracy, s.Accuracy)
 	case len(s.Profiles) == 0:
 		return ErrNoProfiles
 	}
@@ -345,33 +350,31 @@ func pickProfile(rng *geom.RNG, cum []float64) int {
 }
 
 // geometricLifetime draws a session lifetime (in slots, ≥ 1) under a
-// per-slot departure hazard c ∈ (0, 1).
+// per-slot departure hazard c ∈ (0, 1). A hazard too small for 1-c to
+// differ from 1 in float64 never departs: the draw is still taken so
+// the seat's stream layout does not depend on c.
 func geometricLifetime(rng *geom.RNG, c float64) int {
 	u := rng.Float64()
 	for u == 0 {
 		u = rng.Float64()
 	}
-	l := 1 + int(math.Floor(math.Log(u)/math.Log(1-c)))
+	lc := math.Log(1 - c)
+	if lc == 0 {
+		return math.MaxInt
+	}
+	l := 1 + int(math.Floor(math.Log(u)/lc))
 	if l < 1 {
 		l = 1
 	}
 	return l
 }
 
-// sessionRunner is the fleet's compact mirror of sim's per-device slot
-// loop: identical queue dynamics (observe, decide, arrive, bound, serve,
-// drop-tail propagation) but streaming — per-slot values go straight
-// into the shard's sketches instead of per-slot slices, and the
-// trajectory survives only as a fixed-size decimated subsample.
+// sessionRunner is one shard's live session: the sim.Kernel it steps,
+// its service process, and the fixed-size decimated trajectory. Slots
+// stream into the shard's sketches instead of per-slot slices.
 type sessionRunner struct {
-	pol      policy.Policy
-	cost     delay.CostModel
-	utility  quality.UtilityModel
-	arrivals queueing.ArrivalProcess
-	service  delay.ServiceProcess
-
-	backlog *queueing.Backlog
-	frames  queueing.FrameQueue
+	k       sim.Kernel
+	service delay.ServiceProcess
 	traj    *stats.Decimator
 }
 
@@ -381,56 +384,35 @@ func newSessionRunner() *sessionRunner {
 
 // reset arms the runner for a fresh session of the given profile.
 func (r *sessionRunner) reset(p *Profile, arrRNG, svcRNG, polRNG *geom.RNG) error {
+	var arrivals queueing.ArrivalProcess
 	if p.NewArrivals != nil {
-		r.arrivals = p.NewArrivals(arrRNG)
+		arrivals = p.NewArrivals(arrRNG)
 	} else {
-		r.arrivals = &queueing.DeterministicArrivals{PerSlot: 1}
+		arrivals = &queueing.DeterministicArrivals{PerSlot: 1}
 	}
 	r.service = p.NewService(svcRNG)
 	pol, err := p.NewPolicy(polRNG)
 	if err != nil {
 		return err
 	}
-	r.pol = pol
-	r.cost = p.Cost
-	r.utility = p.Utility
-	r.backlog = queueing.NewBoundedBacklog(p.MaxBacklog)
-	r.frames = queueing.FrameQueue{}
+	r.k.Reset(sim.Device{
+		Policy: pol, Cost: p.Cost, Utility: p.Utility,
+		Arrivals: arrivals, MaxBacklog: p.MaxBacklog,
+	})
 	r.traj.Reset()
 	return nil
 }
 
 // step advances the session one (session-local) slot, streaming the
-// slot's observations into the profile accumulator. The update order
-// mirrors sim.deviceRunner.step exactly so a fleet of one session
-// reproduces a Session.Run report's aggregates bit-for-bit.
+// slot's observations into the profile accumulator.
 func (r *sessionRunner) step(t int, pa *profileAccum) {
-	q := r.backlog.Level()
-	r.traj.Add(q)
-	pa.backlog.Add(q)
-
-	d := r.pol.Decide(t, q)
-	u := r.utility.Utility(d)
-	pa.utility.Add(u)
-
-	n := r.arrivals.Frames(t)
-	if n < 0 {
-		n = 0
-	}
-	var work float64
-	for i := 0; i < n; i++ {
-		w := r.cost.FrameCost(d)
-		work += w
-		r.frames.Push(w, d, t)
-	}
-
-	droppedBefore := r.backlog.TotalDropped()
-	served := r.backlog.Step(work, r.service.Service(t))
-	if droppedNow := r.backlog.TotalDropped() - droppedBefore; droppedNow > 0 {
-		dropped, _ := r.frames.DropTail(droppedNow)
-		pa.framesDropped += int64(dropped)
-	}
-	for _, c := range r.frames.Serve(served, t) {
+	var s sim.Slot
+	r.k.Step(t, r.service.Service(t), &s)
+	r.traj.Add(s.Backlog)
+	pa.backlog.Add(s.Backlog)
+	pa.utility.Add(s.Utility)
+	pa.framesDropped += int64(s.DroppedFrames)
+	for _, c := range s.Completed {
 		pa.framesCompleted++
 		pa.sojourn.Add(float64(c.Sojourn))
 	}
@@ -444,7 +426,7 @@ func (r *sessionRunner) finish(pa *profileAccum, departed bool) {
 	if departed {
 		pa.departures++
 	}
-	pa.droppedWork += r.backlog.TotalDropped()
+	pa.droppedWork += r.k.TotalDropped()
 	v, err := queueing.ClassifyTrajectory(r.traj.Samples(), 0)
 	if err != nil {
 		pa.verdicts.Unclassified++

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"qarv/internal/delay"
@@ -56,6 +57,10 @@ func TestSpecValidation(t *testing.T) {
 		{"no sessions", Spec{Slots: 10, Profiles: []Profile{ok}}, ErrNoSessions},
 		{"no slots", Spec{Sessions: 1, Profiles: []Profile{ok}}, ErrBadSlots},
 		{"bad churn", Spec{Sessions: 1, Slots: 10, Churn: 1, Profiles: []Profile{ok}}, ErrBadChurn},
+		{"NaN accuracy", Spec{Sessions: 1, Slots: 10, Accuracy: math.NaN(), Profiles: []Profile{ok}}, ErrBadAccuracy},
+		{"-Inf accuracy", Spec{Sessions: 1, Slots: 10, Accuracy: math.Inf(-1), Profiles: []Profile{ok}}, ErrBadAccuracy},
+		{"+Inf accuracy", Spec{Sessions: 1, Slots: 10, Accuracy: math.Inf(1), Profiles: []Profile{ok}}, ErrBadAccuracy},
+		{"accuracy 1", Spec{Sessions: 1, Slots: 10, Accuracy: 1, Profiles: []Profile{ok}}, ErrBadAccuracy},
 		{"no profiles", Spec{Sessions: 1, Slots: 10}, ErrNoProfiles},
 	}
 	for _, c := range cases {
@@ -191,6 +196,17 @@ func TestChurnAccounting(t *testing.T) {
 	if tot.Sessions < 5*seats {
 		t.Errorf("sessions %d, expected roughly %d at 5%% churn", tot.Sessions, 10*seats)
 	}
+
+	// A hazard so small that 1-c rounds to 1 must mean no departures,
+	// not one-slot lifetimes.
+	tiny, err := Run(Spec{Sessions: 4, Slots: 1000, Churn: 1e-17, Profiles: []Profile{prof}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tiny.Total.Sessions != 4 || tiny.Total.Departures != 0 {
+		t.Errorf("churn=1e-17: sessions=%d departures=%d, want 4/0",
+			tiny.Total.Sessions, tiny.Total.Departures)
+	}
 }
 
 // TestVerdictCounts: a mixed fleet of known-stable and known-diverging
@@ -262,7 +278,7 @@ func TestFlatMemoryPerSession(t *testing.T) {
 	for t := 0; t < slots; t++ {
 		sess.step(t, pa)
 	}
-	if n := sess.frames.Len(); n > 4 {
+	if n := sess.k.QueuedFrames(); n > 4 {
 		t.Errorf("frame queue holds %d frames after %d slots, want O(frames in flight)", n, slots)
 	}
 	if n := len(sess.traj.Samples()); n > trajCap {

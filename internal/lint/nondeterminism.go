@@ -23,7 +23,7 @@ var deterministicPkgs = map[string]bool{
 	// report, so arm draws and weight updates must replay exactly from
 	// the run seed — no clocks, no math/rand, no map-order leaks.
 	"internal/learn": true,
-	"internal/stats":       true,
+	"internal/stats": true,
 	// The telemetry layer: metric snapshots are part of the determinism
 	// contract (byte-identical per seed at any shard or worker count),
 	// so the registry and recorder must never read clocks or leak map

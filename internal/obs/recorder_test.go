@@ -92,13 +92,13 @@ func TestRecorderWriteTrace(t *testing.T) {
 	}
 	var tf struct {
 		TraceEvents []struct {
-			Name  string  `json:"name"`
-			Cat   string  `json:"cat"`
-			Phase string  `json:"ph"`
-			TS    int64   `json:"ts"`
-			Dur   int64   `json:"dur"`
-			TID   int64   `json:"tid"`
-			Scope string  `json:"s"`
+			Name  string `json:"name"`
+			Cat   string `json:"cat"`
+			Phase string `json:"ph"`
+			TS    int64  `json:"ts"`
+			Dur   int64  `json:"dur"`
+			TID   int64  `json:"tid"`
+			Scope string `json:"s"`
 			Args  struct {
 				Value float64 `json:"value"`
 			} `json:"args"`

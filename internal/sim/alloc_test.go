@@ -29,9 +29,9 @@ func TestBoundedRunFrameAccountingAgrees(t *testing.T) {
 	dev := newDeviceRunner(max, c, u, &queueing.DeterministicArrivals{PerSlot: 2}, 100_000, slots)
 	for tt := 0; tt < slots; tt++ {
 		dev.step(tt, testService, -1, nil)
-		if diff := math.Abs(dev.frames.WorkBacklog() - dev.backlog.Level()); diff > 1e-9 {
+		if diff := math.Abs(dev.k.frames.WorkBacklog() - dev.k.Level()); diff > 1e-9 {
 			t.Fatalf("slot %d: frame work %v != scalar backlog %v (diff %v)",
-				tt, dev.frames.WorkBacklog(), dev.backlog.Level(), diff)
+				tt, dev.k.frames.WorkBacklog(), dev.k.Level(), diff)
 		}
 	}
 	res := dev.finalize(slots)
@@ -54,9 +54,9 @@ func TestBoundedRunFrameAccountingAgrees(t *testing.T) {
 	if lam := res.Little.Lambda(); math.Abs(lam-1) > 1e-12 {
 		t.Errorf("lambda = %v, want 1 (admitted frames only)", lam)
 	}
-	if got := res.DroppedFrames + len(res.Completed) + dev.frames.Len(); got != 2*slots {
+	if got := res.DroppedFrames + len(res.Completed) + dev.k.QueuedFrames(); got != 2*slots {
 		t.Errorf("dropped %d + completed %d + queued %d != %d offered",
-			res.DroppedFrames, len(res.Completed), dev.frames.Len(), 2*slots)
+			res.DroppedFrames, len(res.Completed), dev.k.QueuedFrames(), 2*slots)
 	}
 }
 

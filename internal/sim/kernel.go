@@ -1,0 +1,73 @@
+package sim
+
+import "qarv/internal/queueing"
+
+// Kernel is Algorithm 1's per-slot cycle for one device (observe Q(t),
+// decide d(t), enqueue the arrivals' workload, serve b(t)) over the
+// device's scalar backlog and timestamped frame queue. sim runs and
+// fleet sessions all step a Kernel and differ only in what they record
+// from each Slot. A zero Kernel must be armed by Reset before Step.
+type Kernel struct {
+	dev     Device
+	backlog queueing.Backlog
+	frames  queueing.FrameQueue
+}
+
+// Slot is one slot's outcome, filled in place by Kernel.Step.
+type Slot struct {
+	Backlog       float64              // Q(t) observed at the start of the slot
+	Depth         int                  // d(t)
+	Utility       float64              // pa(d(t))
+	Frames        int                  // frames arrived (negative counts clamped to 0)
+	Arrived       float64              // work enqueued
+	Served        float64              // work served
+	DroppedWork   float64              // work rejected by the bounded backlog
+	DroppedFrames int                  // frames overflow removed whole
+	Completed     []queueing.Completed // frames that finished service
+}
+
+// Reset arms the kernel for a fresh device with empty queues.
+func (k *Kernel) Reset(dev Device) {
+	k.dev = dev
+	k.backlog = *queueing.NewBoundedBacklog(dev.MaxBacklog)
+	k.frames = queueing.FrameQueue{}
+}
+
+// Step advances the device one slot against capacity b(t), filling s.
+func (k *Kernel) Step(t int, capacity float64, s *Slot) {
+	q := k.backlog.Level()         // line 4 of Algorithm 1: observe Q(t)
+	d := k.dev.Policy.Decide(t, q) // lines 5–11: closed-form decision
+	s.Backlog, s.Depth, s.Utility = q, d, k.dev.Utility.Utility(d)
+
+	// Negative counts from custom processes are clamped so they can't
+	// drive λ (and LawGap) negative.
+	n := max(k.dev.Arrivals.Frames(t), 0)
+	var work float64
+	for i := 0; i < n; i++ {
+		w := k.dev.Cost.FrameCost(d)
+		work += w
+		k.frames.Push(w, d, t)
+	}
+	s.Frames, s.Arrived = n, work
+
+	// Work the bounded backlog rejects is dropped tail-first from the
+	// frame queue too, so FrameQueue.WorkBacklog tracks Backlog.Level
+	// exactly and sojourns never count work that was never admitted.
+	dropped := k.backlog.TotalDropped()
+	s.Served = k.backlog.Step(work, capacity)
+	s.DroppedWork, s.DroppedFrames = k.backlog.TotalDropped()-dropped, 0
+	if s.DroppedWork > 0 {
+		s.DroppedFrames, _ = k.frames.DropTail(s.DroppedWork)
+	}
+	s.Completed = k.frames.Serve(s.Served, t)
+}
+
+// Level returns the current backlog Q(t).
+func (k *Kernel) Level() float64 { return k.backlog.Level() }
+
+// TotalDropped returns the cumulative work the bounded backlog rejected.
+func (k *Kernel) TotalDropped() float64 { return k.backlog.TotalDropped() }
+
+// QueuedFrames returns the frames still queued, a partially served head
+// included.
+func (k *Kernel) QueuedFrames() int { return k.frames.Len() }

@@ -164,7 +164,7 @@ func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error)
 		}
 		budget := cfg.Service.Service(t)
 		for i, r := range runners {
-			backlogs[i] = r.backlog.Level()
+			backlogs[i] = r.k.Level()
 		}
 		allocator.Allocate(t, budget, backlogs, shares)
 		if telemetryOn {
@@ -180,7 +180,7 @@ func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error)
 		if learner != nil {
 			for i, r := range runners {
 				utilities[i] = r.res.Utility[t]
-				backlogs[i] = r.backlog.Level()
+				backlogs[i] = r.k.Level()
 			}
 			learner.Learn(t, utilities, backlogs)
 		}

@@ -148,20 +148,13 @@ func (r *Result) DepthHistogram() map[int]int {
 	return h
 }
 
-// deviceRunner is the per-device slot-loop state shared by single-device
-// (RunContext) and multi-device (RunMultiContext) runs, so every device
-// gets the same full per-frame accounting: the timestamped FrameQueue,
-// Completed records, the Little estimator, and bounded-backlog drop
-// propagation.
+// deviceRunner records one device's run from its Kernel's slots, shared
+// by single-device (RunContext) and multi-device (RunMultiContext) runs,
+// so every device gets the same full per-frame accounting: the per-slot
+// series, Completed records, the Little estimator, and drop counts.
 type deviceRunner struct {
-	policy   policy.Policy
-	cost     delay.CostModel
-	utility  quality.UtilityModel
-	arrivals queueing.ArrivalProcess
-
-	backlog *queueing.Backlog
-	frames  queueing.FrameQueue
-	res     *Result
+	k   Kernel
+	res *Result
 
 	utilSum    float64
 	backlogSum float64
@@ -174,12 +167,7 @@ type deviceRunner struct {
 
 func newDeviceRunner(p policy.Policy, cost delay.CostModel, utility quality.UtilityModel,
 	arrivals queueing.ArrivalProcess, maxBacklog float64, slots int) *deviceRunner {
-	return &deviceRunner{
-		policy:   p,
-		cost:     cost,
-		utility:  utility,
-		arrivals: arrivals,
-		backlog:  queueing.NewBoundedBacklog(maxBacklog),
+	r := &deviceRunner{
 		res: &Result{
 			PolicyName: p.Name(),
 			Backlog:    make([]float64, slots),
@@ -189,58 +177,30 @@ func newDeviceRunner(p policy.Policy, cost delay.CostModel, utility quality.Util
 			Utility:    make([]float64, slots),
 		},
 	}
+	r.k.Reset(Device{Policy: p, Cost: cost, Utility: utility, Arrivals: arrivals, MaxBacklog: maxBacklog})
+	return r
 }
 
 // step advances the device one slot against the given service capacity.
 // device tags the observer event (-1 for single-device runs).
 func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
+	var s Slot
+	r.k.Step(t, capacity, &s)
 	res := r.res
-	q := r.backlog.Level() // line 4 of Algorithm 1: observe Q(t)
+	q, d, u := s.Backlog, s.Depth, s.Utility
 	res.Backlog[t] = q
 	r.backlogSum += q
 	if q > res.MaxBacklog {
 		res.MaxBacklog = q
 	}
-
-	d := r.policy.Decide(t, q) // lines 5–11: closed-form decision
 	res.Depth[t] = d
-	u := r.utility.Utility(d)
 	res.Utility[t] = u
 	r.utilSum += u
-
-	// Arrivals at the chosen depth. Negative counts from custom
-	// processes are clamped so they can't drive λ (and LawGap) negative.
-	n := r.arrivals.Frames(t)
-	if n < 0 {
-		n = 0
-	}
-	var work float64
-	for i := 0; i < n; i++ {
-		w := r.cost.FrameCost(d)
-		work += w
-		r.frames.Push(w, d, t)
-	}
-	res.Arrived[t] = work
-
-	// Service. When the bounded backlog rejects part of the slot's
-	// arrivals, the same amount is dropped tail-first from the frame
-	// queue so FrameQueue.WorkBacklog tracks Backlog.Level exactly and
-	// sojourn statistics never count work that was never admitted.
-	droppedBefore := r.backlog.TotalDropped()
-	served := r.backlog.Step(work, capacity)
-	res.Served[t] = served
-	droppedNow := r.backlog.TotalDropped() - droppedBefore
-	admitted := n
-	droppedFrames := 0
-	if droppedNow > 0 {
-		droppedFrames, _ = r.frames.DropTail(droppedNow)
-		res.DroppedFrames += droppedFrames
-		if admitted -= droppedFrames; admitted < 0 {
-			admitted = 0
-		}
-	}
-	completed := r.frames.Serve(served, t)
-	for _, c := range completed {
+	res.Arrived[t] = s.Arrived
+	res.Served[t] = s.Served
+	res.DroppedFrames += s.DroppedFrames
+	admitted := max(s.Frames-s.DroppedFrames, 0)
+	for _, c := range s.Completed {
 		res.Completed = append(res.Completed, c)
 		res.Little.ObserveCompletion(c.Sojourn)
 	}
@@ -249,20 +209,20 @@ func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
 	// λ counts only admitted frames: overflow-removed frames never
 	// complete, so offering them to the estimator would fake a
 	// Little's-law violation in exactly the drop regime.
-	res.Little.ObserveSlot(float64(r.frames.Len()), admitted)
+	res.Little.ObserveSlot(float64(r.k.QueuedFrames()), admitted)
 	if tel := r.tel; tel != nil {
 		tel.slots.Inc()
-		tel.framesArrived.Add(int64(n))
-		tel.framesCompleted.Add(int64(len(completed)))
+		tel.framesArrived.Add(int64(s.Frames))
+		tel.framesCompleted.Add(int64(len(s.Completed)))
 		tel.backlog.Observe(q)
-		tel.served.Observe(served)
+		tel.served.Observe(s.Served)
 		tel.utility.Observe(u)
-		for _, c := range completed {
+		for _, c := range s.Completed {
 			tel.sojourn.Observe(float64(c.Sojourn))
 		}
-		if droppedNow > 0 {
-			tel.framesDropped.Add(int64(droppedFrames))
-			tel.rec.Event(int64(t), "sim", "drop", int64(device), droppedNow)
+		if s.DroppedWork > 0 {
+			tel.framesDropped.Add(int64(s.DroppedFrames))
+			tel.rec.Event(int64(t), "sim", "drop", int64(device), s.DroppedWork)
 		}
 		if d != r.lastDepth {
 			tel.rec.Event(int64(t), "sim", "depth", int64(device), float64(d))
@@ -273,7 +233,7 @@ func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
 	if obs != nil {
 		obs(SlotEvent{
 			Slot: t, Device: device, Backlog: q, Depth: d,
-			Utility: u, Arrived: work, Served: served, Dropped: droppedNow,
+			Utility: u, Arrived: s.Arrived, Served: s.Served, Dropped: s.DroppedWork,
 		})
 	}
 }
@@ -281,17 +241,11 @@ func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
 // finalize fills the run summaries after the last slot.
 func (r *deviceRunner) finalize(slots int) *Result {
 	res := r.res
-	res.DroppedWork = r.backlog.TotalDropped()
-	res.FinalBacklog = r.backlog.Level()
+	res.DroppedWork = r.k.TotalDropped()
+	res.FinalBacklog = r.k.Level()
 	res.TimeAvgUtility = r.utilSum / float64(slots)
 	res.TimeAvgBacklog = r.backlogSum / float64(slots)
-	if len(res.Completed) > 0 {
-		var s float64
-		for _, c := range res.Completed {
-			s += float64(c.Sojourn)
-		}
-		res.MeanSojourn = s / float64(len(res.Completed))
-	}
+	res.MeanSojourn = res.Little.W() // the same sojourn sum, in the same order
 	return res
 }
 
