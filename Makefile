@@ -18,12 +18,14 @@ check:
 
 # fuzz-smoke runs each fuzz target briefly — enough to replay the
 # checked-in corpora and catch regressions in the parsers' error paths
-# without a long fuzzing campaign.
+# and the nearest-neighbour index's exactness without a long fuzzing
+# campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPLYDecode -fuzztime 10s ./internal/ply
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceCSV -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceJSON -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/stream
+	$(GO) test -run '^$$' -fuzz FuzzGridIndexNearest -fuzztime 10s ./internal/pointcloud
 
 build:
 	$(GO) build ./...

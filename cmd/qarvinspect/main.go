@@ -68,6 +68,10 @@ func run(args []string, out io.Writer) error {
 	}
 	rows := make([][]string, 0, len(profile))
 	full := profile[len(profile)-1]
+	var ref *quality.Reference
+	if *metrics {
+		ref = quality.NewReference(cloud)
+	}
 	for d, n := range profile {
 		row := []string{
 			strconv.Itoa(d),
@@ -79,7 +83,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			rep, err := quality.CompareGeometry(cloud, lod)
+			rep, err := ref.Geometry(lod)
 			if err != nil {
 				return err
 			}

@@ -1,7 +1,7 @@
 // Package content turns a point-cloud asset into a controller-consumable
 // workload profile: synthetic body (or PLY file) → octree build →
 // measured per-depth stream bytes (StreamSizeProfile) and measured
-// per-depth quality (geometry PSNR via quality.CompareGeometry, or
+// per-depth quality (geometry PSNR against one shared quality.Reference, or
 // rendered-view PSNR via render.DepthLadderPSNR). The resulting Profile
 // exposes the two tables the Lyapunov controller needs — a bytes-domain
 // cost model a(d) and a PSNR-backed utility model pa(d) — so sessions,
@@ -348,12 +348,13 @@ func measurePSNR(c Config, cloud *pointcloud.Cloud, tree *octree.Octree) ([]floa
 		}
 		copy(vals, ladder)
 	default:
+		ref := quality.NewReference(cloud)
 		for i, d := range c.Depths {
 			lod, err := tree.LOD(d, octree.LODCentroid)
 			if err != nil {
 				return nil, fmt.Errorf("content: LOD depth %d: %w", d, err)
 			}
-			rep, err := quality.CompareGeometry(cloud, lod)
+			rep, err := ref.Geometry(lod)
 			if err != nil {
 				return nil, fmt.Errorf("content: geometry PSNR depth %d: %w", d, err)
 			}

@@ -84,6 +84,7 @@ func Fig1Context(ctx context.Context, cfg Fig1Config) ([]Fig1Row, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build octree: %w", err)
 	}
+	ref := quality.NewReference(cloud)
 	rows := make([]Fig1Row, 0, len(c.Depths))
 	for _, d := range c.Depths {
 		if err := ctx.Err(); err != nil {
@@ -93,7 +94,7 @@ func Fig1Context(ctx context.Context, cfg Fig1Config) ([]Fig1Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("LOD depth %d: %w", d, err)
 		}
-		geo, err := quality.CompareGeometry(cloud, lod)
+		geo, err := ref.Geometry(lod)
 		if err != nil {
 			return nil, fmt.Errorf("geometry depth %d: %w", d, err)
 		}
@@ -101,7 +102,7 @@ func Fig1Context(ctx context.Context, cfg Fig1Config) ([]Fig1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		colPSNR, err := quality.ColorPSNR(cloud, lod)
+		colPSNR, err := ref.ColorPSNR(lod)
 		if err != nil {
 			return nil, fmt.Errorf("color depth %d: %w", d, err)
 		}

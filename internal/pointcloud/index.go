@@ -1,21 +1,47 @@
 package pointcloud
 
 import (
-	"container/heap"
 	"math"
 
 	"qarv/internal/geom"
 )
 
-// GridIndex is a uniform hash-grid spatial index over a cloud, supporting
-// nearest-neighbour, k-nearest and radius queries. A hash grid beats a k-d
-// tree for the near-uniform surface densities of voxelized body scans and
-// keeps the implementation dependency-free.
+// GridIndex is a uniform-grid spatial index over a cloud, supporting exact
+// nearest-neighbour and k-nearest queries. A grid beats a k-d tree for the
+// near-uniform surface densities of voxelized body scans and keeps the
+// implementation dependency-free.
+//
+// Layout: the points are copied in cell order, each with its original
+// index, and one map takes a packed cell key to the cell's ordinal, whose
+// points are pts[start[o]:start[o+1]]. Within a cell, points keep their
+// original order. A query scans its own cell, then the shells of growing
+// Chebyshev rings around it, skipping every cell whose box is already
+// farther than the best distance found.
+//
+// Cell size: with cellSize ≤ 0, NewGridIndex starts from the bounding-
+// volume heuristic (about two points per cell were the box filled; 1 for
+// a flat or empty box), coarsened if need be to at most 8 grid cells per
+// point. It then counts the cells the cloud occupies at that size and
+// refines once, scaling the size by √(targetPerCell / points per occupied
+// cell): a scanned body is a surface, whose occupied cells scale as s⁻²,
+// not a filled volume. Every size, explicit or not, is floored at the
+// longest extent / 2^20 so that packed cell keys cannot wrap.
+//
+// Ties: among equidistant points a query returns the lowest original
+// index, and KNearest orders its results by (Dist2, Index), so every query
+// equals a brute-force scan of the cloud in index order.
+//
+// A GridIndex is read-only after construction and safe for concurrent
+// queries.
 type GridIndex struct {
-	cloud    *Cloud
 	cellSize float64
+	inv      float64 // 1 / cellSize
 	origin   geom.Vec3
-	cells    map[[3]int32][]int32
+	dims     [3]int           // cells per axis over the cloud's bounds
+	cells    map[uint64]int32 // packed cell key → cell ordinal
+	start    []int32          // cell o holds pts[start[o]:start[o+1]]
+	pts      []geom.Vec3      // points in cell order
+	ids      []int32          // original index of each entry of pts
 }
 
 // Neighbor is one k-nearest-neighbour result.
@@ -24,50 +50,187 @@ type Neighbor struct {
 	Dist2 float64 // squared distance to the query point
 }
 
-// NewGridIndex builds an index over cloud. cellSize ≤ 0 picks a heuristic
-// size targeting a handful of points per cell.
+const (
+	// targetPerCell is the occupied-cell density the default cell size
+	// aims for: enough points that a query's own cell usually yields a
+	// candidate, few enough that scanning a neighbour cell stays cheap.
+	targetPerCell = 4
+	// maxCellsPerAxis bounds the cells along any axis so that the packed
+	// key x·dy·dz + y·dz + z fits in 64 bits.
+	maxCellsPerAxis = 1 << 20
+	// boxSlack widens the conservative cell-box distance bound: a point is
+	// assigned its cell by a rounded floor((p − origin)/cellSize), so it
+	// can sit a few ulps outside the cell's exact box, and the search must
+	// still never skip it.
+	boxSlack = 1e-9
+)
+
+// NewGridIndex builds an index over cloud. cellSize ≤ 0 picks a size from
+// the cloud's bounds and occupancy (see GridIndex); a positive cellSize is
+// used as given, floored only so that cell keys cannot wrap.
 func NewGridIndex(cloud *Cloud, cellSize float64) *GridIndex {
-	g := &GridIndex{cloud: cloud}
+	g := &GridIndex{}
 	n := cloud.Len()
-	b := cloud.Bounds()
+	b := finiteBounds(cloud.Points)
+	g.origin = b.Min
+	floor := b.LongestAxisLength() / maxCellsPerAxis
 	if cellSize <= 0 {
-		if n == 0 || b.IsEmpty() {
-			cellSize = 1
-		} else {
-			// Aim for ~2 points per cell for surface-like data:
-			// cells ≈ n/2 over the bounding volume.
-			vol := math.Max(b.Volume(), 1e-12)
-			cellSize = math.Cbrt(vol / math.Max(float64(n)/2, 1))
-			if cellSize <= 0 {
-				cellSize = 1
-			}
-		}
+		cellSize = g.defaultCellSize(cloud.Points, b, floor)
 	}
-	g.cellSize = cellSize
-	if !b.IsEmpty() {
-		g.origin = b.Min
-	}
-	g.cells = make(map[[3]int32][]int32, n/2+1)
+	g.setCellSize(math.Max(cellSize, floor), b, n)
+	cells := make(map[uint64]int32, n/targetPerCell+1)
+	g.cells = cells
+
+	// Counting build: one hashing pass assigns each point its cell ordinal
+	// (in order of first appearance), prefix sums give each cell's start,
+	// and a scatter copies the points in cell order. Points within a cell
+	// keep their original order.
+	ord := make([]int32, n)
+	var count []int32
+	lastKey, o := uint64(math.MaxUint64), int32(-1)
 	for i, p := range cloud.Points {
-		key := g.cellOf(p)
-		g.cells[key] = append(g.cells[key], int32(i))
+		// Consecutive points often share a cell (voxelized and octree
+		// clouds come out in grid order), so the last lookup is reused.
+		if k := g.key(p); k != lastKey {
+			var ok bool
+			if o, ok = cells[k]; !ok {
+				o = int32(len(count))
+				cells[k] = o
+				count = append(count, 0)
+			}
+			lastKey = k
+		}
+		ord[i] = o
+		count[o]++
+	}
+	g.start = make([]int32, len(count)+1)
+	for o, c := range count {
+		g.start[o+1] = g.start[o] + c
+	}
+	fill := count // reused as each cell's write cursor
+	copy(fill, g.start)
+	g.pts = make([]geom.Vec3, n)
+	g.ids = make([]int32, n)
+	for i, p := range cloud.Points {
+		at := fill[ord[i]]
+		fill[ord[i]]++
+		g.pts[at] = p
+		g.ids[at] = int32(i)
 	}
 	return g
+}
+
+// finiteBounds is the box of the finite coordinates of pts. It skips
+// Cloud.Bounds' NaN and signed-zero handling, which makes it several times
+// cheaper; a non-finite coordinate's cell is clamped into the grid, and
+// its point is never strictly nearest to anything.
+func finiteBounds(pts []geom.Vec3) geom.AABB {
+	inf := math.Inf(1)
+	b := geom.AABB{Min: geom.V(inf, inf, inf), Max: geom.V(-inf, -inf, -inf)}
+	for _, p := range pts {
+		widen(p.X, &b.Min.X, &b.Max.X)
+		widen(p.Y, &b.Min.Y, &b.Max.Y)
+		widen(p.Z, &b.Min.Z, &b.Max.Z)
+	}
+	return b
+}
+
+func widen(v float64, lo, hi *float64) {
+	if v < *lo && v > math.Inf(-1) {
+		*lo = v
+	}
+	if v > *hi && v < math.Inf(1) {
+		*hi = v
+	}
+}
+
+// defaultCellSize is the GridIndex cell-size rule. The coarsened starting
+// grid has at most 8 cells per point, so its occupancy fits a small
+// bitset.
+func (g *GridIndex) defaultCellSize(pts []geom.Vec3, b geom.AABB, floor float64) float64 {
+	n := len(pts)
+	if n == 0 {
+		return 1
+	}
+	s := 1.0
+	if !b.IsEmpty() {
+		// Aim for ~2 points per cell over the bounding volume.
+		s = math.Cbrt(b.Volume() / math.Max(float64(n)/2, 1))
+		if !(s > 0) {
+			s = 1
+		}
+	}
+	s = math.Max(s, floor)
+	for {
+		g.setCellSize(s, b, n)
+		if g.dims[0]*g.dims[1]*g.dims[2] <= 8*n {
+			break
+		}
+		s *= 2
+	}
+	occupied := make([]uint64, (g.dims[0]*g.dims[1]*g.dims[2]+63)/64)
+	count := 0
+	for _, p := range pts {
+		k := g.key(p)
+		if bit := uint64(1) << (k % 64); occupied[k/64]&bit == 0 {
+			occupied[k/64] |= bit
+			count++
+		}
+	}
+	return s * math.Sqrt(targetPerCell*float64(count)/float64(n))
+}
+
+// setCellSize fixes the cell edge and the grid's per-axis cell counts over
+// the bounds b of n points.
+func (g *GridIndex) setCellSize(s float64, b geom.AABB, n int) {
+	g.cellSize = s
+	g.inv = 1 / s
+	g.dims = [3]int{1, 1, 1}
+	if n > 0 {
+		g.dims = [3]int{
+			clampCell((b.Max.X-g.origin.X)*g.inv, 0) + 1,
+			clampCell((b.Max.Y-g.origin.Y)*g.inv, 0) + 1,
+			clampCell((b.Max.Z-g.origin.Z)*g.inv, 0) + 1,
+		}
+	}
 }
 
 // CellSize returns the edge length of the index's cells.
 func (g *GridIndex) CellSize() float64 { return g.cellSize }
 
-func (g *GridIndex) cellOf(p geom.Vec3) [3]int32 {
-	return [3]int32{
-		int32(math.Floor((p.X - g.origin.X) / g.cellSize)),
-		int32(math.Floor((p.Y - g.origin.Y) / g.cellSize)),
-		int32(math.Floor((p.Z - g.origin.Z) / g.cellSize)),
+// clampCell floors a grid coordinate into [0, dim) when dim > 0, and into
+// [0, maxCellsPerAxis] while dim is not yet known. Every point of the
+// cloud floors into the grid; the clamp is for queries outside it and for
+// non-finite coordinates.
+func clampCell(u float64, dim int) int {
+	hi := maxCellsPerAxis
+	if dim > 0 {
+		hi = dim - 1
 	}
+	if !(u >= 0) {
+		return 0
+	}
+	if u >= float64(hi) {
+		return hi
+	}
+	return int(u)
+}
+
+// key returns the packed key of p's cell.
+func (g *GridIndex) key(p geom.Vec3) uint64 {
+	x := clampCell((p.X-g.origin.X)*g.inv, g.dims[0])
+	y := clampCell((p.Y-g.origin.Y)*g.inv, g.dims[1])
+	z := clampCell((p.Z-g.origin.Z)*g.inv, g.dims[2])
+	return g.packed(x, y, z)
+}
+
+func (g *GridIndex) packed(x, y, z int) uint64 {
+	return (uint64(x)*uint64(g.dims[1])+uint64(y))*uint64(g.dims[2]) + uint64(z)
 }
 
 // Nearest returns the index of the point closest to q and its squared
-// distance. It returns (-1, -1) for an empty cloud.
+// distance; among equidistant points it returns the lowest index. It
+// returns (-1, -1) for an empty cloud.
 func (g *GridIndex) Nearest(q geom.Vec3) (int, float64) {
 	return g.NearestExcluding(q, -1)
 }
@@ -75,194 +238,207 @@ func (g *GridIndex) Nearest(q geom.Vec3) (int, float64) {
 // NearestExcluding is Nearest but skips the point at index exclude,
 // which makes self-queries ("nearest other point") possible.
 func (g *GridIndex) NearestExcluding(q geom.Vec3, exclude int) (int, float64) {
-	if g.cloud.Len() == 0 || (g.cloud.Len() == 1 && exclude == 0) {
+	s := search{q: q, exclude: int32(exclude), best: -1, bestD2: math.Inf(1)}
+	if exclude < 0 || exclude >= len(g.ids) {
+		s.exclude = -1
+	}
+	g.walk(&s)
+	if s.best < 0 {
 		return -1, -1
 	}
-	center := g.cellOf(q)
-	best := -1
-	bestD2 := math.Inf(1)
-	// Expand rings of cells until the best candidate cannot be beaten by
-	// any cell in the next ring.
-	for ring := 0; ; ring++ {
-		found := g.scanRing(q, center, ring, exclude, &best, &bestD2)
-		if best >= 0 {
-			// Points in ring r are at least (r−1)·cellSize away; once that
-			// lower bound exceeds the best distance we can stop.
-			lower := float64(ring) * g.cellSize
-			if lower*lower > bestD2 {
-				break
-			}
-		}
-		if !found && ring > g.maxRing() {
-			break
-		}
-	}
-	return best, bestD2
+	return int(s.best), s.bestD2
 }
 
-// maxRing bounds ring expansion by the grid's occupied extent.
-func (g *GridIndex) maxRing() int {
-	// A generous bound: enough rings to cross the whole bounding box.
-	b := g.cloud.Bounds()
-	if b.IsEmpty() {
-		return 1
-	}
-	return int(b.LongestAxisLength()/g.cellSize) + 2
-}
-
-// scanRing visits all cells at Chebyshev distance ring from center and
-// updates best/bestD2; it reports whether any occupied cell was seen.
-func (g *GridIndex) scanRing(q geom.Vec3, center [3]int32, ring int, exclude int, best *int, bestD2 *float64) bool {
-	foundCell := false
-	visit := func(key [3]int32) {
-		pts, ok := g.cells[key]
-		if !ok {
-			return
-		}
-		foundCell = true
-		for _, i := range pts {
-			if int(i) == exclude {
-				continue
-			}
-			d2 := q.Dist2(g.cloud.Points[i])
-			if d2 < *bestD2 {
-				*bestD2 = d2
-				*best = int(i)
-			}
-		}
-	}
-	if ring == 0 {
-		visit(center)
-		return foundCell
-	}
-	r := int32(ring)
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			for dz := -r; dz <= r; dz++ {
-				if maxAbs3(dx, dy, dz) != r {
-					continue // interior cells were visited in earlier rings
-				}
-				visit([3]int32{center[0] + dx, center[1] + dy, center[2] + dz})
-			}
-		}
-	}
-	return foundCell
-}
-
-func maxAbs3(a, b, c int32) int32 {
-	m := a
-	if m < 0 {
-		m = -m
-	}
-	if b < 0 {
-		b = -b
-	}
-	if b > m {
-		m = b
-	}
-	if c < 0 {
-		c = -c
-	}
-	if c > m {
-		m = c
-	}
-	return m
-}
-
-// neighborHeap is a max-heap on Dist2 so the worst of the current k best
-// sits at the root and can be evicted cheaply.
-type neighborHeap []Neighbor
-
-func (h neighborHeap) Len() int            { return len(h) }
-func (h neighborHeap) Less(i, j int) bool  { return h[i].Dist2 > h[j].Dist2 }
-func (h neighborHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *neighborHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *neighborHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
-}
-
-// KNearest returns up to k nearest neighbours of q, sorted by increasing
-// distance. The query point itself is included if it is in the cloud.
+// KNearest returns up to k nearest neighbours of q, ordered by (Dist2,
+// Index). The query point itself is included if it is in the cloud.
 func (g *GridIndex) KNearest(q geom.Vec3, k int) []Neighbor {
-	if k <= 0 || g.cloud.Len() == 0 {
+	if k <= 0 || len(g.ids) == 0 {
 		return nil
 	}
-	if k > g.cloud.Len() {
-		k = g.cloud.Len()
-	}
-	h := make(neighborHeap, 0, k+1)
-	center := g.cellOf(q)
-	maxRing := g.maxRing()
-	for ring := 0; ring <= maxRing; ring++ {
-		g.scanRingKNN(q, center, ring, k, &h)
-		if len(h) == k {
-			lower := float64(ring) * g.cellSize
-			if lower*lower > h[0].Dist2 {
-				break
-			}
-		}
-	}
-	// Extract in increasing order.
-	out := make([]Neighbor, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Neighbor)
+	k = min(k, len(g.ids))
+	s := search{q: q, exclude: -1, k: k, heap: make(neighborHeap, 0, k)}
+	g.walk(&s)
+	out := make([]Neighbor, len(s.heap))
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = s.heap.pop()
 	}
 	return out
 }
 
-func (g *GridIndex) scanRingKNN(q geom.Vec3, center [3]int32, ring, k int, h *neighborHeap) {
-	visit := func(key [3]int32) {
-		for _, i := range g.cells[key] {
-			d2 := q.Dist2(g.cloud.Points[i])
-			if len(*h) < k {
-				heap.Push(h, Neighbor{Index: int(i), Dist2: d2})
-			} else if d2 < (*h)[0].Dist2 {
-				heap.Pop(h)
-				heap.Push(h, Neighbor{Index: int(i), Dist2: d2})
+// search is one query's state: the single best point (k == 0) or a
+// max-heap of the k best (k > 0).
+type search struct {
+	q       geom.Vec3
+	exclude int32
+	best    int32
+	bestD2  float64
+	k       int
+	heap    neighborHeap
+}
+
+// bound is the squared distance a cell must not exceed to be scanned.
+func (s *search) bound() float64 {
+	if s.k == 0 {
+		return s.bestD2
+	}
+	if len(s.heap) < s.k {
+		return math.Inf(1)
+	}
+	return s.heap[0].Dist2
+}
+
+func (s *search) scan(pts []geom.Vec3, ids []int32) {
+	if s.k == 0 {
+		for j, p := range pts {
+			d2 := s.q.Dist2(p)
+			if (d2 < s.bestD2 || (d2 == s.bestD2 && ids[j] < s.best)) && ids[j] != s.exclude {
+				s.best, s.bestD2 = ids[j], d2
 			}
 		}
-	}
-	if ring == 0 {
-		visit(center)
 		return
 	}
-	r := int32(ring)
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			for dz := -r; dz <= r; dz++ {
-				if maxAbs3(dx, dy, dz) != r {
-					continue
-				}
-				visit([3]int32{center[0] + dx, center[1] + dy, center[2] + dz})
-			}
+	for j, p := range pts {
+		nb := Neighbor{Index: int(ids[j]), Dist2: s.q.Dist2(p)}
+		if len(s.heap) < s.k {
+			s.heap.push(nb)
+		} else if nb.before(s.heap[0]) {
+			s.heap[0] = nb
+			s.heap.down(0)
 		}
 	}
 }
 
-// Radius returns the indices of all points within radius of q (inclusive).
-func (g *GridIndex) Radius(q geom.Vec3, radius float64) []int {
-	if radius < 0 || g.cloud.Len() == 0 {
-		return nil
+// walk visits the grid's cells in Chebyshev rings around q's cell, scanning
+// only the cells of each ring's shell whose box could hold a point no
+// farther than the search's bound, and stops once no unvisited cell can.
+//
+// Distance bounds are taken in grid units from u = (q − origin)/cellSize:
+// a cell k on one axis is at least gap = max(0, k − u, u − (k+1)) away,
+// less a slack covering the rounding of both u and the points' cell
+// assignment, and the squared sum is scaled by (1 − boxSlack) so that a
+// skipped cell's points are all strictly farther than the bound.
+func (g *GridIndex) walk(s *search) {
+	if len(g.ids) == 0 {
+		return
 	}
-	r2 := radius * radius
-	ringMax := int(radius/g.cellSize) + 1
-	center := g.cellOf(q)
-	var out []int
-	for dx := -int32(ringMax); dx <= int32(ringMax); dx++ {
-		for dy := -int32(ringMax); dy <= int32(ringMax); dy++ {
-			for dz := -int32(ringMax); dz <= int32(ringMax); dz++ {
-				key := [3]int32{center[0] + dx, center[1] + dy, center[2] + dz}
-				for _, i := range g.cells[key] {
-					if q.Dist2(g.cloud.Points[i]) <= r2 {
-						out = append(out, int(i))
+	q := s.q
+	u := [3]float64{
+		(q.X - g.origin.X) * g.inv,
+		(q.Y - g.origin.Y) * g.inv,
+		(q.Z - g.origin.Z) * g.inv,
+	}
+	var c [3]int
+	maxRing := 0
+	slack := 2.0
+	for a := 0; a < 3; a++ {
+		c[a] = clampCell(u[a], g.dims[a])
+		maxRing = max(maxRing, c[a], g.dims[a]-1-c[a])
+		slack += math.Abs(u[a]) + float64(g.dims[a])
+	}
+	slack *= boxSlack
+	scale := g.cellSize * g.cellSize * (1 - boxSlack)
+	gap := func(a, k int) float64 {
+		d := float64(k) - u[a]
+		if e := u[a] - float64(k+1); e > d {
+			d = e
+		}
+		if d -= slack; d > 0 {
+			return d
+		}
+		return 0
+	}
+	cell := func(x, y, z int) {
+		if o, ok := g.cells[g.packed(x, y, z)]; ok {
+			lo, hi := g.start[o], g.start[o+1]
+			s.scan(g.pts[lo:hi], g.ids[lo:hi])
+		}
+	}
+	cell(c[0], c[1], c[2])
+	for r := 1; r <= maxRing; r++ {
+		if lb := float64(r-1) - slack; lb > 0 && lb*lb*scale > s.bound() {
+			return // every unvisited cell is at least r−1 cells away
+		}
+		for x := max(c[0]-r, 0); x <= min(c[0]+r, g.dims[0]-1); x++ {
+			gx := gap(0, x)
+			lx := gx * gx
+			if lx*scale > s.bound() {
+				continue
+			}
+			xShell := x == c[0]-r || x == c[0]+r
+			for y := max(c[1]-r, 0); y <= min(c[1]+r, g.dims[1]-1); y++ {
+				gy := gap(1, y)
+				lxy := lx + gy*gy
+				if lxy*scale > s.bound() {
+					continue
+				}
+				if xShell || y == c[1]-r || y == c[1]+r {
+					for z := max(c[2]-r, 0); z <= min(c[2]+r, g.dims[2]-1); z++ {
+						if gz := gap(2, z); (lxy+gz*gz)*scale <= s.bound() {
+							cell(x, y, z)
+						}
+					}
+					continue
+				}
+				// Interior of the ring's x and y ranges: only the two
+				// z faces belong to this shell.
+				for _, z := range [2]int{c[2] - r, c[2] + r} {
+					if z < 0 || z >= g.dims[2] {
+						continue
+					}
+					if gz := gap(2, z); (lxy+gz*gz)*scale <= s.bound() {
+						cell(x, y, z)
 					}
 				}
 			}
 		}
 	}
-	return out
+}
+
+// before orders neighbours by (Dist2, Index).
+func (a Neighbor) before(b Neighbor) bool {
+	return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.Index < b.Index)
+}
+
+// neighborHeap is a max-heap under Neighbor.before, so the worst of the
+// current k best sits at the root and can be replaced in place.
+type neighborHeap []Neighbor
+
+func (h *neighborHeap) push(nb Neighbor) {
+	*h = append(*h, nb)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !a[p].before(a[i]) {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+func (h *neighborHeap) pop() Neighbor {
+	a := *h
+	top := a[0]
+	a[0] = a[len(a)-1]
+	*h = a[:len(a)-1]
+	h.down(0)
+	return top
+}
+
+func (h neighborHeap) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[l].before(h[r]) {
+			m = r
+		}
+		if !h[i].before(h[m]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

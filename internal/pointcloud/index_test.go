@@ -26,12 +26,17 @@ func bruteNearest(c *Cloud, q geom.Vec3, exclude int) (int, float64) {
 	return best, bestD2
 }
 
+// bruteKNN orders every point by (Dist2, Index), the tie rule the index
+// promises, and keeps the first k.
 func bruteKNN(c *Cloud, q geom.Vec3, k int) []Neighbor {
 	all := make([]Neighbor, 0, c.Len())
 	for i, p := range c.Points {
 		all = append(all, Neighbor{Index: i, Dist2: q.Dist2(p)})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Dist2 < all[j].Dist2 })
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.Index < b.Index)
+	})
 	if k > len(all) {
 		k = len(all)
 	}
@@ -80,9 +85,8 @@ func TestGridIndexKNearestMatchesBruteForce(t *testing.T) {
 				t.Fatalf("k=%d: got %d results, want %d", k, len(got), len(want))
 			}
 			for i := range got {
-				// Indices can differ under distance ties; distances must match.
-				if math.Abs(got[i].Dist2-want[i].Dist2) > 1e-12 {
-					t.Fatalf("k=%d rank %d: dist %v, want %v", k, i, got[i].Dist2, want[i].Dist2)
+				if got[i] != want[i] {
+					t.Fatalf("k=%d rank %d: got %+v, want %+v", k, i, got[i], want[i])
 				}
 			}
 		}
@@ -115,27 +119,6 @@ func TestGridIndexKNearestDegenerate(t *testing.T) {
 	}
 }
 
-func TestGridIndexRadius(t *testing.T) {
-	// Lattice cloud: a radius-1.01 ball around an interior point catches
-	// itself plus its 6 axis neighbours.
-	c := &Cloud{}
-	for x := 0; x < 5; x++ {
-		for y := 0; y < 5; y++ {
-			for z := 0; z < 5; z++ {
-				c.Append(geom.V(float64(x), float64(y), float64(z)), nil, nil)
-			}
-		}
-	}
-	idx := NewGridIndex(c, 0)
-	got := idx.Radius(geom.V(2, 2, 2), 1.01)
-	if len(got) != 7 {
-		t.Fatalf("radius query found %d points, want 7", len(got))
-	}
-	if idx.Radius(geom.V(2, 2, 2), -1) != nil {
-		t.Error("negative radius must return nil")
-	}
-}
-
 func TestGridIndexExplicitCellSize(t *testing.T) {
 	c := cubeCloud(100, 28)
 	idx := NewGridIndex(c, 0.05)
@@ -149,4 +132,165 @@ func TestGridIndexExplicitCellSize(t *testing.T) {
 	if gotI != wantI {
 		t.Errorf("nearest with tiny cells = %d, want %d", gotI, wantI)
 	}
+}
+
+// latticeCloud is an n×n×n integer lattice, listed twice so that every
+// point has an exact duplicate at a higher index.
+func latticeCloud(n int) *Cloud {
+	c := &Cloud{}
+	for rep := 0; rep < 2; rep++ {
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				for z := 0; z < n; z++ {
+					c.Append(geom.V(float64(x), float64(y), float64(z)), nil, nil)
+				}
+			}
+		}
+	}
+	return c
+}
+
+// checkExact asserts that Nearest, NearestExcluding and KNearest equal
+// brute force exactly, index included, for every query.
+func checkExact(t *testing.T, c *Cloud, idx *GridIndex, queries []geom.Vec3) {
+	t.Helper()
+	for _, q := range queries {
+		gotI, gotD2 := idx.Nearest(q)
+		wantI, wantD2 := bruteNearest(c, q, -1)
+		if gotI != wantI || gotD2 != wantD2 {
+			t.Fatalf("cell %v: Nearest(%v) = (%d, %v), want (%d, %v)", idx.CellSize(), q, gotI, gotD2, wantI, wantD2)
+		}
+		for _, k := range []int{1, 3, 8, c.Len()} {
+			got, want := idx.KNearest(q, k), bruteKNN(c, q, k)
+			if len(got) != len(want) {
+				t.Fatalf("cell %v: KNearest(%v, %d) has %d results, want %d", idx.CellSize(), q, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("cell %v: KNearest(%v, %d)[%d] = %+v, want %+v", idx.CellSize(), q, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	for i, p := range c.Points {
+		gotI, gotD2 := idx.NearestExcluding(p, i)
+		wantI, wantD2 := bruteNearest(c, p, i)
+		if gotI != wantI || gotD2 != wantD2 {
+			t.Fatalf("cell %v: NearestExcluding(%v, %d) = (%d, %v), want (%d, %v)", idx.CellSize(), p, i, gotI, gotD2, wantI, wantD2)
+		}
+	}
+}
+
+func TestGridIndexExactTies(t *testing.T) {
+	lattice := latticeCloud(4)
+	var mid []geom.Vec3 // lattice midpoints: every query is a tie
+	for x := -0.5; x <= 3.5; x++ {
+		for y := -0.5; y <= 3.5; y += 2 {
+			for z := -0.5; z <= 3.5; z += 0.5 {
+				mid = append(mid, geom.V(x, y, z))
+			}
+		}
+	}
+	flat := &Cloud{}
+	for x := 0; x < 6; x++ {
+		for y := 0; y < 6; y++ {
+			flat.Append(geom.V(float64(x)*0.25, float64(y)*0.25, 0), nil, nil)
+		}
+	}
+	flatQ := []geom.Vec3{geom.V(0.125, 0.125, 0), geom.V(0.6, 0.375, 1), geom.V(-3, 0.5, 0)}
+	single := &Cloud{}
+	single.Append(geom.V(1, 2, 3), nil, nil)
+	far := []geom.Vec3{geom.V(1e6, -1e6, 3), geom.V(-50, 1.5, 1.5), geom.V(1.5, 1.5, 1e4)}
+	cases := []struct {
+		name    string
+		c       *Cloud
+		queries []geom.Vec3
+	}{
+		{"lattice", lattice, append(append([]geom.Vec3{}, mid...), far...)},
+		{"flat", flat, append(flatQ, far...)},
+		{"single", single, append([]geom.Vec3{geom.V(1, 2, 3)}, far...)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, cell := range []float64{0, 0.3, 100} {
+				checkExact(t, tc.c, NewGridIndex(tc.c, cell), tc.queries)
+			}
+		})
+	}
+}
+
+func TestGridIndexDefaultCellSizeTracksSurface(t *testing.T) {
+	// A unit sphere's surface: the volume heuristic alone puts about 10
+	// points in each occupied cell; the refinement brings it to a few.
+	c := &Cloud{}
+	rng := geom.NewRNG(29)
+	for i := 0; i < 20000; i++ {
+		v := geom.V(rng.Range(-1, 1), rng.Range(-1, 1), rng.Range(-1, 1))
+		if n := v.Norm(); n > 1e-3 {
+			c.Append(v.Scale(1/n), nil, nil)
+		}
+	}
+	idx := NewGridIndex(c, 0)
+	perCell := float64(c.Len()) / float64(len(idx.cells))
+	if perCell < targetPerCell/2 || perCell > 2*targetPerCell {
+		t.Errorf("%.1f points per occupied cell at the default size %v", perCell, idx.CellSize())
+	}
+}
+
+// FuzzGridIndexNearest decodes bytes into a small cloud, which may hold
+// duplicates or lie flat, plus queries, and checks Nearest and
+// NearestExcluding against brute force, index included.
+//
+// Layout: data[0] picks the scale (bits 0–1), flattens z (bit 2) and
+// pushes queries far out (bit 3); data[1] is the point count; then each
+// byte triple is one point or, past the count, one query, each coordinate
+// a signed byte times the scale / 4.
+func FuzzGridIndexNearest(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 2, 0, 0})
+	f.Add([]byte{1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2})                   // all duplicates
+	f.Add([]byte{4, 5, 0, 0, 9, 4, 0, 7, 0, 4, 3, 4, 4, 1, 9, 9, 9, 2, 2, 5}) // flat
+	f.Add([]byte{10, 2, 0, 0, 0, 127, 127, 127, 64, 64, 64, 128, 0, 0})       // far queries
+	f.Add([]byte{3, 1, 5, 5, 5, 0, 0, 0})                                     // single point
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		scale := [4]float64{1, 1e-3, 1e3, 0.37}[data[0]&3]
+		flat, far := data[0]&4 != 0, data[0]&8 != 0
+		npts := int(data[1])%64 + 1
+		c := &Cloud{}
+		var queries []geom.Vec3
+		for i := 2; i+3 <= len(data) && len(queries) < 64; i += 3 {
+			v := geom.V(float64(int8(data[i])), float64(int8(data[i+1])), float64(int8(data[i+2]))).Scale(scale / 4)
+			if flat {
+				v.Z = 0
+			}
+			if c.Len() < npts {
+				c.Append(v, nil, nil)
+				continue
+			}
+			if far {
+				v = v.Scale(64)
+			}
+			queries = append(queries, v)
+		}
+		if c.Len() == 0 {
+			return
+		}
+		idx := NewGridIndex(c, 0)
+		for _, q := range append(queries, c.Points...) {
+			gotI, gotD2 := idx.Nearest(q)
+			wantI, wantD2 := bruteNearest(c, q, -1)
+			if gotI != wantI || gotD2 != wantD2 {
+				t.Fatalf("Nearest(%v) = (%d, %v), want (%d, %v)", q, gotI, gotD2, wantI, wantD2)
+			}
+		}
+		for i, p := range c.Points {
+			gotI, gotD2 := idx.NearestExcluding(p, i)
+			wantI, wantD2 := bruteNearest(c, p, i)
+			if gotI != wantI || gotD2 != wantD2 {
+				t.Fatalf("NearestExcluding(%v, %d) = (%d, %v), want (%d, %v)", p, i, gotI, gotD2, wantI, wantD2)
+			}
+		}
+	})
 }

@@ -34,23 +34,48 @@ type GeometryReport struct {
 	MeanDist float64
 }
 
+// Reference is a reference cloud prepared for repeated comparison: its
+// nearest-neighbour index and PSNR peak are built once and shared by every
+// Geometry and ColorPSNR call, so a depth ladder pays for them once. It is
+// read-only after construction and safe for concurrent use.
+type Reference struct {
+	cloud *pointcloud.Cloud
+	idx   *pointcloud.GridIndex
+	peak  float64
+}
+
+// NewReference prepares ref for comparison.
+func NewReference(ref *pointcloud.Cloud) *Reference {
+	return &Reference{
+		cloud: ref,
+		idx:   pointcloud.NewGridIndex(ref, 0),
+		peak:  ref.Bounds().Size().Norm(),
+	}
+}
+
 // CompareGeometry computes a GeometryReport of test against ref using
 // nearest-neighbour correspondences in both directions.
 func CompareGeometry(ref, test *pointcloud.Cloud) (GeometryReport, error) {
-	if ref.Len() == 0 || test.Len() == 0 {
+	return NewReference(ref).Geometry(test)
+}
+
+// Geometry computes a GeometryReport of test against the reference using
+// nearest-neighbour correspondences in both directions. The report
+// depends only on nearest squared distances, summed in point order, so it
+// is the same for any exact nearest-neighbour search.
+func (r *Reference) Geometry(test *pointcloud.Cloud) (GeometryReport, error) {
+	if r.cloud.Len() == 0 || test.Len() == 0 {
 		return GeometryReport{}, ErrEmptyCloud
 	}
-	refIdx := pointcloud.NewGridIndex(ref, 0)
 	testIdx := pointcloud.NewGridIndex(test, 0)
 
-	mseA, meanA, hausA := directedStats(test, refIdx) // test -> ref
-	mseB, meanB, hausB := directedStats(ref, testIdx) // ref -> test
+	mseA, meanA, hausA := directedStats(test, r.idx)      // test -> ref
+	mseB, meanB, hausB := directedStats(r.cloud, testIdx) // ref -> test
 
 	mse := math.Max(mseA, mseB)
-	peak := ref.Bounds().Size().Norm()
 	psnr := math.Inf(1)
 	if mse > 0 {
-		psnr = 10 * math.Log10(peak*peak/mse)
+		psnr = 10 * math.Log10(r.peak*r.peak/mse)
 	}
 	return GeometryReport{
 		MSE:       mse,
@@ -78,16 +103,24 @@ func directedStats(from *pointcloud.Cloud, toIdx *pointcloud.GridIndex) (mse, me
 // nearest-neighbour correspondence (test -> ref). Returns +Inf when the
 // corresponding lumas match exactly.
 func ColorPSNR(ref, test *pointcloud.Cloud) (float64, error) {
+	return NewReference(ref).ColorPSNR(test)
+}
+
+// ColorPSNR computes the luma PSNR of test against the reference through
+// nearest-neighbour correspondence (test -> reference); equidistant
+// reference points resolve to the lowest index. Returns +Inf when the
+// corresponding lumas match exactly.
+func (r *Reference) ColorPSNR(test *pointcloud.Cloud) (float64, error) {
+	ref := r.cloud
 	if ref.Len() == 0 || test.Len() == 0 {
 		return 0, ErrEmptyCloud
 	}
 	if !ref.HasColors() || !test.HasColors() {
 		return 0, ErrNoColors
 	}
-	refIdx := pointcloud.NewGridIndex(ref, 0)
 	var mse float64
 	for i, p := range test.Points {
-		j, _ := refIdx.Nearest(p)
+		j, _ := r.idx.Nearest(p)
 		d := test.Colors[i].Gray() - ref.Colors[j].Gray()
 		mse += d * d
 	}

@@ -125,18 +125,27 @@ func TestPointRatio(t *testing.T) {
 	}
 }
 
-func TestPSNRIncreasesWithOctreeDepth(t *testing.T) {
-	// The substantive Fig. 1 property: deeper LOD ⇒ higher geometry PSNR.
+// noisySphere is a 4k-point unit sphere with radial noise and per-point
+// colors, octree-built at depth 9.
+func noisySphere(t *testing.T) (*pointcloud.Cloud, *octree.Octree) {
+	t.Helper()
 	rng := geom.NewRNG(9)
-	cloud := &pointcloud.Cloud{}
+	cloud := &pointcloud.Cloud{Colors: []pointcloud.Color{}}
 	for i := 0; i < 4000; i++ {
 		v := rng.UnitSphere()
-		cloud.Append(v.Scale(1+0.02*rng.Norm()), nil, nil)
+		col := pointcloud.Color{R: uint8(128 + 100*v.X), G: uint8(128 + 100*v.Y), B: uint8(128 + 100*v.Z)}
+		cloud.Append(v.Scale(1+0.02*rng.Norm()), &col, nil)
 	}
 	o, err := octree.Build(cloud, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cloud, o
+}
+
+func TestPSNRIncreasesWithOctreeDepth(t *testing.T) {
+	// The substantive Fig. 1 property: deeper LOD ⇒ higher geometry PSNR.
+	cloud, o := noisySphere(t)
 	prev := -math.MaxFloat64
 	for _, d := range []int{3, 5, 7, 9} {
 		lod, err := o.LOD(d, octree.LODCentroid)
@@ -151,6 +160,86 @@ func TestPSNRIncreasesWithOctreeDepth(t *testing.T) {
 			t.Errorf("PSNR not increasing at depth %d: %v <= %v", d, rep.PSNR, prev)
 		}
 		prev = rep.PSNR
+	}
+}
+
+// bruteNearest scans every point of c for the one nearest q, keeping the
+// lowest index among equidistant points.
+func bruteNearest(c *pointcloud.Cloud, q geom.Vec3) (int, float64) {
+	best, bestD2 := -1, math.Inf(1)
+	for i, p := range c.Points {
+		if d2 := q.Dist2(p); d2 < bestD2 {
+			best, bestD2 = i, d2
+		}
+	}
+	return best, bestD2
+}
+
+// bruteGeometry is CompareGeometry by O(n·m) scans: the D1 definition
+// with no index at all.
+func bruteGeometry(ref, test *pointcloud.Cloud) GeometryReport {
+	directed := func(from, to *pointcloud.Cloud) (mse, mean, haus float64) {
+		for _, p := range from.Points {
+			_, d2 := bruteNearest(to, p)
+			mse += d2
+			mean += math.Sqrt(d2)
+			haus = math.Max(haus, math.Sqrt(d2))
+		}
+		n := float64(from.Len())
+		return mse / n, mean / n, haus
+	}
+	mseA, meanA, hausA := directed(test, ref)
+	mseB, meanB, hausB := directed(ref, test)
+	mse := math.Max(mseA, mseB)
+	peak := ref.Bounds().Size().Norm()
+	psnr := math.Inf(1)
+	if mse > 0 {
+		psnr = 10 * math.Log10(peak*peak/mse)
+	}
+	return GeometryReport{MSE: mse, PSNR: psnr, Hausdorff: math.Max(hausA, hausB), MeanDist: math.Max(meanA, meanB)}
+}
+
+// bruteColorPSNR is ColorPSNR by O(n·m) scans.
+func bruteColorPSNR(ref, test *pointcloud.Cloud) float64 {
+	var mse float64
+	for i, p := range test.Points {
+		j, _ := bruteNearest(ref, p)
+		d := test.Colors[i].Gray() - ref.Colors[j].Gray()
+		mse += d * d
+	}
+	return 10 * math.Log10(255*255/(mse/float64(test.Len())))
+}
+
+func TestCompareGeometryMatchesBruteForceBitForBit(t *testing.T) {
+	// The reports depend only on exact nearest distances, so the indexed
+	// metrics must equal the brute-force ones bit for bit, whether the
+	// reference is rebuilt per call or shared across the ladder.
+	cloud, o := noisySphere(t)
+	ref := NewReference(cloud)
+	for d := 3; d <= 9; d++ {
+		lod, err := o.LOD(d, octree.LODCentroid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteGeometry(cloud, lod)
+		got, err := CompareGeometry(cloud, lod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := ref.Geometry(lod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || shared != want {
+			t.Errorf("depth %d: CompareGeometry %+v, Reference.Geometry %+v, brute force %+v", d, got, shared, want)
+		}
+		col, err := ref.ColorPSNR(lod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantCol := bruteColorPSNR(cloud, lod); col != wantCol {
+			t.Errorf("depth %d: ColorPSNR %v, brute force %v", d, col, wantCol)
+		}
 	}
 }
 
