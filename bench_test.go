@@ -171,20 +171,33 @@ func BenchmarkControllerDecisionPerCandidates(b *testing.B) {
 	}
 }
 
+// benchSweep runs a one-axis pool sweep b.N times at the given horizon
+// and returns the last run's rows.
+func benchSweep(b *testing.B, s *Scenario, slots int, axis SweepAxis) []SweepRow {
+	b.Helper()
+	var rows []SweepRow
+	for i := 0; i < b.N; i++ {
+		sw, err := NewSweep(s, axis)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sw.Slots = slots
+		rep, err := sw.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = rep.Rows
+	}
+	return rows
+}
+
 // BenchmarkAblationVSweep regenerates ABL-V: the O(1/V) quality gap vs
 // O(V) backlog tradeoff around the calibrated V*.
 func BenchmarkAblationVSweep(b *testing.B) {
 	s := benchScenario(b)
-	var rows []experiments.VSweepRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.VSweep(s, []float64{0.1, 1, 3}, 4000)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.TimeAvgBacklog, fmt.Sprintf("avgQ_V=%.2gx", r.V/s.V))
+	factors := []float64{0.1, 1, 3}
+	for i, r := range benchSweep(b, s, 4000, AxisV(factors...)) {
+		b.ReportMetric(r.Backlog, fmt.Sprintf("avgQ_V=%.2gx", factors[i]))
 	}
 }
 
@@ -192,16 +205,9 @@ func BenchmarkAblationVSweep(b *testing.B) {
 // calibrated controller to service-rate shifts.
 func BenchmarkAblationRateSweep(b *testing.B) {
 	s := benchScenario(b)
-	var rows []experiments.RateSweepRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.RateSweep(s, []float64{0.7, 1.0, 1.3}, 1600)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.MeanDepth, fmt.Sprintf("meanDepth_rate=%.1fx", r.RateFraction))
+	fractions := []float64{0.7, 1.0, 1.3}
+	for i, r := range benchSweep(b, s, 1600, AxisServiceRate(fractions...)) {
+		b.ReportMetric(r.MeanDepth, fmt.Sprintf("meanDepth_rate=%.1fx", fractions[i]))
 	}
 }
 
@@ -209,16 +215,28 @@ func BenchmarkAblationRateSweep(b *testing.B) {
 // utility-model independent after per-model V recalibration.
 func BenchmarkAblationUtilitySweep(b *testing.B) {
 	s := benchScenario(b)
-	var rows []experiments.UtilitySweepRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.UtilitySweep(s, 800)
-		if err != nil {
-			b.Fatal(err)
-		}
+	logU, err := quality.NewLogPointUtility(s.Profile)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.KneeSlot), "knee_"+r.Model)
+	normU, err := quality.NewNormalizedPointUtility(s.Profile)
+	if err != nil {
+		b.Fatal(err)
+	}
+	axis := SweepAxis{Name: "utility"}
+	for _, m := range []UtilityModel{logU, normU, &quality.LinearDepthUtility{MaxDepth: s.Params.CaptureDepth}} {
+		m := m
+		axis.Points = append(axis.Points, SweepAxisPoint{
+			Label: m.Name(),
+			Apply: func(c *SweepCell) error {
+				c.Utility = m
+				c.RecalibrateV = true
+				return nil
+			},
+		})
+	}
+	for _, r := range benchSweep(b, s, 800, axis) {
+		b.ReportMetric(float64(r.KneeSlot), "knee_"+r.Coords[0].Label)
 	}
 }
 
@@ -229,7 +247,7 @@ func BenchmarkMultiDevice(b *testing.B) {
 	var rows []experiments.MultiDeviceRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.MultiDevice(s, 4, 1600)
+		rows, err = experiments.MultiDeviceContext(context.Background(), s, 4, 1600)
 		if err != nil {
 			b.Fatal(err)
 		}

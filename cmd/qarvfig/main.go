@@ -21,10 +21,13 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 
 	"qarv"
+	"qarv/internal/core"
 	"qarv/internal/experiments"
+	"qarv/internal/quality"
 	"qarv/internal/trace"
 )
 
@@ -77,9 +80,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
-		return fmt.Errorf("create output dir: %w", err)
-	}
 	doFig1 := o.fig == "1" || o.fig == "all"
 	doFig2 := o.fig == "2a" || o.fig == "2b" || o.fig == "all"
 	doAbl := o.fig == "ablations" || o.fig == "all"
@@ -87,6 +87,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	doOffload := o.fig == "offload" || o.fig == "all"
 	if !doFig1 && !doFig2 && !doAbl && !doGrid && !doOffload {
 		return fmt.Errorf("unknown -fig %q (want 1, 2a, 2b, ablations, grid, offload, all)", o.fig)
+	}
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
+		return fmt.Errorf("create output dir: %w", err)
 	}
 	if doFig1 {
 		if err := runFig1(ctx, o, out); err != nil {
@@ -155,7 +158,7 @@ func runGrid(ctx context.Context, o options, scn *qarv.Scenario, out io.Writer) 
 	if err != nil {
 		return err
 	}
-	if err := writeCSV(tab, filepath.Join(o.outDir, "grid.csv")); err != nil {
+	if err := writeFile(filepath.Join(o.outDir, "grid.csv"), tab.WriteCSV); err != nil {
 		return err
 	}
 	if !o.quiet {
@@ -191,7 +194,7 @@ func runOffload(ctx context.Context, o options, out io.Writer) error {
 	if err := tab.Add(trace.FromInts("depth", res.Depth)); err != nil {
 		return err
 	}
-	if err := writeCSV(tab, filepath.Join(o.outDir, "offload.csv")); err != nil {
+	if err := writeFile(filepath.Join(o.outDir, "offload.csv"), tab.WriteCSV); err != nil {
 		return err
 	}
 	if !o.quiet {
@@ -248,7 +251,7 @@ func runFig1(ctx context.Context, o options, out io.Writer) error {
 	if err := tab.Add(psnr); err != nil {
 		return err
 	}
-	if err := writeCSV(tab, filepath.Join(o.outDir, "fig1.csv")); err != nil {
+	if err := writeFile(filepath.Join(o.outDir, "fig1.csv"), tab.WriteCSV); err != nil {
 		return err
 	}
 	if !o.quiet {
@@ -277,10 +280,10 @@ func runFig2(ctx context.Context, o options, scn *experiments.Scenario, out io.W
 	if err != nil {
 		return err
 	}
-	if err := writeCSV(backlog, filepath.Join(o.outDir, "fig2a.csv")); err != nil {
+	if err := writeFile(filepath.Join(o.outDir, "fig2a.csv"), backlog.WriteCSV); err != nil {
 		return err
 	}
-	if err := writeCSV(control, filepath.Join(o.outDir, "fig2b.csv")); err != nil {
+	if err := writeFile(filepath.Join(o.outDir, "fig2b.csv"), control.WriteCSV); err != nil {
 		return err
 	}
 	if !o.quiet {
@@ -309,132 +312,216 @@ func runFig2(ctx context.Context, o options, scn *experiments.Scenario, out io.W
 	return nil
 }
 
-func runAblations(ctx context.Context, o options, scn *experiments.Scenario, out io.Writer) error {
-	// Each sweep checks the context between points; the boundary checks
-	// here end the whole batch promptly after a cancel.
-	vRows, err := experiments.VSweepContext(ctx, scn, nil, 0)
-	if err != nil {
-		return err
-	}
-	vHeaders := []string{"V", "avg utility", "avg backlog", "max backlog", "verdict", "bound gap", "bound backlog"}
-	vCells := make([][]string, len(vRows))
-	for i, r := range vRows {
-		vCells[i] = []string{
-			fmt.Sprintf("%.4g", r.V),
-			fmt.Sprintf("%.4f", r.TimeAvgUtility),
-			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
-			fmt.Sprintf("%.0f", r.MaxBacklog),
-			r.Verdict,
-			fmt.Sprintf("%.4g", r.BoundUtilityGap),
-			fmt.Sprintf("%.4g", r.BoundBacklog),
-		}
-	}
-	rRows, err := experiments.RateSweepContext(ctx, scn, nil, 0)
-	if err != nil {
-		return err
-	}
-	rHeaders := []string{"rate ×", "avg utility", "avg backlog", "verdict", "mean depth"}
-	rCells := make([][]string, len(rRows))
-	for i, r := range rRows {
-		rCells[i] = []string{
-			fmt.Sprintf("%.2f", r.RateFraction),
-			fmt.Sprintf("%.4f", r.TimeAvgUtility),
-			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
-			r.Verdict,
-			fmt.Sprintf("%.2f", r.MeanDepth),
-		}
-	}
-	// ABL-UTIL.
-	uRows, err := experiments.UtilitySweepContext(ctx, scn, 0)
-	if err != nil {
-		return err
-	}
-	uHeaders := []string{"utility model", "avg backlog", "verdict", "mean depth", "knee slot"}
-	uCells := make([][]string, len(uRows))
-	for i, r := range uRows {
-		uCells[i] = []string{
-			r.Model,
-			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
-			r.Verdict,
-			fmt.Sprintf("%.2f", r.MeanDepth),
-			strconv.Itoa(r.KneeSlot),
-		}
-	}
-	// ABL-MD.
-	mRows, err := experiments.MultiDeviceContext(ctx, scn, 4, 0)
-	if err != nil {
-		return err
-	}
-	mHeaders := []string{"device", "avg utility", "avg backlog", "verdict"}
-	mCells := make([][]string, len(mRows))
-	for i, r := range mRows {
-		mCells[i] = []string{
-			strconv.Itoa(r.Device),
-			fmt.Sprintf("%.4f", r.TimeAvgUtility),
-			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
-			r.Verdict,
-		}
-	}
-	// ABL-BASE.
-	bRows, err := experiments.BaselinesContext(ctx, scn, 0, o.seed)
-	if err != nil {
-		return err
-	}
-	bHeaders := []string{"policy", "avg utility", "avg backlog", "max backlog", "verdict"}
-	bCells := make([][]string, len(bRows))
-	for i, r := range bRows {
-		bCells[i] = []string{
-			r.Policy,
-			fmt.Sprintf("%.4f", r.TimeAvgUtility),
-			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
-			fmt.Sprintf("%.0f", r.MaxBacklog),
-			r.Verdict,
-		}
-	}
+// ablationTable is one titled text table of the ablation report.
+type ablationTable struct {
+	title   string
+	headers []string
+	cells   [][]string
+}
 
-	f, err := os.Create(filepath.Join(o.outDir, "ablations.txt"))
+// runAblations writes every ablation table to ablations.txt and, unless
+// quiet, to out.
+func runAblations(ctx context.Context, o options, scn *experiments.Scenario, out io.Writer) error {
+	tables, err := ablationTables(ctx, o, scn)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	writeBoth := func(title string, headers []string, cells [][]string) error {
-		for _, w := range []io.Writer{f, out} {
-			if w == out && o.quiet {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "\n%s\n", title); err != nil {
+	write := func(w io.Writer) error {
+		for _, t := range tables {
+			if _, err := fmt.Fprintf(w, "\n%s\n", t.title); err != nil {
 				return err
 			}
-			if err := trace.RenderTextTable(w, headers, cells); err != nil {
+			if err := trace.RenderTextTable(w, t.headers, t.cells); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := writeBoth("ABL-V — V tradeoff (O(1/V) utility gap vs O(V) backlog)", vHeaders, vCells); err != nil {
+	path := filepath.Join(o.outDir, "ablations.txt")
+	if err := writeFile(path, write); err != nil {
 		return err
 	}
-	if err := writeBoth("ABL-RATE — service-rate robustness", rHeaders, rCells); err != nil {
-		return err
+	if !o.quiet {
+		if err := write(out); err != nil {
+			return err
+		}
 	}
-	if err := writeBoth("ABL-UTIL — utility-model sensitivity", uHeaders, uCells); err != nil {
-		return err
-	}
-	if err := writeBoth("ABL-MD — distributed multi-device (shared service)", mHeaders, mCells); err != nil {
-		return err
-	}
-	if err := writeBoth("ABL-BASE — extended baseline comparison", bHeaders, bCells); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s\n", filepath.Join(o.outDir, "ablations.txt"))
+	fmt.Fprintf(out, "wrote %s\n", path)
 	return nil
 }
 
-func writeCSV(t *trace.Table, path string) error {
+// ablationTables runs the ablations: ABL-V, ABL-RATE and ABL-UTIL as
+// one-axis sweeps on the pool backend, then the multi-device and
+// baseline comparisons. Each run honors ctx inside its slot loops.
+func ablationTables(ctx context.Context, o options, scn *experiments.Scenario) ([]ablationTable, error) {
+	// ABL-V. The knee (and hence time-to-steady-state) scales with V:
+	// the horizon covers the largest factor's knee with settling room.
+	vFactors := []float64{0.01, 0.1, 0.5, 1, 2, 10}
+	vSlots := 4 * scn.Params.Slots
+	if scaled := int(4 * slices.Max(vFactors) * scn.Params.KneeSlot); scaled > vSlots {
+		vSlots = scaled
+	}
+	vRows, err := sweepRows(ctx, scn, vSlots, qarv.AxisV(vFactors...))
+	if err != nil {
+		return nil, err
+	}
+	v := ablationTable{
+		title:   "ABL-V — V tradeoff (O(1/V) utility gap vs O(V) backlog)",
+		headers: []string{"V", "avg utility", "avg backlog", "max backlog", "verdict", "bound gap", "bound backlog"},
+	}
+	for i, r := range vRows {
+		vi := scn.V * vFactors[i]
+		// The theoretical guarantees at this V, next to the measurement;
+		// zero where the bounds are undefined.
+		var bounds core.Bounds
+		if ctrl, err := scn.ControllerWithV(vi); err == nil {
+			if b, err := ctrl.TheoreticalBounds(scn.ServiceRate); err == nil {
+				bounds = b
+			}
+		}
+		v.cells = append(v.cells, []string{
+			fmt.Sprintf("%.4g", vi),
+			fmt.Sprintf("%.4f", r.Utility),
+			fmt.Sprintf("%.0f", r.Backlog),
+			fmt.Sprintf("%.0f", r.MaxBacklog),
+			r.Verdict,
+			fmt.Sprintf("%.4g", bounds.UtilityGap),
+			fmt.Sprintf("%.4g", bounds.BacklogBound),
+		})
+	}
+
+	// ABL-RATE: the calibrated controller against scaled service rates.
+	rateFractions := []float64{0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.4}
+	rRows, err := sweepRows(ctx, scn, 2*scn.Params.Slots, qarv.AxisServiceRate(rateFractions...))
+	if err != nil {
+		return nil, err
+	}
+	rate := ablationTable{
+		title:   "ABL-RATE — service-rate robustness",
+		headers: []string{"rate ×", "avg utility", "avg backlog", "verdict", "mean depth"},
+	}
+	for i, r := range rRows {
+		rate.cells = append(rate.cells, []string{
+			fmt.Sprintf("%.2f", rateFractions[i]),
+			fmt.Sprintf("%.4f", r.Utility),
+			fmt.Sprintf("%.0f", r.Backlog),
+			r.Verdict,
+			fmt.Sprintf("%.2f", r.MeanDepth),
+		})
+	}
+
+	// ABL-UTIL: each utility model with V recalibrated for it, so knees
+	// stay comparable across models.
+	uRows, err := sweepRows(ctx, scn, scn.Params.Slots, utilityAxis(scn))
+	if err != nil {
+		return nil, err
+	}
+	util := ablationTable{
+		title:   "ABL-UTIL — utility-model sensitivity",
+		headers: []string{"utility model", "avg backlog", "verdict", "mean depth", "knee slot"},
+	}
+	for _, r := range uRows {
+		util.cells = append(util.cells, []string{
+			r.Coords[0].Label,
+			fmt.Sprintf("%.0f", r.Backlog),
+			r.Verdict,
+			fmt.Sprintf("%.2f", r.MeanDepth),
+			strconv.Itoa(r.KneeSlot),
+		})
+	}
+
+	// ABL-MD.
+	mRows, err := experiments.MultiDeviceContext(ctx, scn, 4, 0)
+	if err != nil {
+		return nil, err
+	}
+	md := ablationTable{
+		title:   "ABL-MD — distributed multi-device (shared service)",
+		headers: []string{"device", "avg utility", "avg backlog", "verdict"},
+	}
+	for _, r := range mRows {
+		md.cells = append(md.cells, []string{
+			strconv.Itoa(r.Device),
+			fmt.Sprintf("%.4f", r.TimeAvgUtility),
+			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
+			r.Verdict,
+		})
+	}
+
+	// ABL-BASE.
+	bRows, err := experiments.BaselinesContext(ctx, scn, 0, o.seed)
+	if err != nil {
+		return nil, err
+	}
+	base := ablationTable{
+		title:   "ABL-BASE — extended baseline comparison",
+		headers: []string{"policy", "avg utility", "avg backlog", "max backlog", "verdict"},
+	}
+	for _, r := range bRows {
+		base.cells = append(base.cells, []string{
+			r.Policy,
+			fmt.Sprintf("%.4f", r.TimeAvgUtility),
+			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
+			fmt.Sprintf("%.0f", r.MaxBacklog),
+			r.Verdict,
+		})
+	}
+	return []ablationTable{v, rate, util, md, base}, nil
+}
+
+// sweepRows runs a one-axis sweep on the pool backend at the given
+// horizon and returns its rows in axis order.
+func sweepRows(ctx context.Context, scn *qarv.Scenario, slots int, axis qarv.SweepAxis) ([]qarv.SweepRow, error) {
+	sw, err := qarv.NewSweep(scn, axis)
+	if err != nil {
+		return nil, err
+	}
+	sw.Slots = slots
+	rep, err := sw.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return rep.Rows, nil
+}
+
+// utilityAxis sweeps the three utility models over the scenario's
+// occupancy profile (log-points, normalized-points, linear-depth), each
+// cell recalibrating V for its model. A model whose profile rejects it
+// is left out.
+func utilityAxis(scn *experiments.Scenario) qarv.SweepAxis {
+	var models []quality.UtilityModel
+	if m, err := quality.NewLogPointUtility(scn.Profile); err == nil {
+		models = append(models, m)
+	}
+	if m, err := quality.NewNormalizedPointUtility(scn.Profile); err == nil {
+		models = append(models, m)
+	}
+	models = append(models, &quality.LinearDepthUtility{MaxDepth: scn.Params.CaptureDepth})
+	axis := qarv.SweepAxis{Name: "utility"}
+	for _, m := range models {
+		m := m
+		axis.Points = append(axis.Points, qarv.SweepAxisPoint{
+			Label: m.Name(),
+			Apply: func(c *qarv.SweepCell) error {
+				c.Utility = m
+				c.RecalibrateV = true
+				return nil
+			},
+		})
+	}
+	return axis
+}
+
+// writeFile creates path and fills it through write, reporting the
+// Close error too (it can carry a deferred write failure).
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return t.WriteCSV(f)
+	if err := write(f); err != nil {
+		_ = f.Close() // the write error is the one worth reporting
+		return err
+	}
+	return f.Close()
 }

@@ -89,8 +89,41 @@ func TestRunOffloadFigure(t *testing.T) {
 }
 
 func TestRunRejectsUnknownFigure(t *testing.T) {
-	if err := run(context.Background(), []string{"-fig", "7"}, &bytes.Buffer{}); err == nil {
+	out := filepath.Join(t.TempDir(), "figs")
+	if err := run(context.Background(), []string{"-fig", "7", "-out", out}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown figure must error")
+	}
+	// Flags are validated before anything touches the file system.
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("rejected run left the output directory behind: stat err = %v", err)
+	}
+}
+
+// TestRunAblationsGolden pins the ablation report byte for byte. The
+// golden file was generated on linux/amd64 with the flags below;
+// regenerate it only for an intended change to the ablations.
+func TestRunAblationsGolden(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-fig", "ablations", "-samples", "30000", "-slots", "400",
+		"-knee", "150", "-quiet", "-out", dir}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "ablations.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "ablations.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("ablations.txt differs from testdata/ablations.golden:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	// Quiet mode keeps the tables off stdout.
+	if strings.Contains(out.String(), "ABL-V") {
+		t.Error("quiet mode printed the tables")
 	}
 }
 

@@ -49,25 +49,53 @@ func run() error {
 		return err
 	}
 
-	// The canonical heterogeneous fleet and the ablation over every
-	// allocator (defaults: 1.25× the fleet's min-depth demand as budget).
-	rows, err := qarv.AllocatorSweep(scn, nil, 0, 2000, nil)
+	// The canonical heterogeneous fleet (the default of allocator cells:
+	// qarv.HeterogeneousSpecs(8) against 1.25× its min-depth demand) under
+	// every allocator, one sweep cell each. Round-robin gets
+	// demand-proportional weights: with equal weights its share is
+	// budget/8 by design, which rightly starves the heavy device.
+	specs := qarv.HeterogeneousSpecs(8)
+	weights := make([]float64, len(specs))
+	for i, spec := range specs {
+		weights[i] = float64(spec.ArrivalsPerSlot) * spec.CostScale
+	}
+	axis := qarv.AxisAllocator("equal", "proportional", "maxweight")
+	axis.Points = append(axis.Points, qarv.SweepAxisPoint{
+		Label: "wrr",
+		Apply: func(c *qarv.SweepCell) error {
+			c.NewAllocator = func() (qarv.Allocator, error) {
+				return qarv.NewWeightedRoundRobin(weights...), nil
+			}
+			return nil
+		},
+	})
+	sw, err := qarv.NewSweep(scn, axis)
+	if err != nil {
+		return err
+	}
+	sw.Slots = 2000
+	grid, err := sw.Run(context.Background())
 	if err != nil {
 		return err
 	}
 
 	fmt.Println("8 devices, one edge budget; device 0 is heavy (3 frames/slot at 2x cost)")
 	fmt.Println()
-	for _, row := range rows {
+	for _, row := range grid.Rows {
+		multi := row.Detail.Multi
 		fmt.Printf("%-22s diverging=%d  total avg backlog=%10.0f  fleet mean sojourn=%6.2f slots\n",
-			row.Allocator, row.Diverging, row.TotalTimeAvgBacklog, row.MeanSojourn)
-		for _, d := range row.PerDevice {
+			multi.Allocator, row.Verdicts.Diverging, row.Backlog, row.MeanSojourn)
+		for i, d := range multi.PerDevice {
+			verdict, err := d.Verdict()
+			if err != nil {
+				return err
+			}
 			marker := " "
-			if d.Verdict == "diverging" {
+			if verdict == qarv.VerdictDiverging {
 				marker = "!"
 			}
 			fmt.Printf("  %s device %d: %-11s avg backlog %10.0f  mean sojourn %6.2f\n",
-				marker, d.Device, d.Verdict, d.TimeAvgBacklog, d.MeanSojourn)
+				marker, i, verdict, d.TimeAvgBacklog, d.MeanSojourn)
 		}
 		fmt.Println()
 	}

@@ -12,10 +12,10 @@
 //  2. An offload session whose *uplink* is the network: WithLinkDynamics
 //     retunes the emulated link every slot while the controller
 //     stabilizes the transmit queue in bytes.
-//  3. The NetworkSweep ablation: a fleet per volatility point under a
-//     mean-preserving capacity spread — same average bandwidth, rising
-//     variance — showing quality degrade and tail backlog grow
-//     monotonically with volatility.
+//  3. The volatility ablation: a sweep over NetworkMarkov shapes, a
+//     fleet per volatility point under a mean-preserving capacity
+//     spread — same average bandwidth, rising variance — showing quality
+//     degrade and tail backlog grow monotonically with volatility.
 //
 // Run: go run ./examples/networks
 package main
@@ -141,14 +141,28 @@ func run() error {
 	// capacity; only the variance differs. Quality still degrades and
 	// the tail backlog still grows — bandwidth volatility is a resource
 	// cost of its own, which is why dynamics belong in every scenario.
-	rows, err := qarv.NetworkSweep(scn, []float64{0, 0.3, 0.6, 0.9}, 128, 0, 1)
+	// Every cell is pinned to one seed, so each volatility point replays
+	// the same 128-session population.
+	vols := []float64{0, 0.3, 0.6, 0.9}
+	nets := make([]qarv.SweepNetwork, len(vols))
+	for i, v := range vols {
+		nets[i] = qarv.NetworkMarkov(v)
+	}
+	sw, err := qarv.NewSweep(scn, qarv.AxisNetwork(nets...))
+	if err != nil {
+		return err
+	}
+	sw.Backend = qarv.BackendFleet(128)
+	sw.Slots = 2 * scn.Params.Slots
+	sw.Configure(func(c *qarv.SweepCell) error { c.Seed = 1; return nil })
+	grid, err := sw.Run(ctx)
 	if err != nil {
 		return err
 	}
 	fmt.Println("\nvolatility  mean utility  P95 backlog  diverging/sessions")
-	for _, r := range rows {
+	for i, r := range grid.Rows {
 		fmt.Printf("%10.1f %13.3f %12.0f  %d/%d\n",
-			r.Volatility, r.MeanUtility, r.P95Backlog, r.Verdicts.Diverging, r.Sessions)
+			vols[i], r.Utility, r.P95Backlog, r.Verdicts.Diverging, r.Sessions)
 	}
 	return nil
 }

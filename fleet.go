@@ -25,11 +25,6 @@ type (
 	FleetReport = fleet.Report
 	// FleetProfileReport is one device class's merged accounting.
 	FleetProfileReport = fleet.ProfileReport
-	// QuantileSummary condenses one metric's distribution: exact
-	// count/mean/min/max plus sketched P50/P95/P99.
-	QuantileSummary = fleet.QuantileSummary
-	// VerdictCounts tallies per-session stability classifications.
-	VerdictCounts = fleet.VerdictCounts
 )
 
 // Fleet is a validated, immutable fleet-simulation run, constructed by
@@ -55,11 +50,4 @@ func NewFleet(spec FleetSpec) (*Fleet, error) {
 // Session.Run).
 func (f *Fleet) Run(ctx context.Context) (*FleetReport, error) {
 	return fleet.RunContext(ctx, f.spec)
-}
-
-// FleetSessionSeed derives the RNG seed of one device seat from the
-// fleet seed — exposed so callers can reproduce any single fleet
-// session out-of-band as a standalone Session (see fleet.SeatSeed).
-func FleetSessionSeed(seed uint64, seat int) uint64 {
-	return fleet.SeatSeed(seed, seat)
 }

@@ -6,209 +6,9 @@ import (
 	"qarv/internal/delay"
 	"qarv/internal/geom"
 	"qarv/internal/policy"
-	"qarv/internal/quality"
 	"qarv/internal/queueing"
 	"qarv/internal/sim"
 )
-
-// ---------------------------------------------------------------------------
-// ABL-V — the O(1/V) utility gap vs O(V) backlog tradeoff
-// ---------------------------------------------------------------------------
-
-// VSweepRow is one point of the V ablation.
-type VSweepRow struct {
-	V              float64
-	TimeAvgUtility float64
-	TimeAvgBacklog float64
-	MaxBacklog     float64
-	Verdict        string
-	// BoundUtilityGap and BoundBacklog are the theoretical guarantees at
-	// this V (the theory-vs-measured comparison).
-	BoundUtilityGap float64
-	BoundBacklog    float64
-}
-
-// VSweep reruns the Proposed controller with V scaled by each factor of
-// the calibrated V*, over an extended horizon so time averages settle.
-func VSweep(s *Scenario, factors []float64, slots int) ([]VSweepRow, error) {
-	return VSweepContext(context.Background(), s, factors, slots)
-}
-
-// VSweepContext is VSweep under a cancelable context, honored inside
-// each cell's slot loop. It is a thin wrapper over the sweep engine: a
-// one-axis AxisV grid on the pool backend.
-func VSweepContext(ctx context.Context, s *Scenario, factors []float64, slots int) ([]VSweepRow, error) {
-	if len(factors) == 0 {
-		factors = []float64{0.01, 0.1, 0.5, 1, 2, 10}
-	}
-	if slots <= 0 {
-		// The knee (and hence time-to-steady-state) scales with V: cover
-		// the largest factor's knee with generous settling room.
-		maxFactor := 0.0
-		for _, f := range factors {
-			if f > maxFactor {
-				maxFactor = f
-			}
-		}
-		slots = 4 * s.Params.Slots
-		if scaled := int(4 * maxFactor * s.Params.KneeSlot); scaled > slots {
-			slots = scaled
-		}
-	}
-	sw, err := NewSweep(s, AxisV(factors...))
-	if err != nil {
-		return nil, err
-	}
-	sw.Slots = slots
-	rep, err := sw.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]VSweepRow, 0, len(factors))
-	for i, f := range factors {
-		r := rep.Rows[i]
-		v := s.V * f
-		row := VSweepRow{
-			V:              v,
-			TimeAvgUtility: r.Utility,
-			TimeAvgBacklog: r.Backlog,
-			MaxBacklog:     r.MaxBacklog,
-			Verdict:        r.Verdict,
-		}
-		if ctrl, err := s.ControllerWithV(v); err == nil {
-			if b, err := ctrl.TheoreticalBounds(s.ServiceRate); err == nil {
-				row.BoundUtilityGap = b.UtilityGap
-				row.BoundBacklog = b.BacklogBound
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// ---------------------------------------------------------------------------
-// ABL-RATE — robustness to service-rate misestimation / load shifts
-// ---------------------------------------------------------------------------
-
-// RateSweepRow is one point of the service-rate ablation.
-type RateSweepRow struct {
-	RateFraction   float64 // service = fraction × calibrated rate
-	TimeAvgUtility float64
-	TimeAvgBacklog float64
-	Verdict        string
-	MeanDepth      float64
-}
-
-// RateSweep reruns the Proposed controller (calibrated V unchanged)
-// against scaled service rates: the controller must keep stabilizing
-// whenever any candidate depth is stabilizable, degrading quality
-// gracefully as capacity shrinks.
-func RateSweep(s *Scenario, fractions []float64, slots int) ([]RateSweepRow, error) {
-	return RateSweepContext(context.Background(), s, fractions, slots)
-}
-
-// RateSweepContext is RateSweep under a cancelable context — a one-axis
-// AxisServiceRate grid on the sweep engine's pool backend.
-func RateSweepContext(ctx context.Context, s *Scenario, fractions []float64, slots int) ([]RateSweepRow, error) {
-	if len(fractions) == 0 {
-		fractions = []float64{0.6, 0.8, 0.9, 1.0, 1.1, 1.2, 1.4}
-	}
-	if slots <= 0 {
-		slots = 2 * s.Params.Slots
-	}
-	sw, err := NewSweep(s, AxisServiceRate(fractions...))
-	if err != nil {
-		return nil, err
-	}
-	sw.Slots = slots
-	rep, err := sw.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]RateSweepRow, 0, len(fractions))
-	for i, f := range fractions {
-		r := rep.Rows[i]
-		rows = append(rows, RateSweepRow{
-			RateFraction:   f,
-			TimeAvgUtility: r.Utility,
-			TimeAvgBacklog: r.Backlog,
-			Verdict:        r.Verdict,
-			MeanDepth:      r.MeanDepth,
-		})
-	}
-	return rows, nil
-}
-
-// ---------------------------------------------------------------------------
-// ABL-UTIL — sensitivity to the utility model pa(·)
-// ---------------------------------------------------------------------------
-
-// UtilitySweepRow is one point of the utility-model ablation.
-type UtilitySweepRow struct {
-	Model          string
-	TimeAvgBacklog float64
-	Verdict        string
-	MeanDepth      float64
-	KneeSlot       int
-}
-
-// UtilitySweep reruns the scenario under each utility model, recalibrating
-// V per model so knees are comparable. The stability conclusions must be
-// model-independent (only the knee's utility units change).
-func UtilitySweep(s *Scenario, slots int) ([]UtilitySweepRow, error) {
-	return UtilitySweepContext(context.Background(), s, slots)
-}
-
-// UtilitySweepContext is UtilitySweep under a cancelable context — a
-// one-axis utility-model grid on the sweep engine, each cell
-// recalibrating V for its model so knees stay comparable.
-func UtilitySweepContext(ctx context.Context, s *Scenario, slots int) ([]UtilitySweepRow, error) {
-	if slots <= 0 {
-		slots = s.Params.Slots
-	}
-	models := []quality.UtilityModel{}
-	if logU, err := quality.NewLogPointUtility(s.Profile); err == nil {
-		models = append(models, logU)
-	}
-	if normU, err := quality.NewNormalizedPointUtility(s.Profile); err == nil {
-		models = append(models, normU)
-	}
-	models = append(models, &quality.LinearDepthUtility{MaxDepth: s.Params.CaptureDepth})
-
-	points := make([]AxisPoint, len(models))
-	for i, m := range models {
-		m := m
-		points[i] = AxisPoint{
-			Label: m.Name(),
-			Apply: func(c *SweepCell) error {
-				c.Utility = m
-				c.RecalibrateV = true
-				return nil
-			},
-		}
-	}
-	sw, err := NewSweep(s, SweepAxis{Name: "utility", Points: points})
-	if err != nil {
-		return nil, err
-	}
-	sw.Slots = slots
-	rep, err := sw.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]UtilitySweepRow, 0, len(models))
-	for i, m := range models {
-		r := rep.Rows[i]
-		rows = append(rows, UtilitySweepRow{
-			Model:          m.Name(),
-			TimeAvgBacklog: r.Backlog,
-			Verdict:        r.Verdict,
-			MeanDepth:      r.MeanDepth,
-			KneeSlot:       r.KneeSlot,
-		})
-	}
-	return rows, nil
-}
 
 // ---------------------------------------------------------------------------
 // ABL-MD — the fully distributed claim under shared service
@@ -225,13 +25,10 @@ type MultiDeviceRow struct {
 	MeanSojourn float64
 }
 
-// MultiDevice runs n controllers sharing n× the single-device service
-// budget, each acting only on its own backlog (no side information, §II).
-func MultiDevice(s *Scenario, n, slots int) ([]MultiDeviceRow, error) {
-	return MultiDeviceContext(context.Background(), s, n, slots)
-}
-
-// MultiDeviceContext is MultiDevice under a cancelable context.
+// MultiDeviceContext runs n controllers sharing n× the single-device
+// service budget, each acting only on its own backlog (no side
+// information, §II), under a cancelable context. Zero n/slots take 4
+// devices and twice the scenario horizon.
 func MultiDeviceContext(ctx context.Context, s *Scenario, n, slots int) ([]MultiDeviceRow, error) {
 	if n <= 0 {
 		n = 4
@@ -290,13 +87,9 @@ type BaselineRow struct {
 	Verdict        string
 }
 
-// Baselines compares the Proposed controller against all reference
-// policies on the calibrated scenario.
-func Baselines(s *Scenario, slots int, seed uint64) ([]BaselineRow, error) {
-	return BaselinesContext(context.Background(), s, slots, seed)
-}
-
-// BaselinesContext is Baselines under a cancelable context.
+// BaselinesContext compares the Proposed controller against all
+// reference policies on the calibrated scenario, under a cancelable
+// context. Zero slots/seed take twice the scenario horizon and seed 7.
 func BaselinesContext(ctx context.Context, s *Scenario, slots int, seed uint64) ([]BaselineRow, error) {
 	if slots <= 0 {
 		slots = 2 * s.Params.Slots

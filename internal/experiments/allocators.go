@@ -45,142 +45,6 @@ func HeterogeneousSpecs(n int) []AllocDeviceSpec {
 	return specs
 }
 
-// AllocatorSweepRow summarizes one allocator's run over the fleet.
-type AllocatorSweepRow struct {
-	Allocator string
-	PerDevice []MultiDeviceRow
-	// Diverging counts devices whose backlog trajectory diverged.
-	Diverging           int
-	TotalTimeAvgBacklog float64
-	MeanTimeAvgUtility  float64
-	// MeanSojourn averages per-frame sojourn across all completed frames
-	// of the fleet (the accounting multi runs previously lacked).
-	MeanSojourn float64
-}
-
-// DefaultAllocators returns one fresh instance of every strategy, in
-// ablation order.
-func DefaultAllocators() []alloc.Allocator {
-	return []alloc.Allocator{
-		alloc.EqualSplit{},
-		&alloc.ProportionalBacklog{},
-		alloc.NewMaxWeight(),
-		alloc.NewWeightedRoundRobin(),
-	}
-}
-
-// AllocatorSweep runs the same heterogeneous fleet under each allocator
-// and reports per-device stability — the ablation showing the shared
-// budget's split policy is itself the lever (Ren et al., Chen et al.).
-// Zero-value specs/budget/slots/allocators take defaults: the
-// HeterogeneousSpecs fleet, 1.25× the fleet's minimum-depth demand,
-// twice the scenario horizon, and DefaultAllocators.
-func AllocatorSweep(s *Scenario, specs []AllocDeviceSpec, budget float64, slots int, allocators []alloc.Allocator) ([]AllocatorSweepRow, error) {
-	return AllocatorSweepContext(context.Background(), s, specs, budget, slots, allocators)
-}
-
-// AllocatorSweepContext is AllocatorSweep under a cancelable context.
-// It is a thin wrapper over the sweep engine: a one-axis allocator grid
-// of shared-budget multi-device cells on the pool backend (the
-// heterogeneous fleet and budget installed by a Configure hook), each
-// row rebuilt from the cell's full MultiResult.
-func AllocatorSweepContext(ctx context.Context, s *Scenario, specs []AllocDeviceSpec, budget float64, slots int, allocators []alloc.Allocator) ([]AllocatorSweepRow, error) {
-	if len(specs) == 0 {
-		specs = HeterogeneousSpecs(8)
-	}
-	if slots <= 0 {
-		slots = 2 * s.Params.Slots
-	}
-	if len(allocators) == 0 {
-		// The round-robin entry gets demand-proportional weights: with
-		// equal weights a WRR share is budget/n by design, which rightly
-		// starves a device whose fixed demand exceeds it — the ablation
-		// compares sensible configurations of each strategy.
-		weights := make([]float64, len(specs))
-		for i, spec := range specs {
-			weights[i] = float64(spec.ArrivalsPerSlot) * spec.CostScale
-		}
-		allocators = []alloc.Allocator{
-			alloc.EqualSplit{},
-			&alloc.ProportionalBacklog{},
-			alloc.NewMaxWeight(),
-			alloc.NewWeightedRoundRobin(weights...),
-		}
-	}
-	if budget <= 0 {
-		budget = 1.25 * FleetMinDemand(s, specs)
-	}
-	// Each allocator instance belongs to exactly one cell of this
-	// one-axis grid, so handing the caller's (possibly stateful)
-	// instances straight to their cells is race-free.
-	points := make([]AxisPoint, len(allocators))
-	for i, a := range allocators {
-		a := a
-		points[i] = AxisPoint{
-			Label: a.Name(),
-			Apply: func(c *SweepCell) error {
-				c.NewAllocator = func() (alloc.Allocator, error) { return a, nil }
-				return nil
-			},
-		}
-	}
-	sw, err := NewSweep(s, SweepAxis{Name: "allocator", Points: points})
-	if err != nil {
-		return nil, err
-	}
-	sw.Slots = slots
-	sw.Configure(func(c *SweepCell) error {
-		c.Devices = specs
-		c.Budget = budget
-		return nil
-	})
-	rep, err := sw.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]AllocatorSweepRow, 0, len(allocators))
-	for i := range allocators {
-		r := rep.Rows[i]
-		if r.Detail == nil || r.Detail.Multi == nil {
-			return nil, fmt.Errorf("experiments: allocator cell %d returned no multi result", i)
-		}
-		res := r.Detail.Multi
-		row := AllocatorSweepRow{
-			Allocator:           res.Allocator,
-			PerDevice:           make([]MultiDeviceRow, len(res.PerDevice)),
-			TotalTimeAvgBacklog: res.TotalTimeAvgBacklog,
-			MeanTimeAvgUtility:  res.MeanTimeAvgUtility,
-		}
-		var sojournSum float64
-		var completed int
-		for i, r := range res.PerDevice {
-			verdict, err := r.Verdict()
-			if err != nil {
-				return nil, err
-			}
-			if verdict == queueing.VerdictDiverging {
-				row.Diverging++
-			}
-			row.PerDevice[i] = MultiDeviceRow{
-				Device:         i,
-				TimeAvgUtility: r.TimeAvgUtility,
-				TimeAvgBacklog: r.TimeAvgBacklog,
-				Verdict:        verdict.String(),
-				MeanSojourn:    r.MeanSojourn,
-			}
-			for _, c := range r.Completed {
-				sojournSum += float64(c.Sojourn)
-			}
-			completed += len(r.Completed)
-		}
-		if completed > 0 {
-			row.MeanSojourn = sojournSum / float64(completed)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // FleetMinDemand returns the fleet's aggregate per-slot work demand with
 // every device pinned at the shallowest candidate depth — the floor any
 // stabilizing budget must exceed.

@@ -6,6 +6,7 @@ import (
 
 	"qarv/internal/alloc"
 	"qarv/internal/netem"
+	"qarv/internal/queueing"
 	"qarv/internal/sim"
 )
 
@@ -30,31 +31,44 @@ func sweepScenario(t *testing.T) *Scenario {
 // device from the same budget.
 func TestAllocatorSweepShowsAllocationMatters(t *testing.T) {
 	s := sweepScenario(t)
-	rows, err := AllocatorSweep(s, nil, 0, 1600, nil)
-	if err != nil {
-		t.Fatal(err)
+	// Round-robin gets demand-proportional weights: with equal weights
+	// its share is budget/n by design, which rightly starves the heavy
+	// device.
+	specs := HeterogeneousSpecs(8)
+	weights := make([]float64, len(specs))
+	for i, spec := range specs {
+		weights[i] = float64(spec.ArrivalsPerSlot) * spec.CostScale
 	}
-	if len(rows) != len(DefaultAllocators()) {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	byName := map[string]AllocatorSweepRow{}
+	axis := AxisAllocator("equal", "proportional", "maxweight")
+	axis.Points = append(axis.Points, AxisPoint{
+		Label: "wrr",
+		Apply: func(c *SweepCell) error {
+			c.NewAllocator = func() (alloc.Allocator, error) {
+				return alloc.NewWeightedRoundRobin(weights...), nil
+			}
+			return nil
+		},
+	})
+	rows := runAxis(t, s, 1600, axis)
+	byName := map[string]SweepRow{}
 	for _, r := range rows {
-		byName[r.Allocator] = r
-		if len(r.PerDevice) != 8 {
-			t.Fatalf("%s: %d devices, want 8", r.Allocator, len(r.PerDevice))
+		multi := r.Detail.Multi
+		byName[multi.Allocator] = r
+		if len(multi.PerDevice) != 8 {
+			t.Fatalf("%s: %d devices, want 8", multi.Allocator, len(multi.PerDevice))
 		}
 	}
-	if eq := byName["equal-split"]; eq.Diverging == 0 {
+	if eq := byName["equal-split"]; eq.Verdicts.Diverging == 0 {
 		t.Error("equal split must leave at least one device diverging")
-	} else if eq.PerDevice[0].Verdict != "diverging" {
-		t.Errorf("expected the heavy device 0 to diverge under equal split, rows %+v", eq.PerDevice)
+	} else if v, err := eq.Detail.Multi.PerDevice[0].Verdict(); err != nil || v != queueing.VerdictDiverging {
+		t.Errorf("expected the heavy device 0 to diverge under equal split, got %v (%v)", v, err)
 	}
 	for _, name := range []string{"proportional-backlog", "max-weight", "weighted-round-robin"} {
-		if r := byName[name]; r.Diverging != 0 {
-			t.Errorf("%s left %d devices diverging", name, r.Diverging)
+		if r := byName[name]; r.Verdicts.Diverging != 0 {
+			t.Errorf("%s left %d devices diverging", name, r.Verdicts.Diverging)
 		}
 	}
-	// The new accounting reaches the rows: a stabilized fleet completes
+	// The frame accounting reaches the rows: a stabilized fleet completes
 	// frames with measurable sojourns.
 	if mw := byName["max-weight"]; mw.MeanSojourn <= 0 {
 		t.Errorf("max-weight fleet MeanSojourn = %v, want > 0", mw.MeanSojourn)

@@ -5,7 +5,9 @@ package experiments
 // generic escape hatch for knobs without a dedicated constructor.
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -16,6 +18,15 @@ import (
 	"qarv/internal/netem"
 	"qarv/internal/policy"
 )
+
+// ErrBadVolatility reports a network volatility outside [0, 1).
+var ErrBadVolatility = errors.New("experiments: volatility must lie in [0, 1)")
+
+// positiveFinite reports whether f is a usable scale factor: positive
+// and finite. NaN fails the comparison, so it is rejected too.
+func positiveFinite(f float64) bool {
+	return f > 0 && !math.IsInf(f, 1)
+}
 
 // Axis is the generic escape hatch: a named numeric axis whose apply
 // function receives the cell and the point's value.
@@ -42,8 +53,8 @@ func Axis(name string, apply func(c *SweepCell, v float64) error, values ...floa
 // controller at factor × the calibrated V.
 func AxisV(factors ...float64) SweepAxis {
 	return Axis("v", func(c *SweepCell, f float64) error {
-		if f <= 0 {
-			return fmt.Errorf("experiments: V factor must be positive, got %g", f)
+		if !positiveFinite(f) {
+			return fmt.Errorf("experiments: V factor must be positive and finite, got %g", f)
 		}
 		c.VFactor = f
 		return nil
@@ -55,8 +66,8 @@ func AxisV(factors ...float64) SweepAxis {
 // allocator cells) by the fraction.
 func AxisServiceRate(fractions ...float64) SweepAxis {
 	return Axis("rate", func(c *SweepCell, f float64) error {
-		if f <= 0 {
-			return fmt.Errorf("experiments: service fraction must be positive, got %g", f)
+		if !positiveFinite(f) {
+			return fmt.Errorf("experiments: service fraction must be positive and finite, got %g", f)
 		}
 		c.ServiceFraction = f
 		return nil
@@ -68,8 +79,8 @@ func AxisServiceRate(fractions ...float64) SweepAxis {
 // seeded from the cell seed.
 func AxisArrivalRate(means ...float64) SweepAxis {
 	return Axis("arrivals", func(c *SweepCell, m float64) error {
-		if m <= 0 {
-			return fmt.Errorf("experiments: arrival rate must be positive, got %g", m)
+		if !positiveFinite(m) {
+			return fmt.Errorf("experiments: arrival rate must be positive and finite, got %g", m)
 		}
 		c.ArrivalRate = m
 		return nil
@@ -320,13 +331,14 @@ func NetworkStatic() SweepNetwork {
 }
 
 // NetworkMarkov is the mean-preserving Gilbert–Elliott fading shape of
-// the NetworkSweep ablation: the good state serves at (1+v)× and the bad
-// state at (1−v)× the base rate with symmetric 10-slot mean dwells, so
-// the stationary mean equals the base rate at every volatility. v must
-// lie in [0, 1).
+// the network-volatility ablation: the good state serves at (1+v)× and
+// the bad state at (1−v)× the base rate with symmetric 10-slot mean
+// dwells, so the stationary mean equals the base rate at every
+// volatility. v must lie in [0, 1); anything else (NaN included) fails
+// with ErrBadVolatility.
 func NetworkMarkov(volatility float64) SweepNetwork {
 	n := SweepNetwork{Name: fmt.Sprintf("markov-v%.2f", volatility)}
-	if volatility < 0 || volatility >= 1 {
+	if math.IsNaN(volatility) || volatility < 0 || volatility >= 1 {
 		n.Err = fmt.Errorf("%w: %v", ErrBadVolatility, volatility)
 		return n
 	}
@@ -350,12 +362,12 @@ func NetworkMarkov(volatility float64) SweepNetwork {
 // mean-revert faster than any useful prediction horizon.
 func NetworkMarkovDwell(volatility, dwellSlots float64) SweepNetwork {
 	n := SweepNetwork{Name: fmt.Sprintf("markov-v%.2f-d%g", volatility, dwellSlots)}
-	if volatility < 0 || volatility >= 1 {
+	if math.IsNaN(volatility) || volatility < 0 || volatility >= 1 {
 		n.Err = fmt.Errorf("%w: %v", ErrBadVolatility, volatility)
 		return n
 	}
-	if dwellSlots < 1 {
-		n.Err = fmt.Errorf("experiments: markov dwell must be >= 1 slot, got %g", dwellSlots)
+	if math.IsNaN(dwellSlots) || dwellSlots < 1 || math.IsInf(dwellSlots, 1) {
+		n.Err = fmt.Errorf("experiments: markov dwell must be a finite count >= 1 slot, got %g", dwellSlots)
 		return n
 	}
 	p := 1 / dwellSlots

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
 	"testing"
 
+	"qarv/internal/quality"
 	"qarv/internal/queueing"
 )
 
@@ -180,44 +182,100 @@ func TestFig2Tables(t *testing.T) {
 	}
 }
 
+// runAxis runs a one-axis sweep on the pool backend at the given
+// horizon and returns its rows in axis order.
+func runAxis(t *testing.T, s *Scenario, slots int, axis SweepAxis) []SweepRow {
+	t.Helper()
+	sw, err := NewSweep(s, axis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Slots = slots
+	rep, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != len(axis.Points) {
+		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(axis.Points))
+	}
+	return rep.Rows
+}
+
+// utilityModels lists the utility-model ablation's models over the
+// scenario's occupancy profile.
+func utilityModels(t *testing.T, s *Scenario) []quality.UtilityModel {
+	t.Helper()
+	logU, err := quality.NewLogPointUtility(s.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	normU, err := quality.NewNormalizedPointUtility(s.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []quality.UtilityModel{logU, normU, &quality.LinearDepthUtility{MaxDepth: s.Params.CaptureDepth}}
+}
+
+// utilityAxis sweeps the models, each cell recalibrating V for its
+// model so knees stay comparable.
+func utilityAxis(models []quality.UtilityModel) SweepAxis {
+	axis := SweepAxis{Name: "utility"}
+	for _, m := range models {
+		m := m
+		axis.Points = append(axis.Points, AxisPoint{
+			Label: m.Name(),
+			Apply: func(c *SweepCell) error {
+				c.Utility = m
+				c.RecalibrateV = true
+				return nil
+			},
+		})
+	}
+	return axis
+}
+
 func TestVSweepTradeoff(t *testing.T) {
 	// The knee slot scales with V (O(V) backlog needs O(V) time), so the
 	// horizon must cover the largest factor's knee plus settling time.
 	s := sharedScenario(t)
-	rows, err := VSweep(s, []float64{0.1, 1, 3}, 8000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
+	factors := []float64{0.1, 1, 3}
+	rows := runAxis(t, s, 8000, AxisV(factors...))
 	// Backlog grows with V (O(V)); utility is non-decreasing in V.
 	for i := 1; i < len(rows); i++ {
-		if rows[i].TimeAvgBacklog <= rows[i-1].TimeAvgBacklog {
-			t.Errorf("backlog not increasing with V: %v", rows)
+		if rows[i].Backlog <= rows[i-1].Backlog {
+			t.Errorf("backlog not increasing with V: %+v", rows)
 		}
-		if rows[i].TimeAvgUtility < rows[i-1].TimeAvgUtility-1e-9 {
-			t.Errorf("utility decreased with V: %v", rows)
+		if rows[i].Utility < rows[i-1].Utility-1e-9 {
+			t.Errorf("utility decreased with V: %+v", rows)
 		}
 	}
-	// Theoretical bounds attached and ordered.
-	if rows[0].BoundUtilityGap <= rows[2].BoundUtilityGap {
+	// The theoretical utility-gap bound shrinks with V.
+	gap := func(f float64) float64 {
+		ctrl, err := s.ControllerWithV(s.V * f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ctrl.TheoreticalBounds(s.ServiceRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.UtilityGap
+	}
+	if gap(factors[0]) <= gap(factors[2]) {
 		t.Error("utility-gap bound must shrink with V")
 	}
 	// None of the V settings may diverge (all stabilize).
-	for _, r := range rows {
+	for i, r := range rows {
 		if r.Verdict == queueing.VerdictDiverging.String() {
-			t.Errorf("V=%v diverged", r.V)
+			t.Errorf("V=%g×V* diverged", factors[i])
 		}
 	}
 }
 
 func TestRateSweepGracefulDegradation(t *testing.T) {
 	s := sharedScenario(t)
-	rows, err := RateSweep(s, []float64{0.7, 1.0, 1.3}, 1600)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fractions := []float64{0.7, 1.0, 1.3}
+	rows := runAxis(t, s, 1600, AxisServiceRate(fractions...))
 	// More service ⇒ deeper average depth (more quality extracted).
 	for i := 1; i < len(rows); i++ {
 		if rows[i].MeanDepth <= rows[i-1].MeanDepth {
@@ -227,37 +285,32 @@ func TestRateSweepGracefulDegradation(t *testing.T) {
 	// Even at 0.7× the controller must not diverge (depth 5..9 remain
 	// stabilizable: a(9) < 0.7·b would be needed... verify no divergence
 	// whenever some depth is stabilizable).
-	for _, r := range rows {
-		if s.Cost.FrameCost(s.Params.Depths[0]) < s.ServiceRate*r.RateFraction &&
+	for i, r := range rows {
+		if s.Cost.FrameCost(s.Params.Depths[0]) < s.ServiceRate*fractions[i] &&
 			r.Verdict == queueing.VerdictDiverging.String() {
-			t.Errorf("rate %v diverged despite stabilizable depths", r.RateFraction)
+			t.Errorf("rate %v diverged despite stabilizable depths", fractions[i])
 		}
 	}
 }
 
 func TestUtilitySweepModelIndependence(t *testing.T) {
 	s := sharedScenario(t)
-	rows, err := UtilitySweep(s, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d: %+v", len(rows), rows)
-	}
+	rows := runAxis(t, s, 800, utilityAxis(utilityModels(t, s)))
 	for _, r := range rows {
+		model := r.Coords[0].Label
 		if r.Verdict == queueing.VerdictDiverging.String() {
-			t.Errorf("model %s diverged", r.Model)
+			t.Errorf("model %s diverged", model)
 		}
 		// Knee recalibration keeps the drop near the configured slot.
 		if r.KneeSlot < 0 || math.Abs(float64(r.KneeSlot)-s.Params.KneeSlot) > 0.2*s.Params.KneeSlot {
-			t.Errorf("model %s knee at %d, want ~%v", r.Model, r.KneeSlot, s.Params.KneeSlot)
+			t.Errorf("model %s knee at %d, want ~%v", model, r.KneeSlot, s.Params.KneeSlot)
 		}
 	}
 }
 
 func TestMultiDeviceAllStabilize(t *testing.T) {
 	s := sharedScenario(t)
-	rows, err := MultiDevice(s, 3, 1600)
+	rows, err := MultiDeviceContext(context.Background(), s, 3, 1600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +329,7 @@ func TestMultiDeviceAllStabilize(t *testing.T) {
 
 func TestBaselinesComparison(t *testing.T) {
 	s := sharedScenario(t)
-	rows, err := Baselines(s, 1600, 7)
+	rows, err := BaselinesContext(context.Background(), s, 1600, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

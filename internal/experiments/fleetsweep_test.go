@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"testing"
+
+	"qarv/internal/delay"
+	"qarv/internal/geom"
+	"qarv/internal/queueing"
 )
 
 // TestFleetVSweepTradeoff: the paper's O(1/V) quality gap vs O(V)
@@ -12,32 +17,58 @@ import (
 // always stabilizable).
 func TestFleetVSweepTradeoff(t *testing.T) {
 	s := sharedScenario(t)
-	rows, err := FleetVSweep(s, []float64{0.2, 1, 5}, 64, 0, 1)
+	factors := []float64{0.2, 1, 5}
+	sw, err := NewSweep(s, AxisV(factors...))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sw.Backend = BackendFleet(64)
+	// The knee (time-to-steady-state) scales with V, so the horizon
+	// covers the largest factor's knee with settling room — otherwise
+	// still-ramping trajectories get misclassified as diverging.
+	sw.Slots = 2 * s.Params.Slots
+	if scaled := int(4 * factors[2] * s.Params.KneeSlot); scaled > sw.Slots {
+		sw.Slots = scaled
+	}
+	// A stochastic population (Poisson arrivals, ±5% noisy service),
+	// pinned to one seed so every V point replays the same population.
+	sw.Configure(func(c *SweepCell) error {
+		c.Seed = 1
+		c.NewArrivals = func(_ *SweepCell, rng *geom.RNG) queueing.ArrivalProcess {
+			return &queueing.PoissonArrivals{Mean: 1, RNG: rng}
+		}
+		c.NewService = func(_ *SweepCell, _ float64, rng *geom.RNG) delay.ServiceProcess {
+			return &delay.NoisyService{Mean: s.ServiceRate, Std: 0.05 * s.ServiceRate, RNG: rng}
+		}
+		return nil
+	})
+	rep, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := rep.Rows
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i].MeanUtility < rows[i-1].MeanUtility-1e-9 {
+		if rows[i].Utility < rows[i-1].Utility-1e-9 {
 			t.Errorf("mean utility decreased with V: %v (V=%gx) -> %v (V=%gx)",
-				rows[i-1].MeanUtility, rows[i-1].VFactor, rows[i].MeanUtility, rows[i].VFactor)
+				rows[i-1].Utility, factors[i-1], rows[i].Utility, factors[i])
 		}
 	}
 	if rows[2].P95Backlog <= rows[0].P95Backlog {
 		t.Errorf("P95 backlog did not grow with V: %v (V=0.2x) vs %v (V=5x)",
 			rows[0].P95Backlog, rows[2].P95Backlog)
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		if r.Sessions != 64 {
-			t.Errorf("V=%gx: %d sessions, want 64", r.VFactor, r.Sessions)
+			t.Errorf("V=%gx: %d sessions, want 64", factors[i], r.Sessions)
 		}
 		// The trend classifier is noisy on heavily stochastic
 		// trajectories (excursions comparable to the mean at high V), so
 		// only a majority claim is stable across seeds.
 		if r.Verdicts.Diverging > r.Sessions/3 {
-			t.Errorf("V=%gx: %d of %d sessions diverging", r.VFactor, r.Verdicts.Diverging, r.Sessions)
+			t.Errorf("V=%gx: %d of %d sessions diverging", factors[i], r.Verdicts.Diverging, r.Sessions)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package experiments reproduces every figure of the paper's evaluation
-// (Fig. 1, Fig. 2(a), Fig. 2(b)) plus the ablations indexed by the
-// benchmark harness. Each experiment is a pure function from a calibrated
-// Scenario to result rows/series, consumed by cmd/qarvfig and
-// bench_test.go.
+// (Fig. 1, Fig. 2(a), Fig. 2(b)) and hosts the declarative sweep engine
+// (sweep.go, axes.go) the ablations run on. Each experiment is a pure
+// function from a calibrated Scenario to result rows/series, consumed by
+// cmd/qarvfig, cmd/qarvsweep and bench_test.go.
 package experiments
 
 import (
@@ -11,6 +11,8 @@ import (
 
 	"qarv/internal/core"
 	"qarv/internal/delay"
+	"qarv/internal/fleet"
+	"qarv/internal/geom"
 	"qarv/internal/octree"
 	"qarv/internal/policy"
 	"qarv/internal/quality"
@@ -202,4 +204,25 @@ func (s *Scenario) TrioPolicies() ([]policy.Policy, error) {
 		return nil, err
 	}
 	return []policy.Policy{ctrl, maxP, minP}, nil
+}
+
+// FleetProfile builds a fleet device class from the calibrated scenario:
+// the proposed controller at vFactor × the calibrated V, one frame per
+// slot, constant service at the calibrated rate. Callers may override
+// any field of the returned profile (e.g. swap NewArrivals for a bursty
+// process) before adding it to a mix.
+func (s *Scenario) FleetProfile(name string, weight, vFactor float64) fleet.Profile {
+	v := s.V * vFactor
+	return fleet.Profile{
+		Name:   name,
+		Weight: weight,
+		NewPolicy: func(*geom.RNG) (policy.Policy, error) {
+			return s.ControllerWithV(v)
+		},
+		Cost:    s.Cost,
+		Utility: s.Utility,
+		NewService: func(*geom.RNG) delay.ServiceProcess {
+			return &delay.ConstantService{Rate: s.ServiceRate}
+		},
+	}
 }

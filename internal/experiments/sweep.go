@@ -12,9 +12,7 @@ package experiments
 // the in-process pool for single-trajectory and shared-budget cells, the
 // fleet engine for population-scale cells. Per-cell seed derivation
 // (CellSeed) makes every report byte-identical regardless of worker
-// count. The six legacy sweep functions (VSweep, RateSweep,
-// UtilitySweep, NetworkSweep, AllocatorSweep, FleetVSweep) are thin
-// wrappers over this engine.
+// count.
 
 import (
 	"context"
@@ -53,8 +51,8 @@ type SweepCell struct {
 	// and measurement.
 	Utility quality.UtilityModel
 	// RecalibrateV recomputes V for the cell's utility model and service
-	// rate so knees stay comparable across models (UtilitySweep
-	// semantics).
+	// rate so knees stay comparable across models (the utility-model
+	// ablation).
 	RecalibrateV bool
 	// NewPolicy overrides the proposed controller entirely. The RNG is a
 	// dedicated child stream of the cell seed (fleet cells get one per
@@ -95,8 +93,9 @@ type SweepCell struct {
 	// Seed drives every stochastic component of the cell. The engine
 	// derives it as CellSeed(Sweep.Seed, cell index) — decorrelated
 	// across cells, independent of worker count — before Configure and
-	// Apply run, either of which may override it (the legacy fleet
-	// wrappers pin it to replay their pre-engine runs exactly).
+	// Apply run, either of which may override it (pinning every cell to
+	// one seed makes each point of a fleet grid replay the same
+	// population).
 	Seed uint64
 	// ProfileName labels the fleet profile of fleet-backend cells
 	// (default: the cell's coordinate labels joined by "/").

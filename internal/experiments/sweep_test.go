@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -214,6 +215,38 @@ func TestSweepApplyErrorsSurfaceBeforeRun(t *testing.T) {
 	}
 	if _, err := sw.Run(context.Background()); err == nil {
 		t.Error("unknown allocator name must fail")
+	}
+	// Non-finite knobs are configuration errors, not garbage rows.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name       string
+		axis       SweepAxis
+		volatility bool // the error must wrap ErrBadVolatility
+	}{
+		{"v=NaN", AxisV(nan), false},
+		{"v=+Inf", AxisV(inf), false},
+		{"rate=NaN", AxisServiceRate(nan), false},
+		{"rate=+Inf", AxisServiceRate(inf), false},
+		{"arrivals=NaN", AxisArrivalRate(nan), false},
+		{"arrivals=+Inf", AxisArrivalRate(inf), false},
+		{"markov:NaN", AxisNetwork(NetworkMarkov(nan)), true},
+		{"markov:+Inf", AxisNetwork(NetworkMarkov(inf)), true},
+		{"markov:NaN:10", AxisNetwork(NetworkMarkovDwell(nan, 10)), true},
+		{"markov:0.5:NaN", AxisNetwork(NetworkMarkovDwell(0.5, nan)), false},
+		{"markov:0.5:+Inf", AxisNetwork(NetworkMarkovDwell(0.5, inf)), false},
+	} {
+		sw, err := NewSweep(s, tc.axis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.Slots = 20
+		_, err = sw.Run(context.Background())
+		switch {
+		case err == nil:
+			t.Errorf("%s: sweep ran", tc.name)
+		case tc.volatility && !errors.Is(err, ErrBadVolatility):
+			t.Errorf("%s: %v does not wrap ErrBadVolatility", tc.name, err)
+		}
 	}
 }
 

@@ -16,20 +16,9 @@ type (
 	// Bandit is the EXP3 online-learning allocator: arms are discrete
 	// backlog-tilt share configurations, rewarded per slot by observed
 	// device utility minus a backlog penalty. Build with NewBandit or
-	// AllocatorByName("bandit:ARMS").
-	Bandit = learn.Bandit
-	// Gradient is the projected-gradient online allocator: per-device
-	// weights on the share simplex chase backlog pressure and utility
-	// deficit with a decaying step. Build with NewGradient or
+	// AllocatorByName("bandit:ARMS"); the projected-gradient learner is
 	// AllocatorByName("gradient:STEP").
-	Gradient = learn.Gradient
-	// PredictivePolicy wraps a depth policy with an EWMA motion model
-	// over the backlog trajectory, extrapolating the observation one
-	// control-loop delay ahead before deciding.
-	PredictivePolicy = learn.Predictive
-	// LaggedPolicy feeds a depth policy observations a fixed number of
-	// slots stale — the controller across a delayed control loop.
-	LaggedPolicy = learn.Lagged
+	Bandit = learn.Bandit
 	// LearnSweepParams configures the learning-layer ablation; zero
 	// values take the documented defaults.
 	LearnSweepParams = experiments.LearnSweepParams
@@ -40,33 +29,12 @@ type (
 	LearnRegime = experiments.LearnRegime
 )
 
-// Learning-layer defaults, re-exported for callers building learners
-// directly.
-const (
-	DefaultBanditArms        = learn.DefaultArms
-	DefaultGradientStep      = learn.DefaultStep
-	DefaultPredictiveHorizon = learn.DefaultHorizon
-	DefaultControlLag        = learn.DefaultLag
-)
+// DefaultBanditArms is the EXP3 allocator's default arm count.
+const DefaultBanditArms = learn.DefaultArms
 
 // NewBandit returns the EXP3 allocator over arms backlog-tilt share
 // configurations (engines reseed it per run).
 func NewBandit(arms int) *Bandit { return learn.NewBandit(arms) }
-
-// NewGradient returns the projected-gradient allocator with the given
-// step size (<= 0 takes DefaultGradientStep).
-func NewGradient(step float64) *Gradient { return learn.NewGradient(step) }
-
-// NewPredictivePolicy wraps inner with backlog extrapolation: horizon
-// slots ahead (<= 0 takes DefaultPredictiveHorizon) at EWMA smoothing
-// alpha (<= 0 takes the package default).
-func NewPredictivePolicy(inner Policy, horizon, alpha float64) *PredictivePolicy {
-	return learn.NewPredictive(inner, horizon, alpha)
-}
-
-// NewLaggedPolicy wraps inner with a lag-slot observation delay (<= 0
-// takes DefaultControlLag).
-func NewLaggedPolicy(inner Policy, lag int) *LaggedPolicy { return learn.NewLagged(inner, lag) }
 
 // AllocatorNames lists every name AllocatorByName accepts — builtins
 // plus registered parameterized forms — in display order.

@@ -40,7 +40,7 @@ func WithScenario(s *Scenario) Option {
 }
 
 // WithContent grounds the session in a measured content profile
-// (LoadContent/BuildContent): NewSession calibrates a scenario whose
+// (LoadContent): NewSession calibrates a scenario whose
 // cost a(d) is the profile's measured stream-byte ladder and whose
 // utility pa(d) is its measured PSNR ladder (NewContentScenario), then
 // resolves it exactly like WithScenario. A scenario passed alongside

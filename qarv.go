@@ -51,12 +51,12 @@
 // # Sweeps
 //
 // Experiments are declarative: NewSweep crosses typed axes (AxisV,
-// AxisArrivalRate, AxisPolicy, AxisAllocator, AxisNetwork, AxisSlots,
-// or the generic Axis) into a grid over a calibrated scenario and runs
-// every cell concurrently on a pluggable backend — BackendPool in
-// process, BackendFleet as a session population per cell — with
-// per-cell seed derivation, so reports are byte-identical at any
-// worker count:
+// AxisServiceRate, AxisArrivalRate, AxisPolicy, AxisAllocator,
+// AxisNetwork, AxisSlots, or a hand-built SweepAxis) into a grid over a
+// calibrated scenario and runs every cell concurrently on a pluggable
+// backend — BackendPool in process, BackendFleet as a session
+// population per cell — with per-cell seed derivation, so reports are
+// byte-identical at any worker count:
 //
 //	sw, _ := qarv.NewSweep(scn,
 //	    qarv.AxisV(0.5, 1, 2),
@@ -66,10 +66,8 @@
 //	rep, _ := sw.Run(ctx)    // one SweepRow per cell, grid order
 //	tab, _ := rep.Table()    // trace.Table → CSV/JSON/ASCII
 //
-// The classic ablations (VSweep, RateSweep, UtilitySweep, NetworkSweep,
-// AllocatorSweep, FleetVSweep) are thin wrappers over this engine; see
-// cmd/qarvsweep for grids from the command line and MIGRATION.md for
-// the mapping.
+// Every ablation of the evaluation is such a grid; cmd/qarvsweep runs
+// grids from the command line.
 //
 // # Building blocks
 //
@@ -96,10 +94,8 @@ import (
 	"qarv/internal/policy"
 	"qarv/internal/quality"
 	"qarv/internal/queueing"
-	"qarv/internal/render"
 	"qarv/internal/sim"
 	"qarv/internal/synthetic"
-	"qarv/internal/trace"
 )
 
 // ---------------------------------------------------------------------------
@@ -111,10 +107,6 @@ type (
 	Controller = core.Controller
 	// ControllerConfig parameterizes NewController.
 	ControllerConfig = core.Config
-	// Decision is a detailed per-slot control decision.
-	Decision = core.Decision
-	// Bounds packages the O(1/V)/O(V) theoretical guarantees.
-	Bounds = core.Bounds
 	// MultiQueueController jointly controls K streams under a shared
 	// budget via a virtual queue.
 	MultiQueueController = core.MultiQueueController
@@ -198,8 +190,6 @@ type (
 	// ModulatedService scales an inner service by a time factor
 	// (failure injection).
 	ModulatedService = delay.ModulatedService
-	// Calibration is a fitted points→time cost relationship.
-	Calibration = delay.Calibration
 )
 
 // RNG is the small, deterministic, splittable generator every stochastic
@@ -238,8 +228,6 @@ type (
 	Color = pointcloud.Color
 	// Vec3 is a 3-vector.
 	Vec3 = geom.Vec3
-	// AABB is an axis-aligned bounding box.
-	AABB = geom.AABB
 	// Octree is a depth-controllable octree over a cloud.
 	Octree = octree.Octree
 	// LODMode selects LOD point placement.
@@ -302,8 +290,6 @@ const (
 // ---------------------------------------------------------------------------
 
 type (
-	// Backlog is the Lindley-recursion work queue Q(t).
-	Backlog = queueing.Backlog
 	// ArrivalProcess yields frames per slot.
 	ArrivalProcess = queueing.ArrivalProcess
 	// DeterministicArrivals is the paper's one-frame-per-slot process.
@@ -312,8 +298,6 @@ type (
 	PoissonArrivals = queueing.PoissonArrivals
 	// OnOffArrivals alternates bursts and silence.
 	OnOffArrivals = queueing.OnOffArrivals
-	// FrameQueue is a timestamped FIFO with partial service.
-	FrameQueue = queueing.FrameQueue
 	// Verdict classifies a backlog trajectory.
 	Verdict = queueing.Verdict
 	// SimResult is a full run trajectory plus summaries.
@@ -327,8 +311,6 @@ type (
 	Allocator = alloc.Allocator
 	// EqualSplit is the information-free budget split (the default).
 	EqualSplit = alloc.EqualSplit
-	// ProportionalBacklog shares the budget proportionally to backlogs.
-	ProportionalBacklog = alloc.ProportionalBacklog
 	// MaxWeight serves the longest queues first (work-conserving).
 	MaxWeight = alloc.MaxWeight
 	// WeightedRoundRobin is a fluid deficit-round-robin split.
@@ -377,8 +359,6 @@ type (
 	ContentView = content.View
 	// ContentQuality selects the utility metric of a content build.
 	ContentQuality = content.Quality
-	// ContentLadderRow is one measured point of a quality/bytes ladder.
-	ContentLadderRow = content.LadderRow
 )
 
 // Content quality metrics.
@@ -391,16 +371,11 @@ const (
 	ContentQualityView = content.QualityView
 )
 
-// BuildContent measures a fresh content profile from the configured
-// asset: generate (or read) the cloud, build the octree, measure the
-// stream-byte ladder and the PSNR ladder. Deterministic per config.
-// Prefer LoadContent, which memoizes.
-func BuildContent(cfg ContentConfig) (*ContentProfile, error) { return content.Build(cfg) }
-
 // LoadContent returns the profile for cfg from the in-process content
-// cache, building it on first use. The returned profile is immutable
-// and shared; each distinct configuration builds exactly once per
-// process.
+// cache, measuring it on first use: generate (or read) the cloud, build
+// the octree, measure the stream-byte ladder and the PSNR ladder. The
+// returned profile is immutable and shared; each distinct configuration
+// builds exactly once per process.
 func LoadContent(cfg ContentConfig) (*ContentProfile, error) { return content.Load(cfg) }
 
 // NewContentScenario calibrates a Scenario over a measured content
@@ -443,25 +418,13 @@ type (
 	// AllocDeviceSpec shapes one device of a heterogeneous fleet
 	// (arrival rate and cost scale) in the allocator ablation.
 	AllocDeviceSpec = experiments.AllocDeviceSpec
-	// AllocatorSweepRow summarizes one allocator's run over the fleet.
-	AllocatorSweepRow = experiments.AllocatorSweepRow
-	// FleetVSweepRow is one V point of the fleet-scale V ablation.
-	FleetVSweepRow = experiments.FleetVSweepRow
-	// MultiDeviceRow summarizes one device of a shared-service run.
-	MultiDeviceRow = experiments.MultiDeviceRow
-	// Link is a FIFO uplink with bandwidth/latency/jitter/loss.
-	Link = netem.Link
-	// LinkConfig parameterizes NewLink.
+	// LinkConfig parameterizes the emulated uplink of an offload session
+	// (see WithLink): bandwidth, latency, jitter, and loss.
 	LinkConfig = netem.LinkConfig
-	// TokenBucket polices admission at a sustained rate.
-	TokenBucket = netem.TokenBucket
-	// BandwidthProcess yields a link's serialization capacity per slot —
-	// the time-varying generalization of LinkConfig.BytesPerSlot. Every
-	// implementation in the library doubles as a ServiceProcess, so the
-	// same processes drive WithService and fleet Profile.NewService.
-	BandwidthProcess = netem.BandwidthProcess
-	// LinkDynamics binds a BandwidthProcess to an offload uplink (see
-	// WithLinkDynamics).
+	// LinkDynamics binds a time-varying bandwidth process to an offload
+	// uplink (see WithLinkDynamics). Every bandwidth process in the
+	// library doubles as a ServiceProcess, so the same processes drive
+	// WithService and fleet Profile.NewService.
 	LinkDynamics = netem.LinkDynamics
 	// ConstantBandwidth is the degenerate fixed-rate process.
 	ConstantBandwidth = netem.ConstantBandwidth
@@ -476,27 +439,12 @@ type (
 	// HandoffBandwidth models mobility: exponential cell dwells, an
 	// outage gap per handoff, and a uniform new-cell capacity scale.
 	HandoffBandwidth = netem.HandoffBandwidth
-	// NetworkSweepRow is one volatility point of the dynamic-network
-	// ablation.
-	NetworkSweepRow = experiments.NetworkSweepRow
-	// Table is an exportable set of time series (CSV/JSON/ASCII chart).
-	Table = trace.Table
 )
-
-// NewLink builds a network link emulator.
-func NewLink(cfg LinkConfig) (*Link, error) { return netem.NewLink(cfg) }
 
 // NewTraceBandwidth validates trace points (and an optional wrap
 // period) into a replayable piecewise bandwidth process.
 func NewTraceBandwidth(points []TracePoint, period int) (*TraceBandwidth, error) {
 	return netem.NewTraceBandwidth(points, period)
-}
-
-// LoadBandwidthTrace reads a bandwidth trace file, dispatching on the
-// extension: .json loads the {"period":N,"points":[...]} (or bare
-// array) form, anything else the "slot,bytes_per_slot" CSV form.
-func LoadBandwidthTrace(path string) (*TraceBandwidth, error) {
-	return netem.LoadTraceFile(path)
 }
 
 // DefaultMarkovFactor returns the default Gilbert–Elliott fading factor
@@ -510,24 +458,14 @@ func DefaultMarkovFactor(rng *RNG) *MarkovBandwidth { return netem.DefaultMarkov
 // [0.7, 1.2]) — the CLIs' -net handoff class. A nil rng never hands off.
 func DefaultHandoffFactor(rng *RNG) *HandoffBandwidth { return netem.DefaultHandoffFactor(rng) }
 
-// DefaultDiurnalTrace returns the built-in 240-slot daily-load factor
-// trace (dips to ×0.6 mid-cycle) — the CLIs' file-less -net trace class.
-func DefaultDiurnalTrace() *TraceBandwidth { return netem.DefaultDiurnalTrace() }
-
-// LoadFactorTrace loads a -net style factor trace: an empty path
-// returns DefaultDiurnalTrace, anything else loads the file
-// (LoadBandwidthTrace) normalized to its peak, so measured bytes/slot
-// captures and hand-written factor patterns both modulate sensibly.
+// LoadFactorTrace loads a -net style factor trace. An empty path
+// returns the built-in 240-slot daily-load factor trace (dips to ×0.6
+// mid-cycle). Otherwise it loads the file — .json as the
+// {"period":N,"points":[...]} (or bare array) form, anything else as
+// "slot,bytes_per_slot" CSV — normalized to its peak, so measured
+// bytes/slot captures and hand-written factor patterns both modulate
+// sensibly.
 func LoadFactorTrace(path string) (*TraceBandwidth, error) { return netem.LoadFactorTrace(path) }
-
-// NetworkSweep runs the dynamic-network ablation: a fleet per
-// volatility point, every session drawing its capacity from a
-// mean-preserving Markov (good/bad) chain around the calibrated service
-// rate. Mean utility degrades and tail backlog grows monotonically as
-// volatility rises. Zero sessions/slots take defaults.
-func NetworkSweep(s *Scenario, volatilities []float64, sessions, slots int, seed uint64) ([]NetworkSweepRow, error) {
-	return experiments.NetworkSweep(s, volatilities, sessions, slots, seed)
-}
 
 // SharedUplink runs N devices against one emulated uplink, its
 // serialization bandwidth split per slot by params.Allocator and its
@@ -536,45 +474,17 @@ func SharedUplink(params SharedUplinkParams) (*SharedUplinkResult, error) {
 	return experiments.SharedUplink(params)
 }
 
-// AllocatorSweep runs the same heterogeneous fleet under each allocator
-// and reports per-device stability — the ablation showing the shared
-// budget's split policy is itself the lever. Zero-value
-// specs/budget/slots/allocators take defaults (see HeterogeneousSpecs).
-func AllocatorSweep(s *Scenario, specs []AllocDeviceSpec, budget float64, slots int, allocators []Allocator) ([]AllocatorSweepRow, error) {
-	return experiments.AllocatorSweep(s, specs, budget, slots, allocators)
-}
-
 // HeterogeneousSpecs returns the canonical mixed fleet of the allocator
-// ablation: one heavy device among n−1 light ones.
+// ablation: one heavy device among n−1 light ones — the default fleet
+// of AxisAllocator cells.
 func HeterogeneousSpecs(n int) []AllocDeviceSpec { return experiments.HeterogeneousSpecs(n) }
 
-// FleetVSweep runs the O(1/V)/O(V) ablation at fleet scale: a stochastic
-// population (Poisson arrivals, noisy service) per V point, summarized
-// through the fleet engine's streaming quantile sketches. Zero
-// sessions/slots take defaults; see Scenario.FleetProfile to build
-// custom fleet mixes from a calibrated scenario.
-func FleetVSweep(s *Scenario, factors []float64, sessions, slots int, seed uint64) ([]FleetVSweepRow, error) {
-	return experiments.FleetVSweep(s, factors, sessions, slots, seed)
-}
-
 type (
-	// RenderConfig controls a software splat render pass.
-	RenderConfig = render.Config
-	// RenderCamera is a pinhole camera.
-	RenderCamera = render.Camera
-	// RenderImage is a rendered framebuffer with depth.
-	RenderImage = render.Image
 	// RenderLadderRow is one depth of the view-domain quality ladder.
 	RenderLadderRow = experiments.RenderLadderRow
 	// RenderLadderConfig parameterizes RenderLadder.
 	RenderLadderConfig = experiments.RenderLadderConfig
 )
-
-// RenderCloud splats a point cloud into a framebuffer.
-func RenderCloud(c *Cloud, cfg RenderConfig) (*RenderImage, error) { return render.Render(c, cfg) }
-
-// DefaultCamera frames a subject bounding box from 3 m away.
-func DefaultCamera(subject AABB) RenderCamera { return render.DefaultCamera(subject) }
 
 // RenderLadder measures per-depth image PSNR of the LOD ladder and
 // returns the rows plus a view-domain utility model.

@@ -1,10 +1,6 @@
 package qarv
 
-import (
-	"context"
-
-	"qarv/internal/experiments"
-)
+import "qarv/internal/experiments"
 
 // ---------------------------------------------------------------------------
 // Declarative sweeps (one experiment engine over sessions and fleets)
@@ -21,7 +17,8 @@ type (
 	// declaration order with the last axis varying fastest.
 	SweepAxis = experiments.SweepAxis
 	// SweepAxisPoint is one value of a sweep axis: a label, an optional
-	// numeric coordinate, and the cell mutation it applies.
+	// numeric coordinate, and the cell mutation it applies. Hand-built
+	// points extend a typed axis with knobs it does not cover.
 	SweepAxisPoint = experiments.AxisPoint
 	// SweepCell is the mutable per-cell configuration axis points and
 	// Sweep.Configure hooks mutate before the backend runs the cell.
@@ -30,16 +27,11 @@ type (
 	// cell in process, BackendFleet runs each cell as a session
 	// population.
 	SweepBackend = experiments.SweepBackend
-	// SweepReport is the unified result of a sweep: one SweepRow per
-	// grid cell, exportable as a trace.Table (CSV/JSON/ASCII chart).
-	SweepReport = experiments.SweepReport
 	// SweepRow is one grid cell's outcome: axis coordinates plus the
-	// common metric set (utility, backlog, sojourn quantiles, verdict).
+	// common metric set (utility, backlog, sojourn quantiles, verdict),
+	// with the cell's full backend result in Detail. Sweep.Run reports
+	// one per cell in grid order.
 	SweepRow = experiments.SweepRow
-	// SweepCoord locates a sweep row along one axis.
-	SweepCoord = experiments.SweepCoord
-	// SweepCellResult is a row's full backend result for drill-down.
-	SweepCellResult = experiments.SweepCellResult
 	// SweepNetwork names one capacity shape of a network axis.
 	SweepNetwork = experiments.SweepNetwork
 	// PolicySpec names one depth-policy candidate of a policy axis.
@@ -72,16 +64,6 @@ func BackendPool() SweepBackend { return experiments.BackendPool() }
 // population of the given session count (<= 0 takes 256) through the
 // sharded fleet engine.
 func BackendFleet(sessions int) SweepBackend { return experiments.BackendFleet(sessions) }
-
-// SweepCellSeed derives the seed of one grid cell from a sweep seed —
-// exposed so callers can reproduce any single cell out-of-band.
-func SweepCellSeed(seed uint64, cell int) uint64 { return experiments.CellSeed(seed, cell) }
-
-// Axis is the generic sweep-axis escape hatch: a named numeric axis
-// whose apply function receives the cell and the point's value.
-func Axis(name string, apply func(c *SweepCell, v float64) error, values ...float64) SweepAxis {
-	return experiments.Axis(name, apply, values...)
-}
 
 // AxisV sweeps the Lyapunov tradeoff knob: each point runs the proposed
 // controller at factor × the calibrated V.
@@ -155,25 +137,3 @@ func NetworkHandoff() SweepNetwork { return experiments.NetworkHandoff() }
 // NetworkTraceShape replays a factor trace over the base capacity
 // (clone-per-run, so concurrent cells never share replay state).
 func NetworkTraceShape(tb *TraceBandwidth) SweepNetwork { return experiments.NetworkTrace(tb) }
-
-// ---------------------------------------------------------------------------
-// Context parity for the legacy sweep entry points
-// ---------------------------------------------------------------------------
-
-// NetworkSweepContext is NetworkSweep under a cancelable context,
-// honored inside every shard's slot loops — no public sweep is
-// uncancellable.
-func NetworkSweepContext(ctx context.Context, s *Scenario, volatilities []float64, sessions, slots int, seed uint64) ([]NetworkSweepRow, error) {
-	return experiments.NetworkSweepContext(ctx, s, volatilities, sessions, slots, seed)
-}
-
-// AllocatorSweepContext is AllocatorSweep under a cancelable context.
-func AllocatorSweepContext(ctx context.Context, s *Scenario, specs []AllocDeviceSpec, budget float64, slots int, allocators []Allocator) ([]AllocatorSweepRow, error) {
-	return experiments.AllocatorSweepContext(ctx, s, specs, budget, slots, allocators)
-}
-
-// FleetVSweepContext is FleetVSweep under a cancelable context, honored
-// inside every shard's slot loops.
-func FleetVSweepContext(ctx context.Context, s *Scenario, factors []float64, sessions, slots int, seed uint64) ([]FleetVSweepRow, error) {
-	return experiments.FleetVSweepContext(ctx, s, factors, sessions, slots, seed)
-}

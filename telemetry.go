@@ -8,11 +8,7 @@ package qarv
 // with it on or off — and deterministic: a registry snapshot is
 // byte-identical per seed at any worker or shard count.
 
-import (
-	"net/http"
-
-	"qarv/internal/obs"
-)
+import "qarv/internal/obs"
 
 type (
 	// MetricsRegistry is a mergeable registry of named counters, gauges,
@@ -32,11 +28,6 @@ type (
 	// once full. A nil recorder is valid everywhere and records
 	// nothing.
 	FlightRecorder = obs.FlightRecorder
-	// FlightRecord is one recorded span or event: a virtual-slot
-	// timestamp (wall-clock microseconds on the live stream server), a
-	// category/name pair, a track (device, seat, or connection id), and
-	// a value.
-	FlightRecord = obs.Record
 )
 
 // NewMetricsRegistry returns an empty registry at the default sketch
@@ -46,13 +37,3 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // NewFlightRecorder returns a recorder holding the newest capacity
 // records; capacity <= 0 takes the default (8192).
 func NewFlightRecorder(capacity int) *FlightRecorder { return obs.NewFlightRecorder(capacity) }
-
-// MetricsHandler serves a registry's current snapshot in Prometheus
-// text exposition format — mount it on any mux, or use
-// NewMetricsDebugMux for a ready-made mux with net/http/pprof wired in.
-func MetricsHandler(r *MetricsRegistry) http.Handler { return obs.Handler(r) }
-
-// NewMetricsDebugMux returns a mux serving /metrics (Prometheus text)
-// plus the standard /debug/pprof endpoints — the wall-clock side of the
-// telemetry layer, for live processes like the stream edge server.
-func NewMetricsDebugMux(r *MetricsRegistry) *http.ServeMux { return obs.NewDebugMux(r) }
