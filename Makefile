@@ -85,13 +85,19 @@ learn-smoke:
 
 # telemetry-smoke runs the observability layer end to end: the pin
 # tests proving metric snapshots are byte-identical per seed at any
-# shard/worker count and that telemetry never changes report bytes,
-# the CLI sink tests, then a real qarvfleet run that must emit a
+# shard/worker count, that telemetry never changes report bytes, and
+# that sim, multi-device and offload sessions record their golden
+# bytes, the CLI sink tests, then a real qarvfleet run and a real
+# four-device learned-allocator qarvsim run that must each emit a
 # non-empty snapshot and trace_event file.
 telemetry-smoke:
 	$(GO) test -run 'Telemetry' . ./cmd/qarvfleet
 	$(GO) test ./internal/obs ./cmd/internal/telemetry
 	$(GO) run ./cmd/qarvfleet -samples 30000 -n 64 -slots 200 -json \
+		-metrics telemetry_smoke_metrics.json -trace telemetry_smoke_trace.json > /dev/null
+	test -s telemetry_smoke_metrics.json && test -s telemetry_smoke_trace.json
+	rm -f telemetry_smoke_metrics.json telemetry_smoke_trace.json
+	$(GO) run ./cmd/qarvsim -samples 30000 -slots 200 -devices 4 -alloc bandit:4 \
 		-metrics telemetry_smoke_metrics.json -trace telemetry_smoke_trace.json > /dev/null
 	test -s telemetry_smoke_metrics.json && test -s telemetry_smoke_trace.json
 	rm -f telemetry_smoke_metrics.json telemetry_smoke_trace.json

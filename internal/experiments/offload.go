@@ -75,10 +75,13 @@ type OffloadParams struct {
 	// a three-point netem.TraceBandwidth instead.
 	Dynamics *netem.LinkDynamics
 	// Observer, when non-nil, receives every slot's event as the control
-	// loop runs. Offload semantics differ from sim runs: Arrived is the
-	// frame's bytes offered to the uplink (reported even when link-layer
-	// loss drops the frame, since its bytes occupied the uplink busy
-	// period — Dropped carries the lost bytes) and Served is always 0 —
+	// loop runs, after the run's own telemetry. Offload semantics differ
+	// from sim runs: each slot offers one frame (Frames is 1), Arrived is
+	// the frame's bytes offered to the uplink (reported even when
+	// link-layer loss drops the frame, since its bytes occupied the uplink
+	// busy period — Dropped carries the lost bytes and DroppedFrames is
+	// 1), Latency is the delivered frame's latency, Completed stays
+	// empty, and Served is always 0 —
 	// the link drains continuously rather than per-slot, so service is
 	// observable only through Backlog, and the sim invariant
 	// Q(t+1) = Q(t) + Arrived − Served does not hold.
@@ -351,8 +354,9 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 		Depth:        make([]int, p.Slots),
 	}
 	var depthSum float64
-	tel := newOffloadTelemetry(p.Metrics, p.Recorder)
-	lastDepth := -1
+	// Telemetry is the first observer, so its records land before
+	// anything the caller's observer does with the same slot.
+	observe := sim.Join(newOffloadTelemetry(p.Metrics, p.Recorder), p.Observer)
 	cancel := queueing.NewCancelCheck(ctx, 0)
 	for t := 0; t < p.Slots; t++ {
 		if err := cancel.Check(); err != nil {
@@ -387,35 +391,23 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 		depthSum += float64(d)
 		frameBytes := cost.FrameCost(d)
 		tx := link.Transmit(frameBytes, t)
-		var lostBytes float64
+		var lostBytes, latency float64
+		var lost int
 		if tx.Dropped {
 			res.LossCount++
-			lostBytes = frameBytes
+			lostBytes, lost = frameBytes, 1
 		} else {
-			res.Latency = append(res.Latency, tx.DeliveredSlot-float64(t))
+			latency = tx.DeliveredSlot - float64(t)
+			res.Latency = append(res.Latency, latency)
 		}
-		if tel != nil {
-			tel.frames.Inc()
-			tel.backlog.Observe(q)
-			if tx.Dropped {
-				tel.lost.Inc()
-				tel.rec.Event(int64(t), "offload", "loss", -1, frameBytes)
-			} else {
-				tel.latency.Observe(tx.DeliveredSlot - float64(t))
-			}
-			if d != lastDepth {
-				tel.rec.Event(int64(t), "offload", "depth", -1, float64(d))
-				lastDepth = d
-			}
-			tel.rec.Span(int64(t), 1, "offload", "slot", -1, q)
-		}
-		if p.Observer != nil {
+		if observe != nil {
 			// Arrived reports the bytes offered to the uplink even for a
 			// lost frame — they occupied the busy period; Dropped carries
 			// the loss.
-			p.Observer(sim.SlotEvent{
-				Slot: t, Device: -1, Backlog: q, Depth: d,
-				Utility: util.Utility(d), Arrived: frameBytes, Dropped: lostBytes,
+			observe(sim.SlotEvent{
+				Slot: t, Device: -1, Backlog: q, Depth: d, Utility: util.Utility(d),
+				Frames: 1, Arrived: frameBytes, DroppedFrames: lost, Dropped: lostBytes,
+				Latency: latency,
 			})
 		}
 	}

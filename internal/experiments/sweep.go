@@ -18,8 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"qarv/internal/alloc"
 	"qarv/internal/core"
@@ -378,77 +376,32 @@ func (sw *Sweep) Run(ctx context.Context) (*SweepReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := sw.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-
 	rows := make([]*SweepRow, len(cells))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if sw.Metrics != nil {
-					cells[i].metrics = obs.NewRegistryAccuracy(sw.Metrics.Accuracy())
-				}
-				cells[i].recorder = sw.Recorder
-				row, err := backend.run(ctx, sw, cells[i], coords[i])
-				if err == nil && sw.Metrics != nil {
-					row.Metrics = cells[i].metrics.Snapshot()
-					// Commutative fold (counters add, gauges max,
-					// sketches merge), so completion order — and hence
-					// worker count — cannot change the merged registry.
-					if merr := sw.Metrics.Merge(cells[i].metrics); merr != nil {
-						err = fmt.Errorf("merging telemetry: %w", merr)
-					}
-				}
-				if err != nil {
-					err = fmt.Errorf("experiments: sweep cell %d (%s): %w", i, coordKey(coords[i]), err)
-					mu.Lock()
-					// Prefer the first non-context error: a root-cause
-					// cell failure must not be masked by the
-					// cancellations it fans out to sibling cells.
-					if firstErr == nil || (IsContextError(firstErr) && !IsContextError(err)) {
-						firstErr = err
-						cancel()
-					}
-					mu.Unlock()
-					continue
-				}
-				row.Cell = i
-				row.Coords = coords[i]
-				rows[i] = row
-			}
-		}()
-	}
-	fed := 0
-feed:
-	for i := range cells {
-		select {
-		case jobs <- i:
-			fed++
-		case <-ctx.Done():
-			break feed
+	err = RunPool(ctx, sw.Workers, len(cells), func(ctx context.Context, i int) error {
+		if sw.Metrics != nil {
+			cells[i].metrics = obs.NewRegistryAccuracy(sw.Metrics.Accuracy())
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if fed < len(cells) {
-		return nil, ctx.Err()
+		cells[i].recorder = sw.Recorder
+		row, err := backend.run(ctx, sw, cells[i], coords[i])
+		if err == nil && sw.Metrics != nil {
+			row.Metrics = cells[i].metrics.Snapshot()
+			// Commutative fold (counters add, gauges max, sketches
+			// merge), so completion order — and hence worker count —
+			// cannot change the merged registry.
+			if merr := sw.Metrics.Merge(cells[i].metrics); merr != nil {
+				err = fmt.Errorf("merging telemetry: %w", merr)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("experiments: sweep cell %d (%s): %w", i, coordKey(coords[i]), err)
+		}
+		row.Cell = i
+		row.Coords = coords[i]
+		rows[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &SweepReport{
@@ -461,14 +414,6 @@ feed:
 		rep.Rows[i] = *r
 	}
 	return rep, nil
-}
-
-// IsContextError reports whether err is (or wraps) a context
-// cancellation/deadline error — the predicate behind the
-// root-cause-over-cancellation latch rule shared by the sweep executor
-// and SessionPool.
-func IsContextError(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // coordKey joins coordinate labels for error messages and default

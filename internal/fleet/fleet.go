@@ -267,6 +267,7 @@ func RunContext(ctx context.Context, spec Spec) (*Report, error) {
 	elapsed := time.Since(start)
 	rep := merged.report(&spec, nShards, elapsed)
 	if spec.Metrics != nil {
+		addTotals(merged.metrics, &rep.Total)
 		rep.Metrics = merged.metrics.Snapshot()
 		if err := spec.Metrics.Merge(merged.metrics); err != nil {
 			return nil, fmt.Errorf("fleet: merging telemetry: %w", err)
@@ -281,7 +282,8 @@ func runShard(ctx context.Context, spec *Spec, cum []float64, lo, hi int) (*flee
 	acc := newFleetAccum(spec)
 	cancel := queueing.NewCancelCheck(ctx, 0)
 	sess := newSessionRunner() // reused across sessions (buffers recycled)
-	tel := newFleetTelemetry(acc.metrics, spec.Recorder)
+	// Nil (a no-op) when telemetry is off; the recorder is nil-safe too.
+	lifetime := acc.metrics.Histogram(MetricSessionLifetime)
 	for seat := lo; seat < hi; seat++ {
 		rng := geom.NewRNG(SeatSeed(spec.Seed, seat))
 		slot := 0
@@ -306,10 +308,7 @@ func runShard(ctx context.Context, spec *Spec, cum []float64, lo, hi int) (*flee
 				return nil, fmt.Errorf("fleet: seat %d profile %q: %w", seat, prof.Name, err)
 			}
 			pa := acc.profile(prof.Name)
-			completed0, dropped0 := pa.framesCompleted, pa.framesDropped
-			if tel != nil {
-				tel.rec.Event(int64(slot), "fleet", "session", int64(seat), float64(pi))
-			}
+			spec.Recorder.Event(int64(slot), "fleet", "session", int64(seat), float64(pi))
 			for t := 0; t < life; t++ {
 				if err := cancel.Check(); err != nil {
 					return nil, fmt.Errorf("fleet: canceled at seat %d slot %d: %w", seat, slot+t, err)
@@ -317,16 +316,9 @@ func runShard(ctx context.Context, spec *Spec, cum []float64, lo, hi int) (*flee
 				sess.step(t, pa)
 			}
 			sess.finish(pa, departs)
-			if tel != nil {
-				tel.sessions.Inc()
-				tel.deviceSlots.Add(int64(life))
-				tel.framesCompleted.Add(pa.framesCompleted - completed0)
-				tel.framesDropped.Add(pa.framesDropped - dropped0)
-				tel.lifetime.Observe(float64(life))
-				if departs {
-					tel.departures.Inc()
-					tel.rec.Event(int64(slot+life), "fleet", "depart", int64(seat), float64(life))
-				}
+			lifetime.Observe(float64(life))
+			if departs {
+				spec.Recorder.Event(int64(slot+life), "fleet", "depart", int64(seat), float64(life))
 			}
 			slot += life
 		}

@@ -24,32 +24,14 @@ const (
 	MetricSessionLifetime = "fleet_session_lifetime_slots"
 )
 
-// fleetTelemetry holds a shard's pre-resolved instrument handles plus
-// the (shared, concurrency-safe) flight recorder. Nil when telemetry
-// is disabled.
-type fleetTelemetry struct {
-	rec             *obs.FlightRecorder
-	sessions        *obs.Counter
-	departures      *obs.Counter
-	deviceSlots     *obs.Counter
-	framesCompleted *obs.Counter
-	framesDropped   *obs.Counter
-	lifetime        *obs.Histogram
-}
-
-// newFleetTelemetry resolves handles against a shard-local registry;
-// nil when both sinks are off.
-func newFleetTelemetry(reg *obs.Registry, rec *obs.FlightRecorder) *fleetTelemetry {
-	if reg == nil && rec == nil {
-		return nil
-	}
-	return &fleetTelemetry{
-		rec:             rec,
-		sessions:        reg.Counter(MetricSessions),
-		departures:      reg.Counter(MetricDepartures),
-		deviceSlots:     reg.Counter(MetricDeviceSlots),
-		framesCompleted: reg.Counter(MetricFramesCompleted),
-		framesDropped:   reg.Counter(MetricFramesDropped),
-		lifetime:        reg.Histogram(MetricSessionLifetime),
-	}
+// addTotals adds the fleet-wide counters to reg from the merged total:
+// they count exactly what Report.Total does, so they are written once
+// here rather than per session. Only the lifetime histogram and the
+// recorder's session events are recorded per session (runShard).
+func addTotals(reg *obs.Registry, total *ProfileReport) {
+	reg.Counter(MetricSessions).Add(total.Sessions)
+	reg.Counter(MetricDepartures).Add(total.Departures)
+	reg.Counter(MetricDeviceSlots).Add(total.DeviceSlots)
+	reg.Counter(MetricFramesCompleted).Add(total.FramesCompleted)
+	reg.Counter(MetricFramesDropped).Add(total.FramesDropped)
 }

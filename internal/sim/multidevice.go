@@ -52,7 +52,8 @@ type MultiConfig struct {
 	Allocator alloc.Allocator
 	Slots     int
 	// Observer, when non-nil, receives every device's slot event (the
-	// event's Device field indexes into Devices).
+	// event's Device field indexes into Devices), after the run's own
+	// telemetry has recorded it.
 	Observer Observer
 	// Metrics, when non-nil, accumulates run telemetry across all
 	// devices plus the alloc_* allocator series into the registry.
@@ -131,8 +132,11 @@ func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error)
 	for i, dev := range cfg.Devices {
 		runners[i] = newDeviceRunner(dev.Policy, dev.Cost, dev.Utility,
 			dev.Arrivals, dev.MaxBacklog, cfg.Slots)
-		runners[i].setTelemetry(cfg.Metrics, cfg.Recorder)
 	}
+	// Telemetry is the first observer, so its records land before
+	// anything the caller's observer does with the same slot.
+	observe := Join(newTelemetry(cfg.Metrics, cfg.Recorder), cfg.Observer)
+	name := allocator.Name()
 	var allocSlots *obs.Counter
 	var allocShare *obs.Histogram
 	telemetryOn := cfg.Metrics != nil || cfg.Recorder != nil
@@ -171,11 +175,11 @@ func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error)
 			allocSlots.Inc()
 			for i, s := range shares {
 				allocShare.Observe(s)
-				cfg.Recorder.Event(int64(t), "alloc", allocator.Name(), int64(i), s)
+				cfg.Recorder.Event(int64(t), "alloc", name, int64(i), s)
 			}
 		}
 		for i, r := range runners {
-			r.step(t, shares[i], i, cfg.Observer)
+			r.step(t, shares[i], i, observe)
 		}
 		if learner != nil {
 			for i, r := range runners {
@@ -188,7 +192,7 @@ func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error)
 
 	out := &MultiResult{
 		PerDevice: make([]*Result, n),
-		Allocator: allocator.Name(),
+		Allocator: name,
 	}
 	for i, r := range runners {
 		res := r.finalize(cfg.Slots)

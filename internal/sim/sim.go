@@ -41,11 +41,49 @@ type SlotEvent struct {
 	// sim runs, lost frame bytes in offload runs (which still occupied
 	// the uplink busy period even though they never delivered).
 	Dropped float64
+	// Frames counts the frames that arrived this slot (offload runs
+	// offer exactly one).
+	Frames int
+	// DroppedFrames counts the frames lost this slot: removed whole by
+	// bounded-backlog overflow in sim runs, lost on the link (0 or 1)
+	// in offload runs.
+	DroppedFrames int
+	// Completed lists the frames that finished service this slot (sim
+	// runs only). The slice belongs to the run loop: observers may read
+	// it during the call but must copy what they keep.
+	Completed []queueing.Completed
+	// Latency is the offload frame's end-to-end delivery latency in
+	// slots; 0 for a lost frame and in sim runs.
+	Latency float64
 }
 
 // Observer receives each slot's event synchronously from the loop
 // goroutine; implementations must be fast or hand off to a channel.
 type Observer func(SlotEvent)
+
+// Join folds observers into one that calls each non-nil entry in
+// argument order. It returns nil when no entry is live and the entry
+// itself when exactly one is, so a run with nothing attached keeps its
+// nil fast path and a single observer pays no extra call.
+func Join(observers ...Observer) Observer {
+	var live []Observer
+	for _, o := range observers {
+		if o != nil {
+			live = append(live, o)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
+	}
+	return func(e SlotEvent) {
+		for _, o := range live {
+			o(e)
+		}
+	}
+}
 
 // Config describes one simulation run.
 type Config struct {
@@ -63,7 +101,8 @@ type Config struct {
 	Slots int
 	// MaxBacklog, when positive, bounds the queue (overflow drops work).
 	MaxBacklog float64
-	// Observer, when non-nil, receives every slot's event as it happens.
+	// Observer, when non-nil, receives every slot's event as it happens,
+	// after the run's own telemetry (Metrics, Recorder) has recorded it.
 	Observer Observer
 	// Metrics, when non-nil, accumulates run telemetry (slot counters,
 	// backlog/utility/sojourn distributions) into the registry. Nil
@@ -158,11 +197,6 @@ type deviceRunner struct {
 
 	utilSum    float64
 	backlogSum float64
-
-	// tel is nil unless telemetry is enabled (see setTelemetry);
-	// lastDepth lets the recorder log only depth *changes*.
-	tel       *telemetry
-	lastDepth int
 }
 
 func newDeviceRunner(p policy.Policy, cost delay.CostModel, utility quality.UtilityModel,
@@ -181,9 +215,10 @@ func newDeviceRunner(p policy.Policy, cost delay.CostModel, utility quality.Util
 	return r
 }
 
-// step advances the device one slot against the given service capacity.
-// device tags the observer event (-1 for single-device runs).
-func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
+// step advances the device one slot against the given service capacity
+// and hands the slot to observe, when non-nil. device tags the event (-1
+// for single-device runs).
+func (r *deviceRunner) step(t int, capacity float64, device int, observe Observer) {
 	var s Slot
 	r.k.Step(t, capacity, &s)
 	res := r.res
@@ -210,30 +245,11 @@ func (r *deviceRunner) step(t int, capacity float64, device int, obs Observer) {
 	// complete, so offering them to the estimator would fake a
 	// Little's-law violation in exactly the drop regime.
 	res.Little.ObserveSlot(float64(r.k.QueuedFrames()), admitted)
-	if tel := r.tel; tel != nil {
-		tel.slots.Inc()
-		tel.framesArrived.Add(int64(s.Frames))
-		tel.framesCompleted.Add(int64(len(s.Completed)))
-		tel.backlog.Observe(q)
-		tel.served.Observe(s.Served)
-		tel.utility.Observe(u)
-		for _, c := range s.Completed {
-			tel.sojourn.Observe(float64(c.Sojourn))
-		}
-		if s.DroppedWork > 0 {
-			tel.framesDropped.Add(int64(s.DroppedFrames))
-			tel.rec.Event(int64(t), "sim", "drop", int64(device), s.DroppedWork)
-		}
-		if d != r.lastDepth {
-			tel.rec.Event(int64(t), "sim", "depth", int64(device), float64(d))
-			r.lastDepth = d
-		}
-		tel.rec.Span(int64(t), 1, "sim", "slot", int64(device), q)
-	}
-	if obs != nil {
-		obs(SlotEvent{
-			Slot: t, Device: device, Backlog: q, Depth: d,
-			Utility: u, Arrived: s.Arrived, Served: s.Served, Dropped: s.DroppedWork,
+	if observe != nil {
+		observe(SlotEvent{
+			Slot: t, Device: device, Backlog: q, Depth: d, Utility: u,
+			Arrived: s.Arrived, Served: s.Served, Dropped: s.DroppedWork,
+			Frames: s.Frames, DroppedFrames: s.DroppedFrames, Completed: s.Completed,
 		})
 	}
 }
@@ -260,13 +276,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	dev := newDeviceRunner(cfg.Policy, cfg.Cost, cfg.Utility, cfg.Arrivals, cfg.MaxBacklog, cfg.Slots)
-	dev.setTelemetry(cfg.Metrics, cfg.Recorder)
+	// Telemetry is the first observer, so its records land before
+	// anything the caller's observer does with the same slot.
+	observe := Join(newTelemetry(cfg.Metrics, cfg.Recorder), cfg.Observer)
 	cancel := queueing.NewCancelCheck(ctx, 0)
 	for t := 0; t < cfg.Slots; t++ {
 		if err := cancel.Check(); err != nil {
 			return nil, fmt.Errorf("sim: canceled at slot %d: %w", t, err)
 		}
-		dev.step(t, cfg.Service.Service(t), -1, cfg.Observer)
+		dev.step(t, cfg.Service.Service(t), -1, observe)
 	}
 	return dev.finalize(cfg.Slots), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"qarv/internal/core"
@@ -423,5 +424,74 @@ func TestConfigValidateExported(t *testing.T) {
 	var m MultiConfig
 	if err := m.Validate(); !errors.Is(err, ErrNoDevices) {
 		t.Errorf("empty multi config Validate = %v", err)
+	}
+}
+
+func TestJoin(t *testing.T) {
+	var calls []string
+	rec := func(name string) Observer {
+		return func(SlotEvent) { calls = append(calls, name) }
+	}
+	cases := []struct {
+		name      string
+		observers []Observer
+		want      []string // nil: Join must return a nil observer
+	}{
+		{name: "none"},
+		{name: "only nil", observers: []Observer{nil, nil}},
+		{name: "one", observers: []Observer{rec("a")}, want: []string{"a"}},
+		{name: "one among nils", observers: []Observer{nil, rec("a"), nil}, want: []string{"a"}},
+		{name: "two in order", observers: []Observer{rec("a"), rec("b")}, want: []string{"a", "b"}},
+		{name: "two around nil", observers: []Observer{rec("b"), nil, rec("a")}, want: []string{"b", "a"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			calls = nil
+			joined := Join(tc.observers...)
+			if tc.want == nil {
+				if joined != nil {
+					t.Fatal("Join of no live observers is non-nil")
+				}
+				return
+			}
+			joined(SlotEvent{})
+			if !slices.Equal(calls, tc.want) {
+				t.Fatalf("calls = %v, want %v", calls, tc.want)
+			}
+		})
+	}
+}
+
+// TestObserverCarriesFrameAccounting: the per-slot frame fields of the
+// event stream add up to the run's frame accounting.
+func TestObserverCarriesFrameAccounting(t *testing.T) {
+	max, err := policy.NewMaxDepth(testDepths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(t, max, 200)
+	// Three max-depth frames a slot against a one-frame cap overflow by
+	// more than a whole frame every slot.
+	cfg.Arrivals = &queueing.DeterministicArrivals{PerSlot: 3}
+	cfg.MaxBacklog = 200_000
+	var frames, dropped int
+	var completed []queueing.Completed
+	cfg.Observer = func(e SlotEvent) {
+		frames += e.Frames
+		dropped += e.DroppedFrames
+		completed = append(completed, e.Completed...)
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frames != 3*cfg.Slots {
+		t.Errorf("event frames = %d, want %d", frames, 3*cfg.Slots)
+	}
+	if res.DroppedFrames == 0 || dropped != res.DroppedFrames {
+		t.Errorf("event dropped frames = %d, result %d (want equal and positive)", dropped, res.DroppedFrames)
+	}
+	if !slices.Equal(completed, res.Completed) {
+		t.Errorf("event completions (%d) disagree with the result's (%d)", len(completed), len(res.Completed))
 	}
 }

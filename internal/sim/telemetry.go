@@ -29,10 +29,10 @@ const (
 	MetricAllocShare = "alloc_share"
 )
 
-// telemetry holds pre-resolved instrument handles so the slot loop
-// never does a map lookup. A nil *telemetry is the disabled path: one
-// pointer check per slot, no allocations. Individual handles may be
-// nil (recorder-only runs); obs instruments no-op on nil.
+// telemetry is the sim layer's per-slot telemetry: an Observer of the
+// slot stream with pre-resolved instrument handles, so the slot loop
+// never does a map lookup. Individual handles may be nil (recorder-only
+// runs); obs instruments no-op on nil.
 type telemetry struct {
 	rec             *obs.FlightRecorder
 	slots           *obs.Counter
@@ -43,15 +43,19 @@ type telemetry struct {
 	served          *obs.Histogram
 	utility         *obs.Histogram
 	sojourn         *obs.Histogram
+	// lastDepth holds each device's previous depth (-1 before its
+	// first slot; single runs use entry 0) so the recorder logs only
+	// depth changes.
+	lastDepth []int
 }
 
-// newTelemetry resolves instrument handles against reg; nil when both
-// telemetry sinks are disabled.
-func newTelemetry(reg *obs.Registry, rec *obs.FlightRecorder) *telemetry {
+// newTelemetry resolves instrument handles against reg and returns the
+// observer feeding them; nil when both telemetry sinks are disabled.
+func newTelemetry(reg *obs.Registry, rec *obs.FlightRecorder) Observer {
 	if reg == nil && rec == nil {
 		return nil
 	}
-	return &telemetry{
+	tel := &telemetry{
 		rec:             rec,
 		slots:           reg.Counter(MetricSlots),
 		framesArrived:   reg.Counter(MetricFramesArrived),
@@ -62,11 +66,31 @@ func newTelemetry(reg *obs.Registry, rec *obs.FlightRecorder) *telemetry {
 		utility:         reg.Histogram(MetricUtility),
 		sojourn:         reg.Histogram(MetricSojourn),
 	}
+	return tel.observe
 }
 
-// setTelemetry attaches telemetry sinks to the runner; must be called
-// before the first step.
-func (r *deviceRunner) setTelemetry(reg *obs.Registry, rec *obs.FlightRecorder) {
-	r.tel = newTelemetry(reg, rec)
-	r.lastDepth = -1
+func (tel *telemetry) observe(e SlotEvent) {
+	tel.slots.Inc()
+	tel.framesArrived.Add(int64(e.Frames))
+	tel.framesCompleted.Add(int64(len(e.Completed)))
+	tel.backlog.Observe(e.Backlog)
+	tel.served.Observe(e.Served)
+	tel.utility.Observe(e.Utility)
+	for _, c := range e.Completed {
+		tel.sojourn.Observe(float64(c.Sojourn))
+	}
+	slot, track := int64(e.Slot), int64(e.Device)
+	if e.Dropped > 0 {
+		tel.framesDropped.Add(int64(e.DroppedFrames))
+		tel.rec.Event(slot, "sim", "drop", track, e.Dropped)
+	}
+	i := max(e.Device, 0)
+	for len(tel.lastDepth) <= i {
+		tel.lastDepth = append(tel.lastDepth, -1)
+	}
+	if e.Depth != tel.lastDepth[i] {
+		tel.rec.Event(slot, "sim", "depth", track, float64(e.Depth))
+		tel.lastDepth[i] = e.Depth
+	}
+	tel.rec.Span(slot, 1, "sim", "slot", track, e.Backlog)
 }

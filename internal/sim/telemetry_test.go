@@ -91,7 +91,6 @@ func TestTelemetryDisabledZeroAllocPerSlot(t *testing.T) {
 	u, c := fixtures(t)
 	const slots = 2000
 	dev := newDeviceRunner(max, c, u, &queueing.DeterministicArrivals{PerSlot: 0}, 0, slots)
-	dev.setTelemetry(nil, nil)
 	next := 0
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := 0; i < 100; i++ {

@@ -1,5 +1,7 @@
 package qarv
 
+import "qarv/internal/sim"
+
 // Option configures a Session. Options are applied in order by
 // NewSession, which then resolves scenario defaults and validates the
 // assembled configuration exactly once.
@@ -24,7 +26,7 @@ type sessionConfig struct {
 	offload    *OffloadParams
 	link       *LinkConfig
 	dynamics   *LinkDynamics
-	observers  []func(SlotEvent)
+	observers  []sim.Observer
 	seed       uint64
 	seedSet    bool
 	metrics    *MetricsRegistry
@@ -166,12 +168,15 @@ func WithSeed(seed uint64) Option {
 // WithObserver registers a per-slot hook invoked synchronously from the
 // run loop with every slot's decision and queue transition — streaming
 // and tracing consumers subscribe here instead of post-processing full
-// trajectories. Multiple observers are invoked in registration order.
+// trajectories. Multiple observers are invoked in registration order,
+// after the session's own telemetry (WithTelemetry, WithFlightRecorder)
+// has recorded the slot; a nil fn is ignored.
 func WithObserver(fn func(SlotEvent)) Option {
 	return func(c *sessionConfig) { c.observers = append(c.observers, fn) }
 }
 
-// WithTelemetry attaches a metrics registry: the run loop folds its
+// WithTelemetry attaches a metrics registry: the session's telemetry,
+// an observer of the same slot stream WithObserver hooks see, folds
 // per-slot counters and sketch-backed histograms (sim_* series for sim
 // and multi sessions, offload_* for offload sessions) into r. Telemetry
 // never changes what the session computes — reports are byte-identical

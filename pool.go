@@ -3,8 +3,6 @@ package qarv
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"qarv/internal/experiments"
 )
@@ -42,70 +40,17 @@ func (p *SessionPool) Run(ctx context.Context) ([]*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := p.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(p.runners) {
-		workers = len(p.runners)
-	}
-
 	reports := make([]*Report, len(p.runners))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rep, err := p.runners[i].Run(ctx)
-				if err != nil {
-					err = fmt.Errorf("qarv: session %d: %w", i, err)
-					mu.Lock()
-					// Prefer the first non-context error: a cancellation
-					// fanned out to sibling workers (or observed by a
-					// run racing the root-cause latch) must not mask the
-					// worker error that caused it — mirroring the fleet
-					// engine's shard-error handling.
-					if firstErr == nil || (experiments.IsContextError(firstErr) && !experiments.IsContextError(err)) {
-						firstErr = err
-						cancel()
-					}
-					mu.Unlock()
-					continue
-				}
-				reports[i] = rep
-			}
-		}()
-	}
-	fed := 0
-feed:
-	for i := range p.runners {
-		select {
-		case jobs <- i:
-			fed++
-		case <-ctx.Done():
-			break feed
+	err := experiments.RunPool(ctx, p.workers, len(p.runners), func(ctx context.Context, i int) error {
+		rep, err := p.runners[i].Run(ctx)
+		if err != nil {
+			return fmt.Errorf("qarv: session %d: %w", i, err)
 		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if fed < len(p.runners) {
-		// Cancellation stopped the feed before every session ran, so the
-		// batch is incomplete. (A cancel arriving after all sessions were
-		// fed and finished cleanly does NOT discard the batch —
-		// errgroup-style, only worker errors and unstarted work count.)
-		return nil, ctx.Err()
+		reports[i] = rep
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return reports, nil
 }

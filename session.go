@@ -113,7 +113,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	for _, o := range opts {
 		o(&c)
 	}
-	obs := fanOut(c.observers)
+	obs := sim.Join(c.observers...)
 
 	if c.content != nil {
 		if c.offload != nil {
@@ -160,7 +160,7 @@ func NewSession(opts ...Option) (*Session, error) {
 		if c.dynamics != nil {
 			p.Dynamics = c.dynamics
 		}
-		p.Observer = chainObservers(p.Observer, obs)
+		p.Observer = sim.Join(p.Observer, obs)
 		if c.metrics != nil {
 			p.Metrics = c.metrics
 		}
@@ -322,35 +322,6 @@ func (s *Session) Run(ctx context.Context) (*Report, error) {
 		}
 		return simReport(res), nil
 	}
-}
-
-// fanOut folds the registered observers into a single sim.Observer
-// invoking them in registration order (nil when none registered).
-func fanOut(observers []func(SlotEvent)) sim.Observer {
-	switch len(observers) {
-	case 0:
-		return nil
-	case 1:
-		return observers[0]
-	default:
-		obs := observers
-		return func(e SlotEvent) {
-			for _, fn := range obs {
-				fn(e)
-			}
-		}
-	}
-}
-
-// chainObservers composes two optional observers, preserving order.
-func chainObservers(a, b sim.Observer) sim.Observer {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(e SlotEvent) { a(e); b(e) }
 }
 
 func simReport(res *sim.Result) *Report {

@@ -240,6 +240,25 @@ func TestSessionObserverSeesEverySlot(t *testing.T) {
 	}
 }
 
+// Regression: a nil observer registered alongside a live one is
+// skipped rather than called (it used to panic at slot 0).
+func TestSessionNilObserverSkipped(t *testing.T) {
+	const slots = 20
+	var seen int
+	opts := append(cheapSessionOpts(t, slots),
+		WithObserver(nil), WithObserver(func(SlotEvent) { seen++ }), WithObserver(nil))
+	s, err := NewSession(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if seen != slots {
+		t.Fatalf("live observer saw %d events, want %d", seen, slots)
+	}
+}
+
 func TestSessionPoolDeterminism(t *testing.T) {
 	// The same sweep run sequentially and at full concurrency must yield
 	// byte-identical reports in the same order.
