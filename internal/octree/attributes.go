@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"qarv/internal/pointcloud"
 )
@@ -28,16 +27,17 @@ var (
 
 var colorMagic = [4]byte{'Q', 'C', 'O', 'L'}
 
-// SerializeWithColors writes the occupancy stream at depth d followed by
-// the delta-coded per-leaf average colors.
-func (o *Octree) SerializeWithColors(w io.Writer, d int) error {
+// SerializeWithColorsBytes returns the occupancy stream at depth d
+// followed by the delta-coded per-leaf average colors.
+func (o *Octree) SerializeWithColorsBytes(d int) ([]byte, error) {
 	if !o.cloud.HasColors() {
-		return ErrNoColors
+		return nil, ErrNoColors
 	}
-	if err := o.Serialize(w, d); err != nil {
-		return err
+	data, err := o.SerializeBytes(d)
+	if err != nil {
+		return nil, err
 	}
-	return encodeColors(w, o.appendLeafColors(nil, d))
+	return appendColors(data, o.appendLeafColors(nil, d)), nil
 }
 
 // appendLeafColors appends the per-leaf average colors at depth d in
@@ -63,34 +63,20 @@ func (o *Octree) appendLeafColors(dst []pointcloud.Color, d int) []pointcloud.Co
 	return dst
 }
 
-// SerializeWithColorsBytes returns the combined geometry+attribute stream.
-func (o *Octree) SerializeWithColorsBytes(d int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := o.SerializeWithColors(&buf, d); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // colorBlockSize is the number of deltas per bit-packed block. Each block
 // stores one bit-width byte followed by its deltas packed at that width,
 // so smooth runs (small deltas) cost a fraction of a byte per value.
 const colorBlockSize = 64
 
-func encodeColors(w io.Writer, colors []pointcloud.Color) error {
-	hdr := make([]byte, 0, 8)
-	hdr = append(hdr, colorMagic[:]...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(colors)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	var payload []byte
+// appendColors appends the color section to dst: magic, leaf count, then
+// each channel's packed delta blocks.
+func appendColors(dst []byte, colors []pointcloud.Color) []byte {
+	dst = append(dst, colorMagic[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(colors)))
 	for ch := 0; ch < 3; ch++ {
-		deltas := channelDeltas(colors, ch)
-		payload = appendPackedBlocks(payload, deltas)
+		dst = appendPackedBlocks(dst, channelDeltas(colors, ch))
 	}
-	_, err := w.Write(payload)
-	return err
+	return dst
 }
 
 // channelDeltas returns the zigzag-encoded leaf-to-leaf deltas of one
@@ -175,28 +161,29 @@ func (d *DecodedWithColors) Cloud() *pointcloud.Cloud {
 	return c
 }
 
-// DeserializeWithColors decodes a combined geometry+attribute stream.
-func DeserializeWithColors(r io.Reader) (*DecodedWithColors, error) {
-	geo, err := Deserialize(r)
+// DeserializeWithColorsBytes decodes a combined geometry+attribute stream
+// produced by SerializeWithColorsBytes. The stream must span data exactly;
+// trailing bytes are corruption.
+func DeserializeWithColorsBytes(data []byte) (*DecodedWithColors, error) {
+	geo, pos, err := decodeGeometry(data)
 	if err != nil {
 		return nil, err
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrCorruptColors, err)
+	if len(data)-pos < 8 {
+		return nil, fmt.Errorf("%w: header: %d of 8 bytes", ErrCorruptColors, len(data)-pos)
 	}
-	if !bytes.Equal(hdr[:4], colorMagic[:]) {
+	if !bytes.Equal(data[pos:pos+4], colorMagic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorruptColors)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
+	n := int(binary.LittleEndian.Uint32(data[pos+4:]))
+	pos += 8
 	if n != len(geo.Keys) {
 		return nil, fmt.Errorf("%w: %d colors for %d leaves", ErrColorCountMism, n, len(geo.Keys))
 	}
-	br := &blockReader{r: r}
 	out := &DecodedWithColors{Decoded: *geo, Colors: make([]pointcloud.Color, n)}
+	deltas := make([]uint32, 0, n)
 	for ch := 0; ch < 3; ch++ {
-		deltas, err := br.readBlocks(n)
-		if err != nil {
+		if deltas, pos, err = readBlocks(deltas[:0], data, pos, n); err != nil {
 			return nil, fmt.Errorf("%w: channel %d: %v", ErrCorruptColors, ch, err)
 		}
 		prev := int32(0)
@@ -217,46 +204,29 @@ func DeserializeWithColors(r io.Reader) (*DecodedWithColors, error) {
 			prev = v
 		}
 	}
+	if pos != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptColors, len(data)-pos)
+	}
 	return out, nil
 }
 
-// DeserializeWithColorsBytes decodes an in-memory combined stream.
-func DeserializeWithColorsBytes(data []byte) (*DecodedWithColors, error) {
-	return DeserializeWithColors(bytes.NewReader(data))
-}
-
-// blockReader decodes the bit-packed delta blocks written by
-// appendPackedBlocks.
-type blockReader struct {
-	r   io.Reader
-	buf [1]byte
-}
-
-func (b *blockReader) readByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.buf[:]); err != nil {
-		return 0, err
-	}
-	return b.buf[0], nil
-}
-
-func (b *blockReader) readBlocks(n int) ([]uint32, error) {
-	out := make([]uint32, 0, n)
-	for len(out) < n {
-		count := colorBlockSize
-		if remaining := n - len(out); remaining < count {
-			count = remaining
+// readBlocks appends to dst the n deltas of one channel, bit-packed by
+// appendPackedBlocks starting at data[pos], and returns the position just
+// past them.
+func readBlocks(dst []uint32, data []byte, pos, n int) ([]uint32, int, error) {
+	for len(dst) < n {
+		count := min(colorBlockSize, n-len(dst))
+		if pos >= len(data) {
+			return nil, pos, errors.New("color blocks end early")
 		}
-		widthByte, err := b.readByte()
-		if err != nil {
-			return nil, err
-		}
-		width := int(widthByte)
+		width := int(data[pos])
+		pos++
 		if width > 16 {
-			return nil, errors.New("block bit width out of range")
+			return nil, pos, errors.New("block bit width out of range")
 		}
 		if width == 0 {
 			for i := 0; i < count; i++ {
-				out = append(out, 0)
+				dst = append(dst, 0)
 			}
 			continue
 		}
@@ -264,18 +234,18 @@ func (b *blockReader) readBlocks(n int) ([]uint32, error) {
 		var nbits int
 		for i := 0; i < count; i++ {
 			for nbits < width {
-				by, err := b.readByte()
-				if err != nil {
-					return nil, err
+				if pos >= len(data) {
+					return nil, pos, errors.New("color blocks end early")
 				}
-				acc = acc<<8 | uint64(by)
+				acc = acc<<8 | uint64(data[pos])
+				pos++
 				nbits += 8
 			}
 			nbits -= width
-			out = append(out, uint32(acc>>uint(nbits))&((1<<uint(width))-1))
+			dst = append(dst, uint32(acc>>uint(nbits))&((1<<uint(width))-1))
 		}
 	}
-	return out, nil
+	return dst, pos, nil
 }
 
 // StreamSizeProfile measures the serialized stream size (bytes) per depth
@@ -315,7 +285,7 @@ func (o *Octree) StreamSizeProfile(withColors bool) ([]int, error) {
 }
 
 // colorStreamSize returns the encoded size of the color section exactly
-// as encodeColors would emit it — header plus, per channel and 64-delta
+// as appendColors would emit it — header plus, per channel and 64-delta
 // block, one width byte and the bit-packed payload — without building
 // the stream.
 func colorStreamSize(colors []pointcloud.Color) int {

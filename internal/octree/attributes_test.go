@@ -116,6 +116,10 @@ func TestColorStreamCorruption(t *testing.T) {
 	if _, err := DeserializeWithColorsBytes(data[:len(data)-2]); !errors.Is(err, ErrCorruptColors) {
 		t.Errorf("truncated colors: %v", err)
 	}
+	// Bytes after the last color block are corruption.
+	if _, err := DeserializeWithColorsBytes(append(data, 0, 0)); !errors.Is(err, ErrCorruptColors) {
+		t.Errorf("trailing bytes: %v", err)
+	}
 	// Geometry-only stream has no color section at all.
 	geo, err := o.SerializeBytes(6)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"qarv/internal/geom"
@@ -31,59 +30,31 @@ var serializeMagic = [4]byte{'Q', 'O', 'C', 'T'}
 // leaf count (uint32) for validation.
 const headerSize = 4 + 1 + 1 + 48 + 4
 
-// Serialize writes the occupancy encoding of the octree at depth d to w.
-func (o *Octree) Serialize(w io.Writer, d int) error {
+// SerializeBytes returns the occupancy encoding of the octree at depth d.
+func (o *Octree) SerializeBytes(d int) ([]byte, error) {
 	if d < 1 || d > o.maxDepth {
-		return fmt.Errorf("%w: %d", ErrBadDepth, d)
+		return nil, fmt.Errorf("%w: %d", ErrBadDepth, d)
 	}
 	leaves, _ := o.OccupiedNodes(d)
-	hdr := make([]byte, 0, headerSize)
-	hdr = append(hdr, serializeMagic[:]...)
-	hdr = append(hdr, 1, byte(d))
-	for _, f := range []float64{
+	dst := make([]byte, 0, headerSize)
+	dst = append(dst, serializeMagic[:]...)
+	dst = append(dst, 1, byte(d))
+	for _, f := range [...]float64{
 		o.box.Min.X, o.box.Min.Y, o.box.Min.Z,
 		o.box.Max.X, o.box.Max.Y, o.box.Max.Z,
 	} {
-		hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(f))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 	}
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(leaves))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	bw := &byteWriter{w: w}
-	o.serializeNode(bw, 0, len(o.keys), 0, d)
-	return bw.err
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(leaves))
+	return o.appendNode(dst, 0, len(o.keys), 0, d), nil
 }
 
-// SerializeBytes returns the occupancy encoding at depth d.
-func (o *Octree) SerializeBytes(d int) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := o.Serialize(&buf, d); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-type byteWriter struct {
-	w   io.Writer
-	err error
-	buf [1]byte
-}
-
-func (b *byteWriter) writeByte(v byte) {
-	if b.err != nil {
-		return
-	}
-	b.buf[0] = v
-	_, b.err = b.w.Write(b.buf[:])
-}
-
-// serializeNode emits the occupancy byte of the node spanning keys
+// appendNode appends the occupancy byte of the node spanning keys
 // [start,end) at the given level, then recurses into occupied children,
 // stopping at leafDepth.
-func (o *Octree) serializeNode(bw *byteWriter, start, end, level, leafDepth int) {
+func (o *Octree) appendNode(dst []byte, start, end, level, leafDepth int) []byte {
 	if level == leafDepth {
-		return
+		return dst
 	}
 	// Partition [start,end) by child octant at this level.
 	var childStart [9]int
@@ -101,12 +72,13 @@ func (o *Octree) serializeNode(bw *byteWriter, start, end, level, leafDepth int)
 			mask |= 1 << uint(c)
 		}
 	}
-	bw.writeByte(mask)
+	dst = append(dst, mask)
 	for c := 0; c < 8; c++ {
 		if childStart[c+1] > childStart[c] {
-			o.serializeNode(bw, childStart[c], childStart[c+1], level+1, leafDepth)
+			dst = o.appendNode(dst, childStart[c], childStart[c+1], level+1, leafDepth)
 		}
 	}
+	return dst
 }
 
 // Decoded is the result of deserializing an occupancy stream: the root box,
@@ -126,23 +98,37 @@ func (dec *Decoded) Cloud() *pointcloud.Cloud {
 	return c
 }
 
-// Deserialize decodes an occupancy stream produced by Serialize.
-func Deserialize(r io.Reader) (*Decoded, error) {
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
+// DeserializeBytes decodes an occupancy stream produced by SerializeBytes.
+// The stream must span data exactly; trailing bytes are corruption.
+func DeserializeBytes(data []byte) (*Decoded, error) {
+	dec, n, err := decodeGeometry(data)
+	if err != nil {
+		return nil, err
 	}
+	if n != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-n)
+	}
+	return dec, nil
+}
+
+// decodeGeometry decodes the occupancy stream at the start of data and
+// returns the number of bytes it spans.
+func decodeGeometry(data []byte) (*Decoded, int, error) {
+	if len(data) < headerSize {
+		return nil, 0, fmt.Errorf("%w: header: %d of %d bytes", ErrCorrupt, len(data), headerSize)
+	}
+	hdr := data[:headerSize]
 	if !bytes.Equal(hdr[:4], serializeMagic[:]) {
-		return nil, ErrBadMagic
+		return nil, 0, ErrBadMagic
 	}
 	if hdr[4] != 1 {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrCorrupt, hdr[4])
+		return nil, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, hdr[4])
 	}
 	depth := int(hdr[5])
 	if depth < 1 || depth > MaxDepth {
-		return nil, fmt.Errorf("%w: depth %d", ErrDepthTooDeep, depth)
+		return nil, 0, fmt.Errorf("%w: depth %d", ErrDepthTooDeep, depth)
 	}
-	vals := make([]float64, 6)
+	var vals [6]float64
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(hdr[6+8*i:]))
 	}
@@ -154,56 +140,40 @@ func Deserialize(r io.Reader) (*Decoded, error) {
 		},
 		Depth: depth,
 	}
-	br := &byteReader{r: r}
-	decodeNode(br, dec, 0, 0)
-	if br.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, br.err)
+	n, err := decodeNode(data, headerSize, dec, 0, 0)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if uint32(len(dec.Keys)) != wantLeaves {
-		return nil, fmt.Errorf("%w: decoded %d leaves, header says %d",
+		return nil, 0, fmt.Errorf("%w: decoded %d leaves, header says %d",
 			ErrCorrupt, len(dec.Keys), wantLeaves)
 	}
-	return dec, nil
+	return dec, n, nil
 }
 
-// DeserializeBytes decodes an in-memory occupancy stream.
-func DeserializeBytes(data []byte) (*Decoded, error) {
-	return Deserialize(bytes.NewReader(data))
-}
-
-type byteReader struct {
-	r   io.Reader
-	err error
-	buf [1]byte
-}
-
-func (b *byteReader) readByte() byte {
-	if b.err != nil {
-		return 0
-	}
-	_, b.err = io.ReadFull(b.r, b.buf[:])
-	return b.buf[0]
-}
-
-func decodeNode(br *byteReader, dec *Decoded, prefix uint64, level int) {
-	if br.err != nil {
-		return
-	}
+// decodeNode appends the leaves of the subtree whose occupancy byte sits
+// at data[pos] (or, at the leaf level, the leaf itself) and returns the
+// position just past the subtree.
+func decodeNode(data []byte, pos int, dec *Decoded, prefix uint64, level int) (int, error) {
 	if level == dec.Depth {
 		dec.Keys = append(dec.Keys, prefix)
-		return
+		return pos, nil
 	}
-	mask := br.readByte()
-	if br.err != nil {
-		return
+	if pos >= len(data) {
+		return pos, errors.New("occupancy stream ends early")
 	}
+	mask := data[pos]
+	pos++
 	if mask == 0 {
-		br.err = errors.New("empty occupancy byte for occupied node")
-		return
+		return pos, errors.New("empty occupancy byte for occupied node")
 	}
 	for c := 0; c < 8; c++ {
 		if mask&(1<<uint(c)) != 0 {
-			decodeNode(br, dec, prefix<<3|uint64(c), level+1)
+			var err error
+			if pos, err = decodeNode(data, pos, dec, prefix<<3|uint64(c), level+1); err != nil {
+				return pos, err
+			}
 		}
 	}
+	return pos, nil
 }

@@ -129,6 +129,11 @@ func TestDeserializeErrors(t *testing.T) {
 	if _, err := DeserializeBytes(data[:len(data)-3]); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated body: %v", err)
 	}
+	// The stream must end where the data does: trailing bytes are
+	// corruption, not padding.
+	if _, err := DeserializeBytes(append(data, 1, 2, 3)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("trailing bytes: %v", err)
+	}
 	// Corrupt an occupancy byte to zero (occupied nodes may not be empty).
 	mutated := bytes.Clone(data)
 	mutated[headerSize] = 0

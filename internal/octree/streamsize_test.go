@@ -18,17 +18,17 @@ func bruteStreamSizes(t *testing.T, o *Octree, withColors bool) []int {
 	sizes := make([]int, o.MaxDepth()+1)
 	sizes[0] = headerSize
 	for d := 1; d <= o.MaxDepth(); d++ {
-		var buf bytes.Buffer
+		var data []byte
 		var err error
 		if withColors {
-			err = o.SerializeWithColors(&buf, d)
+			data, err = o.SerializeWithColorsBytes(d)
 		} else {
-			err = o.Serialize(&buf, d)
+			data, err = o.SerializeBytes(d)
 		}
 		if err != nil {
 			t.Fatalf("depth %d: %v", d, err)
 		}
-		sizes[d] = buf.Len()
+		sizes[d] = len(data)
 	}
 	return sizes
 }
@@ -137,18 +137,14 @@ func TestSerializeWithColorsRoundTripsByteExact(t *testing.T) {
 			// byte-for-byte: geometry prefix and color section split at the
 			// analytic geometry size.
 			geoLen := geomSizes[d]
-			var geo bytes.Buffer
-			if err := o.Serialize(&geo, d); err != nil {
+			geo, err := o.SerializeBytes(d)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(geo.Bytes(), data[:geoLen]) {
-				t.Fatalf("seed %d depth %d: geometry section differs from Serialize output", seed, d)
+			if !bytes.Equal(geo, data[:geoLen]) {
+				t.Fatalf("seed %d depth %d: geometry section differs from SerializeBytes output", seed, d)
 			}
-			var col bytes.Buffer
-			if err := encodeColors(&col, dec.Colors); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(col.Bytes(), data[geoLen:]) {
+			if !bytes.Equal(appendColors(nil, dec.Colors), data[geoLen:]) {
 				t.Fatalf("seed %d depth %d: re-encoded color section differs", seed, d)
 			}
 		}

@@ -165,9 +165,13 @@ func TestServerDropsCorruptFrames(t *testing.T) {
 	if err := client.SendFrame(Frame{ID: 2, Depth: 5, Payload: good}); err != nil {
 		t.Fatal(err)
 	}
+	// A valid stream with junk after it is corrupt too.
+	if err := client.SendFrame(Frame{ID: 3, Depth: 5, Payload: append(good, 0)}); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if ss := srv.Stats(); ss.FramesServed == 2 && ss.Corrupt == 1 {
+		if ss := srv.Stats(); ss.FramesServed == 2 && ss.Corrupt == 2 {
 			return
 		}
 		time.Sleep(time.Millisecond)
