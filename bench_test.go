@@ -268,7 +268,7 @@ func BenchmarkOffloadUplink(b *testing.B) {
 	var res *OffloadResult
 	for i := 0; i < b.N; i++ {
 		s, err := NewSession(WithOffload(OffloadParams{
-			Samples: 60_000, Slots: 800, KneeSlot: 400, Seed: 1,
+			ScenarioParams: ScenarioParams{Samples: 60_000, Slots: 800, KneeSlot: 400, Seed: 1},
 		}))
 		if err != nil {
 			b.Fatal(err)

@@ -174,10 +174,12 @@ func runGrid(ctx context.Context, o options, scn *qarv.Scenario, out io.Writer) 
 
 func runOffload(ctx context.Context, o options, out io.Writer) error {
 	sess, err := qarv.NewSession(qarv.WithOffload(qarv.OffloadParams{
-		Samples:  o.samples,
-		Slots:    o.slots,
-		KneeSlot: o.knee,
-		Seed:     o.seed,
+		ScenarioParams: qarv.ScenarioParams{
+			Samples:  o.samples,
+			Slots:    o.slots,
+			KneeSlot: o.knee,
+			Seed:     o.seed,
+		},
 	}))
 	if err != nil {
 		return err

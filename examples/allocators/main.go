@@ -133,12 +133,14 @@ func run() error {
 	// And the shared-uplink offload scenario: the same fleet contends
 	// for one emulated uplink's serialization bandwidth.
 	shared, err := qarv.SharedUplink(qarv.SharedUplinkParams{
+		ScenarioParams: qarv.ScenarioParams{
+			Samples:  60_000,
+			Slots:    800,
+			KneeSlot: 200,
+			Seed:     5,
+		},
 		Devices:   3,
 		Allocator: qarv.NewMaxWeight(),
-		Samples:   60_000,
-		Slots:     800,
-		KneeSlot:  200,
-		Seed:      5,
 	})
 	if err != nil {
 		return err

@@ -9,9 +9,9 @@
 //     bandwidth processes (constant, Markov good/bad fading, piecewise
 //     trace replay, mobility handoffs) double as service processes, so
 //     WithService plugs them straight into the slot loop.
-//  2. An offload session whose *uplink* is the network: WithLinkDynamics
-//     retunes the emulated link every slot while the controller
-//     stabilizes the transmit queue in bytes.
+//  2. An offload session whose *uplink* is the network:
+//     OffloadParams.Dynamics retunes the emulated link every slot while
+//     the controller stabilizes the transmit queue in bytes.
 //  3. The volatility ablation: a sweep over NetworkMarkov shapes, a
 //     fleet per volatility point under a mean-preserving capacity
 //     spread — same average bandwidth, rising variance — showing quality
@@ -101,14 +101,13 @@ func run() error {
 	// deliveries are never revised — the controller sees the backlog
 	// through the link's exact byte accounting instead.
 	offload := func(dyn *qarv.LinkDynamics) (*qarv.OffloadResult, error) {
-		opts := []qarv.Option{
-			qarv.WithOffload(qarv.OffloadParams{Samples: 60_000, KneeSlot: 200}),
+		s, err := qarv.NewSession(
+			qarv.WithOffload(qarv.OffloadParams{
+				ScenarioParams: qarv.ScenarioParams{Samples: 60_000, KneeSlot: 200},
+				Dynamics:       dyn,
+			}),
 			qarv.WithSeed(7),
-		}
-		if dyn != nil {
-			opts = append(opts, qarv.WithLinkDynamics(dyn))
-		}
-		s, err := qarv.NewSession(opts...)
+		)
 		if err != nil {
 			return nil, err
 		}

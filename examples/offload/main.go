@@ -27,10 +27,12 @@ func main() {
 
 func run() error {
 	sess, err := qarv.NewSession(qarv.WithOffload(qarv.OffloadParams{
-		Samples:    60_000,
-		Slots:      3000,
-		KneeSlot:   250,
-		Seed:       11,
+		ScenarioParams: qarv.ScenarioParams{
+			Samples:  60_000,
+			Slots:    3000,
+			KneeSlot: 250,
+			Seed:     11,
+		},
 		DropStart:  900,
 		DropEnd:    1200,
 		DropFactor: 0.5, // uplink halves for 300 slots

@@ -78,6 +78,16 @@ func (m *PointCostModel) FrameCost(depth int) float64 {
 	return m.perPoint*m.profile[d] + m.perLevel*float64(d) + m.fixed
 }
 
+// Scaled returns a copy of the model whose every cost term is k times
+// this one's, so FrameCost(d) becomes k·FrameCost(d): a device whose
+// frames cost k times the reference device's. k must be positive.
+func (m *PointCostModel) Scaled(k float64) (*PointCostModel, error) {
+	if !(k > 0) {
+		return nil, fmt.Errorf("delay: cost scale must be positive, got %v", k)
+	}
+	return &PointCostModel{profile: m.profile, perPoint: k * m.perPoint, perLevel: k * m.perLevel, fixed: k * m.fixed}, nil
+}
+
 // Name implements CostModel.
 func (m *PointCostModel) Name() string { return "point-cost" }
 

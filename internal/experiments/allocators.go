@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -63,38 +62,50 @@ func FleetMinDemand(s *Scenario, specs []AllocDeviceSpec) float64 {
 	return demand
 }
 
+// scale returns the spec's cost scale, defaulting to 1.
+func (spec AllocDeviceSpec) scale() float64 {
+	if spec.CostScale <= 0 {
+		return 1
+	}
+	return spec.CostScale
+}
+
+// perSlot returns the spec's frames per slot, defaulting to 1.
+func (spec AllocDeviceSpec) perSlot() int {
+	if spec.ArrivalsPerSlot <= 0 {
+		return 1
+	}
+	return spec.ArrivalsPerSlot
+}
+
 // fleetDevices builds one sim.Device per spec: a fresh drift-plus-penalty
-// controller at the scenario's calibrated V over the device's scaled cost
-// model, so every device still acts on purely local state.
-func fleetDevices(s *Scenario, specs []AllocDeviceSpec) ([]sim.Device, error) {
+// controller over the scenario's cost model scaled by the spec's
+// CostScale, so every device still acts on purely local state and in
+// the scenario's own cost domain (points or bytes). Controllers run at
+// the scenario's calibrated V or, with perDeviceV, at a V calibrated
+// against the device's scaled share of the scenario's service rate.
+func fleetDevices(s *Scenario, specs []AllocDeviceSpec, perDeviceV bool) ([]sim.Device, error) {
 	devices := make([]sim.Device, len(specs))
 	for i, spec := range specs {
-		scale := spec.CostScale
-		if scale <= 0 {
-			scale = 1
-		}
-		cost, err := delay.NewPointCostModel(s.Profile, scale, 0, 0)
+		cost, err := s.Cost.Scaled(spec.scale())
 		if err != nil {
 			return nil, fmt.Errorf("device %d cost: %w", i, err)
 		}
-		ctrl, err := core.New(core.Config{
-			V:       s.V,
-			Depths:  s.Params.Depths,
-			Utility: s.Utility,
-			Cost:    cost,
-		})
+		cfg := core.Config{V: s.V, Depths: s.Params.Depths, Utility: s.Utility, Cost: cost}
+		if perDeviceV {
+			if cfg.V, err = core.CalibrateV(s.Params.KneeSlot, spec.scale()*s.ServiceRate, cfg); err != nil {
+				return nil, fmt.Errorf("device %d calibrate V: %w", i, err)
+			}
+		}
+		ctrl, err := core.New(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("device %d controller: %w", i, err)
-		}
-		perSlot := spec.ArrivalsPerSlot
-		if perSlot <= 0 {
-			perSlot = 1
 		}
 		devices[i] = sim.Device{
 			Policy:   ctrl,
 			Cost:     cost,
 			Utility:  s.Utility,
-			Arrivals: &queueing.DeterministicArrivals{PerSlot: perSlot},
+			Arrivals: &queueing.DeterministicArrivals{PerSlot: spec.perSlot()},
 		}
 	}
 	return devices, nil
@@ -110,6 +121,11 @@ func fleetDevices(s *Scenario, specs []AllocDeviceSpec) ([]sim.Device, error) {
 // link's propagation leg (latency, jitter, loss) applies to every
 // delivered frame.
 type SharedUplinkParams struct {
+	// ScenarioParams sets the capture and the calibration, in the bytes
+	// domain as for OffloadParams: ServiceFraction places each unit
+	// device's reference bandwidth between bytes(d_max−1) and
+	// bytes(d_max).
+	ScenarioParams
 	// Devices is the fleet size (default 4); Specs, when non-empty,
 	// overrides it with an explicit heterogeneous fleet.
 	Devices int
@@ -117,20 +133,12 @@ type SharedUplinkParams struct {
 	// Allocator splits the uplink bandwidth per slot (default
 	// alloc.EqualSplit).
 	Allocator alloc.Allocator
-
-	// Capture parameters, as in OffloadParams.
-	Character    string
-	Samples      int
-	CaptureDepth int
-	Depths       []int
-	Seed         uint64
-
-	// Bandwidth, when positive, fixes the total uplink bytes/slot.
-	// Otherwise the per-device sizing of OffloadParams applies
-	// (BandwidthFraction between bytes(d_max−1) and bytes(d_max)),
-	// multiplied by the fleet size.
-	Bandwidth         float64
-	BandwidthFraction float64
+	// Link configures the uplink as in OffloadParams. Its BytesPerSlot,
+	// when positive, fixes the total bandwidth; otherwise the total is
+	// the reference bandwidth times the fleet's demand (the sum over
+	// devices of arrivals × cost scale). Each device's V is calibrated
+	// against its own scaled reference share either way.
+	Link *netem.LinkConfig
 	// BandwidthProcess, when non-nil, makes the shared uplink's total
 	// serialization capacity time-varying: the allocator splits
 	// whatever the process yields each slot (in absolute bytes/slot)
@@ -139,26 +147,13 @@ type SharedUplinkParams struct {
 	// processes are reseeded deterministically from Seed at the start
 	// of every run, so repeated runs replay the same capacity path.
 	BandwidthProcess netem.BandwidthProcess
-	// Link shape (defaults 2, 0.3, 0.01 as in OffloadParams; zero
-	// values take the defaults — use Link to express literal zeros).
-	LatencySlots float64
-	JitterSlots  float64
-	LossProb     float64
-	// Link, when non-nil, configures the uplink exactly: its latency,
-	// jitter, and loss are used verbatim — zeros included, so lossless
-	// or zero-latency uplinks are expressible — its BytesPerSlot (when
-	// positive) fixes the total bandwidth like Bandwidth does, and its
-	// Seed (when nonzero) replaces Seed for the link RNG.
-	Link *netem.LinkConfig
-
-	KneeSlot float64
-	Slots    int
 	// Observer receives every device's slot event (Device indexes the
 	// fleet); Arrived/Served/Backlog are in bytes.
 	Observer sim.Observer
 }
 
 func (p SharedUplinkParams) withDefaults() SharedUplinkParams {
+	p.ScenarioParams = p.ScenarioParams.withDefaults()
 	if p.Devices <= 0 {
 		p.Devices = 4
 	}
@@ -172,40 +167,21 @@ func (p SharedUplinkParams) withDefaults() SharedUplinkParams {
 	if p.Allocator == nil {
 		p.Allocator = alloc.EqualSplit{}
 	}
-	if p.Character == "" {
-		p.Character = "longdress"
-	}
-	if p.Samples <= 0 {
-		p.Samples = 400_000
-	}
-	if p.CaptureDepth <= 0 {
-		p.CaptureDepth = 10
-	}
-	if len(p.Depths) == 0 {
-		p.Depths = []int{5, 6, 7, 8, 9, 10}
-	}
-	if p.BandwidthFraction <= 0 || p.BandwidthFraction >= 1 {
-		p.BandwidthFraction = 0.6
-	}
-	if p.LatencySlots == 0 {
-		p.LatencySlots = 2
-	}
-	if p.JitterSlots == 0 {
-		p.JitterSlots = 0.3
-	}
-	if p.LossProb == 0 {
-		p.LossProb = 0.01
-	}
-	if p.KneeSlot <= 0 {
-		p.KneeSlot = 400
-	}
-	if p.Slots <= 0 {
-		p.Slots = 800
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
 	return p
+}
+
+// validate checks resolved parameters before the capture: the checks
+// every uplink run shares, then the bandwidth process.
+func (p SharedUplinkParams) validate() error {
+	if err := validateUplink(p.ScenarioParams, p.Link); err != nil {
+		return err
+	}
+	if v, ok := p.BandwidthProcess.(interface{ Validate() error }); ok {
+		if err := v.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SharedUplinkDeviceRow summarizes one device of the shared-uplink run.
@@ -221,6 +197,8 @@ type SharedUplinkDeviceRow struct {
 
 // SharedUplinkResult is the outcome of one shared-uplink run.
 type SharedUplinkResult struct {
+	// Params are the resolved parameters; Params.Link is the uplink the
+	// run used, bandwidth and seed included.
 	Params    SharedUplinkParams
 	Allocator string
 	Bandwidth float64 // total uplink bytes/slot
@@ -235,10 +213,6 @@ type SharedUplinkResult struct {
 	P95Latency  float64
 	LossCount   int
 }
-
-// ErrNoSharedDeliveries is returned when every frame of the fleet was
-// lost (degenerate link).
-var ErrNoSharedDeliveries = errors.New("experiments: shared uplink delivered no frames")
 
 // bandwidthService adapts a netem.BandwidthProcess into the
 // delay.ServiceProcess the multi-device engine consumes: the per-slot
@@ -268,84 +242,39 @@ func SharedUplink(params SharedUplinkParams) (*SharedUplinkResult, error) {
 // serializes — lost frames still consumed uplink bytes.
 func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*SharedUplinkResult, error) {
 	p := params.withDefaults()
-	bytesProfile, util, err := captureByteProfiles(p.Character, p.Samples, p.CaptureDepth, p.Depths, p.Seed)
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	// The scenario sits at the per-device reference bandwidth, as in
+	// Offload. The fleet's default total scales it by each device's
+	// demand (arrival rate × cost scale), so a homogeneous fleet gets n×
+	// the single-device uplink.
+	scn, bytesProfile, err := byteScenario(p.ScenarioParams, 0)
 	if err != nil {
 		return nil, err
 	}
-
-	n := len(p.Specs)
-	baseCost, err := delay.NewPointCostModel(bytesProfile, 1, 0, 0)
-	if err != nil {
-		return nil, fmt.Errorf("bytes cost model: %w", err)
-	}
-	// Per-device sizing as in Offload: the reference bandwidth sits
-	// between bytes(d_max−1) and bytes(d_max). The fleet's default total
-	// scales it by each device's demand (arrival rate × cost scale), so
-	// a homogeneous fleet gets n× the single-device uplink.
-	perDevice := referenceBandwidth(baseCost, p.Depths, p.BandwidthFraction)
 	var demandUnits float64
 	for _, spec := range p.Specs {
-		scale := spec.CostScale
-		if scale <= 0 {
-			scale = 1
-		}
-		arr := spec.ArrivalsPerSlot
-		if arr <= 0 {
-			arr = 1
-		}
-		demandUnits += float64(arr) * scale
+		demandUnits += float64(spec.perSlot()) * spec.scale()
 	}
-	bandwidth := perDevice * demandUnits
-	if p.Bandwidth > 0 {
-		bandwidth = p.Bandwidth
+	lc := resolveLink(p.Link, p.Seed)
+	if lc.BytesPerSlot <= 0 {
+		lc.BytesPerSlot = scn.ServiceRate * demandUnits
 	}
-	if p.Link != nil && p.Link.BytesPerSlot > 0 {
-		bandwidth = p.Link.BytesPerSlot
-	}
+	bandwidth := lc.BytesPerSlot
+	p.Link = &lc
 
 	// Each device runs its own controller over its scaled byte-cost
 	// model, with V calibrated against its own scaled reference share
 	// (always below its bytes(d_max), as calibration requires) — purely
 	// local control; only the server-side split is coordinated.
-	devices := make([]sim.Device, n)
-	for i, spec := range p.Specs {
-		scale := spec.CostScale
-		if scale <= 0 {
-			scale = 1
-		}
-		cost, err := delay.NewPointCostModel(bytesProfile, scale, 0, 0)
-		if err != nil {
-			return nil, fmt.Errorf("device %d cost: %w", i, err)
-		}
-		cfg := core.Config{Depths: p.Depths, Utility: util, Cost: cost}
-		v, err := core.CalibrateV(p.KneeSlot, scale*perDevice, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("device %d calibrate V: %w", i, err)
-		}
-		cfg.V = v
-		ctrl, err := core.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("device %d controller: %w", i, err)
-		}
-		perSlot := spec.ArrivalsPerSlot
-		if perSlot <= 0 {
-			perSlot = 1
-		}
-		devices[i] = sim.Device{
-			Policy:   ctrl,
-			Cost:     cost,
-			Utility:  util,
-			Arrivals: &queueing.DeterministicArrivals{PerSlot: perSlot},
-		}
+	devices, err := fleetDevices(scn, p.Specs, true)
+	if err != nil {
+		return nil, err
 	}
 
 	var service delay.ServiceProcess = &delay.ConstantService{Rate: bandwidth}
 	if p.BandwidthProcess != nil {
-		if v, ok := p.BandwidthProcess.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
-				return nil, err
-			}
-		}
 		// Run on a deep copy reseeded from Seed: the caller's process
 		// is never mutated and repeated runs replay the same capacity
 		// path.
@@ -369,23 +298,7 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 	// Propagation leg: one netem.Link shared by the fleet. Completions
 	// cross it in serialization order (completion slot, then device
 	// index) so loss and jitter draws are deterministic.
-	linkCfg := netem.LinkConfig{
-		BytesPerSlot: bandwidth,
-		LatencySlots: p.LatencySlots,
-		JitterSlots:  p.JitterSlots,
-		LossProb:     p.LossProb,
-		Seed:         p.Seed,
-	}
-	if p.Link != nil {
-		// Explicit link config: shape fields are taken verbatim, zeros
-		// included, so lossless/zero-latency uplinks are expressible.
-		linkCfg = *p.Link
-		linkCfg.BytesPerSlot = bandwidth
-		if linkCfg.Seed == 0 {
-			linkCfg.Seed = p.Seed
-		}
-	}
-	link, err := netem.NewLink(linkCfg)
+	link, err := netem.NewLink(lc)
 	if err != nil {
 		return nil, err
 	}
@@ -412,9 +325,9 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 		Bandwidth: bandwidth,
 		Bytes:     bytesProfile,
 		Multi:     multi,
-		PerDevice: make([]SharedUplinkDeviceRow, n),
+		PerDevice: make([]SharedUplinkDeviceRow, len(devices)),
 	}
-	perDeviceLat := make([]stats.Running, n)
+	perDeviceLat := make([]stats.Running, len(devices))
 	var allLat []float64
 	for _, c := range order {
 		deliveredSlot, lost := link.Deliver(c.frame.Work, float64(c.frame.CompletedAt))
@@ -440,18 +353,8 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 		row.MeanSojourn = r.MeanSojourn
 		row.MeanLatency = perDeviceLat[i].Mean()
 	}
-	if len(allLat) == 0 {
-		return nil, ErrNoSharedDeliveries
-	}
-	var lat stats.Running
-	for _, l := range allLat {
-		lat.Add(l)
-	}
-	res.MeanLatency = lat.Mean()
-	p95, err := stats.Percentile(allLat, 95)
-	if err != nil {
+	if res.MeanLatency, res.P95Latency, err = latencySummary(allLat); err != nil {
 		return nil, err
 	}
-	res.P95Latency = p95
 	return res, nil
 }

@@ -87,11 +87,8 @@ func TestFleetMinDemandMatchesSpecs(t *testing.T) {
 
 func TestSharedUplinkFleetDelivers(t *testing.T) {
 	res, err := SharedUplink(SharedUplinkParams{
-		Devices:  3,
-		Samples:  40_000,
-		Slots:    800,
-		KneeSlot: 200,
-		Seed:     3,
+		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3},
+		Devices:        3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +120,8 @@ func TestSharedUplinkFleetDelivers(t *testing.T) {
 		t.Errorf("completed %d frames of %d offered", completed, 3*800)
 	}
 	// End-to-end latency must include the propagation floor.
-	if res.MeanLatency <= res.Params.LatencySlots {
-		t.Errorf("mean latency %v below propagation floor %v", res.MeanLatency, res.Params.LatencySlots)
+	if res.MeanLatency <= res.Params.Link.LatencySlots {
+		t.Errorf("mean latency %v below propagation floor %v", res.MeanLatency, res.Params.Link.LatencySlots)
 	}
 	if res.P95Latency < res.MeanLatency {
 		t.Errorf("p95 %v below mean %v", res.P95Latency, res.MeanLatency)
@@ -140,10 +137,7 @@ func TestSharedUplinkAllocatorShiftsContention(t *testing.T) {
 			{ArrivalsPerSlot: 1, CostScale: 0.5},
 			{ArrivalsPerSlot: 1, CostScale: 0.5},
 		},
-		Samples:  40_000,
-		Slots:    600,
-		KneeSlot: 150,
-		Seed:     3,
+		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 600, KneeSlot: 150, Seed: 3},
 	}
 	equal, err := SharedUplink(base)
 	if err != nil {
@@ -163,15 +157,12 @@ func TestSharedUplinkAllocatorShiftsContention(t *testing.T) {
 
 func TestSharedUplinkLosslessLinkOverride(t *testing.T) {
 	// A literal-zeros Link config must be honored verbatim: no loss, no
-	// propagation delay, no jitter — inexpressible through the scalar
-	// fields, whose zeros take defaults.
+	// propagation delay, no jitter, rather than the default shape a nil
+	// Link gets.
 	res, err := SharedUplink(SharedUplinkParams{
-		Devices:  2,
-		Link:     &netem.LinkConfig{},
-		Samples:  40_000,
-		Slots:    400,
-		KneeSlot: 100,
-		Seed:     3,
+		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 400, KneeSlot: 100, Seed: 3},
+		Devices:        2,
+		Link:           &netem.LinkConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,12 +186,9 @@ func TestSharedUplinkLosslessLinkOverride(t *testing.T) {
 func TestSharedUplinkObserverTagsDevices(t *testing.T) {
 	seen := map[int]int{}
 	_, err := SharedUplink(SharedUplinkParams{
-		Devices:  2,
-		Samples:  40_000,
-		Slots:    200,
-		KneeSlot: 100,
-		Seed:     3,
-		Observer: func(e sim.SlotEvent) { seen[e.Device]++ },
+		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 200, KneeSlot: 100, Seed: 3},
+		Devices:        2,
+		Observer:       func(e sim.SlotEvent) { seen[e.Device]++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,14 +276,16 @@ func TestSharedUplinkTimeVaryingCapacity(t *testing.T) {
 		// Mean-preserving Markov around the auto-sized bandwidth: the
 		// process rates are resolved from a static reference first.
 		ref, err := SharedUplink(SharedUplinkParams{
-			Devices: 3, Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3,
+			ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3},
+			Devices:        3,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := SharedUplink(SharedUplinkParams{
-			Devices: 3, Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3,
-			Allocator: alloc.NewMaxWeight(),
+			ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3},
+			Devices:        3,
+			Allocator:      alloc.NewMaxWeight(),
 			BandwidthProcess: &netem.MarkovBandwidth{
 				GoodRate: ref.Bandwidth * 1.4,
 				BadRate:  ref.Bandwidth * 0.6,
@@ -328,9 +318,33 @@ func TestSharedUplinkTimeVaryingCapacity(t *testing.T) {
 	}
 	// An invalid process is rejected up front.
 	if _, err := SharedUplink(SharedUplinkParams{
-		Devices: 2, Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3,
+		ScenarioParams:   ScenarioParams{Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3},
+		Devices:          2,
 		BandwidthProcess: &netem.MarkovBandwidth{GoodRate: -1},
 	}); !errors.Is(err, netem.ErrBadMarkov) {
 		t.Errorf("invalid process: %v", err)
+	}
+}
+
+// TestSharedUplinkValidatesBeforeRunning: a malformed link is rejected
+// before the capture and the fleet run, so the observer never fires.
+func TestSharedUplinkValidatesBeforeRunning(t *testing.T) {
+	calls := 0
+	_, err := SharedUplink(SharedUplinkParams{
+		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 400, KneeSlot: 100, Seed: 3},
+		Devices:        2,
+		Link:           &netem.LinkConfig{LossProb: -0.5},
+		Observer:       func(sim.SlotEvent) { calls++ },
+	})
+	if !errors.Is(err, netem.ErrBadLoss) {
+		t.Errorf("err = %v, want ErrBadLoss", err)
+	}
+	if calls != 0 {
+		t.Errorf("observer fired %d times before the link was rejected", calls)
+	}
+	if _, err := SharedUplink(SharedUplinkParams{
+		ScenarioParams: ScenarioParams{ServiceFraction: 2},
+	}); !errors.Is(err, ErrBadServiceFraction) {
+		t.Errorf("service fraction 2: err = %v, want ErrBadServiceFraction", err)
 	}
 }

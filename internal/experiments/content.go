@@ -2,10 +2,10 @@ package experiments
 
 // Content-backed scenarios: the bridge from measured point-cloud
 // profiles (internal/content) to the calibrated Scenario every layer
-// above consumes. NewContentScenario mirrors NewScenario but swaps the
-// analytic log-point utility and point-count cost for the profile's
-// measured PSNR ladder and stream-byte ladder, recalibrating the service
-// rate and V in the bytes domain. AxisContent and AxisViewDistance then
+// above consumes. NewContentScenario shares NewScenario's calibration
+// tail but swaps the analytic log-point utility and point-count cost for
+// the profile's measured PSNR ladder and stream-byte ladder,
+// recalibrating the service rate and V in the bytes domain. AxisContent and AxisViewDistance then
 // sweep assets and camera distances as first-class grid dimensions: each
 // point replaces the cell's scenario with a content-calibrated one, so
 // both backends resolve measured cost/utility with no further plumbing.
@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"qarv/internal/content"
-	"qarv/internal/core"
 )
 
 // NewContentScenario calibrates a Scenario over a measured content
@@ -39,10 +38,8 @@ func NewContentScenario(params ScenarioParams, prof *content.Profile) (*Scenario
 		p.Depths = prof.Depths()
 	}
 	p = p.withDefaults()
-	for _, d := range p.Depths {
-		if d > p.CaptureDepth {
-			return nil, fmt.Errorf("%w: %d > %d", ErrDepthBeyondCapture, d, p.CaptureDepth)
-		}
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
 	cost, err := prof.CostModel()
 	if err != nil {
@@ -52,35 +49,7 @@ func NewContentScenario(params ScenarioParams, prof *content.Profile) (*Scenario
 	if err != nil {
 		return nil, err
 	}
-	dMax := p.Depths[0]
-	for _, d := range p.Depths {
-		if d > dMax {
-			dMax = d
-		}
-	}
-	second := p.Depths[0]
-	for _, d := range p.Depths {
-		if d < dMax && d > second {
-			second = d
-		}
-	}
-	aMax := cost.FrameCost(dMax)
-	aSecond := cost.FrameCost(second)
-	service := aSecond + p.ServiceFraction*(aMax-aSecond)
-
-	cfg := core.Config{Depths: p.Depths, Utility: util, Cost: cost}
-	v, err := core.CalibrateV(p.KneeSlot, service, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("calibrate V: %w", err)
-	}
-	return &Scenario{
-		Params:      p,
-		Profile:     prof.Points(),
-		Utility:     util,
-		Cost:        cost,
-		ServiceRate: service,
-		V:           v,
-	}, nil
+	return calibrate(p, prof.Points(), util, cost, p.serviceRate(cost))
 }
 
 // applyContent recalibrates the cell's scenario over the profile,

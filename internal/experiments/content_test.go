@@ -75,6 +75,56 @@ func TestNewContentScenarioValidation(t *testing.T) {
 	if !errors.Is(err, ErrDepthBeyondCapture) {
 		t.Fatalf("depth beyond capture: err = %v", err)
 	}
+	_, err = NewContentScenario(ScenarioParams{ServiceFraction: 1.5}, prof)
+	if !errors.Is(err, ErrBadServiceFraction) {
+		t.Fatalf("service fraction 1.5: err = %v", err)
+	}
+}
+
+// TestNewContentScenarioDepthOrder: a deepest-first candidate list
+// calibrates the same content scenario as the ascending one.
+func TestNewContentScenarioDepthOrder(t *testing.T) {
+	prof, _ := contentProfiles(t)
+	asc := prof.Depths()
+	desc := make([]int, len(asc))
+	for i, d := range asc {
+		desc[len(asc)-1-i] = d
+	}
+	a, err := NewContentScenario(ScenarioParams{Depths: asc}, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewContentScenario(ScenarioParams{Depths: desc}, prof)
+	if err != nil {
+		t.Fatalf("depths %v: %v", desc, err)
+	}
+	if a.ServiceRate != b.ServiceRate || a.V != b.V {
+		t.Errorf("depths %v: service %v, V %v; ascending: service %v, V %v",
+			desc, b.ServiceRate, b.V, a.ServiceRate, a.V)
+	}
+}
+
+// TestFleetDevicesPriceInScenarioDomain: allocator devices scale the
+// scenario's own cost model, so a content scenario's devices are priced
+// in bytes like its V and budget, not in occupancy points.
+func TestFleetDevicesPriceInScenarioDomain(t *testing.T) {
+	prof, _ := contentProfiles(t)
+	scn, err := NewContentScenario(ScenarioParams{KneeSlot: 100, Slots: 200}, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := append(HeterogeneousSpecs(3), AllocDeviceSpec{ArrivalsPerSlot: 1, CostScale: 1.5})
+	devices, err := fleetDevices(scn, specs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, spec := range specs {
+		for d := 0; d <= prof.CaptureDepth(); d++ {
+			if got, want := devices[i].Cost.FrameCost(d), spec.CostScale*scn.Cost.FrameCost(d); got != want {
+				t.Errorf("device %d depth %d: cost %v, want %v", i, d, got, want)
+			}
+		}
+	}
 }
 
 func TestAxisContentSweep(t *testing.T) {

@@ -75,6 +75,37 @@ func TestNewScenarioRejectsBadDepths(t *testing.T) {
 	if _, err := NewScenario(p); err == nil {
 		t.Error("unknown character must fail")
 	}
+	// Out-of-range fractions are rejected, not silently replaced by the
+	// default; zero still selects it.
+	for _, f := range []float64{-0.1, 1, 1.5, math.NaN()} {
+		p = testParams()
+		p.ServiceFraction = f
+		if _, err := NewScenario(p); !errors.Is(err, ErrBadServiceFraction) {
+			t.Errorf("ServiceFraction %v: err = %v, want ErrBadServiceFraction", f, err)
+		}
+	}
+}
+
+// TestNewScenarioDepthOrder: the candidate set is a set — listing it
+// deepest first, or in any other order, calibrates the same scenario.
+func TestNewScenarioDepthOrder(t *testing.T) {
+	build := func(depths ...int) *Scenario {
+		s, err := NewScenario(ScenarioParams{Samples: 40_000, Depths: depths})
+		if err != nil {
+			t.Fatalf("depths %v: %v", depths, err)
+		}
+		return s
+	}
+	for _, pair := range [][2][]int{
+		{{5, 6, 7, 8, 9, 10}, {10, 9, 8, 7, 6, 5}},
+		{{5, 6, 10}, {10, 5, 6}},
+	} {
+		asc, other := build(pair[0]...), build(pair[1]...)
+		if asc.ServiceRate != other.ServiceRate || asc.V != other.V {
+			t.Errorf("depths %v: service %v, V %v; ascending %v: service %v, V %v",
+				pair[1], other.ServiceRate, other.V, pair[0], asc.ServiceRate, asc.V)
+		}
+	}
 }
 
 func TestFig1Reproduction(t *testing.T) {

@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
-	"qarv/internal/core"
 	"qarv/internal/delay"
 	"qarv/internal/geom"
 	"qarv/internal/netem"
 	"qarv/internal/obs"
-	"qarv/internal/octree"
 	"qarv/internal/quality"
 	"qarv/internal/queueing"
 	"qarv/internal/sim"
@@ -28,32 +25,19 @@ import (
 
 // OffloadParams controls the offload scenario.
 type OffloadParams struct {
-	// Capture parameters (defaults as in ScenarioParams).
-	Character    string
-	Samples      int
-	CaptureDepth int
-	Depths       []int
-	Seed         uint64
-	// BandwidthFraction places the uplink bandwidth between
-	// bytes(d_max−1) and bytes(d_max), default 0.6 (deepest unstable).
-	BandwidthFraction float64
-	// Bandwidth, when positive, fixes the uplink bandwidth in bytes/slot
-	// directly, overriding BandwidthFraction's profile-relative sizing.
-	Bandwidth float64
-	// LatencySlots, JitterSlots, LossProb shape the link (defaults 2,
-	// 0.3, 0.01; zero values take the defaults — use Link to express
-	// literal zeros).
-	LatencySlots float64
-	JitterSlots  float64
-	LossProb     float64
+	// ScenarioParams sets the capture and the calibration, with the
+	// defaults of NewScenario. The controller works in the bytes domain:
+	// ServiceFraction places the uplink bandwidth between bytes(d_max−1)
+	// and bytes(d_max), and V is calibrated against that bandwidth.
+	ScenarioParams
 	// Link, when non-nil, configures the uplink exactly: its latency,
 	// jitter, and loss are used verbatim (zeros included), its
-	// BytesPerSlot (when positive) fixes the bandwidth like Bandwidth
-	// does, and its Seed (when nonzero) replaces Seed for the link RNG.
+	// BytesPerSlot (when positive) fixes the bandwidth V is calibrated
+	// at, and its Seed (when nonzero) replaces Seed for the link RNG.
+	// A nil Link is the default uplink: 2 slots of latency, 0.3 slots of
+	// jitter, 1% loss, the bandwidth ServiceFraction sizes and the link
+	// RNG seeded from Seed.
 	Link *netem.LinkConfig
-	// KneeSlot and Slots as in ScenarioParams (defaults 400, 800).
-	KneeSlot float64
-	Slots    int
 	// BandwidthDrop, when set (DropFactor > 0), scales the bandwidth by
 	// DropFactor during [DropStart, DropEnd) — the handover/congestion
 	// failure injection. Validate rejects windows that would silently be
@@ -95,43 +79,6 @@ type OffloadParams struct {
 	Recorder *obs.FlightRecorder
 }
 
-func (p OffloadParams) withDefaults() OffloadParams {
-	if p.Character == "" {
-		p.Character = "longdress"
-	}
-	if p.Samples <= 0 {
-		p.Samples = 400_000
-	}
-	if p.CaptureDepth <= 0 {
-		p.CaptureDepth = 10
-	}
-	if len(p.Depths) == 0 {
-		p.Depths = []int{5, 6, 7, 8, 9, 10}
-	}
-	if p.BandwidthFraction <= 0 || p.BandwidthFraction >= 1 {
-		p.BandwidthFraction = 0.6
-	}
-	if p.LatencySlots == 0 {
-		p.LatencySlots = 2
-	}
-	if p.JitterSlots == 0 {
-		p.JitterSlots = 0.3
-	}
-	if p.LossProb == 0 {
-		p.LossProb = 0.01
-	}
-	if p.KneeSlot <= 0 {
-		p.KneeSlot = 400
-	}
-	if p.Slots <= 0 {
-		p.Slots = 800
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	return p
-}
-
 // ErrBadDropWindow reports an invalid bandwidth-drop failure injection.
 var ErrBadDropWindow = errors.New("experiments: invalid bandwidth-drop window")
 
@@ -141,48 +88,34 @@ var ErrBadDropWindow = errors.New("experiments: invalid bandwidth-drop window")
 var ErrDropWithDynamics = errors.New("experiments: BandwidthDrop and Dynamics are mutually exclusive (use a netem.TraceBandwidth for a one-off drop)")
 
 // Validate checks the parameters (after default resolution) without
-// building the capture: the character preset must exist, every candidate
-// depth must fit inside the capture lattice, and an enabled bandwidth
-// drop must describe a real, fully-contained window. The Session API
-// calls this once at construction; OffloadContext calls it again so
-// direct callers get the same rejection instead of a silent no-op.
+// building the capture: ServiceFraction must lie in (0,1), every
+// candidate depth must fit inside the capture lattice, the character
+// preset must exist, the link shape must be valid, and an enabled
+// bandwidth drop must describe a real, fully-contained window. The
+// Session API calls this once at construction; OffloadContext calls it
+// again so direct callers get the same rejection instead of a silent
+// no-op.
 func (p OffloadParams) Validate() error {
-	d := p.withDefaults()
-	if _, err := synthetic.ByName(d.Character); err != nil {
+	d := p.ScenarioParams.withDefaults()
+	if err := validateUplink(d, p.Link); err != nil {
 		return err
 	}
-	for _, dep := range d.Depths {
-		if dep > d.CaptureDepth {
-			return fmt.Errorf("%w: %d > %d", ErrDepthBeyondCapture, dep, d.CaptureDepth)
-		}
-	}
-	if d.DropFactor != 0 {
+	if p.DropFactor != 0 {
 		switch {
-		case d.DropFactor < 0 || d.DropFactor >= 1:
-			return fmt.Errorf("%w: DropFactor %v not in (0,1)", ErrBadDropWindow, d.DropFactor)
-		case d.DropStart < 0:
-			return fmt.Errorf("%w: DropStart %d negative", ErrBadDropWindow, d.DropStart)
-		case d.DropEnd <= d.DropStart:
+		case p.DropFactor < 0 || p.DropFactor >= 1:
+			return fmt.Errorf("%w: DropFactor %v not in (0,1)", ErrBadDropWindow, p.DropFactor)
+		case p.DropStart < 0:
+			return fmt.Errorf("%w: DropStart %d negative", ErrBadDropWindow, p.DropStart)
+		case p.DropEnd <= p.DropStart:
 			return fmt.Errorf("%w: DropEnd %d not after DropStart %d (the drop would never engage)",
-				ErrBadDropWindow, d.DropEnd, d.DropStart)
-		case d.DropEnd >= d.Slots:
+				ErrBadDropWindow, p.DropEnd, p.DropStart)
+		case p.DropEnd >= d.Slots:
 			return fmt.Errorf("%w: DropEnd %d beyond horizon %d (the bandwidth would never be restored)",
-				ErrBadDropWindow, d.DropEnd, d.Slots)
-		}
-	}
-	if p.Link != nil {
-		// Shape parameters can be checked before the bandwidth is known:
-		// stand in a positive bandwidth so netem validates the rest.
-		lc := *p.Link
-		if lc.BytesPerSlot <= 0 {
-			lc.BytesPerSlot = 1
-		}
-		if _, err := netem.NewLink(lc); err != nil {
-			return err
+				ErrBadDropWindow, p.DropEnd, d.Slots)
 		}
 	}
 	if p.Dynamics != nil {
-		if d.DropFactor != 0 {
+		if p.DropFactor != 0 {
 			return ErrDropWithDynamics
 		}
 		if err := p.Dynamics.Validate(); err != nil {
@@ -192,9 +125,35 @@ func (p OffloadParams) Validate() error {
 	return nil
 }
 
+// validateUplink holds the checks both uplink runs make before any
+// capture: the resolved scenario parameters, the character preset, and
+// the link's shape.
+func validateUplink(p ScenarioParams, link *netem.LinkConfig) error {
+	if err := p.validate(); err != nil {
+		return err
+	}
+	if _, err := synthetic.ByName(p.Character); err != nil {
+		return err
+	}
+	if link != nil {
+		// Shape parameters can be checked before the bandwidth is known:
+		// stand in a positive bandwidth so netem validates the rest.
+		lc := *link
+		if lc.BytesPerSlot <= 0 {
+			lc.BytesPerSlot = 1
+		}
+		if _, err := netem.NewLink(lc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // OffloadResult is the trajectory and delivery statistics of one offload
 // run.
 type OffloadResult struct {
+	// Params are the resolved parameters; Params.Link is the uplink the
+	// run used, bandwidth and seed included.
 	Params    OffloadParams
 	Bandwidth float64 // bytes/slot
 	V         float64
@@ -217,53 +176,75 @@ type OffloadResult struct {
 // ErrNoDeliveries is returned when every frame was lost (degenerate link).
 var ErrNoDeliveries = errors.New("experiments: no frames delivered")
 
-// captureByteProfiles builds the synthetic capture shared by the
-// offload scenarios and measures what their controllers act on: the
-// per-depth stream-size profile (bytes, the cost domain) and the
-// log-point utility over the octree occupancy.
-func captureByteProfiles(character string, samples, captureDepth int, depths []int, seed uint64) ([]int, quality.UtilityModel, error) {
-	ch, err := synthetic.ByName(character)
+// defaultLink is the uplink shape of a run whose Link is nil.
+var defaultLink = netem.LinkConfig{LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.01}
+
+// resolveLink returns the uplink a run uses: link verbatim when set,
+// otherwise the default shape, with the seed falling back to seed. A
+// non-positive BytesPerSlot leaves the bandwidth to the run's own
+// sizing.
+func resolveLink(link *netem.LinkConfig, seed uint64) netem.LinkConfig {
+	lc := defaultLink
+	if link != nil {
+		lc = *link
+	}
+	if lc.Seed == 0 {
+		lc.Seed = seed
+	}
+	return lc
+}
+
+// byteScenario captures the frame p describes and calibrates it in the
+// bytes domain the uplink runs work in: cost a(d) is the stream size of
+// depth d (geometry and colors), utility the log-point utility over the
+// octree occupancy. bandwidth, when positive, is the service rate V is
+// calibrated at; otherwise ServiceFraction sizes it. The stream-size
+// ladder is returned alongside, since the Scenario's Profile holds
+// occupancy.
+func byteScenario(p ScenarioParams, bandwidth float64) (*Scenario, []int, error) {
+	tree, err := capture(p)
 	if err != nil {
 		return nil, nil, err
-	}
-	for _, dep := range depths {
-		if dep > captureDepth {
-			return nil, nil, fmt.Errorf("%w: %d > %d", ErrDepthBeyondCapture, dep, captureDepth)
-		}
-	}
-	cloud, err := synthetic.Generate(synthetic.Config{
-		Character:     ch,
-		SamplesTarget: samples,
-		CaptureDepth:  captureDepth,
-		Seed:          seed,
-	}, synthetic.Pose{})
-	if err != nil {
-		return nil, nil, fmt.Errorf("generate frame: %w", err)
-	}
-	tree, err := octree.Build(cloud, captureDepth)
-	if err != nil {
-		return nil, nil, fmt.Errorf("build octree: %w", err)
 	}
 	bytesProfile, err := tree.StreamSizeProfile(true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream sizes: %w", err)
 	}
 	// Quality still comes from rendered points; cost is bytes.
-	util, err := quality.NewLogPointUtility(tree.Profile())
+	profile := tree.Profile()
+	util, err := quality.NewLogPointUtility(profile)
 	if err != nil {
 		return nil, nil, err
 	}
-	return bytesProfile, util, nil
+	cost, err := delay.NewPointCostModel(bytesProfile, 1, 0, 0)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bytes cost model: %w", err)
+	}
+	if bandwidth <= 0 {
+		bandwidth = p.serviceRate(cost)
+	}
+	scn, err := calibrate(p, profile, util, cost, bandwidth)
+	if err != nil {
+		return nil, nil, err
+	}
+	return scn, bytesProfile, nil
 }
 
-// referenceBandwidth places an uplink bandwidth between bytes(d_max−1)
-// and bytes(d_max) of the given cost model — the sizing that keeps the
-// deepest depth unstable, as the scenario calibration requires.
-func referenceBandwidth(cost *delay.PointCostModel, depths []int, fraction float64) float64 {
-	dMax, second := deepestTwo(depths)
-	bMax := cost.FrameCost(dMax)
-	bSecond := cost.FrameCost(second)
-	return bSecond + fraction*(bMax-bSecond)
+// latencySummary returns the mean and 95th percentile of the delivered
+// frames' latencies, or ErrNoDeliveries when none was delivered.
+func latencySummary(latencies []float64) (mean, p95 float64, err error) {
+	if len(latencies) == 0 {
+		return 0, 0, ErrNoDeliveries
+	}
+	var lat stats.Running
+	for _, l := range latencies {
+		lat.Add(l)
+	}
+	p95, err = stats.Percentile(latencies, 95)
+	if err != nil {
+		return 0, 0, err
+	}
+	return lat.Mean(), p95, nil
 }
 
 // Offload builds the capture, measures its per-depth stream sizes, sizes
@@ -280,52 +261,22 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	p := params.withDefaults()
-	bytesProfile, util, err := captureByteProfiles(p.Character, p.Samples, p.CaptureDepth, p.Depths, p.Seed)
+	p := params
+	p.ScenarioParams = p.ScenarioParams.withDefaults()
+	lc := resolveLink(p.Link, p.Seed)
+	scn, bytesProfile, err := byteScenario(p.ScenarioParams, lc.BytesPerSlot)
 	if err != nil {
 		return nil, err
 	}
-	cost, err := delay.NewPointCostModel(bytesProfile, 1, 0, 0)
-	if err != nil {
-		return nil, fmt.Errorf("bytes cost model: %w", err)
-	}
-
-	bandwidth := referenceBandwidth(cost, p.Depths, p.BandwidthFraction)
-	if p.Bandwidth > 0 {
-		bandwidth = p.Bandwidth
-	}
-	if p.Link != nil && p.Link.BytesPerSlot > 0 {
-		bandwidth = p.Link.BytesPerSlot
-	}
-
-	cfg := core.Config{Depths: p.Depths, Utility: util, Cost: cost}
-	v, err := core.CalibrateV(p.KneeSlot, bandwidth, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("calibrate V: %w", err)
-	}
-	cfg.V = v
-	ctrl, err := core.New(cfg)
+	bandwidth := scn.ServiceRate
+	lc.BytesPerSlot = bandwidth
+	p.Link = &lc
+	ctrl, err := scn.Controller()
 	if err != nil {
 		return nil, err
 	}
-
-	linkCfg := netem.LinkConfig{
-		BytesPerSlot: bandwidth,
-		LatencySlots: p.LatencySlots,
-		JitterSlots:  p.JitterSlots,
-		LossProb:     p.LossProb,
-		Seed:         p.Seed,
-	}
-	if p.Link != nil {
-		// Explicit link config: shape fields are taken verbatim, zeros
-		// included, so lossless/zero-latency uplinks are expressible.
-		linkCfg = *p.Link
-		linkCfg.BytesPerSlot = bandwidth
-		if linkCfg.Seed == 0 {
-			linkCfg.Seed = p.Seed
-		}
-	}
-	link, err := netem.NewLink(linkCfg)
+	cost, util := scn.Cost, scn.Utility
+	link, err := netem.NewLink(lc)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +298,7 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 	res := &OffloadResult{
 		Params:       p,
 		Bandwidth:    bandwidth,
-		V:            v,
+		V:            scn.V,
 		Network:      p.Dynamics.Name(),
 		Bytes:        bytesProfile,
 		BacklogBytes: make([]float64, p.Slots),
@@ -412,43 +363,13 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 		}
 	}
 	res.MeanDepth = depthSum / float64(p.Slots)
-	if len(res.Latency) == 0 {
-		return nil, ErrNoDeliveries
-	}
-	var lat stats.Running
-	for _, l := range res.Latency {
-		lat.Add(l)
-	}
-	res.MeanLatency = lat.Mean()
-	p95, err := stats.Percentile(res.Latency, 95)
-	if err != nil {
+	if res.MeanLatency, res.P95Latency, err = latencySummary(res.Latency); err != nil {
 		return nil, err
 	}
-	res.P95Latency = p95
 	verdict, err := queueing.ClassifyTrajectory(res.BacklogBytes, 0)
 	if err != nil {
 		return nil, err
 	}
 	res.Verdict = verdict
 	return res, nil
-}
-
-// deepestTwo returns the deepest and second-deepest entries of depths.
-func deepestTwo(depths []int) (dMax, second int) {
-	dMax = math.MinInt32
-	for _, d := range depths {
-		if d > dMax {
-			dMax = d
-		}
-	}
-	second = math.MinInt32
-	for _, d := range depths {
-		if d < dMax && d > second {
-			second = d
-		}
-	}
-	if second == math.MinInt32 {
-		second = dMax
-	}
-	return dMax, second
 }

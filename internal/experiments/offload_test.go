@@ -9,12 +9,12 @@ import (
 )
 
 func offloadParams() OffloadParams {
-	return OffloadParams{
+	return OffloadParams{ScenarioParams: ScenarioParams{
 		Samples:  40_000,
 		Slots:    800,
 		KneeSlot: 200,
 		Seed:     3,
-	}
+	}}
 }
 
 func TestOffloadStabilizesUplink(t *testing.T) {
@@ -41,9 +41,9 @@ func TestOffloadStabilizesUplink(t *testing.T) {
 		t.Error("controller never backed off in the bytes domain")
 	}
 	// Delivery stats are populated and sane.
-	if res.MeanLatency <= res.Params.LatencySlots {
+	if res.MeanLatency <= res.Params.Link.LatencySlots {
 		t.Errorf("mean latency %v below propagation floor %v",
-			res.MeanLatency, res.Params.LatencySlots)
+			res.MeanLatency, res.Params.Link.LatencySlots)
 	}
 	if res.P95Latency < res.MeanLatency {
 		t.Errorf("p95 %v below mean %v", res.P95Latency, res.MeanLatency)
@@ -107,7 +107,8 @@ func meanDepthRange(depths []int, lo, hi int) float64 {
 
 func TestOffloadDegenerateLink(t *testing.T) {
 	p := offloadParams()
-	p.LossProb = 0.999 // not quite 1 (validation), loses essentially all
+	// Loss not quite 1 (validation), so the link loses essentially all.
+	p.Link = &netem.LinkConfig{LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.999}
 	if _, err := Offload(p); err == nil {
 		// Statistically ~0.1% delivered; accept either outcome but a
 		// totally dead link must not panic.

@@ -8,6 +8,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"qarv/internal/core"
 	"qarv/internal/delay"
@@ -36,8 +37,9 @@ type ScenarioParams struct {
 	Depths []int
 	// ServiceFraction places the service rate b between a(d_max−1) and
 	// a(d_max): b = a(d_max−1) + f·(a(d_max)−a(d_max−1)), f ∈ (0,1).
-	// Default 0.6, making the deepest depth unstable and all others
-	// stable — the paper's regime.
+	// Zero selects the default 0.6, making the deepest depth unstable and
+	// all others stable — the paper's regime; values outside (0,1) are
+	// rejected with ErrBadServiceFraction.
 	ServiceFraction float64
 	// KneeSlot is where the proposed scheme's backlog knee should land
 	// (default 400, the paper's "recognized optimized point").
@@ -61,7 +63,7 @@ func (p ScenarioParams) withDefaults() ScenarioParams {
 	if len(p.Depths) == 0 {
 		p.Depths = []int{5, 6, 7, 8, 9, 10}
 	}
-	if p.ServiceFraction <= 0 || p.ServiceFraction >= 1 {
+	if p.ServiceFraction == 0 {
 		p.ServiceFraction = 0.6
 	}
 	if p.KneeSlot <= 0 {
@@ -74,6 +76,21 @@ func (p ScenarioParams) withDefaults() ScenarioParams {
 		p.Seed = 1
 	}
 	return p
+}
+
+// validate checks resolved parameters before anything is captured: the
+// service fraction must lie in (0,1) and every candidate depth must fit
+// inside the capture lattice.
+func (p ScenarioParams) validate() error {
+	if !(p.ServiceFraction > 0 && p.ServiceFraction < 1) {
+		return fmt.Errorf("%w: %v", ErrBadServiceFraction, p.ServiceFraction)
+	}
+	for _, d := range p.Depths {
+		if d > p.CaptureDepth {
+			return fmt.Errorf("%w: %d > %d", ErrDepthBeyondCapture, d, p.CaptureDepth)
+		}
+	}
+	return nil
 }
 
 // Scenario is the fully calibrated experimental setup shared by Fig. 2 and
@@ -90,12 +107,41 @@ type Scenario struct {
 }
 
 // Scenario construction errors.
-var ErrDepthBeyondCapture = errors.New("experiments: candidate depth exceeds capture depth")
+var (
+	// ErrDepthBeyondCapture reports a candidate depth deeper than the
+	// capture lattice.
+	ErrDepthBeyondCapture = errors.New("experiments: candidate depth exceeds capture depth")
+	// ErrBadServiceFraction reports a ServiceFraction outside (0,1); zero
+	// selects the default instead.
+	ErrBadServiceFraction = errors.New("experiments: service fraction not in (0,1)")
+)
 
 // NewScenario generates the synthetic frame, builds its octree profile,
 // and calibrates V so the proposed scheme's knee lands at Params.KneeSlot.
 func NewScenario(params ScenarioParams) (*Scenario, error) {
 	p := params.withDefaults()
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	tree, err := capture(p)
+	if err != nil {
+		return nil, err
+	}
+	profile := tree.Profile()
+	util, err := quality.NewLogPointUtility(profile)
+	if err != nil {
+		return nil, fmt.Errorf("utility model: %w", err)
+	}
+	cost, err := delay.NewPointCostModel(profile, 1, 0, 0)
+	if err != nil {
+		return nil, fmt.Errorf("cost model: %w", err)
+	}
+	return calibrate(p, profile, util, cost, p.serviceRate(cost))
+}
+
+// capture generates the synthetic frame p describes and builds its
+// octree at the capture depth.
+func capture(p ScenarioParams) (*octree.Octree, error) {
 	ch, err := synthetic.ByName(p.Character)
 	if err != nil {
 		return nil, err
@@ -113,37 +159,46 @@ func NewScenario(params ScenarioParams) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("build octree: %w", err)
 	}
-	profile := tree.Profile()
-	for _, d := range p.Depths {
-		if d > p.CaptureDepth {
-			return nil, fmt.Errorf("%w: %d > %d", ErrDepthBeyondCapture, d, p.CaptureDepth)
-		}
-	}
-	util, err := quality.NewLogPointUtility(profile)
-	if err != nil {
-		return nil, fmt.Errorf("utility model: %w", err)
-	}
-	cost, err := delay.NewPointCostModel(profile, 1, 0, 0)
-	if err != nil {
-		return nil, fmt.Errorf("cost model: %w", err)
-	}
-	dMax := p.Depths[0]
-	for _, d := range p.Depths {
+	return tree, nil
+}
+
+// serviceRate places a rate ServiceFraction of the way from the cost of
+// the second-deepest candidate depth to the cost of the deepest:
+// b = a(d_max−1) + f·(a(d_max)−a(d_max−1)). The deepest depth is then
+// unstable and every other depth stable — the paper's regime.
+func (p ScenarioParams) serviceRate(cost delay.CostModel) float64 {
+	dMax, second := deepestTwo(p.Depths)
+	aMax := cost.FrameCost(dMax)
+	aSecond := cost.FrameCost(second)
+	return aSecond + p.ServiceFraction*(aMax-aSecond)
+}
+
+// deepestTwo returns the deepest and second-deepest entries of depths,
+// in any order; a single distinct depth is returned as both.
+func deepestTwo(depths []int) (dMax, second int) {
+	dMax = math.MinInt32
+	for _, d := range depths {
 		if d > dMax {
 			dMax = d
 		}
 	}
-	// Find the second-deepest candidate.
-	second := p.Depths[0]
-	for _, d := range p.Depths {
+	second = math.MinInt32
+	for _, d := range depths {
 		if d < dMax && d > second {
 			second = d
 		}
 	}
-	aMax := cost.FrameCost(dMax)
-	aSecond := cost.FrameCost(second)
-	service := aSecond + p.ServiceFraction*(aMax-aSecond)
+	if second == math.MinInt32 {
+		second = dMax
+	}
+	return dMax, second
+}
 
+// calibrate finishes every scenario: it calibrates V so the proposed
+// scheme's knee lands at p.KneeSlot under the given service rate, and
+// bundles the models. profile is the occupancy ladder the Scenario
+// reports; cost and utility may be in any domain (points or bytes).
+func calibrate(p ScenarioParams, profile []int, util quality.UtilityModel, cost *delay.PointCostModel, service float64) (*Scenario, error) {
 	cfg := core.Config{Depths: p.Depths, Utility: util, Cost: cost}
 	v, err := core.CalibrateV(p.KneeSlot, service, cfg)
 	if err != nil {

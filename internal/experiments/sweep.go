@@ -597,7 +597,7 @@ func runMultiCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, erro
 		budget = 1.25 * FleetMinDemand(c.Scenario, specs)
 	}
 	budget *= c.ServiceFraction
-	devices, err := fleetDevices(c.Scenario, specs)
+	devices, err := fleetDevices(c.Scenario, specs, false)
 	if err != nil {
 		return nil, err
 	}

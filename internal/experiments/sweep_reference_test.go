@@ -178,7 +178,7 @@ func TestSweepCellsMatchPrimitives(t *testing.T) {
 				return sw, nil
 			},
 			ref: func(i int) (any, error) {
-				devices, err := fleetDevices(s, specs)
+				devices, err := fleetDevices(s, specs, false)
 				if err != nil {
 					return nil, err
 				}

@@ -266,9 +266,9 @@ func (tb *TraceBandwidth) Validate() error {
 // 1 — the unitless factor form the CLI network classes feed to
 // delay.ModulatedService. Hand-written factor patterns whose peak is
 // already 1 round-trip unchanged; measured bytes/slot traces become
-// fractions of their peak capacity, so the same file drives both
-// WithLinkDynamics (absolute) and -net modulation (relative) with
-// sensible semantics. An all-zero trace has no peak to normalize
+// fractions of their peak capacity, so the same file drives both an
+// offload run's LinkDynamics (absolute) and -net modulation (relative)
+// with sensible semantics. An all-zero trace has no peak to normalize
 // against and is rejected.
 func (tb *TraceBandwidth) Normalized() (*TraceBandwidth, error) {
 	if err := tb.Validate(); err != nil {

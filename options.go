@@ -24,8 +24,6 @@ type sessionConfig struct {
 	devices    []Device
 	allocator  Allocator
 	offload    *OffloadParams
-	link       *LinkConfig
-	dynamics   *LinkDynamics
 	observers  []sim.Observer
 	seed       uint64
 	seedSet    bool
@@ -112,36 +110,11 @@ func WithAllocator(a Allocator) Option {
 
 // WithOffload switches the session to the edge-offload scenario: octree
 // streams over an emulated uplink, the controller stabilizing the
-// transmit queue. WithSlots still applies; the remaining knobs live on
-// OffloadParams (and WithLink).
+// transmit queue. WithSlots and WithSeed still apply; the remaining
+// knobs, the uplink's shape (Link) and dynamics (Dynamics) included,
+// live on OffloadParams.
 func WithOffload(p OffloadParams) Option {
 	return func(c *sessionConfig) { c.offload = &p }
-}
-
-// WithLink shapes the offload session's uplink exactly: BytesPerSlot
-// (when positive) fixes the bandwidth, LatencySlots/JitterSlots/LossProb
-// are used verbatim — zeros included, so lossless or zero-latency links
-// are expressible — and Seed (when nonzero) drives the link's RNG
-// independently of the capture seed. Shape values are validated at
-// NewSession. Only valid together with WithOffload.
-func WithLink(l LinkConfig) Option {
-	return func(c *sessionConfig) { c.link = &l }
-}
-
-// WithLinkDynamics makes the offload session's uplink time-varying: the
-// dynamics' BandwidthProcess (Markov-modulated good/bad capacity, a
-// piecewise bandwidth trace loaded from CSV/JSON, mobility handoffs
-// with outage gaps, or any custom process) retunes the link at the top
-// of every slot, and the controller observes the transmit queue through
-// the link's exact byte accounting. The static sizing (Bandwidth,
-// BandwidthFraction, or WithLink's BytesPerSlot) still anchors V
-// calibration; the process modulates the live link from there. Dynamics
-// RNGs are reseeded from the session seed (or LinkDynamics.Seed when
-// nonzero) at the start of every run, so WithSeed keeps reports
-// byte-identical. Only valid together with WithOffload, and mutually
-// exclusive with OffloadParams.BandwidthDrop.
-func WithLinkDynamics(d *LinkDynamics) Option {
-	return func(c *sessionConfig) { c.dynamics = d }
 }
 
 // WithSeed makes the session's stochastic components deterministic from
@@ -152,8 +125,8 @@ func WithLinkDynamics(d *LinkDynamics) Option {
 // service; for multi sessions: the shared service, then each device's
 // policy and arrivals in device order). Offload sessions instead get
 // OffloadParams.Seed replaced, which drives both the capture and the
-// link RNG (an explicit WithLink seed still wins for the link); note
-// offload runs normalize seed 0 to 1 — OffloadParams' zero-value
+// link RNG (a nonzero OffloadParams.Link.Seed still wins for the link);
+// note offload runs normalize seed 0 to 1 — OffloadParams' zero-value
 // convention — so WithSeed(0) and WithSeed(1) coincide there, while
 // sim and multi sessions treat every seed value as distinct.
 //

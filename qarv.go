@@ -26,9 +26,9 @@
 //
 // Options override any scenario default (WithPolicy, WithArrivals,
 // WithService, WithCost, WithUtility, WithSlots, WithMaxBacklog), switch
-// scenario kind (WithDevices, WithOffload, WithLink), make every
-// stochastic component deterministic from one seed (WithSeed), and
-// attach per-slot streaming hooks (WithObserver). Sweeps run N sessions
+// scenario kind (WithDevices, WithOffload), make every stochastic
+// component deterministic from one seed (WithSeed), and attach per-slot
+// streaming hooks (WithObserver). Sweeps run N sessions
 // concurrently with deterministic result ordering through a SessionPool:
 //
 //	pool := qarv.NewSessionPool(0, s1, s2, s3) // 0 = GOMAXPROCS workers
@@ -418,11 +418,11 @@ type (
 	// AllocDeviceSpec shapes one device of a heterogeneous fleet
 	// (arrival rate and cost scale) in the allocator ablation.
 	AllocDeviceSpec = experiments.AllocDeviceSpec
-	// LinkConfig parameterizes the emulated uplink of an offload session
-	// (see WithLink): bandwidth, latency, jitter, and loss.
+	// LinkConfig parameterizes the emulated uplink of an offload run
+	// (see OffloadParams.Link): bandwidth, latency, jitter, and loss.
 	LinkConfig = netem.LinkConfig
 	// LinkDynamics binds a time-varying bandwidth process to an offload
-	// uplink (see WithLinkDynamics). Every bandwidth process in the
+	// uplink (see OffloadParams.Dynamics). Every bandwidth process in the
 	// library doubles as a ServiceProcess, so the same processes drive
 	// WithService and fleet Profile.NewService.
 	LinkDynamics = netem.LinkDynamics

@@ -42,13 +42,6 @@ var (
 	// ErrOptionConflict reports options that cannot be combined (e.g.
 	// WithPolicy alongside WithDevices, which carry their own policies).
 	ErrOptionConflict = errors.New("qarv: conflicting session options")
-	// ErrLinkWithoutOffload reports WithLink on a non-offload session.
-	ErrLinkWithoutOffload = errors.New("qarv: WithLink requires WithOffload")
-	// ErrDynamicsWithoutOffload reports WithLinkDynamics on a non-offload
-	// session. Sim, multi, and fleet runs express network dynamics
-	// through their service processes instead — every BandwidthProcess
-	// doubles as a ServiceProcess (see WithService and Profile.NewService).
-	ErrDynamicsWithoutOffload = errors.New("qarv: WithLinkDynamics requires WithOffload")
 	// ErrAllocatorWithoutDevices reports WithAllocator on a session that
 	// has no shared budget to split.
 	ErrAllocatorWithoutDevices = errors.New("qarv: WithAllocator requires WithDevices")
@@ -139,7 +132,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	case c.offload != nil:
 		if c.scenario != nil || c.policy != nil || c.arrivals != nil || c.service != nil ||
 			c.cost != nil || c.utility != nil || c.maxSet || len(c.devices) > 0 {
-			return nil, fmt.Errorf("%w: offload sessions configure capture and control through OffloadParams (WithSlots, WithLink, WithObserver still apply)", ErrOptionConflict)
+			return nil, fmt.Errorf("%w: offload sessions configure capture and control through OffloadParams (WithSlots, WithSeed, WithObserver still apply)", ErrOptionConflict)
 		}
 		if c.allocator != nil {
 			return nil, ErrAllocatorWithoutDevices
@@ -151,15 +144,6 @@ func NewSession(opts ...Option) (*Session, error) {
 			}
 			p.Slots = c.slots
 		}
-		if c.link != nil {
-			// The link config is authoritative, zeros included — a
-			// lossless or zero-latency uplink is expressible here where
-			// OffloadParams' scalar fields would re-default it.
-			p.Link = c.link
-		}
-		if c.dynamics != nil {
-			p.Dynamics = c.dynamics
-		}
 		p.Observer = sim.Join(p.Observer, obs)
 		if c.metrics != nil {
 			p.Metrics = c.metrics
@@ -168,8 +152,8 @@ func NewSession(opts ...Option) (*Session, error) {
 			p.Recorder = c.recorder
 		}
 		if c.seedSet {
-			// One seed drives capture and link alike; WithLink's own
-			// Seed (when nonzero) still wins for the link RNG.
+			// One seed drives capture and link alike; a nonzero
+			// OffloadParams.Link.Seed still wins for the link RNG.
 			p.Seed = c.seed
 		}
 		if err := p.Validate(); err != nil {
@@ -180,12 +164,6 @@ func NewSession(opts ...Option) (*Session, error) {
 	case len(c.devices) > 0:
 		if c.policy != nil || c.arrivals != nil || c.cost != nil || c.utility != nil || c.maxSet {
 			return nil, fmt.Errorf("%w: multi-device sessions configure policy, cost, utility, and arrivals per Device", ErrOptionConflict)
-		}
-		if c.link != nil {
-			return nil, ErrLinkWithoutOffload
-		}
-		if c.dynamics != nil {
-			return nil, ErrDynamicsWithoutOffload
 		}
 		cfg := sim.MultiConfig{
 			Devices:   c.devices,
@@ -219,12 +197,6 @@ func NewSession(opts ...Option) (*Session, error) {
 		return &Session{kind: KindMulti, multi: cfg}, nil
 
 	default:
-		if c.link != nil {
-			return nil, ErrLinkWithoutOffload
-		}
-		if c.dynamics != nil {
-			return nil, ErrDynamicsWithoutOffload
-		}
 		if c.allocator != nil {
 			return nil, ErrAllocatorWithoutDevices
 		}

@@ -62,18 +62,11 @@ func TestSessionOptionValidation(t *testing.T) {
 		{"missing slots", []Option{WithPolicy(fixed), WithArrivals(arr), WithCost(cost), WithUtility(util), WithService(svc)}, sim.ErrBadSlots},
 		{"policy with devices", []Option{WithPolicy(fixed), WithDevices(Device{Policy: fixed, Cost: cost, Utility: util, Arrivals: arr}), WithService(svc), WithSlots(10)}, ErrOptionConflict},
 		{"max backlog with devices", []Option{WithMaxBacklog(5), WithDevices(Device{Policy: fixed, Cost: cost, Utility: util, Arrivals: arr}), WithService(svc), WithSlots(10)}, ErrOptionConflict},
-		{"link without offload", append(cheapSessionOpts(t, 10), WithLink(LinkConfig{BytesPerSlot: 100})), ErrLinkWithoutOffload},
 		{"offload with policy", []Option{WithOffload(OffloadParams{}), WithPolicy(fixed)}, ErrOptionConflict},
 		{"incomplete device", []Option{WithDevices(Device{Policy: fixed}), WithService(svc), WithSlots(10)}, sim.ErrNilCost},
 		{"no devices no policy", nil, sim.ErrNilPolicy},
 		{"allocator without devices", append(cheapSessionOpts(t, 10), WithAllocator(EqualSplit{})), ErrAllocatorWithoutDevices},
 		{"allocator with offload", []Option{WithOffload(OffloadParams{}), WithAllocator(NewMaxWeight())}, ErrAllocatorWithoutDevices},
-		{"dynamics without offload", append(cheapSessionOpts(t, 10), WithLinkDynamics(&LinkDynamics{Process: &ConstantBandwidth{Rate: 1}})), ErrDynamicsWithoutOffload},
-		{"dynamics with devices", []Option{
-			WithDevices(Device{Policy: fixed, Cost: cost, Utility: util, Arrivals: arr}),
-			WithService(svc), WithSlots(10),
-			WithLinkDynamics(&LinkDynamics{Process: &ConstantBandwidth{Rate: 1}}),
-		}, ErrDynamicsWithoutOffload},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,7 +76,7 @@ func TestSessionOptionValidation(t *testing.T) {
 		})
 	}
 
-	if _, err := NewSession(WithOffload(OffloadParams{Character: "no-such-preset"})); err == nil {
+	if _, err := NewSession(WithOffload(OffloadParams{ScenarioParams: ScenarioParams{Character: "no-such-preset"}})); err == nil {
 		t.Error("bad offload character accepted")
 	}
 	// Offload sessions reject the same config mistakes the other kinds
@@ -91,23 +84,25 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := NewSession(WithOffload(OffloadParams{}), WithSlots(-5)); !errors.Is(err, sim.ErrBadSlots) {
 		t.Errorf("offload WithSlots(-5) = %v, want ErrBadSlots", err)
 	}
-	if _, err := NewSession(WithOffload(OffloadParams{}), WithLink(LinkConfig{LossProb: -0.5})); err == nil {
+	if _, err := NewSession(WithOffload(OffloadParams{Link: &LinkConfig{LossProb: -0.5}})); err == nil {
 		t.Error("negative loss probability accepted at construction")
 	}
-	if _, err := NewSession(WithOffload(OffloadParams{}), WithLink(LinkConfig{LatencySlots: -1})); err == nil {
+	if _, err := NewSession(WithOffload(OffloadParams{Link: &LinkConfig{LatencySlots: -1}})); err == nil {
 		t.Error("negative latency accepted at construction")
 	}
 	// Malformed dynamics are rejected at construction too.
-	if _, err := NewSession(WithOffload(OffloadParams{}), WithLinkDynamics(&LinkDynamics{})); err == nil {
+	if _, err := NewSession(WithOffload(OffloadParams{Dynamics: &LinkDynamics{}})); err == nil {
 		t.Error("dynamics without a process accepted at construction")
 	}
-	if _, err := NewSession(WithOffload(OffloadParams{}),
-		WithLinkDynamics(&LinkDynamics{Process: &MarkovBandwidth{GoodRate: -1}})); err == nil {
+	if _, err := NewSession(WithOffload(OffloadParams{
+		Dynamics: &LinkDynamics{Process: &MarkovBandwidth{GoodRate: -1}},
+	})); err == nil {
 		t.Error("invalid markov dynamics accepted at construction")
 	}
-	if _, err := NewSession(
-		WithOffload(OffloadParams{DropStart: 10, DropEnd: 20, DropFactor: 0.5}),
-		WithLinkDynamics(&LinkDynamics{Process: &ConstantBandwidth{Rate: 1}})); err == nil {
+	if _, err := NewSession(WithOffload(OffloadParams{
+		DropStart: 10, DropEnd: 20, DropFactor: 0.5,
+		Dynamics: &LinkDynamics{Process: &ConstantBandwidth{Rate: 1}},
+	})); err == nil {
 		t.Error("BandwidthDrop combined with dynamics accepted at construction")
 	}
 }
@@ -193,10 +188,10 @@ func TestSessionCancellationOffload(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s, err := NewSession(
-		WithOffload(OffloadParams{
+		WithOffload(OffloadParams{ScenarioParams: ScenarioParams{
 			Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
 			KneeSlot: 50,
-		}),
+		}}),
 		WithSlots(2_000_000),
 		WithObserver(func(e SlotEvent) {
 			if e.Slot == 300 {
@@ -505,16 +500,22 @@ func TestSessionWithAllocator(t *testing.T) {
 	}
 }
 
+// withUplink returns base with its uplink set to l.
+func withUplink(base OffloadParams, l LinkConfig) OffloadParams {
+	base.Link = &l
+	return base
+}
+
 func TestSessionOffloadWithLink(t *testing.T) {
-	base := OffloadParams{
+	base := OffloadParams{ScenarioParams: ScenarioParams{
 		Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
 		KneeSlot: 50, Slots: 400, Seed: 3,
-	}
+	}}
 	// The fixed bandwidth must sit below bytes(d_max) or V-calibration
 	// (correctly) refuses: every depth stable means no tradeoff to tune.
-	s, err := NewSession(WithOffload(base), WithLink(LinkConfig{
+	s, err := NewSession(WithOffload(withUplink(base, LinkConfig{
 		BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001,
-	}))
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +527,7 @@ func TestSessionOffloadWithLink(t *testing.T) {
 		t.Fatalf("report = %+v", rep)
 	}
 	if rep.Offload.Bandwidth != 20_000 {
-		t.Errorf("bandwidth = %v, want the WithLink override", rep.Offload.Bandwidth)
+		t.Errorf("bandwidth = %v, want the Link override", rep.Offload.Bandwidth)
 	}
 	if rep.TimeAvgBacklog <= 0 {
 		t.Error("offload summary backlog missing")
@@ -534,9 +535,9 @@ func TestSessionOffloadWithLink(t *testing.T) {
 
 	// A lossless link is expressible: explicit zeros are honored rather
 	// than re-defaulted to the offload's 1% loss / 2-slot latency.
-	s2, err := NewSession(WithOffload(base), WithLink(LinkConfig{
+	s2, err := NewSession(WithOffload(withUplink(base, LinkConfig{
 		BytesPerSlot: 20_000, LatencySlots: 0, JitterSlots: 0, LossProb: 0,
-	}))
+	})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,9 +551,9 @@ func TestSessionOffloadWithLink(t *testing.T) {
 
 	// The link seed is respected: different seeds, different traces.
 	run := func(seed uint64) *OffloadResult {
-		s, err := NewSession(WithOffload(base), WithLink(LinkConfig{
+		s, err := NewSession(WithOffload(withUplink(base, LinkConfig{
 			BytesPerSlot: 20_000, JitterSlots: 2, LossProb: 0.2, Seed: seed,
-		}))
+		})))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -573,19 +574,19 @@ func TestSessionOffloadWithLink(t *testing.T) {
 
 func TestSessionOffloadWithDynamics(t *testing.T) {
 	base := OffloadParams{
-		Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
-		KneeSlot: 50, Slots: 400, Seed: 3,
+		ScenarioParams: ScenarioParams{
+			Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
+			KneeSlot: 50, Slots: 400, Seed: 3,
+		},
+		Link: &LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1},
 	}
 	run := func(seed uint64) *OffloadResult {
-		s, err := NewSession(
-			WithOffload(base),
-			WithLink(LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1}),
-			WithLinkDynamics(&LinkDynamics{Process: &MarkovBandwidth{
-				GoodRate: 26_000, BadRate: 10_000,
-				PGoodBad: 0.1, PBadGood: 0.2,
-			}}),
-			WithSeed(seed),
-		)
+		p := base
+		p.Dynamics = &LinkDynamics{Process: &MarkovBandwidth{
+			GoodRate: 26_000, BadRate: 10_000,
+			PGoodBad: 0.1, PBadGood: 0.2,
+		}}
+		s, err := NewSession(WithOffload(p), WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,15 +614,12 @@ func TestSessionOffloadWithDynamics(t *testing.T) {
 	}
 	// LinkDynamics.Seed decouples the dynamics stream from the capture
 	// seed: same session seed, different dynamics seed, different path.
-	s, err := NewSession(
-		WithOffload(base),
-		WithLink(LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1}),
-		WithLinkDynamics(&LinkDynamics{
-			Process: &MarkovBandwidth{GoodRate: 26_000, BadRate: 10_000, PGoodBad: 0.1, PBadGood: 0.2},
-			Seed:    999,
-		}),
-		WithSeed(7),
-	)
+	p := base
+	p.Dynamics = &LinkDynamics{
+		Process: &MarkovBandwidth{GoodRate: 26_000, BadRate: 10_000, PGoodBad: 0.1, PBadGood: 0.2},
+		Seed:    999,
+	}
+	s, err := NewSession(WithOffload(p), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,13 +639,15 @@ func TestSessionOffloadWithDynamics(t *testing.T) {
 func TestSessionOffloadDynamicsConcurrentRuns(t *testing.T) {
 	s, err := NewSession(
 		WithOffload(OffloadParams{
-			Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
-			KneeSlot: 50, Slots: 200, Seed: 3,
+			ScenarioParams: ScenarioParams{
+				Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
+				KneeSlot: 50, Slots: 200, Seed: 3,
+			},
+			Link: &LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1},
+			Dynamics: &LinkDynamics{Process: &MarkovBandwidth{
+				GoodRate: 26_000, BadRate: 10_000, PGoodBad: 0.1, PBadGood: 0.2,
+			}},
 		}),
-		WithLink(LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1}),
-		WithLinkDynamics(&LinkDynamics{Process: &MarkovBandwidth{
-			GoodRate: 26_000, BadRate: 10_000, PGoodBad: 0.1, PBadGood: 0.2,
-		}}),
 		WithSeed(7),
 	)
 	if err != nil {

@@ -83,8 +83,10 @@ func TestTelemetryGoldens(t *testing.T) {
 			name: "offload",
 			opts: func(t *testing.T) []Option {
 				return []Option{
-					WithOffload(OffloadParams{Samples: 40_000, KneeSlot: 50}),
-					WithLink(LinkConfig{LatencySlots: 1, JitterSlots: 0.3, LossProb: 0.2}),
+					WithOffload(OffloadParams{
+						ScenarioParams: ScenarioParams{Samples: 40_000, KneeSlot: 50},
+						Link:           &LinkConfig{LatencySlots: 1, JitterSlots: 0.3, LossProb: 0.2},
+					}),
 					WithSlots(slots),
 					WithSeed(5),
 				}
