@@ -1,7 +1,7 @@
-// Package names maps the CLI-facing allocator and policy grammars
-// shared by qarvsim, qarvfleet, and qarvsweep onto the qarv facade, so
-// the three commands parse one grammar, print one enumeration in flag
-// help, and fail with errors that list every valid name.
+// Package names maps the CLI-facing allocator, policy and -net network
+// grammars shared by qarvsim, qarvfleet, and qarvsweep onto the qarv
+// facade, so the commands parse one grammar, print one enumeration in
+// flag help, and fail with errors that list every valid name.
 package names
 
 import (
@@ -74,4 +74,43 @@ func List(s string) []string {
 		}
 	}
 	return out
+}
+
+// NetworkUsage enumerates the -net class names of qarvsim and qarvfleet
+// for flag help. qarvsweep's net axis has its own grammar.
+const NetworkUsage = "static, markov, trace[:FILE], handoff"
+
+// NetworkFactory builds a -net class's capacity-factor process — a
+// unitless multiplier around 1 for a qarv.ModulatedService Factor. The
+// stochastic classes call rng once for the stream they draw from; the
+// trace class never calls it, so it consumes no stream.
+type NetworkFactory func(rng func() *qarv.RNG) qarv.ServiceProcess
+
+// Network resolves a -net class token: static (or empty), markov (the
+// qarv.DefaultMarkovFactor chain), trace[:FILE] (the built-in diurnal
+// factor trace, or FILE peak-normalized) or handoff (the
+// qarv.DefaultHandoffFactor process). static resolves to a nil factory:
+// the service stands unmodulated. A trace file is loaded once, here; the
+// trace is a pure function of the slot, so every process the factory
+// returns shares it.
+func Network(token string) (NetworkFactory, error) {
+	traceFile := ""
+	if file, ok := strings.CutPrefix(token, "trace:"); ok {
+		token, traceFile = "trace", file
+	}
+	switch token {
+	case "", "static":
+		return nil, nil
+	case "markov":
+		return func(rng func() *qarv.RNG) qarv.ServiceProcess { return qarv.DefaultMarkovFactor(rng()) }, nil
+	case "trace":
+		tb, err := qarv.LoadFactorTrace(traceFile)
+		if err != nil {
+			return nil, err
+		}
+		return func(func() *qarv.RNG) qarv.ServiceProcess { return tb }, nil
+	case "handoff":
+		return func(rng func() *qarv.RNG) qarv.ServiceProcess { return qarv.DefaultHandoffFactor(rng()) }, nil
+	}
+	return nil, fmt.Errorf("unknown network class %q (want %s)", token, NetworkUsage)
 }

@@ -70,8 +70,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -101,7 +103,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	churn := fs.Float64("churn", 0, "per-slot departure hazard in [0,1); departures backfill")
 	seed := fs.Uint64("seed", 1, "fleet seed (deterministic report for a given spec+seed)")
 	mix := fs.String("mix", "proposed:0.7,noisy:0.15,bursty:0.15", "weighted profile mix: name:weight,...")
-	netMix := fs.String("net", "static", "weighted network-class mix crossed with -mix: static, markov, trace[:FILE], handoff (class:weight,...)")
+	netMix := fs.String("net", "static", "weighted network-class mix crossed with -mix: "+names.NetworkUsage+" (class:weight,...)")
 	acc := fs.Float64("acc", 0.01, "quantile-sketch relative accuracy")
 	samples := fs.Int("samples", 60_000, "synthetic capture surface samples (scenario calibration)")
 	serviceFrac := fs.Float64("service-frac", 0.6, "service rate position in (a(d_max-1), a(d_max))")
@@ -340,13 +342,16 @@ func offloadProfile(scn *qarv.Scenario, name string, weight float64) (qarv.Profi
 	if err != nil {
 		return qarv.Profile{}, fmt.Errorf("offload utility model: %w", err)
 	}
-	dMax, second := depths[0], depths[0]
+	// The deepest two distinct depths, in any list order (one distinct
+	// depth serves as both).
+	dMax, second := slices.Max(depths), math.MinInt
 	for _, d := range depths {
-		if d > dMax {
-			second, dMax = dMax, d
-		} else if d > second {
+		if d < dMax && d > second {
 			second = d
 		}
+	}
+	if second == math.MinInt {
+		second = dMax
 	}
 	frac := scn.Params.ServiceFraction
 	bandwidth := cost.FrameCost(second) + frac*(cost.FrameCost(dMax)-cost.FrameCost(second))
@@ -377,9 +382,9 @@ func offloadProfile(scn *qarv.Scenario, name string, weight float64) (qarv.Profi
 type netClass struct {
 	name   string
 	weight float64
-	// wrap modulates a profile's service by the class's capacity-factor
-	// process; nil leaves the service untouched (static).
-	wrap func(rng *qarv.RNG, inner qarv.ServiceProcess) qarv.ServiceProcess
+	// newFactor builds the class's capacity-factor process; nil leaves
+	// the service untouched (static).
+	newFactor names.NetworkFactory
 }
 
 // parseNetMix builds the network-class list from
@@ -423,11 +428,15 @@ func parseNetMix(mix string) ([]netClass, error) {
 		default:
 			return nil, fmt.Errorf("net entry %q: want class[:weight] or trace:FILE[:weight]", entry)
 		}
-		c, err := buildNetClass(name, weight, file)
+		token := name
+		if file != "" {
+			token += ":" + file
+		}
+		newFactor, err := names.Network(token)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, c)
+		out = append(out, netClass{name: name, weight: weight, newFactor: newFactor})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty -net %q", mix)
@@ -435,46 +444,15 @@ func parseNetMix(mix string) ([]netClass, error) {
 	return out, nil
 }
 
-// buildNetClass maps a -net name to its capacity-factor regime. The
-// factor processes are built per session from the session's service RNG
-// stream, so mixes stay byte-deterministic per seed at any shard count.
-func buildNetClass(name string, weight float64, file string) (netClass, error) {
-	c := netClass{name: name, weight: weight}
-	switch name {
-	case "static":
-	case "markov":
-		c.wrap = func(rng *qarv.RNG, inner qarv.ServiceProcess) qarv.ServiceProcess {
-			mb := qarv.DefaultMarkovFactor(rng.Split())
-			return &qarv.ModulatedService{Inner: inner, Factor: mb.Bandwidth}
-		}
-	case "trace":
-		tb, err := qarv.LoadFactorTrace(file)
-		if err != nil {
-			return c, err
-		}
-		// The trace is a pure function of the slot — one instance is
-		// safely shared by every session and shard.
-		c.wrap = func(_ *qarv.RNG, inner qarv.ServiceProcess) qarv.ServiceProcess {
-			return &qarv.ModulatedService{Inner: inner, Factor: tb.Bandwidth}
-		}
-	case "handoff":
-		c.wrap = func(rng *qarv.RNG, inner qarv.ServiceProcess) qarv.ServiceProcess {
-			hb := qarv.DefaultHandoffFactor(rng.Split())
-			return &qarv.ModulatedService{Inner: inner, Factor: hb.Bandwidth}
-		}
-	default:
-		return c, fmt.Errorf("unknown network class %q (want static, markov, trace[:FILE], handoff)", name)
-	}
-	return c, nil
-}
-
 // crossNetwork crosses the policy mix with the network mix: every
 // (profile, class) pair becomes one fleet device class (weights
 // multiply), the class's factor process modulating the profile's own
 // service. A pure static -net leaves the profiles untouched, so default
-// runs are unchanged.
+// runs are unchanged. Each session's factor draws from a child of the
+// session's service RNG, split after the inner service is built, so
+// mixes stay byte-deterministic per seed at any shard count.
 func crossNetwork(profiles []qarv.Profile, classes []netClass) []qarv.Profile {
-	if len(classes) == 1 && classes[0].wrap == nil {
+	if len(classes) == 1 && classes[0].newFactor == nil {
 		return profiles
 	}
 	out := make([]qarv.Profile, 0, len(profiles)*len(classes))
@@ -482,12 +460,12 @@ func crossNetwork(profiles []qarv.Profile, classes []netClass) []qarv.Profile {
 		for _, c := range classes {
 			combined := p
 			combined.Weight = p.Weight * c.weight
-			if c.wrap != nil {
+			if c.newFactor != nil {
 				combined.Name = p.Name + "+" + c.name
-				inner := p.NewService
-				wrap := c.wrap
+				newInner, newFactor := p.NewService, c.newFactor
 				combined.NewService = func(rng *qarv.RNG) qarv.ServiceProcess {
-					return wrap(rng, inner(rng))
+					inner := newInner(rng)
+					return &qarv.ModulatedService{Inner: inner, Factor: newFactor(rng.Split)}
 				}
 			}
 			out = append(out, combined)

@@ -365,3 +365,26 @@ func TestRunTelemetrySmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestOffloadProfileDepthOrder: the offload profile's uplink bandwidth
+// sits between the two deepest depths whatever order the scenario
+// lists its depths in. A deepest-first list used to pick the deepest
+// depth as its own runner-up and fail calibration.
+func TestOffloadProfileDepthOrder(t *testing.T) {
+	rate := func(depths []int) float64 {
+		t.Helper()
+		scn, err := qarv.NewScenario(qarv.ScenarioParams{Samples: 30_000, Depths: depths})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := offloadProfile(scn, "offload", 1)
+		if err != nil {
+			t.Fatalf("depths %v: %v", depths, err)
+		}
+		return p.NewService(nil).Service(0)
+	}
+	asc, desc := rate([]int{5, 6, 7, 8, 9, 10}), rate([]int{10, 9, 8, 7, 6, 5})
+	if asc != desc {
+		t.Errorf("bandwidth depends on depth order: ascending %v, descending %v", asc, desc)
+	}
+}

@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	chart := fs.Bool("chart", false, "render ASCII backlog/depth charts")
 	devices := fs.Int("devices", 0, "run N devices sharing the edge budget (0 = single device)")
 	allocName := fs.String("alloc", "", "multi-device budget split: "+names.AllocatorUsage()+" (default equal)")
-	netName := fs.String("net", "static", "network dynamics modulating the service: static, markov, trace[:FILE], handoff")
+	netName := fs.String("net", "static", "network dynamics modulating the service: "+names.NetworkUsage)
 	contentAsset := fs.String("content", "", "ground the run in a measured content profile: synthetic asset name or a .ply file (cost/utility become the asset's measured byte/PSNR ladders)")
 	sinks := telemetry.Flags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -286,33 +286,15 @@ func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *tel
 
 // netService builds the -net dynamics as a service process modulating
 // the given base rate: a nil process (with label "static") means the
-// scenario's own constant service stands. The factor processes are the
-// same netem types the offload dynamics use; their RNGs derive from the
-// run seed so repeated runs replay the same capacity path.
+// scenario's own constant service stands. The factor's RNG derives from
+// the run seed so repeated runs replay the same capacity path.
 func netService(name string, rate float64, seed uint64) (qarv.ServiceProcess, string, error) {
-	base := &qarv.ConstantService{Rate: rate}
-	traceFile := ""
-	if file, ok := strings.CutPrefix(name, "trace:"); ok {
-		name, traceFile = "trace", file
+	newFactor, err := names.Network(name)
+	if err != nil || newFactor == nil {
+		return nil, "static", err
 	}
-	switch name {
-	case "", "static":
-		return nil, "static", nil
-	case "markov":
-		mb := qarv.DefaultMarkovFactor(qarv.NewRNG(seed ^ 0x6e6574))
-		return &qarv.ModulatedService{Inner: base, Factor: mb.Bandwidth}, mb.Name(), nil
-	case "trace":
-		tb, err := qarv.LoadFactorTrace(traceFile)
-		if err != nil {
-			return nil, "", err
-		}
-		return &qarv.ModulatedService{Inner: base, Factor: tb.Bandwidth}, tb.Name(), nil
-	case "handoff":
-		hb := qarv.DefaultHandoffFactor(qarv.NewRNG(seed ^ 0x6e6574))
-		return &qarv.ModulatedService{Inner: base, Factor: hb.Bandwidth}, hb.Name(), nil
-	default:
-		return nil, "", fmt.Errorf("unknown network %q (want static, markov, trace[:FILE], handoff)", name)
-	}
+	factor := newFactor(func() *qarv.RNG { return qarv.NewRNG(seed ^ 0x6e6574) })
+	return &qarv.ModulatedService{Inner: &qarv.ConstantService{Rate: rate}, Factor: factor}, factor.Name(), nil
 }
 
 // buildPolicy resolves -policy through the shared CLI grammar

@@ -26,6 +26,11 @@
 // asset's measured byte/PSNR ladders), viewdist (ASSET:D1,D2,... —
 // view-PSNR at each camera distance in meters). Unknown kinds are
 // rejected with the list.
+//
+// The net axis has its own grammar: a bare markov is the mean-preserving
+// NetworkMarkov(0.6) shape (good ×1.6, bad ×0.4, 10-slot dwells), not
+// the markov class of qarvsim and qarvfleet -net, which is the
+// DefaultMarkovFactor preset (×1 / ×0.3, mean dwells 20 and 4 slots).
 package main
 
 import (
@@ -91,7 +96,9 @@ func parseFlags(args []string) (options, error) {
 	var o options
 	var seed int64
 	var axes axisFlags
-	fs.Var(&axes, "axis", "axis spec name=v1,v2,... (repeatable): v, rate, arrivals, slots, net, alloc, policy, content, viewdist")
+	fs.Var(&axes, "axis", "axis spec name=v1,v2,... (repeatable): v, rate, arrivals, slots, net, alloc, policy, content, viewdist. "+
+		"net takes static, markov[:VOL[:DWELL]], handoff, trace[:FILE]; a bare markov is the mean-preserving volatility-0.6 shape "+
+		"(x1.6/x0.4, 10-slot dwells), not the -net markov preset of qarvsim and qarvfleet (x1/x0.3, dwells 20/4)")
 	fs.StringVar(&o.backend, "backend", "pool", "cell executor: pool (in-process) or fleet (a session population per cell)")
 	fs.IntVar(&o.sessions, "sessions", 256, "sessions per cell on the fleet backend")
 	fs.IntVar(&o.workers, "workers", 0, "concurrent cells (0 = GOMAXPROCS); output is identical for every value")

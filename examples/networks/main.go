@@ -5,13 +5,14 @@
 // related edge-MAR work actually target. This example runs the same
 // calibrated controller through four network regimes, three ways:
 //
-//  1. Single sessions whose *service* is the network: the netem
-//     bandwidth processes (constant, Markov good/bad fading, piecewise
-//     trace replay, mobility handoffs) double as service processes, so
-//     WithService plugs them straight into the slot loop.
+//  1. Single sessions whose *service* is the network: the network
+//     processes (constant, Markov good/bad fading, piecewise trace
+//     replay, mobility handoffs) are service processes, so WithService
+//     plugs them straight into the slot loop.
 //  2. An offload session whose *uplink* is the network:
-//     OffloadParams.Dynamics retunes the emulated link every slot while
-//     the controller stabilizes the transmit queue in bytes.
+//     OffloadParams.Dynamics, a factor on the calibrated bandwidth,
+//     retunes the emulated link every slot while the controller
+//     stabilizes the transmit queue in bytes.
 //  3. The volatility ablation: a sweep over NetworkMarkov shapes, a
 //     fleet per volatility point under a mean-preserving capacity
 //     spread — same average bandwidth, rising variance — showing quality
@@ -96,11 +97,12 @@ func run() error {
 	// --- 2. Offload over a fading uplink --------------------------------
 	//
 	// The controller now ships octree streams (bytes) over the emulated
-	// link; LinkDynamics retunes the link's serialization rate every
-	// slot, and outage slots suspend it entirely. Already-scheduled
+	// link; Dynamics, a factor on the calibrated bandwidth, retunes the
+	// link's serialization rate every slot, and outage slots suspend it
+	// entirely. Already-scheduled
 	// deliveries are never revised — the controller sees the backlog
 	// through the link's exact byte accounting instead.
-	offload := func(dyn *qarv.LinkDynamics) (*qarv.OffloadResult, error) {
+	offload := func(dyn qarv.ServiceProcess) (*qarv.OffloadResult, error) {
 		s, err := qarv.NewSession(
 			qarv.WithOffload(qarv.OffloadParams{
 				ScenarioParams: qarv.ScenarioParams{Samples: 60_000, KneeSlot: 200},
@@ -121,10 +123,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	faded, err := offload(&qarv.LinkDynamics{Process: &qarv.MarkovBandwidth{
-		GoodRate: 1.3 * static.Bandwidth, BadRate: 0.5 * static.Bandwidth,
+	faded, err := offload(&qarv.MarkovBandwidth{
+		GoodRate: 1.3, BadRate: 0.5,
 		PGoodBad: 0.05, PBadGood: 0.15,
-	}})
+	})
 	if err != nil {
 		return err
 	}

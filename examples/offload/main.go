@@ -26,6 +26,16 @@ func main() {
 }
 
 func run() error {
+	// The drop is a factor on the calibrated uplink bandwidth: ×1, then
+	// ×0.5 for slots 900-1200, then ×1 again.
+	drop, err := qarv.NewTraceBandwidth([]qarv.TracePoint{
+		{Slot: 0, BytesPerSlot: 1},
+		{Slot: 900, BytesPerSlot: 0.5},
+		{Slot: 1200, BytesPerSlot: 1},
+	}, 0)
+	if err != nil {
+		return err
+	}
 	sess, err := qarv.NewSession(qarv.WithOffload(qarv.OffloadParams{
 		ScenarioParams: qarv.ScenarioParams{
 			Samples:  60_000,
@@ -33,9 +43,7 @@ func run() error {
 			KneeSlot: 250,
 			Seed:     11,
 		},
-		DropStart:  900,
-		DropEnd:    1200,
-		DropFactor: 0.5, // uplink halves for 300 slots
+		Dynamics: drop, // uplink halves for 300 slots
 	}))
 	if err != nil {
 		return err

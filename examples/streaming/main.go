@@ -46,19 +46,22 @@ func run() error {
 	arrivals := &qarv.OnOffArrivals{OnSlots: 30, OffSlots: 10, PerSlotOn: 2}
 
 	// Device capacity: jittery, with a thermal-throttling window at 60%
-	// capacity between slots 1200 and 1600.
+	// capacity between slots 1200 and 1600 — a three-point factor trace.
+	throttle, err := qarv.NewTraceBandwidth([]qarv.TracePoint{
+		{Slot: 0, BytesPerSlot: 1},
+		{Slot: 1200, BytesPerSlot: 0.6},
+		{Slot: 1600, BytesPerSlot: 1},
+	}, 0)
+	if err != nil {
+		return err
+	}
 	service := &qarv.ModulatedService{
 		Inner: &qarv.NoisyService{
 			Mean: 2.2 * scn.ServiceRate, // headroom for the 1.5×-load bursts
 			Std:  0.1 * scn.ServiceRate,
 			RNG:  qarv.NewRNG(7),
 		},
-		Factor: func(t int) float64 {
-			if t >= 1200 && t < 1600 {
-				return 0.6
-			}
-			return 1
-		},
+		Factor: throttle,
 	}
 
 	// The Session composes the calibrated scenario with the stressed

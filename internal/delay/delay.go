@@ -9,6 +9,8 @@ package delay
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"time"
 
 	"qarv/internal/geom"
@@ -146,14 +148,22 @@ func (c Calibration) ServiceBudget(slotDuration time.Duration) float64 {
 	return usable / c.NanosPerPoint
 }
 
-// ServiceProcess yields the device's per-slot processing capacity b(t) in
-// work units. Implementations must be deterministic given their RNG.
+// ServiceProcess yields a per-slot capacity b(t): the device's
+// processing capacity in work units, the shared edge budget an
+// allocator splits, or — as a unitless factor — the modulation of an
+// uplink's bandwidth. Implementations must be deterministic given their
+// RNG. A stateful process is advanced by non-decreasing t, one slot loop
+// per instance, and returns the same value for repeated calls with the
+// same t.
 type ServiceProcess interface {
 	// Service returns the capacity of slot t.
 	Service(t int) float64
 	// Name identifies the process in traces.
 	Name() string
 }
+
+// ErrBadConstant reports a non-positive or non-finite constant rate.
+var ErrBadConstant = errors.New("delay: constant service rate must be positive")
 
 // ConstantService provides a fixed capacity per slot.
 type ConstantService struct {
@@ -167,6 +177,15 @@ func (s *ConstantService) Service(int) float64 { return s.Rate }
 
 // Name implements ServiceProcess.
 func (s *ConstantService) Name() string { return "constant" }
+
+// Validate checks the rate, so a forgotten (zero-value) Rate fails where
+// a process is validated instead of serving nothing every slot.
+func (s *ConstantService) Validate() error {
+	if s.Rate <= 0 || math.IsNaN(s.Rate) || math.IsInf(s.Rate, 0) {
+		return fmt.Errorf("%w: %v", ErrBadConstant, s.Rate)
+	}
+	return nil
+}
 
 // NoisyService draws capacity from a truncated Gaussian (never negative),
 // modeling OS jitter and thermal variation on a mobile device.
@@ -207,17 +226,14 @@ func (s *NoisyService) Clone() *NoisyService {
 	return &c
 }
 
-// ModulatedService multiplies an inner process's capacity by a
-// time-varying factor — the failure-injection hook (thermal throttling,
-// background contention) used by the robustness experiments and the
-// CLIs' -net network classes. It has no Reseed: a stochastic Factor
-// (e.g. a netem.MarkovBandwidth method value) must be seeded
-// explicitly by the caller — qarv.WithSeed cannot see through the
-// closure, and an unseeded stochastic factor stays pinned to its start
-// state.
+// ModulatedService multiplies an inner process's capacity by a factor
+// process's value for the same slot — the failure-injection hook
+// (thermal throttling, background contention, fading, handoffs) used by
+// the robustness experiments and the CLIs' -net network classes. A nil
+// Factor is the identity; a negative factor clamps to zero.
 type ModulatedService struct {
 	Inner  ServiceProcess
-	Factor func(t int) float64
+	Factor ServiceProcess
 }
 
 var _ ServiceProcess = (*ModulatedService)(nil)
@@ -226,7 +242,7 @@ var _ ServiceProcess = (*ModulatedService)(nil)
 func (s *ModulatedService) Service(t int) float64 {
 	f := 1.0
 	if s.Factor != nil {
-		f = s.Factor(t)
+		f = s.Factor.Service(t)
 	}
 	if f < 0 {
 		f = 0
@@ -237,20 +253,44 @@ func (s *ModulatedService) Service(t int) float64 {
 // Name implements ServiceProcess.
 func (s *ModulatedService) Name() string { return "modulated(" + s.Inner.Name() + ")" }
 
-// TraceService replays a recorded capacity trace, cycling at the end.
-type TraceService struct {
-	Trace []float64
-}
-
-var _ ServiceProcess = (*TraceService)(nil)
-
-// Service implements ServiceProcess.
-func (s *TraceService) Service(t int) float64 {
-	if len(s.Trace) == 0 {
-		return 0
+// Reseed hands Inner and then Factor each a child stream of rng,
+// skipping (without consuming a stream) a process that has no Reseed —
+// so qarv.WithSeed reaches a stochastic factor like any other
+// component.
+func (s *ModulatedService) Reseed(rng *geom.RNG) {
+	for _, p := range []ServiceProcess{s.Inner, s.Factor} {
+		if r, ok := p.(interface{ Reseed(*geom.RNG) }); ok {
+			r.Reseed(rng.Split())
+		}
 	}
-	return s.Trace[t%len(s.Trace)]
 }
 
-// Name implements ServiceProcess.
-func (s *TraceService) Name() string { return "trace" }
+// Clone returns a run-isolated copy whose Inner and Factor are cloned
+// through CloneProcess.
+func (s *ModulatedService) Clone() *ModulatedService {
+	if s == nil {
+		return nil
+	}
+	return &ModulatedService{Inner: CloneProcess(s.Inner), Factor: CloneProcess(s.Factor)}
+}
+
+// CloneProcess returns a copy of p for one run, so per-run state never
+// leaks between runs. A process with a Clone method returning its own
+// type — the Reseed/Clone contract every stateful process in this
+// module implements, whichever package defines it — is deep-copied
+// through that method. Any other process is returned as is: it must
+// hold no per-run state (ConstantService and a trace replay are pure
+// functions of t), or its owner must not run it concurrently.
+func CloneProcess(p ServiceProcess) ServiceProcess {
+	if p == nil {
+		return nil
+	}
+	clone := reflect.ValueOf(p).MethodByName("Clone")
+	if !clone.IsValid() || clone.Type().NumIn() != 0 || clone.Type().NumOut() != 1 {
+		return p
+	}
+	if c, ok := clone.Call(nil)[0].Interface().(ServiceProcess); ok {
+		return c
+	}
+	return p
+}

@@ -1,6 +1,7 @@
 package delay
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -149,17 +150,21 @@ func TestNoisyService(t *testing.T) {
 	}
 }
 
+// stepFactor is a stateless test factor: 0.25 during [10, 20), else 1.
+type stepFactor struct{}
+
+func (stepFactor) Service(t int) float64 {
+	if t >= 10 && t < 20 {
+		return 0.25 // degradation window
+	}
+	return 1
+}
+
+func (stepFactor) Name() string { return "step" }
+
 func TestModulatedService(t *testing.T) {
 	inner := &ConstantService{Rate: 100}
-	s := &ModulatedService{
-		Inner: inner,
-		Factor: func(t int) float64 {
-			if t >= 10 && t < 20 {
-				return 0.25 // degradation window
-			}
-			return 1
-		},
-	}
+	s := &ModulatedService{Inner: inner, Factor: stepFactor{}}
 	if s.Service(5) != 100 {
 		t.Errorf("pre-window = %v", s.Service(5))
 	}
@@ -170,7 +175,7 @@ func TestModulatedService(t *testing.T) {
 		t.Errorf("post-window = %v", s.Service(25))
 	}
 	// Negative factors clamp to zero; nil factor is identity.
-	neg := &ModulatedService{Inner: inner, Factor: func(int) float64 { return -1 }}
+	neg := &ModulatedService{Inner: inner, Factor: &ConstantService{Rate: -1}}
 	if neg.Service(0) != 0 {
 		t.Error("negative factor must clamp to 0")
 	}
@@ -180,16 +185,61 @@ func TestModulatedService(t *testing.T) {
 	}
 }
 
-func TestTraceService(t *testing.T) {
-	s := &TraceService{Trace: []float64{1, 2, 3}}
-	want := []float64{1, 2, 3, 1, 2, 3, 1}
-	for i, w := range want {
-		if s.Service(i) != w {
-			t.Fatalf("slot %d = %v, want %v", i, s.Service(i), w)
+// TestModulatedServiceReseedAndClone: Reseed and Clone reach both the
+// inner process and the factor, so no stochastic factor escapes a
+// session seed or leaks state between runs.
+func TestModulatedServiceReseedAndClone(t *testing.T) {
+	orig := &ModulatedService{
+		Inner:  &NoisyService{Mean: 100, Std: 10},
+		Factor: &NoisyService{Mean: 1, Std: 0.2},
+	}
+	orig.Reseed(geom.NewRNG(3))
+	inner, factor := orig.Inner.(*NoisyService), orig.Factor.(*NoisyService)
+	if inner.RNG == nil || factor.RNG == nil || inner.RNG == factor.RNG {
+		t.Fatal("Reseed must hand Inner and Factor distinct streams")
+	}
+	c := orig.Clone()
+	if c.Inner == orig.Inner || c.Factor == orig.Factor {
+		t.Fatal("Clone must deep-copy Inner and Factor")
+	}
+	for slot := 0; slot < 50; slot++ {
+		if a, b := orig.Service(slot), c.Service(slot); a != b {
+			t.Fatalf("slot %d: clone diverged from original: %v vs %v", slot, a, b)
 		}
 	}
-	empty := &TraceService{}
-	if empty.Service(0) != 0 {
-		t.Error("empty trace must serve 0")
+	if (*ModulatedService)(nil).Clone() != nil {
+		t.Error("nil clone not nil")
+	}
+}
+
+func TestCloneProcess(t *testing.T) {
+	if CloneProcess(nil) != nil {
+		t.Error("nil process cloned to non-nil")
+	}
+	// Stateless processes are shared; stateful ones deep-copied.
+	cs := &ConstantService{Rate: 5}
+	if CloneProcess(cs) != ServiceProcess(cs) {
+		t.Error("constant service should be shared")
+	}
+	ns := &NoisyService{Mean: 10, Std: 1, RNG: geom.NewRNG(1)}
+	c, ok := CloneProcess(ns).(*NoisyService)
+	if !ok || c == ns || c.RNG == ns.RNG {
+		t.Fatalf("noisy clone not deep: %#v", c)
+	}
+	if c.Service(0) != ns.Service(0) {
+		t.Error("clone must continue the original's stream")
+	}
+}
+
+// Regression: a forgotten (zero-value) constant rate must fail
+// validation instead of serving nothing every slot.
+func TestConstantServiceValidate(t *testing.T) {
+	for _, rate := range []float64{0, -5, math.NaN(), math.Inf(1)} {
+		if err := (&ConstantService{Rate: rate}).Validate(); !errors.Is(err, ErrBadConstant) {
+			t.Errorf("rate %v: %v", rate, err)
+		}
+	}
+	if err := (&ConstantService{Rate: 10}).Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -139,14 +139,13 @@ type SharedUplinkParams struct {
 	// devices of arrivals × cost scale). Each device's V is calibrated
 	// against its own scaled reference share either way.
 	Link *netem.LinkConfig
-	// BandwidthProcess, when non-nil, makes the shared uplink's total
-	// serialization capacity time-varying: the allocator splits
-	// whatever the process yields each slot (in absolute bytes/slot)
-	// instead of the constant bandwidth above. The static sizing still
-	// anchors V calibration and the propagation link; stochastic
-	// processes are reseeded deterministically from Seed at the start
-	// of every run, so repeated runs replay the same capacity path.
-	BandwidthProcess netem.BandwidthProcess
+	// Dynamics, when non-nil, makes the uplink's total capacity
+	// time-varying, as for OffloadParams: the allocator splits
+	// Bandwidth × Dynamics.Service(t) each slot. The static bandwidth
+	// still anchors V calibration and the propagation link. Each run
+	// works on a clone reseeded from Seed, so repeated runs replay the
+	// same capacity path.
+	Dynamics delay.ServiceProcess
 	// Observer receives every device's slot event (Device indexes the
 	// fleet); Arrived/Served/Backlog are in bytes.
 	Observer sim.Observer
@@ -168,20 +167,6 @@ func (p SharedUplinkParams) withDefaults() SharedUplinkParams {
 		p.Allocator = alloc.EqualSplit{}
 	}
 	return p
-}
-
-// validate checks resolved parameters before the capture: the checks
-// every uplink run shares, then the bandwidth process.
-func (p SharedUplinkParams) validate() error {
-	if err := validateUplink(p.ScenarioParams, p.Link); err != nil {
-		return err
-	}
-	if v, ok := p.BandwidthProcess.(interface{ Validate() error }); ok {
-		if err := v.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SharedUplinkDeviceRow summarizes one device of the shared-uplink run.
@@ -214,22 +199,6 @@ type SharedUplinkResult struct {
 	LossCount   int
 }
 
-// bandwidthService adapts a netem.BandwidthProcess into the
-// delay.ServiceProcess the multi-device engine consumes: the per-slot
-// uplink capacity becomes the shared budget the allocator splits.
-// Outage slots (non-positive rates) become zero capacity.
-type bandwidthService struct{ p netem.BandwidthProcess }
-
-func (s bandwidthService) Service(t int) float64 {
-	r := s.p.Bandwidth(t)
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-func (s bandwidthService) Name() string { return s.p.Name() }
-
 // SharedUplink runs the fleet against one emulated uplink.
 func SharedUplink(params SharedUplinkParams) (*SharedUplinkResult, error) {
 	return SharedUplinkContext(context.Background(), params)
@@ -242,7 +211,7 @@ func SharedUplink(params SharedUplinkParams) (*SharedUplinkResult, error) {
 // serializes — lost frames still consumed uplink bytes.
 func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*SharedUplinkResult, error) {
 	p := params.withDefaults()
-	if err := p.validate(); err != nil {
+	if err := validateUplink(p.ScenarioParams, p.Link, p.Dynamics); err != nil {
 		return nil, err
 	}
 	// The scenario sits at the per-device reference bandwidth, as in
@@ -274,15 +243,9 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 	}
 
 	var service delay.ServiceProcess = &delay.ConstantService{Rate: bandwidth}
-	if p.BandwidthProcess != nil {
-		// Run on a deep copy reseeded from Seed: the caller's process
-		// is never mutated and repeated runs replay the same capacity
-		// path.
-		proc := netem.CloneProcess(p.BandwidthProcess)
-		if r, ok := proc.(interface{ Reseed(*geom.RNG) }); ok {
-			r.Reseed(geom.NewRNG(p.Seed ^ 0x73686172)) // "shar"
-		}
-		service = bandwidthService{proc}
+	if p.Dynamics != nil {
+		p.Dynamics = runDynamics(p.Dynamics, geom.NewRNG(p.Seed^0x73686172)) // "shar"
+		service = &delay.ModulatedService{Inner: service, Factor: p.Dynamics}
 	}
 	multi, err := sim.RunMultiContext(ctx, sim.MultiConfig{
 		Devices:   devices,

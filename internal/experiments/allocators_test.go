@@ -198,40 +198,6 @@ func TestSharedUplinkObserverTagsDevices(t *testing.T) {
 	}
 }
 
-func TestOffloadDropWindowValidation(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*OffloadParams)
-	}{
-		{"factor at 1 (no-op)", func(p *OffloadParams) { p.DropFactor = 1 }},
-		{"factor above 1", func(p *OffloadParams) { p.DropFactor = 1.5 }},
-		{"negative factor", func(p *OffloadParams) { p.DropFactor = -0.5 }},
-		{"negative start", func(p *OffloadParams) { p.DropFactor = 0.5; p.DropStart = -10; p.DropEnd = 100 }},
-		{"end before start", func(p *OffloadParams) { p.DropFactor = 0.5; p.DropStart = 200; p.DropEnd = 100 }},
-		{"end at start", func(p *OffloadParams) { p.DropFactor = 0.5; p.DropStart = 200; p.DropEnd = 200 }},
-		{"never restored", func(p *OffloadParams) { p.DropFactor = 0.5; p.DropStart = 100; p.DropEnd = 800 }},
-	}
-	for _, tc := range cases {
-		p := offloadParams()
-		tc.mutate(&p)
-		if err := p.Validate(); !errors.Is(err, ErrBadDropWindow) {
-			t.Errorf("%s: Validate = %v, want ErrBadDropWindow", tc.name, err)
-		}
-		// Direct Offload calls get the same rejection, not a silent no-op.
-		if _, err := Offload(p); !errors.Is(err, ErrBadDropWindow) {
-			t.Errorf("%s: Offload = %v, want ErrBadDropWindow", tc.name, err)
-		}
-	}
-	// A valid window still passes.
-	p := offloadParams()
-	p.DropFactor = 0.5
-	p.DropStart = 100
-	p.DropEnd = 300
-	if err := p.Validate(); err != nil {
-		t.Errorf("valid window rejected: %v", err)
-	}
-}
-
 func TestOffloadObserverReportsLoss(t *testing.T) {
 	p := offloadParams()
 	var offered, dropped float64
@@ -268,27 +234,18 @@ func TestOffloadObserverReportsLoss(t *testing.T) {
 }
 
 // TestSharedUplinkTimeVaryingCapacity: the shared uplink's total
-// serialization budget can come from a BandwidthProcess — the
-// allocator splits a capacity that moves every slot — and the run
-// stays deterministic per seed (the process is reseeded from Seed).
+// serialization budget can move every slot — Dynamics is a factor on
+// the auto-sized bandwidth the allocator splits — and the run stays
+// deterministic per seed (the process is reseeded from Seed).
 func TestSharedUplinkTimeVaryingCapacity(t *testing.T) {
 	run := func() *SharedUplinkResult {
-		// Mean-preserving Markov around the auto-sized bandwidth: the
-		// process rates are resolved from a static reference first.
-		ref, err := SharedUplink(SharedUplinkParams{
-			ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3},
-			Devices:        3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Mean-preserving Markov around the auto-sized bandwidth.
 		res, err := SharedUplink(SharedUplinkParams{
 			ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3},
 			Devices:        3,
 			Allocator:      alloc.NewMaxWeight(),
-			BandwidthProcess: &netem.MarkovBandwidth{
-				GoodRate: ref.Bandwidth * 1.4,
-				BadRate:  ref.Bandwidth * 0.6,
+			Dynamics: &netem.MarkovBandwidth{
+				GoodRate: 1.4, BadRate: 0.6,
 				PGoodBad: 0.1, PBadGood: 0.1,
 			},
 		})
@@ -318,9 +275,9 @@ func TestSharedUplinkTimeVaryingCapacity(t *testing.T) {
 	}
 	// An invalid process is rejected up front.
 	if _, err := SharedUplink(SharedUplinkParams{
-		ScenarioParams:   ScenarioParams{Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3},
-		Devices:          2,
-		BandwidthProcess: &netem.MarkovBandwidth{GoodRate: -1},
+		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3},
+		Devices:        2,
+		Dynamics:       &netem.MarkovBandwidth{GoodRate: -1},
 	}); !errors.Is(err, netem.ErrBadMarkov) {
 		t.Errorf("invalid process: %v", err)
 	}

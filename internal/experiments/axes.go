@@ -389,18 +389,16 @@ func NetworkHandoff() SweepNetwork {
 	return SweepNetwork{
 		Name: "handoff",
 		New: func(base float64, rng *geom.RNG) delay.ServiceProcess {
-			hb := netem.DefaultHandoffFactor(rng)
 			return &delay.ModulatedService{
 				Inner:  &delay.ConstantService{Rate: base},
-				Factor: hb.Bandwidth,
+				Factor: netem.DefaultHandoffFactor(rng),
 			}
 		},
 	}
 }
 
-// NetworkTrace replays a factor trace over the base capacity; each run
-// gets its own clone of the trace so concurrent cells never share
-// replay state.
+// NetworkTrace replays a factor trace over the base capacity. The trace
+// is a pure function of the slot, so every cell shares it.
 func NetworkTrace(tb *netem.TraceBandwidth) SweepNetwork {
 	n := SweepNetwork{Name: "trace"}
 	if tb == nil {
@@ -409,10 +407,9 @@ func NetworkTrace(tb *netem.TraceBandwidth) SweepNetwork {
 	}
 	n.Name = tb.Name()
 	n.New = func(base float64, _ *geom.RNG) delay.ServiceProcess {
-		clone := netem.CloneProcess(tb)
 		return &delay.ModulatedService{
 			Inner:  &delay.ConstantService{Rate: base},
-			Factor: clone.Bandwidth,
+			Factor: tb,
 		}
 	}
 	return n

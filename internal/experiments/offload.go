@@ -38,26 +38,18 @@ type OffloadParams struct {
 	// jitter, 1% loss, the bandwidth ServiceFraction sizes and the link
 	// RNG seeded from Seed.
 	Link *netem.LinkConfig
-	// BandwidthDrop, when set (DropFactor > 0), scales the bandwidth by
-	// DropFactor during [DropStart, DropEnd) — the handover/congestion
-	// failure injection. Validate rejects windows that would silently be
-	// a no-op or never restore the bandwidth: DropFactor must be in
-	// (0,1), DropStart non-negative, and DropStart < DropEnd < Slots.
-	DropStart, DropEnd int
-	DropFactor         float64
-	// Dynamics, when non-nil, makes the uplink time-varying: its
-	// BandwidthProcess retunes the link at the top of every slot
-	// (Markov-modulated capacity, trace replay, mobility handoffs with
-	// outage gaps). The static sizing above still fixes the reference
-	// bandwidth V is calibrated against; the process then modulates the
-	// live link. The controller observes the transmit queue through the
-	// link's exact byte accounting (netem.Link.BacklogBytes), since the
-	// delay×rate estimate is wrong the moment the rate moves. Dynamics
-	// RNGs are reseeded from Seed (or Dynamics.Seed when nonzero) at the
-	// start of every run, so reports stay byte-identical per seed.
-	// Mutually exclusive with BandwidthDrop — express a one-off drop as
-	// a three-point netem.TraceBandwidth instead.
-	Dynamics *netem.LinkDynamics
+	// Dynamics, when non-nil, makes the uplink time-varying: it is a
+	// factor on the calibrated bandwidth, so slot t serializes at
+	// Bandwidth × Dynamics.Service(t) — a Markov fading chain, a trace
+	// (a one-off drop is the three-point trace {0:1, start:f, end:1}),
+	// mobility handoffs with outage gaps; a non-positive rate is an
+	// outage slot. V stays calibrated at the static bandwidth. The
+	// controller observes the transmit queue through the link's exact
+	// byte accounting (netem.Link.BacklogBytes), since the delay×rate
+	// estimate is wrong the moment the rate moves. Each run works on a
+	// clone reseeded from Seed, so reports stay byte-identical per seed
+	// and the caller's process is never advanced.
+	Dynamics delay.ServiceProcess
 	// Observer, when non-nil, receives every slot's event as the control
 	// loop runs, after the run's own telemetry. Offload semantics differ
 	// from sim runs: each slot offers one frame (Frames is 1), Arrived is
@@ -74,61 +66,26 @@ type OffloadParams struct {
 	// offered/lost, backlog-bytes and latency distributions).
 	Metrics *obs.Registry
 	// Recorder, when non-nil, receives slot-timestamped records: per-
-	// slot spans, depth changes, frame losses, and — via the cloned
-	// LinkDynamics — netem rate changes and outages.
+	// slot spans, depth changes, frame losses, and the Dynamics' netem
+	// rate changes and outages.
 	Recorder *obs.FlightRecorder
 }
-
-// ErrBadDropWindow reports an invalid bandwidth-drop failure injection.
-var ErrBadDropWindow = errors.New("experiments: invalid bandwidth-drop window")
-
-// ErrDropWithDynamics reports BandwidthDrop combined with Dynamics: the
-// per-slot dynamics would silently overwrite the drop's SetBandwidth
-// calls, so the combination is rejected instead of misbehaving.
-var ErrDropWithDynamics = errors.New("experiments: BandwidthDrop and Dynamics are mutually exclusive (use a netem.TraceBandwidth for a one-off drop)")
 
 // Validate checks the parameters (after default resolution) without
 // building the capture: ServiceFraction must lie in (0,1), every
 // candidate depth must fit inside the capture lattice, the character
-// preset must exist, the link shape must be valid, and an enabled
-// bandwidth drop must describe a real, fully-contained window. The
-// Session API calls this once at construction; OffloadContext calls it
-// again so direct callers get the same rejection instead of a silent
-// no-op.
+// preset must exist, and the link shape and the Dynamics process must
+// be valid. The Session API calls this once at construction;
+// OffloadContext calls it again so direct callers get the same
+// rejection instead of a silent no-op.
 func (p OffloadParams) Validate() error {
-	d := p.ScenarioParams.withDefaults()
-	if err := validateUplink(d, p.Link); err != nil {
-		return err
-	}
-	if p.DropFactor != 0 {
-		switch {
-		case p.DropFactor < 0 || p.DropFactor >= 1:
-			return fmt.Errorf("%w: DropFactor %v not in (0,1)", ErrBadDropWindow, p.DropFactor)
-		case p.DropStart < 0:
-			return fmt.Errorf("%w: DropStart %d negative", ErrBadDropWindow, p.DropStart)
-		case p.DropEnd <= p.DropStart:
-			return fmt.Errorf("%w: DropEnd %d not after DropStart %d (the drop would never engage)",
-				ErrBadDropWindow, p.DropEnd, p.DropStart)
-		case p.DropEnd >= d.Slots:
-			return fmt.Errorf("%w: DropEnd %d beyond horizon %d (the bandwidth would never be restored)",
-				ErrBadDropWindow, p.DropEnd, d.Slots)
-		}
-	}
-	if p.Dynamics != nil {
-		if p.DropFactor != 0 {
-			return ErrDropWithDynamics
-		}
-		if err := p.Dynamics.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return validateUplink(p.ScenarioParams.withDefaults(), p.Link, p.Dynamics)
 }
 
 // validateUplink holds the checks both uplink runs make before any
-// capture: the resolved scenario parameters, the character preset, and
-// the link's shape.
-func validateUplink(p ScenarioParams, link *netem.LinkConfig) error {
+// capture: the resolved scenario parameters, the character preset, the
+// link's shape, and the dynamics process.
+func validateUplink(p ScenarioParams, link *netem.LinkConfig, dynamics delay.ServiceProcess) error {
 	if err := p.validate(); err != nil {
 		return err
 	}
@@ -146,7 +103,21 @@ func validateUplink(p ScenarioParams, link *netem.LinkConfig) error {
 			return err
 		}
 	}
+	if v, ok := dynamics.(interface{ Validate() error }); ok {
+		return v.Validate()
+	}
 	return nil
+}
+
+// runDynamics returns the run's own copy of an uplink's dynamics: a
+// clone of d (nil stays nil) reseeded from rng, so every run replays
+// the same capacity path without advancing the caller's process.
+func runDynamics(d delay.ServiceProcess, rng *geom.RNG) delay.ServiceProcess {
+	d = delay.CloneProcess(d)
+	if r, ok := d.(interface{ Reseed(*geom.RNG) }); ok {
+		r.Reseed(rng)
+	}
+	return d
 }
 
 // OffloadResult is the trajectory and delivery statistics of one offload
@@ -157,7 +128,7 @@ type OffloadResult struct {
 	Params    OffloadParams
 	Bandwidth float64 // bytes/slot
 	V         float64
-	// Network names the uplink's bandwidth dynamics ("static" for a
+	// Network names the uplink's dynamics ("static" for a
 	// fixed-parameter link).
 	Network string
 	Bytes   []int // stream bytes per depth (the cost profile)
@@ -280,31 +251,23 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 	if err != nil {
 		return nil, err
 	}
+	// Fresh dynamics per run, like the link RNG above.
+	p.Dynamics = runDynamics(p.Dynamics, geom.NewRNG(p.Seed^0x64796e61).Split()) // "dyna"
+	network := "static"
 	if p.Dynamics != nil {
-		// Fresh dynamics per run, like the link RNG above: the run
-		// works on a deep copy (the caller's structs are never mutated,
-		// so one Session can Run concurrently) reseeded from the
-		// capture seed (or the dynamics' own Seed), replaying the exact
-		// same capacity trajectory every run — byte-identical reports.
-		seed := p.Dynamics.Seed
-		if seed == 0 {
-			seed = p.Seed
-		}
-		p.Dynamics = p.Dynamics.Clone()
-		p.Dynamics.Recorder = p.Recorder
-		p.Dynamics.Reseed(geom.NewRNG(seed ^ 0x64796e61)) // "dyna"
+		network = p.Dynamics.Name()
 	}
 
 	res := &OffloadResult{
 		Params:       p,
 		Bandwidth:    bandwidth,
 		V:            scn.V,
-		Network:      p.Dynamics.Name(),
+		Network:      network,
 		Bytes:        bytesProfile,
 		BacklogBytes: make([]float64, p.Slots),
 		Depth:        make([]int, p.Slots),
 	}
-	var depthSum float64
+	var depthSum, lastRate float64
 	// Telemetry is the first observer, so its records land before
 	// anything the caller's observer does with the same slot.
 	observe := sim.Join(newOffloadTelemetry(p.Metrics, p.Recorder), p.Observer)
@@ -312,16 +275,6 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 	for t := 0; t < p.Slots; t++ {
 		if err := cancel.Check(); err != nil {
 			return nil, fmt.Errorf("experiments: offload canceled at slot %d: %w", t, err)
-		}
-		if p.DropFactor > 0 && t == p.DropStart {
-			if err := link.SetBandwidth(bandwidth * p.DropFactor); err != nil {
-				return nil, err
-			}
-		}
-		if p.DropFactor > 0 && t == p.DropEnd {
-			if err := link.SetBandwidth(bandwidth); err != nil {
-				return nil, err
-			}
 		}
 		// The controller observes the uplink backlog in bytes (the fluid
 		// queue the busy period implies). Static links keep the
@@ -331,7 +284,16 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 		// became.
 		var q float64
 		if p.Dynamics != nil {
-			p.Dynamics.Apply(link, t)
+			rate := bandwidth * p.Dynamics.Service(t)
+			if p.Recorder != nil && (t == 0 || rate != lastRate) {
+				name := "rate"
+				if rate <= 0 {
+					name = "outage"
+				}
+				p.Recorder.Event(int64(t), "netem", name, -1, rate)
+			}
+			lastRate = rate
+			link.ApplyRate(t, rate)
 			q = link.BacklogBytes(float64(t))
 		} else {
 			q = link.QueueDelay(t) * link.Bandwidth()

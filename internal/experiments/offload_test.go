@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"qarv/internal/delay"
 	"qarv/internal/netem"
 	"qarv/internal/queueing"
 )
@@ -79,9 +80,7 @@ func TestOffloadBytesProfileDrivesCost(t *testing.T) {
 func TestOffloadBandwidthDropRecovery(t *testing.T) {
 	p := offloadParams()
 	p.Slots = 1600
-	p.DropStart = 600
-	p.DropEnd = 1000
-	p.DropFactor = 0.5
+	p.Dynamics = dropTrace(t, 600, 1000, 0.5)
 	res, err := Offload(p)
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +94,21 @@ func TestOffloadBandwidthDropRecovery(t *testing.T) {
 	if meanIn >= meanOut {
 		t.Errorf("depth in drop window %.2f not below normal %.2f", meanIn, meanOut)
 	}
+}
+
+// dropTrace is the three-point factor trace of a one-off bandwidth drop
+// to factor during [start, end).
+func dropTrace(t *testing.T, start, end int, factor float64) *netem.TraceBandwidth {
+	t.Helper()
+	tb, err := netem.NewTraceBandwidth([]netem.TracePoint{
+		{Slot: 0, BytesPerSlot: 1},
+		{Slot: start, BytesPerSlot: factor},
+		{Slot: end, BytesPerSlot: 1},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
 }
 
 func meanDepthRange(depths []int, lo, hi int) float64 {
@@ -130,22 +144,22 @@ func TestOffloadBadCharacter(t *testing.T) {
 
 func TestOffloadDynamicsValidation(t *testing.T) {
 	p := offloadParams()
-	p.Dynamics = &netem.LinkDynamics{} // no process
-	if err := p.Validate(); !errors.Is(err, netem.ErrNilProcess) {
-		t.Errorf("nil process: %v", err)
-	}
-	p.Dynamics = &netem.LinkDynamics{Process: &netem.MarkovBandwidth{GoodRate: -1}}
+	p.Dynamics = &netem.MarkovBandwidth{GoodRate: -1}
 	if err := p.Validate(); !errors.Is(err, netem.ErrBadMarkov) {
 		t.Errorf("bad markov: %v", err)
 	}
-	// Dynamics and the legacy BandwidthDrop injection are mutually
-	// exclusive.
-	p = offloadParams()
-	p.Slots = 1600
-	p.DropStart, p.DropEnd, p.DropFactor = 600, 1000, 0.5
-	p.Dynamics = &netem.LinkDynamics{Process: &netem.ConstantBandwidth{Rate: 1}}
-	if err := p.Validate(); !errors.Is(err, ErrDropWithDynamics) {
-		t.Errorf("drop+dynamics: %v", err)
+	// A forgotten constant factor would be a permanent outage.
+	p.Dynamics = &delay.ConstantService{}
+	if err := p.Validate(); !errors.Is(err, delay.ErrBadConstant) {
+		t.Errorf("zero constant: %v", err)
+	}
+	p.Dynamics = &netem.TraceBandwidth{}
+	if err := p.Validate(); !errors.Is(err, netem.ErrEmptyTrace) {
+		t.Errorf("empty trace: %v", err)
+	}
+	p.Dynamics = &delay.ConstantService{Rate: 1}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -164,11 +178,10 @@ func TestOffloadMarkovDynamics(t *testing.T) {
 
 	run := func() *OffloadResult {
 		p := offloadParams()
-		p.Dynamics = &netem.LinkDynamics{Process: &netem.MarkovBandwidth{
-			GoodRate: static.Bandwidth * 1.5,
-			BadRate:  static.Bandwidth * 0.5,
+		p.Dynamics = &netem.MarkovBandwidth{
+			GoodRate: 1.5, BadRate: 0.5,
 			PGoodBad: 0.1, PBadGood: 0.1,
-		}}
+		}
 		res, err := Offload(p)
 		if err != nil {
 			t.Fatal(err)
@@ -202,19 +215,13 @@ func TestOffloadMarkovDynamics(t *testing.T) {
 // still avoids divergence.
 func TestOffloadHandoffDynamics(t *testing.T) {
 	p := offloadParams()
-	p.Dynamics = &netem.LinkDynamics{Process: &netem.HandoffBandwidth{
-		BaseRate:          1, // placeholder; scaled below once bandwidth is known
+	p.Dynamics = &netem.HandoffBandwidth{
+		BaseRate:          1,
 		MeanIntervalSlots: 150,
 		OutageSlots:       3,
 		ScaleLo:           0.8,
 		ScaleHi:           1.2,
-	}}
-	// Size the cell rate from a static reference run.
-	ref, err := Offload(offloadParams())
-	if err != nil {
-		t.Fatal(err)
 	}
-	p.Dynamics.Process.(*netem.HandoffBandwidth).BaseRate = ref.Bandwidth
 	res, err := Offload(p)
 	if err != nil {
 		t.Fatal(err)

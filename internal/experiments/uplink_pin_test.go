@@ -40,6 +40,9 @@ func pinDigest(t *testing.T, v any) string {
 // shaped by Bandwidth, LatencySlots, JitterSlots and LossProb scalars.
 // The "old ..." cases are those scalar forms rewritten as the Link
 // their defaults resolved to; they must keep the scalar forms' bytes.
+// The Markov cases were recorded with absolute-rate processes and are
+// now written as factors on the calibrated bandwidth, with the same
+// bytes.
 func TestUplinkRunsPinned(t *testing.T) {
 	base := offloadParams()
 	offload := func(mutate func(*OffloadParams)) *OffloadResult {
@@ -51,7 +54,6 @@ func TestUplinkRunsPinned(t *testing.T) {
 		}
 		return res
 	}
-	def := offload(func(*OffloadParams) {})
 	offloads := []struct {
 		name, want string
 		mutate     func(*OffloadParams)
@@ -63,14 +65,16 @@ func TestUplinkRunsPinned(t *testing.T) {
 		{"fixed 20k link", "ed13f17c0559cdaff5a8488d2fe56f094dfbdfd5545e397b9563cbc54be2e4af", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001}
 		}},
-		{"drop window", "6e8f2d891a239e4128f983853aac5b1f6edc8d3870b3f62fee19508d3dafe637", func(p *OffloadParams) {
+		// Re-pinned when the drop window became a factor trace: the run
+		// now observes the exact Link.BacklogBytes instead of the static
+		// QueueDelay×Bandwidth estimate, which revalued already-queued
+		// bytes at the halved rate, and reports Network "trace-bw".
+		{"drop window", "67cfbcfef45529bfb1e48966937219c6e86d4c1a84de82c47a672497526a0421", func(p *OffloadParams) {
 			p.Slots = 1600
-			p.DropStart, p.DropEnd, p.DropFactor = 600, 1000, 0.5
+			p.Dynamics = dropTrace(t, 600, 1000, 0.5)
 		}},
 		{"markov dynamics", "921654db028c9122e735356b6efda3c4f31621a812553acb16aa01fbb1f84c79", func(p *OffloadParams) {
-			p.Dynamics = &netem.LinkDynamics{Process: &netem.MarkovBandwidth{
-				GoodRate: def.Bandwidth * 1.5, BadRate: def.Bandwidth * 0.5, PGoodBad: 0.1, PBadGood: 0.1,
-			}}
+			p.Dynamics = &netem.MarkovBandwidth{GoodRate: 1.5, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.1}
 		}},
 		{"old Bandwidth: 25000", "31ceaef86279e6ceba423a6ad1b812d3868bdaa95562ef3a0f1700f84f015e03", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{BytesPerSlot: 25_000, LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.01}
@@ -115,9 +119,7 @@ func TestUplinkRunsPinned(t *testing.T) {
 			ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3},
 			Devices:        3,
 			Allocator:      alloc.NewMaxWeight(),
-			BandwidthProcess: &netem.MarkovBandwidth{
-				GoodRate: sdef.Bandwidth * 1.4, BadRate: sdef.Bandwidth * 0.6, PGoodBad: 0.1, PBadGood: 0.1,
-			},
+			Dynamics:       &netem.MarkovBandwidth{GoodRate: 1.4, BadRate: 0.6, PGoodBad: 0.1, PBadGood: 0.1},
 		})},
 	}
 	for _, tc := range shareds {

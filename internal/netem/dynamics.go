@@ -4,18 +4,23 @@ package netem
 // time-varying regime the paper's "network-based applications" actually
 // live in: capacities that burst and fade (Markov-modulated good/bad
 // states), measured traces replayed piecewise, and mobility handoffs
-// that reset the link with an outage gap. A BandwidthProcess yields the
-// per-slot serialization rate; LinkDynamics binds one to a Link and
-// applies it each slot. Every process also implements Service(t), so
-// the same types drive delay.ServiceProcess consumers — sim sessions,
-// shared-uplink budgets, and fleet profile mixes — without adapters.
+// that reset the link with an outage gap. Each process is a
+// delay.ServiceProcess, so the same types drive sim sessions, the
+// shared-uplink budget, fleet profile mixes and — as a factor on the
+// calibrated bandwidth, applied each slot by Link.ApplyRate — an offload
+// run's uplink.
 //
 // Determinism: the stochastic processes (MarkovBandwidth,
-// HandoffBandwidth) draw from a geom.RNG and expose Reseed hooks, so
-// qarv.WithSeed keeps whole offload reports byte-identical; offload
-// runs reseed the dynamics from the capture seed (or LinkDynamics.Seed
-// when nonzero) at the start of every run, exactly as the link RNG is
-// rebuilt per run.
+// HandoffBandwidth) draw from a geom.RNG and implement the Reseed/Clone
+// contract, so qarv.WithSeed keeps whole reports byte-identical; offload
+// and shared-uplink runs clone and reseed their dynamics from the run
+// seed at the start of every run, exactly as the link RNG is rebuilt per
+// run.
+//
+// A non-positive rate means nothing is served that slot (an outage).
+// The stateful processes treat a t regression as a restarted slot loop
+// (the same session Run again) and reset their chain state while
+// continuing their RNG stream.
 
 import (
 	"errors"
@@ -23,31 +28,9 @@ import (
 	"math"
 	"sort"
 
+	"qarv/internal/delay"
 	"qarv/internal/geom"
-	"qarv/internal/obs"
 )
-
-// BandwidthProcess yields a link's serialization capacity per slot —
-// the time-varying generalization of LinkConfig.BytesPerSlot. A
-// non-positive rate means the link serializes nothing that slot (an
-// outage); consumers decide how to realize it (LinkDynamics suspends
-// the link, service adapters return zero capacity).
-//
-// Implementations must be idempotent within a slot (repeated calls with
-// the same t return the same value) and are advanced by monotonically
-// non-decreasing t, one slot loop per process instance — exactly the
-// contract delay.ServiceProcess already imposes. The stateful processes
-// here treat a t regression as a restarted slot loop (the same session
-// Run again) and reset their chain state while continuing their RNG
-// stream. Every implementation in this package also provides
-// Service(t) == Bandwidth(t), so it satisfies delay.ServiceProcess
-// structurally.
-type BandwidthProcess interface {
-	// Bandwidth returns the serialization rate (bytes/slot) of slot t.
-	Bandwidth(t int) float64
-	// Name identifies the process in traces and reports.
-	Name() string
-}
 
 // Dynamics validation errors.
 var (
@@ -56,43 +39,6 @@ var (
 	ErrBadTrace   = errors.New("netem: invalid bandwidth trace")
 	ErrBadHandoff = errors.New("netem: invalid handoff parameters")
 )
-
-// validatable is implemented by processes whose parameters can be
-// structurally wrong; LinkDynamics.Validate walks it.
-type validatable interface{ Validate() error }
-
-// ---------------------------------------------------------------------------
-// ConstantBandwidth
-// ---------------------------------------------------------------------------
-
-// ConstantBandwidth is the degenerate process: a fixed rate every slot.
-// It exists so static links can flow through the same dynamics plumbing
-// (fleet network mixes, sweeps) as the time-varying processes.
-type ConstantBandwidth struct {
-	// Rate is the serialization capacity, bytes/slot.
-	Rate float64
-}
-
-// ErrBadConstant reports a non-positive or non-finite constant rate.
-var ErrBadConstant = errors.New("netem: constant bandwidth rate must be positive")
-
-// Validate checks the rate, so a forgotten (zero-value) Rate fails at
-// construction instead of stalling every slot as a permanent outage.
-func (c *ConstantBandwidth) Validate() error {
-	if c.Rate <= 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
-		return fmt.Errorf("%w: %v", ErrBadConstant, c.Rate)
-	}
-	return nil
-}
-
-// Bandwidth implements BandwidthProcess.
-func (c *ConstantBandwidth) Bandwidth(int) float64 { return c.Rate }
-
-// Service makes ConstantBandwidth a delay.ServiceProcess.
-func (c *ConstantBandwidth) Service(t int) float64 { return c.Bandwidth(t) }
-
-// Name implements BandwidthProcess.
-func (c *ConstantBandwidth) Name() string { return "constant-bw" }
 
 // ---------------------------------------------------------------------------
 // MarkovBandwidth
@@ -108,8 +54,9 @@ func (c *ConstantBandwidth) Name() string { return "constant-bw" }
 // the process never transitions (it stays in its start state); offload
 // runs and qarv.WithSeed reseed it deterministically.
 type MarkovBandwidth struct {
-	// GoodRate and BadRate are the two capacity levels (bytes/slot).
-	// GoodRate must be positive; BadRate non-negative (0 = outage).
+	// GoodRate and BadRate are the two capacity levels (bytes/slot, or
+	// unitless for a factor). GoodRate must be positive; BadRate
+	// non-negative (0 = outage).
 	GoodRate, BadRate float64
 	// PGoodBad and PBadGood are the per-slot transition probabilities,
 	// each in [0, 1]. Mean dwell times are 1/PGoodBad and 1/PBadGood
@@ -140,8 +87,8 @@ func (m *MarkovBandwidth) Validate() error {
 	return nil
 }
 
-// Bandwidth implements BandwidthProcess.
-func (m *MarkovBandwidth) Bandwidth(t int) float64 {
+// Service implements delay.ServiceProcess.
+func (m *MarkovBandwidth) Service(t int) float64 {
 	if !m.init || t < m.lastT {
 		// First call, or t regressed: a slot loop restarted (the same
 		// session Run again). Reset to the start state and continue the
@@ -170,10 +117,7 @@ func (m *MarkovBandwidth) Bandwidth(t int) float64 {
 	return m.GoodRate
 }
 
-// Service makes MarkovBandwidth a delay.ServiceProcess.
-func (m *MarkovBandwidth) Service(t int) float64 { return m.Bandwidth(t) }
-
-// Name implements BandwidthProcess.
+// Name implements delay.ServiceProcess.
 func (m *MarkovBandwidth) Name() string { return "markov-bw" }
 
 // Reseed replaces the chain's RNG and resets it to its start state —
@@ -186,7 +130,6 @@ func (m *MarkovBandwidth) Reseed(rng *geom.RNG) {
 
 // Clone returns a run-isolated copy: chain position and RNG state are
 // deep-copied, so a cloned run never advances the original's stream.
-// CloneProcess delegates here.
 func (m *MarkovBandwidth) Clone() *MarkovBandwidth {
 	if m == nil {
 		return nil
@@ -200,14 +143,15 @@ func (m *MarkovBandwidth) Clone() *MarkovBandwidth {
 // TraceBandwidth
 // ---------------------------------------------------------------------------
 
-// TracePoint is one step of a piecewise-constant bandwidth trace: from
-// Slot onward the link serializes at BytesPerSlot, until the next point
+// TracePoint is one step of a piecewise-constant capacity trace: from
+// Slot onward the process yields BytesPerSlot, until the next point
 // takes over.
 type TracePoint struct {
 	// Slot is the first slot the rate applies to.
 	Slot int `json:"slot"`
-	// BytesPerSlot is the serialization rate from Slot on. Zero models
-	// an outage segment.
+	// BytesPerSlot is the rate from Slot on — bytes/slot for a measured
+	// capture, a unitless multiplier for a factor trace. Zero models an
+	// outage segment.
 	BytesPerSlot float64 `json:"bytes_per_slot"`
 }
 
@@ -228,7 +172,7 @@ type TraceBandwidth struct {
 
 // NewTraceBandwidth validates points (and the optional wrap period)
 // into a replayable trace. It is the constructor behind the CSV/JSON
-// loaders; literals are validated by LinkDynamics.Validate instead.
+// loaders; literals are validated where a run validates its dynamics.
 func NewTraceBandwidth(points []TracePoint, period int) (*TraceBandwidth, error) {
 	tb := &TraceBandwidth{Points: points, Period: period}
 	if err := tb.Validate(); err != nil {
@@ -263,13 +207,11 @@ func (tb *TraceBandwidth) Validate() error {
 }
 
 // Normalized returns a copy of the trace rescaled so its peak rate is
-// 1 — the unitless factor form the CLI network classes feed to
-// delay.ModulatedService. Hand-written factor patterns whose peak is
-// already 1 round-trip unchanged; measured bytes/slot traces become
-// fractions of their peak capacity, so the same file drives both an
-// offload run's LinkDynamics (absolute) and -net modulation (relative)
-// with sensible semantics. An all-zero trace has no peak to normalize
-// against and is rejected.
+// 1 — the unitless factor form every dynamics consumer takes (the -net
+// classes' delay.ModulatedService, an uplink's Dynamics). Hand-written
+// factor patterns whose peak is already 1 round-trip unchanged;
+// measured bytes/slot traces become fractions of their peak capacity.
+// An all-zero trace has no peak to normalize against and is rejected.
 func (tb *TraceBandwidth) Normalized() (*TraceBandwidth, error) {
 	if err := tb.Validate(); err != nil {
 		return nil, err
@@ -290,8 +232,8 @@ func (tb *TraceBandwidth) Normalized() (*TraceBandwidth, error) {
 	return &TraceBandwidth{Points: points, Period: tb.Period}, nil
 }
 
-// Bandwidth implements BandwidthProcess.
-func (tb *TraceBandwidth) Bandwidth(t int) float64 {
+// Service implements delay.ServiceProcess.
+func (tb *TraceBandwidth) Service(t int) float64 {
 	if len(tb.Points) == 0 {
 		return 0
 	}
@@ -309,10 +251,7 @@ func (tb *TraceBandwidth) Bandwidth(t int) float64 {
 	return tb.Points[i-1].BytesPerSlot
 }
 
-// Service makes TraceBandwidth a delay.ServiceProcess.
-func (tb *TraceBandwidth) Service(t int) float64 { return tb.Bandwidth(t) }
-
-// Name implements BandwidthProcess.
+// Name implements delay.ServiceProcess.
 func (tb *TraceBandwidth) Name() string { return "trace-bw" }
 
 // ---------------------------------------------------------------------------
@@ -330,12 +269,12 @@ func (tb *TraceBandwidth) Name() string { return "trace-bw" }
 // With a nil RNG no handoff ever fires and the scale stays 1. Offload
 // runs and qarv.WithSeed reseed the process deterministically.
 type HandoffBandwidth struct {
-	// BaseRate is the nominal cell capacity (bytes/slot) when Base is
-	// nil.
+	// BaseRate is the nominal cell capacity (bytes/slot, or 1 for a
+	// factor) when Base is nil.
 	BaseRate float64
 	// Base, when non-nil, yields the underlying capacity per slot that
 	// the cell scale multiplies.
-	Base BandwidthProcess
+	Base delay.ServiceProcess
 	// MeanIntervalSlots is the mean dwell time between handoffs
 	// (exponential; must be positive).
 	MeanIntervalSlots float64
@@ -366,7 +305,7 @@ func (h *HandoffBandwidth) Validate() error {
 	case h.ScaleLo < 0 || h.ScaleHi < h.ScaleLo || math.IsNaN(h.ScaleLo) || math.IsNaN(h.ScaleHi):
 		return fmt.Errorf("%w: scale range [%v, %v]", ErrBadHandoff, h.ScaleLo, h.ScaleHi)
 	}
-	if v, ok := h.Base.(validatable); ok {
+	if v, ok := h.Base.(interface{ Validate() error }); ok {
 		return v.Validate()
 	}
 	return nil
@@ -382,8 +321,8 @@ func (h *HandoffBandwidth) interval() float64 {
 	return d
 }
 
-// Bandwidth implements BandwidthProcess.
-func (h *HandoffBandwidth) Bandwidth(t int) float64 {
+// Service implements delay.ServiceProcess.
+func (h *HandoffBandwidth) Service(t int) float64 {
 	if !h.init || t < h.lastT {
 		// First call, or t regressed (a restarted slot loop — the same
 		// session Run again): reset the cell and draw a fresh dwell
@@ -412,15 +351,12 @@ func (h *HandoffBandwidth) Bandwidth(t int) float64 {
 	}
 	base := h.BaseRate
 	if h.Base != nil {
-		base = h.Base.Bandwidth(t)
+		base = h.Base.Service(t)
 	}
 	return h.scale * base
 }
 
-// Service makes HandoffBandwidth a delay.ServiceProcess.
-func (h *HandoffBandwidth) Service(t int) float64 { return h.Bandwidth(t) }
-
-// Name implements BandwidthProcess.
+// Name implements delay.ServiceProcess.
 func (h *HandoffBandwidth) Name() string {
 	if h.Base != nil {
 		return "handoff(" + h.Base.Name() + ")"
@@ -441,137 +377,15 @@ func (h *HandoffBandwidth) Reseed(rng *geom.RNG) {
 
 // Clone returns a run-isolated copy: handoff schedule, cell scale, RNG
 // state, and the Base process are all deep-copied, so a cloned run
-// never advances the original's streams. CloneProcess delegates here.
+// never advances the original's streams.
 func (h *HandoffBandwidth) Clone() *HandoffBandwidth {
 	if h == nil {
 		return nil
 	}
 	c := *h
 	c.RNG = h.RNG.Clone()
-	c.Base = CloneProcess(h.Base)
+	c.Base = delay.CloneProcess(h.Base)
 	return &c
-}
-
-// ---------------------------------------------------------------------------
-// LinkDynamics
-// ---------------------------------------------------------------------------
-
-// LinkDynamics binds a BandwidthProcess to a Link: Apply, called once
-// at the top of each slot, reads the slot's rate and retunes the link —
-// a positive rate becomes the serialization bandwidth for transmissions
-// enqueued from that slot on (already-scheduled deliveries keep their
-// schedule, per the SetBandwidth contract), while a non-positive rate
-// is an outage: the link is suspended through the end of the slot and
-// its last positive rate is kept for when capacity returns.
-type LinkDynamics struct {
-	// Process yields the per-slot serialization rate.
-	Process BandwidthProcess
-	// Seed, when nonzero, seeds the process RNGs independently of the
-	// offload capture seed (the same override LinkConfig.Seed provides
-	// for the link's jitter/loss RNG). Zero derives them from the
-	// capture seed, which is what keeps qarv.WithSeed byte-identical.
-	Seed uint64
-	// Recorder, when non-nil, receives a "netem" flight-recorder event
-	// at every rate change Apply drives: "rate" with the new bandwidth,
-	// or "outage" (value 0) when the process goes dark. Recording reads
-	// only the slot index, so it never perturbs the run.
-	Recorder *obs.FlightRecorder
-
-	// lastRate/haveRate dedupe Recorder events to actual changes.
-	lastRate float64
-	haveRate bool
-}
-
-// ErrNilProcess reports a LinkDynamics without a bandwidth process.
-var ErrNilProcess = errors.New("netem: link dynamics need a bandwidth process")
-
-// Validate checks the dynamics configuration without touching a link.
-func (d *LinkDynamics) Validate() error {
-	if d.Process == nil {
-		return ErrNilProcess
-	}
-	if v, ok := d.Process.(validatable); ok {
-		return v.Validate()
-	}
-	return nil
-}
-
-// Apply retunes the link for slot t. Call it before observing or
-// transmitting in the slot, once per slot.
-func (d *LinkDynamics) Apply(l *Link, t int) {
-	rate := d.Process.Bandwidth(t)
-	if d.Recorder != nil && (!d.haveRate || rate != d.lastRate) {
-		name := "rate"
-		if rate <= 0 {
-			name = "outage"
-		}
-		d.Recorder.Event(int64(t), "netem", name, -1, rate)
-		d.lastRate, d.haveRate = rate, true
-	}
-	if rate > 0 {
-		// rate was validated finite; SetBandwidth cannot fail here.
-		_ = l.SetBandwidth(rate)
-		return
-	}
-	// Outage: nothing serializes this slot, and the dead time
-	// accumulates into the busy horizon even when a standing queue
-	// already extends past it (Link.Stall) — so every outage slot costs
-	// future enqueues exactly one slot. Deliveries already returned
-	// keep their schedules, per the never-revise contract.
-	l.Stall(float64(t), 1)
-}
-
-// Reseed re-derives every stochastic component of the process chain
-// from rng (stateless processes are left untouched), resetting chain
-// state so a fresh run replays the same dynamics.
-func (d *LinkDynamics) Reseed(rng *geom.RNG) {
-	d.haveRate = false
-	if r, ok := d.Process.(interface{ Reseed(*geom.RNG) }); ok {
-		r.Reseed(rng.Split())
-	}
-}
-
-// Clone returns a deep copy whose process state (Markov chain position,
-// handoff schedule, RNG) is independent of the receiver. Offload runs
-// clone the configured dynamics before reseeding, so the caller's
-// structs are never mutated and the same Session can Run concurrently.
-func (d *LinkDynamics) Clone() *LinkDynamics {
-	if d == nil {
-		return nil
-	}
-	c := *d
-	c.Process = CloneProcess(d.Process)
-	return &c
-}
-
-// CloneProcess deep-copies a bandwidth process so per-run state never
-// leaks between runs. The stochastic built-ins (MarkovBandwidth,
-// HandoffBandwidth) delegate to their Clone methods, which deep-copy
-// RNG state too; the stateless ones copy by value (trace points are
-// immutable and stay shared). A custom process is copied through its
-// CloneProcess method when it has one, and otherwise returned as-is —
-// such a process is then shared between runs, so its owner must not
-// run it concurrently.
-func CloneProcess(p BandwidthProcess) BandwidthProcess {
-	switch x := p.(type) {
-	case nil:
-		return nil
-	case *ConstantBandwidth:
-		c := *x
-		return &c
-	case *MarkovBandwidth:
-		return x.Clone()
-	case *TraceBandwidth:
-		c := *x
-		return &c
-	case *HandoffBandwidth:
-		return x.Clone()
-	default:
-		if cl, ok := p.(interface{ CloneProcess() BandwidthProcess }); ok {
-			return cl.CloneProcess()
-		}
-		return p
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -581,8 +395,7 @@ func CloneProcess(p BandwidthProcess) BandwidthProcess {
 // The CLIs (qarvsim -net, qarvfleet -net) and examples share these
 // default regimes as *factor* processes: rates are unitless multipliers
 // around 1 meant for delay.ModulatedService composition with whatever
-// service or bandwidth a scenario calibrated. One definition here keeps
-// the two commands from drifting apart.
+// service or bandwidth a scenario calibrated.
 
 // DefaultMarkovFactor returns the default Gilbert–Elliott fading factor
 // chain: ×1 in the good state, ×0.3 in the bad, mean dwells 20 and 4
@@ -641,12 +454,4 @@ func DefaultDiurnalTrace() *TraceBandwidth {
 		panic(err)
 	}
 	return tb
-}
-
-// Name labels the dynamics in reports ("static" when unset).
-func (d *LinkDynamics) Name() string {
-	if d == nil || d.Process == nil {
-		return "static"
-	}
-	return d.Process.Name()
 }

@@ -7,20 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"qarv/internal/delay"
 	"qarv/internal/geom"
 )
-
-func TestConstantBandwidth(t *testing.T) {
-	c := &ConstantBandwidth{Rate: 42}
-	for _, slot := range []int{0, 1, 1000} {
-		if got := c.Bandwidth(slot); got != 42 {
-			t.Fatalf("slot %d: %v", slot, got)
-		}
-		if c.Service(slot) != c.Bandwidth(slot) {
-			t.Fatal("Service != Bandwidth")
-		}
-	}
-}
 
 func TestMarkovBandwidthValidation(t *testing.T) {
 	cases := []MarkovBandwidth{
@@ -52,12 +41,12 @@ func TestMarkovBandwidthDeterministicAndTwoLevel(t *testing.T) {
 	a, b := build(), build()
 	sawBad, sawGood := false, false
 	for slot := 0; slot < 500; slot++ {
-		ra, rb := a.Bandwidth(slot), b.Bandwidth(slot)
+		ra, rb := a.Service(slot), b.Service(slot)
 		if ra != rb {
 			t.Fatalf("slot %d: same seed diverged: %v vs %v", slot, ra, rb)
 		}
 		// Idempotent within the slot.
-		if again := a.Bandwidth(slot); again != ra {
+		if again := a.Service(slot); again != ra {
 			t.Fatalf("slot %d: repeated call changed rate %v -> %v", slot, ra, again)
 		}
 		switch ra {
@@ -78,11 +67,11 @@ func TestMarkovBandwidthReseedResets(t *testing.T) {
 	m := &MarkovBandwidth{GoodRate: 100, BadRate: 20, PGoodBad: 0.3, PBadGood: 0.3, RNG: geom.NewRNG(1)}
 	var first []float64
 	for slot := 0; slot < 100; slot++ {
-		first = append(first, m.Bandwidth(slot))
+		first = append(first, m.Service(slot))
 	}
 	m.Reseed(geom.NewRNG(1))
 	for slot := 0; slot < 100; slot++ {
-		if got := m.Bandwidth(slot); got != first[slot] {
+		if got := m.Service(slot); got != first[slot] {
 			t.Fatalf("slot %d after reseed: %v != %v", slot, got, first[slot])
 		}
 	}
@@ -91,7 +80,7 @@ func TestMarkovBandwidthReseedResets(t *testing.T) {
 func TestMarkovBandwidthNilRNGHoldsStartState(t *testing.T) {
 	m := &MarkovBandwidth{GoodRate: 100, BadRate: 20, PGoodBad: 1, PBadGood: 1, StartBad: true}
 	for slot := 0; slot < 10; slot++ {
-		if got := m.Bandwidth(slot); got != 20 {
+		if got := m.Service(slot); got != 20 {
 			t.Fatalf("slot %d: %v, want start-state rate 20", slot, got)
 		}
 	}
@@ -123,7 +112,7 @@ func TestTraceBandwidthSingleEntryIsConstant(t *testing.T) {
 	// A single-entry trace is a constant link — including slots before
 	// the entry's own slot (the first rate extends backward).
 	for _, slot := range []int{0, 50, 100, 5000} {
-		if got := tb.Bandwidth(slot); got != 77 {
+		if got := tb.Service(slot); got != 77 {
 			t.Fatalf("slot %d: %v", slot, got)
 		}
 	}
@@ -149,7 +138,7 @@ func TestTraceBandwidthPiecewiseAndPeriod(t *testing.T) {
 		}
 	}
 	for slot := 0; slot < 120; slot++ {
-		if got := tb.Bandwidth(slot); got != want(slot) {
+		if got := tb.Service(slot); got != want(slot) {
 			t.Fatalf("slot %d: got %v want %v", slot, got, want(slot))
 		}
 	}
@@ -158,7 +147,7 @@ func TestTraceBandwidthPiecewiseAndPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hold.Bandwidth(10_000); got != 4 {
+	if got := hold.Service(10_000); got != 4 {
 		t.Fatalf("holding rate: %v", got)
 	}
 }
@@ -172,7 +161,7 @@ func TestReadTraceCSV(t *testing.T) {
 	if len(tb.Points) != 3 {
 		t.Fatalf("points: %v", tb.Points)
 	}
-	if tb.Bandwidth(39) != 1000 || tb.Bandwidth(40) != 250.5 || tb.Bandwidth(95) != 0 {
+	if tb.Service(39) != 1000 || tb.Service(40) != 250.5 || tb.Service(95) != 0 {
 		t.Fatalf("piecewise lookup wrong: %v", tb.Points)
 	}
 	if _, err := ReadTraceCSV(strings.NewReader("")); !errors.Is(err, ErrEmptyTrace) {
@@ -189,7 +178,7 @@ func TestReadTraceJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Bandwidth(3) != 500 || tb.Bandwidth(12) != 125 || tb.Period != 0 {
+	if tb.Service(3) != 500 || tb.Service(12) != 125 || tb.Period != 0 {
 		t.Fatalf("array form: %+v", tb)
 	}
 	obj := `{"period": 20, "points": [{"slot":0,"bytes_per_slot":500},{"slot":10,"bytes_per_slot":125}]}`
@@ -197,7 +186,7 @@ func TestReadTraceJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Period != 20 || tb.Bandwidth(25) != 500 {
+	if tb.Period != 20 || tb.Service(25) != 500 {
 		t.Fatalf("object form: %+v", tb)
 	}
 	if _, err := ReadTraceJSON(strings.NewReader(`{"points":[]}`)); !errors.Is(err, ErrEmptyTrace) {
@@ -241,12 +230,12 @@ func TestHandoffBandwidthOutagesAndScales(t *testing.T) {
 		RNG:               geom.NewRNG(3),
 	}
 	outages, scaleChanges := 0, 0
-	lastRate := h.Bandwidth(0)
+	lastRate := h.Service(0)
 	if lastRate != 100 {
 		t.Fatalf("initial rate %v, want base 100", lastRate)
 	}
 	for slot := 1; slot < 2000; slot++ {
-		r := h.Bandwidth(slot)
+		r := h.Service(slot)
 		if r == 0 {
 			outages++
 			continue
@@ -270,7 +259,7 @@ func TestHandoffBandwidthOutagesAndScales(t *testing.T) {
 func TestHandoffBandwidthNilRNGNeverHandsOff(t *testing.T) {
 	h := &HandoffBandwidth{BaseRate: 100, MeanIntervalSlots: 1, OutageSlots: 5}
 	for slot := 0; slot < 100; slot++ {
-		if got := h.Bandwidth(slot); got != 100 {
+		if got := h.Service(slot); got != 100 {
 			t.Fatalf("slot %d: %v", slot, got)
 		}
 	}
@@ -287,30 +276,9 @@ func TestHandoffBandwidthReseedReplays(t *testing.T) {
 	a.Reseed(geom.NewRNG(11))
 	b.Reseed(geom.NewRNG(11))
 	for slot := 0; slot < 500; slot++ {
-		if ra, rb := a.Bandwidth(slot), b.Bandwidth(slot); ra != rb {
+		if ra, rb := a.Service(slot), b.Service(slot); ra != rb {
 			t.Fatalf("slot %d: %v vs %v", slot, ra, rb)
 		}
-	}
-}
-
-func TestLinkDynamicsValidate(t *testing.T) {
-	if err := (&LinkDynamics{}).Validate(); !errors.Is(err, ErrNilProcess) {
-		t.Errorf("nil process: %v", err)
-	}
-	bad := &LinkDynamics{Process: &MarkovBandwidth{GoodRate: -1}}
-	if err := bad.Validate(); !errors.Is(err, ErrBadMarkov) {
-		t.Errorf("invalid process: %v", err)
-	}
-	ok := &LinkDynamics{Process: &ConstantBandwidth{Rate: 10}}
-	if err := ok.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if ok.Name() != "constant-bw" {
-		t.Errorf("name: %q", ok.Name())
-	}
-	var unset *LinkDynamics
-	if unset.Name() != "static" {
-		t.Errorf("nil dynamics name: %q", unset.Name())
 	}
 }
 
@@ -324,13 +292,13 @@ func TestLinkDynamicsApplySetsRateAndSuspendsOnOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &LinkDynamics{Process: tb}
-	d.Apply(l, 0)
+	apply := func(slot int) { l.ApplyRate(slot, tb.Service(slot)) }
+	apply(0)
 	if l.Bandwidth() != 100 {
 		t.Fatalf("slot 0 rate %v", l.Bandwidth())
 	}
-	d.Apply(l, 2)
-	d.Apply(l, 3)
+	apply(2)
+	apply(3)
 	// Outage slots keep the last positive rate but push the busy horizon.
 	if l.Bandwidth() != 100 {
 		t.Fatalf("outage must keep last positive rate, got %v", l.Bandwidth())
@@ -338,7 +306,7 @@ func TestLinkDynamicsApplySetsRateAndSuspendsOnOutage(t *testing.T) {
 	if got := l.QueueDelay(3); got != 1 {
 		t.Fatalf("queue delay during outage: %v, want 1 (suspended through slot 4)", got)
 	}
-	d.Apply(l, 4)
+	apply(4)
 	if l.Bandwidth() != 50 {
 		t.Fatalf("recovery rate %v", l.Bandwidth())
 	}
@@ -350,7 +318,7 @@ func TestLinkDynamicsApplySetsRateAndSuspendsOnOutage(t *testing.T) {
 
 // Regression (review finding): outages must cost schedule time even on
 // a loaded link. Suspend alone is a no-op when the busy horizon already
-// extends past the outage; Apply therefore uses Stall, which adds one
+// extends past the outage; ApplyRate therefore uses Stall, which adds one
 // slot of dead time per outage slot regardless of the standing queue.
 func TestOutageDelaysFutureEnqueuesUnderStandingQueue(t *testing.T) {
 	run := func(outage bool) float64 {
@@ -363,11 +331,10 @@ func TestOutageDelaysFutureEnqueuesUnderStandingQueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &LinkDynamics{Process: tb}
 		var last Transmission
 		for slot := 0; slot < 30; slot++ {
 			if outage {
-				d.Apply(l, slot)
+				l.ApplyRate(slot, tb.Service(slot))
 			}
 			// 1.5x overload: a standing queue builds from the start.
 			last = l.Transmit(150, slot)
@@ -410,11 +377,14 @@ func TestCloneProcessIsolatesState(t *testing.T) {
 		ScaleLo: 0.5, ScaleHi: 1.5,
 		Base: &MarkovBandwidth{GoodRate: 1, BadRate: 0.5, PGoodBad: 0.2, PBadGood: 0.2},
 	}
-	d := &LinkDynamics{Process: orig}
-	c := d.Clone()
-	c.Reseed(geom.NewRNG(5))
+	seeded := func() delay.ServiceProcess {
+		c := delay.CloneProcess(orig)
+		c.(*HandoffBandwidth).Reseed(geom.NewRNG(5))
+		return c
+	}
+	c := seeded()
 	for slot := 0; slot < 200; slot++ {
-		c.Process.Bandwidth(slot)
+		c.Service(slot)
 	}
 	// The original saw none of it: no RNG, no chain state, same Base.
 	if orig.RNG != nil || orig.init {
@@ -424,18 +394,16 @@ func TestCloneProcessIsolatesState(t *testing.T) {
 		t.Error("clone leaked state into the original nested markov process")
 	}
 	// And two identically reseeded clones replay identical paths.
-	c2 := d.Clone()
-	c2.Reseed(geom.NewRNG(5))
-	c3 := d.Clone()
-	c3.Reseed(geom.NewRNG(5))
+	c2, c3 := seeded(), seeded()
 	for slot := 0; slot < 200; slot++ {
-		if a, b := c2.Process.Bandwidth(slot), c3.Process.Bandwidth(slot); a != b {
+		if a, b := c2.Service(slot), c3.Service(slot); a != b {
 			t.Fatalf("slot %d: identically seeded clones diverged: %v vs %v", slot, a, b)
 		}
 	}
-	var nilDyn *LinkDynamics
-	if nilDyn.Clone() != nil {
-		t.Error("nil dynamics clone not nil")
+	// A trace is a pure function of the slot: shared, not copied.
+	tb := DefaultDiurnalTrace()
+	if delay.CloneProcess(tb) != delay.ServiceProcess(tb) {
+		t.Error("stateless trace was copied")
 	}
 }
 
@@ -450,8 +418,8 @@ func TestDefaultPresets(t *testing.T) {
 	if err := tb.Validate(); err != nil {
 		t.Errorf("diurnal preset invalid: %v", err)
 	}
-	if tb.Bandwidth(0) != 1 || tb.Bandwidth(120) != 0.6 || tb.Bandwidth(240) != 1 {
-		t.Errorf("diurnal shape wrong: %v %v %v", tb.Bandwidth(0), tb.Bandwidth(120), tb.Bandwidth(240))
+	if tb.Service(0) != 1 || tb.Service(120) != 0.6 || tb.Service(240) != 1 {
+		t.Errorf("diurnal shape wrong: %v %v %v", tb.Service(0), tb.Service(120), tb.Service(240))
 	}
 }
 
@@ -463,11 +431,11 @@ func TestDefaultPresets(t *testing.T) {
 func TestStatefulProcessesResetOnRestartedSlotLoop(t *testing.T) {
 	m := &MarkovBandwidth{GoodRate: 100, BadRate: 20, PGoodBad: 0.3, PBadGood: 0.3, RNG: geom.NewRNG(9)}
 	for slot := 0; slot < 300; slot++ {
-		m.Bandwidth(slot)
+		m.Service(slot)
 	}
 	levels := map[float64]bool{}
 	for slot := 0; slot < 300; slot++ { // second "run"
-		levels[m.Bandwidth(slot)] = true
+		levels[m.Service(slot)] = true
 	}
 	if len(levels) != 2 {
 		t.Fatalf("restarted markov chain froze: saw levels %v, want both states", levels)
@@ -475,11 +443,11 @@ func TestStatefulProcessesResetOnRestartedSlotLoop(t *testing.T) {
 
 	h := &HandoffBandwidth{BaseRate: 100, MeanIntervalSlots: 20, OutageSlots: 2, RNG: geom.NewRNG(9)}
 	for slot := 0; slot < 300; slot++ {
-		h.Bandwidth(slot)
+		h.Service(slot)
 	}
 	sawOutage := false
 	for slot := 0; slot < 300; slot++ { // second "run"
-		if h.Bandwidth(slot) == 0 {
+		if h.Service(slot) == 0 {
 			sawOutage = true
 		}
 	}
@@ -502,14 +470,14 @@ func TestTraceBandwidthNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if norm.Bandwidth(0) != 1 || norm.Bandwidth(60) != 0.5 || norm.Bandwidth(110) != 0 {
-		t.Fatalf("normalized rates wrong: %v %v %v", norm.Bandwidth(0), norm.Bandwidth(60), norm.Bandwidth(110))
+	if norm.Service(0) != 1 || norm.Service(60) != 0.5 || norm.Service(110) != 0 {
+		t.Fatalf("normalized rates wrong: %v %v %v", norm.Service(0), norm.Service(60), norm.Service(110))
 	}
 	if norm.Period != 150 {
 		t.Errorf("period dropped: %d", norm.Period)
 	}
 	// The original is untouched and a factor trace round-trips.
-	if abs.Bandwidth(0) != 20_000 {
+	if abs.Service(0) != 20_000 {
 		t.Error("Normalized mutated the receiver")
 	}
 	factor := DefaultDiurnalTrace()
@@ -518,7 +486,7 @@ func TestTraceBandwidthNormalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	for slot := 0; slot < 240; slot++ {
-		if same.Bandwidth(slot) != factor.Bandwidth(slot) {
+		if same.Service(slot) != factor.Service(slot) {
 			t.Fatalf("peak-1 factor trace changed at slot %d", slot)
 		}
 	}
@@ -532,33 +500,14 @@ func TestTraceBandwidthNormalized(t *testing.T) {
 	}
 }
 
-// Regression (review finding): a forgotten (zero-value) constant rate
-// must fail validation instead of stalling every slot as a permanent
-// outage.
-func TestConstantBandwidthValidate(t *testing.T) {
-	for _, rate := range []float64{0, -5, math.NaN(), math.Inf(1)} {
-		c := &ConstantBandwidth{Rate: rate}
-		if err := c.Validate(); !errors.Is(err, ErrBadConstant) {
-			t.Errorf("rate %v: %v", rate, err)
-		}
-		d := &LinkDynamics{Process: c}
-		if err := d.Validate(); !errors.Is(err, ErrBadConstant) {
-			t.Errorf("dynamics with rate %v: %v", rate, err)
-		}
-	}
-	if err := (&ConstantBandwidth{Rate: 10}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLoadFactorTrace(t *testing.T) {
 	// Empty path: the shared built-in diurnal pattern.
 	tb, err := LoadFactorTrace("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Bandwidth(120) != 0.6 {
-		t.Errorf("builtin trace shape: %v", tb.Bandwidth(120))
+	if tb.Service(120) != 0.6 {
+		t.Errorf("builtin trace shape: %v", tb.Service(120))
 	}
 	// A file loads peak-normalized.
 	dir := t.TempDir()
@@ -570,8 +519,8 @@ func TestLoadFactorTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Bandwidth(0) != 1 || tb.Bandwidth(10) != 0.25 {
-		t.Errorf("normalized file trace: %v %v", tb.Bandwidth(0), tb.Bandwidth(10))
+	if tb.Service(0) != 1 || tb.Service(10) != 0.25 {
+		t.Errorf("normalized file trace: %v %v", tb.Service(0), tb.Service(10))
 	}
 	if _, err := LoadFactorTrace(dir + "/missing.csv"); err == nil {
 		t.Error("missing file accepted")

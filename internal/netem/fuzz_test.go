@@ -64,7 +64,7 @@ func checkTraceResult(t *testing.T, tb *TraceBandwidth, err error) {
 		t.Fatalf("loader accepted a trace its own Validate rejects: %v", err)
 	}
 	// The accepted trace must actually be usable as a process.
-	if bw := tb.Bandwidth(0); bw < 0 {
+	if bw := tb.Service(0); bw < 0 {
 		t.Fatalf("Bandwidth(0) = %v on a validated trace", bw)
 	}
 }

@@ -189,7 +189,7 @@ func (l *Link) QueueDelay(now int) float64 {
 
 // SetBandwidth changes the link's serialization rate for transmissions
 // enqueued from now on — the hook for mid-session bandwidth changes
-// (handover, congestion, the LinkDynamics layer). Transmissions already
+// (handover, congestion, ApplyRate). Transmissions already
 // enqueued keep their original schedule: their Transmission outcomes
 // were returned at enqueue time, and neither QueueDelay nor
 // BacklogBytes revises them retroactively.
@@ -199,6 +199,23 @@ func (l *Link) SetBandwidth(bytesPerSlot float64) error {
 	}
 	l.cfg.BytesPerSlot = bytesPerSlot
 	return nil
+}
+
+// ApplyRate retunes the link for slot t to a time-varying capacity's
+// rate; call it once per slot, before observing or transmitting in the
+// slot. A positive rate becomes the serialization bandwidth for
+// transmissions enqueued from t on (already-scheduled deliveries keep
+// their schedule, per the SetBandwidth contract). A non-positive rate
+// is an outage: the link keeps its last positive rate for when capacity
+// returns, and one slot of dead time is added to the busy horizon even
+// when a standing queue already extends past it (Stall), so every
+// outage slot costs future enqueues exactly one slot.
+func (l *Link) ApplyRate(t int, rate float64) {
+	if rate > 0 {
+		l.cfg.BytesPerSlot = rate
+		return
+	}
+	l.Stall(float64(t), 1)
 }
 
 // Suspend blocks serialization before slot until: transmissions
@@ -225,7 +242,7 @@ func (l *Link) Suspend(until float64) {
 // transmissions whose Transmission was already returned keep their
 // frozen schedules, so previously queued bytes still "drain" on paper
 // during the stall while everything enqueued afterwards pays for it.
-// This is the primitive LinkDynamics uses to realize zero-bandwidth
+// This is the primitive ApplyRate uses to realize zero-bandwidth
 // (outage) slots.
 func (l *Link) Stall(from, slots float64) {
 	if slots <= 0 {

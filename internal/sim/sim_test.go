@@ -9,6 +9,7 @@ import (
 
 	"qarv/internal/core"
 	"qarv/internal/delay"
+	"qarv/internal/netem"
 	"qarv/internal/policy"
 	"qarv/internal/quality"
 	"qarv/internal/queueing"
@@ -331,12 +332,11 @@ func TestFailureInjectionThrottling(t *testing.T) {
 	cfg := baseConfig(t, ctrl, 3000)
 	cfg.Service = &delay.ModulatedService{
 		Inner: &delay.ConstantService{Rate: testService},
-		Factor: func(t int) float64 {
-			if t >= 1000 && t < 1500 {
-				return 0.3
-			}
-			return 1
-		},
+		Factor: &netem.TraceBandwidth{Points: []netem.TracePoint{
+			{Slot: 0, BytesPerSlot: 1},
+			{Slot: 1000, BytesPerSlot: 0.3},
+			{Slot: 1500, BytesPerSlot: 1},
+		}},
 	}
 	res, err := Run(cfg)
 	if err != nil {

@@ -120,12 +120,14 @@ func WithOffload(p OffloadParams) Option {
 // WithSeed makes the session's stochastic components deterministic from
 // one seed: NewSession derives a splittable RNG from it and reseeds, in
 // a fixed documented order, every resolved component that implements
-// Reseed(*RNG) — PoissonArrivals, NoisyService, and the random baseline
-// policy among the built-ins (for sim sessions: policy, arrivals,
-// service; for multi sessions: the shared service, then each device's
-// policy and arrivals in device order). Offload sessions instead get
-// OffloadParams.Seed replaced, which drives both the capture and the
-// link RNG (a nonzero OffloadParams.Link.Seed still wins for the link);
+// Reseed(*RNG) — PoissonArrivals, NoisyService, the network processes,
+// ModulatedService (which passes child streams to its Inner and
+// Factor), and the random baseline policy among the built-ins (for sim
+// sessions: policy, arrivals, service; for multi sessions: the shared
+// service, then each device's policy and arrivals in device order).
+// Offload sessions instead get OffloadParams.Seed replaced, which drives
+// the capture, the link RNG (a nonzero OffloadParams.Link.Seed still
+// wins for the link) and the Dynamics process;
 // note offload runs normalize seed 0 to 1 — OffloadParams' zero-value
 // convention — so WithSeed(0) and WithSeed(1) coincide there, while
 // sim and multi sessions treat every seed value as distinct.

@@ -181,14 +181,15 @@ type (
 	CostModel = delay.CostModel
 	// PointCostModel charges work per rendered point.
 	PointCostModel = delay.PointCostModel
-	// ServiceProcess yields per-slot device capacity.
+	// ServiceProcess yields a per-slot capacity: device service, the
+	// shared edge budget, or a factor on an uplink's bandwidth.
 	ServiceProcess = delay.ServiceProcess
 	// ConstantService is a fixed-capacity service process.
 	ConstantService = delay.ConstantService
 	// NoisyService draws capacity from a truncated Gaussian.
 	NoisyService = delay.NoisyService
-	// ModulatedService scales an inner service by a time factor
-	// (failure injection).
+	// ModulatedService scales an inner service by a factor process
+	// (failure injection, the -net network classes).
 	ModulatedService = delay.ModulatedService
 )
 
@@ -421,15 +422,12 @@ type (
 	// LinkConfig parameterizes the emulated uplink of an offload run
 	// (see OffloadParams.Link): bandwidth, latency, jitter, and loss.
 	LinkConfig = netem.LinkConfig
-	// LinkDynamics binds a time-varying bandwidth process to an offload
-	// uplink (see OffloadParams.Dynamics). Every bandwidth process in the
-	// library doubles as a ServiceProcess, so the same processes drive
-	// WithService and fleet Profile.NewService.
-	LinkDynamics = netem.LinkDynamics
-	// ConstantBandwidth is the degenerate fixed-rate process.
-	ConstantBandwidth = netem.ConstantBandwidth
 	// MarkovBandwidth is a two-state (good/bad) Markov-modulated
 	// capacity process — the Gilbert–Elliott shape of a fading channel.
+	// It and the trace and handoff processes below are ServiceProcesses:
+	// a capacity under WithService, a unitless factor as
+	// OffloadParams.Dynamics, SharedUplinkParams.Dynamics or a
+	// ModulatedService Factor.
 	MarkovBandwidth = netem.MarkovBandwidth
 	// TraceBandwidth replays a piecewise-constant recorded capacity
 	// trace, optionally wrapping every Period slots.

@@ -145,48 +145,74 @@ func mustUtil(t *testing.T) UtilityModel {
 	return util
 }
 
-// TestWithSeedMarkovService: the netem bandwidth processes double as
-// service processes, and WithSeed reaches them through the same Reseed
-// hook as the other stochastic components — a sim session on a
-// Markov-modulated device capacity is deterministic per seed.
+// TestWithSeedMarkovService: WithSeed reaches a capacity factor through
+// ModulatedService like any other stochastic component. For every -net
+// class qarvsim and qarvfleet resolve (the factor presets below) and
+// every sweep network shape (built unit-rate with no RNG, so the shape
+// is a factor only the session seed can drive), a session serving
+// ModulatedService{ConstantService, factor} under WithSeed(s) replays
+// byte-identically, and for a stochastic factor a different s changes
+// the report.
 func TestWithSeedMarkovService(t *testing.T) {
-	run := func(seed uint64) []byte {
-		cost, util := cheapModels(t)
-		p, err := NewThresholdPolicy([]int{2, 3, 4, 5}, 3000, 9000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewSession(
-			WithPolicy(p),
-			WithArrivals(&DeterministicArrivals{PerSlot: 1}),
-			WithCost(cost),
-			WithUtility(util),
-			WithService(&MarkovBandwidth{
-				GoodRate: 5000, BadRate: 1500,
-				PGoodBad: 0.08, PBadGood: 0.2,
-			}),
-			WithSlots(400),
-			WithSeed(seed),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	diurnal, err := LoadFactorTrace("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(21), run(21)
-	if string(a) != string(b) {
-		t.Fatal("same seed produced different markov-service reports")
+	shape := func(n SweepNetwork) func() ServiceProcess {
+		return func() ServiceProcess { return n.New(1, nil) }
 	}
-	if c := run(22); string(c) == string(a) {
-		t.Fatal("different seed produced an identical markov-service report")
+	factors := []struct {
+		name       string
+		stochastic bool
+		factor     func() ServiceProcess
+	}{
+		{"net markov", true, func() ServiceProcess { return DefaultMarkovFactor(nil) }},
+		{"net trace", false, func() ServiceProcess { return diurnal }},
+		{"net handoff", true, func() ServiceProcess { return DefaultHandoffFactor(nil) }},
+		{"sweep static", false, shape(NetworkStatic())},
+		{"sweep markov", true, shape(NetworkMarkov(0.6))},
+		{"sweep markov dwell", true, shape(NetworkMarkovDwell(0.6, 20))},
+		{"sweep handoff", true, shape(NetworkHandoff())},
+		{"sweep trace", false, shape(NetworkTraceShape(diurnal))},
+	}
+	for _, tc := range factors {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(seed uint64) []byte {
+				cost, util := cheapModels(t)
+				p, err := NewThresholdPolicy([]int{2, 3, 4, 5}, 3000, 9000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewSession(
+					WithPolicy(p),
+					WithArrivals(&DeterministicArrivals{PerSlot: 1}),
+					WithCost(cost),
+					WithUtility(util),
+					WithService(&ModulatedService{Inner: &ConstantService{Rate: 4000}, Factor: tc.factor()}),
+					WithSlots(1000),
+					WithSeed(seed),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := s.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
+			}
+			a, b := run(21), run(21)
+			if string(a) != string(b) {
+				t.Fatal("same seed produced different reports")
+			}
+			if c := run(22); tc.stochastic && string(c) == string(a) {
+				t.Fatal("different seed produced an identical report: the factor escaped WithSeed")
+			}
+		})
 	}
 }
 
@@ -396,7 +422,7 @@ func TestMarkovServiceSurvivesSessionReRun(t *testing.T) {
 	// After the second run the chain must have visited both states.
 	levels := map[float64]bool{}
 	for slot := 0; slot < 300; slot++ {
-		levels[mb.Bandwidth(slot)] = true // third restart; still mixing
+		levels[mb.Service(slot)] = true // third restart; still mixing
 	}
 	if len(levels) != 2 {
 		t.Fatalf("markov service froze after re-Run: levels %v", levels)

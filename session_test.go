@@ -91,19 +91,13 @@ func TestSessionOptionValidation(t *testing.T) {
 		t.Error("negative latency accepted at construction")
 	}
 	// Malformed dynamics are rejected at construction too.
-	if _, err := NewSession(WithOffload(OffloadParams{Dynamics: &LinkDynamics{}})); err == nil {
-		t.Error("dynamics without a process accepted at construction")
+	if _, err := NewSession(WithOffload(OffloadParams{Dynamics: &ConstantService{}})); err == nil {
+		t.Error("zero constant dynamics accepted at construction")
 	}
 	if _, err := NewSession(WithOffload(OffloadParams{
-		Dynamics: &LinkDynamics{Process: &MarkovBandwidth{GoodRate: -1}},
+		Dynamics: &MarkovBandwidth{GoodRate: -1},
 	})); err == nil {
 		t.Error("invalid markov dynamics accepted at construction")
-	}
-	if _, err := NewSession(WithOffload(OffloadParams{
-		DropStart: 10, DropEnd: 20, DropFactor: 0.5,
-		Dynamics: &LinkDynamics{Process: &ConstantBandwidth{Rate: 1}},
-	})); err == nil {
-		t.Error("BandwidthDrop combined with dynamics accepted at construction")
 	}
 }
 
@@ -582,10 +576,10 @@ func TestSessionOffloadWithDynamics(t *testing.T) {
 	}
 	run := func(seed uint64) *OffloadResult {
 		p := base
-		p.Dynamics = &LinkDynamics{Process: &MarkovBandwidth{
-			GoodRate: 26_000, BadRate: 10_000,
+		p.Dynamics = &MarkovBandwidth{
+			GoodRate: 1.3, BadRate: 0.5,
 			PGoodBad: 0.1, PBadGood: 0.2,
-		}}
+		}
 		s, err := NewSession(WithOffload(p), WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
@@ -612,24 +606,6 @@ func TestSessionOffloadWithDynamics(t *testing.T) {
 	if reflect.DeepEqual(a.BacklogBytes, c.BacklogBytes) {
 		t.Error("different seeds produced identical capacity paths")
 	}
-	// LinkDynamics.Seed decouples the dynamics stream from the capture
-	// seed: same session seed, different dynamics seed, different path.
-	p := base
-	p.Dynamics = &LinkDynamics{
-		Process: &MarkovBandwidth{GoodRate: 26_000, BadRate: 10_000, PGoodBad: 0.1, PBadGood: 0.2},
-		Seed:    999,
-	}
-	s, err := NewSession(WithOffload(p), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(rep.Offload.BacklogBytes, a.BacklogBytes) {
-		t.Error("LinkDynamics.Seed did not decouple the dynamics stream")
-	}
 }
 
 // Regression (review finding): offload runs clone the configured
@@ -644,9 +620,9 @@ func TestSessionOffloadDynamicsConcurrentRuns(t *testing.T) {
 				KneeSlot: 50, Slots: 200, Seed: 3,
 			},
 			Link: &LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1},
-			Dynamics: &LinkDynamics{Process: &MarkovBandwidth{
-				GoodRate: 26_000, BadRate: 10_000, PGoodBad: 0.1, PBadGood: 0.2,
-			}},
+			Dynamics: &MarkovBandwidth{
+				GoodRate: 1.3, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.2,
+			},
 		}),
 		WithSeed(7),
 	)

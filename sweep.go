@@ -134,6 +134,6 @@ func NetworkMarkov(volatility float64) SweepNetwork { return experiments.Network
 // by the default handoff factor process.
 func NetworkHandoff() SweepNetwork { return experiments.NetworkHandoff() }
 
-// NetworkTraceShape replays a factor trace over the base capacity
-// (clone-per-run, so concurrent cells never share replay state).
+// NetworkTraceShape replays a factor trace over the base capacity. The
+// trace is a pure function of the slot, so every cell shares it.
 func NetworkTraceShape(tb *TraceBandwidth) SweepNetwork { return experiments.NetworkTrace(tb) }

@@ -64,13 +64,12 @@ func TestTelemetryGoldens(t *testing.T) {
 				}
 				bandit := NewBandit(4)
 				bandit.Reseed(NewRNG(11))
-				fading := DefaultMarkovFactor(NewRNG(13))
 				return []Option{
 					WithDevices(devs...),
 					WithAllocator(bandit),
 					WithService(&ModulatedService{
 						Inner:  &ConstantService{Rate: 3 * 4000},
-						Factor: fading.Bandwidth,
+						Factor: DefaultMarkovFactor(nil), // seeded by WithSeed
 					}),
 					WithSlots(slots),
 					WithSeed(17),
