@@ -60,11 +60,12 @@ edge-smoke:
 	$(GO) test -race -count=1 ./internal/stream
 	$(GO) test -count=1 -run 'TestEndToEnd|TestMultiDevice' ./cmd/qarvedge ./cmd/qarvdevice
 
-# sweep-smoke drives a tiny 2×2 grid end to end through cmd/qarvsweep
-# (fleet backend, JSON report) — the sweep engine's CLI smoke test.
+# sweep-smoke drives a tiny 2×3 grid end to end through cmd/qarvsweep
+# (fleet backend, JSON report) — the sweep engine's CLI smoke test. The
+# bare markov point is the -net markov class qarvsim and qarvfleet share.
 sweep-smoke:
 	$(GO) run ./cmd/qarvsweep -samples 60000 -slots 200 -seed 1 \
-		-axis v=0.5,2 -axis net=static,markov:0.5 \
+		-axis v=0.5,2 -axis net=static,markov,markov:0.5 \
 		-backend fleet -sessions 8 -json > /dev/null
 
 # learn-smoke runs the learning layer end to end through cmd/qarvsweep:

@@ -77,7 +77,7 @@ func List(s string) []string {
 }
 
 // NetworkUsage enumerates the -net class names of qarvsim and qarvfleet
-// for flag help. qarvsweep's net axis has its own grammar.
+// for flag help. qarvsweep's net axis resolves its bare markov here too.
 const NetworkUsage = "static, markov, trace[:FILE], handoff"
 
 // NetworkFactory builds a -net class's capacity-factor process — a

@@ -23,8 +23,9 @@
 //	poisson         proposed + Poisson(1) arrivals (seeded per session)
 //	bursty          proposed + on-off burst arrivals (2 frames / 2 slots)
 //	noisy           proposed + ±10% Gaussian service jitter per session
-//	offload         proposed in the bytes domain: stream-size costs
-//	                against an uplink-bandwidth service rate
+//	offload         proposed in the bytes domain: the capture's measured
+//	                stream sizes against the uplink bandwidth Offload
+//	                calibrates
 //	oracle          best fixed depth for the calibrated service rate
 //	delayed         proposed observing the backlog a control-loop delay
 //	                stale (the display-update lag regime)
@@ -70,10 +71,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -269,19 +268,6 @@ func buildProfile(scn *qarv.Scenario, name string, weight float64) (qarv.Profile
 		p = scn.FleetProfile(name, weight, 0.1)
 	case "highv":
 		p = scn.FleetProfile(name, weight, 10)
-	case "max":
-		p.NewPolicy = func(*qarv.RNG) (qarv.Policy, error) { return qarv.NewMaxDepthPolicy(depths) }
-	case "min":
-		p.NewPolicy = func(*qarv.RNG) (qarv.Policy, error) { return qarv.NewMinDepthPolicy(depths) }
-	case "threshold":
-		ctrl, err := scn.Controller()
-		if err != nil {
-			return p, err
-		}
-		high := ctrl.SwitchBacklog()
-		p.NewPolicy = func(*qarv.RNG) (qarv.Policy, error) {
-			return qarv.NewThresholdPolicy(depths, 0.5*high, high)
-		}
 	case "random":
 		p.NewPolicy = func(rng *qarv.RNG) (qarv.Policy, error) {
 			return qarv.NewRandomPolicy(depths, rng.Uint64())
@@ -300,12 +286,17 @@ func buildProfile(scn *qarv.Scenario, name string, weight float64) (qarv.Profile
 			return &qarv.NoisyService{Mean: rate, Std: 0.1 * rate, RNG: rng}
 		}
 	case "offload":
-		return offloadProfile(scn, name, weight)
+		// The same capture calibrated in the bytes domain: measured
+		// stream sizes against the uplink bandwidth Offload sizes.
+		bs, err := qarv.NewByteScenario(scn.Params)
+		if err != nil {
+			return p, fmt.Errorf("offload: %w", err)
+		}
+		return bs.FleetProfile(name, weight, 1), nil
 	default:
 		// Anything else resolves through the shared CLI policy grammar
-		// (cmd/internal/names): oracle, predictive, delayed,
-		// predictive-delayed, … — a fleet of the proposed controller
-		// wrapped by the learning layer. Parameterized forms are bare
+		// (cmd/internal/names): max, min, threshold, oracle, predictive,
+		// delayed, predictive-delayed, … Parameterized forms are bare
 		// here (defaults apply): the ":" separates the mix weight.
 		spec, err := names.Spec(name)
 		if err != nil {
@@ -316,65 +307,6 @@ func buildProfile(scn *qarv.Scenario, name string, weight float64) (qarv.Profile
 		}
 	}
 	return p, nil
-}
-
-// offloadProfile moves the controller into the bytes domain: per-frame
-// cost is the octree stream size bytes(d) and the service rate is an
-// uplink bandwidth placed the same fraction into (bytes(d_max−1),
-// bytes(d_max)) that the scenario's compute rate sits in its cost range
-// — the fleet-scale stand-in for the edge-offload scenario.
-func offloadProfile(scn *qarv.Scenario, name string, weight float64) (qarv.Profile, error) {
-	depths := scn.Params.Depths
-	// Approximate bytes(d) from the occupancy profile: one occupancy
-	// byte per 8 nodes per level plus 3 color bytes per point at the
-	// cut, matching the serializer's asymptotics without re-encoding.
-	bytesProfile := make([]int, len(scn.Profile))
-	cum := 0
-	for d, points := range scn.Profile {
-		cum += (points + 7) / 8
-		bytesProfile[d] = cum + 3*points
-	}
-	cost, err := qarv.NewPointCostModel(bytesProfile, 1, 0, 0)
-	if err != nil {
-		return qarv.Profile{}, fmt.Errorf("offload cost model: %w", err)
-	}
-	util, err := qarv.NewLogPointUtility(scn.Profile)
-	if err != nil {
-		return qarv.Profile{}, fmt.Errorf("offload utility model: %w", err)
-	}
-	// The deepest two distinct depths, in any list order (one distinct
-	// depth serves as both).
-	dMax, second := slices.Max(depths), math.MinInt
-	for _, d := range depths {
-		if d < dMax && d > second {
-			second = d
-		}
-	}
-	if second == math.MinInt {
-		second = dMax
-	}
-	frac := scn.Params.ServiceFraction
-	bandwidth := cost.FrameCost(second) + frac*(cost.FrameCost(dMax)-cost.FrameCost(second))
-	v, err := qarv.CalibrateV(scn.Params.KneeSlot, bandwidth, qarv.ControllerConfig{
-		Depths: depths, Utility: util, Cost: cost,
-	})
-	if err != nil {
-		return qarv.Profile{}, fmt.Errorf("offload V: %w", err)
-	}
-	return qarv.Profile{
-		Name:   name,
-		Weight: weight,
-		NewPolicy: func(*qarv.RNG) (qarv.Policy, error) {
-			return qarv.NewController(qarv.ControllerConfig{
-				V: v, Depths: depths, Utility: util, Cost: cost,
-			})
-		},
-		Cost:    cost,
-		Utility: util,
-		NewService: func(*qarv.RNG) qarv.ServiceProcess {
-			return &qarv.ConstantService{Rate: bandwidth}
-		},
-	}, nil
 }
 
 // netClass is one entry of the -net mix: a named network regime that

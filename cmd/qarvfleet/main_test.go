@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"qarv"
+	"qarv/internal/experiments"
+	"qarv/internal/octree"
+	"qarv/internal/synthetic"
 )
 
 // fleetArgs keeps the scenario calibration and the fleet tiny so CLI
@@ -366,7 +369,7 @@ func TestRunTelemetrySmoke(t *testing.T) {
 	}
 }
 
-// TestOffloadProfileDepthOrder: the offload profile's uplink bandwidth
+// TestOffloadProfileDepthOrder: the offload class's uplink bandwidth
 // sits between the two deepest depths whatever order the scenario
 // lists its depths in. A deepest-first list used to pick the deepest
 // depth as its own runner-up and fail calibration.
@@ -377,7 +380,7 @@ func TestOffloadProfileDepthOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := offloadProfile(scn, "offload", 1)
+		p, err := buildProfile(scn, "offload", 1)
 		if err != nil {
 			t.Fatalf("depths %v: %v", depths, err)
 		}
@@ -386,5 +389,54 @@ func TestOffloadProfileDepthOrder(t *testing.T) {
 	asc, desc := rate([]int{5, 6, 7, 8, 9, 10}), rate([]int{10, 9, 8, 7, 6, 5})
 	if asc != desc {
 		t.Errorf("bandwidth depends on depth order: ascending %v, descending %v", asc, desc)
+	}
+}
+
+// TestOffloadClassUsesMeasuredStreamBytes: the offload class prices
+// each depth at the capture's measured stream size (geometry and
+// colors) and serves at the bandwidth Offload calibrates for the same
+// scenario parameters, so fleet and single-run offload share one
+// byte-domain calibration.
+func TestOffloadClassUsesMeasuredStreamBytes(t *testing.T) {
+	scn, err := qarv.NewScenario(qarv.ScenarioParams{Samples: 30_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := buildProfile(scn, "offload", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sp := scn.Params
+	ch, err := synthetic.ByName(sp.Character)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud, err := synthetic.Generate(synthetic.Config{
+		Character: ch, SamplesTarget: sp.Samples, CaptureDepth: sp.CaptureDepth, Seed: sp.Seed,
+	}, synthetic.Pose{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := octree.Build(cloud, sp.CaptureDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamBytes, err := tree.StreamSizeProfile(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range sp.Depths {
+		if got, want := prof.Cost.FrameCost(d), float64(streamBytes[d]); got != want {
+			t.Errorf("depth %d: offload class costs %v bytes, the stream measures %v", d, got, want)
+		}
+	}
+
+	res, err := experiments.Offload(experiments.OffloadParams{ScenarioParams: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prof.NewService(nil).Service(0); got != res.Bandwidth {
+		t.Errorf("offload class serves %v bytes/slot, Offload calibrates %v", got, res.Bandwidth)
 	}
 }

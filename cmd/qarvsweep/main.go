@@ -16,8 +16,9 @@
 //	          [-metrics FILE] [-trace FILE]
 //
 // Axis kinds: v (factors of the calibrated V), rate (service-rate
-// fractions), arrivals (Poisson means), slots (horizons), net
-// (static, markov[:VOLATILITY[:DWELL]], handoff, trace[:FILE]), alloc
+// fractions), arrivals (Poisson means), slots (horizons), net (the
+// -net classes static, markov, handoff, trace[:FILE] of qarvsim and
+// qarvfleet, plus the mean-preserving markov:VOLATILITY[:DWELL]), alloc
 // (allocator names, learned forms bandit[:ARMS] and gradient[:STEP]
 // included; pool backend only), policy (proposed, max, min, random,
 // threshold, oracle, predictive[:H], delayed[:L],
@@ -26,11 +27,6 @@
 // asset's measured byte/PSNR ladders), viewdist (ASSET:D1,D2,... —
 // view-PSNR at each camera distance in meters). Unknown kinds are
 // rejected with the list.
-//
-// The net axis has its own grammar: a bare markov is the mean-preserving
-// NetworkMarkov(0.6) shape (good ×1.6, bad ×0.4, 10-slot dwells), not
-// the markov class of qarvsim and qarvfleet -net, which is the
-// DefaultMarkovFactor preset (×1 / ×0.3, mean dwells 20 and 4 slots).
 package main
 
 import (
@@ -97,8 +93,8 @@ func parseFlags(args []string) (options, error) {
 	var seed int64
 	var axes axisFlags
 	fs.Var(&axes, "axis", "axis spec name=v1,v2,... (repeatable): v, rate, arrivals, slots, net, alloc, policy, content, viewdist. "+
-		"net takes static, markov[:VOL[:DWELL]], handoff, trace[:FILE]; a bare markov is the mean-preserving volatility-0.6 shape "+
-		"(x1.6/x0.4, 10-slot dwells), not the -net markov preset of qarvsim and qarvfleet (x1/x0.3, dwells 20/4)")
+		"net takes static, markov, markov:VOL[:DWELL], handoff, trace[:FILE]; a bare markov is the -net markov class of qarvsim and qarvfleet, "+
+		"markov:VOL[:DWELL] the mean-preserving shape (x(1+VOL)/x(1-VOL), DWELL-slot dwells, default 10)")
 	fs.StringVar(&o.backend, "backend", "pool", "cell executor: pool (in-process) or fleet (a session population per cell)")
 	fs.IntVar(&o.sessions, "sessions", 256, "sessions per cell on the fleet backend")
 	fs.IntVar(&o.workers, "workers", 0, "concurrent cells (0 = GOMAXPROCS); output is identical for every value")
@@ -228,16 +224,16 @@ func buildAxis(spec string, o options) (qarv.SweepAxis, error) {
 	}
 }
 
-// buildNetwork parses one net-axis token: static,
-// markov[:VOLATILITY[:DWELL]], handoff, or trace[:FILE]. The optional
-// dwell (mean fading-state duration in slots) selects the slow-fading
-// shape the learning ablation's predictive policy targets.
+// buildNetwork parses one net-axis token. The bare classes resolve
+// through the shared -net grammar (cmd/internal/names), modulating the
+// cell's base capacity by the factor qarvsim and qarvfleet use.
+// markov:VOLATILITY is the mean-preserving NetworkMarkov shape; its
+// optional dwell (mean fading-state duration in slots) selects the
+// slow-fading shape the learning ablation's predictive policy targets.
 func buildNetwork(token string) (qarv.SweepNetwork, error) {
 	kind, arg, _ := strings.Cut(token, ":")
-	switch kind {
-	case "static":
-		return qarv.NetworkStatic(), nil
-	case "markov":
+	switch {
+	case kind == "markov" && arg != "":
 		vol := 0.6
 		volArg, dwellArg, hasDwell := strings.Cut(arg, ":")
 		if volArg != "" {
@@ -255,17 +251,26 @@ func buildNetwork(token string) (qarv.SweepNetwork, error) {
 			return qarv.NetworkMarkovDwell(vol, d), nil
 		}
 		return qarv.NetworkMarkov(vol), nil
-	case "handoff":
-		return qarv.NetworkHandoff(), nil
-	case "trace":
+	case kind == "trace":
 		tb, err := qarv.LoadFactorTrace(arg)
 		if err != nil {
 			return qarv.SweepNetwork{}, err
 		}
 		return qarv.NetworkTraceShape(tb), nil
-	default:
-		return qarv.SweepNetwork{}, fmt.Errorf("unknown network %q (want static, markov[:VOL[:DWELL]], handoff, trace[:FILE])", token)
 	}
+	newFactor, err := names.Network(token)
+	if err != nil {
+		return qarv.SweepNetwork{}, fmt.Errorf("unknown network %q (want static, markov, markov:VOL[:DWELL], handoff, trace[:FILE])", token)
+	}
+	if newFactor == nil {
+		return qarv.NetworkStatic(), nil
+	}
+	return qarv.SweepNetwork{Name: token, New: func(base float64, rng *qarv.RNG) qarv.ServiceProcess {
+		return &qarv.ModulatedService{
+			Inner:  &qarv.ConstantService{Rate: base},
+			Factor: newFactor(func() *qarv.RNG { return rng }),
+		}
+	}}, nil
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"qarv"
+	"qarv/cmd/internal/names"
 )
 
 // TestRunGridJSON: a 2×2 grid on the fleet backend emits a well-formed
@@ -183,5 +186,37 @@ func TestRunLearnedAxes(t *testing.T) {
 	}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "predictive[:H]") {
 		t.Errorf("policy error %v does not enumerate the grammar", err)
+	}
+}
+
+// TestBareMarkovIsNetPreset: the net axis's bare markov is the -net
+// markov class of qarvsim and qarvfleet — at base b it serves b × the
+// class's factor series drawn from the same stream (the ×1/×0.3
+// Gilbert–Elliott preset), labelled "markov".
+func TestBareMarkovIsNetPreset(t *testing.T) {
+	sn, err := buildNetwork("markov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newFactor, err := names.Network("markov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 1000.0
+	svc := sn.New(base, qarv.NewRNG(7))
+	factor := newFactor(func() *qarv.RNG { return qarv.NewRNG(7) })
+	levels := map[float64]bool{}
+	for slot := 0; slot < 2000; slot++ {
+		f := factor.Service(slot)
+		levels[f] = true
+		if got, want := svc.Service(slot), base*f; got != want {
+			t.Fatalf("slot %d: sweep markov serves %v, -net markov %v", slot, got, want)
+		}
+	}
+	if len(levels) != 2 || !levels[1] || !levels[0.3] {
+		t.Errorf("factor levels %v, want the ×1/×0.3 preset", levels)
+	}
+	if sn.Name != "markov" {
+		t.Errorf("label %q, want markov", sn.Name)
 	}
 }

@@ -43,12 +43,10 @@ type OffloadParams struct {
 	// Bandwidth × Dynamics.Service(t) — a Markov fading chain, a trace
 	// (a one-off drop is the three-point trace {0:1, start:f, end:1}),
 	// mobility handoffs with outage gaps; a non-positive rate is an
-	// outage slot. V stays calibrated at the static bandwidth. The
-	// controller observes the transmit queue through the link's exact
-	// byte accounting (netem.Link.BacklogBytes), since the delay×rate
-	// estimate is wrong the moment the rate moves. Each run works on a
-	// clone reseeded from Seed, so reports stay byte-identical per seed
-	// and the caller's process is never advanced.
+	// outage slot. V stays calibrated at the static bandwidth. Each run
+	// works on a clone reseeded from Seed, so reports stay
+	// byte-identical per seed and the caller's process is never
+	// advanced.
 	Dynamics delay.ServiceProcess
 	// Observer, when non-nil, receives every slot's event as the control
 	// loop runs, after the run's own telemetry. Offload semantics differ
@@ -165,6 +163,19 @@ func resolveLink(link *netem.LinkConfig, seed uint64) netem.LinkConfig {
 	return lc
 }
 
+// NewByteScenario calibrates the scenario params describes in the bytes
+// domain: cost a(d) is the measured stream size of depth d, and the
+// service rate is the uplink bandwidth ServiceFraction sizes — the
+// calibration Offload runs at when its Link leaves the bandwidth unset.
+func NewByteScenario(params ScenarioParams) (*Scenario, error) {
+	p := params.withDefaults()
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	scn, _, err := byteScenario(p, 0)
+	return scn, err
+}
+
 // byteScenario captures the frame p describes and calibrates it in the
 // bytes domain the uplink runs work in: cost a(d) is the stream size of
 // depth d (geometry and colors), utility the log-point utility over the
@@ -276,13 +287,6 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 		if err := cancel.Check(); err != nil {
 			return nil, fmt.Errorf("experiments: offload canceled at slot %d: %w", t, err)
 		}
-		// The controller observes the uplink backlog in bytes (the fluid
-		// queue the busy period implies). Static links keep the
-		// delay×rate estimate (bit-identical to the historical runs);
-		// dynamic links use the exact byte accounting, since the
-		// estimate revalues queued bytes at whatever the rate just
-		// became.
-		var q float64
 		if p.Dynamics != nil {
 			rate := bandwidth * p.Dynamics.Service(t)
 			if p.Recorder != nil && (t == 0 || rate != lastRate) {
@@ -294,10 +298,10 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 			}
 			lastRate = rate
 			link.ApplyRate(t, rate)
-			q = link.BacklogBytes(float64(t))
-		} else {
-			q = link.QueueDelay(t) * link.Bandwidth()
 		}
+		// The controller observes the uplink backlog in bytes: the link's
+		// exact count of enqueued, not yet serialized bytes.
+		q := link.BacklogBytes(float64(t))
 		res.BacklogBytes[t] = q
 		d := ctrl.Decide(t, q)
 		res.Depth[t] = d

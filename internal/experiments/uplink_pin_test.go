@@ -35,14 +35,15 @@ func pinDigest(t *testing.T, v any) string {
 }
 
 // TestUplinkRunsPinned pins the byte-domain runs and the scenario
-// calibration: every digest below was recorded before OffloadParams and
-// SharedUplinkParams embedded ScenarioParams, when the uplink was
-// shaped by Bandwidth, LatencySlots, JitterSlots and LossProb scalars.
-// The "old ..." cases are those scalar forms rewritten as the Link
-// their defaults resolved to; they must keep the scalar forms' bytes.
-// The Markov cases were recorded with absolute-rate processes and are
-// now written as factors on the calibrated bandwidth, with the same
-// bytes.
+// calibration. The "old ..." cases are the Bandwidth, LatencySlots,
+// JitterSlots and LossProb scalars the uplink was once shaped by,
+// rewritten as the Link their defaults resolved to. The Markov cases
+// were recorded with absolute-rate processes and are now written as
+// factors on the calibrated bandwidth, with the same bytes. The static
+// offload digests were re-pinned when every offload run came to observe
+// the link's exact BacklogBytes: it agrees with the old remaining-busy-
+// time × rate estimate to about 1e-14 relative, which flips the default
+// run's decision where Q sits exactly on the switch threshold.
 func TestUplinkRunsPinned(t *testing.T) {
 	base := offloadParams()
 	offload := func(mutate func(*OffloadParams)) *OffloadResult {
@@ -58,17 +59,17 @@ func TestUplinkRunsPinned(t *testing.T) {
 		name, want string
 		mutate     func(*OffloadParams)
 	}{
-		{"default", "f0eaf499043e3ca0bbe8542bd576eec8eb09e6774f5cb72247d61d7e16e38c1d", func(*OffloadParams) {}},
-		{"link zeros", "6850a6057083dfd1c39b8df259b56ac549e3167c9667a9ab594f08a111b9de68", func(p *OffloadParams) {
+		{"default", "d253057a887b7a846f525ff3ce7e69f6671b762b9fc88d6b1ab2ab41e6535891", func(*OffloadParams) {}},
+		{"link zeros", "78f9aff4c9101e1fbb2538d334a1664c33b443da0e8d7bcab2ec90f2f578d65f", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{}
 		}},
-		{"fixed 20k link", "ed13f17c0559cdaff5a8488d2fe56f094dfbdfd5545e397b9563cbc54be2e4af", func(p *OffloadParams) {
+		{"fixed 20k link", "165ce6ac10735a45c7ac28e02ddf6c45661a17a083ed6c01f39032a7cad58933", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001}
 		}},
 		// Re-pinned when the drop window became a factor trace: the run
-		// now observes the exact Link.BacklogBytes instead of the static
-		// QueueDelay×Bandwidth estimate, which revalued already-queued
-		// bytes at the halved rate, and reports Network "trace-bw".
+		// observes the exact Link.BacklogBytes instead of an estimate
+		// that revalued already-queued bytes at the halved rate, and
+		// reports Network "trace-bw".
 		{"drop window", "67cfbcfef45529bfb1e48966937219c6e86d4c1a84de82c47a672497526a0421", func(p *OffloadParams) {
 			p.Slots = 1600
 			p.Dynamics = dropTrace(t, 600, 1000, 0.5)
@@ -76,10 +77,10 @@ func TestUplinkRunsPinned(t *testing.T) {
 		{"markov dynamics", "921654db028c9122e735356b6efda3c4f31621a812553acb16aa01fbb1f84c79", func(p *OffloadParams) {
 			p.Dynamics = &netem.MarkovBandwidth{GoodRate: 1.5, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.1}
 		}},
-		{"old Bandwidth: 25000", "31ceaef86279e6ceba423a6ad1b812d3868bdaa95562ef3a0f1700f84f015e03", func(p *OffloadParams) {
+		{"old Bandwidth: 25000", "cc2881cd04fec938120f392fa292d28f91ff7b109b863ace5862cf3a5acb6153", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{BytesPerSlot: 25_000, LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.01}
 		}},
-		{"old LossProb: 0.2", "6792ef521c9a839521829b8cdcaa3fad6d8abb09867c1825885b6dfce250f74c", func(p *OffloadParams) {
+		{"old LossProb: 0.2", "44d27d0b07e25738882dcfbac314f82b2ce291f5230d4429f6196651bd3851fe", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.2}
 		}},
 	}

@@ -294,32 +294,29 @@ func TestLinkDynamicsApplySetsRateAndSuspendsOnOutage(t *testing.T) {
 	}
 	apply := func(slot int) { l.ApplyRate(slot, tb.Service(slot)) }
 	apply(0)
-	if l.Bandwidth() != 100 {
-		t.Fatalf("slot 0 rate %v", l.Bandwidth())
+	if tx := l.Transmit(100, 0); tx.DeliveredSlot != 1 {
+		t.Fatalf("slot 0 transmit delivered %v, want 1 (rate 100)", tx.DeliveredSlot)
 	}
 	apply(2)
 	apply(3)
-	// Outage slots keep the last positive rate but push the busy horizon.
-	if l.Bandwidth() != 100 {
-		t.Fatalf("outage must keep last positive rate, got %v", l.Bandwidth())
-	}
-	if got := l.QueueDelay(3); got != 1 {
-		t.Fatalf("queue delay during outage: %v, want 1 (suspended through slot 4)", got)
+	// Outage slots push the busy horizon through slot 4 but keep the
+	// last positive rate for the frames queued behind them.
+	tx := l.Transmit(100, 3)
+	if tx.QueueingDelay != 1 || tx.DeliveredSlot != 5 {
+		t.Fatalf("outage transmit queue=%v delivered=%v, want 1/5 (stalled through slot 4, rate 100)", tx.QueueingDelay, tx.DeliveredSlot)
 	}
 	apply(4)
-	if l.Bandwidth() != 50 {
-		t.Fatalf("recovery rate %v", l.Bandwidth())
-	}
-	tx := l.Transmit(100, 4)
-	if tx.StartSlot != 4 || tx.DeliveredSlot != 6 {
-		t.Fatalf("post-recovery transmit start=%v delivered=%v, want 4/6", tx.StartSlot, tx.DeliveredSlot)
+	tx = l.Transmit(100, 4)
+	if tx.StartSlot != 5 || tx.DeliveredSlot != 7 {
+		t.Fatalf("post-recovery transmit start=%v delivered=%v, want 5/7 (rate 50)", tx.StartSlot, tx.DeliveredSlot)
 	}
 }
 
 // Regression (review finding): outages must cost schedule time even on
-// a loaded link. Suspend alone is a no-op when the busy horizon already
-// extends past the outage; ApplyRate therefore uses Stall, which adds one
-// slot of dead time per outage slot regardless of the standing queue.
+// a loaded link. Raising the busy horizon to the outage's end is a no-op
+// when a standing queue already extends past it; ApplyRate therefore
+// uses Stall, which adds one slot of dead time per outage slot
+// regardless of the standing queue.
 func TestOutageDelaysFutureEnqueuesUnderStandingQueue(t *testing.T) {
 	run := func(outage bool) float64 {
 		l := mustLink(t, LinkConfig{BytesPerSlot: 100})
@@ -352,7 +349,7 @@ func TestLinkStall(t *testing.T) {
 	l := mustLink(t, LinkConfig{BytesPerSlot: 100})
 	// Idle link: a stall at slot 3 blocks until 4.
 	l.Stall(3, 1)
-	if d := l.QueueDelay(3); d != 1 {
+	if d := queueDelay(l, 3); d != 1 {
 		t.Errorf("idle stall queue delay = %v, want 1", d)
 	}
 	// Busy link: the stall appends to the horizon rather than being
@@ -360,13 +357,13 @@ func TestLinkStall(t *testing.T) {
 	l2 := mustLink(t, LinkConfig{BytesPerSlot: 100})
 	l2.Transmit(800, 0) // busy until 8
 	l2.Stall(1, 2)
-	if d := l2.QueueDelay(0); d != 10 {
+	if d := queueDelay(l2, 0); d != 10 {
 		t.Errorf("busy stall queue delay = %v, want 10 (8 busy + 2 dead)", d)
 	}
 	// Non-positive stalls are no-ops.
 	l2.Stall(0, 0)
 	l2.Stall(0, -3)
-	if d := l2.QueueDelay(0); d != 10 {
+	if d := queueDelay(l2, 0); d != 10 {
 		t.Errorf("zero/negative stall moved the horizon: %v", d)
 	}
 }

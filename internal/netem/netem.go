@@ -1,10 +1,9 @@
 // Package netem emulates the network path of an edge-offloaded AR
 // pipeline: a FIFO uplink with finite bandwidth, propagation latency,
-// jitter, and random loss, plus a token-bucket policer. The offload
-// experiments use it to turn the octree stream-size profile bytes(d) into
-// per-frame delivery delays, extending the paper's on-device delay model
-// to the network-bound regime its introduction motivates ("network-based
-// applications").
+// jitter, and random loss. The offload experiments use it to turn the
+// octree stream-size profile bytes(d) into per-frame delivery delays,
+// extending the paper's on-device delay model to the network-bound
+// regime its introduction motivates ("network-based applications").
 package netem
 
 import (
@@ -57,7 +56,8 @@ type Link struct {
 
 // pendingTx is one transmission's frozen serialization schedule: bytes
 // serialize uniformly over [start, finish]. The schedule is fixed at
-// Transmit time and never revised — that is the SetBandwidth contract.
+// Transmit time and never revised — that is the ApplyRate never-revise
+// contract.
 type pendingTx struct {
 	start, finish float64
 	bytes         float64
@@ -177,36 +177,14 @@ func (l *Link) Deliver(bytes, now float64) (deliveredSlot float64, dropped bool)
 	return now + l.cfg.LatencySlots + jitter, false
 }
 
-// QueueDelay returns how long a frame arriving at slot now would wait
-// before its first byte is sent.
-func (l *Link) QueueDelay(now int) float64 {
-	d := l.busyUntil - float64(now)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// SetBandwidth changes the link's serialization rate for transmissions
-// enqueued from now on — the hook for mid-session bandwidth changes
-// (handover, congestion, ApplyRate). Transmissions already
-// enqueued keep their original schedule: their Transmission outcomes
-// were returned at enqueue time, and neither QueueDelay nor
-// BacklogBytes revises them retroactively.
-func (l *Link) SetBandwidth(bytesPerSlot float64) error {
-	if bytesPerSlot <= 0 {
-		return fmt.Errorf("%w: %v", ErrBadBandwidth, bytesPerSlot)
-	}
-	l.cfg.BytesPerSlot = bytesPerSlot
-	return nil
-}
-
 // ApplyRate retunes the link for slot t to a time-varying capacity's
 // rate; call it once per slot, before observing or transmitting in the
 // slot. A positive rate becomes the serialization bandwidth for
-// transmissions enqueued from t on (already-scheduled deliveries keep
-// their schedule, per the SetBandwidth contract). A non-positive rate
-// is an outage: the link keeps its last positive rate for when capacity
+// transmissions enqueued from t on. Transmissions already enqueued keep
+// their schedule — the never-revise contract: their Transmission
+// outcomes were returned at enqueue time, and BacklogBytes values their
+// bytes against the rate they were scheduled at. A non-positive rate is
+// an outage: the link keeps its last positive rate for when capacity
 // returns, and one slot of dead time is added to the busy horizon even
 // when a standing queue already extends past it (Stall), so every
 // outage slot costs future enqueues exactly one slot.
@@ -218,32 +196,16 @@ func (l *Link) ApplyRate(t int, rate float64) {
 	l.Stall(float64(t), 1)
 }
 
-// Suspend blocks serialization before slot until: transmissions
-// enqueued after the call start no earlier than until. It never
-// shortens the busy period — and, by the same token, it is a no-op on
-// a link already busy past until, so it does NOT model dead time on a
-// loaded link (a standing queue would keep "serializing" through the
-// gap). Use Stall for an outage that must cost schedule time
-// regardless of load; Suspend is the primitive for absolute embargoes
-// on an idle-ish link. Already-returned Transmissions keep their
-// schedules in either case.
-func (l *Link) Suspend(until float64) {
-	if until > l.busyUntil {
-		l.busyUntil = until
-	}
-}
-
 // Stall inserts dead time into the serialization schedule: nothing new
 // serializes for the given number of slots starting at from (or at the
 // end of the current busy period, whichever is later), so the horizon
 // future enqueues queue behind grows by exactly slots — outages
-// accumulate even under a standing backlog, where Suspend would be a
-// no-op. The one modeling concession is the never-revise contract:
-// transmissions whose Transmission was already returned keep their
-// frozen schedules, so previously queued bytes still "drain" on paper
-// during the stall while everything enqueued afterwards pays for it.
-// This is the primitive ApplyRate uses to realize zero-bandwidth
-// (outage) slots.
+// accumulate even under a standing backlog. The one modeling concession
+// is the never-revise contract: transmissions whose Transmission was
+// already returned keep their frozen schedules, so previously queued
+// bytes still "drain" on paper during the stall while everything
+// enqueued afterwards pays for it. This is the primitive ApplyRate uses
+// to realize zero-bandwidth (outage) slots.
 func (l *Link) Stall(from, slots float64) {
 	if slots <= 0 {
 		return
@@ -274,12 +236,10 @@ func (l *Link) prunePending(now float64) {
 
 // BacklogBytes returns the bytes enqueued on the link but not yet
 // serialized at slot now: queued frames count in full, the in-flight
-// frame by the unserialized remainder of its frozen schedule. Unlike
-// the QueueDelay(now)·Bandwidth() estimate, this is exact when the
-// bandwidth has changed while frames were queued — each frame's bytes
-// are valued against the rate its schedule was built with, never
-// retroactively revalued at the current rate. For a link whose
-// bandwidth never changed the two agree (up to float rounding).
+// frame by the unserialized remainder of its frozen schedule. It stays
+// exact when ApplyRate changes the rate while frames are queued: per the
+// never-revise contract, each frame's bytes are valued against the rate
+// its schedule was built with, never retroactively at the current rate.
 func (l *Link) BacklogBytes(now float64) float64 {
 	l.prunePending(now)
 	var sum float64
@@ -294,9 +254,6 @@ func (l *Link) BacklogBytes(now float64) float64 {
 	return sum
 }
 
-// Bandwidth returns the current serialization rate.
-func (l *Link) Bandwidth() float64 { return l.cfg.BytesPerSlot }
-
 // Stats summarizes the link's history.
 type Stats struct {
 	Sent      int
@@ -308,41 +265,3 @@ type Stats struct {
 func (l *Link) Stats() Stats {
 	return Stats{Sent: l.sent, Dropped: l.dropped, BytesSent: l.bytesSent}
 }
-
-// TokenBucket polices admission at a sustained rate with a burst
-// allowance — the shaper a production uplink would apply before the
-// radio.
-type TokenBucket struct {
-	rate   float64 // tokens (bytes) added per slot
-	burst  float64 // bucket capacity
-	tokens float64
-	last   int
-}
-
-// NewTokenBucket returns a bucket starting full.
-func NewTokenBucket(ratePerSlot, burst float64) (*TokenBucket, error) {
-	if ratePerSlot <= 0 || burst <= 0 {
-		return nil, errors.New("netem: token bucket rate and burst must be positive")
-	}
-	return &TokenBucket{rate: ratePerSlot, burst: burst, tokens: burst}, nil
-}
-
-// Admit reports whether a frame of the given size may pass at slot now,
-// consuming tokens when admitted.
-func (tb *TokenBucket) Admit(bytes float64, now int) bool {
-	if now > tb.last {
-		tb.tokens += float64(now-tb.last) * tb.rate
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
-		}
-		tb.last = now
-	}
-	if bytes <= tb.tokens {
-		tb.tokens -= bytes
-		return true
-	}
-	return false
-}
-
-// Tokens returns the current token balance (for tests/telemetry).
-func (tb *TokenBucket) Tokens() float64 { return tb.tokens }

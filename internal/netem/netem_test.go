@@ -15,6 +15,12 @@ func mustLink(t *testing.T, cfg LinkConfig) *Link {
 	return l
 }
 
+// queueDelay is how long a frame arriving at slot now would wait for
+// the link, read from a zero-byte probe's QueueingDelay: the probe
+// occupies no serialization time, so it leaves the busy period and the
+// backlog as they were.
+func queueDelay(l *Link, now int) float64 { return l.Transmit(0, now).QueueingDelay }
+
 func TestLinkValidation(t *testing.T) {
 	if _, err := NewLink(LinkConfig{BytesPerSlot: 0}); !errors.Is(err, ErrBadBandwidth) {
 		t.Errorf("zero bandwidth: %v", err)
@@ -56,12 +62,18 @@ func TestLinkFIFOQueueing(t *testing.T) {
 	if second.DeliveredSlot != 3 {
 		t.Errorf("second delivered %v, want 3", second.DeliveredSlot)
 	}
-	// QueueDelay reflects the busy period.
-	if d := l.QueueDelay(0); d != 3 {
+	// The busy period holds both frames' bytes until it drains.
+	if d := queueDelay(l, 0); d != 3 {
 		t.Errorf("queue delay at 0 = %v, want 3", d)
 	}
-	if d := l.QueueDelay(10); d != 0 {
+	if got := l.BacklogBytes(0); got != 300 {
+		t.Errorf("backlog at 0 = %v, want 300", got)
+	}
+	if d := queueDelay(l, 10); d != 0 {
 		t.Errorf("queue delay after idle = %v, want 0", d)
+	}
+	if got := l.BacklogBytes(10); got != 0 {
+		t.Errorf("backlog after idle = %v, want 0", got)
 	}
 }
 
@@ -110,8 +122,8 @@ func TestLinkDeliverPropagationLeg(t *testing.T) {
 	if want := float64(st.Sent) * 10; st.BytesSent != want {
 		t.Errorf("bytes sent = %v, want %v", st.BytesSent, want)
 	}
-	if d := l.QueueDelay(0); d != 0 {
-		t.Errorf("Deliver occupied the serializer: queue delay %v", d)
+	if got := l.BacklogBytes(0); got != 0 {
+		t.Errorf("Deliver occupied the serializer: backlog %v", got)
 	}
 }
 
@@ -152,40 +164,6 @@ func TestLinkDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestTokenBucket(t *testing.T) {
-	tb, err := NewTokenBucket(10, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Starts full: a 50-byte burst passes, the next byte does not.
-	if !tb.Admit(50, 0) {
-		t.Fatal("full bucket must admit burst")
-	}
-	if tb.Admit(1, 0) {
-		t.Fatal("drained bucket must reject")
-	}
-	// After 3 slots: 30 tokens.
-	if !tb.Admit(30, 3) {
-		t.Fatal("refilled tokens must admit")
-	}
-	if tb.Admit(5, 3) {
-		t.Fatal("over-balance must reject")
-	}
-	// Refill caps at burst.
-	if !tb.Admit(50, 100) {
-		t.Fatal("cap refill must admit up to burst")
-	}
-	if tb.Tokens() != 0 {
-		t.Errorf("tokens = %v, want 0", tb.Tokens())
-	}
-	if _, err := NewTokenBucket(0, 1); err == nil {
-		t.Error("zero rate must error")
-	}
-	if _, err := NewTokenBucket(1, 0); err == nil {
-		t.Error("zero burst must error")
-	}
-}
-
 func TestLinkZeroByteFrames(t *testing.T) {
 	l := mustLink(t, LinkConfig{BytesPerSlot: 10, LatencySlots: 1})
 	tx := l.Transmit(0, 5)
@@ -202,11 +180,11 @@ func TestLinkZeroByteFrames(t *testing.T) {
 // Dynamic-bandwidth edge cases: the contracts the dynamics layer leans on.
 // ---------------------------------------------------------------------------
 
-// Regression pin: a bandwidth drop while the link is busy must not
+// Regression pin: a rate drop while the link is busy must not
 // retroactively change already-scheduled deliveries. Schedules freeze
-// at Transmit time; only transmissions enqueued after the change see
-// the new rate.
-func TestSetBandwidthMidBusyDoesNotRescheduleDeliveries(t *testing.T) {
+// at Transmit time; only transmissions enqueued after ApplyRate see the
+// new rate.
+func TestApplyRateMidBusyDoesNotRescheduleDeliveries(t *testing.T) {
 	l := mustLink(t, LinkConfig{BytesPerSlot: 100, LatencySlots: 1})
 	first := l.Transmit(200, 0)  // serializes [0,2), delivered 3
 	second := l.Transmit(100, 0) // queued: serializes [2,3), delivered 4
@@ -214,39 +192,36 @@ func TestSetBandwidthMidBusyDoesNotRescheduleDeliveries(t *testing.T) {
 		t.Fatalf("baseline schedule: %v, %v", first.DeliveredSlot, second.DeliveredSlot)
 	}
 
-	// Drop the bandwidth 10x while both frames are on the link.
-	if err := l.SetBandwidth(10); err != nil {
-		t.Fatal(err)
-	}
+	// Drop the rate 10x at slot 1 while both frames are on the link.
+	l.ApplyRate(1, 10)
 	// The busy period is unchanged: a frame arriving at slot 1 still
-	// waits exactly until slot 3...
-	if d := l.QueueDelay(1); d != 2 {
-		t.Errorf("queue delay after drop = %v, want 2 (schedules frozen)", d)
-	}
-	// ...and serializes at the new rate from there.
+	// waits exactly until slot 3, and serializes at the new rate from
+	// there.
 	third := l.Transmit(10, 1)
-	if third.StartSlot != 3 {
-		t.Errorf("third start = %v, want 3", third.StartSlot)
+	if third.StartSlot != 3 || third.QueueingDelay != 2 {
+		t.Errorf("third start=%v queue=%v, want 3/2 (schedules frozen)", third.StartSlot, third.QueueingDelay)
 	}
 	if third.DeliveredSlot != 5 { // 3 + 10/10 + 1 latency
 		t.Errorf("third delivered = %v, want 5", third.DeliveredSlot)
 	}
-	// Raising the bandwidth back mid-busy does not accelerate the queue
-	// either.
-	if err := l.SetBandwidth(1000); err != nil {
-		t.Fatal(err)
+	// Raising the rate back mid-busy does not accelerate the queue
+	// either: the next frame still waits for the slow one to finish.
+	l.ApplyRate(1, 1000)
+	fourth := l.Transmit(1000, 1)
+	if fourth.StartSlot != 4 || fourth.QueueingDelay != 3 {
+		t.Errorf("fourth start=%v queue=%v, want 4/3", fourth.StartSlot, fourth.QueueingDelay)
 	}
-	if d := l.QueueDelay(1); d != 3 {
-		t.Errorf("queue delay after restore = %v, want 3", d)
+	if fourth.DeliveredSlot != 6 { // 4 + 1000/1000 + 1 latency
+		t.Errorf("fourth delivered = %v, want 6", fourth.DeliveredSlot)
 	}
 }
 
-// SetBandwidth mid-busy-period: BacklogBytes values every frame against
+// ApplyRate mid-busy-period: BacklogBytes values every frame against
 // the rate its schedule was built with, never the current rate.
 func TestBacklogBytesExactUnderBandwidthChange(t *testing.T) {
 	l := mustLink(t, LinkConfig{BytesPerSlot: 100})
-	l.Transmit(200, 0) // serializes [0,2)
-	l.Transmit(100, 0) // serializes [2,3)
+	l.Transmit(200, 0)           // serializes [0,2)
+	second := l.Transmit(100, 0) // serializes [2,3)
 	if got := l.BacklogBytes(0); got != 300 {
 		t.Fatalf("backlog at 0 = %v, want 300", got)
 	}
@@ -255,14 +230,13 @@ func TestBacklogBytesExactUnderBandwidthChange(t *testing.T) {
 		t.Fatalf("backlog at 1 = %v, want 200", got)
 	}
 	// A 10x drop must not revalue the queued 200 bytes (the naive
-	// QueueDelay*Bandwidth estimate would report 2 slots * 10 B/slot = 20).
-	if err := l.SetBandwidth(10); err != nil {
-		t.Fatal(err)
-	}
+	// remaining-busy-time × current-rate estimate would report
+	// 2 slots * 10 B/slot = 20).
+	l.ApplyRate(1, 10)
 	if got := l.BacklogBytes(1); got != 200 {
 		t.Fatalf("backlog after drop = %v, want 200", got)
 	}
-	if est := l.QueueDelay(1) * l.Bandwidth(); est == 200 {
+	if est := (second.DeliveredSlot - 1) * 10; est == 200 {
 		t.Fatalf("estimate unexpectedly exact (%v); the regression would be invisible", est)
 	}
 	// New frames at the new rate join the exact accounting.
@@ -279,46 +253,18 @@ func TestBacklogBytesExactUnderBandwidthChange(t *testing.T) {
 }
 
 // For a constant-rate link the exact accounting agrees with the
-// QueueDelay*Bandwidth estimate the offload loop historically used.
+// remaining busy time × rate, read off the returned schedules: with no
+// latency, the last transmission's delivery is the end of the busy
+// period.
 func TestBacklogBytesMatchesEstimateOnStaticLink(t *testing.T) {
 	l := mustLink(t, LinkConfig{BytesPerSlot: 128})
 	for slot := 0; slot < 50; slot++ {
-		l.Transmit(float64(100+slot*7), slot)
+		tx := l.Transmit(float64(100+slot*7), slot)
 		got := l.BacklogBytes(float64(slot))
-		est := l.QueueDelay(slot) * l.Bandwidth()
+		est := (tx.DeliveredSlot - float64(slot)) * 128
 		if math.Abs(got-est) > 1e-6*math.Max(1, est) {
 			t.Fatalf("slot %d: exact %v vs estimate %v", slot, got, est)
 		}
-	}
-}
-
-// A handoff outage overlapping an in-flight transmission: the in-flight
-// frame keeps its already-returned delivery, queued frames wait out the
-// outage.
-func TestSuspendOverlappingInFlightTransmission(t *testing.T) {
-	l := mustLink(t, LinkConfig{BytesPerSlot: 100, LatencySlots: 1})
-	inFlight := l.Transmit(300, 0) // serializes [0,3), delivered 4
-	if inFlight.DeliveredSlot != 4 {
-		t.Fatalf("baseline delivery %v", inFlight.DeliveredSlot)
-	}
-	// Outage at slot 1 lasting 5 slots: the busy horizon extends to 6.
-	l.Suspend(6)
-	if d := l.QueueDelay(1); d != 5 {
-		t.Errorf("queue delay under outage = %v, want 5", d)
-	}
-	// The in-flight frame's bytes still finish serializing on their
-	// original schedule (its Transmission was already returned).
-	if got := l.BacklogBytes(2); got != 100 {
-		t.Errorf("backlog at 2 = %v, want 100 (one third of the frame left)", got)
-	}
-	queued := l.Transmit(100, 2)
-	if queued.StartSlot != 6 || queued.DeliveredSlot != 8 {
-		t.Errorf("queued frame start=%v delivered=%v, want 6/8", queued.StartSlot, queued.DeliveredSlot)
-	}
-	// Suspend never shortens the busy period.
-	l.Suspend(3)
-	if d := l.QueueDelay(2); d != 5 {
-		t.Errorf("late shorter suspend changed the horizon: %v", d)
 	}
 }
 

@@ -493,6 +493,11 @@ func RenderLadder(cfg RenderLadderConfig) ([]RenderLadderRow, UtilityModel, erro
 // NewScenario builds and calibrates the Fig. 2 scenario.
 func NewScenario(p ScenarioParams) (*Scenario, error) { return experiments.NewScenario(p) }
 
+// NewByteScenario calibrates the same capture in the bytes domain of the
+// uplink runs: cost a(d) is the measured stream size of depth d and the
+// service rate the uplink bandwidth Offload calibrates at.
+func NewByteScenario(p ScenarioParams) (*Scenario, error) { return experiments.NewByteScenario(p) }
+
 // Fig1 regenerates the Fig. 1 per-depth resolution/fidelity rows.
 func Fig1(cfg Fig1Config) ([]Fig1Row, error) { return experiments.Fig1(cfg) }
 
