@@ -19,7 +19,7 @@ import (
 	"sync"
 	"testing"
 
-	"qarv/internal/experiments"
+	"qarv/internal/content"
 	"qarv/internal/quality"
 	"qarv/internal/sim"
 )
@@ -241,19 +241,31 @@ func BenchmarkAblationUtilitySweep(b *testing.B) {
 }
 
 // BenchmarkMultiDevice regenerates ABL-MD: N distributed controllers
-// sharing an edge budget, each on local state only.
+// sharing an edge budget, each on local state only — one allocator cell
+// of four unit devices splitting four times the single-device service.
 func BenchmarkMultiDevice(b *testing.B) {
 	s := benchScenario(b)
-	var rows []experiments.MultiDeviceRow
-	var err error
+	unit := AllocDeviceSpec{ArrivalsPerSlot: 1, CostScale: 1}
+	var devices []*sim.Result
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.MultiDeviceContext(context.Background(), s, 4, 1600)
+		sw, err := NewSweep(s, AxisAllocator("equal"))
 		if err != nil {
 			b.Fatal(err)
 		}
+		sw.Slots = 1600
+		sw.Configure(func(c *SweepCell) error {
+			c.Devices = []AllocDeviceSpec{unit, unit, unit, unit}
+			c.Budget = 4 * s.ServiceRate
+			return nil
+		})
+		rep, err := sw.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		devices = rep.Rows[0].Detail.Multi.PerDevice
 	}
 	var worst float64
-	for _, r := range rows {
+	for _, r := range devices {
 		if r.TimeAvgBacklog > worst {
 			worst = r.TimeAvgBacklog
 		}
@@ -331,21 +343,21 @@ func maxf(a, b float64) float64 {
 
 // BenchmarkRenderLadder regenerates EXT-VIEW: the image-domain version of
 // Fig. 1 (per-depth view PSNR of the LOD ladder rendered by the software
-// splatter).
+// splatter), measured by the content pipeline's view-quality build.
 func BenchmarkRenderLadder(b *testing.B) {
-	var rows []RenderLadderRow
+	var prof *content.Profile
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, _, err = RenderLadder(RenderLadderConfig{
-			Samples: 40_000, CaptureDepth: 9, Depths: []int{5, 7, 9},
-			Width: 160, Height: 160, Seed: 1,
+		prof, err = content.Build(content.Config{
+			Samples: 40_000, CaptureDepth: 9, Depths: []int{5, 7, 9}, Seed: 1,
+			Quality: content.QualityView, View: content.View{Width: 160, Height: 160},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.ViewPSNR, fmt.Sprintf("viewPSNR_d%d", r.Depth))
+	for _, r := range prof.Ladder() {
+		b.ReportMetric(r.PSNR, fmt.Sprintf("viewPSNR_d%d", r.Depth))
 	}
 }
 

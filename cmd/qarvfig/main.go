@@ -324,7 +324,7 @@ type ablationTable struct {
 // runAblations writes every ablation table to ablations.txt and, unless
 // quiet, to out.
 func runAblations(ctx context.Context, o options, scn *experiments.Scenario, out io.Writer) error {
-	tables, err := ablationTables(ctx, o, scn)
+	tables, err := ablationTables(ctx, scn)
 	if err != nil {
 		return err
 	}
@@ -352,10 +352,11 @@ func runAblations(ctx context.Context, o options, scn *experiments.Scenario, out
 	return nil
 }
 
-// ablationTables runs the ablations: ABL-V, ABL-RATE and ABL-UTIL as
-// one-axis sweeps on the pool backend, then the multi-device and
-// baseline comparisons. Each run honors ctx inside its slot loops.
-func ablationTables(ctx context.Context, o options, scn *experiments.Scenario) ([]ablationTable, error) {
+// ablationTables runs the ablations, each a one-axis sweep on the pool
+// backend: ABL-V, ABL-RATE, ABL-UTIL, the multi-device allocator cell
+// (ABL-MD) and the baseline policy grid (ABL-BASE). Each run honors ctx
+// inside its slot loops.
+func ablationTables(ctx context.Context, scn *experiments.Scenario) ([]ablationTable, error) {
 	// ABL-V. The knee (and hence time-to-steady-state) scales with V:
 	// the horizon covers the largest factor's knee with settling room.
 	vFactors := []float64{0.01, 0.1, 0.5, 1, 2, 10}
@@ -432,8 +433,15 @@ func ablationTables(ctx context.Context, o options, scn *experiments.Scenario) (
 		})
 	}
 
-	// ABL-MD.
-	mRows, err := experiments.MultiDeviceContext(ctx, scn, 4, 0)
+	// ABL-MD: four devices, each acting on its own backlog alone (§II),
+	// share four times the single-device service under an equal split.
+	unit := qarv.AllocDeviceSpec{ArrivalsPerSlot: 1, CostScale: 1}
+	mdRows, err := sweepRows(ctx, scn, 2*scn.Params.Slots, qarv.AxisAllocator("equal"),
+		func(c *qarv.SweepCell) error {
+			c.Devices = []qarv.AllocDeviceSpec{unit, unit, unit, unit}
+			c.Budget = 4 * scn.ServiceRate
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -441,17 +449,35 @@ func ablationTables(ctx context.Context, o options, scn *experiments.Scenario) (
 		title:   "ABL-MD — distributed multi-device (shared service)",
 		headers: []string{"device", "avg utility", "avg backlog", "verdict"},
 	}
-	for _, r := range mRows {
+	for i, r := range mdRows[0].Detail.Multi.PerDevice {
+		verdict, err := r.Verdict()
+		if err != nil {
+			return nil, err
+		}
 		md.cells = append(md.cells, []string{
-			strconv.Itoa(r.Device),
+			strconv.Itoa(i),
 			fmt.Sprintf("%.4f", r.TimeAvgUtility),
 			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
-			r.Verdict,
+			verdict.String(),
 		})
 	}
 
-	// ABL-BASE.
-	bRows, err := experiments.BaselinesContext(ctx, scn, 0, o.seed)
+	// ABL-BASE: the Proposed controller against every reference policy at
+	// the scenario horizon. The random point draws from the stream the
+	// scenario seed starts (a nil RNG), not from its cell's stream.
+	var specs []qarv.PolicySpec
+	for _, name := range []string{"proposed", "max", "min", "random", "threshold", "oracle"} {
+		spec, err := qarv.SweepPolicyByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if name == "random" {
+			build := spec.New
+			spec.New = func(s *qarv.Scenario, _ *qarv.RNG) (qarv.Policy, error) { return build(s, nil) }
+		}
+		specs = append(specs, spec)
+	}
+	bRows, err := sweepRows(ctx, scn, scn.Params.Slots, qarv.AxisPolicy(specs...))
 	if err != nil {
 		return nil, err
 	}
@@ -461,9 +487,9 @@ func ablationTables(ctx context.Context, o options, scn *experiments.Scenario) (
 	}
 	for _, r := range bRows {
 		base.cells = append(base.cells, []string{
-			r.Policy,
-			fmt.Sprintf("%.4f", r.TimeAvgUtility),
-			fmt.Sprintf("%.0f", r.TimeAvgBacklog),
+			r.Detail.Sim.PolicyName,
+			fmt.Sprintf("%.4f", r.Utility),
+			fmt.Sprintf("%.0f", r.Backlog),
 			fmt.Sprintf("%.0f", r.MaxBacklog),
 			r.Verdict,
 		})
@@ -472,13 +498,16 @@ func ablationTables(ctx context.Context, o options, scn *experiments.Scenario) (
 }
 
 // sweepRows runs a one-axis sweep on the pool backend at the given
-// horizon and returns its rows in axis order.
-func sweepRows(ctx context.Context, scn *qarv.Scenario, slots int, axis qarv.SweepAxis) ([]qarv.SweepRow, error) {
+// horizon, with configure applied to every cell first, and returns its
+// rows in axis order.
+func sweepRows(ctx context.Context, scn *qarv.Scenario, slots int, axis qarv.SweepAxis,
+	configure ...func(c *qarv.SweepCell) error) ([]qarv.SweepRow, error) {
 	sw, err := qarv.NewSweep(scn, axis)
 	if err != nil {
 		return nil, err
 	}
 	sw.Slots = slots
+	sw.Configure(configure...)
 	rep, err := sw.Run(ctx)
 	if err != nil {
 		return nil, err

@@ -127,6 +127,31 @@ func TestRunAblationsGolden(t *testing.T) {
 	}
 }
 
+// TestRunFig2Golden pins both Fig. 2 CSVs byte for byte. The goldens
+// were generated on linux/amd64 with the flags below; regenerate them
+// only for an intended change to the figure.
+func TestRunFig2Golden(t *testing.T) {
+	dir := t.TempDir()
+	err := run(context.Background(), []string{"-fig", "2a", "-samples", "30000", "-slots", "240",
+		"-knee", "80", "-quiet", "-out", dir}, &bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"fig2a", "fig2b"} {
+		got, err := os.ReadFile(filepath.Join(dir, name+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s.csv differs from testdata/%s.golden", name, name)
+		}
+	}
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-nonsense"}, &bytes.Buffer{}); err == nil {
 		t.Error("bad flag must error")

@@ -202,6 +202,19 @@ func PolicyByName(name string) (PolicySpec, error) {
 	}
 }
 
+// policySpecs looks up each name with PolicyByName, in order.
+func policySpecs(names ...string) ([]PolicySpec, error) {
+	specs := make([]PolicySpec, len(names))
+	for i, name := range names {
+		spec, err := PolicyByName(name)
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = spec
+	}
+	return specs, nil
+}
+
 // learnPolicySpec builds the parameterized learning-layer policy specs:
 // predictive[:H], delayed[:L], and predictive-delayed[:L].
 func learnPolicySpec(name, base, param string) (PolicySpec, error) {

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"qarv/internal/content"
+	"qarv/internal/queueing"
+	"qarv/internal/sim"
 )
 
 var (
@@ -186,5 +188,40 @@ func TestAxisViewDistanceSweep(t *testing.T) {
 	}
 	if _, err := bad.Run(context.Background()); err == nil {
 		t.Fatal("negative distance: expected grid error")
+	}
+}
+
+// TestViewUtilityStabilizesController: the measured view-PSNR ladder
+// plugs into the same drift-plus-penalty controller, which then holds
+// its calibrated scenario stable past the knee.
+func TestViewUtilityStabilizesController(t *testing.T) {
+	prof, err := content.Load(content.Config{
+		Asset: "loot", Samples: 6_000, CaptureDepth: 7, Seed: 3,
+		Quality: content.QualityView, View: content.View{Width: 64, Height: 64},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scn, err := NewContentScenario(ScenarioParams{KneeSlot: 100, Slots: 400}, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := scn.Controller()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(scn.SimConfig(ctrl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdict, err := res.Verdict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verdict == queueing.VerdictDiverging {
+		t.Error("view-utility controller diverged")
+	}
+	if _, knee := depthSummary(res.Depth); knee < 0 {
+		t.Error("view-utility controller never backed off the deepest depth")
 	}
 }

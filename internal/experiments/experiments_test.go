@@ -339,37 +339,46 @@ func TestUtilitySweepModelIndependence(t *testing.T) {
 	}
 }
 
+// TestMultiDeviceAllStabilize runs the distributed claim (§II) as one
+// allocator cell: three devices, each on its own backlog alone, share
+// three times the single-device service under an equal split.
 func TestMultiDeviceAllStabilize(t *testing.T) {
 	s := sharedScenario(t)
-	rows, err := MultiDeviceContext(context.Background(), s, 3, 1600)
+	unit := AllocDeviceSpec{ArrivalsPerSlot: 1, CostScale: 1}
+	sw, err := NewSweep(s, AxisAllocator("equal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	sw.Slots = 1600
+	sw.Configure(func(c *SweepCell) error {
+		c.Devices = []AllocDeviceSpec{unit, unit, unit}
+		c.Budget = 3 * s.ServiceRate
+		return nil
+	})
+	rep, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if r.Verdict == queueing.VerdictDiverging.String() {
-			t.Errorf("device %d diverged", r.Device)
+	devices := rep.Rows[0].Detail.Multi.PerDevice
+	if len(devices) != 3 {
+		t.Fatalf("devices = %d", len(devices))
+	}
+	for i, r := range devices {
+		if v, err := r.Verdict(); err != nil || v == queueing.VerdictDiverging {
+			t.Errorf("device %d verdict %v (err %v)", i, v, err)
 		}
 		if r.TimeAvgUtility <= 0 {
-			t.Errorf("device %d utility = %v", r.Device, r.TimeAvgUtility)
+			t.Errorf("device %d utility = %v", i, r.TimeAvgUtility)
 		}
 	}
 }
 
 func TestBaselinesComparison(t *testing.T) {
 	s := sharedScenario(t)
-	rows, err := BaselinesContext(context.Background(), s, 1600, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byName := map[string]BaselineRow{}
+	rows := runAxis(t, s, s.Params.Slots, mustAxisPolicy(t, "proposed", "max", "min", "random", "threshold", "oracle"))
+	byName := map[string]SweepRow{}
 	for _, r := range rows {
-		byName[r.Policy] = r
+		byName[r.Detail.Sim.PolicyName] = r
 	}
 	prop := byName["drift-plus-penalty"]
 	// Proposed must dominate min-depth and the static oracle in quality
@@ -377,7 +386,7 @@ func TestBaselinesComparison(t *testing.T) {
 	if prop.Verdict == queueing.VerdictDiverging.String() {
 		t.Error("proposed diverged")
 	}
-	if prop.TimeAvgUtility <= byName["only min-Depth"].TimeAvgUtility {
+	if prop.Utility <= byName["only min-Depth"].Utility {
 		t.Error("proposed must beat min-depth quality")
 	}
 	oracleName := "fixed-depth(9)"
@@ -385,8 +394,8 @@ func TestBaselinesComparison(t *testing.T) {
 	if !ok {
 		t.Fatalf("oracle row missing: %v", byName)
 	}
-	if prop.TimeAvgUtility < oracle.TimeAvgUtility-1e-9 {
-		t.Errorf("proposed %v below static oracle %v", prop.TimeAvgUtility, oracle.TimeAvgUtility)
+	if prop.Utility < oracle.Utility-1e-9 {
+		t.Errorf("proposed %v below static oracle %v", prop.Utility, oracle.Utility)
 	}
 	if byName["only max-Depth"].Verdict != queueing.VerdictDiverging.String() {
 		t.Error("max-depth must diverge in this scenario")

@@ -154,21 +154,26 @@ func Fig2(s *Scenario) (*Fig2Result, error) {
 	return Fig2Context(context.Background(), s)
 }
 
-// Fig2Context is Fig2 under a cancelable context.
+// Fig2Context is Fig2 under a cancelable context: one policy grid of
+// the three controls on the pool backend at the scenario horizon.
 func Fig2Context(ctx context.Context, s *Scenario) (*Fig2Result, error) {
-	trio, err := s.TrioPolicies()
+	specs, err := policySpecs("proposed", "max", "min")
 	if err != nil {
 		return nil, err
 	}
-	results, err := sim.CompareContext(ctx, s.SimConfig(nil), trio)
+	sw, err := NewSweep(s, AxisPolicy(specs...))
+	if err != nil {
+		return nil, err
+	}
+	rep, err := sw.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return &Fig2Result{
 		Scenario: s,
-		Proposed: results[0],
-		MaxDepth: results[1],
-		MinDepth: results[2],
+		Proposed: rep.Rows[0].Detail.Sim,
+		MaxDepth: rep.Rows[1].Detail.Sim,
+		MinDepth: rep.Rows[2].Detail.Sim,
 	}, nil
 }
 
@@ -248,16 +253,6 @@ func (r *Fig2Result) CheckShape() error {
 // deepest depth (−1 if it never does) — the paper's "recognized optimized
 // point" of 400 unit times.
 func (r *Fig2Result) KneeSlot() int {
-	dMax := 0
-	for _, d := range r.Proposed.Depth {
-		if d > dMax {
-			dMax = d
-		}
-	}
-	for t, d := range r.Proposed.Depth {
-		if d < dMax {
-			return t
-		}
-	}
-	return -1
+	_, knee := depthSummary(r.Proposed.Depth)
+	return knee
 }

@@ -16,14 +16,10 @@ import (
 // take the documented defaults, so LearnSweep(ctx, s,
 // LearnSweepParams{}) runs the canonical grid.
 type LearnSweepParams struct {
-	// Volatilities are the Markov-fading volatility points of the
-	// network axis; 0 means a static link.
-	Volatilities []float64
-	// Networks, when non-empty, overrides Volatilities with explicit
-	// network shapes. When both are empty the grid runs the canonical
-	// axis: static, markov:0.4, markov:0.8, slow-fading markov (long
-	// dwells — the sustained-drift regime where prediction pays), and
-	// handoff (mobility outages).
+	// Networks are the network axis's shapes (NetworkStatic,
+	// NetworkMarkov and the rest). Default: static, markov:0.4,
+	// markov:0.8, slow-fading markov (long dwells — the sustained-drift
+	// regime where prediction pays), and handoff (mobility outages).
 	Networks []SweepNetwork
 	// Allocators are the ByName specs of the allocator grid. Default:
 	// the four static strategies plus the canonical bandit and
@@ -34,13 +30,11 @@ type LearnSweepParams struct {
 	// provably starves the heavy device).
 	Devices []AllocDeviceSpec
 	// Policies are the PolicyByName specs of the policy grid. Default:
-	// proposed (no delay), delayed:Lag (the stock controller across a
-	// delayed control loop), and predictive-delayed:Lag (the
-	// predictive-display policy under the same delay).
+	// proposed (no delay), delayed:L (the stock controller across a
+	// delayed control loop), and predictive-delayed:L (the
+	// predictive-display policy under the same delay), with L =
+	// learn.DefaultLag slots.
 	Policies []string
-	// Lag is the control-loop delay in slots of the default policy
-	// grid (default learn.DefaultLag).
-	Lag int
 	// FleetSessions, when positive, runs the policy grid on the fleet
 	// backend with that population per cell; otherwise it runs on the
 	// pool backend. (The allocator grid always runs on the pool
@@ -63,13 +57,9 @@ type LearnSweepParams struct {
 
 func (p LearnSweepParams) withDefaults(s *Scenario) LearnSweepParams {
 	if len(p.Networks) == 0 {
-		if len(p.Volatilities) == 0 {
-			p.Networks = []SweepNetwork{
-				NetworkStatic(), NetworkMarkov(0.4), NetworkMarkov(0.8),
-				NetworkMarkovDwell(0.8, 128), NetworkHandoff(),
-			}
-		} else {
-			p.Networks = learnNets(p.Volatilities)
+		p.Networks = []SweepNetwork{
+			NetworkStatic(), NetworkMarkov(0.4), NetworkMarkov(0.8),
+			NetworkMarkovDwell(0.8, 128), NetworkHandoff(),
 		}
 	}
 	if len(p.Allocators) == 0 {
@@ -82,14 +72,11 @@ func (p LearnSweepParams) withDefaults(s *Scenario) LearnSweepParams {
 	if len(p.Devices) == 0 {
 		p.Devices = HeterogeneousSpecs(8)
 	}
-	if p.Lag <= 0 {
-		p.Lag = learn.DefaultLag
-	}
 	if len(p.Policies) == 0 {
 		p.Policies = []string{
 			"proposed",
-			fmt.Sprintf("delayed:%d", p.Lag),
-			fmt.Sprintf("predictive-delayed:%d", p.Lag),
+			fmt.Sprintf("delayed:%d", learn.DefaultLag),
+			fmt.Sprintf("predictive-delayed:%d", learn.DefaultLag),
 		}
 	}
 	if p.Slots <= 0 {
@@ -128,8 +115,9 @@ type LearnRegime struct {
 // LearnSweepReport is the learning ablation's seed-pinned outcome: the
 // two raw sweep reports plus the per-regime winners derived from them.
 type LearnSweepReport struct {
-	// Seed echoes the grid seed; Lag the policy grid's control delay;
-	// V the calibrated tradeoff knob the scores weigh utility with.
+	// Seed echoes the grid seed; Lag the default policy grid's control
+	// delay (learn.DefaultLag); V the calibrated tradeoff knob the scores
+	// weigh utility with.
 	Seed uint64  `json:"seed"`
 	Lag  int     `json:"lag"`
 	V    float64 `json:"v"`
@@ -151,20 +139,6 @@ type LearnSweepReport struct {
 // sinks the score no matter how pretty the utility).
 func (r *LearnSweepReport) Score(utility, backlog float64) float64 {
 	return r.V*utility - backlog
-}
-
-// learnNets builds the shared network axis: volatility 0 is the static
-// link, anything else a mean-preserving Markov fading link.
-func learnNets(volatilities []float64) []SweepNetwork {
-	nets := make([]SweepNetwork, len(volatilities))
-	for i, v := range volatilities {
-		if v == 0 {
-			nets[i] = NetworkStatic()
-		} else {
-			nets[i] = NetworkMarkov(v)
-		}
-	}
-	return nets
 }
 
 // regimes derives each network column's winner from a grid whose rows
@@ -222,7 +196,7 @@ func LearnSweep(ctx context.Context, s *Scenario, params LearnSweepParams) (*Lea
 	for i, n := range nets {
 		netNames[i] = n.Name
 	}
-	rep := &LearnSweepReport{Seed: p.Seed, Lag: p.Lag, V: s.V}
+	rep := &LearnSweepReport{Seed: p.Seed, Lag: learn.DefaultLag, V: s.V}
 
 	// Allocator grid: a heterogeneous fleet contends for one shared
 	// budget per cell; the allocator axis must come first so each
@@ -247,11 +221,9 @@ func LearnSweep(ctx context.Context, s *Scenario, params LearnSweepParams) (*Lea
 
 	// Policy grid: single-session cells (one per policy × network),
 	// on the pool backend or a fleet population per cell.
-	specs := make([]PolicySpec, len(p.Policies))
-	for i, name := range p.Policies {
-		if specs[i], err = PolicyByName(name); err != nil {
-			return nil, err
-		}
+	specs, err := policySpecs(p.Policies...)
+	if err != nil {
+		return nil, err
 	}
 	pw, err := NewSweep(s, AxisPolicy(specs...), AxisNetwork(nets...))
 	if err != nil {

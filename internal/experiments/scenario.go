@@ -243,24 +243,6 @@ func (s *Scenario) SimConfig(p policy.Policy) sim.Config {
 	}
 }
 
-// TrioPolicies returns the paper's three compared controls in figure
-// order: Proposed, only max-Depth, only min-Depth.
-func (s *Scenario) TrioPolicies() ([]policy.Policy, error) {
-	ctrl, err := s.Controller()
-	if err != nil {
-		return nil, err
-	}
-	maxP, err := policy.NewMaxDepth(s.Params.Depths)
-	if err != nil {
-		return nil, err
-	}
-	minP, err := policy.NewMinDepth(s.Params.Depths)
-	if err != nil {
-		return nil, err
-	}
-	return []policy.Policy{ctrl, maxP, minP}, nil
-}
-
 // FleetProfile builds a fleet device class from the calibrated scenario:
 // the proposed controller at vFactor × the calibrated V, one frame per
 // slot, constant service at the calibrated rate. Callers may override

@@ -42,15 +42,16 @@ type SweepCell struct {
 	// Scenario is the calibrated setup every cell starts from.
 	Scenario *Scenario
 
-	// VFactor scales the calibrated V (default 1). Ignored when
-	// NewPolicy is set or RecalibrateV recomputes V.
+	// VFactor scales the calibrated V (default 1). NewPolicy and
+	// RecalibrateV override it, so setting it beside either fails the
+	// grid with ErrSweepIgnoredV.
 	VFactor float64
 	// Utility overrides the scenario's utility model for both control
 	// and measurement.
 	Utility quality.UtilityModel
 	// RecalibrateV recomputes V for the cell's utility model and service
 	// rate so knees stay comparable across models (the utility-model
-	// ablation).
+	// ablation). NewPolicy overrides it (ErrSweepIgnoredV).
 	RecalibrateV bool
 	// NewPolicy overrides the proposed controller entirely. The RNG is a
 	// dedicated child stream of the cell seed (fleet cells get one per
@@ -207,6 +208,11 @@ var (
 	// specs, so V, policy, arrival, and utility axes would silently
 	// have no effect — the sweep rejects the grid instead.
 	ErrSweepAllocatorAxes = errors.New("experiments: allocator cells sweep only the allocator, service rate, network shape, and slots — V, policy, arrival, and utility axes do not apply")
+	// ErrSweepIgnoredV reports a cell whose V setting another knob
+	// overrides: a policy factory ignores VFactor and RecalibrateV, and
+	// RecalibrateV ignores VFactor, so the grid would silently repeat
+	// rows.
+	ErrSweepIgnoredV = errors.New("experiments: V factor or recalibration set on a cell whose policy or recalibration overrides it")
 )
 
 // Sweep is a declarative grid experiment: the cross product of its axes
@@ -353,6 +359,10 @@ func (sw *Sweep) grid() ([]*SweepCell, [][]SweepCoord, error) {
 				}
 			}
 			cc[a] = SweepCoord{Axis: ax.Name, Label: p.Label, Value: p.Value, Numeric: p.Numeric}
+		}
+		if (cell.NewPolicy != nil && (cell.VFactor != 1 || cell.RecalibrateV)) ||
+			(cell.RecalibrateV && cell.VFactor != 1) {
+			return nil, nil, fmt.Errorf("experiments: sweep cell %d (%s): %w", idx, coordKey(cc), ErrSweepIgnoredV)
 		}
 		cells[idx] = cell
 		coords[idx] = cc
@@ -571,6 +581,7 @@ func runSimCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, error)
 		row.Verdict = v.String()
 		countVerdict(&row.Verdicts, v)
 	} else {
+		row.Verdict = unclassified
 		row.Verdicts.Unclassified++
 	}
 	return row, nil
@@ -664,9 +675,15 @@ func runMultiCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, erro
 	fillSojournSlice(row, sojourns)
 	if v, err := queueing.ClassifyTrajectory(sum, 0); err == nil {
 		row.Verdict = v.String()
+	} else {
+		row.Verdict = unclassified
 	}
 	return row, nil
 }
+
+// unclassified labels a row whose trajectories are too short to
+// classify, on every backend.
+const unclassified = "unclassified"
 
 // countVerdict folds one session verdict into the tally.
 func countVerdict(vc *fleet.VerdictCounts, v queueing.Verdict) {
@@ -706,7 +723,7 @@ func majorityVerdict(vc fleet.VerdictCounts) string {
 	}
 	switch {
 	case best.count == 0:
-		return "unclassified"
+		return unclassified
 	case tie:
 		return "mixed"
 	default:

@@ -289,15 +289,72 @@ func TestSweepAllocatorRejectsControlAxes(t *testing.T) {
 
 func mustAxisPolicy(t *testing.T, names ...string) SweepAxis {
 	t.Helper()
-	specs := make([]PolicySpec, len(names))
-	for i, n := range names {
-		spec, err := PolicyByName(n)
+	specs, err := policySpecs(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return AxisPolicy(specs...)
+}
+
+// TestSweepRejectsIgnoredV: a V factor or recalibration on a cell whose
+// policy factory or recalibration overrides it fails the grid before
+// any cell runs, instead of printing identical rows.
+func TestSweepRejectsIgnoredV(t *testing.T) {
+	s := sharedScenario(t)
+	recal := SweepAxis{Name: "recal", Points: []AxisPoint{{
+		Label: "on",
+		Apply: func(c *SweepCell) error { c.RecalibrateV = true; return nil },
+	}}}
+	ran := false
+	spy := AxisPolicy(PolicySpec{Name: "spy", New: func(s *Scenario, _ *geom.RNG) (policy.Policy, error) {
+		ran = true
+		return s.Controller()
+	}})
+	for _, tc := range []struct {
+		name string
+		axes []SweepAxis
+	}{
+		{"v × policy", []SweepAxis{AxisV(0.5, 2), spy}},
+		{"recalibration × policy", []SweepAxis{recal, spy}},
+		{"v × recalibration", []SweepAxis{AxisV(2), recal}},
+	} {
+		sw, err := NewSweep(s, tc.axes...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs[i] = spec
+		sw.Slots = 50
+		if _, err := sw.Run(context.Background()); !errors.Is(err, ErrSweepIgnoredV) {
+			t.Errorf("%s: err = %v, want ErrSweepIgnoredV", tc.name, err)
+		}
 	}
-	return AxisPolicy(specs...)
+	if ran {
+		t.Error("a cell ran before the grid was rejected")
+	}
+	// The default factor leaves nothing to ignore.
+	sw, err := NewSweep(s, AxisV(1), spy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Slots = 50
+	if _, err := sw.Run(context.Background()); err != nil {
+		t.Errorf("v=1 × policy: %v", err)
+	}
+}
+
+// TestSweepShortPoolRowsUnclassified: a horizon too short to classify
+// labels pool rows "unclassified", as fleet rows are, for a sim cell and
+// an allocator cell alike.
+func TestSweepShortPoolRowsUnclassified(t *testing.T) {
+	s := sharedScenario(t)
+	for _, axis := range []SweepAxis{AxisV(1), AxisAllocator("equal")} {
+		row := runAxis(t, s, 6, axis)[0]
+		if row.Verdict != "unclassified" {
+			t.Errorf("%s cell: verdict %q, want unclassified", axis.Name, row.Verdict)
+		}
+		if row.Verdicts.Unclassified == 0 {
+			t.Errorf("%s cell: tally %+v counts nothing unclassified", axis.Name, row.Verdicts)
+		}
+	}
 }
 
 // TestSweepRootCauseErrorPreferred: when one cell fails while its

@@ -4,7 +4,7 @@
 // resolution depending on Octree depth" — by measuring quality where it
 // is actually perceived: in the rendered image. The image-domain PSNR
 // between a depth-d LOD render and the full-resolution render feeds
-// quality.NewPSNRUtility (see experiments.RenderLadder), giving the
+// quality.NewPSNRUtility (see content.QualityView), giving the
 // controller a perceptual pa(d).
 package render
 
@@ -50,17 +50,6 @@ type Image struct {
 
 // At returns the pixel at (x, y).
 func (im *Image) At(x, y int) pointcloud.Color { return im.Pix[y*im.W+x] }
-
-// Coverage returns the fraction of pixels hit by at least one splat.
-func (im *Image) Coverage() float64 {
-	hit := 0
-	for _, d := range im.Depth {
-		if !math.IsInf(d, 1) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(im.Depth))
-}
 
 // Config controls a render pass.
 type Config struct {

@@ -47,13 +47,24 @@ func TestRenderValidation(t *testing.T) {
 	}
 }
 
+// coverage returns the fraction of pixels hit by at least one splat.
+func coverage(im *Image) float64 {
+	hit := 0
+	for _, d := range im.Depth {
+		if !math.IsInf(d, 1) {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(im.Depth))
+}
+
 func TestRenderCoversSubject(t *testing.T) {
 	cloud := bodyCloud(t)
 	im, err := Render(cloud, bodyConfig(cloud))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov := im.Coverage()
+	cov := coverage(im)
 	// A framed human should cover a meaningful but partial image area.
 	if cov < 0.05 || cov > 0.9 {
 		t.Errorf("coverage = %v", cov)
@@ -99,8 +110,8 @@ func TestRenderBehindCameraCulled(t *testing.T) {
 	}
 	// Both points are behind the view direction (camera looks toward -z);
 	// nothing may be drawn.
-	if im.Coverage() != 0 {
-		t.Errorf("behind-camera points drawn: coverage %v", im.Coverage())
+	if coverage(im) != 0 {
+		t.Errorf("behind-camera points drawn: coverage %v", coverage(im))
 	}
 }
 

@@ -288,24 +288,3 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	return dev.finalize(cfg.Slots), nil
 }
-
-// Compare runs the same scenario under several policies (fresh queues
-// each) and returns results keyed by the order given.
-func Compare(base Config, policies []policy.Policy) ([]*Result, error) {
-	return CompareContext(context.Background(), base, policies)
-}
-
-// CompareContext is Compare under a cancelable context.
-func CompareContext(ctx context.Context, base Config, policies []policy.Policy) ([]*Result, error) {
-	out := make([]*Result, 0, len(policies))
-	for _, p := range policies {
-		cfg := base
-		cfg.Policy = p
-		r, err := RunContext(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("policy %q: %w", p.Name(), err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

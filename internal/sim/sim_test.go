@@ -240,21 +240,23 @@ func TestFrameCompletionsUnderStableLoad(t *testing.T) {
 	}
 }
 
+// TestCompareRunsAllPolicies runs one base configuration under each
+// policy in turn, each on a fresh queue, and checks every result is
+// labeled with its own policy.
 func TestCompareRunsAllPolicies(t *testing.T) {
 	max, _ := policy.NewMaxDepth(testDepths)
 	min, _ := policy.NewMinDepth(testDepths)
-	ctrl := controller(t, 2e6)
-	results, err := Compare(baseConfig(t, nil, 300), []policy.Policy{ctrl, max, min})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
 	names := []string{"drift-plus-penalty", "only max-Depth", "only min-Depth"}
-	for i, r := range results {
-		if r.PolicyName != names[i] {
-			t.Errorf("result %d name = %q, want %q", i, r.PolicyName, names[i])
+	for i, p := range []policy.Policy{controller(t, 2e6), max, min} {
+		res, err := RunContext(context.Background(), baseConfig(t, p, 300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PolicyName != names[i] {
+			t.Errorf("result %d name = %q, want %q", i, res.PolicyName, names[i])
+		}
+		if res.Backlog[0] != 0 {
+			t.Errorf("result %d starts at backlog %v, want a fresh queue", i, res.Backlog[0])
 		}
 	}
 }

@@ -477,19 +477,6 @@ func SharedUplink(params SharedUplinkParams) (*SharedUplinkResult, error) {
 // of AxisAllocator cells.
 func HeterogeneousSpecs(n int) []AllocDeviceSpec { return experiments.HeterogeneousSpecs(n) }
 
-type (
-	// RenderLadderRow is one depth of the view-domain quality ladder.
-	RenderLadderRow = experiments.RenderLadderRow
-	// RenderLadderConfig parameterizes RenderLadder.
-	RenderLadderConfig = experiments.RenderLadderConfig
-)
-
-// RenderLadder measures per-depth image PSNR of the LOD ladder and
-// returns the rows plus a view-domain utility model.
-func RenderLadder(cfg RenderLadderConfig) ([]RenderLadderRow, UtilityModel, error) {
-	return experiments.RenderLadder(cfg)
-}
-
 // NewScenario builds and calibrates the Fig. 2 scenario.
 func NewScenario(p ScenarioParams) (*Scenario, error) { return experiments.NewScenario(p) }
 
