@@ -297,50 +297,6 @@ func BenchmarkOffloadUplink(b *testing.B) {
 	b.ReportMetric(float64(res.Bytes[10]), "bytes_at_depth10")
 }
 
-// BenchmarkMultiQueueSharedBudget regenerates EXT-MQ: K streams under a
-// shared budget priced by a virtual queue; the metric is achieved budget
-// utilization (must approach but never exceed 1).
-func BenchmarkMultiQueueSharedBudget(b *testing.B) {
-	s := benchScenario(b)
-	aMax := s.Cost.FrameCost(10)
-	budget := 2.5 * aMax
-	var utilization float64
-	for i := 0; i < b.N; i++ {
-		m, err := NewMultiQueueController(MultiQueueConfig{
-			Streams: 4,
-			Budget:  budget,
-			Controller: ControllerConfig{
-				V: s.V, Depths: s.Params.Depths, Utility: s.Utility, Cost: s.Cost,
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		backlogs := make([]float64, 4)
-		var total float64
-		const slots = 2000
-		for t := 0; t < slots; t++ {
-			decisions, err := m.DecideAll(backlogs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += m.TotalCost(decisions)
-			for k, d := range decisions {
-				backlogs[k] = maxf(backlogs[k]+s.Cost.FrameCost(d)-1.2*aMax, 0)
-			}
-		}
-		utilization = total / slots / budget
-	}
-	b.ReportMetric(utilization, "budget_utilization")
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // BenchmarkRenderLadder regenerates EXT-VIEW: the image-domain version of
 // Fig. 1 (per-depth view PSNR of the LOD ladder rendered by the software
 // splatter), measured by the content pipeline's view-quality build.
@@ -359,38 +315,6 @@ func BenchmarkRenderLadder(b *testing.B) {
 	for _, r := range prof.Ladder() {
 		b.ReportMetric(r.PSNR, fmt.Sprintf("viewPSNR_d%d", r.Depth))
 	}
-}
-
-// BenchmarkAutoTunerConvergence regenerates EXT-TUNE: the online V tuner
-// converging the backlog to a target without knowing the service rate.
-func BenchmarkAutoTunerConvergence(b *testing.B) {
-	s := benchScenario(b)
-	target := 100_000.0
-	var finalBacklog float64
-	for i := 0; i < b.N; i++ {
-		tuner, err := NewAutoTuner(ControllerConfig{
-			Depths: s.Params.Depths, Utility: s.Utility, Cost: s.Cost,
-		}, target, 0.3, 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := s.SimConfig(tuner)
-		cfg.Slots = 8000
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Mean backlog over the last quarter.
-		var tail float64
-		n := 0
-		for t := 3 * len(res.Backlog) / 4; t < len(res.Backlog); t++ {
-			tail += res.Backlog[t]
-			n++
-		}
-		finalBacklog = tail / float64(n)
-	}
-	b.ReportMetric(finalBacklog, "steady_backlog")
-	b.ReportMetric(target, "target_backlog")
 }
 
 // ---------------------------------------------------------------------------

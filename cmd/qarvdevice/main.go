@@ -22,12 +22,9 @@ import (
 	"sync"
 	"time"
 
-	"qarv/internal/core"
-	"qarv/internal/delay"
-	"qarv/internal/octree"
-	"qarv/internal/quality"
+	"qarv"
+	"qarv/internal/experiments"
 	"qarv/internal/stream"
-	"qarv/internal/synthetic"
 )
 
 func main() {
@@ -65,30 +62,28 @@ func run(args []string, out io.Writer) error {
 		return errors.New("-devices must be at least 1")
 	}
 
-	// Capture and per-depth encodings, shared read-only by every device.
-	ch, err := synthetic.ByName(*character)
+	// The byte scenario calibrates the controller exactly as the
+	// simulator's uplink runs do: cost a(d) is the measured stream size of
+	// depth d, and the service rate sits ServiceFraction of the way from
+	// bytes(d_max−1) to bytes(d_max). The live backlog supplies the actual
+	// feedback.
+	scn, err := qarv.NewByteScenario(qarv.ScenarioParams{
+		Character: *character,
+		Samples:   *samples,
+		Seed:      uint64(*seed),
+		KneeSlot:  *knee,
+	})
 	if err != nil {
 		return err
 	}
-	cloud, err := synthetic.Generate(synthetic.Config{
-		Character:     ch,
-		SamplesTarget: *samples,
-		CaptureDepth:  10,
-		Seed:          uint64(*seed),
-	}, synthetic.Pose{})
+	depths := scn.Params.Depths
+	// Per-depth encodings of the frame the scenario was calibrated on,
+	// shared read-only by every device.
+	_, tree, err := experiments.Capture(scn.Params)
 	if err != nil {
 		return err
 	}
-	tree, err := octree.Build(cloud, 10)
-	if err != nil {
-		return err
-	}
-	depths := []int{5, 6, 7, 8, 9, 10}
 	payloads := make(map[int][]byte, len(depths))
-	bytesProfile, err := tree.StreamSizeProfile(true)
-	if err != nil {
-		return err
-	}
 	for _, d := range depths {
 		p, err := tree.SerializeWithColorsBytes(d)
 		if err != nil {
@@ -96,27 +91,8 @@ func run(args []string, out io.Writer) error {
 		}
 		payloads[d] = p
 	}
-	util, err := quality.NewLogPointUtility(tree.Profile())
-	if err != nil {
-		return err
-	}
-	cost, err := delay.NewPointCostModel(bytesProfile, 1, 0, 0)
-	if err != nil {
-		return err
-	}
 
-	// Controller calibrated against the nominal per-frame budget implied
-	// by the frame interval at the depth-9/10 boundary; the live backlog
-	// supplies the actual feedback.
-	perFrameBudget := float64(bytesProfile[9]) + 0.6*float64(bytesProfile[10]-bytesProfile[9])
-	cfg := core.Config{Depths: depths, Utility: util, Cost: cost}
-	v, err := core.CalibrateV(*knee, perFrameBudget, cfg)
-	if err != nil {
-		return err
-	}
-	cfg.V = v
-
-	fmt.Fprintf(out, "streaming %d devices x %d frames to %s (V=%.4g)\n", *devices, *frames, *addr, v)
+	fmt.Fprintf(out, "streaming %d devices x %d frames to %s (V=%.4g)\n", *devices, *frames, *addr, scn.V)
 
 	results := make([]deviceResult, *devices)
 	var wg sync.WaitGroup
@@ -124,7 +100,7 @@ func run(args []string, out io.Writer) error {
 		wg.Add(1)
 		go func(dev int) {
 			defer wg.Done()
-			results[dev] = runDevice(*addr, cfg, depths, payloads, *frames, *interval)
+			results[dev] = runDevice(*addr, scn, payloads, *frames, *interval)
 		}(dev)
 	}
 	wg.Wait()
@@ -193,9 +169,9 @@ func run(args []string, out io.Writer) error {
 }
 
 // runDevice drives one controller loop over one live connection.
-func runDevice(addr string, cfg core.Config, depths []int, payloads map[int][]byte, frames int, interval time.Duration) deviceResult {
-	res := deviceResult{hist: make(map[int]int, len(depths))}
-	ctrl, err := core.New(cfg)
+func runDevice(addr string, scn *qarv.Scenario, payloads map[int][]byte, frames int, interval time.Duration) deviceResult {
+	res := deviceResult{hist: make(map[int]int, len(payloads))}
+	ctrl, err := scn.Controller()
 	if err != nil {
 		res.err = err
 		return res

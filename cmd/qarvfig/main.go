@@ -221,7 +221,7 @@ func runOffload(ctx context.Context, o options, out io.Writer) error {
 }
 
 func runFig1(ctx context.Context, o options, out io.Writer) error {
-	rows, err := experiments.Fig1Context(ctx, experiments.Fig1Config{Samples: o.samples, Seed: o.seed})
+	rows, err := experiments.Fig1Context(ctx, experiments.ScenarioParams{Samples: o.samples, Seed: o.seed})
 	if err != nil {
 		return err
 	}

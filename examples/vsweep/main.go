@@ -1,8 +1,8 @@
 // Vsweep: the Lyapunov tradeoff knob made visible. The drift-plus-penalty
 // theory promises a utility gap shrinking as O(1/V) while the backlog
 // grows as O(V). This example sweeps V around the calibrated V* — one
-// Session per point, all of them run concurrently by a SessionPool with
-// deterministic result ordering — and prints measured utility/backlog
+// AxisV grid cell per point, run concurrently by the sweep engine's pool
+// backend with rows in grid order — and prints measured utility/backlog
 // against the theoretical bounds — the ABL-V ablation.
 //
 // Run: go run ./examples/vsweep
@@ -33,44 +33,33 @@ func run() error {
 	}
 	fmt.Printf("calibrated V* = %.4g (knee at slot %.0f)\n\n", scn.V, scn.Params.KneeSlot)
 
-	// Horizon scales with the largest V so every run reaches steady state.
-	const slots = 20_000
+	// One cell per V factor, each running its own proposed controller at
+	// factor × V*, so the concurrent cells share no state and the rows are
+	// byte-identical at any worker count.
 	factors := []float64{0.05, 0.2, 0.5, 1, 2, 4}
-
-	// One session per sweep point — each with its own controller instance,
-	// so the concurrent runs share no state and the pool's reports are
-	// byte-identical to a sequential loop.
-	controllers := make([]*qarv.Controller, len(factors))
-	pool := qarv.NewSessionPool(0) // 0 workers = GOMAXPROCS
-	for i, f := range factors {
-		ctrl, err := scn.ControllerWithV(scn.V * f)
-		if err != nil {
-			return err
-		}
-		controllers[i] = ctrl
-		s, err := qarv.NewSession(
-			qarv.WithScenario(scn),
-			qarv.WithPolicy(ctrl),
-			qarv.WithSlots(slots),
-		)
-		if err != nil {
-			return err
-		}
-		pool.Add(s)
+	sw, err := qarv.NewSweep(scn, qarv.AxisV(factors...))
+	if err != nil {
+		return err
 	}
-	reports, err := pool.Run(context.Background())
+	// Horizon scales with the largest V so every run reaches steady state.
+	sw.Slots = 20_000
+	rep, err := sw.Run(context.Background())
 	if err != nil {
 		return err
 	}
 
 	fmt.Println("   V/V*     avg utility    avg backlog      verdict      bound gap O(1/V)   bound Q O(V)")
-	for i, rep := range reports {
+	for i, row := range rep.Rows {
 		var gap, qBound float64
-		if b, err := controllers[i].TheoreticalBounds(scn.ServiceRate); err == nil {
+		ctrl, err := scn.ControllerWithV(scn.V * factors[i])
+		if err != nil {
+			return err
+		}
+		if b, err := ctrl.TheoreticalBounds(scn.ServiceRate); err == nil {
 			gap, qBound = b.UtilityGap, b.BacklogBound
 		}
 		fmt.Printf("%7.2f  %14.4f  %13.0f  %11s  %17.3g  %13.3g\n",
-			factors[i], rep.TimeAvgUtility, rep.TimeAvgBacklog, rep.Verdict,
+			factors[i], row.Utility, row.Backlog, row.Verdict,
 			gap, qBound)
 	}
 

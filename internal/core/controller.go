@@ -67,8 +67,6 @@ type Controller struct {
 	depths  []int
 	utility []float64 // pa(d) per candidate, precomputed
 	cost    []float64 // a(d) per candidate, precomputed
-	uModel  quality.UtilityModel
-	cModel  delay.CostModel
 }
 
 // New validates cfg and precomputes the per-candidate utility/cost tables.
@@ -101,8 +99,6 @@ func New(cfg Config) (*Controller, error) {
 		depths:  depths,
 		utility: make([]float64, len(depths)),
 		cost:    make([]float64, len(depths)),
-		uModel:  cfg.Utility,
-		cModel:  cfg.Cost,
 	}
 	for i, d := range depths {
 		c.utility[i] = cfg.Utility.Utility(d)
@@ -120,22 +116,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	return c, nil
 }
-
-// V returns the tradeoff coefficient.
-func (c *Controller) V() float64 { return c.v }
-
-// Depths returns a copy of the (sorted, deduplicated) candidate set R.
-func (c *Controller) Depths() []int {
-	out := make([]int, len(c.depths))
-	copy(out, c.depths)
-	return out
-}
-
-// Utility returns the precomputed pa(d) for the i-th candidate.
-func (c *Controller) UtilityAt(i int) float64 { return c.utility[i] }
-
-// CostAt returns the precomputed a(d) for the i-th candidate.
-func (c *Controller) CostAt(i int) float64 { return c.cost[i] }
 
 // Name identifies the controller in traces (policy interface).
 func (c *Controller) Name() string { return "drift-plus-penalty" }

@@ -90,7 +90,7 @@ func TestDepthsSortedDeduped(t *testing.T) {
 	cfg.Depths = []int{9, 5, 7, 5, 9, 6, 8, 10}
 	c := mustNew(t, cfg)
 	want := []int{5, 6, 7, 8, 9, 10}
-	got := c.Depths()
+	got := c.depths
 	if len(got) != len(want) {
 		t.Fatalf("depths = %v", got)
 	}
@@ -168,7 +168,7 @@ func mustNewQuiet(cfg Config) *Controller {
 func TestDecideAlwaysInCandidateSet(t *testing.T) {
 	c := mustNew(t, testConfig(123))
 	valid := map[int]bool{}
-	for _, d := range c.Depths() {
+	for _, d := range c.depths {
 		valid[d] = true
 	}
 	f := func(q float64) bool {
@@ -186,7 +186,7 @@ func TestDecideDetailedConsistent(t *testing.T) {
 		if dec.Depth != c.Decide(0, q) {
 			t.Fatalf("Q=%v: detailed %d != plain %d", q, dec.Depth, c.Decide(0, q))
 		}
-		if len(dec.Candidates) != len(c.Depths()) {
+		if len(dec.Candidates) != len(c.depths) {
 			t.Fatalf("candidate rows = %d", len(dec.Candidates))
 		}
 		// The reported index must be the max over candidates.

@@ -1,9 +1,7 @@
 // Package delay models the rendering/visualization computation cost that
 // turns an Octree-depth decision into queue workload — the paper's a(d(t)),
 // "the arrivals by the determined Octree depth" — and the device's service
-// capacity per time slot. The cost model can be calibrated against real
-// measured LOD-extraction timings so the simulated device tracks this
-// machine's actual point-processing throughput.
+// capacity per time slot.
 package delay
 
 import (
@@ -11,10 +9,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"time"
 
 	"qarv/internal/geom"
-	"qarv/internal/stats"
 )
 
 // CostModel maps an Octree depth decision to the work (in work units; the
@@ -92,61 +88,6 @@ func (m *PointCostModel) Scaled(k float64) (*PointCostModel, error) {
 
 // Name implements CostModel.
 func (m *PointCostModel) Name() string { return "point-cost" }
-
-// MaxDepth returns the deepest depth the model covers.
-func (m *PointCostModel) MaxDepth() int { return len(m.profile) - 1 }
-
-// Calibration is a fitted relationship between rendered points and wall
-// time, measured on the host machine.
-type Calibration struct {
-	// NanosPerPoint is the marginal per-point processing time.
-	NanosPerPoint float64
-	// FixedNanos is the per-frame fixed overhead.
-	FixedNanos float64
-	// R2 reports fit quality.
-	R2 float64
-}
-
-// CalibrateFromMeasurements fits time ≈ NanosPerPoint·points + FixedNanos
-// by OLS over measured (points, duration) pairs, as produced by timing
-// real LOD extractions per depth.
-func CalibrateFromMeasurements(points []float64, durations []time.Duration) (Calibration, error) {
-	if len(points) != len(durations) {
-		return Calibration{}, errors.New("delay: calibration input length mismatch")
-	}
-	nanos := make([]float64, len(durations))
-	for i, d := range durations {
-		if d < 0 {
-			return Calibration{}, errors.New("delay: negative duration")
-		}
-		nanos[i] = float64(d.Nanoseconds())
-	}
-	fit, err := stats.OLS(points, nanos)
-	if err != nil {
-		return Calibration{}, fmt.Errorf("delay: calibration fit: %w", err)
-	}
-	if fit.Slope <= 0 {
-		return Calibration{}, errors.New("delay: calibration slope non-positive; measurements too noisy")
-	}
-	c := Calibration{NanosPerPoint: fit.Slope, FixedNanos: fit.Intercept, R2: fit.R2}
-	if c.FixedNanos < 0 {
-		c.FixedNanos = 0
-	}
-	return c, nil
-}
-
-// ServiceBudget converts a frame-period budget (e.g. 33 ms for 30 fps)
-// into a per-slot work budget in points, under this calibration.
-func (c Calibration) ServiceBudget(slotDuration time.Duration) float64 {
-	if c.NanosPerPoint <= 0 {
-		return 0
-	}
-	usable := float64(slotDuration.Nanoseconds()) - c.FixedNanos
-	if usable <= 0 {
-		return 0
-	}
-	return usable / c.NanosPerPoint
-}
 
 // ServiceProcess yields a per-slot capacity b(t): the device's
 // processing capacity in work units, the shared edge budget an

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"qarv/internal/geom"
 )
@@ -17,7 +16,7 @@ func TestPointCostModelMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := -1.0
-	for d := 0; d <= m.MaxDepth(); d++ {
+	for d := 0; d < len(testProfile); d++ {
 		c := m.FrameCost(d)
 		if c <= prev {
 			t.Errorf("cost not increasing at depth %d: %v <= %v", d, c, prev)
@@ -25,7 +24,7 @@ func TestPointCostModelMonotone(t *testing.T) {
 		prev = c
 	}
 	// Clamping beyond range.
-	if m.FrameCost(100) != m.FrameCost(m.MaxDepth()) {
+	if m.FrameCost(100) != m.FrameCost(len(testProfile)-1) {
 		t.Error("overflow depth must clamp")
 	}
 	if m.FrameCost(-4) != m.FrameCost(0) {
@@ -61,62 +60,6 @@ func TestPointCostModelValidation(t *testing.T) {
 	}
 	if _, err := NewPointCostModel([]int{-1, 3}, 1, 0, 0); err == nil {
 		t.Error("negative occupancy must error")
-	}
-}
-
-func TestCalibrationRecoversKnownCost(t *testing.T) {
-	// Synthesize measurements from a known 3 ns/point + 2 µs fixed law.
-	points := []float64{1000, 5000, 20000, 100000, 400000}
-	durations := make([]time.Duration, len(points))
-	for i, p := range points {
-		durations[i] = time.Duration(3*p+2000) * time.Nanosecond
-	}
-	cal, err := CalibrateFromMeasurements(points, durations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cal.NanosPerPoint-3) > 0.01 {
-		t.Errorf("ns/point = %v, want 3", cal.NanosPerPoint)
-	}
-	if math.Abs(cal.FixedNanos-2000) > 50 {
-		t.Errorf("fixed = %v, want 2000", cal.FixedNanos)
-	}
-	if cal.R2 < 0.999 {
-		t.Errorf("R2 = %v", cal.R2)
-	}
-}
-
-func TestCalibrationErrors(t *testing.T) {
-	if _, err := CalibrateFromMeasurements([]float64{1}, []time.Duration{1}); err == nil {
-		t.Error("single point must error")
-	}
-	if _, err := CalibrateFromMeasurements([]float64{1, 2}, []time.Duration{1}); err == nil {
-		t.Error("length mismatch must error")
-	}
-	if _, err := CalibrateFromMeasurements([]float64{1, 2}, []time.Duration{-1, 5}); err == nil {
-		t.Error("negative duration must error")
-	}
-	// Decreasing time with increasing points => nonsense slope.
-	if _, err := CalibrateFromMeasurements(
-		[]float64{1000, 2000}, []time.Duration{2000, 1000}); err == nil {
-		t.Error("negative slope must error")
-	}
-}
-
-func TestServiceBudget(t *testing.T) {
-	cal := Calibration{NanosPerPoint: 10, FixedNanos: 1000}
-	// 33 ms slot: (33e6 - 1000) / 10 points.
-	got := cal.ServiceBudget(33 * time.Millisecond)
-	want := (33e6 - 1000) / 10
-	if math.Abs(got-want) > 1e-6 {
-		t.Errorf("budget = %v, want %v", got, want)
-	}
-	if (Calibration{}).ServiceBudget(time.Second) != 0 {
-		t.Error("zero calibration must budget 0")
-	}
-	tight := Calibration{NanosPerPoint: 1, FixedNanos: 1e9}
-	if tight.ServiceBudget(time.Millisecond) != 0 {
-		t.Error("overhead beyond slot must budget 0")
 	}
 }
 

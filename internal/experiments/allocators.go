@@ -46,7 +46,8 @@ func HeterogeneousSpecs(n int) []AllocDeviceSpec {
 
 // FleetMinDemand returns the fleet's aggregate per-slot work demand with
 // every device pinned at the shallowest candidate depth — the floor any
-// stabilizing budget must exceed.
+// stabilizing budget must exceed. Specs take the same defaults as the
+// devices they build (one frame per slot, cost scale 1).
 func FleetMinDemand(s *Scenario, specs []AllocDeviceSpec) float64 {
 	dMin := s.Params.Depths[0]
 	for _, d := range s.Params.Depths {
@@ -57,7 +58,7 @@ func FleetMinDemand(s *Scenario, specs []AllocDeviceSpec) float64 {
 	aMin := s.Cost.FrameCost(dMin)
 	var demand float64
 	for _, spec := range specs {
-		demand += float64(spec.ArrivalsPerSlot) * spec.CostScale * aMin
+		demand += float64(spec.perSlot()) * spec.scale() * aMin
 	}
 	return demand
 }

@@ -83,6 +83,17 @@ func TestFleetMinDemandMatchesSpecs(t *testing.T) {
 	if got := FleetMinDemand(s, specs); got != want {
 		t.Errorf("FleetMinDemand = %v, want %v", got, want)
 	}
+	// Unset or non-positive fields take the defaults each device runs
+	// with: one frame per slot at cost scale 1.
+	unit := FleetMinDemand(s, []AllocDeviceSpec{{ArrivalsPerSlot: 1, CostScale: 1}})
+	if unit != aMin {
+		t.Errorf("unit device demand = %v, want %v", unit, aMin)
+	}
+	for _, spec := range []AllocDeviceSpec{{}, {ArrivalsPerSlot: -2}, {CostScale: -3}} {
+		if got := FleetMinDemand(s, []AllocDeviceSpec{spec}); got != unit {
+			t.Errorf("FleetMinDemand(%+v) = %v, want the unit device's %v", spec, got, unit)
+		}
+	}
 }
 
 func TestSharedUplinkFleetDelivers(t *testing.T) {

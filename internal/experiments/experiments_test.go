@@ -109,7 +109,7 @@ func TestNewScenarioDepthOrder(t *testing.T) {
 }
 
 func TestFig1Reproduction(t *testing.T) {
-	rows, err := Fig1(Fig1Config{Samples: 60_000, Seed: 1})
+	rows, err := Fig1(ScenarioParams{Samples: 60_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +134,16 @@ func TestFig1Reproduction(t *testing.T) {
 	last := rows[len(rows)-1]
 	if last.PointRatio < 0.99 {
 		t.Errorf("depth-10 ratio = %v, want ~1", last.PointRatio)
+	}
+}
+
+func TestFig1RejectsDepthBeyondCapture(t *testing.T) {
+	// Parameters are validated before the capture: the default
+	// 400k-sample frame is never generated, and the error is the
+	// sentinel rather than an LOD failure after the capture.
+	rows, err := Fig1(ScenarioParams{CaptureDepth: 8, Depths: []int{5, 9}})
+	if !errors.Is(err, ErrDepthBeyondCapture) {
+		t.Fatalf("Fig1 with depth 9 over an 8-deep capture: rows %v, err %v", rows, err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"qarv/internal/quality"
 	"qarv/internal/queueing"
 	"qarv/internal/sim"
-	"qarv/internal/synthetic"
 	"qarv/internal/trace"
 )
 
@@ -29,64 +28,31 @@ type Fig1Row struct {
 	ColorPSNR  float64 // luma PSNR (dB) vs the full capture
 }
 
-// Fig1Config parameterizes the Fig. 1 reproduction.
-type Fig1Config struct {
-	Character    string // default longdress
-	Samples      int    // default 400_000
-	CaptureDepth int    // default 10
-	Depths       []int  // default 5..10 (superset of the paper's 5..7)
-	Seed         uint64 // default 1
-}
-
-func (c Fig1Config) withDefaults() Fig1Config {
-	if c.Character == "" {
-		c.Character = "longdress"
-	}
-	if c.Samples <= 0 {
-		c.Samples = 400_000
-	}
-	if c.CaptureDepth <= 0 {
-		c.CaptureDepth = 10
-	}
-	if len(c.Depths) == 0 {
-		c.Depths = []int{5, 6, 7, 8, 9, 10}
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // Fig1 regenerates the Fig. 1 artifact: per-depth resolution and fidelity
-// of the octree LOD ladder over one synthetic full-body frame.
-func Fig1(cfg Fig1Config) ([]Fig1Row, error) {
-	return Fig1Context(context.Background(), cfg)
+// of the octree LOD ladder over the capture params describes, one row per
+// candidate depth. Only the capture fields (Character, Samples,
+// CaptureDepth, Seed) and Depths matter; zero values take the scenario
+// defaults.
+func Fig1(params ScenarioParams) ([]Fig1Row, error) {
+	return Fig1Context(context.Background(), params)
 }
 
 // Fig1Context is Fig1 under a cancelable context, checked before each
-// depth's (expensive) geometry comparison.
-func Fig1Context(ctx context.Context, cfg Fig1Config) ([]Fig1Row, error) {
-	c := cfg.withDefaults()
-	ch, err := synthetic.ByName(c.Character)
+// depth's (expensive) geometry comparison. Parameters are validated
+// before the capture, so a depth beyond the capture depth fails at once
+// with ErrDepthBeyondCapture.
+func Fig1Context(ctx context.Context, params ScenarioParams) ([]Fig1Row, error) {
+	p := params.withDefaults()
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	cloud, tree, err := Capture(p)
 	if err != nil {
 		return nil, err
 	}
-	cloud, err := synthetic.Generate(synthetic.Config{
-		Character:     ch,
-		SamplesTarget: c.Samples,
-		CaptureDepth:  c.CaptureDepth,
-		Seed:          c.Seed,
-	}, synthetic.Pose{})
-	if err != nil {
-		return nil, fmt.Errorf("generate frame: %w", err)
-	}
-	tree, err := octree.Build(cloud, c.CaptureDepth)
-	if err != nil {
-		return nil, fmt.Errorf("build octree: %w", err)
-	}
 	ref := quality.NewReference(cloud)
-	rows := make([]Fig1Row, 0, len(c.Depths))
-	for _, d := range c.Depths {
+	rows := make([]Fig1Row, 0, len(p.Depths))
+	for _, d := range p.Depths {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fig1 canceled at depth %d: %w", d, err)
 		}

@@ -184,7 +184,7 @@ func NewByteScenario(params ScenarioParams) (*Scenario, error) {
 // ladder is returned alongside, since the Scenario's Profile holds
 // occupancy.
 func byteScenario(p ScenarioParams, bandwidth float64) (*Scenario, []int, error) {
-	tree, err := capture(p)
+	_, tree, err := Capture(p)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -15,8 +15,8 @@ import (
 // preferred over the cancellations it fans out to sibling jobs. If
 // cancellation stops the feed before every index ran, RunPool returns
 // ctx's error: the batch is incomplete. A cancel that arrives after
-// every job finished cleanly discards nothing. This is the executor
-// behind both the sweep engine and the facade's SessionPool.
+// every job finished cleanly discards nothing. This is the sweep
+// engine's executor.
 func RunPool(ctx context.Context, workers, n int, job func(ctx context.Context, i int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -15,6 +15,7 @@ import (
 	"qarv/internal/fleet"
 	"qarv/internal/geom"
 	"qarv/internal/octree"
+	"qarv/internal/pointcloud"
 	"qarv/internal/policy"
 	"qarv/internal/quality"
 	"qarv/internal/queueing"
@@ -123,7 +124,7 @@ func NewScenario(params ScenarioParams) (*Scenario, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	tree, err := capture(p)
+	_, tree, err := Capture(p)
 	if err != nil {
 		return nil, err
 	}
@@ -139,12 +140,15 @@ func NewScenario(params ScenarioParams) (*Scenario, error) {
 	return calibrate(p, profile, util, cost, p.serviceRate(cost))
 }
 
-// capture generates the synthetic frame p describes and builds its
-// octree at the capture depth.
-func capture(p ScenarioParams) (*octree.Octree, error) {
+// Capture generates the synthetic frame p describes and builds its octree
+// at the capture depth, returning both. It is the one capture every
+// scenario calibrates on; p must be resolved, as a Scenario's Params
+// are, so a caller that needs the frame itself (e.g. to encode payloads)
+// passes scn.Params and gets the frame scn was calibrated on.
+func Capture(p ScenarioParams) (*pointcloud.Cloud, *octree.Octree, error) {
 	ch, err := synthetic.ByName(p.Character)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cloud, err := synthetic.Generate(synthetic.Config{
 		Character:     ch,
@@ -153,13 +157,13 @@ func capture(p ScenarioParams) (*octree.Octree, error) {
 		Seed:          p.Seed,
 	}, synthetic.Pose{})
 	if err != nil {
-		return nil, fmt.Errorf("generate frame: %w", err)
+		return nil, nil, fmt.Errorf("generate frame: %w", err)
 	}
 	tree, err := octree.Build(cloud, p.CaptureDepth)
 	if err != nil {
-		return nil, fmt.Errorf("build octree: %w", err)
+		return nil, nil, fmt.Errorf("build octree: %w", err)
 	}
-	return tree, nil
+	return cloud, tree, nil
 }
 
 // serviceRate places a rate ServiceFraction of the way from the cost of

@@ -444,8 +444,8 @@ func coordKey(coords []SweepCoord) string {
 // ---------------------------------------------------------------------------
 
 // SweepBackend executes one resolved grid cell. The two implementations
-// are BackendPool (in-process single runs, the SessionPool shape) and
-// BackendFleet (one fleet per cell).
+// are BackendPool (in-process single runs) and BackendFleet (one fleet
+// per cell).
 type SweepBackend interface {
 	// Name labels the backend in reports.
 	Name() string
@@ -579,7 +579,7 @@ func runSimCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, error)
 	row.MeanDepth, row.KneeSlot = depthSummary(res.Depth)
 	if v, err := res.Verdict(); err == nil {
 		row.Verdict = v.String()
-		countVerdict(&row.Verdicts, v)
+		row.Verdicts.Add(v)
 	} else {
 		row.Verdict = unclassified
 		row.Verdicts.Unclassified++
@@ -647,25 +647,19 @@ func runMultiCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, erro
 		Detail:    &SweepCellResult{Multi: res},
 	}
 	var sojourns []float64
-	var sum []float64
 	for _, r := range res.PerDevice {
-		if sum == nil {
-			sum = make([]float64, len(r.Backlog))
-		}
-		for t, q := range r.Backlog {
-			sum[t] += q
-		}
 		for _, fr := range r.Completed {
 			sojourns = append(sojourns, float64(fr.Sojourn))
 		}
 		if v, err := r.Verdict(); err == nil {
-			countVerdict(&row.Verdicts, v)
+			row.Verdicts.Add(v)
 		} else {
 			row.Verdicts.Unclassified++
 		}
 	}
 	// Backlog metrics all read the fleet-summed trajectory, matching
 	// Backlog (the summed time average) and the Verdict classification.
+	sum := res.SummedBacklog()
 	for _, q := range sum {
 		if q > row.MaxBacklog {
 			row.MaxBacklog = q
@@ -673,7 +667,7 @@ func runMultiCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, erro
 	}
 	row.P95Backlog = percentileOrZero(sum, 95)
 	fillSojournSlice(row, sojourns)
-	if v, err := queueing.ClassifyTrajectory(sum, 0); err == nil {
+	if v, err := res.Verdict(); err == nil {
 		row.Verdict = v.String()
 	} else {
 		row.Verdict = unclassified
@@ -684,20 +678,6 @@ func runMultiCell(ctx context.Context, sw *Sweep, c *SweepCell) (*SweepRow, erro
 // unclassified labels a row whose trajectories are too short to
 // classify, on every backend.
 const unclassified = "unclassified"
-
-// countVerdict folds one session verdict into the tally.
-func countVerdict(vc *fleet.VerdictCounts, v queueing.Verdict) {
-	switch v {
-	case queueing.VerdictDiverging:
-		vc.Diverging++
-	case queueing.VerdictConverged:
-		vc.Converged++
-	case queueing.VerdictStabilized:
-		vc.Stabilized++
-	default:
-		vc.Unclassified++
-	}
-}
 
 // majorityVerdict labels a fleet cell by its most common session
 // verdict ("mixed" on ties, "unclassified" when nothing classified).

@@ -64,7 +64,7 @@ type Profile struct {
 	// Weight is the class's share of the mix (relative, must be > 0).
 	Weight float64
 	// NewPolicy builds a fresh depth policy for one session. Policies may
-	// be stateful (Threshold, Random, AutoTuner), hence the factory.
+	// be stateful (Threshold, Random), hence the factory.
 	NewPolicy func(rng *geom.RNG) (policy.Policy, error)
 	// Cost maps the chosen depth to per-frame workload a(d).
 	Cost delay.CostModel
@@ -424,12 +424,5 @@ func (r *sessionRunner) finish(pa *profileAccum, departed bool) {
 		pa.verdicts.Unclassified++
 		return
 	}
-	switch v {
-	case queueing.VerdictDiverging:
-		pa.verdicts.Diverging++
-	case queueing.VerdictConverged:
-		pa.verdicts.Converged++
-	case queueing.VerdictStabilized:
-		pa.verdicts.Stabilized++
-	}
+	pa.verdicts.Add(v)
 }

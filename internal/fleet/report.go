@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qarv/internal/obs"
+	"qarv/internal/queueing"
 	"qarv/internal/stats"
 )
 
@@ -44,8 +45,23 @@ type VerdictCounts struct {
 	Unclassified int64 `json:"unclassified"`
 }
 
-// add folds o into v.
-func (v *VerdictCounts) add(o VerdictCounts) {
+// Add counts one classified session. A verdict other than diverging,
+// converged or stabilized counts as unclassified.
+func (v *VerdictCounts) Add(verdict queueing.Verdict) {
+	switch verdict {
+	case queueing.VerdictDiverging:
+		v.Diverging++
+	case queueing.VerdictConverged:
+		v.Converged++
+	case queueing.VerdictStabilized:
+		v.Stabilized++
+	default:
+		v.Unclassified++
+	}
+}
+
+// merge folds o into v.
+func (v *VerdictCounts) merge(o VerdictCounts) {
 	v.Diverging += o.Diverging
 	v.Converged += o.Converged
 	v.Stabilized += o.Stabilized
@@ -135,7 +151,7 @@ func (p *profileAccum) merge(o *profileAccum) error {
 	p.framesCompleted += o.framesCompleted
 	p.framesDropped += o.framesDropped
 	p.droppedWork += o.droppedWork
-	p.verdicts.add(o.verdicts)
+	p.verdicts.merge(o.verdicts)
 	if err := p.sojourn.Merge(o.sojourn); err != nil {
 		return err
 	}

@@ -5,10 +5,7 @@ import (
 	"math"
 )
 
-// AABB is an axis-aligned bounding box, inclusive of Min and exclusive of
-// Max on each axis for point-containment queries (half-open). The half-open
-// convention makes octree child boxes partition their parent exactly, so a
-// point belongs to exactly one child.
+// AABB is an axis-aligned bounding box.
 type AABB struct {
 	Min, Max Vec3
 }
@@ -33,15 +30,8 @@ func (b AABB) IsEmpty() bool {
 	return b.Min.X >= b.Max.X || b.Min.Y >= b.Max.Y || b.Min.Z >= b.Max.Z
 }
 
-// Contains reports whether p lies inside the half-open box [Min, Max).
-func (b AABB) Contains(p Vec3) bool {
-	return p.X >= b.Min.X && p.X < b.Max.X &&
-		p.Y >= b.Min.Y && p.Y < b.Max.Y &&
-		p.Z >= b.Min.Z && p.Z < b.Max.Z
-}
-
-// ContainsClosed reports whether p lies inside the closed box [Min, Max].
-// Used when a cloud's extreme point must still be counted as inside.
+// ContainsClosed reports whether p lies inside the closed box [Min, Max],
+// so a cloud's extreme point still counts as inside.
 func (b AABB) ContainsClosed(p Vec3) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X &&
 		p.Y >= b.Min.Y && p.Y <= b.Max.Y &&
@@ -52,19 +42,6 @@ func (b AABB) ContainsClosed(p Vec3) bool {
 func (b AABB) Extend(p Vec3) AABB {
 	return AABB{Min: b.Min.Min(p), Max: b.Max.Max(p)}
 }
-
-// Union returns the smallest box containing both b and o.
-func (b AABB) Union(o AABB) AABB {
-	return AABB{Min: b.Min.Min(o.Min), Max: b.Max.Max(o.Max)}
-}
-
-// Intersect returns the overlap of b and o; the result may be empty.
-func (b AABB) Intersect(o AABB) AABB {
-	return AABB{Min: b.Min.Max(o.Min), Max: b.Max.Min(o.Max)}
-}
-
-// Intersects reports whether b and o overlap in a region of positive volume.
-func (b AABB) Intersects(o AABB) bool { return !b.Intersect(o).IsEmpty() }
 
 // Size returns the per-axis extents (Max − Min).
 func (b AABB) Size() Vec3 { return b.Max.Sub(b.Min) }
@@ -101,47 +78,6 @@ func (b AABB) Cubified() AABB {
 func (b AABB) Expanded(pad float64) AABB {
 	p := Vec3{pad, pad, pad}
 	return AABB{Min: b.Min.Sub(p), Max: b.Max.Add(p)}
-}
-
-// Octant returns the i-th child cube (i ∈ [0,8)) of the box under octree
-// subdivision. Bit 0 of i selects the X half, bit 1 the Y half, bit 2 the Z
-// half; this ordering matches the Morton-code bit layout in this package.
-func (b AABB) Octant(i int) AABB {
-	c := b.Center()
-	child := b
-	if i&1 != 0 {
-		child.Min.X = c.X
-	} else {
-		child.Max.X = c.X
-	}
-	if i&2 != 0 {
-		child.Min.Y = c.Y
-	} else {
-		child.Max.Y = c.Y
-	}
-	if i&4 != 0 {
-		child.Min.Z = c.Z
-	} else {
-		child.Max.Z = c.Z
-	}
-	return child
-}
-
-// OctantIndex returns which child cube of b the point p falls into, using
-// the same bit convention as Octant. The caller must ensure p is inside b.
-func (b AABB) OctantIndex(p Vec3) int {
-	c := b.Center()
-	i := 0
-	if p.X >= c.X {
-		i |= 1
-	}
-	if p.Y >= c.Y {
-		i |= 2
-	}
-	if p.Z >= c.Z {
-		i |= 4
-	}
-	return i
 }
 
 // String implements fmt.Stringer.

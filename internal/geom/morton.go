@@ -37,8 +37,8 @@ func compactBits3(x uint64) uint64 {
 }
 
 // MortonEncode interleaves the low 21 bits of x, y, z into a Z-order key.
-// Bit 0 of the key is bit 0 of x, matching AABB.Octant's bit convention
-// (X=bit0, Y=bit1, Z=bit2 at every level).
+// Bit 0 of the key is bit 0 of x (X=bit0, Y=bit1, Z=bit2 at every
+// level), so a key's per-level child index names the octant of its cube.
 func MortonEncode(x, y, z uint32) uint64 {
 	return spreadBits3(uint64(x)) | spreadBits3(uint64(y))<<1 | spreadBits3(uint64(z))<<2
 }

@@ -73,9 +73,35 @@ func TestMortonAtDepthPrefix(t *testing.T) {
 	}
 }
 
+// octantDescent returns the child index of p's octant in b (X=bit0,
+// Y=bit1, Z=bit2, upper halves set) and that child cube.
+func octantDescent(b AABB, p Vec3) (int, AABB) {
+	c := b.Center()
+	i := 0
+	if p.X >= c.X {
+		i |= 1
+		b.Min.X = c.X
+	} else {
+		b.Max.X = c.X
+	}
+	if p.Y >= c.Y {
+		i |= 2
+		b.Min.Y = c.Y
+	} else {
+		b.Max.Y = c.Y
+	}
+	if p.Z >= c.Z {
+		i |= 4
+		b.Min.Z = c.Z
+	} else {
+		b.Max.Z = c.Z
+	}
+	return i, b
+}
+
 func TestMortonChildIndexMatchesOctantDescent(t *testing.T) {
-	// Descending the root cube by OctantIndex must follow the same path as
-	// the Morton key's per-level child indices.
+	// Descending the root cube octant by octant must follow the same path
+	// as the Morton key's per-level child indices.
 	box := NewAABB(V(0, 0, 0), V(1, 1, 1))
 	rng := NewRNG(5)
 	for n := 0; n < 200; n++ {
@@ -83,12 +109,12 @@ func TestMortonChildIndexMatchesOctantDescent(t *testing.T) {
 		m := MortonFromPoint(p, box)
 		cur := box
 		for level := 0; level < 8; level++ {
-			wantIdx := cur.OctantIndex(p)
+			var wantIdx int
+			wantIdx, cur = octantDescent(cur, p)
 			gotIdx := MortonChildIndex(m, level)
 			if gotIdx != wantIdx {
 				t.Fatalf("point %v level %d: morton child %d, octant %d", p, level, gotIdx, wantIdx)
 			}
-			cur = cur.Octant(wantIdx)
 		}
 	}
 }

@@ -74,27 +74,8 @@ func (v Vec3) Max(u Vec3) Vec3 {
 	return Vec3{math.Max(v.X, u.X), math.Max(v.Y, u.Y), math.Max(v.Z, u.Z)}
 }
 
-// Lerp returns the linear interpolation (1−t)·v + t·u.
-func (v Vec3) Lerp(u Vec3, t float64) Vec3 {
-	return Vec3{
-		X: v.X + (u.X-v.X)*t,
-		Y: v.Y + (u.Y-v.Y)*t,
-		Z: v.Z + (u.Z-v.Z)*t,
-	}
-}
-
 // MaxComponent returns the largest of the three components.
 func (v Vec3) MaxComponent() float64 { return math.Max(v.X, math.Max(v.Y, v.Z)) }
-
-// MinComponent returns the smallest of the three components.
-func (v Vec3) MinComponent() float64 { return math.Min(v.X, math.Min(v.Y, v.Z)) }
-
-// IsFinite reports whether all components are finite (no NaN or ±Inf).
-func (v Vec3) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
-		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
-}
 
 // RotateY returns v rotated by angle radians around the +Y axis.
 // Human bodies in the synthetic dataset stand along +Y, so yaw rotations
@@ -105,26 +86,6 @@ func (v Vec3) RotateY(angle float64) Vec3 {
 		X: c*v.X + s*v.Z,
 		Y: v.Y,
 		Z: -s*v.X + c*v.Z,
-	}
-}
-
-// RotateX returns v rotated by angle radians around the +X axis.
-func (v Vec3) RotateX(angle float64) Vec3 {
-	s, c := math.Sin(angle), math.Cos(angle)
-	return Vec3{
-		X: v.X,
-		Y: c*v.Y - s*v.Z,
-		Z: s*v.Y + c*v.Z,
-	}
-}
-
-// RotateZ returns v rotated by angle radians around the +Z axis.
-func (v Vec3) RotateZ(angle float64) Vec3 {
-	s, c := math.Sin(angle), math.Cos(angle)
-	return Vec3{
-		X: c*v.X - s*v.Y,
-		Y: s*v.X + c*v.Y,
-		Z: v.Z,
 	}
 }
 

@@ -89,9 +89,6 @@ func NewBandit(arms int) *Bandit {
 	return b
 }
 
-// Arms returns the arm count.
-func (b *Bandit) Arms() int { return b.arms }
-
 // Name implements alloc.Allocator.
 func (b *Bandit) Name() string { return fmt.Sprintf("bandit:%d", b.arms) }
 

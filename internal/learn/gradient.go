@@ -51,9 +51,6 @@ func NewGradient(step float64) *Gradient {
 	return &Gradient{step: step, floorFrac: gradientFloorFrac}
 }
 
-// Step returns the base step size.
-func (g *Gradient) Step() float64 { return g.step }
-
 // Name implements alloc.Allocator.
 func (g *Gradient) Name() string {
 	return "gradient:" + strconv.FormatFloat(g.step, 'g', -1, 64)

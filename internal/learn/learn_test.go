@@ -27,8 +27,8 @@ func TestByNameRegistration(t *testing.T) {
 	if !ok {
 		t.Fatalf("bandit:4 built %T, want *Bandit", a)
 	}
-	if b.Arms() != 4 {
-		t.Fatalf("bandit:4 arms = %d, want 4", b.Arms())
+	if b.arms != 4 {
+		t.Fatalf("bandit:4 arms = %d, want 4", b.arms)
 	}
 	if got := b.Name(); got != "bandit:4" {
 		t.Fatalf("Name() = %q, want bandit:4", got)
@@ -42,14 +42,14 @@ func TestByNameRegistration(t *testing.T) {
 	if !ok {
 		t.Fatalf("gradient:0.5 built %T, want *Gradient", a)
 	}
-	if g.Step() != 0.5 {
-		t.Fatalf("gradient:0.5 step = %v, want 0.5", g.Step())
+	if g.step != 0.5 {
+		t.Fatalf("gradient:0.5 step = %v, want 0.5", g.step)
 	}
 
 	if a, err = alloc.ByName("bandit"); err != nil {
 		t.Fatalf("bare bandit: %v", err)
-	} else if a.(*Bandit).Arms() != DefaultArms {
-		t.Fatalf("bare bandit arms = %d, want %d", a.(*Bandit).Arms(), DefaultArms)
+	} else if a.(*Bandit).arms != DefaultArms {
+		t.Fatalf("bare bandit arms = %d, want %d", a.(*Bandit).arms, DefaultArms)
 	}
 
 	for _, bad := range []string{"bandit:0", "bandit:x", "gradient:-1", "gradient:zz"} {

@@ -121,16 +121,6 @@ type Element struct {
 	Properties []Property
 }
 
-// PropertyIndex returns the position of the named property, or -1.
-func (e *Element) PropertyIndex(name string) int {
-	for i, p := range e.Properties {
-		if p.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Header is a parsed PLY header.
 type Header struct {
 	Format   Format

@@ -104,12 +104,6 @@ func TestHeaderParse8iStyle(t *testing.T) {
 	if v == nil || v.Count != 3 || len(v.Properties) != 6 {
 		t.Fatalf("vertex element = %+v", v)
 	}
-	if v.PropertyIndex("red") != 3 {
-		t.Errorf("red index = %d", v.PropertyIndex("red"))
-	}
-	if v.PropertyIndex("nope") != -1 {
-		t.Error("missing property must be -1")
-	}
 }
 
 func TestListPropertiesRoundTrip(t *testing.T) {

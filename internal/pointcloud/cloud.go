@@ -1,9 +1,9 @@
 // Package pointcloud provides the point-cloud container and the geometric
-// operations the paper's pipeline needs: bounds, transforms, voxel
-// downsampling, cropping, spatial indexing with nearest-neighbour queries,
-// normal estimation, and outlier removal. It plays the role Open3D plays in
-// the paper's experiment section (point cloud reading, data format
-// conversion, preprocessing), implemented in pure Go.
+// operations the paper's pipeline needs: bounds, rotation, voxel
+// downsampling, and spatial indexing with nearest-neighbour queries. It
+// plays the role Open3D plays in the paper's experiment section (point
+// cloud reading, data format conversion, preprocessing), implemented in
+// pure Go.
 package pointcloud
 
 import (
@@ -99,36 +99,6 @@ func (c *Cloud) Append(p geom.Vec3, color *Color, normal *geom.Vec3) {
 	}
 }
 
-// Merge appends all points (and attributes) of o into c.
-func (c *Cloud) Merge(o *Cloud) {
-	base := len(c.Points)
-	c.Points = append(c.Points, o.Points...)
-	if c.Colors != nil || o.Colors != nil {
-		for len(c.Colors) < base {
-			c.Colors = append(c.Colors, Color{})
-		}
-		if o.Colors != nil {
-			c.Colors = append(c.Colors, o.Colors...)
-		} else {
-			for len(c.Colors) < len(c.Points) {
-				c.Colors = append(c.Colors, Color{})
-			}
-		}
-	}
-	if c.Normals != nil || o.Normals != nil {
-		for len(c.Normals) < base {
-			c.Normals = append(c.Normals, geom.Vec3{})
-		}
-		if o.Normals != nil {
-			c.Normals = append(c.Normals, o.Normals...)
-		} else {
-			for len(c.Normals) < len(c.Points) {
-				c.Normals = append(c.Normals, geom.Vec3{})
-			}
-		}
-	}
-}
-
 // Bounds returns the tight axis-aligned bounding box of the points.
 func (c *Cloud) Bounds() geom.AABB {
 	b := geom.EmptyAABB()
@@ -136,33 +106,6 @@ func (c *Cloud) Bounds() geom.AABB {
 		b = b.Extend(p)
 	}
 	return b
-}
-
-// Centroid returns the arithmetic mean of the points; the zero vector for
-// an empty cloud.
-func (c *Cloud) Centroid() geom.Vec3 {
-	if len(c.Points) == 0 {
-		return geom.Vec3{}
-	}
-	var sum geom.Vec3
-	for _, p := range c.Points {
-		sum = sum.Add(p)
-	}
-	return sum.Scale(1 / float64(len(c.Points)))
-}
-
-// Translate shifts every point by t in place.
-func (c *Cloud) Translate(t geom.Vec3) {
-	for i := range c.Points {
-		c.Points[i] = c.Points[i].Add(t)
-	}
-}
-
-// Scale multiplies every point by s about the origin, in place.
-func (c *Cloud) Scale(s float64) {
-	for i := range c.Points {
-		c.Points[i] = c.Points[i].Scale(s)
-	}
 }
 
 // RotateY rotates every point (and normal) by angle radians around +Y about
@@ -174,31 +117,6 @@ func (c *Cloud) RotateY(angle float64) {
 	for i := range c.Normals {
 		c.Normals[i] = c.Normals[i].RotateY(angle)
 	}
-}
-
-// Crop returns a new cloud holding only the points inside box (half-open),
-// with attributes carried along.
-func (c *Cloud) Crop(box geom.AABB) *Cloud {
-	out := &Cloud{}
-	if c.HasColors() {
-		out.Colors = make([]Color, 0)
-	}
-	if c.HasNormals() {
-		out.Normals = make([]geom.Vec3, 0)
-	}
-	for i, p := range c.Points {
-		if !box.Contains(p) {
-			continue
-		}
-		out.Points = append(out.Points, p)
-		if c.HasColors() {
-			out.Colors = append(out.Colors, c.Colors[i])
-		}
-		if c.HasNormals() {
-			out.Normals = append(out.Normals, c.Normals[i])
-		}
-	}
-	return out
 }
 
 // Select returns a new cloud with the points at the given indices, in order.

@@ -46,7 +46,7 @@ func TestCloudValidate(t *testing.T) {
 
 func TestCloudCloneIsDeep(t *testing.T) {
 	c := coloredCloud(5, 2)
-	c.EstimateNormals(3, geom.V(0, 0, 10))
+	c.Normals = make([]geom.Vec3, c.Len())
 	d := c.Clone()
 	d.Points[0] = geom.V(99, 99, 99)
 	d.Colors[0] = Color{R: 1}
@@ -69,25 +69,7 @@ func TestCloudAppendBackfillsAttributes(t *testing.T) {
 	}
 }
 
-func TestCloudMergeAttributes(t *testing.T) {
-	a := cubeCloud(3, 3)
-	b := coloredCloud(4, 4)
-	a.Merge(b)
-	if a.Len() != 7 {
-		t.Fatalf("merged len = %d", a.Len())
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatalf("merge broke invariant: %v", err)
-	}
-	if a.Colors[0] != (Color{}) {
-		t.Error("uncolored prefix must backfill zero colors")
-	}
-	if a.Colors[3] != b.Colors[0] {
-		t.Error("merged colors not carried over")
-	}
-}
-
-func TestCloudBoundsAndCentroid(t *testing.T) {
+func TestCloudBounds(t *testing.T) {
 	c := &Cloud{}
 	c.Append(geom.V(0, 0, 0), nil, nil)
 	c.Append(geom.V(2, 4, 6), nil, nil)
@@ -95,25 +77,11 @@ func TestCloudBoundsAndCentroid(t *testing.T) {
 	if b.Min != geom.V(0, 0, 0) || b.Max != geom.V(2, 4, 6) {
 		t.Errorf("bounds = %v", b)
 	}
-	if got := c.Centroid(); got != geom.V(1, 2, 3) {
-		t.Errorf("centroid = %v", got)
-	}
-	if (&Cloud{}).Centroid() != (geom.Vec3{}) {
-		t.Error("empty centroid must be zero")
-	}
 }
 
 func TestCloudTransforms(t *testing.T) {
 	c := &Cloud{}
-	c.Append(geom.V(1, 0, 0), nil, nil)
-	c.Translate(geom.V(0, 1, 0))
-	if c.Points[0] != geom.V(1, 1, 0) {
-		t.Errorf("translate = %v", c.Points[0])
-	}
-	c.Scale(2)
-	if c.Points[0] != geom.V(2, 2, 0) {
-		t.Errorf("scale = %v", c.Points[0])
-	}
+	c.Append(geom.V(2, 2, 0), nil, nil)
 	c.Normals = []geom.Vec3{geom.V(1, 0, 0)}
 	c.RotateY(math.Pi)
 	if c.Points[0].Dist(geom.V(-2, 2, 0)) > 1e-12 {
@@ -121,23 +89,6 @@ func TestCloudTransforms(t *testing.T) {
 	}
 	if c.Normals[0].Dist(geom.V(-1, 0, 0)) > 1e-12 {
 		t.Errorf("normal not rotated: %v", c.Normals[0])
-	}
-}
-
-func TestCloudCrop(t *testing.T) {
-	c := coloredCloud(200, 5)
-	box := geom.NewAABB(geom.V(0, 0, 0), geom.V(0.5, 0.5, 0.5))
-	cropped := c.Crop(box)
-	if cropped.Len() == 0 || cropped.Len() == c.Len() {
-		t.Fatalf("crop kept %d of %d", cropped.Len(), c.Len())
-	}
-	for _, p := range cropped.Points {
-		if !box.Contains(p) {
-			t.Fatalf("cropped point %v outside box", p)
-		}
-	}
-	if len(cropped.Colors) != cropped.Len() {
-		t.Error("crop lost colors")
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // GridIndex is a uniform-grid spatial index over a cloud, supporting exact
-// nearest-neighbour and k-nearest queries. A grid beats a k-d tree for the
-// near-uniform surface densities of voxelized body scans and keeps the
-// implementation dependency-free.
+// nearest-neighbour queries. A grid beats a k-d tree for the near-uniform
+// surface densities of voxelized body scans and keeps the implementation
+// dependency-free.
 //
 // Layout: the points are copied in cell order, each with its original
 // index, and one map takes a packed cell key to the cell's ordinal, whose
@@ -28,8 +28,8 @@ import (
 // longest extent / 2^20 so that packed cell keys cannot wrap.
 //
 // Ties: among equidistant points a query returns the lowest original
-// index, and KNearest orders its results by (Dist2, Index), so every query
-// equals a brute-force scan of the cloud in index order.
+// index, so every query equals a brute-force scan of the cloud in index
+// order.
 //
 // A GridIndex is read-only after construction and safe for concurrent
 // queries.
@@ -195,9 +195,6 @@ func (g *GridIndex) setCellSize(s float64, b geom.AABB, n int) {
 	}
 }
 
-// CellSize returns the edge length of the index's cells.
-func (g *GridIndex) CellSize() float64 { return g.cellSize }
-
 // clampCell floors a grid coordinate into [0, dim) when dim > 0, and into
 // [0, maxCellsPerAxis] while dim is not yet known. Every point of the
 // cloud floors into the grid; the clamp is for queries outside it and for
@@ -247,22 +244,6 @@ func (g *GridIndex) NearestExcluding(q geom.Vec3, exclude int) (int, float64) {
 		return -1, -1
 	}
 	return int(s.best), s.bestD2
-}
-
-// KNearest returns up to k nearest neighbours of q, ordered by (Dist2,
-// Index). The query point itself is included if it is in the cloud.
-func (g *GridIndex) KNearest(q geom.Vec3, k int) []Neighbor {
-	if k <= 0 || len(g.ids) == 0 {
-		return nil
-	}
-	k = min(k, len(g.ids))
-	s := search{q: q, exclude: -1, k: k, heap: make(neighborHeap, 0, k)}
-	g.walk(&s)
-	out := make([]Neighbor, len(s.heap))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = s.heap.pop()
-	}
-	return out
 }
 
 // search is one query's state: the single best point (k == 0) or a
@@ -414,15 +395,6 @@ func (h *neighborHeap) push(nb Neighbor) {
 		a[p], a[i] = a[i], a[p]
 		i = p
 	}
-}
-
-func (h *neighborHeap) pop() Neighbor {
-	a := *h
-	top := a[0]
-	a[0] = a[len(a)-1]
-	*h = a[:len(a)-1]
-	h.down(0)
-	return top
 }
 
 func (h neighborHeap) down(i int) {

@@ -2,7 +2,6 @@ package pointcloud
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"qarv/internal/geom"
@@ -26,23 +25,6 @@ func bruteNearest(c *Cloud, q geom.Vec3, exclude int) (int, float64) {
 	return best, bestD2
 }
 
-// bruteKNN orders every point by (Dist2, Index), the tie rule the index
-// promises, and keeps the first k.
-func bruteKNN(c *Cloud, q geom.Vec3, k int) []Neighbor {
-	all := make([]Neighbor, 0, c.Len())
-	for i, p := range c.Points {
-		all = append(all, Neighbor{Index: i, Dist2: q.Dist2(p)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.Index < b.Index)
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
-}
-
 func TestGridIndexNearestMatchesBruteForce(t *testing.T) {
 	c := cubeCloud(500, 21)
 	idx := NewGridIndex(c, 0)
@@ -54,6 +36,10 @@ func TestGridIndexNearestMatchesBruteForce(t *testing.T) {
 		if gotI != wantI || math.Abs(gotD2-wantD2) > 1e-12 {
 			t.Fatalf("query %v: got (%d, %v), want (%d, %v)", q, gotI, gotD2, wantI, wantD2)
 		}
+	}
+	empty := NewGridIndex(&Cloud{}, 0)
+	if i, d := empty.Nearest(geom.V(0, 0, 0)); i != -1 || d != -1 {
+		t.Error("empty index nearest must be (-1,-1)")
 	}
 }
 
@@ -72,58 +58,11 @@ func TestGridIndexNearestExcluding(t *testing.T) {
 	}
 }
 
-func TestGridIndexKNearestMatchesBruteForce(t *testing.T) {
-	c := cubeCloud(300, 24)
-	idx := NewGridIndex(c, 0)
-	rng := geom.NewRNG(25)
-	for n := 0; n < 50; n++ {
-		q := geom.V(rng.Float64(), rng.Float64(), rng.Float64())
-		for _, k := range []int{1, 4, 16} {
-			got := idx.KNearest(q, k)
-			want := bruteKNN(c, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("k=%d: got %d results, want %d", k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("k=%d rank %d: got %+v, want %+v", k, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestGridIndexKNearestSortedAscending(t *testing.T) {
-	c := cubeCloud(200, 26)
-	idx := NewGridIndex(c, 0)
-	res := idx.KNearest(geom.V(0.5, 0.5, 0.5), 20)
-	for i := 1; i < len(res); i++ {
-		if res[i].Dist2 < res[i-1].Dist2 {
-			t.Fatal("KNearest results not sorted")
-		}
-	}
-}
-
-func TestGridIndexKNearestDegenerate(t *testing.T) {
-	c := cubeCloud(5, 27)
-	idx := NewGridIndex(c, 0)
-	if got := idx.KNearest(geom.V(0, 0, 0), 0); got != nil {
-		t.Error("k=0 must return nil")
-	}
-	if got := idx.KNearest(geom.V(0, 0, 0), 10); len(got) != 5 {
-		t.Errorf("k>n must return n results, got %d", len(got))
-	}
-	empty := NewGridIndex(&Cloud{}, 0)
-	if i, d := empty.Nearest(geom.V(0, 0, 0)); i != -1 || d != -1 {
-		t.Error("empty index nearest must be (-1,-1)")
-	}
-}
-
 func TestGridIndexExplicitCellSize(t *testing.T) {
 	c := cubeCloud(100, 28)
 	idx := NewGridIndex(c, 0.05)
-	if idx.CellSize() != 0.05 {
-		t.Errorf("cell size = %v", idx.CellSize())
+	if idx.cellSize != 0.05 {
+		t.Errorf("cell size = %v", idx.cellSize)
 	}
 	// Queries must still be exact with a forced small cell size.
 	q := geom.V(0.3, 0.3, 0.3)
@@ -150,33 +89,22 @@ func latticeCloud(n int) *Cloud {
 	return c
 }
 
-// checkExact asserts that Nearest, NearestExcluding and KNearest equal
-// brute force exactly, index included, for every query.
+// checkExact asserts that Nearest and NearestExcluding equal brute force
+// exactly, index included, for every query.
 func checkExact(t *testing.T, c *Cloud, idx *GridIndex, queries []geom.Vec3) {
 	t.Helper()
 	for _, q := range queries {
 		gotI, gotD2 := idx.Nearest(q)
 		wantI, wantD2 := bruteNearest(c, q, -1)
 		if gotI != wantI || gotD2 != wantD2 {
-			t.Fatalf("cell %v: Nearest(%v) = (%d, %v), want (%d, %v)", idx.CellSize(), q, gotI, gotD2, wantI, wantD2)
-		}
-		for _, k := range []int{1, 3, 8, c.Len()} {
-			got, want := idx.KNearest(q, k), bruteKNN(c, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("cell %v: KNearest(%v, %d) has %d results, want %d", idx.CellSize(), q, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("cell %v: KNearest(%v, %d)[%d] = %+v, want %+v", idx.CellSize(), q, k, i, got[i], want[i])
-				}
-			}
+			t.Fatalf("cell %v: Nearest(%v) = (%d, %v), want (%d, %v)", idx.cellSize, q, gotI, gotD2, wantI, wantD2)
 		}
 	}
 	for i, p := range c.Points {
 		gotI, gotD2 := idx.NearestExcluding(p, i)
 		wantI, wantD2 := bruteNearest(c, p, i)
 		if gotI != wantI || gotD2 != wantD2 {
-			t.Fatalf("cell %v: NearestExcluding(%v, %d) = (%d, %v), want (%d, %v)", idx.CellSize(), p, i, gotI, gotD2, wantI, wantD2)
+			t.Fatalf("cell %v: NearestExcluding(%v, %d) = (%d, %v), want (%d, %v)", idx.cellSize, p, i, gotI, gotD2, wantI, wantD2)
 		}
 	}
 }
@@ -233,7 +161,7 @@ func TestGridIndexDefaultCellSizeTracksSurface(t *testing.T) {
 	idx := NewGridIndex(c, 0)
 	perCell := float64(c.Len()) / float64(len(idx.cells))
 	if perCell < targetPerCell/2 || perCell > 2*targetPerCell {
-		t.Errorf("%.1f points per occupied cell at the default size %v", perCell, idx.CellSize())
+		t.Errorf("%.1f points per occupied cell at the default size %v", perCell, idx.cellSize)
 	}
 }
 

@@ -84,7 +84,7 @@ func (c *Cloud) VoxelDownsample(voxelSize float64) (*Cloud, error) {
 
 // MeanNeighborDistance estimates the mean distance from each of up to
 // sample points to its nearest neighbour, a standard density measure used
-// to pick voxel sizes and outlier thresholds. A nil RNG samples the first
+// to pick voxel sizes. A nil RNG samples the first
 // points deterministically.
 func (c *Cloud) MeanNeighborDistance(sample int, rng *geom.RNG) float64 {
 	n := c.Len()
@@ -114,51 +114,7 @@ func (c *Cloud) MeanNeighborDistance(sample int, rng *geom.RNG) float64 {
 	return sum / float64(count)
 }
 
-// RemoveStatisticalOutliers drops points whose mean distance to their k
-// nearest neighbours exceeds mean + stdRatio·stddev over the whole cloud,
-// mirroring Open3D's remove_statistical_outlier. It returns the filtered
-// cloud and the indices kept.
-func (c *Cloud) RemoveStatisticalOutliers(k int, stdRatio float64) (*Cloud, []int) {
-	n := c.Len()
-	if n == 0 || k <= 0 {
-		return c.Clone(), identityIndices(n)
-	}
-	if k >= n {
-		k = n - 1
-	}
-	if k == 0 {
-		return c.Clone(), identityIndices(n)
-	}
-	idx := NewGridIndex(c, 0)
-	meanDist := make([]float64, n)
-	for i, p := range c.Points {
-		neigh := idx.KNearest(p, k+1) // +1: the point itself
-		sum := 0.0
-		cnt := 0
-		for _, nb := range neigh {
-			if nb.Index == i {
-				continue
-			}
-			sum += math.Sqrt(nb.Dist2)
-			cnt++
-		}
-		if cnt > 0 {
-			meanDist[i] = sum / float64(cnt)
-		}
-	}
-	mean, std := meanStd(meanDist)
-	threshold := mean + stdRatio*std
-	kept := make([]int, 0, n)
-	for i, d := range meanDist {
-		if d <= threshold {
-			kept = append(kept, i)
-		}
-	}
-	return c.Select(kept), kept
-}
-
-// UniformSubsample keeps every k-th point (k ≥ 1), a cheap decimation used
-// by the synthetic generator to hit target point budgets.
+// UniformSubsample keeps every k-th point (k ≥ 1), a cheap decimation.
 func (c *Cloud) UniformSubsample(k int) *Cloud {
 	if k <= 1 {
 		return c.Clone()
@@ -168,28 +124,4 @@ func (c *Cloud) UniformSubsample(k int) *Cloud {
 		indices = append(indices, i)
 	}
 	return c.Select(indices)
-}
-
-func identityIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - mean
-		std += d * d
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
 }

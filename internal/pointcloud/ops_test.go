@@ -116,35 +116,6 @@ func TestUniformSubsample(t *testing.T) {
 	}
 }
 
-func TestRemoveStatisticalOutliers(t *testing.T) {
-	// A tight cluster plus one far-away point: the outlier must be removed.
-	c := cubeCloud(300, 12)
-	c.Scale(0.1) // tight cluster in [0, 0.1]^3
-	c.Append(geom.V(50, 50, 50), nil, nil)
-	filtered, kept := c.RemoveStatisticalOutliers(8, 2.0)
-	if filtered.Len() != c.Len()-1 {
-		t.Fatalf("kept %d of %d, want %d", filtered.Len(), c.Len(), c.Len()-1)
-	}
-	for _, i := range kept {
-		if i == c.Len()-1 {
-			t.Fatal("outlier survived filtering")
-		}
-	}
-}
-
-func TestRemoveStatisticalOutliersDegenerate(t *testing.T) {
-	empty := &Cloud{}
-	f, kept := empty.RemoveStatisticalOutliers(5, 1)
-	if f.Len() != 0 || len(kept) != 0 {
-		t.Error("empty cloud must pass through")
-	}
-	single := cubeCloud(1, 13)
-	f, kept = single.RemoveStatisticalOutliers(5, 1)
-	if f.Len() != 1 || len(kept) != 1 {
-		t.Error("single point must pass through")
-	}
-}
-
 func TestMeanNeighborDistanceLattice(t *testing.T) {
 	// Points on a unit lattice: every nearest neighbour is at distance 1.
 	c := &Cloud{}

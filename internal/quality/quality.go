@@ -99,13 +99,6 @@ func directedStats(from *pointcloud.Cloud, toIdx *pointcloud.GridIndex) (mse, me
 	return mse / n, mean / n, haus
 }
 
-// ColorPSNR computes the luma PSNR of test against ref through
-// nearest-neighbour correspondence (test -> ref). Returns +Inf when the
-// corresponding lumas match exactly.
-func ColorPSNR(ref, test *pointcloud.Cloud) (float64, error) {
-	return NewReference(ref).ColorPSNR(test)
-}
-
 // ColorPSNR computes the luma PSNR of test against the reference through
 // nearest-neighbour correspondence (test -> reference); equidistant
 // reference points resolve to the lowest index. Returns +Inf when the

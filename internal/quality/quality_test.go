@@ -89,7 +89,8 @@ func TestCompareGeometryEmpty(t *testing.T) {
 
 func TestColorPSNR(t *testing.T) {
 	ref := grid(15, 0, 7)
-	if v, err := ColorPSNR(ref, ref); err != nil || !math.IsInf(v, 1) {
+	r := NewReference(ref)
+	if v, err := r.ColorPSNR(ref); err != nil || !math.IsInf(v, 1) {
 		t.Errorf("identical colors: %v, %v", v, err)
 	}
 	// Wash out colors: PSNR must drop to a finite value.
@@ -97,7 +98,7 @@ func TestColorPSNR(t *testing.T) {
 	for i := range noisy.Colors {
 		noisy.Colors[i].R += 40
 	}
-	v, err := ColorPSNR(ref, noisy)
+	v, err := r.ColorPSNR(noisy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestColorPSNR(t *testing.T) {
 		t.Errorf("shifted colors PSNR = %v", v)
 	}
 	bare := &pointcloud.Cloud{Points: ref.Points}
-	if _, err := ColorPSNR(ref, bare); !errors.Is(err, ErrNoColors) {
+	if _, err := r.ColorPSNR(bare); !errors.Is(err, ErrNoColors) {
 		t.Errorf("colorless test: %v", err)
 	}
 }
@@ -199,7 +200,7 @@ func bruteGeometry(ref, test *pointcloud.Cloud) GeometryReport {
 	return GeometryReport{MSE: mse, PSNR: psnr, Hausdorff: math.Max(hausA, hausB), MeanDist: math.Max(meanA, meanB)}
 }
 
-// bruteColorPSNR is ColorPSNR by O(n·m) scans.
+// bruteColorPSNR is Reference.ColorPSNR by O(n·m) scans.
 func bruteColorPSNR(ref, test *pointcloud.Cloud) float64 {
 	var mse float64
 	for i, p := range test.Points {

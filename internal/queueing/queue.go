@@ -60,12 +60,6 @@ func (b *Backlog) Step(a, s float64) float64 {
 	return served
 }
 
-// TotalArrived returns cumulative admitted work.
-func (b *Backlog) TotalArrived() float64 { return b.arrived }
-
-// TotalServed returns cumulative served work.
-func (b *Backlog) TotalServed() float64 { return b.served }
-
 // TotalDropped returns cumulative overflow-dropped work.
 func (b *Backlog) TotalDropped() float64 { return b.dropped }
 
@@ -191,15 +185,6 @@ func (q *FrameQueue) DropTail(amount float64) (frames int, removed float64) {
 		frames++
 	}
 	return frames, removed
-}
-
-// OldestAge returns the age (in slots) of the head frame at slot now, or 0
-// for an empty queue — the head-of-line delay.
-func (q *FrameQueue) OldestAge(now int) int {
-	if q.head >= len(q.frames) {
-		return 0
-	}
-	return now - q.frames[q.head].EnqueuedAt
 }
 
 // ArrivalProcess yields the number of frames arriving in each slot.

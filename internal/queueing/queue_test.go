@@ -32,7 +32,7 @@ func TestBacklogLindleyRecursion(t *testing.T) {
 func TestBacklogNegativeInputsClamp(t *testing.T) {
 	var b Backlog
 	b.Step(-5, -5)
-	if b.Level() != 0 || b.TotalArrived() != 0 {
+	if b.Level() != 0 || b.arrived != 0 {
 		t.Error("negative inputs must be treated as zero")
 	}
 }
@@ -109,17 +109,6 @@ func TestFrameQueueFIFOAndPartialService(t *testing.T) {
 	}
 	if q.Len() != 0 || q.WorkBacklog() != 0 {
 		t.Error("queue must be empty")
-	}
-}
-
-func TestFrameQueueOldestAge(t *testing.T) {
-	var q FrameQueue
-	if q.OldestAge(10) != 0 {
-		t.Error("empty queue age must be 0")
-	}
-	q.Push(100, 5, 3)
-	if q.OldestAge(10) != 7 {
-		t.Errorf("age = %d, want 7", q.OldestAge(10))
 	}
 }
 

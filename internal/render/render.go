@@ -11,7 +11,6 @@ package render
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"qarv/internal/geom"
@@ -47,9 +46,6 @@ type Image struct {
 	Pix   []pointcloud.Color // row-major, length W*H
 	Depth []float64          // camera-space depth per pixel; +Inf = empty
 }
-
-// At returns the pixel at (x, y).
-func (im *Image) At(x, y int) pointcloud.Color { return im.Pix[y*im.W+x] }
 
 // Config controls a render pass.
 type Config struct {
@@ -191,21 +187,6 @@ func PSNR(a, b *Image) (float64, error) {
 		return math.Inf(1), nil
 	}
 	return 10 * math.Log10(255*255/mse), nil
-}
-
-// WritePGM serializes the image's luma channel as a binary PGM — the
-// dependency-free way to eyeball a render (any image viewer opens PGM).
-func (im *Image) WritePGM(w io.Writer) error {
-	header := fmt.Sprintf("P5\n%d %d\n255\n", im.W, im.H)
-	if _, err := io.WriteString(w, header); err != nil {
-		return err
-	}
-	buf := make([]byte, len(im.Pix))
-	for i, c := range im.Pix {
-		buf[i] = byte(c.Gray())
-	}
-	_, err := w.Write(buf)
-	return err
 }
 
 // DepthLadderPSNR renders the octree's LOD at each depth and returns the

@@ -1,10 +1,8 @@
 package render
 
 import (
-	"bytes"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"qarv/internal/geom"
@@ -90,7 +88,7 @@ func TestRenderZBufferOcclusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	center := im.At(16, 16)
+	center := im.Pix[16*im.W+16]
 	if center.R != 255 || center.B != 0 {
 		t.Errorf("center pixel = %+v, want the nearer red splat", center)
 	}
@@ -154,24 +152,6 @@ func TestDepthLadderPSNRMonotone(t *testing.T) {
 	}
 	if psnrs[len(psnrs)-1] < 20 {
 		t.Errorf("depth-8 render suspiciously bad: %v dB", psnrs[len(psnrs)-1])
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	cloud := bodyCloud(t)
-	im, err := Render(cloud, bodyConfig(cloud))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := im.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "P5\n160 160\n255\n") {
-		t.Errorf("PGM header wrong: %q", buf.String()[:20])
-	}
-	if buf.Len() != len("P5\n160 160\n255\n")+160*160 {
-		t.Errorf("PGM size = %d", buf.Len())
 	}
 }
 

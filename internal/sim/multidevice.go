@@ -111,6 +111,28 @@ type MultiResult struct {
 	MeanTimeAvgUtility float64
 }
 
+// SummedBacklog returns the devices' backlogs summed slot by slot: the
+// one queue the shared budget serves.
+func (r *MultiResult) SummedBacklog() []float64 {
+	if len(r.PerDevice) == 0 {
+		return nil
+	}
+	sum := make([]float64, len(r.PerDevice[0].Backlog))
+	for _, d := range r.PerDevice {
+		for t, q := range d.Backlog {
+			sum[t] += q
+		}
+	}
+	return sum
+}
+
+// Verdict classifies a shared run by its summed backlog trajectory
+// (SummedBacklog): devices contending for one budget stabilize or
+// diverge together.
+func (r *MultiResult) Verdict() (queueing.Verdict, error) {
+	return queueing.ClassifyTrajectory(r.SummedBacklog(), 0)
+}
+
 // RunMulti executes N devices against a shared service budget.
 func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	return RunMultiContext(context.Background(), cfg)

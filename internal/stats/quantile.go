@@ -35,7 +35,7 @@ const (
 
 // QuantileSketch is a streaming quantile estimator over non-negative
 // observations with a guaranteed relative error bound: Quantile(q)
-// returns a value within Accuracy()·x of the true empirical q-quantile x
+// returns a value within α·x of the true empirical q-quantile x
 // (DDSketch-style logarithmic buckets; see Masson et al., "DDSketch: A
 // Fast and Fully-Mergeable Quantile Sketch with Relative-Error
 // Guarantees"). Memory is O(log(max/min)/α) — independent of the number
@@ -75,9 +75,6 @@ func NewQuantileSketch(accuracy float64) *QuantileSketch {
 		buckets: make(map[int]uint64),
 	}
 }
-
-// Accuracy returns the sketch's guaranteed relative error bound.
-func (s *QuantileSketch) Accuracy() float64 { return s.alpha }
 
 // Add incorporates one observation (negatives are clamped to zero, NaN
 // is ignored).
@@ -126,9 +123,6 @@ func (s *QuantileSketch) collapseLowest() {
 
 // Count returns the number of observations.
 func (s *QuantileSketch) Count() uint64 { return s.count }
-
-// Sum returns the exact sum of observations (after negative clamping).
-func (s *QuantileSketch) Sum() float64 { return s.sum }
 
 // Mean returns the exact sample mean (0 when empty).
 func (s *QuantileSketch) Mean() float64 {
@@ -271,9 +265,6 @@ func (d *Decimator) Add(x float64) {
 // aliases the decimator's buffer; callers must not retain it across
 // further Adds.
 func (d *Decimator) Samples() []float64 { return d.samples }
-
-// Stride returns the current sampling stride (1 until the first halving).
-func (d *Decimator) Stride() int { return d.stride }
 
 // Count returns how many values have been observed in total.
 func (d *Decimator) Count() int { return d.n }

@@ -68,8 +68,8 @@ func TestQuantileSketchExactStats(t *testing.T) {
 	if s.Min() != 0 || s.Max() != 1e6 {
 		t.Errorf("min/max = %v/%v, want 0/1e6", s.Min(), s.Max())
 	}
-	if math.Abs(s.Sum()-sum) > 1e-9 || math.Abs(s.Mean()-sum/6) > 1e-9 {
-		t.Errorf("sum/mean = %v/%v, want %v/%v", s.Sum(), s.Mean(), sum, sum/6)
+	if math.Abs(s.sum-sum) > 1e-9 || math.Abs(s.Mean()-sum/6) > 1e-9 {
+		t.Errorf("sum/mean = %v/%v, want %v/%v", s.sum, s.Mean(), sum, sum/6)
 	}
 	// Negatives clamp to zero; NaN is ignored.
 	s.Add(-5)
@@ -107,8 +107,8 @@ func TestQuantileSketchMergeLossless(t *testing.T) {
 		t.Fatalf("merged count %d != whole %d", merged.Count(), whole.Count())
 	}
 	// Sums differ only by FP association order across shards.
-	if math.Abs(merged.Sum()-whole.Sum()) > 1e-9*whole.Sum() {
-		t.Fatalf("merged sum %v != whole %v", merged.Sum(), whole.Sum())
+	if math.Abs(merged.sum-whole.sum) > 1e-9*whole.sum {
+		t.Fatalf("merged sum %v != whole %v", merged.sum, whole.sum)
 	}
 	for q := 0.0; q <= 1.0; q += 0.05 {
 		if got, want := merged.Quantile(q), whole.Quantile(q); got != want {
@@ -178,7 +178,7 @@ func TestDecimatorKeepsShape(t *testing.T) {
 		t.Fatalf("decimator too sparse: %d samples", len(samples))
 	}
 	// Uniform stride over a ramp: samples are the ramp at stride spacing.
-	stride := float64(d.Stride())
+	stride := float64(d.stride)
 	for i, s := range samples {
 		if s != float64(i)*stride {
 			t.Fatalf("sample %d = %v, want %v (stride %v)", i, s, float64(i)*stride, stride)
@@ -197,8 +197,8 @@ func TestDecimatorExactBelowCap(t *testing.T) {
 		d.Add(float64(i * i))
 	}
 	samples := d.Samples()
-	if len(samples) != 63 || d.Stride() != 1 {
-		t.Fatalf("len=%d stride=%d, want 63/1", len(samples), d.Stride())
+	if len(samples) != 63 || d.stride != 1 {
+		t.Fatalf("len=%d stride=%d, want 63/1", len(samples), d.stride)
 	}
 	for i, s := range samples {
 		if s != float64(i*i) {
@@ -206,7 +206,7 @@ func TestDecimatorExactBelowCap(t *testing.T) {
 		}
 	}
 	d.Reset()
-	if d.Count() != 0 || len(d.Samples()) != 0 || d.Stride() != 1 {
+	if d.Count() != 0 || len(d.Samples()) != 0 || d.stride != 1 {
 		t.Error("Reset did not clear state")
 	}
 }

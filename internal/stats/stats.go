@@ -1,7 +1,7 @@
-// Package stats provides the small statistical toolkit the benchmark
-// harness and calibration code rely on: streaming moments (Welford),
-// percentiles, exponentially weighted moving averages, ordinary
-// least-squares regression, and normal-approximation confidence intervals.
+// Package stats provides the small statistical toolkit the simulator,
+// fleet and experiment code rely on: streaming moments (Welford),
+// percentiles, ordinary least-squares regression, mergeable quantile
+// sketches and bounded series decimation.
 package stats
 
 import (
@@ -50,23 +50,11 @@ func (r *Running) Var() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
 // Min returns the smallest observation (0 when empty).
 func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest observation (0 when empty).
 func (r *Running) Max() float64 { return r.max }
-
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval of the mean.
-func (r *Running) CI95() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return 1.96 * r.Std() / math.Sqrt(float64(r.n))
-}
 
 // Percentile returns the p-th percentile (p ∈ [0,100]) of xs using linear
 // interpolation between order statistics. xs need not be sorted.
@@ -92,40 +80,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha ∈ (0,1]; larger alpha weights recent samples more.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor, clamped
-// into (0,1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 {
-		alpha = 0.1
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add incorporates one observation and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
 
 // LinearFit is an ordinary least-squares fit y ≈ Slope·x + Intercept.
 type LinearFit struct {
@@ -169,6 +123,3 @@ func OLS(xs, ys []float64) (LinearFit, error) {
 	}
 	return fit, nil
 }
-
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Slope*x + f.Intercept }

@@ -105,15 +105,6 @@ func (c *Client) BacklogBytes() float64 {
 	return float64(c.sentBytes - c.ackedBytes)
 }
 
-// AllocatedBps returns the edge's most recently acknowledged allocation
-// for this connection in bytes/second — the ack-carried backpressure
-// signal (zero before the first ack or against an unpaced server).
-func (c *Client) AllocatedBps() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.allocatedBps
-}
-
 // Stats summarizes the session so far.
 type ClientStats struct {
 	SentFrames  int
@@ -121,7 +112,8 @@ type ClientStats struct {
 	SentBytes   uint64
 	AckedBytes  uint64
 	// AllocatedBps is the edge's most recently acked share for this
-	// connection (see Client.AllocatedBps).
+	// connection in bytes/second — the ack-carried backpressure signal
+	// (zero before the first ack or against an unpaced server).
 	AllocatedBps float64
 	// AckRegressions counts acks whose cumulative ServedBytes went
 	// backwards — always zero against a correct server.

@@ -178,9 +178,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Allocator returns the allocator multiplexing the uplink budget.
-func (s *Server) Allocator() alloc.Allocator { return s.allocator }
-
 // Stats reports a snapshot of the cumulative counters.
 func (s *Server) Stats() ServerStats {
 	s.sessMu.Lock()

@@ -460,7 +460,7 @@ func TestBudgetSplitsAcrossConnections(t *testing.T) {
 				errCh <- fmt.Errorf("device %d did not drain", dev)
 				return
 			}
-			shares[dev] = client.AllocatedBps()
+			shares[dev] = client.Stats().AllocatedBps
 		}(dev)
 	}
 	wg.Wait()

@@ -181,9 +181,6 @@ func NewSequence(cfg Config, frames int) (*Sequence, error) {
 	return &Sequence{cfg: cfg, frames: frames}, nil
 }
 
-// Len returns the number of frames.
-func (s *Sequence) Len() int { return s.frames }
-
 // Frame generates frame i (wrapping), posed along the walking loop, with a
 // per-frame seed derived from the base seed.
 func (s *Sequence) Frame(i int) (*pointcloud.Cloud, error) {

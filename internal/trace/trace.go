@@ -1,10 +1,9 @@
 // Package trace records experiment time series and renders them as CSV,
-// JSON, terminal ASCII charts, and aligned text tables — the output layer
+// terminal ASCII charts, and aligned text tables — the output layer
 // of the figure-regeneration harness (cmd/qarvfig).
 package trace
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -100,16 +99,6 @@ func csvEscape(s string) string {
 		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 	}
 	return s
-}
-
-// WriteJSON emits the table as indented JSON.
-func (t *Table) WriteJSON(w io.Writer) error {
-	if len(t.X) == 0 || len(t.Series) == 0 {
-		return ErrEmptyTable
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }
 
 // ChartOptions controls ASCII rendering.
@@ -225,20 +214,6 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// Downsample reduces a series to at most n points by striding (keeping the
-// first and last points), for compact CSV output of long runs.
-func Downsample(s Series, n int) Series {
-	if n <= 0 || len(s.Values) <= n {
-		return s
-	}
-	out := Series{Name: s.Name, Values: make([]float64, 0, n)}
-	stride := float64(len(s.Values)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		out.Values = append(out.Values, s.Values[int(float64(i)*stride)])
-	}
-	return out
 }
 
 // RenderTextTable writes rows as an aligned text table with a header.

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -69,20 +68,6 @@ func TestWriteCSVEmpty(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTable(t).WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got Table
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.XName != "time" || len(got.Series) != 2 || got.Series[1].Values[0] != 10 {
-		t.Errorf("decoded = %+v", got)
-	}
-}
-
 func TestRenderASCIIBasics(t *testing.T) {
 	var buf bytes.Buffer
 	err := sampleTable(t).RenderASCII(&buf, ChartOptions{Width: 40, Height: 10, Title: "Fig test"})
@@ -131,27 +116,6 @@ func TestFormatTick(t *testing.T) {
 		if got := formatTick(in); got != want {
 			t.Errorf("formatTick(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	s := Series{Name: "s", Values: make([]float64, 100)}
-	for i := range s.Values {
-		s.Values[i] = float64(i)
-	}
-	d := Downsample(s, 10)
-	if len(d.Values) != 10 {
-		t.Fatalf("downsampled to %d", len(d.Values))
-	}
-	if d.Values[0] != 0 || d.Values[9] != 99 {
-		t.Errorf("endpoints = %v, %v", d.Values[0], d.Values[9])
-	}
-	// No-op cases.
-	if len(Downsample(s, 200).Values) != 100 {
-		t.Error("n > len must be identity")
-	}
-	if len(Downsample(s, 0).Values) != 100 {
-		t.Error("n <= 0 must be identity")
 	}
 }
 

@@ -28,11 +28,12 @@
 // WithService, WithCost, WithUtility, WithSlots, WithMaxBacklog), switch
 // scenario kind (WithDevices, WithOffload), make every stochastic
 // component deterministic from one seed (WithSeed), and attach per-slot
-// streaming hooks (WithObserver). Sweeps run N sessions
-// concurrently with deterministic result ordering through a SessionPool:
+// streaming hooks (WithObserver). Batches of runs are grids on the
+// sweep engine (see NewSweep), which runs cells concurrently with rows
+// in grid order:
 //
-//	pool := qarv.NewSessionPool(0, s1, s2, s3) // 0 = GOMAXPROCS workers
-//	reports, _ := pool.Run(ctx)                // reports[i] belongs to si
+//	sw, _ := qarv.NewSweep(scn, qarv.AxisV(0.5, 1, 2))
+//	rep, _ := sw.Run(ctx) // rep.Rows[i] belongs to the i-th V factor
 //
 // # Fleets
 //
@@ -107,19 +108,7 @@ type (
 	Controller = core.Controller
 	// ControllerConfig parameterizes NewController.
 	ControllerConfig = core.Config
-	// MultiQueueController jointly controls K streams under a shared
-	// budget via a virtual queue.
-	MultiQueueController = core.MultiQueueController
-	// MultiQueueConfig parameterizes NewMultiQueueController.
-	MultiQueueConfig = core.MultiQueueConfig
-	// AutoTuner adapts V online to hold a target backlog.
-	AutoTuner = core.AutoTuner
 )
-
-// NewAutoTuner wraps a controller whose V adapts toward targetBacklog.
-func NewAutoTuner(cfg ControllerConfig, targetBacklog, gain float64, adjustEvery int) (*AutoTuner, error) {
-	return core.NewAutoTuner(cfg, targetBacklog, gain, adjustEvery)
-}
 
 // NewController validates the configuration and builds a controller.
 func NewController(cfg ControllerConfig) (*Controller, error) { return core.New(cfg) }
@@ -128,11 +117,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) { return core.New(
 // core.CalibrateV).
 func CalibrateV(kneeSlot, serviceRate float64, cfg ControllerConfig) (float64, error) {
 	return core.CalibrateV(kneeSlot, serviceRate, cfg)
-}
-
-// NewMultiQueueController builds the K-stream shared-budget controller.
-func NewMultiQueueController(cfg MultiQueueConfig) (*MultiQueueController, error) {
-	return core.NewMultiQueue(cfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -145,9 +129,6 @@ type (
 	// FixedDepth always picks its configured depth.
 	FixedDepth = policy.FixedDepth
 )
-
-// NewMaxDepthPolicy returns the paper's "only max-Depth" baseline.
-func NewMaxDepthPolicy(depths []int) (Policy, error) { return policy.NewMaxDepth(depths) }
 
 // NewMinDepthPolicy returns the paper's "only min-Depth" baseline.
 func NewMinDepthPolicy(depths []int) (Policy, error) { return policy.NewMinDepth(depths) }
@@ -162,12 +143,6 @@ func NewRandomPolicy(depths []int, seed uint64) (Policy, error) {
 	return policy.NewRandom(depths, geom.NewRNG(seed))
 }
 
-// BestFixedPolicy returns the offline best fixed-depth oracle for a known
-// service rate.
-func BestFixedPolicy(depths []int, cost CostModel, serviceRate float64) (Policy, error) {
-	return policy.BestFixed(depths, cost, serviceRate)
-}
-
 // ---------------------------------------------------------------------------
 // Quality and delay models
 // ---------------------------------------------------------------------------
@@ -175,8 +150,6 @@ func BestFixedPolicy(depths []int, cost CostModel, serviceRate float64) (Policy,
 type (
 	// UtilityModel maps depth to the quality pa(d).
 	UtilityModel = quality.UtilityModel
-	// GeometryReport summarizes geometric fidelity metrics.
-	GeometryReport = quality.GeometryReport
 	// CostModel maps depth to per-frame workload a(d).
 	CostModel = delay.CostModel
 	// PointCostModel charges work per rendered point.
@@ -213,11 +186,6 @@ func NewPointCostModel(profile []int, perPoint, perLevel, fixed float64) (*Point
 	return delay.NewPointCostModel(profile, perPoint, perLevel, fixed)
 }
 
-// CompareGeometry computes PSNR/Hausdorff fidelity of test against ref.
-func CompareGeometry(ref, test *Cloud) (GeometryReport, error) {
-	return quality.CompareGeometry(ref, test)
-}
-
 // ---------------------------------------------------------------------------
 // Point clouds, octrees, PLY, synthetic dataset
 // ---------------------------------------------------------------------------
@@ -239,8 +207,6 @@ type (
 	BodyConfig = synthetic.Config
 	// Pose is a body stance (gait phase, yaw, lean).
 	Pose = synthetic.Pose
-	// Sequence is an animated multi-frame synthetic capture.
-	Sequence = synthetic.Sequence
 )
 
 // LOD placement modes.
@@ -254,18 +220,6 @@ func BuildOctree(c *Cloud, maxDepth int) (*Octree, error) { return octree.Build(
 
 // GenerateBody produces one synthetic voxelized full-body frame.
 func GenerateBody(cfg BodyConfig, pose Pose) (*Cloud, error) { return synthetic.Generate(cfg, pose) }
-
-// NewSequence returns an n-frame walking capture generator.
-func NewSequence(cfg BodyConfig, frames int) (*Sequence, error) {
-	return synthetic.NewSequence(cfg, frames)
-}
-
-// BodyPresets lists the four 8i-like character presets.
-func BodyPresets() []Character { return synthetic.Presets() }
-
-// CharacterByName returns a preset by name
-// (longdress, loot, redandblack, soldier).
-func CharacterByName(name string) (Character, error) { return synthetic.ByName(name) }
 
 // WritePLY encodes a cloud in the 8i vertex layout.
 // Formats: PLYASCII, PLYBinaryLE, PLYBinaryBE.
@@ -400,8 +354,6 @@ type (
 	Scenario = experiments.Scenario
 	// Fig1Row is one depth's Fig. 1 fidelity row.
 	Fig1Row = experiments.Fig1Row
-	// Fig1Config parameterizes the Fig. 1 reproduction.
-	Fig1Config = experiments.Fig1Config
 	// Fig2Result bundles the three compared Fig. 2 runs.
 	Fig2Result = experiments.Fig2Result
 	// OffloadParams controls the edge-offload scenario.
@@ -485,8 +437,9 @@ func NewScenario(p ScenarioParams) (*Scenario, error) { return experiments.NewSc
 // service rate the uplink bandwidth Offload calibrates at.
 func NewByteScenario(p ScenarioParams) (*Scenario, error) { return experiments.NewByteScenario(p) }
 
-// Fig1 regenerates the Fig. 1 per-depth resolution/fidelity rows.
-func Fig1(cfg Fig1Config) ([]Fig1Row, error) { return experiments.Fig1(cfg) }
+// Fig1 regenerates the Fig. 1 per-depth resolution/fidelity rows over
+// the capture p describes (see experiments.Fig1).
+func Fig1(p ScenarioParams) ([]Fig1Row, error) { return experiments.Fig1(p) }
 
 // Fig2 runs the paper's three controls over a calibrated scenario.
 func Fig2(s *Scenario) (*Fig2Result, error) { return experiments.Fig2(s) }

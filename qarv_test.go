@@ -3,7 +3,6 @@ package qarv
 import (
 	"bytes"
 	"context"
-	"math"
 	"testing"
 )
 
@@ -103,7 +102,7 @@ func TestFacadeScenarioAndFigures(t *testing.T) {
 	if err := res.CheckShape(); err != nil {
 		t.Fatalf("figure shape: %v", err)
 	}
-	rows, err := Fig1(Fig1Config{Samples: 40_000, CaptureDepth: 9, Depths: []int{4, 6, 8}, Seed: 2})
+	rows, err := Fig1(ScenarioParams{Samples: 40_000, CaptureDepth: 9, Depths: []int{4, 6, 8}, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,37 +111,8 @@ func TestFacadeScenarioAndFigures(t *testing.T) {
 	}
 }
 
-func TestFacadeQualityMetrics(t *testing.T) {
-	cloud, err := GenerateBody(BodyConfig{SamplesTarget: 20_000, CaptureDepth: 8, Seed: 4}, Pose{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := BuildOctree(cloud, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lod, err := tree.LOD(5, LODCentroid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := CompareGeometry(cloud, lod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PSNR <= 0 || math.IsInf(rep.PSNR, 1) {
-		t.Errorf("PSNR = %v", rep.PSNR)
-	}
-	if rep.Hausdorff <= 0 {
-		t.Errorf("Hausdorff = %v", rep.Hausdorff)
-	}
-}
-
 func TestFacadePolicies(t *testing.T) {
 	depths := []int{5, 6, 7}
-	maxP, err := NewMaxDepthPolicy(depths)
-	if err != nil {
-		t.Fatal(err)
-	}
 	minP, err := NewMinDepthPolicy(depths)
 	if err != nil {
 		t.Fatal(err)
@@ -155,44 +125,11 @@ func TestFacadePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Policy{maxP, minP, randP, thrP} {
+	for _, p := range []Policy{minP, randP, thrP} {
 		d := p.Decide(0, 50)
 		if d < 5 || d > 7 {
 			t.Errorf("%s chose %d outside the set", p.Name(), d)
 		}
-	}
-	profile := []int{1, 10, 100, 1000, 5000, 20000, 50000, 90000}
-	cost, err := NewPointCostModel(profile, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := BestFixedPolicy(depths, cost, 60000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oracle.Decide(0, 0) != 6 {
-		t.Errorf("oracle picked %d, want 6", oracle.Decide(0, 0))
-	}
-}
-
-func TestFacadeSequenceAndPresets(t *testing.T) {
-	if len(BodyPresets()) != 4 {
-		t.Error("presets missing")
-	}
-	ch, err := CharacterByName("loot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := NewSequence(BodyConfig{Character: ch, SamplesTarget: 10_000, CaptureDepth: 8, Seed: 5}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := seq.Frame(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() == 0 {
-		t.Error("empty sequence frame")
 	}
 }
 

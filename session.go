@@ -7,7 +7,6 @@ import (
 
 	"qarv/internal/experiments"
 	"qarv/internal/geom"
-	"qarv/internal/queueing"
 	"qarv/internal/sim"
 )
 
@@ -23,20 +22,6 @@ const (
 	KindOffload
 )
 
-// String implements fmt.Stringer.
-func (k SessionKind) String() string {
-	switch k {
-	case KindSim:
-		return "sim"
-	case KindMulti:
-		return "multi"
-	case KindOffload:
-		return "offload"
-	default:
-		return "unknown"
-	}
-}
-
 // Session construction errors.
 var (
 	// ErrOptionConflict reports options that cannot be combined (e.g.
@@ -46,14 +31,6 @@ var (
 	// has no shared budget to split.
 	ErrAllocatorWithoutDevices = errors.New("qarv: WithAllocator requires WithDevices")
 )
-
-// Runner drives one scenario to completion under a context. Session and
-// everything composed from sessions (SessionPool entries) implement it.
-type Runner interface {
-	// Run executes the scenario, honoring ctx cancellation down through
-	// the slot loops, and returns the unified report.
-	Run(ctx context.Context) (*Report, error)
-}
 
 // Report is the unified result of any session run. Exactly one of Sim,
 // Multi, Offload is non-nil, matching Kind; the summary fields are
@@ -81,7 +58,7 @@ type Report struct {
 // Session is the single entry point for every QARV scenario: a validated,
 // immutable configuration assembled by NewSession from functional options
 // and driven by Run. The same Session value may be Run repeatedly, but
-// note that stateful policies (AutoTuner, the random baseline) carry
+// note that stateful policies (the threshold and random baselines) carry
 // state across runs — build one Session per run for reproducible sweeps.
 type Session struct {
 	kind    SessionKind
@@ -89,8 +66,6 @@ type Session struct {
 	multi   sim.MultiConfig
 	offload experiments.OffloadParams
 }
-
-var _ Runner = (*Session)(nil)
 
 // NewSession validates the options into a runnable Session. A Scenario
 // (WithScenario) supplies defaults — controller, cost, utility, constant
@@ -263,9 +238,6 @@ func reseed(rng *geom.RNG, components ...any) {
 	}
 }
 
-// Kind reports which scenario the session drives.
-func (s *Session) Kind() SessionKind { return s.kind }
-
 // Run executes the session. Cancellation of ctx is honored down through
 // the slot loops: even a million-slot run aborts within a poll stride
 // (queueing.PollEvery slots) of the cancel, returning the context's
@@ -316,16 +288,8 @@ func multiReport(res *sim.MultiResult) *Report {
 		TimeAvgUtility: res.MeanTimeAvgUtility,
 		TimeAvgBacklog: res.TotalTimeAvgBacklog,
 	}
-	if len(res.PerDevice) > 0 {
-		sum := make([]float64, len(res.PerDevice[0].Backlog))
-		for _, r := range res.PerDevice {
-			for i, q := range r.Backlog {
-				sum[i] += q
-			}
-		}
-		if v, err := queueing.ClassifyTrajectory(sum, 0); err == nil {
-			rep.Verdict = v
-		}
+	if v, err := res.Verdict(); err == nil {
+		rep.Verdict = v
 	}
 	return rep
 }

@@ -3,9 +3,7 @@ package qarv
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -245,141 +243,6 @@ func TestSessionNilObserverSkipped(t *testing.T) {
 	}
 	if seen != slots {
 		t.Fatalf("live observer saw %d events, want %d", seen, slots)
-	}
-}
-
-func TestSessionPoolDeterminism(t *testing.T) {
-	// The same sweep run sequentially and at full concurrency must yield
-	// byte-identical reports in the same order.
-	build := func() []Runner {
-		runners := make([]Runner, 8)
-		for i := range runners {
-			cost, util := cheapModels(t)
-			opts := []Option{
-				WithPolicy(&FixedDepth{Depth: 2 + i%4}),
-				WithArrivals(&DeterministicArrivals{PerSlot: 1}),
-				WithCost(cost),
-				WithUtility(util),
-				WithService(&ConstantService{Rate: 1000 * float64(i+1)}),
-				WithSlots(5000),
-			}
-			s, err := NewSession(opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runners[i] = s
-		}
-		return runners
-	}
-	seq, err := NewSessionPool(1, build()...).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewSessionPool(4, build()...).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Error("concurrent pool reports differ from sequential reports")
-	}
-	for i, rep := range par {
-		if rep == nil || rep.Kind != KindSim {
-			t.Fatalf("report %d = %+v", i, rep)
-		}
-	}
-}
-
-// failingRunner counts its runs and always errors.
-type failingRunner struct{ runs int }
-
-func (f *failingRunner) Run(context.Context) (*Report, error) {
-	f.runs++
-	return nil, errors.New("boom")
-}
-
-func TestSessionPoolFirstErrorCancels(t *testing.T) {
-	slow, err := NewSession(cheapSessionOpts(t, 1_000_000)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fail := &failingRunner{}
-	pool := NewSessionPool(1, fail, slow, slow, slow)
-	if _, err := pool.Run(context.Background()); err == nil {
-		t.Fatal("pool swallowed the error")
-	} else if !strings.Contains(err.Error(), "session 0") {
-		t.Errorf("error %q does not identify the failing session", err)
-	}
-}
-
-// canceledRunner simulates a session that aborted on a cancellation it
-// observed mid-slot-loop, the way sim.RunContext wraps ctx.Err().
-type canceledRunner struct{}
-
-func (canceledRunner) Run(context.Context) (*Report, error) {
-	return nil, fmt.Errorf("sim: canceled at slot 12: %w", context.Canceled)
-}
-
-// rootCauseRunner waits until a sibling's error has canceled the pool,
-// then fails with the real (root-cause-shaped) error — deterministically
-// reproducing the latch race where a cancellation-shaped failure wins.
-type rootCauseRunner struct{}
-
-func (rootCauseRunner) Run(ctx context.Context) (*Report, error) {
-	<-ctx.Done()
-	return nil, errors.New("device exploded")
-}
-
-// Regression (PR 5): a cancellation-shaped failure latched first must
-// not mask the root-cause worker error — the pool prefers the first
-// non-context error, mirroring the fleet engine's shard-error handling.
-func TestSessionPoolRootCauseErrorPreferred(t *testing.T) {
-	// Session 0 is fed first and parks until the pool is canceled, so
-	// session 1's context-wrapped failure is always latched first (and
-	// cancels the pool); session 0's real error arrives strictly
-	// afterwards and must replace it.
-	_, err := NewSessionPool(2, rootCauseRunner{}, canceledRunner{}).Run(context.Background())
-	if err == nil {
-		t.Fatal("pool swallowed the errors")
-	}
-	if errors.Is(err, context.Canceled) {
-		t.Fatalf("root cause masked by a cancellation: %v", err)
-	}
-	if !strings.Contains(err.Error(), "device exploded") {
-		t.Fatalf("error %q does not carry the root cause", err)
-	}
-	if !strings.Contains(err.Error(), "session 0") {
-		t.Errorf("error %q does not identify the failing session", err)
-	}
-}
-
-func TestSessionPoolLateCancelKeepsCompletedBatch(t *testing.T) {
-	// A cancel arriving after every session finished must not discard
-	// the successful batch (errgroup semantics: only worker errors and
-	// unstarted work fail the pool).
-	quick1, err := NewSession(cheapSessionOpts(t, 100)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quick2, err := NewSession(cheapSessionOpts(t, 100)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	reports, err := NewSessionPool(1, quick1, quick2).Run(ctx)
-	if err != nil {
-		t.Fatalf("pool = %v", err)
-	}
-	cancel()
-	if len(reports) != 2 || reports[0] == nil || reports[1] == nil {
-		t.Fatalf("reports = %v", reports)
-	}
-
-	// Whereas a pre-canceled context fails the pool: nothing was fed.
-	pre, preCancel := context.WithCancel(context.Background())
-	preCancel()
-	if _, err := NewSessionPool(1, quick1).Run(pre); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-canceled pool = %v, want context.Canceled", err)
 	}
 }
 

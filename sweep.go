@@ -56,8 +56,7 @@ func NewSweep(s *Scenario, axes ...SweepAxis) (*Sweep, error) {
 
 // BackendPool returns the in-process sweep backend: each cell is one
 // simulation run (single-device, or shared-budget multi-device when the
-// cell carries an allocator), executed SessionPool-style across the
-// sweep's workers.
+// cell carries an allocator), executed across the sweep's workers.
 func BackendPool() SweepBackend { return experiments.BackendPool() }
 
 // BackendFleet returns the fleet sweep backend: each cell runs a
