@@ -104,17 +104,16 @@ telemetry-smoke:
 	test -s telemetry_smoke_metrics.json && test -s telemetry_smoke_trace.json
 	rm -f telemetry_smoke_metrics.json telemetry_smoke_trace.json
 
-# examples runs every walkthrough. vsweep, offload, allocators, networks
-# and streaming print deterministic reports, so their stdout must also
-# match the goldens in examples/testdata byte for byte.
+# examples runs every walkthrough. vsweep, sweep, offload, allocators,
+# networks and streaming print deterministic reports, so their stdout
+# must also match the goldens in examples/testdata byte for byte.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/multidevice
 	$(GO) run ./examples/fleet
-	$(GO) run ./examples/sweep
 	$(GO) run ./examples/content
 	$(GO) run ./examples/learn
-	for e in vsweep offload allocators networks streaming; do \
+	for e in vsweep sweep offload allocators networks streaming; do \
 		$(GO) run ./examples/$$e > examples_$$e.stdout || exit 1; \
 		diff -u examples/testdata/$$e.golden examples_$$e.stdout || exit 1; \
 		rm -f examples_$$e.stdout; \

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -129,6 +131,30 @@ func TestRunNetworkMix(t *testing.T) {
 		t.Errorf("device-slots = %d", rep.Total.DeviceSlots)
 	}
 }
+
+// TestRunNetworkMixGolden pins the JSON report of a fleet crossed with
+// every -net class byte for byte, with the wall-clock fields masked.
+// The shard count is fixed, since float means regroup across shard
+// counts. The golden was generated on linux/amd64; regenerate it only
+// for an intended change to a network class.
+func TestRunNetworkMixGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(context.Background(),
+		fleetArgs("-json", "-shards", "2", "-net", "static:1,markov:1,trace:1,handoff:1"), &out); err != nil {
+		t.Fatal(err)
+	}
+	got := wallClock.ReplaceAll(out.Bytes(), []byte("$1: 0"))
+	want, err := os.ReadFile(filepath.Join("testdata", "net_mix.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("-net mix report differs from testdata/net_mix.golden:\n got:\n%s", got)
+	}
+}
+
+// wallClock matches the report's wall-clock fields and their values.
+var wallClock = regexp.MustCompile(`("elapsed_ns"|"device_slots_per_sec"): [^,\n]+`)
 
 func TestRunNetworkMixDeterministicAcrossShards(t *testing.T) {
 	run1 := func(shards string) string {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -127,27 +129,33 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunNetworkDynamics pins the stdout of every -net class byte for
+// byte, on one device and on three devices sharing a max-weight split
+// budget (the modulation applies to the shared budget), and rejects
+// unknown classes and missing trace files. The goldens were generated
+// on linux/amd64; regenerate them only for an intended change to a
+// network class.
 func TestRunNetworkDynamics(t *testing.T) {
 	for _, net := range []string{"markov", "trace", "handoff"} {
-		var out bytes.Buffer
-		if err := run(context.Background(),
-			append(simArgs(), "-net", net), &out); err != nil {
-			t.Fatalf("-net %s: %v", net, err)
-		}
-		if !strings.Contains(out.String(), "network") {
-			t.Errorf("-net %s: missing network line in:\n%s", net, out.String())
+		for _, multi := range []bool{false, true} {
+			args, golden := simArgs("-net", net), "net_"+net+".golden"
+			if multi {
+				args, golden = append(args, "-devices", "3", "-alloc", "maxweight"), "net_"+net+"_multi.golden"
+			}
+			var out bytes.Buffer
+			if err := run(context.Background(), args, &out); err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("%v differs from testdata/%s:\n got:\n%s\nwant:\n%s", args, golden, out.Bytes(), want)
+			}
 		}
 	}
-	// Multi-device: the modulation applies to the shared budget.
 	var out bytes.Buffer
-	if err := run(context.Background(),
-		append(simArgs(), "-devices", "3", "-alloc", "maxweight", "-net", "markov"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "network           markov-bw") {
-		t.Errorf("multi-device -net missing network line:\n%s", out.String())
-	}
-	// Unknown networks and missing trace files are rejected.
 	if err := run(context.Background(), append(simArgs(), "-net", "nosuch"), &out); err == nil ||
 		!strings.Contains(err.Error(), "unknown network") {
 		t.Errorf("bad -net accepted: %v", err)

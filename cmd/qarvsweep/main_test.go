@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -186,6 +187,35 @@ func TestRunLearnedAxes(t *testing.T) {
 	}, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "predictive[:H]") {
 		t.Errorf("policy error %v does not enumerate the grammar", err)
+	}
+}
+
+// TestRunNetworkAxisGolden pins the JSON report of a net axis over
+// every shape the CLI grammar names, on the pool and the fleet backend,
+// byte for byte. A fleet cell shards its sessions over GOMAXPROCS and
+// float means regroup across shard counts, so the test fixes it. The
+// goldens were generated on linux/amd64; regenerate them only for an
+// intended change to a network shape.
+func TestRunNetworkAxisGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, backend := range []string{"pool", "fleet"} {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{
+			"-samples", "30000", "-slots", "300", "-knee", "100", "-seed", "1",
+			"-axis", "net=static,markov,markov:0.5,markov:0.8:64,handoff,trace",
+			"-backend", backend, "-sessions", "8", "-json",
+		}, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := "net_" + backend + ".golden"
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s net axis differs from testdata/%s:\n got:\n%s", backend, golden, out.Bytes())
+		}
 	}
 }
 
