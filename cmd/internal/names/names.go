@@ -77,40 +77,33 @@ func List(s string) []string {
 }
 
 // NetworkUsage enumerates the -net class names of qarvsim and qarvfleet
-// for flag help. qarvsweep's net axis resolves its bare markov here too.
+// for flag help. qarvsweep's net axis resolves its bare classes here too.
 const NetworkUsage = "static, markov, trace[:FILE], handoff"
 
-// NetworkFactory builds a -net class's capacity-factor process — a
-// unitless multiplier around 1 for a qarv.ModulatedService Factor. The
-// stochastic classes call rng once for the stream they draw from; the
-// trace class never calls it, so it consumes no stream.
-type NetworkFactory func(rng func() *qarv.RNG) qarv.ServiceProcess
-
-// Network resolves a -net class token: static (or empty), markov (the
+// Network resolves a -net class token to its network shape: static (or
+// empty; no factor, the service stands unmodulated), markov (the
 // qarv.DefaultMarkovFactor chain), trace[:FILE] (the built-in diurnal
 // factor trace, or FILE peak-normalized) or handoff (the
-// qarv.DefaultHandoffFactor process). static resolves to a nil factory:
-// the service stands unmodulated. A trace file is loaded once, here; the
-// trace is a pure function of the slot, so every process the factory
-// returns shares it.
-func Network(token string) (NetworkFactory, error) {
+// qarv.DefaultHandoffFactor process). A trace file is loaded once, here;
+// the trace is a pure function of the slot, so every run shares it.
+func Network(token string) (qarv.SweepNetwork, error) {
 	traceFile := ""
 	if file, ok := strings.CutPrefix(token, "trace:"); ok {
 		token, traceFile = "trace", file
 	}
 	switch token {
 	case "", "static":
-		return nil, nil
+		return qarv.NetworkStatic(), nil
 	case "markov":
-		return func(rng func() *qarv.RNG) qarv.ServiceProcess { return qarv.DefaultMarkovFactor(rng()) }, nil
+		return qarv.SweepNetwork{Name: token, Factor: qarv.DefaultMarkovFactor(nil)}, nil
 	case "trace":
 		tb, err := qarv.LoadFactorTrace(traceFile)
 		if err != nil {
-			return nil, err
+			return qarv.SweepNetwork{}, err
 		}
-		return func(func() *qarv.RNG) qarv.ServiceProcess { return tb }, nil
+		return qarv.NetworkTraceShape(tb), nil
 	case "handoff":
-		return func(rng func() *qarv.RNG) qarv.ServiceProcess { return qarv.DefaultHandoffFactor(rng()) }, nil
+		return qarv.NetworkHandoff(), nil
 	}
-	return nil, fmt.Errorf("unknown network class %q (want %s)", token, NetworkUsage)
+	return qarv.SweepNetwork{}, fmt.Errorf("unknown network class %q (want %s)", token, NetworkUsage)
 }

@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"qarv"
+	"qarv/internal/delay"
 )
 
 // TestNetwork pins the -net class table: each class resolves to its
-// preset factor, the stochastic classes draw exactly one stream, the
-// trace class draws none, and a trace file is loaded once and shared.
+// labelled preset factor, a run of a stochastic class draws exactly one
+// stream, the trace class draws none, and a trace file is loaded once
+// and shared by every run.
 func TestNetwork(t *testing.T) {
 	for _, token := range []string{"", "static"} {
-		if f, err := Network(token); err != nil || f != nil {
-			t.Errorf("%q: factory %v, err %v; want the nil static factory", token, f, err)
+		if n, err := Network(token); err != nil || n.Factor != nil || n.Name != "static" {
+			t.Errorf("%q: shape %+v, err %v; want the static shape", token, n, err)
 		}
 	}
 	path := filepath.Join(t.TempDir(), "f.csv")
@@ -23,33 +25,33 @@ func TestNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		token, name string
-		draws       int
+		token, label, factor string
+		draws                int
 	}{
-		{"markov", "markov-bw", 1},
-		{"trace", "trace-bw", 0},
-		{"trace:" + path, "trace-bw", 0},
-		{"handoff", "handoff", 1},
+		{"markov", "markov", "markov-bw", 1},
+		{"trace", "trace-bw", "trace-bw", 0},
+		{"trace:" + path, "trace-bw", "trace-bw", 0},
+		{"handoff", "handoff", "handoff", 1},
 	}
 	for _, tc := range cases {
-		newFactor, err := Network(tc.token)
+		n, err := Network(tc.token)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.token, err)
 		}
 		draws := 0
 		rng := func() *qarv.RNG { draws++; return qarv.NewRNG(1) }
-		a, b := newFactor(rng), newFactor(rng)
-		if a.Name() != tc.name {
-			t.Errorf("%s: factor %q, want %q", tc.token, a.Name(), tc.name)
+		a, b := delay.ForRun(n.Factor, rng), delay.ForRun(n.Factor, rng)
+		if n.Name != tc.label || a.Name() != tc.factor {
+			t.Errorf("%s: shape %q factor %q, want %q %q", tc.token, n.Name, a.Name(), tc.label, tc.factor)
 		}
 		if draws != 2*tc.draws {
-			t.Errorf("%s: %d streams drawn for two factors, want %d", tc.token, draws, 2*tc.draws)
+			t.Errorf("%s: %d streams drawn for two runs, want %d", tc.token, draws, 2*tc.draws)
 		}
 		if stochastic := tc.draws > 0; stochastic == (a == b) {
-			t.Errorf("%s: factors shared = %v, want %v", tc.token, a == b, !stochastic)
+			t.Errorf("%s: runs share a factor = %v, want %v", tc.token, a == b, !stochastic)
 		}
 	}
-	if f, _ := Network("trace:" + path); f(nil).Service(10) != 0.25 {
+	if n, _ := Network("trace:" + path); n.Factor.Service(10) != 0.25 {
 		t.Error("trace file not peak-normalized")
 	}
 	for _, token := range []string{"nosuch", "markov:0.5"} {

@@ -79,6 +79,7 @@ import (
 	"qarv"
 	"qarv/cmd/internal/names"
 	"qarv/cmd/internal/telemetry"
+	"qarv/internal/delay"
 )
 
 func main() {
@@ -309,14 +310,13 @@ func buildProfile(scn *qarv.Scenario, name string, weight float64) (qarv.Profile
 	return p, nil
 }
 
-// netClass is one entry of the -net mix: a named network regime that
-// modulates a profile's service process.
+// netClass is one entry of the -net mix: a named network shape that
+// modulates a profile's service process (a nil Factor leaves it
+// untouched).
 type netClass struct {
 	name   string
 	weight float64
-	// newFactor builds the class's capacity-factor process; nil leaves
-	// the service untouched (static).
-	newFactor names.NetworkFactory
+	net    qarv.SweepNetwork
 }
 
 // parseNetMix builds the network-class list from
@@ -364,11 +364,11 @@ func parseNetMix(mix string) ([]netClass, error) {
 		if file != "" {
 			token += ":" + file
 		}
-		newFactor, err := names.Network(token)
+		net, err := names.Network(token)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, netClass{name: name, weight: weight, newFactor: newFactor})
+		out = append(out, netClass{name: name, weight: weight, net: net})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty -net %q", mix)
@@ -384,7 +384,7 @@ func parseNetMix(mix string) ([]netClass, error) {
 // session's service RNG, split after the inner service is built, so
 // mixes stay byte-deterministic per seed at any shard count.
 func crossNetwork(profiles []qarv.Profile, classes []netClass) []qarv.Profile {
-	if len(classes) == 1 && classes[0].newFactor == nil {
+	if len(classes) == 1 && classes[0].net.Factor == nil {
 		return profiles
 	}
 	out := make([]qarv.Profile, 0, len(profiles)*len(classes))
@@ -392,12 +392,12 @@ func crossNetwork(profiles []qarv.Profile, classes []netClass) []qarv.Profile {
 		for _, c := range classes {
 			combined := p
 			combined.Weight = p.Weight * c.weight
-			if c.newFactor != nil {
+			if factor := c.net.Factor; factor != nil {
 				combined.Name = p.Name + "+" + c.name
-				newInner, newFactor := p.NewService, c.newFactor
+				newInner := p.NewService
 				combined.NewService = func(rng *qarv.RNG) qarv.ServiceProcess {
 					inner := newInner(rng)
-					return &qarv.ModulatedService{Inner: inner, Factor: newFactor(rng.Split)}
+					return &qarv.ModulatedService{Inner: inner, Factor: delay.ForRun(factor, rng.Split)}
 				}
 			}
 			out = append(out, combined)

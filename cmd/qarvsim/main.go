@@ -90,9 +90,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *allocName != "" && *devices <= 0 {
 		return fmt.Errorf("-alloc %q requires -devices", *allocName)
 	}
+	net, err := names.Network(*netName)
+	if err != nil {
+		return err
+	}
 
 	var scn *qarv.Scenario
-	var err error
 	unit := "points/slot"
 	if *contentAsset != "" {
 		prof, perr := qarv.LoadContent(qarv.ContentConfig{
@@ -127,7 +130,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	if *devices > 0 {
-		return runMulti(ctx, out, scn, sinks, unit, *devices, *allocName, *policyName, *netName, *vOverride, uint64(*seed), *chart)
+		return runMulti(ctx, out, scn, sinks, unit, *devices, *allocName, *policyName, net, *vOverride, uint64(*seed), *chart)
 	}
 	p, err := buildPolicy(*policyName, *vOverride, scn, uint64(*seed))
 	if err != nil {
@@ -135,14 +138,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	opts := []qarv.Option{qarv.WithScenario(scn), qarv.WithPolicy(p),
 		qarv.WithTelemetry(sinks.Registry), qarv.WithFlightRecorder(sinks.Recorder)}
-	svc, netLabel, err := netService(*netName, scn.ServiceRate, uint64(*seed))
-	if err != nil {
-		return err
-	}
-	if svc != nil {
-		opts = append(opts, qarv.WithService(svc))
-	}
-	sess, err := qarv.NewSession(opts...)
+	sess, err := qarv.NewSession(append(opts, netService(net, scn.ServiceRate, uint64(*seed))...)...)
 	if err != nil {
 		return err
 	}
@@ -158,8 +154,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "slots             %d\n", *slots)
 	fmt.Fprintf(out, "service rate      %.0f %s\n", scn.ServiceRate, unit)
-	if netLabel != "static" {
-		fmt.Fprintf(out, "network           %s\n", netLabel)
+	if net.Factor != nil {
+		fmt.Fprintf(out, "network           %s\n", net.Factor.Name())
 	}
 	if strings.HasPrefix(*policyName, "proposed") {
 		v := scn.V
@@ -209,7 +205,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // chosen policy (each a fresh instance acting on purely local state)
 // contend for n× the calibrated budget under the named allocator,
 // optionally modulated by the -net dynamics.
-func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *telemetry.Sinks, unit string, n int, allocName, policyName, netName string, vOverride float64, seed uint64, chart bool) error {
+func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *telemetry.Sinks, unit string, n int, allocName, policyName string, net qarv.SweepNetwork, vOverride float64, seed uint64, chart bool) error {
 	if allocName == "" {
 		allocName = "equal"
 	}
@@ -233,14 +229,7 @@ func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *tel
 	opts := []qarv.Option{qarv.WithScenario(scn),
 		qarv.WithDevices(devs...), qarv.WithAllocator(allocator),
 		qarv.WithTelemetry(sinks.Registry), qarv.WithFlightRecorder(sinks.Recorder)}
-	svc, netLabel, err := netService(netName, float64(n)*scn.ServiceRate, seed)
-	if err != nil {
-		return err
-	}
-	if svc != nil {
-		opts = append(opts, qarv.WithService(svc))
-	}
-	sess, err := qarv.NewSession(opts...)
+	sess, err := qarv.NewSession(append(opts, netService(net, float64(n)*scn.ServiceRate, seed)...)...)
 	if err != nil {
 		return err
 	}
@@ -253,8 +242,8 @@ func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *tel
 	fmt.Fprintf(out, "devices           %d\n", n)
 	fmt.Fprintf(out, "allocator         %s\n", res.Allocator)
 	fmt.Fprintf(out, "edge budget       %.0f %s\n", float64(n)*scn.ServiceRate, unit)
-	if netLabel != "static" {
-		fmt.Fprintf(out, "network           %s\n", netLabel)
+	if net.Factor != nil {
+		fmt.Fprintf(out, "network           %s\n", net.Factor.Name())
 	}
 	fmt.Fprintf(out, "fleet verdict     %s\n", rep.Verdict)
 	fmt.Fprintf(out, "mean utility      %.4f\n", res.MeanTimeAvgUtility)
@@ -284,17 +273,15 @@ func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *tel
 	return sinks.Export(out)
 }
 
-// netService builds the -net dynamics as a service process modulating
-// the given base rate: a nil process (with label "static") means the
-// scenario's own constant service stands. The factor's RNG derives from
-// the run seed so repeated runs replay the same capacity path.
-func netService(name string, rate float64, seed uint64) (qarv.ServiceProcess, string, error) {
-	newFactor, err := names.Network(name)
-	if err != nil || newFactor == nil {
-		return nil, "static", err
+// netService returns the -net shape as the option serving it around
+// rate: none for the static shape, so the scenario's own constant
+// service stands. The factor's RNG derives from the run seed so
+// repeated runs replay the same capacity path.
+func netService(net qarv.SweepNetwork, rate float64, seed uint64) []qarv.Option {
+	if net.Factor == nil {
+		return nil
 	}
-	factor := newFactor(func() *qarv.RNG { return qarv.NewRNG(seed ^ 0x6e6574) })
-	return &qarv.ModulatedService{Inner: &qarv.ConstantService{Rate: rate}, Factor: factor}, factor.Name(), nil
+	return []qarv.Option{qarv.WithService(net.New(rate, qarv.NewRNG(seed^0x6e6574)))}
 }
 
 // buildPolicy resolves -policy through the shared CLI grammar

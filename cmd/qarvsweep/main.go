@@ -224,16 +224,15 @@ func buildAxis(spec string, o options) (qarv.SweepAxis, error) {
 	}
 }
 
-// buildNetwork parses one net-axis token. The bare classes resolve
-// through the shared -net grammar (cmd/internal/names), modulating the
+// buildNetwork parses one net-axis token. markov:VOLATILITY is the
+// mean-preserving NetworkMarkov shape; its optional dwell (mean
+// fading-state duration in slots) selects the slow-fading shape the
+// learning ablation's predictive policy targets. Every other token is a
+// -net class of the shared grammar (cmd/internal/names), modulating the
 // cell's base capacity by the factor qarvsim and qarvfleet use.
-// markov:VOLATILITY is the mean-preserving NetworkMarkov shape; its
-// optional dwell (mean fading-state duration in slots) selects the
-// slow-fading shape the learning ablation's predictive policy targets.
 func buildNetwork(token string) (qarv.SweepNetwork, error) {
 	kind, arg, _ := strings.Cut(token, ":")
-	switch {
-	case kind == "markov" && arg != "":
+	if kind == "markov" && arg != "" {
 		vol := 0.6
 		volArg, dwellArg, hasDwell := strings.Cut(arg, ":")
 		if volArg != "" {
@@ -251,26 +250,12 @@ func buildNetwork(token string) (qarv.SweepNetwork, error) {
 			return qarv.NetworkMarkovDwell(vol, d), nil
 		}
 		return qarv.NetworkMarkov(vol), nil
-	case kind == "trace":
-		tb, err := qarv.LoadFactorTrace(arg)
-		if err != nil {
-			return qarv.SweepNetwork{}, err
-		}
-		return qarv.NetworkTraceShape(tb), nil
 	}
-	newFactor, err := names.Network(token)
-	if err != nil {
-		return qarv.SweepNetwork{}, fmt.Errorf("unknown network %q (want static, markov, markov:VOL[:DWELL], handoff, trace[:FILE])", token)
+	net, err := names.Network(token)
+	if err != nil && kind != "trace" {
+		err = fmt.Errorf("%w (or markov:VOL[:DWELL])", err)
 	}
-	if newFactor == nil {
-		return qarv.NetworkStatic(), nil
-	}
-	return qarv.SweepNetwork{Name: token, New: func(base float64, rng *qarv.RNG) qarv.ServiceProcess {
-		return &qarv.ModulatedService{
-			Inner:  &qarv.ConstantService{Rate: base},
-			Factor: newFactor(func() *qarv.RNG { return rng }),
-		}
-	}}, nil
+	return net, err
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"qarv"
-	"qarv/cmd/internal/names"
 )
 
 // TestRunGridJSON: a 2×2 grid on the fleet backend emits a well-formed
@@ -228,13 +227,9 @@ func TestBareMarkovIsNetPreset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newFactor, err := names.Network("markov")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const base = 1000.0
 	svc := sn.New(base, qarv.NewRNG(7))
-	factor := newFactor(func() *qarv.RNG { return qarv.NewRNG(7) })
+	factor := qarv.DefaultMarkovFactor(qarv.NewRNG(7))
 	levels := map[float64]bool{}
 	for slot := 0; slot < 2000; slot++ {
 		f := factor.Service(slot)

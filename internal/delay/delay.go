@@ -235,3 +235,18 @@ func CloneProcess(p ServiceProcess) ServiceProcess {
 	}
 	return p
 }
+
+// ForRun turns a capacity shape into one run's process: a clone of p
+// (through CloneProcess; nil stays nil), reseeded with stream() when p
+// has a Reseed method. A shape that reseeds draws exactly one stream
+// per run; any other (a trace, a constant) calls stream never, so it
+// consumes none. It is the only place a shape prototype becomes a
+// run's process, so every run replays the same capacity path without
+// advancing the prototype.
+func ForRun(p ServiceProcess, stream func() *geom.RNG) ServiceProcess {
+	p = CloneProcess(p)
+	if r, ok := p.(interface{ Reseed(*geom.RNG) }); ok {
+		r.Reseed(stream())
+	}
+	return p
+}

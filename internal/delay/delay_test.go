@@ -174,6 +174,26 @@ func TestCloneProcess(t *testing.T) {
 	}
 }
 
+// TestForRun: a shape that reseeds becomes a clone reseeded from one
+// stream, leaving the prototype untouched; nil and stateless shapes
+// draw no stream.
+func TestForRun(t *testing.T) {
+	draws := 0
+	stream := func() *geom.RNG { draws++; return geom.NewRNG(9) }
+	cs := &ConstantService{Rate: 5}
+	if ForRun(nil, stream) != nil || ForRun(cs, stream) != ServiceProcess(cs) || draws != 0 {
+		t.Fatalf("nil/constant shapes: %d streams drawn, want 0", draws)
+	}
+	proto := &NoisyService{Mean: 10, Std: 1}
+	run, ok := ForRun(proto, stream).(*NoisyService)
+	if !ok || run == proto || proto.RNG != nil || draws != 1 {
+		t.Fatalf("noisy shape: run %#v, prototype RNG %v, %d streams drawn", run, proto.RNG, draws)
+	}
+	if want := geom.NewRNG(9).NormMeanStd(10, 1); run.Service(0) != want {
+		t.Errorf("run serves %v, want %v from the drawn stream", run.Service(0), want)
+	}
+}
+
 // Regression: a forgotten (zero-value) constant rate must fail
 // validation instead of serving nothing every slot.
 func TestConstantServiceValidate(t *testing.T) {

@@ -243,14 +243,9 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 		return nil, err
 	}
 
-	var service delay.ServiceProcess = &delay.ConstantService{Rate: bandwidth}
-	if p.Dynamics != nil {
-		p.Dynamics = runDynamics(p.Dynamics, geom.NewRNG(p.Seed^0x73686172)) // "shar"
-		service = &delay.ModulatedService{Inner: service, Factor: p.Dynamics}
-	}
 	multi, err := sim.RunMultiContext(ctx, sim.MultiConfig{
 		Devices:   devices,
-		Service:   service,
+		Service:   SweepNetwork{Factor: p.Dynamics}.New(bandwidth, geom.NewRNG(p.Seed^0x73686172)), // "shar"
 		Allocator: p.Allocator,
 		Slots:     p.Slots,
 		Observer:  p.Observer,

@@ -293,18 +293,31 @@ func AxisAllocator(names ...string) SweepAxis {
 	return SweepAxis{Name: "allocator", Points: pts}
 }
 
-// SweepNetwork names one capacity shape of a network axis. New builds a
-// fresh per-run (per-session, on the fleet backend) service process
-// around the cell's base capacity.
+// SweepNetwork names one capacity shape of a network axis: a unitless
+// factor process on the cell's base capacity, with nil meaning static.
+// Each run (each session, on the fleet backend) modulates its base by
+// its own copy of Factor, made by delay.ForRun.
 type SweepNetwork struct {
 	// Name labels the point.
 	Name string
+	// Factor is the shape's prototype; runs never advance it.
+	Factor delay.ServiceProcess
 	// Err, when non-nil, fails the sweep at grid build (constructors
 	// report invalid parameters here).
 	Err error
-	// New builds the capacity process; base is the cell's scaled base
-	// rate and rng a dedicated stream.
-	New func(base float64, rng *geom.RNG) delay.ServiceProcess
+}
+
+// New builds one run's capacity process around base: base alone for a
+// static shape, otherwise base modulated by a copy of Factor reseeded
+// from rng when it reseeds.
+func (n SweepNetwork) New(base float64, rng *geom.RNG) delay.ServiceProcess {
+	if n.Factor == nil {
+		return &delay.ConstantService{Rate: base}
+	}
+	return &delay.ModulatedService{
+		Inner:  &delay.ConstantService{Rate: base},
+		Factor: delay.ForRun(n.Factor, func() *geom.RNG { return rng }),
+	}
 }
 
 // AxisNetwork sweeps the network/capacity shape; each point also names
@@ -319,10 +332,7 @@ func AxisNetwork(nets ...SweepNetwork) SweepAxis {
 				if net.Err != nil {
 					return net.Err
 				}
-				if net.New == nil {
-					return fmt.Errorf("experiments: network %q has no factory", net.Name)
-				}
-				c.NewService = func(c *SweepCell, base float64, rng *geom.RNG) delay.ServiceProcess {
+				c.NewService = func(_ *SweepCell, base float64, rng *geom.RNG) delay.ServiceProcess {
 					return net.New(base, rng)
 				}
 				c.ProfileName = net.Name
@@ -334,43 +344,25 @@ func AxisNetwork(nets ...SweepNetwork) SweepAxis {
 }
 
 // NetworkStatic is the degenerate constant-capacity shape.
-func NetworkStatic() SweepNetwork {
-	return SweepNetwork{
-		Name: "static",
-		New: func(base float64, _ *geom.RNG) delay.ServiceProcess {
-			return &delay.ConstantService{Rate: base}
-		},
-	}
-}
+func NetworkStatic() SweepNetwork { return SweepNetwork{Name: "static"} }
 
 // NetworkMarkov is the mean-preserving Gilbert–Elliott fading shape of
-// the network-volatility ablation: the good state serves at (1+v)× and
-// the bad state at (1−v)× the base rate with symmetric 10-slot mean
-// dwells, so the stationary mean equals the base rate at every
-// volatility. v must lie in [0, 1); anything else (NaN included) fails
-// with ErrBadVolatility.
+// the network-volatility ablation: NetworkMarkovDwell with symmetric
+// 10-slot mean dwells, labelled by volatility alone.
 func NetworkMarkov(volatility float64) SweepNetwork {
-	n := SweepNetwork{Name: fmt.Sprintf("markov-v%.2f", volatility)}
-	if math.IsNaN(volatility) || volatility < 0 || volatility >= 1 {
-		n.Err = fmt.Errorf("%w: %v", ErrBadVolatility, volatility)
-		return n
-	}
-	n.New = func(base float64, rng *geom.RNG) delay.ServiceProcess {
-		return &netem.MarkovBandwidth{
-			GoodRate: base * (1 + volatility),
-			BadRate:  base * (1 - volatility),
-			PGoodBad: 0.1, PBadGood: 0.1,
-			RNG: rng,
-		}
-	}
+	n := NetworkMarkovDwell(volatility, 10)
+	n.Name = fmt.Sprintf("markov-v%.2f", volatility)
 	return n
 }
 
-// NetworkMarkovDwell is NetworkMarkov with an explicit mean state
-// dwell: the good/bad flip probabilities are 1/dwellSlots instead of
-// the ablation's fixed 10-slot dwells. Long dwells turn the fading
-// into slow, sustained capacity epochs — the backlog then trends for
-// tens of slots at a time, which is the regime where predictive
+// NetworkMarkovDwell is the mean-preserving Gilbert–Elliott fading
+// shape with an explicit mean state dwell: the good state serves at
+// (1+v)× and the bad state at (1−v)× the base rate, each left with
+// probability 1/dwellSlots per slot, so the stationary mean equals the
+// base rate at every volatility. v must lie in [0, 1); anything else
+// (NaN included) fails with ErrBadVolatility. Long dwells turn the
+// fading into slow, sustained capacity epochs — the backlog then trends
+// for tens of slots at a time, which is the regime where predictive
 // extrapolation (learn.Predictive) can actually pay; short dwells
 // mean-revert faster than any useful prediction horizon.
 func NetworkMarkovDwell(volatility, dwellSlots float64) SweepNetwork {
@@ -384,46 +376,25 @@ func NetworkMarkovDwell(volatility, dwellSlots float64) SweepNetwork {
 		return n
 	}
 	p := 1 / dwellSlots
-	n.New = func(base float64, rng *geom.RNG) delay.ServiceProcess {
-		return &netem.MarkovBandwidth{
-			GoodRate: base * (1 + volatility),
-			BadRate:  base * (1 - volatility),
-			PGoodBad: p, PBadGood: p,
-			RNG: rng,
-		}
+	n.Factor = &netem.MarkovBandwidth{
+		GoodRate: 1 + volatility, BadRate: 1 - volatility,
+		PGoodBad: p, PBadGood: p,
 	}
 	return n
 }
 
-// NetworkHandoff is the mobility shape: the base capacity modulated by
-// the default handoff factor process (mean 250-slot cell dwells, 4-slot
-// outages, new-cell scale in [0.7, 1.2]).
+// NetworkHandoff is the mobility shape: the default handoff factor
+// process (mean 250-slot cell dwells, 4-slot outages, new-cell scale in
+// [0.7, 1.2]).
 func NetworkHandoff() SweepNetwork {
-	return SweepNetwork{
-		Name: "handoff",
-		New: func(base float64, rng *geom.RNG) delay.ServiceProcess {
-			return &delay.ModulatedService{
-				Inner:  &delay.ConstantService{Rate: base},
-				Factor: netem.DefaultHandoffFactor(rng),
-			}
-		},
-	}
+	return SweepNetwork{Name: "handoff", Factor: netem.DefaultHandoffFactor(nil)}
 }
 
 // NetworkTrace replays a factor trace over the base capacity. The trace
-// is a pure function of the slot, so every cell shares it.
+// is a pure function of the slot, so every run shares it.
 func NetworkTrace(tb *netem.TraceBandwidth) SweepNetwork {
-	n := SweepNetwork{Name: "trace"}
 	if tb == nil {
-		n.Err = fmt.Errorf("experiments: NetworkTrace needs a trace")
-		return n
+		return SweepNetwork{Name: "trace", Err: fmt.Errorf("experiments: NetworkTrace needs a trace")}
 	}
-	n.Name = tb.Name()
-	n.New = func(base float64, _ *geom.RNG) delay.ServiceProcess {
-		return &delay.ModulatedService{
-			Inner:  &delay.ConstantService{Rate: base},
-			Factor: tb,
-		}
-	}
-	return n
+	return SweepNetwork{Name: tb.Name(), Factor: tb}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"qarv/internal/geom"
 	"qarv/internal/netem"
 )
 
@@ -66,9 +65,9 @@ func TestNetworkSweepMonotoneDegradation(t *testing.T) {
 		if r.Sessions != 48 {
 			t.Errorf("v=%g: %d sessions, want 48", vols[i], r.Sessions)
 		}
-		mb, ok := nets[i].New(s.ServiceRate, geom.NewRNG(1)).(*netem.MarkovBandwidth)
+		mb, ok := nets[i].Factor.(*netem.MarkovBandwidth)
 		if !ok {
-			t.Fatalf("v=%g: capacity process is not a Markov chain", vols[i])
+			t.Fatalf("v=%g: capacity factor is not a Markov chain", vols[i])
 		}
 		if mb.GoodRate < mb.BadRate {
 			t.Errorf("v=%g: good %v < bad %v", vols[i], mb.GoodRate, mb.BadRate)

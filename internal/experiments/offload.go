@@ -107,17 +107,6 @@ func validateUplink(p ScenarioParams, link *netem.LinkConfig, dynamics delay.Ser
 	return nil
 }
 
-// runDynamics returns the run's own copy of an uplink's dynamics: a
-// clone of d (nil stays nil) reseeded from rng, so every run replays
-// the same capacity path without advancing the caller's process.
-func runDynamics(d delay.ServiceProcess, rng *geom.RNG) delay.ServiceProcess {
-	d = delay.CloneProcess(d)
-	if r, ok := d.(interface{ Reseed(*geom.RNG) }); ok {
-		r.Reseed(rng)
-	}
-	return d
-}
-
 // OffloadResult is the trajectory and delivery statistics of one offload
 // run.
 type OffloadResult struct {
@@ -263,7 +252,7 @@ func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, 
 		return nil, err
 	}
 	// Fresh dynamics per run, like the link RNG above.
-	p.Dynamics = runDynamics(p.Dynamics, geom.NewRNG(p.Seed^0x64796e61).Split()) // "dyna"
+	p.Dynamics = delay.ForRun(p.Dynamics, func() *geom.RNG { return geom.NewRNG(p.Seed ^ 0x64796e61).Split() }) // "dyna"
 	network := "static"
 	if p.Dynamics != nil {
 		network = p.Dynamics.Name()

@@ -12,10 +12,11 @@ package netem
 //
 // Determinism: the stochastic processes (MarkovBandwidth,
 // HandoffBandwidth) draw from a geom.RNG and implement the Reseed/Clone
-// contract, so qarv.WithSeed keeps whole reports byte-identical; offload
-// and shared-uplink runs clone and reseed their dynamics from the run
-// seed at the start of every run, exactly as the link RNG is rebuilt per
-// run.
+// contract, so qarv.WithSeed keeps whole reports byte-identical. Every
+// consumer that runs a shape more than once — offload and shared-uplink
+// runs, sweep cells, the CLIs' -net classes — keeps it as a prototype
+// and gives each run its own copy through delay.ForRun, reseeded from
+// the run's seed, exactly as the link RNG is rebuilt per run.
 //
 // A non-positive rate means nothing is served that slot (an outage).
 // The stateful processes treat a t regression as a restarted slot loop

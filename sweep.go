@@ -32,7 +32,9 @@ type (
 	// with the cell's full backend result in Detail. Sweep.Run reports
 	// one per cell in grid order.
 	SweepRow = experiments.SweepRow
-	// SweepNetwork names one capacity shape of a network axis.
+	// SweepNetwork names one capacity shape of a network axis: a
+	// unitless factor process on the base capacity (nil is static) that
+	// New turns into one run's process.
 	SweepNetwork = experiments.SweepNetwork
 	// PolicySpec names one depth-policy candidate of a policy axis.
 	PolicySpec = experiments.PolicySpec
@@ -118,7 +120,8 @@ func AxisViewDistance(base ContentConfig, distances ...float64) SweepAxis {
 }
 
 // AxisNetwork sweeps the network/capacity shape (NetworkStatic,
-// NetworkMarkov, NetworkHandoff, NetworkTraceShape, or custom).
+// NetworkMarkov, NetworkHandoff, NetworkTraceShape, or a custom
+// SweepNetwork with any factor process).
 func AxisNetwork(nets ...SweepNetwork) SweepAxis { return experiments.AxisNetwork(nets...) }
 
 // NetworkStatic is the constant-capacity sweep shape.
