@@ -398,7 +398,7 @@ func (r *sessionRunner) reset(p *Profile, arrRNG, svcRNG, polRNG *geom.RNG) erro
 // step advances the session one (session-local) slot, streaming the
 // slot's observations into the profile accumulator.
 func (r *sessionRunner) step(t int, pa *profileAccum) {
-	var s sim.Slot
+	var s sim.SlotEvent
 	r.k.Step(t, r.service.Service(t), &s)
 	r.traj.Add(s.Backlog)
 	pa.backlog.Add(s.Backlog)

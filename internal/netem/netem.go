@@ -42,9 +42,6 @@ type Link struct {
 	cfg       LinkConfig
 	rng       *geom.RNG
 	busyUntil float64
-	sent      int
-	dropped   int
-	bytesSent float64
 
 	// pending tracks serialization schedules of transmissions that may
 	// still be (partially) unserialized, for exact BacklogBytes
@@ -133,7 +130,6 @@ func (l *Link) Transmit(bytes float64, now int) Transmission {
 	}
 	if l.cfg.LossProb > 0 && l.rng.Float64() < l.cfg.LossProb {
 		out.Dropped = true
-		l.dropped++
 		return out
 	}
 	jitter := 0.0
@@ -144,8 +140,6 @@ func (l *Link) Transmit(bytes float64, now int) Transmission {
 		}
 	}
 	out.DeliveredSlot = l.busyUntil + l.cfg.LatencySlots + jitter
-	l.sent++
-	l.bytesSent += bytes
 	return out
 }
 
@@ -155,14 +149,12 @@ func (l *Link) Transmit(bytes float64, now int) Transmission {
 // serializer per slot, so only this leg remains). now is when the
 // frame's last byte finished serializing. Lost frames still consumed
 // their uplink bytes; they simply never arrive. Deliver draws from the
-// same RNG and updates the same counters as Transmit (bytes counted
-// into BytesSent on success only, as Transmit does).
+// same RNG as Transmit.
 func (l *Link) Deliver(bytes, now float64) (deliveredSlot float64, dropped bool) {
 	if bytes < 0 {
 		bytes = 0
 	}
 	if l.cfg.LossProb > 0 && l.rng.Float64() < l.cfg.LossProb {
-		l.dropped++
 		return 0, true
 	}
 	jitter := 0.0
@@ -172,8 +164,6 @@ func (l *Link) Deliver(bytes, now float64) (deliveredSlot float64, dropped bool)
 			jitter = 0
 		}
 	}
-	l.sent++
-	l.bytesSent += bytes
 	return now + l.cfg.LatencySlots + jitter, false
 }
 
@@ -252,16 +242,4 @@ func (l *Link) BacklogBytes(now float64) float64 {
 		}
 	}
 	return sum
-}
-
-// Stats summarizes the link's history.
-type Stats struct {
-	Sent      int
-	Dropped   int
-	BytesSent float64
-}
-
-// Stats returns cumulative counters.
-func (l *Link) Stats() Stats {
-	return Stats{Sent: l.sent, Dropped: l.dropped, BytesSent: l.bytesSent}
 }

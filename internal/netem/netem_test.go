@@ -90,15 +90,11 @@ func TestLinkLossRate(t *testing.T) {
 	if math.Abs(rate-0.25) > 0.02 {
 		t.Errorf("loss rate = %v, want ~0.25", rate)
 	}
-	st := l.Stats()
-	if st.Sent+st.Dropped != n {
-		t.Errorf("sent %d + dropped %d != %d", st.Sent, st.Dropped, n)
-	}
 }
 
 func TestLinkDeliverPropagationLeg(t *testing.T) {
 	// Deliver applies latency/jitter/loss without touching the
-	// serializer: the busy period is unchanged and counters advance.
+	// serializer: the busy period is unchanged.
 	l := mustLink(t, LinkConfig{BytesPerSlot: 100, LatencySlots: 2, JitterSlots: 0.5, LossProb: 0.25, Seed: 5})
 	const n = 20000
 	dropped := 0
@@ -114,13 +110,6 @@ func TestLinkDeliverPropagationLeg(t *testing.T) {
 	}
 	if rate := float64(dropped) / n; math.Abs(rate-0.25) > 0.02 {
 		t.Errorf("loss rate = %v, want ~0.25", rate)
-	}
-	st := l.Stats()
-	if st.Sent+st.Dropped != n {
-		t.Errorf("sent %d + dropped %d != %d", st.Sent, st.Dropped, n)
-	}
-	if want := float64(st.Sent) * 10; st.BytesSent != want {
-		t.Errorf("bytes sent = %v, want %v", st.BytesSent, want)
 	}
 	if got := l.BacklogBytes(0); got != 0 {
 		t.Errorf("Deliver occupied the serializer: backlog %v", got)

@@ -44,12 +44,6 @@ type GridIndex struct {
 	ids      []int32          // original index of each entry of pts
 }
 
-// Neighbor is one k-nearest-neighbour result.
-type Neighbor struct {
-	Index int     // index into the cloud
-	Dist2 float64 // squared distance to the query point
-}
-
 const (
 	// targetPerCell is the occupied-cell density the default cell size
 	// aims for: enough points that a query's own cell usually yields a
@@ -246,52 +240,26 @@ func (g *GridIndex) NearestExcluding(q geom.Vec3, exclude int) (int, float64) {
 	return int(s.best), s.bestD2
 }
 
-// search is one query's state: the single best point (k == 0) or a
-// max-heap of the k best (k > 0).
+// search is one query's state: the best point found so far.
 type search struct {
 	q       geom.Vec3
 	exclude int32
 	best    int32
 	bestD2  float64
-	k       int
-	heap    neighborHeap
-}
-
-// bound is the squared distance a cell must not exceed to be scanned.
-func (s *search) bound() float64 {
-	if s.k == 0 {
-		return s.bestD2
-	}
-	if len(s.heap) < s.k {
-		return math.Inf(1)
-	}
-	return s.heap[0].Dist2
 }
 
 func (s *search) scan(pts []geom.Vec3, ids []int32) {
-	if s.k == 0 {
-		for j, p := range pts {
-			d2 := s.q.Dist2(p)
-			if (d2 < s.bestD2 || (d2 == s.bestD2 && ids[j] < s.best)) && ids[j] != s.exclude {
-				s.best, s.bestD2 = ids[j], d2
-			}
-		}
-		return
-	}
 	for j, p := range pts {
-		nb := Neighbor{Index: int(ids[j]), Dist2: s.q.Dist2(p)}
-		if len(s.heap) < s.k {
-			s.heap.push(nb)
-		} else if nb.before(s.heap[0]) {
-			s.heap[0] = nb
-			s.heap.down(0)
+		d2 := s.q.Dist2(p)
+		if (d2 < s.bestD2 || (d2 == s.bestD2 && ids[j] < s.best)) && ids[j] != s.exclude {
+			s.best, s.bestD2 = ids[j], d2
 		}
 	}
 }
 
 // walk visits the grid's cells in Chebyshev rings around q's cell, scanning
 // only the cells of each ring's shell whose box could hold a point no
-// farther than the search's bound, and stops once no unvisited cell can.
+// farther than the best found so far, and stops once no unvisited cell can.
 //
 // Distance bounds are taken in grid units from u = (q − origin)/cellSize:
 // a cell k on one axis is at least gap = max(0, k − u, u − (k+1)) away,
@@ -336,25 +304,25 @@ func (g *GridIndex) walk(s *search) {
 	}
 	cell(c[0], c[1], c[2])
 	for r := 1; r <= maxRing; r++ {
-		if lb := float64(r-1) - slack; lb > 0 && lb*lb*scale > s.bound() {
+		if lb := float64(r-1) - slack; lb > 0 && lb*lb*scale > s.bestD2 {
 			return // every unvisited cell is at least r−1 cells away
 		}
 		for x := max(c[0]-r, 0); x <= min(c[0]+r, g.dims[0]-1); x++ {
 			gx := gap(0, x)
 			lx := gx * gx
-			if lx*scale > s.bound() {
+			if lx*scale > s.bestD2 {
 				continue
 			}
 			xShell := x == c[0]-r || x == c[0]+r
 			for y := max(c[1]-r, 0); y <= min(c[1]+r, g.dims[1]-1); y++ {
 				gy := gap(1, y)
 				lxy := lx + gy*gy
-				if lxy*scale > s.bound() {
+				if lxy*scale > s.bestD2 {
 					continue
 				}
 				if xShell || y == c[1]-r || y == c[1]+r {
 					for z := max(c[2]-r, 0); z <= min(c[2]+r, g.dims[2]-1); z++ {
-						if gz := gap(2, z); (lxy+gz*gz)*scale <= s.bound() {
+						if gz := gap(2, z); (lxy+gz*gz)*scale <= s.bestD2 {
 							cell(x, y, z)
 						}
 					}
@@ -366,51 +334,11 @@ func (g *GridIndex) walk(s *search) {
 					if z < 0 || z >= g.dims[2] {
 						continue
 					}
-					if gz := gap(2, z); (lxy+gz*gz)*scale <= s.bound() {
+					if gz := gap(2, z); (lxy+gz*gz)*scale <= s.bestD2 {
 						cell(x, y, z)
 					}
 				}
 			}
 		}
-	}
-}
-
-// before orders neighbours by (Dist2, Index).
-func (a Neighbor) before(b Neighbor) bool {
-	return a.Dist2 < b.Dist2 || (a.Dist2 == b.Dist2 && a.Index < b.Index)
-}
-
-// neighborHeap is a max-heap under Neighbor.before, so the worst of the
-// current k best sits at the root and can be replaced in place.
-type neighborHeap []Neighbor
-
-func (h *neighborHeap) push(nb Neighbor) {
-	*h = append(*h, nb)
-	a := *h
-	for i := len(a) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !a[p].before(a[i]) {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-}
-
-func (h neighborHeap) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && h[l].before(h[r]) {
-			m = r
-		}
-		if !h[i].before(h[m]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
 	}
 }

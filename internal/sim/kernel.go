@@ -6,24 +6,11 @@ import "qarv/internal/queueing"
 // decide d(t), enqueue the arrivals' workload, serve b(t)) over the
 // device's scalar backlog and timestamped frame queue. sim runs and
 // fleet sessions all step a Kernel and differ only in what they record
-// from each Slot. A zero Kernel must be armed by Reset before Step.
+// from each SlotEvent. A zero Kernel must be armed by Reset before Step.
 type Kernel struct {
 	dev     Device
 	backlog queueing.Backlog
 	frames  queueing.FrameQueue
-}
-
-// Slot is one slot's outcome, filled in place by Kernel.Step.
-type Slot struct {
-	Backlog       float64              // Q(t) observed at the start of the slot
-	Depth         int                  // d(t)
-	Utility       float64              // pa(d(t))
-	Frames        int                  // frames arrived (negative counts clamped to 0)
-	Arrived       float64              // work enqueued
-	Served        float64              // work served
-	DroppedWork   float64              // work rejected by the bounded backlog
-	DroppedFrames int                  // frames overflow removed whole
-	Completed     []queueing.Completed // frames that finished service
 }
 
 // Reset arms the kernel for a fresh device with empty queues.
@@ -33,11 +20,13 @@ func (k *Kernel) Reset(dev Device) {
 	k.frames = queueing.FrameQueue{}
 }
 
-// Step advances the device one slot against capacity b(t), filling s.
-func (k *Kernel) Step(t int, capacity float64, s *Slot) {
+// Step advances the device one slot against capacity b(t), filling
+// every field of s but Device and Latency, which it leaves as they are.
+// Negative arrival counts from custom processes are clamped to 0 frames.
+func (k *Kernel) Step(t int, capacity float64, s *SlotEvent) {
 	q := k.backlog.Level()         // line 4 of Algorithm 1: observe Q(t)
 	d := k.dev.Policy.Decide(t, q) // lines 5–11: closed-form decision
-	s.Backlog, s.Depth, s.Utility = q, d, k.dev.Utility.Utility(d)
+	s.Slot, s.Backlog, s.Depth, s.Utility = t, q, d, k.dev.Utility.Utility(d)
 
 	// Negative counts from custom processes are clamped so they can't
 	// drive λ (and LawGap) negative.
@@ -55,9 +44,9 @@ func (k *Kernel) Step(t int, capacity float64, s *Slot) {
 	// exactly and sojourns never count work that was never admitted.
 	dropped := k.backlog.TotalDropped()
 	s.Served = k.backlog.Step(work, capacity)
-	s.DroppedWork, s.DroppedFrames = k.backlog.TotalDropped()-dropped, 0
-	if s.DroppedWork > 0 {
-		s.DroppedFrames, _ = k.frames.DropTail(s.DroppedWork)
+	s.Dropped, s.DroppedFrames = k.backlog.TotalDropped()-dropped, 0
+	if s.Dropped > 0 {
+		s.DroppedFrames, _ = k.frames.DropTail(s.Dropped)
 	}
 	s.Completed = k.frames.Serve(s.Served, t)
 }

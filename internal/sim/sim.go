@@ -19,8 +19,9 @@ import (
 	"qarv/internal/queueing"
 )
 
-// SlotEvent is one slot's control decision and queue transition, emitted
-// to observers as the loop runs so streaming/tracing consumers don't need
+// SlotEvent is one slot's control decision and queue transition: the
+// record Kernel.Step fills, kept by the run loops and emitted to
+// observers as the loop runs so streaming/tracing consumers don't need
 // to post-process full trajectories.
 type SlotEvent struct {
 	// Slot is the time step t.
@@ -219,18 +220,18 @@ func newDeviceRunner(p policy.Policy, cost delay.CostModel, utility quality.Util
 // and hands the slot to observe, when non-nil. device tags the event (-1
 // for single-device runs).
 func (r *deviceRunner) step(t int, capacity float64, device int, observe Observer) {
-	var s Slot
+	s := SlotEvent{Device: device}
 	r.k.Step(t, capacity, &s)
 	res := r.res
-	q, d, u := s.Backlog, s.Depth, s.Utility
+	q := s.Backlog
 	res.Backlog[t] = q
 	r.backlogSum += q
 	if q > res.MaxBacklog {
 		res.MaxBacklog = q
 	}
-	res.Depth[t] = d
-	res.Utility[t] = u
-	r.utilSum += u
+	res.Depth[t] = s.Depth
+	res.Utility[t] = s.Utility
+	r.utilSum += s.Utility
 	res.Arrived[t] = s.Arrived
 	res.Served[t] = s.Served
 	res.DroppedFrames += s.DroppedFrames
@@ -246,11 +247,7 @@ func (r *deviceRunner) step(t int, capacity float64, device int, observe Observe
 	// Little's-law violation in exactly the drop regime.
 	res.Little.ObserveSlot(float64(r.k.QueuedFrames()), admitted)
 	if observe != nil {
-		observe(SlotEvent{
-			Slot: t, Device: device, Backlog: q, Depth: d, Utility: u,
-			Arrived: s.Arrived, Served: s.Served, Dropped: s.DroppedWork,
-			Frames: s.Frames, DroppedFrames: s.DroppedFrames, Completed: s.Completed,
-		})
+		observe(s)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the simulator,
-// fleet and experiment code rely on: streaming moments (Welford),
+// fleet and experiment code rely on: a streaming mean (Welford),
 // percentiles, ordinary least-squares regression, mergeable quantile
 // sketches and bounded series decimation.
 package stats
@@ -10,30 +10,17 @@ import (
 	"sort"
 )
 
-// Running accumulates streaming count/mean/variance/min/max using
-// Welford's algorithm. The zero value is ready to use.
+// Running accumulates a streaming count and mean with Welford's
+// update. The zero value is ready to use.
 type Running struct {
-	n        int
-	mean, m2 float64
-	min, max float64
+	n    int
+	mean float64
 }
 
 // Add incorporates one observation.
 func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	r.n++
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
 
 // Count returns the number of observations.
@@ -41,20 +28,6 @@ func (r *Running) Count() int { return r.n }
 
 // Mean returns the sample mean (0 when empty).
 func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the unbiased sample variance (0 with <2 observations).
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (0 when empty).
-func (r *Running) Max() float64 { return r.max }
 
 // Percentile returns the p-th percentile (p ∈ [0,100]) of xs using linear
 // interpolation between order statistics. xs need not be sorted.

@@ -19,24 +19,16 @@ func TestRunningMoments(t *testing.T) {
 	if math.Abs(r.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %v", r.Mean())
 	}
-	// Population std of this classic sample is 2; unbiased variance is
-	// 32/7.
-	if math.Abs(r.Var()-32.0/7) > 1e-12 {
-		t.Errorf("var = %v", r.Var())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("min/max = %v/%v", r.Min(), r.Max())
-	}
 }
 
 func TestRunningEmptyAndSingle(t *testing.T) {
 	var r Running
-	if r.Mean() != 0 || r.Var() != 0 {
-		t.Error("empty Running must report zeros")
+	if r.Mean() != 0 {
+		t.Error("empty Running must report a zero mean")
 	}
 	r.Add(3)
-	if r.Mean() != 3 || r.Var() != 0 {
-		t.Errorf("single observation: mean %v var %v", r.Mean(), r.Var())
+	if r.Mean() != 3 {
+		t.Errorf("single observation: mean %v", r.Mean())
 	}
 }
 
@@ -54,13 +46,7 @@ func TestRunningMatchesBatchProperty(t *testing.T) {
 		for _, x := range xs {
 			sum += x
 		}
-		mean := sum / float64(n)
-		var v float64
-		for _, x := range xs {
-			v += (x - mean) * (x - mean)
-		}
-		v /= float64(n - 1)
-		return math.Abs(r.Mean()-mean) < 1e-9 && math.Abs(r.Var()-v) < 1e-6
+		return math.Abs(r.Mean()-sum/float64(n)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
