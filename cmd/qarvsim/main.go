@@ -52,6 +52,10 @@ import (
 	"qarv/internal/trace"
 )
 
+// netSeedSalt derives the -net factor's stream from the run seed, so
+// repeated runs replay the same capacity path.
+const netSeedSalt = 0x6e6574 // "net"
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -138,7 +142,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	opts := []qarv.Option{qarv.WithScenario(scn), qarv.WithPolicy(p),
 		qarv.WithTelemetry(sinks.Registry), qarv.WithFlightRecorder(sinks.Recorder)}
-	sess, err := qarv.NewSession(append(opts, netService(net, scn.ServiceRate, uint64(*seed))...)...)
+	sess, err := qarv.NewSession(append(opts, qarv.WithService(net.New(scn.ServiceRate, qarv.NewRNG(uint64(*seed)^netSeedSalt))))...)
 	if err != nil {
 		return err
 	}
@@ -229,7 +233,7 @@ func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *tel
 	opts := []qarv.Option{qarv.WithScenario(scn),
 		qarv.WithDevices(devs...), qarv.WithAllocator(allocator),
 		qarv.WithTelemetry(sinks.Registry), qarv.WithFlightRecorder(sinks.Recorder)}
-	sess, err := qarv.NewSession(append(opts, netService(net, float64(n)*scn.ServiceRate, seed)...)...)
+	sess, err := qarv.NewSession(append(opts, qarv.WithService(net.New(float64(n)*scn.ServiceRate, qarv.NewRNG(seed^netSeedSalt))))...)
 	if err != nil {
 		return err
 	}
@@ -271,17 +275,6 @@ func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *tel
 		}
 	}
 	return sinks.Export(out)
-}
-
-// netService returns the -net shape as the option serving it around
-// rate: none for the static shape, so the scenario's own constant
-// service stands. The factor's RNG derives from the run seed so
-// repeated runs replay the same capacity path.
-func netService(net qarv.SweepNetwork, rate float64, seed uint64) []qarv.Option {
-	if net.Factor == nil {
-		return nil
-	}
-	return []qarv.Option{qarv.WithService(net.New(rate, qarv.NewRNG(seed^0x6e6574)))}
 }
 
 // buildPolicy resolves -policy through the shared CLI grammar
