@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check fuzz-smoke bench edge-smoke sweep-smoke learn-smoke telemetry-smoke examples clean
+.PHONY: all build test race vet check fuzz-smoke bench bench-pairs edge-smoke sweep-smoke learn-smoke telemetry-smoke examples clean
 
 all: vet check build test
 
@@ -52,6 +52,16 @@ bench:
 		echo "$$w: $$line"; \
 		case "$$line" in *'"correct":true'*) ;; *) echo "bench: $$w not correct" >&2; exit 1;; esac; \
 	done
+
+# bench-pairs compares the working tree against BASE on the benchmark:
+# it checks BASE out into a git worktree under .bench_build/, runs every
+# BENCHMARK.json workload PAIRS times on each side, alternating, appends
+# every stamped result line to bench_history.jsonl, and prints each
+# end-to-end metric's median, min-max and change/base ratio against its
+# bound (cmd/benchpairs). Usage: make bench-pairs BASE=<rev> PAIRS=<n>.
+PAIRS ?= 5
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -base "$(BASE)" -pairs $(PAIRS)
 
 # edge-smoke runs the socket-level edge suite: the soak/conservation,
 # drain, shed, idle-timeout, and ack-failure tests under the race

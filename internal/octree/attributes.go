@@ -180,28 +180,10 @@ func DeserializeWithColorsBytes(data []byte) (*DecodedWithColors, error) {
 	if n != len(geo.Keys) {
 		return nil, fmt.Errorf("%w: %d colors for %d leaves", ErrColorCountMism, n, len(geo.Keys))
 	}
-	out := &DecodedWithColors{Decoded: *geo, Colors: make([]pointcloud.Color, n)}
-	deltas := make([]uint32, 0, n)
+	out := &DecodedWithColors{Decoded: geo, Colors: make([]pointcloud.Color, n)}
 	for ch := 0; ch < 3; ch++ {
-		if deltas, pos, err = readBlocks(deltas[:0], data, pos, n); err != nil {
+		if pos, err = readChannel(out.Colors, ch, data, pos); err != nil {
 			return nil, fmt.Errorf("%w: channel %d: %v", ErrCorruptColors, ch, err)
-		}
-		prev := int32(0)
-		for i, zz := range deltas {
-			d := int32(zz>>1) ^ -int32(zz&1) // un-zigzag
-			v := prev + d
-			if v < 0 || v > 255 {
-				return nil, fmt.Errorf("%w: channel value %d out of range", ErrCorruptColors, v)
-			}
-			switch ch {
-			case 0:
-				out.Colors[i].R = uint8(v)
-			case 1:
-				out.Colors[i].G = uint8(v)
-			default:
-				out.Colors[i].B = uint8(v)
-			}
-			prev = v
 		}
 	}
 	if pos != len(data) {
@@ -210,42 +192,80 @@ func DeserializeWithColorsBytes(data []byte) (*DecodedWithColors, error) {
 	return out, nil
 }
 
-// readBlocks appends to dst the n deltas of one channel, bit-packed by
-// appendPackedBlocks starting at data[pos], and returns the position just
-// past them.
-func readBlocks(dst []uint32, data []byte, pos, n int) ([]uint32, int, error) {
-	for len(dst) < n {
-		count := min(colorBlockSize, n-len(dst))
+// readChannel decodes channel ch of colors from the delta blocks that
+// appendPackedBlocks wrote starting at data[pos], and returns the
+// position just past them. Each block's packed bytes are bounds-checked
+// once, before any value is cut from them.
+func readChannel(colors []pointcloud.Color, ch int, data []byte, pos int) (int, error) {
+	var vals [colorBlockSize]uint8
+	var tail [colorBlockSize*16/8 + 8]byte
+	prev := uint8(0)
+	for start := 0; start < len(colors); start += colorBlockSize {
+		block := colors[start:min(start+colorBlockSize, len(colors))]
 		if pos >= len(data) {
-			return nil, pos, errors.New("color blocks end early")
+			return pos, errors.New("color blocks end early")
 		}
-		width := int(data[pos])
+		width := uint(data[pos])
 		pos++
 		if width > 16 {
-			return nil, pos, errors.New("block bit width out of range")
+			return pos, errors.New("block bit width out of range")
 		}
-		if width == 0 {
-			for i := 0; i < count; i++ {
-				dst = append(dst, 0)
-			}
-			continue
+		size := (int(width)*len(block) + 7) / 8
+		if size > len(data)-pos {
+			return pos, errors.New("color blocks end early")
 		}
-		var acc uint64
-		var nbits int
-		for i := 0; i < count; i++ {
-			for nbits < width {
-				if pos >= len(data) {
-					return nil, pos, errors.New("color blocks end early")
-				}
-				acc = acc<<8 | uint64(data[pos])
-				pos++
-				nbits += 8
+		// Windows may read up to 7 bytes past the block; near the end of
+		// data they read a padded copy instead.
+		packed := data[pos:]
+		if len(packed) < size+8 {
+			packed = tail[:copy(tail[:], data[pos:pos+size])+8]
+		}
+		pos += size
+		var ok bool
+		if prev, ok = unpackDeltas(vals[:len(block)], packed, width, prev); !ok {
+			return pos, errors.New("channel value out of range")
+		}
+		switch ch {
+		case 0:
+			for i := range block {
+				block[i].R = vals[i]
 			}
-			nbits -= width
-			dst = append(dst, uint32(acc>>uint(nbits))&((1<<uint(width))-1))
+		case 1:
+			for i := range block {
+				block[i].G = vals[i]
+			}
+		default:
+			for i := range block {
+				block[i].B = vals[i]
+			}
 		}
 	}
-	return dst, pos, nil
+	return pos, nil
+}
+
+// unpackDeltas fills vals with the running sums from prev of the zigzag
+// deltas packed at width bits in packed, and returns the last sum. Each
+// delta is cut from a big-endian 64-bit window at its bit offset, which a
+// width of at most 16 bits always fits, so packed must extend 7 bytes past
+// the last delta. It reports false if a sum leaves [0, 255].
+func unpackDeltas(vals []uint8, packed []byte, width uint, prev uint8) (uint8, bool) {
+	if width == 0 {
+		for i := range vals {
+			vals[i] = prev
+		}
+		return prev, true
+	}
+	v := int32(prev)
+	for i := range vals {
+		off := uint(i) * width
+		zz := uint32(binary.BigEndian.Uint64(packed[off/8:]) << (off % 8) >> (64 - width))
+		v += int32(zz>>1) ^ -int32(zz&1) // un-zigzag
+		if uint32(v) > 255 {
+			return 0, false
+		}
+		vals[i] = uint8(v)
+	}
+	return uint8(v), true
 }
 
 // StreamSizeProfile measures the serialized stream size (bytes) per depth

@@ -244,12 +244,32 @@ func boxBits(b geom.AABB) [6]uint64 {
 // accept exactly what the reference accepts, return equal results, and
 // reject under the same sentinels. The seeds are valid streams at every
 // depth, with and without colors, plus truncations, a trailing byte and
-// single-byte mutations of them.
+// single-byte mutations of them; a forged header leaf count; streams at
+// depth 1 and MaxDepth, the decoder's first and last stack frames; and a
+// stream whose last color block is full and ends exactly at the end of
+// the data, where the unpacker's 64-bit windows would overrun.
 func FuzzDeserializeWithColors(f *testing.F) {
 	o, err := Build(smoothCloud(150, 5), 7)
 	if err != nil {
 		f.Fatal(err)
 	}
+	full7, err := o.SerializeWithColorsBytes(7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(forgeLeafCount(full7, 0xFFFFFFFF))
+	deep, err := Build(smoothCloud(40, 6), MaxDepth)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range []int{1, MaxDepth} {
+		full, err := deep.SerializeWithColorsBytes(d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(full)
+	}
+	f.Add(fullLastBlockStream(f))
 	for d := 1; d <= 7; d++ {
 		full, err := o.SerializeWithColorsBytes(d)
 		if err != nil {

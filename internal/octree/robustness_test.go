@@ -2,9 +2,13 @@ package octree
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 
 	"qarv/internal/geom"
+	"qarv/internal/pointcloud"
 )
 
 // Robustness: deserializers must reject arbitrary garbage and mutated
@@ -97,4 +101,62 @@ func TestDeserializeDeepGarbageBoundedWork(t *testing.T) {
 	if _, err := DeserializeBytes(append(data, body...)); err == nil {
 		t.Fatal("truncated full-fanout stream must error")
 	}
+}
+
+// forgeLeafCount returns a copy of the stream data with the header's
+// leaf count replaced by n.
+func forgeLeafCount(data []byte, n uint32) []byte {
+	out := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(out[headerSize-4:], n)
+	return out
+}
+
+func TestDeserializeForgedLeafCountBounded(t *testing.T) {
+	// The decoder pre-sizes its keys from the header's leaf count; a
+	// forged count must be capped by what the payload can hold (8 leaves
+	// per occupancy byte), not allocated as claimed (32 GiB here).
+	o, err := Build(smoothCloud(500, 203), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := o.SerializeWithColorsBytes(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := forgeLeafCount(valid, 0xFFFFFFFF)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = DeserializeWithColorsBytes(forged)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged leaf count: err = %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("forged leaf count allocated %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// fullLastBlockStream returns a colored depth-2 stream of all 64 cells of
+// a 4×4×4 grid: each channel is exactly one full 64-delta block of
+// nonzero width (the colors all differ), so the last block ends at the
+// last byte of the data.
+func fullLastBlockStream(f *testing.F) []byte {
+	c := &pointcloud.Cloud{}
+	for i := 0; i < 64; i++ {
+		p := geom.V(float64(i&3)+0.5, float64(i>>2&3)+0.5, float64(i>>4)+0.5)
+		col := pointcloud.Color{R: uint8(7 * i), G: uint8(255 - 3*i), B: uint8(i * i)}
+		c.Append(p, &col, nil)
+	}
+	o, err := Build(c, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := o.SerializeWithColorsBytes(2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if dec, err := DeserializeWithColorsBytes(data); err != nil || len(dec.Keys) != colorBlockSize {
+		f.Fatalf("grid stream: %v, %v; want %d leaves", dec, err, colorBlockSize)
+	}
+	return data
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"qarv/internal/geom"
 	"qarv/internal/pointcloud"
@@ -108,72 +109,95 @@ func DeserializeBytes(data []byte) (*Decoded, error) {
 	if n != len(data) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-n)
 	}
-	return dec, nil
+	return &dec, nil
 }
 
 // decodeGeometry decodes the occupancy stream at the start of data and
 // returns the number of bytes it spans.
-func decodeGeometry(data []byte) (*Decoded, int, error) {
+func decodeGeometry(data []byte) (Decoded, int, error) {
 	if len(data) < headerSize {
-		return nil, 0, fmt.Errorf("%w: header: %d of %d bytes", ErrCorrupt, len(data), headerSize)
+		return Decoded{}, 0, fmt.Errorf("%w: header: %d of %d bytes", ErrCorrupt, len(data), headerSize)
 	}
 	hdr := data[:headerSize]
 	if !bytes.Equal(hdr[:4], serializeMagic[:]) {
-		return nil, 0, ErrBadMagic
+		return Decoded{}, 0, ErrBadMagic
 	}
 	if hdr[4] != 1 {
-		return nil, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, hdr[4])
+		return Decoded{}, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, hdr[4])
 	}
 	depth := int(hdr[5])
 	if depth < 1 || depth > MaxDepth {
-		return nil, 0, fmt.Errorf("%w: depth %d", ErrDepthTooDeep, depth)
+		return Decoded{}, 0, fmt.Errorf("%w: depth %d", ErrDepthTooDeep, depth)
 	}
 	var vals [6]float64
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(hdr[6+8*i:]))
 	}
 	wantLeaves := binary.LittleEndian.Uint32(hdr[6+48:])
-	dec := &Decoded{
+	// Every leaf is a set bit of an occupancy byte, so the payload caps
+	// how many a forged header count can make us allocate.
+	keys, n, err := appendLeaves(
+		make([]uint64, 0, min(uint64(wantLeaves), 8*uint64(len(data)-headerSize))),
+		data, headerSize, depth)
+	if err != nil {
+		return Decoded{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if uint32(len(keys)) != wantLeaves {
+		return Decoded{}, 0, fmt.Errorf("%w: decoded %d leaves, header says %d",
+			ErrCorrupt, len(keys), wantLeaves)
+	}
+	return Decoded{
 		Box: geom.AABB{
 			Min: geom.V(vals[0], vals[1], vals[2]),
 			Max: geom.V(vals[3], vals[4], vals[5]),
 		},
 		Depth: depth,
-	}
-	n, err := decodeNode(data, headerSize, dec, 0, 0)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if uint32(len(dec.Keys)) != wantLeaves {
-		return nil, 0, fmt.Errorf("%w: decoded %d leaves, header says %d",
-			ErrCorrupt, len(dec.Keys), wantLeaves)
-	}
-	return dec, n, nil
+		Keys:  keys,
+	}, n, nil
 }
 
-// decodeNode appends the leaves of the subtree whose occupancy byte sits
-// at data[pos] (or, at the leaf level, the leaf itself) and returns the
-// position just past the subtree.
-func decodeNode(data []byte, pos int, dec *Decoded, prefix uint64, level int) (int, error) {
-	if level == dec.Depth {
-		dec.Keys = append(dec.Keys, prefix)
-		return pos, nil
-	}
-	if pos >= len(data) {
-		return pos, errors.New("occupancy stream ends early")
-	}
-	mask := data[pos]
-	pos++
-	if mask == 0 {
-		return pos, errors.New("empty occupancy byte for occupied node")
-	}
-	for c := 0; c < 8; c++ {
-		if mask&(1<<uint(c)) != 0 {
-			var err error
-			if pos, err = decodeNode(data, pos, dec, prefix<<3|uint64(c), level+1); err != nil {
-				return pos, err
+// appendLeaves walks the pre-order occupancy stream of a depth-depth tree
+// that starts at data[pos], appends every leaf's Morton prefix to keys in
+// stream order, and returns the position just past the stream. The walk
+// is a loop over one frame per open level: the children of that node not
+// yet visited and the node's prefix. The last internal level's children
+// are leaves, so they are emitted straight from its occupancy byte.
+func appendLeaves(keys []uint64, data []byte, pos, depth int) ([]uint64, int, error) {
+	var masks [MaxDepth]uint8
+	var prefixes [MaxDepth]uint64
+	last := depth - 1
+	level, child := 0, uint64(0)
+	for {
+		// Open the node child of the node at level-1 (the root at level 0).
+		if pos >= len(data) {
+			return keys, pos, errors.New("occupancy stream ends early")
+		}
+		mask := data[pos]
+		pos++
+		if mask == 0 {
+			return keys, pos, errors.New("empty occupancy byte for occupied node")
+		}
+		prefix := child
+		if level > 0 {
+			prefix |= prefixes[level-1] << 3
+		}
+		if level < last {
+			masks[level], prefixes[level] = mask, prefix
+			level++
+		} else {
+			for prefix <<= 3; mask != 0; mask &= mask - 1 {
+				keys = append(keys, prefix|uint64(bits.TrailingZeros8(mask)))
 			}
 		}
+		// Descend into the next unvisited child, closing finished levels.
+		for level > 0 && masks[level-1] == 0 {
+			level--
+		}
+		if level == 0 {
+			return keys, pos, nil
+		}
+		m := masks[level-1]
+		child = uint64(bits.TrailingZeros8(m))
+		masks[level-1] = m & (m - 1)
 	}
-	return pos, nil
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"qarv/internal/synthetic"
 )
 
 // wireDigests pins the encoded bytes: the SHA-256 of SerializeBytes and
@@ -70,14 +72,49 @@ func sha256Hex(data []byte) string {
 }
 
 // BenchmarkDeserializeWithColors times the edge's per-frame validation
-// decode at the depths the live stream ships, over one fixed capture.
+// decode at the depths the live stream ships, over the edge-live capture.
 func BenchmarkDeserializeWithColors(b *testing.B) {
-	o, err := Build(smoothCloud(100_000, 1), 10)
+	benchDecode(b, true, func(data []byte) error {
+		_, err := DeserializeWithColorsBytes(data)
+		return err
+	})
+}
+
+// BenchmarkDeserializeBytes times the geometry half of the same decode,
+// so the geometry/color split shows beside BenchmarkDeserializeWithColors.
+func BenchmarkDeserializeBytes(b *testing.B) {
+	benchDecode(b, false, func(data []byte) error {
+		_, err := DeserializeBytes(data)
+		return err
+	})
+}
+
+// benchDecode times decode on the streams the edge validates: the
+// 120k-sample longdress capture at depth 10, serialized at depths 6-9
+// with or without colors. Its colors pack far tighter than smoothCloud's,
+// like live frames.
+func benchDecode(b *testing.B, withColors bool, decode func([]byte) error) {
+	ch, err := synthetic.ByName("longdress")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cloud, err := synthetic.Generate(synthetic.Config{
+		Character: ch, SamplesTarget: 120_000, CaptureDepth: 10, Seed: 1,
+	}, synthetic.Pose{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o, err := Build(cloud, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for d := 6; d <= 9; d++ {
-		data, err := o.SerializeWithColorsBytes(d)
+		var data []byte
+		if withColors {
+			data, err = o.SerializeWithColorsBytes(d)
+		} else {
+			data, err = o.SerializeBytes(d)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +122,7 @@ func BenchmarkDeserializeWithColors(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := DeserializeWithColorsBytes(data); err != nil {
+				if err := decode(data); err != nil {
 					b.Fatal(err)
 				}
 			}
