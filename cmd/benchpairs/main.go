@@ -9,15 +9,18 @@
 //
 // Usage, from the repository root (make bench-pairs BASE=<rev> PAIRS=<n>):
 //
-//	benchpairs -base REV [-pairs 5] [-seconds S] [-history bench_history.jsonl]
+//	benchpairs -base REV [-pairs 5]
 //
-// Every run uses seed 1, so both sides measure the same inputs.
+// Every run lasts BENCHMARK.json's run_seconds and uses seed 1, so both
+// sides measure the same inputs and every history line is comparable.
 //
-// Each history line carries the revision its side ran, as "rev" (a
-// working tree with changes gets a "+modified" suffix). The "commit" in
-// perfbench's own stamp cannot tell the sides apart: Go's build stamping
-// does not recognise a worktree's .git file and stamps the enclosing
-// checkout instead.
+// Each history line names the code its side ran: "rev" is the commit
+// (HEAD for the working tree) and "tree" the git tree hash of the files
+// built, tracked and untracked alike except what .gitignore excludes.
+// A working tree with changes has a tree other than its rev's, and its
+// rev gets a "+modified" suffix. The "commit" in perfbench's own stamp
+// cannot tell the sides apart: Go's build stamping does not recognise a
+// worktree's .git file and stamps the enclosing checkout instead.
 //
 // A metric reads "better" or "worse" when its ratio of medians passes
 // its bound in that direction, and "within" otherwise; "wins" counts
@@ -75,12 +78,17 @@ type result struct {
 	} `json:"metrics"`
 }
 
+// historyFile is the committed JSON-lines file every stamped result is
+// appended to.
+const historyFile = "bench_history.jsonl"
+
 // record is one line of the history file: a run's result with the
 // environment stamp it printed and its place in the comparison.
 type record struct {
 	Time   string          `json:"time"`
 	Side   string          `json:"side"` // "base" or "change"
 	Rev    string          `json:"rev"`
+	Tree   string          `json:"tree"`
 	Pair   int             `json:"pair"`
 	Env    json.RawMessage `json:"env"`
 	Result json.RawMessage `json:"result"`
@@ -91,16 +99,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	base := fs.String("base", "", "git revision to compare the working tree against")
 	pairs := fs.Int("pairs", 5, "alternating base/change runs per workload")
-	seconds := fs.Int("seconds", 0, "seconds per run (0: BENCHMARK.json's run_seconds)")
-	history := fs.String("history", "bench_history.jsonl", "JSON-lines file every stamped result is appended to")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *base == "" || *pairs < 1 || *seconds < 0 || fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "usage: benchpairs -base REV [-pairs N] [-seconds S] [-history FILE]")
+	if *base == "" || *pairs < 1 || fs.NArg() != 0 {
+		fmt.Fprintln(stderr, "usage: benchpairs -base REV [-pairs N]")
 		return 2
 	}
-	if err := compare(*base, *pairs, *seconds, *history, stdout, stderr); err != nil {
+	if err := compare(*base, *pairs, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "benchpairs:", err)
 		return 1
 	}
@@ -108,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // compare runs the whole comparison from the repository root.
-func compare(base string, pairs, seconds int, historyPath string, stdout, stderr io.Writer) error {
+func compare(base string, pairs int, stdout, stderr io.Writer) error {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return err
@@ -117,10 +123,11 @@ func compare(base string, pairs, seconds int, historyPath string, stdout, stderr
 	if err := json.Unmarshal(raw, &bench); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
-	if seconds > 0 {
-		bench.RunSeconds = seconds
-	}
 	rev, err := git("rev-parse", "--verify", base+"^{commit}")
+	if err != nil {
+		return err
+	}
+	baseTree, err := git("rev-parse", rev+"^{tree}")
 	if err != nil {
 		return err
 	}
@@ -128,9 +135,13 @@ func compare(base string, pairs, seconds int, historyPath string, stdout, stderr
 	if err != nil {
 		return err
 	}
-	if status, err := git("status", "--porcelain"); err != nil {
+	tree, err := workingTree()
+	if err != nil {
 		return err
-	} else if status != "" {
+	}
+	if headTree, err := git("rev-parse", "HEAD^{tree}"); err != nil {
+		return err
+	} else if tree != headTree {
 		head += "+modified"
 	}
 	dir := filepath.Join(".bench_build", "base-"+rev[:12])
@@ -148,13 +159,13 @@ func compare(base string, pairs, seconds int, historyPath string, stdout, stderr
 			fmt.Fprintln(stderr, "benchpairs:", err)
 		}
 	}()
-	hist, err := os.OpenFile(historyPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	hist, err := os.OpenFile(historyFile, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
 	defer hist.Close()
 
-	sides := [2]struct{ name, dir, rev string }{{"base", dir, rev}, {"change", ".", head}}
+	sides := [2]struct{ name, dir, rev, tree string }{{"base", dir, rev, baseTree}, {"change", ".", head, tree}}
 	// runs[w][side] holds workload w's results on one side in pair order.
 	runs := make([][2][]result, len(bench.Workloads))
 	var failed []string
@@ -173,7 +184,7 @@ func compare(base string, pairs, seconds int, historyPath string, stdout, stderr
 				runs[w][s] = append(runs[w][s], res)
 				rec, err := json.Marshal(record{
 					//qarv:allow nondeterminism the history stamps each run with when it ran
-					Time: time.Now().UTC().Format(time.RFC3339), Side: sides[s].name, Rev: sides[s].rev, Pair: p + 1,
+					Time: time.Now().UTC().Format(time.RFC3339), Side: sides[s].name, Rev: sides[s].rev, Tree: sides[s].tree, Pair: p + 1,
 					Env: env, Result: line,
 				})
 				if err != nil {
@@ -357,9 +368,34 @@ func wins(base, change []float64, better string) int {
 	return n
 }
 
+// workingTree returns the git tree hash of the working tree as it would
+// be committed with everything added: tracked files as they are now and
+// untracked ones not ignored. It stages into a scratch index, so the
+// repository's own index is left alone.
+func workingTree() (string, error) {
+	dir, err := os.MkdirTemp("", "benchpairs-")
+	if err != nil {
+		return "", err
+	}
+	defer os.RemoveAll(dir)
+	env := append(os.Environ(), "GIT_INDEX_FILE="+filepath.Join(dir, "index"))
+	if _, err := gitEnv(env, "add", "--all"); err != nil {
+		return "", err
+	}
+	return gitEnv(env, "write-tree")
+}
+
 // git runs a git command and returns its trimmed standard output.
 func git(args ...string) (string, error) {
-	out, err := exec.Command("git", args...).Output()
+	return gitEnv(nil, args...)
+}
+
+// gitEnv runs a git command in the environment env (nil: this
+// process's) and returns its trimmed standard output.
+func gitEnv(env []string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Env = env
+	out, err := cmd.Output()
 	if err != nil {
 		var ee *exec.ExitError
 		if errors.As(err, &ee) {

@@ -115,4 +115,29 @@ func TestRunUsage(t *testing.T) {
 	if code := run([]string{"-base", "HEAD", "-pairs", "0"}, &bytes.Buffer{}, &stderr); code != 2 {
 		t.Errorf("-pairs 0: exit %d, want 2", code)
 	}
+	if code := run([]string{"-base", "HEAD", "-seconds", "1"}, &bytes.Buffer{}, &stderr); code != 2 {
+		t.Errorf("-seconds: exit %d, want 2 (runs last BENCHMARK.json's run_seconds)", code)
+	}
+}
+
+func TestWorkingTree(t *testing.T) {
+	headTree, err := git("rev-parse", "HEAD^{tree}")
+	if err != nil {
+		t.Skipf("not a git checkout: %v", err)
+	}
+	tree, err := workingTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := workingTree(); err != nil || again != tree {
+		t.Fatalf("workingTree = %s, then %s (%v)", tree, again, err)
+	}
+	status, err := git("status", "--porcelain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tree differs from HEAD's exactly when git sees a change.
+	if clean := status == ""; (tree == headTree) != clean {
+		t.Errorf("tree %s, HEAD's %s, but status reads %q", tree, headTree, status)
+	}
 }

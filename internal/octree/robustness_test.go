@@ -113,8 +113,8 @@ func forgeLeafCount(data []byte, n uint32) []byte {
 
 func TestDeserializeForgedLeafCountBounded(t *testing.T) {
 	// The decoder pre-sizes its keys from the header's leaf count; a
-	// forged count must be capped by what the payload can hold (8 leaves
-	// per occupancy byte), not allocated as claimed (32 GiB here).
+	// forged count must be capped by the payload (one key per byte), not
+	// allocated as claimed (32 GiB here).
 	o, err := Build(smoothCloud(500, 203), 7)
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +133,21 @@ func TestDeserializeForgedLeafCountBounded(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Fatalf("forged leaf count allocated %d bytes, want < 1 MiB", alloc)
+	}
+
+	// The same count in front of 256 KiB of arbitrary bytes (a one-leaf
+	// chain, then junk) may reserve one 8-byte key per payload byte, not
+	// the 8 keys per byte an occupancy byte could hold.
+	body := bytes.Repeat([]byte{0x01}, 256<<10)
+	junk := append(forged[:headerSize:headerSize], body...)
+	runtime.ReadMemStats(&before)
+	_, err = DeserializeWithColorsBytes(junk)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("forged leaf count on junk: err = %v, want ErrCorrupt", err)
+	}
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(body)+4096); alloc > limit {
+		t.Fatalf("forged leaf count on %d junk bytes allocated %d bytes, want <= %d", len(body), alloc, limit)
 	}
 }
 

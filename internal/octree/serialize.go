@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"qarv/internal/geom"
 	"qarv/internal/pointcloud"
@@ -135,9 +136,13 @@ func decodeGeometry(data []byte) (Decoded, int, error) {
 	}
 	wantLeaves := binary.LittleEndian.Uint32(hdr[6+48:])
 	// Every leaf is a set bit of an occupancy byte, so the payload caps
-	// how many a forged header count can make us allocate.
-	keys, n, err := appendLeaves(
-		make([]uint64, 0, min(uint64(wantLeaves), 8*uint64(len(data)-headerSize))),
+	// the header's count at 8 per byte. Up front, reserve at most one key
+	// per payload byte: a forged count on arbitrary bytes then costs at
+	// most 8 bytes of keys per byte received, and only a walk that really
+	// produces more leaves than that reserves the rest.
+	payload := uint64(len(data) - headerSize)
+	want := int(min(uint64(wantLeaves), 8*payload))
+	keys, n, err := appendLeaves(make([]uint64, 0, min(want, int(payload))), want,
 		data, headerSize, depth)
 	if err != nil {
 		return Decoded{}, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -158,11 +163,12 @@ func decodeGeometry(data []byte) (Decoded, int, error) {
 
 // appendLeaves walks the pre-order occupancy stream of a depth-depth tree
 // that starts at data[pos], appends every leaf's Morton prefix to keys in
-// stream order, and returns the position just past the stream. The walk
+// stream order, and returns the position just past the stream. When the
+// leaves outgrow keys' capacity, it grows keys once to hold want. The walk
 // is a loop over one frame per open level: the children of that node not
 // yet visited and the node's prefix. The last internal level's children
 // are leaves, so they are emitted straight from its occupancy byte.
-func appendLeaves(keys []uint64, data []byte, pos, depth int) ([]uint64, int, error) {
+func appendLeaves(keys []uint64, want int, data []byte, pos, depth int) ([]uint64, int, error) {
 	var masks [MaxDepth]uint8
 	var prefixes [MaxDepth]uint64
 	last := depth - 1
@@ -185,6 +191,9 @@ func appendLeaves(keys []uint64, data []byte, pos, depth int) ([]uint64, int, er
 			masks[level], prefixes[level] = mask, prefix
 			level++
 		} else {
+			if k := len(keys) + bits.OnesCount8(mask); k > cap(keys) {
+				keys = slices.Grow(keys, max(want, k)-len(keys))
+			}
 			for prefix <<= 3; mask != 0; mask &= mask - 1 {
 				keys = append(keys, prefix|uint64(bits.TrailingZeros8(mask)))
 			}
