@@ -42,15 +42,20 @@ vet:
 
 # bench runs the repository's benchmark (perfbench, declared in
 # BENCHMARK.json) once per workload at a one-second horizon, untraced,
-# and fails unless each run's JSON result line reports "correct":true.
-# It is the smoke form of the benchmark; BENCHMARK.json's run_seconds
-# gives the measured form. perfbench is a nested module, so this is the
-# only target that builds it.
+# then fleet-mix once more traced, and fails unless each run's JSON
+# result line reports "correct":true. The untraced passes check each
+# workload's own accounting; the traced fleet-mix pass also replays
+# seats call by call (sketches, frame-queue completions) and checks the
+# replay reproduces fleet.Run's report. It is the smoke form of the
+# benchmark; BENCHMARK.json's run_seconds gives the measured form.
+# perfbench is a nested module, so this is the only target that builds
+# it.
 bench:
-	for w in fleet-mix content-build edge-live; do \
-		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
-		echo "$$w: $$line"; \
-		case "$$line" in *'"correct":true'*) ;; *) echo "bench: $$w not correct" >&2; exit 1;; esac; \
+	for run in fleet-mix:0 content-build:0 edge-live:0 fleet-mix:1; do \
+		w=$${run%:*}; trace=$${run#*:}; \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace $$trace | tail -n 1); \
+		echo "$$w (trace $$trace): $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "bench: $$w (trace $$trace) not correct" >&2; exit 1;; esac; \
 	done
 
 # bench-pairs compares the working tree against BASE on the benchmark:

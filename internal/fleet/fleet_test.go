@@ -296,6 +296,37 @@ func TestFlatMemoryPerSession(t *testing.T) {
 	}
 }
 
+// TestSessionStepZeroAlloc pins the allocation-free slot loop: once a
+// session's trajectory buffer and sketch buckets are warm, a slot that
+// completes a frame (here every slot: 10 units of work against 12 of
+// service) allocates nothing.
+func TestSessionStepZeroAlloc(t *testing.T) {
+	prof := fixedProfile("stable", 1, 1, 12, 10)
+	pa := newProfileAccum(0.01)
+	sess := newSessionRunner()
+	rng := geom.NewRNG(1)
+	if err := sess.reset(&prof, rng.Split(), rng.Split(), rng.Split()); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for ; next < 4*trajCap; next++ {
+		sess.step(next, pa)
+	}
+	before := pa.framesCompleted
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < 100; i++ {
+			sess.step(next, pa)
+			next++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("session slot loop allocates (%v allocs per 100 slots)", allocs)
+	}
+	if got := pa.framesCompleted - before; got != 600 {
+		t.Errorf("%d frames completed over the 600 measured slots, want one per slot", got)
+	}
+}
+
 // TestBoundedBacklogDrops: a profile with MaxBacklog must propagate
 // overflow into dropped frames/work, exactly as sim runs do.
 func TestBoundedBacklogDrops(t *testing.T) {

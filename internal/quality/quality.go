@@ -147,9 +147,10 @@ type UtilityModel interface {
 // LogPointUtility is the default model: pa(d) = log2(1 + points(d)),
 // the diminishing-returns quality law standard in rate–quality control
 // (each doubling of rendered points adds one quality unit). points(d) is
-// the cloud's occupancy profile.
+// the cloud's occupancy profile. pa(d) is tabulated per depth at
+// construction, so Utility is a lookup.
 type LogPointUtility struct {
-	profile []float64
+	util []float64 // util[d] = log2(1 + points(d))
 }
 
 var _ UtilityModel = (*LogPointUtility)(nil)
@@ -161,12 +162,15 @@ func NewLogPointUtility(profile []int) (*LogPointUtility, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LogPointUtility{profile: p}, nil
+	for d, points := range p {
+		p[d] = math.Log2(1 + points)
+	}
+	return &LogPointUtility{util: p}, nil
 }
 
 // Utility implements UtilityModel.
 func (u *LogPointUtility) Utility(depth int) float64 {
-	return math.Log2(1 + u.profile[clampDepth(depth, len(u.profile))])
+	return u.util[clampDepth(depth, len(u.util))]
 }
 
 // Name implements UtilityModel.

@@ -313,6 +313,12 @@ func TestLogUtilityDiminishingReturns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The per-depth table holds exactly log2(1 + points).
+	for d, points := range profile {
+		if got, want := u.Utility(d), math.Log2(1+float64(points)); got != want {
+			t.Errorf("Utility(%d) = %v, want log2(1+%d) = %v", d, got, points, want)
+		}
+	}
 	// Equal point-count multiplications yield (approximately) equal utility
 	// increments — the log law.
 	d1 := u.Utility(2) - u.Utility(1)

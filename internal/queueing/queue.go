@@ -92,11 +92,19 @@ type Completed struct {
 // Completed frames are released eagerly: the queue keeps a head index
 // into its backing slice and compacts once the dead prefix dominates, so
 // memory stays proportional to the frames in flight, not to the run
-// length.
+// length. Serve reports completions in a buffer the queue reuses, so a
+// slot loop over a warm queue allocates nothing.
 type FrameQueue struct {
 	frames []Frame // frames[head:] are live
 	head   int
 	nextID int
+	done   []Completed // Serve's result buffer
+}
+
+// Reset empties the queue and restarts frame IDs at 0, as for a zero
+// FrameQueue, but keeps both buffers for the next run.
+func (q *FrameQueue) Reset() {
+	q.frames, q.head, q.nextID, q.done = q.frames[:0], 0, 0, q.done[:0]
 }
 
 // compactAfter is the dead-prefix length beyond which Serve compacts the
@@ -130,9 +138,11 @@ func (q *FrameQueue) Push(work float64, depth, now int) int {
 }
 
 // Serve applies capacity work units at slot now, FIFO with partial
-// service, and returns the frames completed this slot.
+// service, and returns the frames completed this slot, or nil when none
+// did. The returned slice aliases the queue's buffer: it is valid only
+// until the next Serve or Reset, so callers must copy what they keep.
 func (q *FrameQueue) Serve(capacity float64, now int) []Completed {
-	var done []Completed
+	done := q.done[:0]
 	for capacity > 0 && q.head < len(q.frames) {
 		head := &q.frames[q.head]
 		if head.Remaining > capacity {
@@ -150,6 +160,10 @@ func (q *FrameQueue) Serve(capacity float64, now int) []Completed {
 		q.head++
 	}
 	q.compact()
+	q.done = done
+	if len(done) == 0 {
+		return nil
+	}
 	return done
 }
 

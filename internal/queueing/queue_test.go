@@ -216,6 +216,41 @@ func TestFrameQueueMemoryStaysFlat(t *testing.T) {
 	}
 }
 
+// TestFrameQueueResetReusesBuffers: Reset behaves like a zero queue
+// (empty, IDs from 0) but keeps the frame and completion buffers, so a
+// queue reused across runs serves without allocating.
+func TestFrameQueueResetReusesBuffers(t *testing.T) {
+	var q FrameQueue
+	for slot := 0; slot < 100; slot++ {
+		q.Push(1, 3, slot)
+		q.Push(1, 3, slot)
+		q.Serve(1, slot)
+	}
+	q.Reset()
+	if q.Len() != 0 || q.WorkBacklog() != 0 {
+		t.Fatalf("after Reset: %d frames, %v work queued", q.Len(), q.WorkBacklog())
+	}
+	if id := q.Push(2, 4, 7); id != 0 {
+		t.Fatalf("first ID after Reset = %d, want 0", id)
+	}
+	if done := q.Serve(2, 9); len(done) != 1 || done[0].ID != 0 || done[0].Sojourn != 2 {
+		t.Fatalf("Serve after Reset = %+v", done)
+	}
+	if done := q.Serve(5, 10); done != nil {
+		t.Fatalf("Serve of an empty queue = %+v, want nil", done)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		q.Reset()
+		for slot := 0; slot < 50; slot++ {
+			q.Push(1, 3, slot)
+			q.Serve(1, slot)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("push+serve after Reset allocates (%v allocs per 50 slots)", allocs)
+	}
+}
+
 func BenchmarkFrameQueueLongRun(b *testing.B) {
 	// Memory must stay flat over arbitrarily long runs (the re-slicing
 	// queue pinned every completed frame): allocs/op ≈ 0 at steady

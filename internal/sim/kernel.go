@@ -13,11 +13,13 @@ type Kernel struct {
 	frames  queueing.FrameQueue
 }
 
-// Reset arms the kernel for a fresh device with empty queues.
+// Reset arms the kernel for a fresh device with empty queues. The frame
+// queue keeps its buffers, so a kernel reused across sessions does not
+// reallocate them.
 func (k *Kernel) Reset(dev Device) {
 	k.dev = dev
 	k.backlog = *queueing.NewBoundedBacklog(dev.MaxBacklog)
-	k.frames = queueing.FrameQueue{}
+	k.frames.Reset()
 }
 
 // Step advances the device one slot against capacity b(t), filling

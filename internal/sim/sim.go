@@ -50,8 +50,9 @@ type SlotEvent struct {
 	// in offload runs.
 	DroppedFrames int
 	// Completed lists the frames that finished service this slot (sim
-	// runs only). The slice belongs to the run loop: observers may read
-	// it during the call but must copy what they keep.
+	// runs and fleet sessions; empty in offload runs). The slice is the
+	// kernel's frame-queue buffer, reused on the next slot: observers
+	// may read it during the call but must copy what they keep.
 	Completed []queueing.Completed
 	// Latency is the offload frame's end-to-end delivery latency in
 	// slots; 0 for a lost frame and in sim runs.

@@ -497,3 +497,42 @@ func TestObserverCarriesFrameAccounting(t *testing.T) {
 		t.Errorf("event completions (%d) disagree with the result's (%d)", len(completed), len(res.Completed))
 	}
 }
+
+// TestResultCompletedSurvivesBufferReuse: the frame queue hands every
+// slot's completions out of one reused buffer, and Run's
+// Result.Completed must still hold each frame as it completed, not the
+// buffer's last contents.
+func TestResultCompletedSurvivesBufferReuse(t *testing.T) {
+	// Depth 9 costs 160k against 170k of service: one frame completes
+	// in its arrival slot, every slot.
+	cfg := baseConfig(t, &policy.FixedDepth{Depth: 9}, 300)
+	var first *queueing.Completed
+	reused := 0
+	var seen []queueing.Completed
+	cfg.Observer = func(e SlotEvent) {
+		if len(e.Completed) == 0 {
+			return
+		}
+		if first == nil {
+			first = &e.Completed[0]
+		} else if &e.Completed[0] == first {
+			reused++
+		}
+		seen = append(seen, e.Completed...)
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused < cfg.Slots/2 {
+		t.Fatalf("completions came from the same buffer on only %d slots; the test needs buffer reuse", reused)
+	}
+	if len(res.Completed) != cfg.Slots || !slices.Equal(res.Completed, seen) {
+		t.Fatalf("result holds %d completions, the slots reported %d (or they differ)", len(res.Completed), len(seen))
+	}
+	for i, c := range res.Completed {
+		if c.ID != i || c.CompletedAt != i || c.EnqueuedAt != i || c.Sojourn != 0 || c.Depth != 9 {
+			t.Fatalf("completion %d = %+v, want frame %d enqueued and completed in slot %d at depth 9", i, c, i, i)
+		}
+	}
+}

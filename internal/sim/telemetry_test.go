@@ -81,25 +81,46 @@ func TestTelemetryDoesNotChangeResult(t *testing.T) {
 }
 
 // TestTelemetryDisabledZeroAllocPerSlot pins the nil-telemetry fast
-// path: with no arrivals in flight the slot loop itself must not
-// allocate at all when Metrics and Recorder are nil.
+// path: with Metrics and Recorder nil, the slot loop itself must not
+// allocate at all, whether the device is idle or loaded. The loaded
+// device offers one max-depth frame per slot against a bounded backlog,
+// so frames stay in flight, overflow trims them tail-first and nearly
+// every slot completes one. Its Result's Completed record is presized, as
+// that record grows with the run by design.
 func TestTelemetryDisabledZeroAllocPerSlot(t *testing.T) {
 	max, err := policy.NewMaxDepth(testDepths)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u, c := fixtures(t)
-	const slots = 2000
-	dev := newDeviceRunner(max, c, u, &queueing.DeterministicArrivals{PerSlot: 0}, 0, slots)
-	next := 0
-	allocs := testing.AllocsPerRun(5, func() {
-		for i := 0; i < 100; i++ {
+	const warm, slots = 1000, 2000
+	for _, tc := range []struct {
+		name       string
+		perSlot    int
+		maxBacklog float64
+	}{
+		{"idle", 0, 0},
+		{"loaded", 1, 400_000},
+	} {
+		dev := newDeviceRunner(max, c, u, &queueing.DeterministicArrivals{PerSlot: tc.perSlot}, tc.maxBacklog, slots)
+		dev.res.Completed = make([]queueing.Completed, 0, slots)
+		next := 0
+		for ; next < warm; next++ {
 			dev.step(next, testService, -1, nil)
-			next++
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled-telemetry slot loop allocates (%v allocs per 100 slots)", allocs)
+		allocs := testing.AllocsPerRun(5, func() {
+			for i := 0; i < 100; i++ {
+				dev.step(next, testService, -1, nil)
+				next++
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: disabled-telemetry slot loop allocates (%v allocs per 100 slots)", tc.name, allocs)
+		}
+		if tc.perSlot > 0 && (dev.k.QueuedFrames() == 0 || len(dev.res.Completed) < next/2 || dev.k.TotalDropped() == 0) {
+			t.Errorf("%s: %d frames queued, %d completed and %v work dropped over %d slots; want frames in flight, completing and overflowing",
+				tc.name, dev.k.QueuedFrames(), len(dev.res.Completed), dev.k.TotalDropped(), next)
+		}
 	}
 }
 

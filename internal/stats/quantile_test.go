@@ -164,6 +164,266 @@ func TestQuantileSketchEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// sketchIndexAccuracies are the accuracies the index tests cover, from
+// ~2000-bucket decades down to a handful of buckets per decade.
+var sketchIndexAccuracies = []float64{0.001, 0.01, 0.05, 0.2, 0.5}
+
+// TestSketchIndexMatchesExact pins the fast bucket index to the exact
+// formula ceil(ln(x)/ln(gamma)) bit for bit, so no observation changes
+// bucket: over log-uniform values from 1e-6 to 1e300, over the small
+// integers sojourns and depths take, and within ±4 ulps of every bucket
+// boundary gamma^i, where only the fallback can be right.
+func TestSketchIndexMatchesExact(t *testing.T) {
+	rng := geom.NewRNG(29)
+	logUniform := make([]float64, 1_000_000)
+	for i := range logUniform {
+		logUniform[i] = math.Exp(rng.Range(math.Log(1e-6), math.Log(1e300)))
+	}
+	// index tolerates logApprox − math.Log up to logApproxMargin plus
+	// 2^-45·|ln x|; the approximation should use a small share of that.
+	var worst float64
+	for _, x := range logUniform {
+		l := math.Log(x)
+		worst = math.Max(worst, math.Abs(logApprox(x)-l)/(logApproxMargin+math.Abs(l)*0x1p-45))
+	}
+	if worst > 0.05 {
+		t.Errorf("logApprox uses %.3g of index's error margin, want a wide berth", worst)
+	}
+	for _, alpha := range sketchIndexAccuracies {
+		s := NewQuantileSketch(alpha)
+		check := func(what string, x float64) {
+			if got, want := s.index(x), int(math.Ceil(math.Log(x)/s.lgamma)); got != want {
+				t.Fatalf("alpha=%v %s: index(%v) = %d, want %d", alpha, what, x, got, want)
+			}
+		}
+		for _, x := range logUniform {
+			check("log-uniform", x)
+		}
+		// 0 lands in the zero bucket, below any index.
+		for n := 1; n <= 100_000; n++ {
+			check("integer", float64(n))
+		}
+		for i := s.exactIndex(sketchMinValue); ; i++ {
+			b := math.Exp(float64(i) * s.lgamma)
+			if math.IsInf(b, 1) {
+				break
+			}
+			lo, hi := b, b
+			for u := 0; u < 4; u++ {
+				lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+			}
+			for x := lo; x <= hi && !math.IsInf(x, 1); x = math.Nextafter(x, math.Inf(1)) {
+				if x >= sketchMinValue {
+					check("boundary", x)
+				}
+			}
+		}
+		if got, want := s.index(math.Inf(1)), s.exactIndex(math.MaxFloat64); got != want {
+			t.Errorf("alpha=%v: index(+Inf) = %d, want the top bucket %d", alpha, got, want)
+		}
+	}
+}
+
+// TestQuantileSketchMergeDisjoint merges sketches whose index ranges do
+// not overlap, in both directions, so the destination grows to the left
+// as well as to the right: every quantile must equal that of one sketch
+// fed both streams.
+func TestQuantileSketchMergeDisjoint(t *testing.T) {
+	rng := geom.NewRNG(5)
+	low, high, whole := NewQuantileSketch(0.01), NewQuantileSketch(0.01), NewQuantileSketch(0.01)
+	for i := 0; i < 5_000; i++ {
+		a, b := rng.Range(1e-3, 1e-2), rng.Range(1e3, 1e4)
+		low.Add(a)
+		high.Add(b)
+		whole.Add(a)
+		whole.Add(b)
+	}
+	for name, pair := range map[string][2]*QuantileSketch{
+		"grow-left":  {high, low},
+		"grow-right": {low, high},
+	} {
+		merged := NewQuantileSketch(0.01)
+		for _, part := range pair {
+			if err := merged.Merge(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if merged.Count() != whole.Count() || merged.BucketCount() != whole.BucketCount() {
+			t.Fatalf("%s: merged count/buckets %d/%d, want %d/%d", name,
+				merged.Count(), merged.BucketCount(), whole.Count(), whole.BucketCount())
+		}
+		for q := 0.0; q <= 1.0; q += 0.01 {
+			if got, want := merged.Quantile(q), whole.Quantile(q); got != want {
+				t.Errorf("%s q=%v: merged %v != whole %v", name, q, got, want)
+			}
+		}
+	}
+}
+
+// TestQuantileSketchDenseSpan pins the dense layout's memory bound:
+// counts holds the buckets between the smallest and largest
+// observation in a ring of at most twice their span, and at 1%
+// accuracy the whole range from sketchMinValue to math.MaxFloat64 is
+// about 36k buckets, within sketchMaxSpan.
+func TestQuantileSketchDenseSpan(t *testing.T) {
+	s := NewQuantileSketch(0.01)
+	s.Add(1e300)
+	s.Add(1e-6)
+	s.Add(1)
+	if span := s.exactIndex(1e300) - s.exactIndex(1e-6) + 1; len(s.counts) > 2*span {
+		t.Errorf("counts holds %d buckets, want at most twice the span %d", len(s.counts), span)
+	}
+	if s.BucketCount() != 3 || s.zero != 0 {
+		t.Errorf("%d live buckets and %d zero-bucket observations, want 3 and 0", s.BucketCount(), s.zero)
+	}
+	full := s.exactIndex(math.MaxFloat64) - s.exactIndex(sketchMinValue) + 1
+	if full < 35_000 || full > 37_000 || full > sketchMaxSpan {
+		t.Errorf("1%% span from %g to MaxFloat64 is %d buckets, documented as about 36k, within %d",
+			sketchMinValue, full, sketchMaxSpan)
+	}
+}
+
+// TestQuantileSketchSpanCap bounds memory at accuracies fine enough
+// that the observed range spans more than sketchMaxSpan buckets: the
+// ring never outgrows sketchMaxSpan, the lowest buckets fold into the
+// zero bucket, and the upper quantiles keep their accuracy.
+func TestQuantileSketchSpanCap(t *testing.T) {
+	const alpha = 1e-6
+	s := NewQuantileSketch(alpha)
+	for x := 1.0; x <= 1e6; x++ {
+		s.Add(x)
+	}
+	if len(s.counts) > sketchMaxSpan || s.hi-s.lo >= sketchMaxSpan || s.BucketCount() > sketchMaxBuckets {
+		t.Errorf("ring %d, span %d, %d live buckets: want at most %d, %d and %d",
+			len(s.counts), s.hi-s.lo+1, s.BucketCount(), sketchMaxSpan, sketchMaxSpan, sketchMaxBuckets)
+	}
+	for _, q := range []float64{0.999, 0.9999, 1} {
+		want := math.Ceil(q*(1e6-1)) + 1
+		if got := s.Quantile(q); math.Abs(got-want) > alpha*want {
+			t.Errorf("q=%v: %v, want within %g of %v", q, got, alpha, want)
+		}
+	}
+	// An accuracy too fine for int bucket indices takes the finest
+	// supported one, where the span cap keeps only the top decade.
+	tiny := NewQuantileSketch(1e-300)
+	for _, x := range []float64{1e-6, 1, 1e300} {
+		tiny.Add(x)
+	}
+	if tiny.alpha != sketchMinAccuracy || tiny.BucketCount() != 1 || tiny.zero != 2 || len(tiny.counts) > 64 {
+		t.Errorf("accuracy 1e-300: alpha %v, %d live buckets, %d folded, ring %d; want %v, 1, 2, at most 64",
+			tiny.alpha, tiny.BucketCount(), tiny.zero, len(tiny.counts), sketchMinAccuracy)
+	}
+	// The span reaches sketchMaxSpan buckets, and one bucket more folds
+	// the lowest.
+	c := NewQuantileSketch(1e-4)
+	at := func(i int) float64 { return math.Exp((float64(i) - 0.5) * c.lgamma) }
+	c.Add(at(1))
+	c.Add(at(sketchMaxSpan))
+	if c.BucketCount() != 2 || c.zero != 0 {
+		t.Errorf("span %d: %d live buckets, %d folded, want 2 and 0", sketchMaxSpan, c.BucketCount(), c.zero)
+	}
+	c.Add(at(sketchMaxSpan + 1))
+	if c.BucketCount() != 2 || c.zero != 1 || c.lo != sketchMaxSpan {
+		t.Errorf("span %d: %d live buckets from %d, %d folded, want 2 from %d and 1",
+			sketchMaxSpan+1, c.BucketCount(), c.lo, c.zero, sketchMaxSpan)
+	}
+	// Two observations farther apart than sketchMaxSpan buckets keep
+	// only the higher, whichever comes first.
+	for _, pair := range [][2]float64{{1e-6, 1e300}, {1e300, 1e-6}} {
+		s := NewQuantileSketch(1e-4)
+		s.Add(pair[0])
+		s.Add(pair[1])
+		if s.BucketCount() != 1 || s.zero != 1 || len(s.counts) > 64 {
+			t.Errorf("%v: %d live buckets, %d zero-bucket observations, ring %d: want 1, 1 and at most 64",
+				pair, s.BucketCount(), s.zero, len(s.counts))
+		}
+		if got := s.Quantile(1); math.Abs(got-1e300) > 1e-4*1e300 {
+			t.Errorf("%v: max quantile %v, want within 0.01%% of 1e300", pair, got)
+		}
+	}
+}
+
+// TestQuantileSketchMergeCapped merges two sketches whose streams pass
+// one cap or the other at a fine accuracy: the merge must fold exactly
+// what one sketch fed both streams folds, bucket for bucket.
+func TestQuantileSketchMergeCapped(t *testing.T) {
+	const alpha = 1e-4 // 1e-6..1e12 spans ~207k buckets, past sketchMaxSpan
+	// 1000 values per stream pass only the span cap; 20000 pass the
+	// live cap before the span cap.
+	for _, n := range []int{1_000, 20_000} {
+		rng := geom.NewRNG(11)
+		a, b, whole := NewQuantileSketch(alpha), NewQuantileSketch(alpha), NewQuantileSketch(alpha)
+		for i := 0; i < n; i++ {
+			x, y := math.Exp(rng.Range(math.Log(1e-6), math.Log(1e12))), math.Exp(rng.Range(math.Log(1e-6), math.Log(1e6)))
+			a.Add(x)
+			b.Add(y)
+			whole.Add(x)
+			whole.Add(y)
+		}
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if a.zero != whole.zero || a.BucketCount() != whole.BucketCount() || a.lo != whole.lo || a.hi != whole.hi {
+			t.Fatalf("n=%d: merged zero/buckets/window %d/%d/[%d,%d], want %d/%d/[%d,%d]", n,
+				a.zero, a.BucketCount(), a.lo, a.hi, whole.zero, whole.BucketCount(), whole.lo, whole.hi)
+		}
+		if spanCapped := whole.BucketCount() < sketchMaxBuckets; whole.zero == 0 || spanCapped != (n == 1_000) {
+			t.Fatalf("n=%d: %d folded with %d live buckets, want the other cap", n, whole.zero, whole.BucketCount())
+		}
+		for q := 0.0; q <= 1.0; q += 0.01 {
+			if got, want := a.Quantile(q), whole.Quantile(q); got != want {
+				t.Errorf("n=%d q=%v: merged %v != whole %v", n, q, got, want)
+			}
+		}
+	}
+}
+
+// TestQuantileSketchCollapse drives the live bucket count past
+// sketchMaxBuckets in ascending and descending order: either way the
+// lowest buckets fold into the zero bucket and the rest stay exact.
+func TestQuantileSketchCollapse(t *testing.T) {
+	const distinct = sketchMaxBuckets + 100
+	up, down := NewQuantileSketch(0.001), NewQuantileSketch(0.001)
+	at := func(i int) float64 { return math.Exp((float64(i) - 0.5) * up.lgamma) }
+	for i := 0; i < distinct; i++ {
+		up.Add(at(i))
+		down.Add(at(distinct - 1 - i))
+	}
+	for name, s := range map[string]*QuantileSketch{"ascending": up, "descending": down} {
+		if s.BucketCount() != sketchMaxBuckets || s.zero != distinct-sketchMaxBuckets {
+			t.Errorf("%s: %d live buckets and %d zero-bucket observations, want %d and %d",
+				name, s.BucketCount(), s.zero, sketchMaxBuckets, distinct-sketchMaxBuckets)
+		}
+		if got := s.Quantile(0); got != 0 {
+			t.Errorf("%s: min quantile %v, want 0 from the collapsed buckets", name, got)
+		}
+		if got, top := s.Quantile(1), at(distinct-1); math.Abs(got-top) > 0.001*top {
+			t.Errorf("%s: max quantile %v, want within 0.1%% of %v", name, got, top)
+		}
+	}
+	for q := 0.0; q <= 1.0; q += 0.01 {
+		if a, b := up.Quantile(q), down.Quantile(q); a != b {
+			t.Errorf("q=%v: ascending %v != descending %v", q, a, b)
+		}
+	}
+	// Past the cap, a value below every live bucket goes straight to the
+	// zero bucket, however far below, and a new highest bucket folds the
+	// lowest and moves the window; neither allocates.
+	ring := len(down.counts)
+	down.Add(at(-ring / 2)) // above sketchMinValue, and beyond the ring from the top
+	if len(down.counts) != ring || down.lo != distinct-sketchMaxBuckets {
+		t.Errorf("a far-below value past the cap moved the window to %d or grew the ring to %d", down.lo, len(down.counts))
+	}
+	next := -1
+	if allocs := testing.AllocsPerRun(1000, func() { down.Add(at(next)); next-- }); allocs != 0 {
+		t.Errorf("descending Add past the cap allocates %v times, want 0", allocs)
+	}
+	next = distinct
+	if allocs := testing.AllocsPerRun(1000, func() { up.Add(at(next)); next++ }); allocs != 0 {
+		t.Errorf("ascending Add past the cap allocates %v times, want 0", allocs)
+	}
+}
+
 func TestDecimatorKeepsShape(t *testing.T) {
 	d := NewDecimator(64)
 	n := 100_000
