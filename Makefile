@@ -120,8 +120,8 @@ telemetry-smoke:
 	rm -f telemetry_smoke_metrics.json telemetry_smoke_trace.json
 
 # examples runs every walkthrough. vsweep, sweep, offload, allocators,
-# networks and streaming print deterministic reports, so their stdout
-# must also match the goldens in examples/testdata byte for byte.
+# networks and streaming print deterministic reports; the root test
+# TestExampleGoldens diffs their stdout against examples/testdata.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/multidevice
@@ -129,9 +129,7 @@ examples:
 	$(GO) run ./examples/content
 	$(GO) run ./examples/learn
 	for e in vsweep sweep offload allocators networks streaming; do \
-		$(GO) run ./examples/$$e > examples_$$e.stdout || exit 1; \
-		diff -u examples/testdata/$$e.golden examples_$$e.stdout || exit 1; \
-		rm -f examples_$$e.stdout; \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
 	done
 
 clean:

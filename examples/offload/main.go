@@ -61,7 +61,8 @@ func run() error {
 	fmt.Println()
 	fmt.Printf("verdict             %s\n", res.Verdict)
 	fmt.Printf("mean depth          %.2f\n", res.MeanDepth)
-	fmt.Printf("frames delivered    %d (lost %d to link-layer loss)\n", len(res.Latency), res.LossCount)
+	fmt.Printf("frames delivered    %d (lost %d to link-layer loss, %d still queued)\n",
+		len(res.Latency), res.LossCount, len(res.Depth)-len(res.Latency)-res.LossCount)
 	fmt.Printf("mean latency        %.2f slots\n", res.MeanLatency)
 	fmt.Printf("p95 latency         %.2f slots\n", res.P95Latency)
 

@@ -10,6 +10,7 @@ import (
 	"qarv/internal/delay"
 	"qarv/internal/geom"
 	"qarv/internal/netem"
+	"qarv/internal/obs"
 	"qarv/internal/queueing"
 	"qarv/internal/sim"
 	"qarv/internal/stats"
@@ -134,11 +135,13 @@ type SharedUplinkParams struct {
 	// Allocator splits the uplink bandwidth per slot (default
 	// alloc.EqualSplit).
 	Allocator alloc.Allocator
-	// Link configures the uplink as in OffloadParams. Its BytesPerSlot,
-	// when positive, fixes the total bandwidth; otherwise the total is
-	// the reference bandwidth times the fleet's demand (the sum over
-	// devices of arrivals × cost scale). Each device's V is calibrated
-	// against its own scaled reference share either way.
+	// Link configures the uplink as in OffloadParams. The fleet's demand
+	// is the sum over devices of arrivals × cost scale. Link.BytesPerSlot,
+	// when positive, fixes the total bandwidth, and the reference
+	// bandwidth is that total divided by the demand; otherwise
+	// ServiceFraction sizes the reference bandwidth and the total is it
+	// times the demand. Each device's V is calibrated against its own
+	// scaled reference share either way.
 	Link *netem.LinkConfig
 	// Dynamics, when non-nil, makes the uplink's total capacity
 	// time-varying, as for OffloadParams: the allocator splits
@@ -211,23 +214,39 @@ func SharedUplink(params SharedUplinkParams) (*SharedUplinkResult, error) {
 // (latency, jitter, loss) is applied to each frame as its last byte
 // serializes — lost frames still consumed uplink bytes.
 func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*SharedUplinkResult, error) {
+	res, _, _, err := runUplink(ctx, params, nil, nil)
+	return res, err
+}
+
+// runUplink is the one uplink engine, behind SharedUplink and Offload
+// alike. The fleet runs on sim.Kernel, each slot serving the capacity
+// the allocator grants, so every device's byte backlog follows the
+// Lindley recursion Q(t+1) = max(Q(t) + a(t) − b(t), 0). One
+// propagation pass then sends every completed frame across the
+// netem.Link in completion order. reg and rec, when non-nil, receive
+// the kernel's sim_*/alloc_* telemetry and the delivery pass's
+// offload_* series and loss events. Besides the result, runUplink
+// returns the calibrated scenario and the delivered frames' latencies
+// in delivery order.
+func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry, rec *obs.FlightRecorder) (*SharedUplinkResult, *Scenario, []float64, error) {
 	p := params.withDefaults()
 	if err := validateUplink(p.ScenarioParams, p.Link, p.Dynamics); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	// The scenario sits at the per-device reference bandwidth, as in
-	// Offload. The fleet's default total scales it by each device's
-	// demand (arrival rate × cost scale), so a homogeneous fleet gets n×
-	// the single-device uplink.
-	scn, bytesProfile, err := byteScenario(p.ScenarioParams, 0)
-	if err != nil {
-		return nil, err
-	}
+	// The scenario sits at the reference bandwidth of one unit device:
+	// a fixed Link bandwidth divided by the fleet's demand units (the
+	// sum over devices of arrivals × cost scale), otherwise the one
+	// ServiceFraction sizes. The default total scales it back up, so a
+	// homogeneous fleet gets n× the single-device uplink.
 	var demandUnits float64
 	for _, spec := range p.Specs {
 		demandUnits += float64(spec.perSlot()) * spec.scale()
 	}
 	lc := resolveLink(p.Link, p.Seed)
+	scn, bytesProfile, err := byteScenario(p.ScenarioParams, lc.BytesPerSlot/demandUnits)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	if lc.BytesPerSlot <= 0 {
 		lc.BytesPerSlot = scn.ServiceRate * demandUnits
 	}
@@ -240,7 +259,7 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 	// local control; only the server-side split is coordinated.
 	devices, err := fleetDevices(scn, p.Specs, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
 	multi, err := sim.RunMultiContext(ctx, sim.MultiConfig{
@@ -249,9 +268,11 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 		Allocator: p.Allocator,
 		Slots:     p.Slots,
 		Observer:  p.Observer,
+		Metrics:   reg,
+		Recorder:  rec,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
 	// Propagation leg: one netem.Link shared by the fleet. Completions
@@ -259,7 +280,7 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 	// index) so loss and jitter draws are deterministic.
 	link, err := netem.NewLink(lc)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	type completion struct {
 		device int
@@ -286,16 +307,21 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 		Multi:     multi,
 		PerDevice: make([]SharedUplinkDeviceRow, len(devices)),
 	}
+	lostTotal := reg.Counter(MetricOffloadLost)
+	latencyHist := reg.Histogram(MetricOffloadLatency)
 	perDeviceLat := make([]stats.Running, len(devices))
 	var allLat []float64
 	for _, c := range order {
-		deliveredSlot, lost := link.Deliver(c.frame.Work, float64(c.frame.CompletedAt))
+		deliveredSlot, lost := link.Deliver(float64(c.frame.CompletedAt))
 		if lost {
 			res.LossCount++
 			res.PerDevice[c.device].Lost++
+			lostTotal.Inc()
+			rec.Event(int64(c.frame.CompletedAt), "offload", "loss", int64(c.device), c.frame.Work)
 			continue
 		}
 		lat := deliveredSlot - float64(c.frame.EnqueuedAt)
+		latencyHist.Observe(lat)
 		perDeviceLat[c.device].Add(lat)
 		allLat = append(allLat, lat)
 		res.PerDevice[c.device].Delivered++
@@ -303,7 +329,7 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 	for i, r := range multi.PerDevice {
 		verdict, err := r.Verdict()
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		row := &res.PerDevice[i]
 		row.Device = i
@@ -313,7 +339,7 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 		row.MeanLatency = perDeviceLat[i].Mean()
 	}
 	if res.MeanLatency, res.P95Latency, err = latencySummary(allLat); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return res, nil
+	return res, scn, allLat, nil
 }

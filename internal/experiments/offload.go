@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"qarv/internal/delay"
-	"qarv/internal/geom"
 	"qarv/internal/netem"
 	"qarv/internal/obs"
 	"qarv/internal/quality"
@@ -39,33 +38,34 @@ type OffloadParams struct {
 	// RNG seeded from Seed.
 	Link *netem.LinkConfig
 	// Dynamics, when non-nil, makes the uplink time-varying: it is a
-	// factor on the calibrated bandwidth, so slot t serializes at
-	// Bandwidth × Dynamics.Service(t) — a Markov fading chain, a trace
-	// (a one-off drop is the three-point trace {0:1, start:f, end:1}),
-	// mobility handoffs with outage gaps; a non-positive rate is an
-	// outage slot. V stays calibrated at the static bandwidth. Each run
-	// works on a clone reseeded from Seed, so reports stay
-	// byte-identical per seed and the caller's process is never
-	// advanced.
+	// factor on the calibrated bandwidth, so slot t serves
+	// Bandwidth × Dynamics.Service(t) bytes of the queued frames — a
+	// Markov fading chain, a trace (a one-off drop is the three-point
+	// trace {0:1, start:f, end:1}), mobility handoffs with outage gaps;
+	// a non-positive rate is an outage slot. V stays calibrated at the
+	// static bandwidth. Each run works on a clone reseeded from Seed, as
+	// SharedUplinkParams.Dynamics does, so reports stay byte-identical
+	// per seed and the caller's process is never advanced.
 	Dynamics delay.ServiceProcess
 	// Observer, when non-nil, receives every slot's event as the control
-	// loop runs, after the run's own telemetry. Offload semantics differ
-	// from sim runs: each slot offers one frame (Frames is 1), Arrived is
-	// the frame's bytes offered to the uplink (reported even when
-	// link-layer loss drops the frame, since its bytes occupied the uplink
-	// busy period — Dropped carries the lost bytes and DroppedFrames is
-	// 1), Latency is the delivered frame's latency, Completed stays
-	// empty, and Served is always 0 —
-	// the link drains continuously rather than per-slot, so service is
-	// observable only through Backlog, and the sim invariant
-	// Q(t+1) = Q(t) + Arrived − Served does not hold.
+	// loop runs, after the run's own telemetry. The events are the slot
+	// kernel's, in bytes, for the one device 0: Arrived is the frame's
+	// bytes, Served the bytes the uplink serialized that slot, and
+	// Completed the frames whose last byte left, so
+	// Q(t+1) = Q(t) + Arrived − Served holds. Link loss, latency and
+	// jitter apply after the run, when the completed frames cross the
+	// propagation leg; they show in the result and in Metrics and
+	// Recorder, not in the events.
 	Observer sim.Observer
-	// Metrics, when non-nil, accumulates the offload_* series (frames
-	// offered/lost, backlog-bytes and latency distributions).
+	// Metrics, when non-nil, accumulates the kernel's sim_* and alloc_*
+	// series and the propagation leg's offload_frames_lost_total and
+	// offload_latency_slots.
 	Metrics *obs.Registry
-	// Recorder, when non-nil, receives slot-timestamped records: per-
-	// slot spans, depth changes, frame losses, and the Dynamics' netem
-	// rate changes and outages.
+	// Recorder, when non-nil, receives slot-timestamped records: the
+	// kernel's per-slot spans and depth changes, the allocator's
+	// per-slot share of the uplink (its capacity, at one device), and
+	// an offload "loss" event, at its completion slot, for every frame
+	// the link drops.
 	Recorder *obs.FlightRecorder
 }
 
@@ -73,16 +73,15 @@ type OffloadParams struct {
 // building the capture: ServiceFraction must lie in (0,1), every
 // candidate depth must fit inside the capture lattice, the character
 // preset must exist, and the link shape and the Dynamics process must
-// be valid. The Session API calls this once at construction;
-// OffloadContext calls it again so direct callers get the same
-// rejection instead of a silent no-op.
+// be valid. The Session API calls this once at construction; the run
+// checks the same again, so direct callers get the same rejection.
 func (p OffloadParams) Validate() error {
 	return validateUplink(p.ScenarioParams.withDefaults(), p.Link, p.Dynamics)
 }
 
-// validateUplink holds the checks both uplink runs make before any
-// capture: the resolved scenario parameters, the character preset, the
-// link's shape, and the dynamics process.
+// validateUplink holds the checks the uplink engine (runUplink) makes
+// before any capture: the resolved scenario parameters, the character
+// preset, the link's shape, and the dynamics process.
 func validateUplink(p ScenarioParams, link *netem.LinkConfig, dynamics delay.ServiceProcess) error {
 	if err := p.validate(); err != nil {
 		return err
@@ -225,106 +224,49 @@ func Offload(params OffloadParams) (*OffloadResult, error) {
 	return OffloadContext(context.Background(), params)
 }
 
-// OffloadContext is Offload under a cancelable context: the slot loop
-// polls ctx once per queueing.PollEvery slots and aborts with the
-// context's error.
+// OffloadContext is Offload under a cancelable context. The run is
+// SharedUplinkContext's at one unit device: the kernel serves each
+// slot's uplink capacity to the frames queued on it, and every
+// completed frame then crosses the link's propagation leg.
 func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, error) {
-	if err := params.Validate(); err != nil {
+	up, scn, latencies, err := runUplink(ctx, SharedUplinkParams{
+		ScenarioParams: params.ScenarioParams,
+		Specs:          []AllocDeviceSpec{{ArrivalsPerSlot: 1, CostScale: 1}},
+		Link:           params.Link,
+		Dynamics:       params.Dynamics,
+		Observer:       params.Observer,
+	}, params.Metrics, params.Recorder)
+	if err != nil {
+		return nil, err
+	}
+	dev := up.Multi.PerDevice[0]
+	verdict, err := dev.Verdict()
+	if err != nil {
 		return nil, err
 	}
 	p := params
-	p.ScenarioParams = p.ScenarioParams.withDefaults()
-	lc := resolveLink(p.Link, p.Seed)
-	scn, bytesProfile, err := byteScenario(p.ScenarioParams, lc.BytesPerSlot)
-	if err != nil {
-		return nil, err
-	}
-	bandwidth := scn.ServiceRate
-	lc.BytesPerSlot = bandwidth
-	p.Link = &lc
-	ctrl, err := scn.Controller()
-	if err != nil {
-		return nil, err
-	}
-	cost, util := scn.Cost, scn.Utility
-	link, err := netem.NewLink(lc)
-	if err != nil {
-		return nil, err
-	}
-	// Fresh dynamics per run, like the link RNG above.
-	p.Dynamics = delay.ForRun(p.Dynamics, func() *geom.RNG { return geom.NewRNG(p.Seed ^ 0x64796e61).Split() }) // "dyna"
+	p.ScenarioParams, p.Link = up.Params.ScenarioParams, up.Params.Link
 	network := "static"
 	if p.Dynamics != nil {
 		network = p.Dynamics.Name()
 	}
-
-	res := &OffloadResult{
+	var depthSum float64
+	for _, d := range dev.Depth {
+		depthSum += float64(d)
+	}
+	return &OffloadResult{
 		Params:       p,
-		Bandwidth:    bandwidth,
+		Bandwidth:    up.Bandwidth,
 		V:            scn.V,
 		Network:      network,
-		Bytes:        bytesProfile,
-		BacklogBytes: make([]float64, p.Slots),
-		Depth:        make([]int, p.Slots),
-	}
-	var depthSum, lastRate float64
-	// Telemetry is the first observer, so its records land before
-	// anything the caller's observer does with the same slot.
-	observe := sim.Join(newOffloadTelemetry(p.Metrics, p.Recorder), p.Observer)
-	cancel := queueing.NewCancelCheck(ctx, 0)
-	for t := 0; t < p.Slots; t++ {
-		if err := cancel.Check(); err != nil {
-			return nil, fmt.Errorf("experiments: offload canceled at slot %d: %w", t, err)
-		}
-		if p.Dynamics != nil {
-			rate := bandwidth * p.Dynamics.Service(t)
-			if p.Recorder != nil && (t == 0 || rate != lastRate) {
-				name := "rate"
-				if rate <= 0 {
-					name = "outage"
-				}
-				p.Recorder.Event(int64(t), "netem", name, -1, rate)
-			}
-			lastRate = rate
-			link.ApplyRate(t, rate)
-		}
-		// The controller observes the uplink backlog in bytes: the link's
-		// exact count of enqueued, not yet serialized bytes.
-		q := link.BacklogBytes(float64(t))
-		res.BacklogBytes[t] = q
-		d := ctrl.Decide(t, q)
-		res.Depth[t] = d
-		depthSum += float64(d)
-		frameBytes := cost.FrameCost(d)
-		tx := link.Transmit(frameBytes, t)
-		var lostBytes, latency float64
-		var lost int
-		if tx.Dropped {
-			res.LossCount++
-			lostBytes, lost = frameBytes, 1
-		} else {
-			latency = tx.DeliveredSlot - float64(t)
-			res.Latency = append(res.Latency, latency)
-		}
-		if observe != nil {
-			// Arrived reports the bytes offered to the uplink even for a
-			// lost frame — they occupied the busy period; Dropped carries
-			// the loss.
-			observe(sim.SlotEvent{
-				Slot: t, Device: -1, Backlog: q, Depth: d, Utility: util.Utility(d),
-				Frames: 1, Arrived: frameBytes, DroppedFrames: lost, Dropped: lostBytes,
-				Latency: latency,
-			})
-		}
-	}
-	res.MeanDepth = depthSum / float64(p.Slots)
-	if res.MeanLatency, res.P95Latency, err = latencySummary(res.Latency); err != nil {
-		return nil, err
-	}
-	verdict, err := queueing.ClassifyTrajectory(res.BacklogBytes, 0)
-	if err != nil {
-		return nil, err
-	}
-	res.Verdict = verdict
-	return res, nil
+		Bytes:        up.Bytes,
+		BacklogBytes: dev.Backlog,
+		Depth:        dev.Depth,
+		Latency:      latencies,
+		MeanLatency:  up.MeanLatency,
+		P95Latency:   up.P95Latency,
+		LossCount:    up.LossCount,
+		MeanDepth:    depthSum / float64(len(dev.Depth)),
+		Verdict:      verdict,
+	}, nil
 }

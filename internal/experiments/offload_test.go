@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"qarv/internal/delay"
 	"qarv/internal/netem"
 	"qarv/internal/queueing"
+	"qarv/internal/sim"
 )
 
 func offloadParams() OffloadParams {
@@ -19,7 +22,14 @@ func offloadParams() OffloadParams {
 }
 
 func TestOffloadStabilizesUplink(t *testing.T) {
-	res, err := Offload(offloadParams())
+	p := offloadParams()
+	var completed int
+	var last sim.SlotEvent
+	p.Observer = func(e sim.SlotEvent) {
+		completed += len(e.Completed)
+		last = e
+	}
+	res, err := Offload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +59,26 @@ func TestOffloadStabilizesUplink(t *testing.T) {
 	if res.P95Latency < res.MeanLatency {
 		t.Errorf("p95 %v below mean %v", res.P95Latency, res.MeanLatency)
 	}
-	if len(res.Latency)+res.LossCount != res.Params.Slots {
-		t.Errorf("delivered %d + lost %d != %d frames",
-			len(res.Latency), res.LossCount, res.Params.Slots)
+	// Every completed frame crosses the link once, delivered or lost.
+	if len(res.Latency)+res.LossCount != completed {
+		t.Errorf("delivered %d + lost %d != %d completed frames",
+			len(res.Latency), res.LossCount, completed)
+	}
+	// The frames still queued at the horizon are the last ones offered,
+	// and they hold the final backlog: all of their bytes but what the
+	// head frame has already sent.
+	queued := res.Params.Slots - completed
+	var tail, head float64
+	for i, d := range res.Depth[completed:] {
+		tail += float64(res.Bytes[d])
+		if i == 0 {
+			head = float64(res.Bytes[d])
+		}
+	}
+	final := last.Backlog + last.Arrived - last.Served
+	if tol := 1e-9 * tail; final > tail+tol || final <= tail-head-tol {
+		t.Errorf("final backlog %v not held by the %d queued frames (%v bytes, head %v)",
+			final, queued, tail, head)
 	}
 	// ~1% loss configured: losses must occur but stay small.
 	if res.LossCount == 0 || res.LossCount > res.Params.Slots/20 {
@@ -212,7 +239,11 @@ func TestOffloadMarkovDynamics(t *testing.T) {
 
 // TestOffloadHandoffDynamics: mobility handoffs (outage + cell reset)
 // flow through the link without breaking the run, and the controller
-// still avoids divergence.
+// keeps the uplink queue bounded: it never holds more than 50 slots of
+// bandwidth, and the second half of the run peaks no higher than the
+// first, so the queue does not drift upward. (The classifier's
+// tail-slope verdict reads a bounded but bursty run like this one as
+// diverging, so the test asserts the bound itself.)
 func TestOffloadHandoffDynamics(t *testing.T) {
 	p := offloadParams()
 	p.Dynamics = &netem.HandoffBandwidth{
@@ -229,7 +260,100 @@ func TestOffloadHandoffDynamics(t *testing.T) {
 	if res.Network != "handoff" {
 		t.Errorf("network = %q", res.Network)
 	}
-	if res.Verdict == queueing.VerdictDiverging {
-		t.Errorf("handoff dynamics diverged the uplink queue")
+	half := len(res.BacklogBytes) / 2
+	first, second := slices.Max(res.BacklogBytes[:half]), slices.Max(res.BacklogBytes[half:])
+	if limit := 50 * res.Bandwidth; first > limit || second > limit {
+		t.Errorf("backlog peaks %v, %v exceed 50 slots of bandwidth (%v)", first, second, limit)
+	}
+	if second > first {
+		t.Errorf("second-half peak %v above first-half peak %v: the queue drifts upward", second, first)
+	}
+}
+
+// TestOffloadRecoveryDrainsAtLinkRate: once a throttled uplink
+// recovers, the queue drains at the recovered rate at once. Each slot
+// that has more than Bandwidth bytes to send sends exactly Bandwidth,
+// so Q(s+1) = Q(s) + Arrived(s) − Bandwidth: the Lindley recursion at
+// the link rate, with no schedule left over from the throttled slots.
+func TestOffloadRecoveryDrainsAtLinkRate(t *testing.T) {
+	p := offloadParams()
+	p.Slots = 400
+	p.Link = &netem.LinkConfig{}
+	tb, err := netem.NewTraceBandwidth([]netem.TracePoint{
+		{Slot: 0, BytesPerSlot: 1},
+		{Slot: 100, BytesPerSlot: 0.3},
+		{Slot: 200, BytesPerSlot: 1},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Dynamics = tb
+	backlog := make([]float64, p.Slots)
+	arrived := make([]float64, p.Slots)
+	p.Observer = func(e sim.SlotEvent) { backlog[e.Slot], arrived[e.Slot] = e.Backlog, e.Arrived }
+	res, err := Offload(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bw := res.Bandwidth
+	checked := 0
+	for s := 200; s+1 < p.Slots; s++ {
+		if backlog[s]+arrived[s] <= bw {
+			continue
+		}
+		checked++
+		if got := backlog[s+1] - backlog[s] - arrived[s]; math.Abs(got+bw) > 1e-6*bw {
+			t.Errorf("slot %d: Q(s+1) − Q(s) − Arrived(s) = %v, want −%v", s, got, bw)
+		}
+	}
+	// The throttled stretch leaves a standing queue, so the recursion is
+	// exercised on (nearly) every slot after recovery.
+	if checked < 100 {
+		t.Fatalf("only %d slots after recovery had more than a slot's bandwidth queued", checked)
+	}
+}
+
+// TestOffloadIsOneDeviceSharedUplink: Offload and SharedUplink at one
+// unit device are one engine, so the same scenario, link and dynamics
+// give the same row from either entry point.
+func TestOffloadIsOneDeviceSharedUplink(t *testing.T) {
+	cases := []struct {
+		name     string
+		link     *netem.LinkConfig
+		dynamics delay.ServiceProcess
+	}{
+		{"static", nil, nil},
+		{"fixed 20k link", &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001}, nil},
+		{"markov", nil, &netem.MarkovBandwidth{GoodRate: 1.5, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := offloadParams()
+			p.Link, p.Dynamics = tc.link, tc.dynamics
+			off, err := Offload(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			up, err := SharedUplink(SharedUplinkParams{
+				ScenarioParams: p.ScenarioParams,
+				Specs:          []AllocDeviceSpec{{ArrivalsPerSlot: 1, CostScale: 1}},
+				Link:           tc.link,
+				Dynamics:       tc.dynamics,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev := up.Multi.PerDevice[0]
+			if !slices.Equal(off.BacklogBytes, dev.Backlog) || !slices.Equal(off.Depth, dev.Depth) {
+				t.Error("backlog or depth trajectories differ")
+			}
+			if off.Bandwidth != up.Bandwidth || off.LossCount != up.LossCount ||
+				len(off.Latency) != up.PerDevice[0].Delivered ||
+				off.MeanLatency != up.MeanLatency || off.P95Latency != up.P95Latency {
+				t.Errorf("offload row (bw %v, lost %d, delivered %d, latency %v/%v) != shared uplink row (bw %v, lost %d, delivered %d, latency %v/%v)",
+					off.Bandwidth, off.LossCount, len(off.Latency), off.MeanLatency, off.P95Latency,
+					up.Bandwidth, up.LossCount, up.PerDevice[0].Delivered, up.MeanLatency, up.P95Latency)
+			}
+		})
 	}
 }

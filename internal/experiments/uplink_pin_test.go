@@ -39,11 +39,11 @@ func pinDigest(t *testing.T, v any) string {
 // JitterSlots and LossProb scalars the uplink was once shaped by,
 // rewritten as the Link their defaults resolved to. The Markov cases
 // were recorded with absolute-rate processes and are now written as
-// factors on the calibrated bandwidth, with the same bytes. The static
-// offload digests were re-pinned when every offload run came to observe
-// the link's exact BacklogBytes: it agrees with the old remaining-busy-
-// time × rate estimate to about 1e-14 relative, which flips the default
-// run's decision where Q sits exactly on the switch threshold.
+// factors on the calibrated bandwidth, with the same bytes. Every
+// offload digest was re-pinned when Offload became SharedUplink at one
+// unit device: the kernel's byte backlog replaced the link's frozen
+// serialization schedule, latencies count whole completion slots, and
+// the dynamics draw from the shared uplink's seed.
 func TestUplinkRunsPinned(t *testing.T) {
 	base := offloadParams()
 	offload := func(mutate func(*OffloadParams)) *OffloadResult {
@@ -59,28 +59,24 @@ func TestUplinkRunsPinned(t *testing.T) {
 		name, want string
 		mutate     func(*OffloadParams)
 	}{
-		{"default", "d253057a887b7a846f525ff3ce7e69f6671b762b9fc88d6b1ab2ab41e6535891", func(*OffloadParams) {}},
-		{"link zeros", "78f9aff4c9101e1fbb2538d334a1664c33b443da0e8d7bcab2ec90f2f578d65f", func(p *OffloadParams) {
+		{"default", "c1c062a2a2b7137147df518a69961dc83dfe2a0618200df4d15a1d579b49907e", func(*OffloadParams) {}},
+		{"link zeros", "6eee6ffee62b3725fc249e34f20c7741eabdde95076c1b1d8d2f2d2ae06dd78c", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{}
 		}},
-		{"fixed 20k link", "165ce6ac10735a45c7ac28e02ddf6c45661a17a083ed6c01f39032a7cad58933", func(p *OffloadParams) {
+		{"fixed 20k link", "e77e6833764b37d85bcab350fbe474a10653c26e484c2005faba1f14a22f8475", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001}
 		}},
-		// Re-pinned when the drop window became a factor trace: the run
-		// observes the exact Link.BacklogBytes instead of an estimate
-		// that revalued already-queued bytes at the halved rate, and
-		// reports Network "trace-bw".
-		{"drop window", "67cfbcfef45529bfb1e48966937219c6e86d4c1a84de82c47a672497526a0421", func(p *OffloadParams) {
+		{"drop window", "7784d3615e024e4d047a0bddf5f0c73b81ebaeb767fded6adc99670166430c28", func(p *OffloadParams) {
 			p.Slots = 1600
 			p.Dynamics = dropTrace(t, 600, 1000, 0.5)
 		}},
-		{"markov dynamics", "921654db028c9122e735356b6efda3c4f31621a812553acb16aa01fbb1f84c79", func(p *OffloadParams) {
+		{"markov dynamics", "d560bf88734f1f5f433418b052dd313fe423523eaccfd094979def93f5686aa3", func(p *OffloadParams) {
 			p.Dynamics = &netem.MarkovBandwidth{GoodRate: 1.5, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.1}
 		}},
-		{"old Bandwidth: 25000", "cc2881cd04fec938120f392fa292d28f91ff7b109b863ace5862cf3a5acb6153", func(p *OffloadParams) {
+		{"old Bandwidth: 25000", "4b6a957e1b372c1cc8fb1456cd68cdc19309d441a3d715b3de4906431bc97706", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{BytesPerSlot: 25_000, LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.01}
 		}},
-		{"old LossProb: 0.2", "44d27d0b07e25738882dcfbac314f82b2ce291f5230d4429f6196651bd3851fe", func(p *OffloadParams) {
+		{"old LossProb: 0.2", "c07b23364b5f71c8204327aaf0e25bd7d710dd9477cc64d5a952206f84ccec2d", func(p *OffloadParams) {
 			p.Link = &netem.LinkConfig{LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.2}
 		}},
 	}

@@ -1,14 +1,14 @@
 package netem
 
-// The dynamics layer turns the static-parameter Link into the
+// The dynamics layer turns the static-bandwidth uplink into the
 // time-varying regime the paper's "network-based applications" actually
 // live in: capacities that burst and fade (Markov-modulated good/bad
 // states), measured traces replayed piecewise, and mobility handoffs
 // that reset the link with an outage gap. Each process is a
-// delay.ServiceProcess, so the same types drive sim sessions, the
-// shared-uplink budget, fleet profile mixes and — as a factor on the
-// calibrated bandwidth, applied each slot by Link.ApplyRate — an offload
-// run's uplink.
+// delay.ServiceProcess, so the same types drive sim sessions, fleet
+// profile mixes and — as a factor on the calibrated bandwidth, the
+// capacity the slot kernel serves each slot — the uplink of offload and
+// shared-uplink runs.
 //
 // Determinism: the stochastic processes (MarkovBandwidth,
 // HandoffBandwidth) draw from a geom.RNG and implement the Reseed/Clone

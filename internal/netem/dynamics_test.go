@@ -283,7 +283,6 @@ func TestHandoffBandwidthReseedReplays(t *testing.T) {
 }
 
 func TestLinkDynamicsApplySetsRateAndSuspendsOnOutage(t *testing.T) {
-	l := mustLink(t, LinkConfig{BytesPerSlot: 100})
 	tb, err := NewTraceBandwidth([]TracePoint{
 		{Slot: 0, BytesPerSlot: 100},
 		{Slot: 2, BytesPerSlot: 0},  // outage slots 2,3
@@ -292,34 +291,35 @@ func TestLinkDynamicsApplySetsRateAndSuspendsOnOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apply := func(slot int) { l.ApplyRate(slot, tb.Service(slot)) }
-	apply(0)
-	if tx := l.Transmit(100, 0); tx.DeliveredSlot != 1 {
-		t.Fatalf("slot 0 transmit delivered %v, want 1 (rate 100)", tx.DeliveredSlot)
+	var u uplink
+	frames := map[int]float64{0: 100, 3: 100, 4: 100}
+	for slot := 0; slot < 8; slot++ {
+		if b, ok := frames[slot]; ok {
+			u.step(slot, tb.Service(slot), b)
+		} else {
+			u.step(slot, tb.Service(slot))
+		}
 	}
-	apply(2)
-	apply(3)
-	// Outage slots push the busy horizon through slot 4 but keep the
-	// last positive rate for the frames queued behind them.
-	tx := l.Transmit(100, 3)
-	if tx.QueueingDelay != 1 || tx.DeliveredSlot != 5 {
-		t.Fatalf("outage transmit queue=%v delivered=%v, want 1/5 (stalled through slot 4, rate 100)", tx.QueueingDelay, tx.DeliveredSlot)
+	// Slot 0 serves the first frame at rate 100. The frame of slot 3
+	// waits out the outage and drains at the recovered 50 B/slot in
+	// slots 4-5; the frame of slot 4 queues behind it, through slot 7.
+	want := []int{0, 5, 7}
+	if len(u.done) != len(want) {
+		t.Fatalf("completions %+v, want %d", u.done, len(want))
 	}
-	apply(4)
-	tx = l.Transmit(100, 4)
-	if tx.StartSlot != 5 || tx.DeliveredSlot != 7 {
-		t.Fatalf("post-recovery transmit start=%v delivered=%v, want 5/7 (rate 50)", tx.StartSlot, tx.DeliveredSlot)
+	for i, c := range u.done {
+		if c.CompletedAt != want[i] {
+			t.Errorf("frame %d completed at %d, want %d", c.ID, c.CompletedAt, want[i])
+		}
 	}
 }
 
-// Regression (review finding): outages must cost schedule time even on
-// a loaded link. Raising the busy horizon to the outage's end is a no-op
-// when a standing queue already extends past it; ApplyRate therefore
-// uses Stall, which adds one slot of dead time per outage slot
-// regardless of the standing queue.
+// Regression (review finding): outages must cost service even on a
+// loaded link. Every outage slot serves nothing, so under a standing
+// queue each one leaves exactly one slot of capacity more in the
+// backlog.
 func TestOutageDelaysFutureEnqueuesUnderStandingQueue(t *testing.T) {
 	run := func(outage bool) float64 {
-		l := mustLink(t, LinkConfig{BytesPerSlot: 100})
 		tb, err := NewTraceBandwidth([]TracePoint{
 			{Slot: 0, BytesPerSlot: 100},
 			{Slot: 5, BytesPerSlot: 0}, // outage slots 5..14
@@ -328,43 +328,21 @@ func TestOutageDelaysFutureEnqueuesUnderStandingQueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var last Transmission
+		var u uplink
 		for slot := 0; slot < 30; slot++ {
+			rate := 100.0
 			if outage {
-				l.ApplyRate(slot, tb.Service(slot))
+				rate = tb.Service(slot)
 			}
 			// 1.5x overload: a standing queue builds from the start.
-			last = l.Transmit(150, slot)
+			u.step(slot, rate, 150)
 		}
-		return last.DeliveredSlot
+		return u.q.Level()
 	}
 	withOutage, without := run(true), run(false)
-	// 10 outage slots must push the final delivery by exactly 10 slots.
-	if got := withOutage - without; got != 10 {
-		t.Fatalf("outage under load shifted the final delivery by %v slots, want 10 (no-op outage regression)", got)
-	}
-}
-
-func TestLinkStall(t *testing.T) {
-	l := mustLink(t, LinkConfig{BytesPerSlot: 100})
-	// Idle link: a stall at slot 3 blocks until 4.
-	l.Stall(3, 1)
-	if d := queueDelay(l, 3); d != 1 {
-		t.Errorf("idle stall queue delay = %v, want 1", d)
-	}
-	// Busy link: the stall appends to the horizon rather than being
-	// swallowed by it.
-	l2 := mustLink(t, LinkConfig{BytesPerSlot: 100})
-	l2.Transmit(800, 0) // busy until 8
-	l2.Stall(1, 2)
-	if d := queueDelay(l2, 0); d != 10 {
-		t.Errorf("busy stall queue delay = %v, want 10 (8 busy + 2 dead)", d)
-	}
-	// Non-positive stalls are no-ops.
-	l2.Stall(0, 0)
-	l2.Stall(0, -3)
-	if d := queueDelay(l2, 0); d != 10 {
-		t.Errorf("zero/negative stall moved the horizon: %v", d)
+	// 10 outage slots must leave exactly 10 slots of capacity queued.
+	if got := withOutage - without; got != 1000 {
+		t.Fatalf("outage under load left %v more bytes queued, want 1000 (no-op outage regression)", got)
 	}
 }
 

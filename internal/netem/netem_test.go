@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"qarv/internal/queueing"
 )
 
 func mustLink(t *testing.T, cfg LinkConfig) *Link {
@@ -15,11 +17,26 @@ func mustLink(t *testing.T, cfg LinkConfig) *Link {
 	return l
 }
 
-// queueDelay is how long a frame arriving at slot now would wait for
-// the link, read from a zero-byte probe's QueueingDelay: the probe
-// occupies no serialization time, so it leaves the busy period and the
-// backlog as they were.
-func queueDelay(l *Link, now int) float64 { return l.Transmit(0, now).QueueingDelay }
+// uplink is the serializer the uplink runs put in front of a Link: the
+// slot kernel's byte backlog and frame queue, served each slot at the
+// link's capacity.
+type uplink struct {
+	q      queueing.Backlog
+	frames queueing.FrameQueue
+	done   []queueing.Completed
+}
+
+// step enqueues frames (bytes each) at slot t, serves capacity, and
+// keeps the frames completed this slot.
+func (u *uplink) step(t int, capacity float64, frames ...float64) {
+	var work float64
+	for _, b := range frames {
+		u.frames.Push(b, 0, t)
+		work += b
+	}
+	served := u.q.Step(work, capacity)
+	u.done = append(u.done, u.frames.Serve(served, t)...)
+}
 
 func TestLinkValidation(t *testing.T) {
 	if _, err := NewLink(LinkConfig{BytesPerSlot: 0}); !errors.Is(err, ErrBadBandwidth) {
@@ -35,44 +52,48 @@ func TestLinkValidation(t *testing.T) {
 
 func TestLinkTransmissionTiming(t *testing.T) {
 	l := mustLink(t, LinkConfig{BytesPerSlot: 100, LatencySlots: 2})
-	// 300 bytes at 100 B/slot: tx 3 slots + 2 latency = delivered at 5.
-	tx := l.Transmit(300, 0)
-	if tx.Dropped {
+	// 300 bytes at 100 B/slot serialize in slots 0-2; the last byte
+	// leaves in slot 2 and arrives 2 slots of latency later.
+	var u uplink
+	u.step(0, 100, 300)
+	u.step(1, 100)
+	u.step(2, 100)
+	if len(u.done) != 1 || u.done[0].CompletedAt != 2 {
+		t.Fatalf("completions %+v, want one at slot 2", u.done)
+	}
+	slot, lost := l.Deliver(float64(u.done[0].CompletedAt))
+	if lost {
 		t.Fatal("lossless link dropped")
 	}
-	if tx.StartSlot != 0 || tx.QueueingDelay != 0 {
-		t.Errorf("start=%v queue=%v", tx.StartSlot, tx.QueueingDelay)
-	}
-	if tx.DeliveredSlot != 5 {
-		t.Errorf("delivered at %v, want 5", tx.DeliveredSlot)
+	if slot != 4 {
+		t.Errorf("delivered at %v, want 4", slot)
 	}
 }
 
 func TestLinkFIFOQueueing(t *testing.T) {
 	l := mustLink(t, LinkConfig{BytesPerSlot: 100})
-	// Two back-to-back frames at slot 0: the second queues behind the first.
-	first := l.Transmit(200, 0) // busy until 2
-	second := l.Transmit(100, 0)
-	if first.DeliveredSlot != 2 {
-		t.Errorf("first delivered %v", first.DeliveredSlot)
+	// Two back-to-back frames at slot 0: the second queues behind the
+	// first and finishes a slot after it.
+	var u uplink
+	u.step(0, 100, 200, 100)
+	if got := u.q.Level(); got != 200 {
+		t.Errorf("backlog after slot 0 = %v, want 200", got)
 	}
-	if second.StartSlot != 2 || second.QueueingDelay != 2 {
-		t.Errorf("second start=%v queue=%v, want 2/2", second.StartSlot, second.QueueingDelay)
+	u.step(1, 100)
+	u.step(2, 100)
+	if len(u.done) != 2 || u.done[0].ID != 0 || u.done[0].CompletedAt != 1 ||
+		u.done[1].ID != 1 || u.done[1].CompletedAt != 2 {
+		t.Fatalf("completions %+v, want frame 0 at slot 1, then frame 1 at slot 2", u.done)
 	}
-	if second.DeliveredSlot != 3 {
-		t.Errorf("second delivered %v, want 3", second.DeliveredSlot)
+	// Without jitter the propagation leg keeps that order.
+	first, _ := l.Deliver(float64(u.done[0].CompletedAt))
+	second, _ := l.Deliver(float64(u.done[1].CompletedAt))
+	if first != 1 || second != 2 {
+		t.Errorf("delivered at %v, %v, want 1, 2", first, second)
 	}
-	// The busy period holds both frames' bytes until it drains.
-	if d := queueDelay(l, 0); d != 3 {
-		t.Errorf("queue delay at 0 = %v, want 3", d)
-	}
-	if got := l.BacklogBytes(0); got != 300 {
-		t.Errorf("backlog at 0 = %v, want 300", got)
-	}
-	if d := queueDelay(l, 10); d != 0 {
-		t.Errorf("queue delay after idle = %v, want 0", d)
-	}
-	if got := l.BacklogBytes(10); got != 0 {
+	// The queue drains fully once idle.
+	u.step(3, 100)
+	if got := u.q.Level(); got != 0 {
 		t.Errorf("backlog after idle = %v, want 0", got)
 	}
 }
@@ -82,7 +103,7 @@ func TestLinkLossRate(t *testing.T) {
 	const n = 20000
 	dropped := 0
 	for i := 0; i < n; i++ {
-		if l.Transmit(1, i).Dropped {
+		if _, lost := l.Deliver(float64(i)); lost {
 			dropped++
 		}
 	}
@@ -93,13 +114,13 @@ func TestLinkLossRate(t *testing.T) {
 }
 
 func TestLinkDeliverPropagationLeg(t *testing.T) {
-	// Deliver applies latency/jitter/loss without touching the
-	// serializer: the busy period is unchanged.
+	// Deliver applies latency, jitter and loss together: survivors
+	// arrive no earlier than the latency floor.
 	l := mustLink(t, LinkConfig{BytesPerSlot: 100, LatencySlots: 2, JitterSlots: 0.5, LossProb: 0.25, Seed: 5})
 	const n = 20000
 	dropped := 0
 	for i := 0; i < n; i++ {
-		slot, lost := l.Deliver(10, float64(i))
+		slot, lost := l.Deliver(float64(i))
 		if lost {
 			dropped++
 			continue
@@ -111,20 +132,17 @@ func TestLinkDeliverPropagationLeg(t *testing.T) {
 	if rate := float64(dropped) / n; math.Abs(rate-0.25) > 0.02 {
 		t.Errorf("loss rate = %v, want ~0.25", rate)
 	}
-	if got := l.BacklogBytes(0); got != 0 {
-		t.Errorf("Deliver occupied the serializer: backlog %v", got)
-	}
 }
 
 func TestLinkJitterNonNegativeAndVarying(t *testing.T) {
 	l := mustLink(t, LinkConfig{BytesPerSlot: 1e6, LatencySlots: 1, JitterSlots: 0.5, Seed: 6})
 	seen := map[float64]bool{}
 	for i := 0; i < 200; i++ {
-		tx := l.Transmit(1, i*10)
-		if tx.DeliveredSlot < float64(i*10)+1 {
-			t.Fatalf("delivery %v earlier than latency floor", tx.DeliveredSlot)
+		slot, _ := l.Deliver(float64(i * 10))
+		if slot < float64(i*10)+1 {
+			t.Fatalf("delivery %v earlier than latency floor", slot)
 		}
-		seen[tx.DeliveredSlot-float64(i*10)] = true
+		seen[slot-float64(i*10)] = true
 	}
 	if len(seen) < 10 {
 		t.Error("jitter produced no variation")
@@ -136,11 +154,11 @@ func TestLinkDeterministicPerSeed(t *testing.T) {
 		l := mustLink(t, LinkConfig{BytesPerSlot: 50, LatencySlots: 1, JitterSlots: 1, LossProb: 0.1, Seed: 9})
 		out := make([]float64, 100)
 		for i := range out {
-			tx := l.Transmit(25, i)
-			if tx.Dropped {
+			slot, lost := l.Deliver(float64(i))
+			if lost {
 				out[i] = -1
 			} else {
-				out[i] = tx.DeliveredSlot
+				out[i] = slot
 			}
 		}
 		return out
@@ -153,124 +171,81 @@ func TestLinkDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestLinkZeroByteFrames(t *testing.T) {
-	l := mustLink(t, LinkConfig{BytesPerSlot: 10, LatencySlots: 1})
-	tx := l.Transmit(0, 5)
-	if tx.DeliveredSlot != 6 {
-		t.Errorf("zero-byte delivery = %v, want 6", tx.DeliveredSlot)
-	}
-	tx = l.Transmit(-10, 7)
-	if tx.DeliveredSlot != 8 {
-		t.Errorf("negative bytes must clamp: %v", tx.DeliveredSlot)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Dynamic-bandwidth edge cases: the contracts the dynamics layer leans on.
 // ---------------------------------------------------------------------------
 
-// Regression pin: a rate drop while the link is busy must not
-// retroactively change already-scheduled deliveries. Schedules freeze
-// at Transmit time; only transmissions enqueued after ApplyRate see the
-// new rate.
-func TestApplyRateMidBusyDoesNotRescheduleDeliveries(t *testing.T) {
-	l := mustLink(t, LinkConfig{BytesPerSlot: 100, LatencySlots: 1})
-	first := l.Transmit(200, 0)  // serializes [0,2), delivered 3
-	second := l.Transmit(100, 0) // queued: serializes [2,3), delivered 4
-	if first.DeliveredSlot != 3 || second.DeliveredSlot != 4 {
-		t.Fatalf("baseline schedule: %v, %v", first.DeliveredSlot, second.DeliveredSlot)
-	}
-
-	// Drop the rate 10x at slot 1 while both frames are on the link.
-	l.ApplyRate(1, 10)
-	// The busy period is unchanged: a frame arriving at slot 1 still
-	// waits exactly until slot 3, and serializes at the new rate from
-	// there.
-	third := l.Transmit(10, 1)
-	if third.StartSlot != 3 || third.QueueingDelay != 2 {
-		t.Errorf("third start=%v queue=%v, want 3/2 (schedules frozen)", third.StartSlot, third.QueueingDelay)
-	}
-	if third.DeliveredSlot != 5 { // 3 + 10/10 + 1 latency
-		t.Errorf("third delivered = %v, want 5", third.DeliveredSlot)
-	}
-	// Raising the rate back mid-busy does not accelerate the queue
-	// either: the next frame still waits for the slow one to finish.
-	l.ApplyRate(1, 1000)
-	fourth := l.Transmit(1000, 1)
-	if fourth.StartSlot != 4 || fourth.QueueingDelay != 3 {
-		t.Errorf("fourth start=%v queue=%v, want 4/3", fourth.StartSlot, fourth.QueueingDelay)
-	}
-	if fourth.DeliveredSlot != 6 { // 4 + 1000/1000 + 1 latency
-		t.Errorf("fourth delivered = %v, want 6", fourth.DeliveredSlot)
-	}
-}
-
-// ApplyRate mid-busy-period: BacklogBytes values every frame against
-// the rate its schedule was built with, never the current rate.
+// Bytes are bytes: when the rate changes while frames are queued, the
+// backlog keeps their unserved bytes and drains at whatever rate each
+// slot serves — Q(t+1) = max(Q(t) + a(t) − b(t), 0), never a schedule
+// frozen at enqueue time.
 func TestBacklogBytesExactUnderBandwidthChange(t *testing.T) {
-	l := mustLink(t, LinkConfig{BytesPerSlot: 100})
-	l.Transmit(200, 0)           // serializes [0,2)
-	second := l.Transmit(100, 0) // serializes [2,3)
-	if got := l.BacklogBytes(0); got != 300 {
-		t.Fatalf("backlog at 0 = %v, want 300", got)
+	var u uplink
+	u.step(0, 100, 200, 100)
+	if got := u.q.Level(); got != 200 {
+		t.Fatalf("backlog after slot 0 = %v, want 200", got)
 	}
-	// Half of the first frame is out the door at slot 1.
-	if got := l.BacklogBytes(1); got != 200 {
-		t.Fatalf("backlog at 1 = %v, want 200", got)
+	// A 10x drop does not revalue the queued 200 bytes; it drains 10
+	// bytes per slot.
+	u.step(1, 10)
+	if got := u.q.Level(); got != 190 {
+		t.Fatalf("backlog after drop = %v, want 190", got)
 	}
-	// A 10x drop must not revalue the queued 200 bytes (the naive
-	// remaining-busy-time × current-rate estimate would report
-	// 2 slots * 10 B/slot = 20).
-	l.ApplyRate(1, 10)
-	if got := l.BacklogBytes(1); got != 200 {
-		t.Fatalf("backlog after drop = %v, want 200", got)
+	// New frames join the same account, and recovery drains it at the
+	// recovered rate at once.
+	u.step(2, 10, 50)
+	if got := u.q.Level(); got != 230 {
+		t.Fatalf("backlog with new frame = %v, want 230", got)
 	}
-	if est := (second.DeliveredSlot - 1) * 10; est == 200 {
-		t.Fatalf("estimate unexpectedly exact (%v); the regression would be invisible", est)
+	u.step(3, 100)
+	if got := u.q.Level(); got != 130 {
+		t.Fatalf("backlog after recovery = %v, want 130", got)
 	}
-	// New frames at the new rate join the exact accounting.
-	l.Transmit(50, 1) // serializes [3,8) at 10 B/slot
-	if got := l.BacklogBytes(1); got != 250 {
-		t.Fatalf("backlog with new frame = %v, want 250", got)
-	}
-	if got := l.BacklogBytes(5.5); got != 25 { // half of the 50-byte frame left
-		t.Fatalf("backlog mid-serialization = %v, want 25", got)
-	}
-	if got := l.BacklogBytes(100); got != 0 {
+	u.step(4, 100)
+	u.step(5, 100)
+	if got := u.q.Level(); got != 0 {
 		t.Fatalf("backlog after drain = %v, want 0", got)
 	}
-}
-
-// For a constant-rate link the exact accounting agrees with the
-// remaining busy time × rate, read off the returned schedules: with no
-// latency, the last transmission's delivery is the end of the busy
-// period.
-func TestBacklogBytesMatchesEstimateOnStaticLink(t *testing.T) {
-	l := mustLink(t, LinkConfig{BytesPerSlot: 128})
-	for slot := 0; slot < 50; slot++ {
-		tx := l.Transmit(float64(100+slot*7), slot)
-		got := l.BacklogBytes(float64(slot))
-		est := (tx.DeliveredSlot - float64(slot)) * 128
-		if math.Abs(got-est) > 1e-6*math.Max(1, est) {
-			t.Fatalf("slot %d: exact %v vs estimate %v", slot, got, est)
+	// Frame by frame: the first frame's last byte leaves in slot 3, the
+	// second's in slot 4 and the late frame's in slot 5.
+	want := []int{3, 4, 5}
+	if len(u.done) != len(want) {
+		t.Fatalf("completions %+v, want %d", u.done, len(want))
+	}
+	for i, c := range u.done {
+		if c.CompletedAt != want[i] {
+			t.Errorf("frame %d completed at %d, want %d", c.ID, c.CompletedAt, want[i])
 		}
 	}
 }
 
 func TestBacklogBytesCountsLostFramesWhileSerializing(t *testing.T) {
-	// LossProb=0.9 with a fixed seed: most frames drop, but their bytes
-	// still occupy the serializer, so backlog must count them.
+	// LossProb=0.9 with a fixed seed: most frames drop, but loss happens
+	// on the propagation leg, after the frame's bytes have serialized, so
+	// the backlog counts every frame until it is served.
 	l := mustLink(t, LinkConfig{BytesPerSlot: 10, LossProb: 0.9, Seed: 2})
-	sawDrop := false
-	for i := 0; i < 10; i++ {
-		if l.Transmit(100, 0).Dropped {
-			sawDrop = true
+	var u uplink
+	frames := make([]float64, 10)
+	for i := range frames {
+		frames[i] = 100
+	}
+	u.step(0, 10, frames...)
+	if got := u.q.Level(); got != 990 {
+		t.Fatalf("backlog = %v, want 990 (every frame occupies the uplink)", got)
+	}
+	for slot := 1; slot < 100; slot++ {
+		u.step(slot, 10)
+	}
+	if len(u.done) != 10 {
+		t.Fatalf("%d frames completed, want 10", len(u.done))
+	}
+	lost := 0
+	for _, c := range u.done {
+		if _, dropped := l.Deliver(float64(c.CompletedAt)); dropped {
+			lost++
 		}
 	}
-	if !sawDrop {
+	if lost == 0 {
 		t.Fatal("seed produced no drops; pick another seed")
-	}
-	if got := l.BacklogBytes(0); got != 1000 {
-		t.Fatalf("backlog = %v, want 1000 (lost frames occupy the uplink)", got)
 	}
 }

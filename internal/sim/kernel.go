@@ -23,7 +23,7 @@ func (k *Kernel) Reset(dev Device) {
 }
 
 // Step advances the device one slot against capacity b(t), filling
-// every field of s but Device and Latency, which it leaves as they are.
+// every field of s but Device, which it leaves as it is.
 // Negative arrival counts from custom processes are clamped to 0 frames.
 func (k *Kernel) Step(t int, capacity float64, s *SlotEvent) {
 	q := k.backlog.Level()         // line 4 of Algorithm 1: observe Q(t)

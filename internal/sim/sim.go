@@ -38,25 +38,18 @@ type SlotEvent struct {
 	Arrived float64
 	// Served is the work served this slot.
 	Served float64
-	// Dropped is the work lost this slot: bounded-backlog overflow in
-	// sim runs, lost frame bytes in offload runs (which still occupied
-	// the uplink busy period even though they never delivered).
+	// Dropped is the work the bounded backlog rejected this slot.
 	Dropped float64
-	// Frames counts the frames that arrived this slot (offload runs
-	// offer exactly one).
+	// Frames counts the frames that arrived this slot.
 	Frames int
-	// DroppedFrames counts the frames lost this slot: removed whole by
-	// bounded-backlog overflow in sim runs, lost on the link (0 or 1)
-	// in offload runs.
+	// DroppedFrames counts the frames bounded-backlog overflow removed
+	// whole this slot.
 	DroppedFrames int
-	// Completed lists the frames that finished service this slot (sim
-	// runs and fleet sessions; empty in offload runs). The slice is the
-	// kernel's frame-queue buffer, reused on the next slot: observers
-	// may read it during the call but must copy what they keep.
+	// Completed lists the frames that finished service this slot. The
+	// slice is the kernel's frame-queue buffer, reused on the next slot:
+	// observers may read it during the call but must copy what they
+	// keep.
 	Completed []queueing.Completed
-	// Latency is the offload frame's end-to-end delivery latency in
-	// slots; 0 for a lost frame and in sim runs.
-	Latency float64
 }
 
 // Observer receives each slot's event synchronously from the loop

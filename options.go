@@ -152,8 +152,10 @@ func WithObserver(fn func(SlotEvent)) Option {
 
 // WithTelemetry attaches a metrics registry: the session's telemetry,
 // an observer of the same slot stream WithObserver hooks see, folds
-// per-slot counters and sketch-backed histograms (sim_* series for sim
-// and multi sessions, offload_* for offload sessions) into r. Telemetry
+// per-slot counters and sketch-backed histograms (sim_* series, plus
+// alloc_* for multi and offload sessions and the uplink's
+// offload_frames_lost_total and offload_latency_slots for offload
+// sessions) into r. Telemetry
 // never changes what the session computes — reports are byte-identical
 // with and without it — and a session run with a nil registry pays only
 // a pointer check per slot. Registries merge losslessly (Merge) and
@@ -165,7 +167,7 @@ func WithTelemetry(r *MetricsRegistry) Option {
 
 // WithFlightRecorder attaches a flight recorder: a fixed-size ring that
 // captures slot-stamped span/event records from the run loop (slot
-// phases, depth changes, drops, allocator decisions, link-rate changes)
+// phases, depth changes, drops, allocator decisions, link losses)
 // for export as JSON or a Chrome trace_event file. Like WithTelemetry,
 // recording never perturbs the run. The recorder is concurrency-safe
 // and may be shared across sessions; its ring keeps the newest records

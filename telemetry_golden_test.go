@@ -90,7 +90,7 @@ func TestTelemetryGoldens(t *testing.T) {
 					WithSeed(5),
 				}
 			},
-			want:     []string{`"name":"loss","cat":"offload"`, `"name":"depth","cat":"offload"`},
+			want:     []string{`"name":"loss","cat":"offload"`, `"name":"depth","cat":"sim"`},
 			positive: []string{"offload_frames_lost_total"},
 		},
 	}
