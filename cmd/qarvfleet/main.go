@@ -95,6 +95,9 @@ func main() {
 	}
 }
 
+// defaultMix is -mix's default device-class mix.
+const defaultMix = "proposed:0.7,noisy:0.15,bursty:0.15"
+
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("qarvfleet", flag.ContinueOnError)
 	n := fs.Int("n", 10_000, "concurrent device sessions (seats)")
@@ -102,7 +105,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	slots := fs.Int("slots", 1000, "horizon per seat (slots)")
 	churn := fs.Float64("churn", 0, "per-slot departure hazard in [0,1); departures backfill")
 	seed := fs.Uint64("seed", 1, "fleet seed (deterministic report for a given spec+seed)")
-	mix := fs.String("mix", "proposed:0.7,noisy:0.15,bursty:0.15", "weighted profile mix: name:weight,...")
+	mix := fs.String("mix", defaultMix, "weighted profile mix: name:weight,...")
 	netMix := fs.String("net", "static", "weighted network-class mix crossed with -mix: "+names.NetworkUsage+" (class:weight,...)")
 	acc := fs.Float64("acc", 0.01, "quantile-sketch relative accuracy")
 	samples := fs.Int("samples", 60_000, "synthetic capture surface samples (scenario calibration)")

@@ -466,3 +466,36 @@ func TestOffloadClassUsesMeasuredStreamBytes(t *testing.T) {
 		t.Errorf("offload class serves %v bytes/slot, Offload calibrates %v", got, res.Bandwidth)
 	}
 }
+
+// BenchmarkDefaultMix runs the default -mix over a 60k-sample scenario:
+// 5k seats × 600 slots with churn 0.001 on one shard, the fleet-mix
+// benchmark workload's per-slot work at a quarter of its seats and
+// without its parallelism. One operation is one fleet run; profile it
+// with -bench DefaultMix -cpuprofile.
+func BenchmarkDefaultMix(b *testing.B) {
+	scn, err := qarv.NewScenario(qarv.ScenarioParams{Samples: 60_000, ServiceFraction: 0.6, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiles, err := parseMix(scn, defaultMix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fl, err := qarv.NewFleet(qarv.FleetSpec{
+		Sessions: 5_000, Slots: 600, Shards: 1, Churn: 0.001, Seed: 1,
+		Accuracy: 0.01, Profiles: profiles,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rate float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := fl.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rate = rep.DeviceSlotsPerSec
+	}
+	b.ReportMetric(rate, "device-slots/sec")
+}

@@ -20,8 +20,13 @@
 //     (policy, cost/utility models, arrival process, service process —
 //     heterogeneous fleets in one run);
 //   - accumulates sojourn/backlog/utility distributions in mergeable
-//     fixed-memory quantile sketches (stats.QuantileSketch) and
-//     classifies each session's stability from a fixed-memory
+//     fixed-memory quantile sketches (stats.QuantileSketch): the
+//     backlog with one Add per slot, the utility and the sojourns as
+//     counts per depth and per sojourn, folded into their sketches when
+//     shards merge (a slot's utility is one of a few per-depth values,
+//     and a sojourn a whole number of slots, so one increment replaces
+//     a logarithmic sketch index and the sketches come out the same);
+//   - classifies each session's stability from a fixed-memory
 //     downsampled trajectory (stats.Decimator), then merges shard
 //     accumulators into one Report;
 //   - is deterministic for a given Spec and Seed: every seat derives
@@ -307,13 +312,13 @@ func runShard(ctx context.Context, spec *Spec, cum []float64, lo, hi int) (*flee
 			if err := sess.reset(prof, arrRNG, svcRNG, polRNG); err != nil {
 				return nil, fmt.Errorf("fleet: seat %d profile %q: %w", seat, prof.Name, err)
 			}
-			pa := acc.profile(prof.Name)
+			pa, depths := acc.profile(prof.Name), &acc.depthSlots[pi]
 			spec.Recorder.Event(int64(slot), "fleet", "session", int64(seat), float64(pi))
 			for t := 0; t < life; t++ {
 				if err := cancel.Check(); err != nil {
 					return nil, fmt.Errorf("fleet: canceled at seat %d slot %d: %w", seat, slot+t, err)
 				}
-				sess.step(t, pa)
+				sess.step(t, pa, depths)
 			}
 			sess.finish(pa, departs)
 			lifetime.Observe(float64(life))
@@ -362,12 +367,14 @@ func geometricLifetime(rng *geom.RNG, c float64) int {
 }
 
 // sessionRunner is one shard's live session: the sim.Kernel it steps,
-// its service process, and the fixed-size decimated trajectory. Slots
-// stream into the shard's sketches instead of per-slot slices.
+// its service process, the fixed-size decimated trajectory, and the
+// slot event the kernel refills every slot. Slots stream into the
+// shard's sketches and counts instead of per-slot slices.
 type sessionRunner struct {
 	k       sim.Kernel
 	service delay.ServiceProcess
 	traj    *stats.Decimator
+	ev      sim.SlotEvent
 }
 
 func newSessionRunner() *sessionRunner {
@@ -396,17 +403,30 @@ func (r *sessionRunner) reset(p *Profile, arrRNG, svcRNG, polRNG *geom.RNG) erro
 }
 
 // step advances the session one (session-local) slot, streaming the
-// slot's observations into the profile accumulator.
-func (r *sessionRunner) step(t int, pa *profileAccum) {
-	var s sim.SlotEvent
-	r.k.Step(t, r.service.Service(t), &s)
+// slot's observations into the profile accumulator and the depth
+// counts of the session's profile index. The backlog goes to its
+// sketch; the depth and the sojourns are counted (see profileAccum).
+func (r *sessionRunner) step(t int, pa *profileAccum, depths *depthCounts) {
+	s := &r.ev
+	r.k.Step(t, r.service.Service(t), s)
 	r.traj.Add(s.Backlog)
 	pa.backlog.Add(s.Backlog)
-	pa.utility.Add(s.Utility)
+	if d := uint(s.Depth); d < countedDepths {
+		depths[d]++
+	} else {
+		pa.utility.Add(s.Utility)
+	}
+	if s.Utility > 0 { // Add's rule: negatives count as zero, NaN not at all
+		pa.utilitySum += s.Utility
+	}
 	pa.framesDropped += int64(s.DroppedFrames)
-	for _, c := range s.Completed {
-		pa.framesCompleted++
-		pa.sojourn.Add(float64(c.Sojourn))
+	pa.framesCompleted += int64(len(s.Completed))
+	for i := range s.Completed {
+		if so := s.Completed[i].Sojourn; so < len(pa.sojourns) {
+			pa.sojourns[so]++
+		} else {
+			pa.countSojourn(so)
+		}
 	}
 	pa.deviceSlots++
 }

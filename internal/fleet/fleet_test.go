@@ -275,8 +275,9 @@ func TestFlatMemoryPerSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	const slots = 200_000
+	var depths depthCounts
 	for t := 0; t < slots; t++ {
-		sess.step(t, pa)
+		sess.step(t, pa, &depths)
 	}
 	if n := sess.k.QueuedFrames(); n > 4 {
 		t.Errorf("frame queue holds %d frames after %d slots, want O(frames in flight)", n, slots)
@@ -291,8 +292,11 @@ func TestFlatMemoryPerSession(t *testing.T) {
 			t.Errorf("%s sketch grew to %d buckets over %d slots", name, n, slots)
 		}
 	}
-	if pa.deviceSlots != slots {
-		t.Errorf("deviceSlots %d, want %d", pa.deviceSlots, slots)
+	if pa.deviceSlots != slots || depths[10] != slots {
+		t.Errorf("deviceSlots %d and %d slots counted at depth 10, want %d", pa.deviceSlots, depths[10], slots)
+	}
+	if n := len(pa.sojourns); n > 64 {
+		t.Errorf("sojourn counts grew to %d entries for sojourns of a slot or two", n)
 	}
 }
 
@@ -308,14 +312,15 @@ func TestSessionStepZeroAlloc(t *testing.T) {
 	if err := sess.reset(&prof, rng.Split(), rng.Split(), rng.Split()); err != nil {
 		t.Fatal(err)
 	}
+	var depths depthCounts
 	next := 0
 	for ; next < 4*trajCap; next++ {
-		sess.step(next, pa)
+		sess.step(next, pa, &depths)
 	}
 	before := pa.framesCompleted
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := 0; i < 100; i++ {
-			sess.step(next, pa)
+			sess.step(next, pa, &depths)
 			next++
 		}
 	})

@@ -120,8 +120,21 @@ type Report struct {
 	Metrics *obs.Snapshot `json:"-"`
 }
 
+// sojournCountCap bounds profileAccum.sojourns: sojourns of this many
+// slots or more go to the sojourn sketch one Add each.
+const sojournCountCap = 4096
+
 // profileAccum is one device class's streaming accumulator within a
 // shard: counters plus the three mergeable sketches. All O(1) memory.
+//
+// Two of the three per-slot observations reach their sketches as
+// counts, folded in at merge time (see fleetAccum.depthSlots for the
+// utility). A sojourn is a whole number of slots, so completed frames
+// count per sojourn in sojourns. The folded sketches match call-by-call
+// Adds bucket for bucket, and so does the sojourn sum: sums of integers
+// below 2^53 are exact in any order. The utility sum is not made of
+// integers, so utilitySum keeps it in slot order, as call-by-call Adds
+// would, and the report's utility mean reads it instead of the sketch's.
 type profileAccum struct {
 	sessions        int64
 	departures      int64
@@ -129,10 +142,15 @@ type profileAccum struct {
 	framesCompleted int64
 	framesDropped   int64
 	droppedWork     float64
-	sojourn         *stats.QuantileSketch
-	backlog         *stats.QuantileSketch
-	utility         *stats.QuantileSketch
-	verdicts        VerdictCounts
+	// sojourns[s] counts the completed frames of sojourn s not yet
+	// folded into the sojourn sketch. It grows to the largest sojourn
+	// seen, up to sojournCountCap.
+	sojourns   []uint64
+	utilitySum float64
+	sojourn    *stats.QuantileSketch
+	backlog    *stats.QuantileSketch
+	utility    *stats.QuantileSketch
+	verdicts   VerdictCounts
 }
 
 func newProfileAccum(accuracy float64) *profileAccum {
@@ -143,14 +161,42 @@ func newProfileAccum(accuracy float64) *profileAccum {
 	}
 }
 
-// merge folds o into p (lossless sketch merges).
+// countSojourn counts one completed frame of sojourn s slots that the
+// sojourns table does not cover yet: it grows the table to take s, or
+// adds s to the sketch at or beyond sojournCountCap.
+func (p *profileAccum) countSojourn(s int) {
+	if s >= sojournCountCap {
+		p.sojourn.Add(float64(s))
+		return
+	}
+	grown := make([]uint64, min(max(2*len(p.sojourns), s+1, 64), sojournCountCap))
+	copy(grown, p.sojourns)
+	p.sojourns = grown
+	p.sojourns[s]++
+}
+
+// foldSojourns moves the sojourn counts into the sojourn sketch, one
+// AddN per non-zero count.
+func (p *profileAccum) foldSojourns() {
+	for s, n := range p.sojourns {
+		if n != 0 {
+			p.sojourn.AddN(float64(s), n)
+			p.sojourns[s] = 0
+		}
+	}
+}
+
+// merge folds o into p (lossless sketch merges). It folds o's own
+// sojourn counts into o's sketch first.
 func (p *profileAccum) merge(o *profileAccum) error {
+	o.foldSojourns()
 	p.sessions += o.sessions
 	p.departures += o.departures
 	p.deviceSlots += o.deviceSlots
 	p.framesCompleted += o.framesCompleted
 	p.framesDropped += o.framesDropped
 	p.droppedWork += o.droppedWork
+	p.utilitySum += o.utilitySum
 	p.verdicts.merge(o.verdicts)
 	if err := p.sojourn.Merge(o.sojourn); err != nil {
 		return err
@@ -162,6 +208,10 @@ func (p *profileAccum) merge(o *profileAccum) error {
 }
 
 func (p *profileAccum) report(name string) ProfileReport {
+	utility := summarize(p.utility)
+	if utility.Count > 0 {
+		utility.Mean = p.utilitySum / float64(utility.Count)
+	}
 	return ProfileReport{
 		Name:            name,
 		Sessions:        p.sessions,
@@ -172,16 +222,32 @@ func (p *profileAccum) report(name string) ProfileReport {
 		DroppedWork:     p.droppedWork,
 		Sojourn:         summarize(p.sojourn),
 		Backlog:         summarize(p.backlog),
-		Utility:         summarize(p.utility),
+		Utility:         utility,
 		Verdicts:        p.verdicts,
 	}
 }
+
+// countedDepths bounds the depths fleetAccum.depthSlots counts; a
+// session at a depth outside [0, countedDepths) adds its utility to the
+// sketch directly. Octree depths stay far below it.
+const countedDepths = 32
+
+// depthCounts counts one profile's slots per chosen depth.
+type depthCounts [countedDepths]uint64
 
 // fleetAccum is one shard's full accumulator: a profileAccum per device
 // class, created lazily as the shard's seats first draw each class.
 type fleetAccum struct {
 	accuracy float64
+	mix      []Profile
 	profiles map[string]*profileAccum
+	// depthSlots[i] counts the slots per depth of the sessions of
+	// mix[i], not yet folded into the utility sketch of its name. A
+	// slot's utility is pa(d(t)), one of a few values per profile, so a
+	// count per depth holds the same information as an Add per slot.
+	// The counts are kept per profile index, not per name: profiles
+	// that share a name may score depths with different utility models.
+	depthSlots []depthCounts
 	// metrics is the shard's telemetry registry; nil when Spec.Metrics
 	// is nil. Created with the target registry's accuracy so the final
 	// merge can never mismatch.
@@ -190,8 +256,10 @@ type fleetAccum struct {
 
 func newFleetAccum(spec *Spec) *fleetAccum {
 	a := &fleetAccum{
-		accuracy: spec.Accuracy,
-		profiles: make(map[string]*profileAccum, len(spec.Profiles)),
+		accuracy:   spec.Accuracy,
+		mix:        spec.Profiles,
+		profiles:   make(map[string]*profileAccum, len(spec.Profiles)),
+		depthSlots: make([]depthCounts, len(spec.Profiles)),
 	}
 	if spec.Metrics != nil {
 		a.metrics = obs.NewRegistryAccuracy(spec.Metrics.Accuracy())
@@ -208,11 +276,27 @@ func (a *fleetAccum) profile(name string) *profileAccum {
 	return p
 }
 
+// foldDepths moves the depth counts into the utility sketches, one AddN
+// per non-zero count at that profile's utility for the depth.
+func (a *fleetAccum) foldDepths() {
+	for i := range a.depthSlots {
+		prof := &a.mix[i]
+		for d, n := range a.depthSlots[i] {
+			if n != 0 {
+				a.profile(prof.Name).utility.AddN(prof.Utility.Utility(d), n)
+				a.depthSlots[i][d] = 0
+			}
+		}
+	}
+}
+
 // merge folds another shard's accumulator into a, profile by profile
 // in name order — sketch merges are commutative, but a fixed order
 // keeps the first error (and any future order-sensitive accumulator)
-// deterministic across runs.
+// deterministic across runs. It folds o's counts into o's sketches
+// first.
 func (a *fleetAccum) merge(o *fleetAccum) error {
+	o.foldDepths()
 	names := make([]string, 0, len(o.profiles))
 	for name := range o.profiles {
 		names = append(names, name)

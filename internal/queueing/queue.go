@@ -131,32 +131,35 @@ func (q *FrameQueue) Push(work float64, depth, now int) int {
 	}
 	id := q.nextID
 	q.nextID++
-	q.frames = append(q.frames, Frame{
-		ID: id, Work: work, Remaining: work, EnqueuedAt: now, Depth: depth,
-	})
+	var f *Frame
+	q.frames, f = appendSlot(q.frames)
+	f.ID, f.Work, f.Remaining, f.EnqueuedAt, f.Depth = id, work, work, now, depth
 	return id
 }
 
 // Serve applies capacity work units at slot now, FIFO with partial
 // service, and returns the frames completed this slot, or nil when none
-// did. The returned slice aliases the queue's buffer: it is valid only
-// until the next Serve or Reset, so callers must copy what they keep.
+// did. A frame with no work left completes even at zero capacity, so a
+// zero-work frame completes in the slot it arrives. Negative or NaN
+// capacity serves nothing. The returned slice aliases the queue's
+// buffer: it is valid only until the next Serve or Reset, so callers
+// must copy what they keep.
 func (q *FrameQueue) Serve(capacity float64, now int) []Completed {
+	if !(capacity > 0) {
+		capacity = 0
+	}
 	done := q.done[:0]
-	for capacity > 0 && q.head < len(q.frames) {
+	for q.head < len(q.frames) {
 		head := &q.frames[q.head]
 		if head.Remaining > capacity {
 			head.Remaining -= capacity
-			capacity = 0
 			break
 		}
 		capacity -= head.Remaining
-		head.Remaining = 0
-		done = append(done, Completed{
-			Frame:       *head,
-			CompletedAt: now,
-			Sojourn:     now - head.EnqueuedAt,
-		})
+		var c *Completed
+		done, c = appendSlot(done)
+		c.ID, c.Work, c.Remaining, c.EnqueuedAt, c.Depth = head.ID, head.Work, 0, head.EnqueuedAt, head.Depth
+		c.CompletedAt, c.Sojourn = now, now-head.EnqueuedAt
 		q.head++
 	}
 	q.compact()
@@ -165,6 +168,23 @@ func (q *FrameQueue) Serve(capacity float64, now int) []Completed {
 		return nil
 	}
 	return done
+}
+
+// appendSlot lengthens s by one element and returns it for the caller
+// to fill in place. Push and Serve write their frames field by field
+// this way, because building a struct and copying it whole, or copying
+// *head, reloads what the slot's stores just wrote and stalls on it. A
+// reused slot keeps its old contents, so the caller sets every field;
+// TestServeCarriesEveryFrameField fails when a field is added that
+// they miss.
+func appendSlot[T any](s []T) ([]T, *T) {
+	if len(s) == cap(s) {
+		var zero T
+		s = append(s, zero)
+	} else {
+		s = s[:len(s)+1]
+	}
+	return s, &s[len(s)-1]
 }
 
 // compact copies live frames to the front of the backing slice once the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +110,86 @@ func TestFrameQueueFIFOAndPartialService(t *testing.T) {
 	}
 	if q.Len() != 0 || q.WorkBacklog() != 0 {
 		t.Error("queue must be empty")
+	}
+}
+
+// TestServeCarriesEveryFrameField pins what Serve copies into each
+// Completed: every Frame field Push set, with Remaining 0, plus the
+// completion slot and sojourn. Push and Serve write the fields one by
+// one into reused slots, so a field added to Frame or Completed must be
+// added there, and to the lists here, or this test fails.
+func TestServeCarriesEveryFrameField(t *testing.T) {
+	fields := func(v any) []string {
+		var names []string
+		for i := 0; i < reflect.TypeOf(v).NumField(); i++ {
+			names = append(names, reflect.TypeOf(v).Field(i).Name)
+		}
+		return names
+	}
+	if got, want := fields(Frame{}), []string{"ID", "Work", "Remaining", "EnqueuedAt", "Depth"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Frame has fields %v, this test, Push and Serve know %v", got, want)
+	}
+	if got, want := fields(Completed{}), []string{"Frame", "CompletedAt", "Sojourn"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Completed has fields %v, this test and Serve know %v", got, want)
+	}
+	// Run frames through first, so the checked ones land in reused
+	// slots of both buffers (compaction recycles the frame slots).
+	var q FrameQueue
+	for slot := 0; slot < 3*compactAfter; slot++ {
+		q.Push(9, 13, slot)
+		q.Push(1, 14, slot)
+		q.Serve(10, slot)
+	}
+	if cap(q.frames) > 4*compactAfter {
+		t.Fatalf("frame buffer grew to %d: compaction did not recycle slots", cap(q.frames))
+	}
+	id := q.nextID
+	q.Push(2.5, 7, 1000)
+	q.Push(0, 9, 1001)
+	q.Push(4, 11, 1001)
+	q.Serve(1, 1002) // a partial service leaves Work and Remaining apart
+	if q.WorkBacklog() != 5.5 {
+		t.Errorf("work backlog %v after the partial service, want 5.5", q.WorkBacklog())
+	}
+	done := q.Serve(6, 1004)
+	want := []Completed{
+		{Frame: Frame{ID: id, Work: 2.5, EnqueuedAt: 1000, Depth: 7}, CompletedAt: 1004, Sojourn: 4},
+		{Frame: Frame{ID: id + 1, Work: 0, EnqueuedAt: 1001, Depth: 9}, CompletedAt: 1004, Sojourn: 3},
+		{Frame: Frame{ID: id + 2, Work: 4, EnqueuedAt: 1001, Depth: 11}, CompletedAt: 1004, Sojourn: 3},
+	}
+	if !reflect.DeepEqual(done, want) {
+		t.Errorf("Serve completed %+v, want %+v", done, want)
+	}
+}
+
+// TestZeroWorkFrameCompletesInItsSlot drives a scalar Backlog and a
+// FrameQueue as sim.Kernel does (the backlog's served work is the frame
+// queue's capacity). A zero-work frame pushed into an empty queue makes
+// the backlog serve nothing, yet it must complete in its own slot with
+// sojourn 0, not wait for the next slot that serves positive work.
+func TestZeroWorkFrameCompletesInItsSlot(t *testing.T) {
+	var b Backlog
+	var q FrameQueue
+	q.Push(0, 6, 4)
+	served := b.Step(0, 10)
+	done := q.Serve(served, 4)
+	if served != 0 || len(done) != 1 || done[0].Sojourn != 0 || done[0].CompletedAt != 4 || q.Len() != 0 {
+		t.Fatalf("served %v, completed %+v, %d left; want 0 served and one completion at slot 4 with sojourn 0",
+			served, done, q.Len())
+	}
+	// Behind positive work, a zero-work frame completes with the frame
+	// that drains the capacity exactly.
+	q.Push(5, 6, 5)
+	q.Push(0, 6, 5)
+	q.Push(1, 6, 5)
+	if done := q.Serve(5, 5); len(done) != 2 || done[1].ID != 2 || q.WorkBacklog() != 1 {
+		t.Errorf("completed %+v with %v work left, want frames 1 and 2 and 1 left", done, q.WorkBacklog())
+	}
+	// Negative and NaN capacity serve nothing, zero-work frames aside.
+	for _, c := range []float64{-3, math.NaN()} {
+		if done := q.Serve(c, 6); done != nil || q.WorkBacklog() != 1 {
+			t.Errorf("Serve(%v) completed %+v, left %v work; want nothing and 1", c, done, q.WorkBacklog())
+		}
 	}
 }
 

@@ -111,8 +111,18 @@ func NewQuantileSketch(accuracy float64) *QuantileSketch {
 
 // Add incorporates one observation (negatives are clamped to zero, NaN
 // is ignored).
-func (s *QuantileSketch) Add(x float64) {
-	if math.IsNaN(x) {
+func (s *QuantileSketch) Add(x float64) { s.AddN(x, 1) }
+
+// AddN incorporates n observations of x at once. The count, minimum,
+// maximum and every bucket end as n calls of Add(x) would leave them,
+// in any interleaving with other adds. The running sum grows by
+// float64(n)·x in one step, which is what the n calls add whenever the
+// sum stays exact: for integer x, with every partial sum below 2^53.
+// Callers that keep counts per integer value (or per value of a small
+// set) fold them in with one AddN each instead of one Add per
+// observation.
+func (s *QuantileSketch) AddN(x float64, n uint64) {
+	if n == 0 || math.IsNaN(x) {
 		return
 	}
 	if x < 0 {
@@ -128,18 +138,18 @@ func (s *QuantileSketch) Add(x float64) {
 			s.max = x
 		}
 	}
-	s.count++
-	s.sum += x
+	s.count += n
+	s.sum += float64(n) * x
 	if x < sketchMinValue {
-		s.zero++
+		s.zero += n
 		return
 	}
 	i := s.index(x)
 	if k := i & (len(s.counts) - 1); i >= s.lo && i <= s.hi && s.counts[k] != 0 {
-		s.counts[k]++ // the common case: a live bucket
+		s.counts[k] += n // the common case: a live bucket
 		return
 	}
-	s.insert(i, 1)
+	s.insert(i, n)
 }
 
 // insert adds n observations to bucket i, which may fold the lowest
@@ -401,9 +411,13 @@ func (s *QuantileSketch) BucketCount() int { return s.live }
 // queueing.ClassifyTrajectory needs from a backlog series whose full
 // form the fleet engine cannot afford to keep.
 type Decimator struct {
-	cap     int
-	stride  int
-	n       int // total values observed
+	cap    int
+	stride int
+	n      int // total values observed
+	// skip counts the values still to pass before the next kept one: a
+	// countdown that keeps exactly the values with n%stride == 0
+	// without dividing per value.
+	skip    int
 	samples []float64
 }
 
@@ -418,8 +432,9 @@ func NewDecimator(capacity int) *Decimator {
 
 // Add observes the next value of the series.
 func (d *Decimator) Add(x float64) {
-	if d.n%d.stride == 0 {
+	if d.skip == 0 {
 		d.samples = append(d.samples, x)
+		d.skip = d.stride
 		if len(d.samples) >= d.cap {
 			// Halve: keep samples at even positions, doubling the stride.
 			half := (len(d.samples) + 1) / 2
@@ -428,8 +443,11 @@ func (d *Decimator) Add(x float64) {
 			}
 			d.samples = d.samples[:half]
 			d.stride *= 2
+			// Re-arm for the next multiple of the doubled stride.
+			d.skip = d.stride - d.n%d.stride
 		}
 	}
+	d.skip--
 	d.n++
 }
 
@@ -444,6 +462,6 @@ func (d *Decimator) Count() int { return d.n }
 // Reset clears the decimator for reuse without reallocating.
 func (d *Decimator) Reset() {
 	d.stride = 1
-	d.n = 0
+	d.n, d.skip = 0, 0
 	d.samples = d.samples[:0]
 }

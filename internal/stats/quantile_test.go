@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -468,5 +469,140 @@ func TestDecimatorExactBelowCap(t *testing.T) {
 	d.Reset()
 	if d.Count() != 0 || len(d.Samples()) != 0 || d.stride != 1 {
 		t.Error("Reset did not clear state")
+	}
+}
+
+// TestQuantileSketchAddNMatchesAdd is the fold's property test: n
+// observations of x folded by one AddN must leave the sketch exactly as
+// n calls of Add(x) do, with the calls interleaved in any order. The
+// values are integers plus two zero-bucket values (0 and the dyadic
+// 2^-21), and every sum stays below 2^32, so every partial sum is exact
+// and Mean must match bit for bit. At 1e-6 the values span more than
+// sketchMaxSpan buckets, and a run of consecutive integers at the top
+// fills more than sketchMaxBuckets, so both caps fold buckets.
+func TestQuantileSketchAddNMatchesAdd(t *testing.T) {
+	for _, tc := range []struct {
+		alpha              float64
+		random, maxValue   int
+		denseFrom, denseTo int // a run of consecutive integers, if any
+		maxCount           int
+	}{
+		{0.01, 400, 5000, 0, 0, 8},
+		{1e-4, 400, 5000, 0, 0, 8},
+		{1e-6, 1000, 200_000, 200_001, 205_000, 2},
+	} {
+		rng := geom.NewRNG(uint64(tc.random))
+		values := []float64{0, 0x1p-21}
+		for i := 0; i < tc.random; i++ {
+			values = append(values, float64(1+rng.Intn(tc.maxValue)))
+		}
+		for x := tc.denseFrom; x > 0 && x <= tc.denseTo; x++ {
+			values = append(values, float64(x))
+		}
+		counts := make([]uint64, len(values))
+		var stream []float64
+		for i, x := range values {
+			counts[i] = uint64(1 + rng.Intn(tc.maxCount))
+			for k := uint64(0); k < counts[i]; k++ {
+				stream = append(stream, x)
+			}
+		}
+		added := NewQuantileSketch(tc.alpha)
+		for _, i := range rng.Perm(len(stream)) {
+			added.Add(stream[i])
+		}
+		// Fold in descending order, the reverse of how the caps favour
+		// arrivals, and once more ascending.
+		for _, order := range []string{"descending", "ascending"} {
+			folded := NewQuantileSketch(tc.alpha)
+			idx := make([]int, len(values))
+			for i := range idx {
+				idx[i] = i
+			}
+			sort.Slice(idx, func(a, b int) bool {
+				if order == "descending" {
+					return values[idx[a]] > values[idx[b]]
+				}
+				return values[idx[a]] < values[idx[b]]
+			})
+			for _, i := range idx {
+				folded.AddN(values[i], counts[i])
+			}
+			folded.AddN(7, 0) // an empty fold changes nothing
+			if folded.Count() != added.Count() || folded.Mean() != added.Mean() ||
+				folded.Min() != added.Min() || folded.Max() != added.Max() {
+				t.Errorf("α=%g %s: count/mean/min/max %d/%v/%v/%v, want %d/%v/%v/%v", tc.alpha, order,
+					folded.Count(), folded.Mean(), folded.Min(), folded.Max(),
+					added.Count(), added.Mean(), added.Min(), added.Max())
+			}
+			if folded.BucketCount() != added.BucketCount() || folded.zero != added.zero {
+				t.Errorf("α=%g %s: %d live buckets and %d in zero, want %d and %d", tc.alpha, order,
+					folded.BucketCount(), folded.zero, added.BucketCount(), added.zero)
+			}
+			for k := 0; k <= 100; k++ {
+				q := float64(k) / 100
+				if got, want := folded.Quantile(q), added.Quantile(q); got != want {
+					t.Errorf("α=%g %s: q=%v: folded %v, added %v", tc.alpha, order, q, got, want)
+				}
+			}
+		}
+		if tc.alpha == 1e-6 && (added.BucketCount() != sketchMaxBuckets || added.zero <= counts[0]+counts[1] ||
+			added.hi-added.exactIndex(1) < sketchMaxSpan) {
+			t.Errorf("α=1e-6: %d live buckets, %d in zero: the caps did not engage",
+				added.BucketCount(), added.zero)
+		}
+	}
+	// NaN folds nothing; negatives fold as zeros.
+	s := NewQuantileSketch(0.01)
+	s.AddN(math.NaN(), 3)
+	s.AddN(-2, 3)
+	if s.Count() != 3 || s.zero != 3 || s.Max() != 0 || s.Mean() != 0 {
+		t.Errorf("NaN and -2 folded to count %d, zero %d, max %v, mean %v; want 3, 3, 0, 0",
+			s.Count(), s.zero, s.Max(), s.Mean())
+	}
+}
+
+// TestDecimatorCountdownMatchesModulo pins the countdown against the
+// rule it replaces: keep value n when n%stride == 0, halving at the
+// cap. After every length from 0 to 5000 the retained samples, the
+// stride and the count must equal the modulo rule's.
+func TestDecimatorCountdownMatchesModulo(t *testing.T) {
+	for _, capacity := range []int{16, 256} {
+		d := NewDecimator(capacity)
+		var ref []float64
+		stride, n := 1, 0
+		add := func(x float64) {
+			t.Helper()
+			d.Add(x)
+			if n%stride == 0 {
+				ref = append(ref, x)
+				if len(ref) >= capacity {
+					half := (len(ref) + 1) / 2
+					for i := 0; i < half; i++ {
+						ref[i] = ref[2*i]
+					}
+					ref = ref[:half]
+					stride *= 2
+				}
+			}
+			n++
+			got := d.Samples()
+			if d.Count() != n || d.stride != stride || !reflect.DeepEqual(got, ref) {
+				t.Fatalf("cap %d, length %d: count %d, stride %d, samples %v; want %d, %d, %v",
+					capacity, n, d.Count(), d.stride, got, n, stride, ref)
+			}
+		}
+		if d.Count() != 0 || len(d.Samples()) != 0 {
+			t.Fatalf("cap %d: a new decimator holds %d samples", capacity, len(d.Samples()))
+		}
+		for i := 0; i < 5000; i++ {
+			add(float64(i*i%977) + 0.5)
+		}
+		// A reset decimator starts the rule over.
+		d.Reset()
+		ref, stride, n = ref[:0], 1, 0
+		for i := 0; i < 3*capacity; i++ {
+			add(float64(i))
+		}
 	}
 }
