@@ -18,14 +18,16 @@ check:
 
 # fuzz-smoke runs each fuzz target briefly — enough to replay the
 # checked-in corpora and catch regressions in the parsers' error paths,
-# the nearest-neighbour index's exactness and the octree wire decoders'
-# agreement with their reference without a long fuzzing campaign.
+# the nearest-neighbour index's exactness, the voxel downsample's and the
+# octree wire decoders' agreement with their references without a long
+# fuzzing campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPLYDecode -fuzztime 10s ./internal/ply
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceCSV -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzReadTraceJSON -fuzztime 10s ./internal/netem
 	$(GO) test -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzGridIndexNearest -fuzztime 10s ./internal/pointcloud
+	$(GO) test -run '^$$' -fuzz FuzzVoxelDownsample -fuzztime 10s ./internal/pointcloud
 	$(GO) test -run '^$$' -fuzz FuzzDeserializeWithColors -fuzztime 10s ./internal/octree
 
 build:

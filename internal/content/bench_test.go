@@ -31,3 +31,17 @@ func BenchmarkContentProfileView(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkContentBuildAsset is one operation of the content-build
+// benchmark workload: longdress's geometry and view profiles, built
+// uncached at the default configuration (120k samples, depth 10).
+func BenchmarkContentBuildAsset(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, q := range []Quality{QualityGeometry, QualityView} {
+			if _, err := Build(Config{Asset: "longdress", Quality: q}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

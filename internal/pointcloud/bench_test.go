@@ -54,3 +54,25 @@ func BenchmarkGridIndexNearest(b *testing.B) {
 		idx.Nearest(lod.Points[i%lod.Len()])
 	}
 }
+
+// BenchmarkVoxelDownsample voxelizes the longdress body's 120k raw
+// surface samples at the depth-10 capture lattice, the step that ends
+// every synthetic.Generate.
+func BenchmarkVoxelDownsample(b *testing.B) {
+	ch, err := synthetic.ByName("longdress")
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, err := synthetic.Generate(synthetic.Config{Character: ch, SamplesTarget: 120_000, CaptureDepth: 10, Seed: 1, SkipVoxelize: true}, synthetic.Pose{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	voxel := raw.Bounds().Cubified().LongestAxisLength() / (1 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := raw.VoxelDownsample(voxel); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -12,11 +12,12 @@ import (
 // dependency-free.
 //
 // Layout: the points are copied in cell order, each with its original
-// index, and one map takes a packed cell key to the cell's ordinal, whose
-// points are pts[start[o]:start[o+1]]. Within a cell, points keep their
-// original order. A query scans its own cell, then the shells of growing
-// Chebyshev rings around it, skipping every cell whose box is already
-// farther than the best distance found.
+// index, and a dense prefix table over every cell of the grid's
+// dims[0]·dims[1]·dims[2] gives cell k the points pts[start[k]:start[k+1]],
+// k being the packed key x·dims[1]·dims[2] + y·dims[2] + z. Within a cell,
+// points keep their original order. A query scans its own cell, then the
+// shells of growing Chebyshev rings around it, skipping every cell whose
+// box is already farther than the best distance found.
 //
 // Cell size: with cellSize ≤ 0, NewGridIndex starts from the bounding-
 // volume heuristic (about two points per cell were the box filled; 1 for
@@ -24,8 +25,10 @@ import (
 // point. It then counts the cells the cloud occupies at that size and
 // refines once, scaling the size by √(targetPerCell / points per occupied
 // cell): a scanned body is a surface, whose occupied cells scale as s⁻²,
-// not a filled volume. Every size, explicit or not, is floored at the
-// longest extent / 2^20 so that packed cell keys cannot wrap.
+// not a filled volume. Every size, explicit or not, is then doubled until
+// the grid has at most max(8·n, 2¹⁶) cells, which bounds the table at
+// 32 bytes per point (256 KB for small clouds). A body capture at the
+// default size needs about 2.3 cells per point.
 //
 // Ties: among equidistant points a query returns the lowest original
 // index, so every query equals a brute-force scan of the cloud in index
@@ -37,11 +40,10 @@ type GridIndex struct {
 	cellSize float64
 	inv      float64 // 1 / cellSize
 	origin   geom.Vec3
-	dims     [3]int           // cells per axis over the cloud's bounds
-	cells    map[uint64]int32 // packed cell key → cell ordinal
-	start    []int32          // cell o holds pts[start[o]:start[o+1]]
-	pts      []geom.Vec3      // points in cell order
-	ids      []int32          // original index of each entry of pts
+	dims     [3]int      // cells per axis over the cloud's bounds
+	start    []int32     // cell k holds pts[start[k]:start[k+1]]
+	pts      []geom.Vec3 // points in cell order
+	ids      []int32     // original index of each entry of pts
 }
 
 const (
@@ -49,8 +51,11 @@ const (
 	// aims for: enough points that a query's own cell usually yields a
 	// candidate, few enough that scanning a neighbour cell stays cheap.
 	targetPerCell = 4
-	// maxCellsPerAxis bounds the cells along any axis so that the packed
-	// key x·dy·dz + y·dz + z fits in 64 bits.
+	// minTableCells is the cell budget of a small cloud's table; a
+	// larger cloud gets 8 cells per point.
+	minTableCells = 1 << 16
+	// maxCellsPerAxis clamps an axis's cell count while a size is being
+	// tried, so that the product of the three cannot overflow.
 	maxCellsPerAxis = 1 << 20
 	// boxSlack widens the conservative cell-box distance bound: a point is
 	// assigned its cell by a rounded floor((p − origin)/cellSize), so it
@@ -61,56 +66,46 @@ const (
 
 // NewGridIndex builds an index over cloud. cellSize ≤ 0 picks a size from
 // the cloud's bounds and occupancy (see GridIndex); a positive cellSize is
-// used as given, floored only so that cell keys cannot wrap.
+// used as given unless the grid would exceed its cell budget.
 func NewGridIndex(cloud *Cloud, cellSize float64) *GridIndex {
 	g := &GridIndex{}
 	n := cloud.Len()
 	b := finiteBounds(cloud.Points)
 	g.origin = b.Min
-	floor := b.LongestAxisLength() / maxCellsPerAxis
 	if cellSize <= 0 {
-		cellSize = g.defaultCellSize(cloud.Points, b, floor)
+		cellSize = g.defaultCellSize(cloud.Points, b)
 	}
-	g.setCellSize(math.Max(cellSize, floor), b, n)
-	cells := make(map[uint64]int32, n/targetPerCell+1)
-	g.cells = cells
+	g.setCellSize(cellSize, b, n)
+	for budget := max(8*n, minTableCells); g.cells() > budget; {
+		g.setCellSize(2*g.cellSize, b, n)
+	}
 
-	// Counting build: one hashing pass assigns each point its cell ordinal
-	// (in order of first appearance), prefix sums give each cell's start,
-	// and a scatter copies the points in cell order. Points within a cell
-	// keep their original order.
-	ord := make([]int32, n)
-	var count []int32
-	lastKey, o := uint64(math.MaxUint64), int32(-1)
+	// Counting build: one pass counts each cell's points, prefix sums
+	// turn the counts into the start table, and a scatter copies the
+	// points in cell order. Points within a cell keep their original
+	// order.
+	keys := make([]int32, n)
+	g.start = make([]int32, g.cells()+1)
 	for i, p := range cloud.Points {
-		// Consecutive points often share a cell (voxelized and octree
-		// clouds come out in grid order), so the last lookup is reused.
-		if k := g.key(p); k != lastKey {
-			var ok bool
-			if o, ok = cells[k]; !ok {
-				o = int32(len(count))
-				cells[k] = o
-				count = append(count, 0)
-			}
-			lastKey = k
-		}
-		ord[i] = o
-		count[o]++
+		k := int32(g.key(p))
+		keys[i] = k
+		g.start[k+1]++
 	}
-	g.start = make([]int32, len(count)+1)
-	for o, c := range count {
-		g.start[o+1] = g.start[o] + c
+	for k := 1; k < len(g.start); k++ {
+		g.start[k] += g.start[k-1]
 	}
-	fill := count // reused as each cell's write cursor
-	copy(fill, g.start)
 	g.pts = make([]geom.Vec3, n)
 	g.ids = make([]int32, n)
 	for i, p := range cloud.Points {
-		at := fill[ord[i]]
-		fill[ord[i]]++
+		// start[k] serves as cell k's write cursor, ending at the old
+		// start[k+1]; a shift afterwards restores the table.
+		at := g.start[keys[i]]
+		g.start[keys[i]]++
 		g.pts[at] = p
 		g.ids[at] = int32(i)
 	}
+	copy(g.start[1:], g.start)
+	g.start[0] = 0
 	return g
 }
 
@@ -141,7 +136,7 @@ func widen(v float64, lo, hi *float64) {
 // defaultCellSize is the GridIndex cell-size rule. The coarsened starting
 // grid has at most 8 cells per point, so its occupancy fits a small
 // bitset.
-func (g *GridIndex) defaultCellSize(pts []geom.Vec3, b geom.AABB, floor float64) float64 {
+func (g *GridIndex) defaultCellSize(pts []geom.Vec3, b geom.AABB) float64 {
 	n := len(pts)
 	if n == 0 {
 		return 1
@@ -154,15 +149,14 @@ func (g *GridIndex) defaultCellSize(pts []geom.Vec3, b geom.AABB, floor float64)
 			s = 1
 		}
 	}
-	s = math.Max(s, floor)
 	for {
 		g.setCellSize(s, b, n)
-		if g.dims[0]*g.dims[1]*g.dims[2] <= 8*n {
+		if g.cells() <= 8*n {
 			break
 		}
 		s *= 2
 	}
-	occupied := make([]uint64, (g.dims[0]*g.dims[1]*g.dims[2]+63)/64)
+	occupied := make([]uint64, (g.cells()+63)/64)
 	count := 0
 	for _, p := range pts {
 		k := g.key(p)
@@ -188,6 +182,9 @@ func (g *GridIndex) setCellSize(s float64, b geom.AABB, n int) {
 		}
 	}
 }
+
+// cells is the number of cells in the grid.
+func (g *GridIndex) cells() int { return g.dims[0] * g.dims[1] * g.dims[2] }
 
 // clampCell floors a grid coordinate into [0, dim) when dim > 0, and into
 // [0, maxCellsPerAxis] while dim is not yet known. Every point of the
@@ -297,8 +294,8 @@ func (g *GridIndex) walk(s *search) {
 		return 0
 	}
 	cell := func(x, y, z int) {
-		if o, ok := g.cells[g.packed(x, y, z)]; ok {
-			lo, hi := g.start[o], g.start[o+1]
+		k := g.packed(x, y, z)
+		if lo, hi := g.start[k], g.start[k+1]; lo < hi {
 			s.scan(g.pts[lo:hi], g.ids[lo:hi])
 		}
 	}

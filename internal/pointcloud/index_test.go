@@ -159,9 +159,42 @@ func TestGridIndexDefaultCellSizeTracksSurface(t *testing.T) {
 		}
 	}
 	idx := NewGridIndex(c, 0)
-	perCell := float64(c.Len()) / float64(len(idx.cells))
+	occupied := 0
+	for k := 0; k+1 < len(idx.start); k++ {
+		if idx.start[k+1] > idx.start[k] {
+			occupied++
+		}
+	}
+	perCell := float64(c.Len()) / float64(occupied)
 	if perCell < targetPerCell/2 || perCell > 2*targetPerCell {
 		t.Errorf("%.1f points per occupied cell at the default size %v", perCell, idx.cellSize)
+	}
+}
+
+// TestGridIndexTableCap builds a tight cluster plus one far outlier, whose
+// bounds ask a fine grid for about 10¹⁵ cells, and requires the table to
+// stay within max(8·n, 2¹⁶) cells while every query stays exact.
+func TestGridIndexTableCap(t *testing.T) {
+	c := &Cloud{}
+	rng := geom.NewRNG(36)
+	for i := 0; i < 3000; i++ {
+		c.Append(geom.V(rng.Range(0, 1e-3), rng.Range(0, 1e-3), rng.Range(0, 1e-3)), nil, nil)
+	}
+	c.Append(geom.V(1e3, -2e3, 5e2), nil, nil)
+	queries := []geom.Vec3{geom.V(5e-4, 5e-4, 5e-4), geom.V(999, -1999, 499), geom.V(500, -1000, 250), geom.V(-1, 0, 0)}
+	for i := 0; i < 50; i++ {
+		queries = append(queries, geom.V(rng.Range(-2e-3, 3e-3), rng.Range(-2e-3, 3e-3), rng.Range(-2e-3, 3e-3)))
+	}
+	budget := max(8*c.Len(), minTableCells)
+	for _, size := range []float64{0, 1e-9, 1e-6} {
+		idx := NewGridIndex(c, size)
+		if cells := idx.cells(); cells > budget || len(idx.start) != cells+1 {
+			t.Errorf("cell size %v: %d cells (table %d), budget %d", size, cells, len(idx.start), budget)
+		}
+		if size > 0 && idx.cellSize < size {
+			t.Errorf("explicit cell size %v shrank to %v", size, idx.cellSize)
+		}
+		checkExact(t, c, idx, queries)
 	}
 }
 

@@ -349,11 +349,9 @@ func ClassifyTrajectory(series []float64, convergeTol float64) (Verdict, error) 
 		convergeTol = 0.02
 	}
 	tail := series[len(series)/2:]
-	xs := make([]float64, len(tail))
 	peak := 0.0
 	var tailStats stats.Running
-	for i, v := range tail {
-		xs[i] = float64(i)
+	for _, v := range tail {
 		tailStats.Add(v)
 	}
 	for _, v := range series {
@@ -367,15 +365,31 @@ func ClassifyTrajectory(series []float64, convergeTol float64) (Verdict, error) 
 	if tailStats.Mean() <= convergeTol*peak {
 		return VerdictConverged, nil
 	}
-	fit, err := stats.OLS(xs, tail)
-	if err == nil {
-		// Growth over the tail window relative to its own mean level.
-		growth := fit.Slope * float64(len(tail))
-		if growth > 0.5*tailStats.Mean() {
-			return VerdictDiverging, nil
-		}
+	// Growth over the tail window relative to its own mean level.
+	if growth := indexSlope(tail) * float64(len(tail)); growth > 0.5*tailStats.Mean() {
+		return VerdictDiverging, nil
 	}
 	return VerdictStabilized, nil
+}
+
+// indexSlope is the least-squares slope of ys against x = 0..len(ys)−1,
+// for at least two values. It forms stats.OLS's sums in OLS's order, so
+// the slope is OLS's bit for bit, without an x slice.
+func indexSlope(ys []float64) float64 {
+	n := float64(len(ys))
+	var sx, sy float64
+	for i, y := range ys {
+		sx += float64(i)
+		sy += y
+	}
+	mx, my := sx/n, sy/n
+	var sxx, sxy float64
+	for i, y := range ys {
+		dx := float64(i) - mx
+		sxx += dx * dx
+		sxy += dx * (y - my)
+	}
+	return sxy / sxx
 }
 
 // LittleEstimator accumulates the Little's-law quantities over a run:

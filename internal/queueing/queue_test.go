@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"qarv/internal/geom"
+	"qarv/internal/stats"
 )
 
 func TestBacklogLindleyRecursion(t *testing.T) {
@@ -414,6 +415,44 @@ func TestClassifyTrajectory(t *testing.T) {
 	}
 	if _, err := ClassifyTrajectory([]float64{1, 2}, 0); !errors.Is(err, ErrTooShort) {
 		t.Errorf("short input: %v", err)
+	}
+}
+
+// TestIndexSlopeMatchesOLS requires ClassifyTrajectory's inline slope to
+// equal stats.OLS over an explicit x = 0..n−1 slice bit for bit, and the
+// classification to allocate nothing.
+func TestIndexSlopeMatchesOLS(t *testing.T) {
+	rng := geom.NewRNG(37)
+	var series [][]float64
+	for _, n := range []int{2, 3, 4, 8, 9, 100, 1001, 4096} {
+		random, constant, ramp := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range random {
+			random[i] = rng.Range(-1e6, 1e9)
+			constant[i] = 1234.5
+			ramp[i] = 0.1 + 37.3*float64(i)
+		}
+		series = append(series, random, constant, ramp)
+	}
+	for _, ys := range series {
+		xs := make([]float64, len(ys))
+		for i := range xs {
+			xs[i] = float64(i)
+		}
+		fit, err := stats.OLS(xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := indexSlope(ys); math.Float64bits(got) != math.Float64bits(fit.Slope) {
+			t.Errorf("%d values from %v: slope %v, OLS %v", len(ys), ys[0], got, fit.Slope)
+		}
+	}
+	ramp := series[len(series)-1]
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ClassifyTrajectory(ramp, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ClassifyTrajectory allocates %v times per call", allocs)
 	}
 }
 
