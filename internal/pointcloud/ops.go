@@ -34,6 +34,7 @@ func (c *Cloud) VoxelDownsample(voxelSize float64) (*Cloud, error) {
 		return &Cloud{}, nil
 	}
 	b := c.Bounds()
+	// The allocation's second half is the radix sort's other buffer.
 	keys := make([]voxelKey, n, 2*n)
 	lo := [3]int32{math.MaxInt32, math.MaxInt32, math.MaxInt32}
 	hi := [3]int32{math.MinInt32, math.MinInt32, math.MinInt32}
