@@ -20,6 +20,9 @@ import (
 	"testing"
 
 	"qarv/internal/content"
+	"qarv/internal/experiments"
+	"qarv/internal/octree"
+	"qarv/internal/ply"
 	"qarv/internal/quality"
 	"qarv/internal/sim"
 )
@@ -62,14 +65,14 @@ func BenchmarkFig1DepthResolution(b *testing.B) {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			var points int
 			for i := 0; i < b.N; i++ {
-				lod, err := tree.LOD(depth, LODCentroid)
+				lod, err := tree.LOD(depth, octree.LODCentroid)
 				if err != nil {
 					b.Fatal(err)
 				}
 				points = lod.Len()
 			}
 			b.ReportMetric(float64(points), "points")
-			lod, _ := tree.LOD(depth, LODCentroid)
+			lod, _ := tree.LOD(depth, octree.LODCentroid)
 			rep, err := quality.CompareGeometry(cloud, lod)
 			if err != nil {
 				b.Fatal(err)
@@ -87,10 +90,10 @@ func BenchmarkFig1DepthResolution(b *testing.B) {
 // t = 800 (max diverged, min at 0, Proposed bounded).
 func BenchmarkFig2aQueueDynamics(b *testing.B) {
 	s := benchScenario(b)
-	var res *Fig2Result
+	var res *experiments.Fig2Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = Fig2(s)
+		res, err = experiments.Fig2Context(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,10 +112,10 @@ func BenchmarkFig2aQueueDynamics(b *testing.B) {
 // depth before and after the knee.
 func BenchmarkFig2bControlActions(b *testing.B) {
 	s := benchScenario(b)
-	var res *Fig2Result
+	var res *experiments.Fig2Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = Fig2(s)
+		res, err = experiments.Fig2Context(context.Background(), s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,10 +373,10 @@ func BenchmarkPLYRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := WritePLY(&buf, cloud, PLYBinaryLE); err != nil {
+		if err := ply.WriteCloud(&buf, cloud, ply.BinaryLittleEndian); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadPLY(&buf); err != nil {
+		if _, err := ply.ReadCloud(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -390,7 +393,7 @@ func BenchmarkSimulation800Slots(b *testing.B) {
 	cfg := s.SimConfig(ctrl)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg); err != nil {
+		if _, err := sim.RunContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ package names
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -44,9 +45,13 @@ func Spec(name string) (qarv.PolicySpec, error) { return qarv.SweepPolicyByName(
 
 // Policy builds a runnable policy over a calibrated scenario: the Spec
 // grammar plus "fixed:N", with vOverride (when positive) replacing the
-// calibrated V of the proposed controller. Stochastic policies draw
-// from a stream derived from seed.
+// calibrated V of the proposed controller; 0 keeps the calibration, and
+// a negative or non-finite vOverride is an error. Stochastic policies
+// draw from a stream derived from seed.
 func Policy(scn *qarv.Scenario, name string, vOverride float64, seed uint64) (qarv.Policy, error) {
+	if vOverride < 0 || math.IsNaN(vOverride) || math.IsInf(vOverride, 0) {
+		return nil, fmt.Errorf("bad V override %v: want a positive finite V, or 0 for the calibrated one", vOverride)
+	}
 	switch {
 	case name == "proposed" && vOverride > 0:
 		return scn.ControllerWithV(vOverride)
@@ -84,7 +89,7 @@ const NetworkUsage = "static, markov, trace[:FILE], handoff"
 // empty; no factor, the service stands unmodulated), markov (the
 // qarv.DefaultMarkovFactor chain), trace[:FILE] (the built-in diurnal
 // factor trace, or FILE peak-normalized) or handoff (the
-// qarv.DefaultHandoffFactor process). A trace file is loaded once, here;
+// default mobility factor process). A trace file is loaded once, here;
 // the trace is a pure function of the slot, so every run shares it.
 func Network(token string) (qarv.SweepNetwork, error) {
 	traceFile := ""

@@ -51,7 +51,9 @@ func (s *Sinks) Resolve() {
 // Export writes the collected telemetry: the registry snapshot as
 // indented JSON to the -metrics path and the recorder as a Chrome
 // trace_event file to the -trace path. A path of "-" writes to out.
-func (s *Sinks) Export(out io.Writer) error {
+// When the recorder's ring overflowed, so the trace holds only the run's
+// tail, Export says so in one line on errOut.
+func (s *Sinks) Export(out, errOut io.Writer) error {
 	if s.Registry != nil {
 		err := writeTo(out, s.metricsPath, s.Registry.Snapshot().EncodeJSON)
 		if err != nil {
@@ -61,6 +63,10 @@ func (s *Sinks) Export(out io.Writer) error {
 	if s.Recorder != nil {
 		if err := writeTo(out, s.tracePath, s.Recorder.WriteTrace); err != nil {
 			return fmt.Errorf("write trace: %w", err)
+		}
+		if dropped := s.Recorder.Dropped(); dropped > 0 {
+			fmt.Fprintf(errOut, "trace: kept the newest %d records; the ring (capacity %d) evicted %d older ones, so the trace starts mid-run\n",
+				s.Recorder.Len(), s.Recorder.Cap(), dropped)
 		}
 	}
 	return nil

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"qarv"
 )
 
 func parse(t *testing.T, args ...string) *Sinks {
@@ -25,7 +27,7 @@ func TestZeroValueCollectsNothing(t *testing.T) {
 		t.Fatal("sinks materialized without flags")
 	}
 	var out bytes.Buffer
-	if err := s.Export(&out); err != nil {
+	if err := s.Export(&out, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {
@@ -41,7 +43,7 @@ func TestStdoutExport(t *testing.T) {
 	s.Registry.Counter("demo_total").Add(3)
 	s.Recorder.Event(1, "demo", "tick", -1, 1)
 	var out bytes.Buffer
-	if err := s.Export(&out); err != nil {
+	if err := s.Export(&out, &out); err != nil {
 		t.Fatal(err)
 	}
 	// Both documents land on out: a snapshot object then a trace_event
@@ -75,7 +77,7 @@ func TestFileExportAndErrors(t *testing.T) {
 	s := parse(t, "-metrics", dir+"/m.json", "-trace", dir+"/t.json")
 	s.Registry.Gauge("demo_depth").Record(4)
 	var out bytes.Buffer
-	if err := s.Export(&out); err != nil {
+	if err := s.Export(&out, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {
@@ -83,7 +85,37 @@ func TestFileExportAndErrors(t *testing.T) {
 	}
 
 	bad := parse(t, "-metrics", dir+"/no/such/dir/m.json")
-	if err := bad.Export(&out); err == nil || !strings.Contains(err.Error(), "write metrics") {
+	if err := bad.Export(&out, &out); err == nil || !strings.Contains(err.Error(), "write metrics") {
 		t.Fatalf("unwritable path accepted: %v", err)
+	}
+}
+
+// TestTraceOverflowWarns: a trace whose ring evicted records says so on
+// errOut, naming the kept, capacity and evicted counts, while a trace
+// that fits adds nothing to either stream.
+func TestTraceOverflowWarns(t *testing.T) {
+	dir := t.TempDir()
+	s := parse(t, "-trace", dir+"/t.json")
+	s.Recorder = qarv.NewFlightRecorder(4)
+	for slot := int64(0); slot < 4; slot++ {
+		s.Recorder.Event(slot, "demo", "tick", -1, 1)
+	}
+	var out, errOut bytes.Buffer
+	if err := s.Export(&out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 || errOut.Len() != 0 {
+		t.Fatalf("a trace that fits its ring wrote %q / %q", out.String(), errOut.String())
+	}
+
+	for slot := int64(4); slot < 10; slot++ {
+		s.Recorder.Event(slot, "demo", "tick", -1, 1)
+	}
+	if err := s.Export(&out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	const want = "trace: kept the newest 4 records; the ring (capacity 4) evicted 6 older ones, so the trace starts mid-run\n"
+	if out.Len() != 0 || errOut.String() != want {
+		t.Fatalf("overflowed trace: stdout %q, stderr %q, want stderr %q", out.String(), errOut.String(), want)
 	}
 }

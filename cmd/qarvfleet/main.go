@@ -24,8 +24,8 @@
 //	bursty          proposed + on-off burst arrivals (2 frames / 2 slots)
 //	noisy           proposed + ±10% Gaussian service jitter per session
 //	offload         proposed in the bytes domain: the capture's measured
-//	                stream sizes against the uplink bandwidth Offload
-//	                calibrates
+//	                stream sizes against the uplink bandwidth offload
+//	                sessions calibrate
 //	oracle          best fixed depth for the calibrated service rate
 //	delayed         proposed observing the backlog a control-loop delay
 //	                stale (the display-update lag regime)
@@ -185,7 +185,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	} else {
 		printReport(out, rep)
 	}
-	return sinks.Export(out)
+	return sinks.Export(out, os.Stderr)
 }
 
 // parseContentMix builds content-backed device classes from
@@ -291,7 +291,7 @@ func buildProfile(scn *qarv.Scenario, name string, weight float64) (qarv.Profile
 		}
 	case "offload":
 		// The same capture calibrated in the bytes domain: measured
-		// stream sizes against the uplink bandwidth Offload sizes.
+		// stream sizes against the uplink bandwidth offload sessions size.
 		bs, err := qarv.NewByteScenario(scn.Params)
 		if err != nil {
 			return p, fmt.Errorf("offload: %w", err)

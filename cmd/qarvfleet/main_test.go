@@ -458,7 +458,7 @@ func TestOffloadClassUsesMeasuredStreamBytes(t *testing.T) {
 		}
 	}
 
-	res, err := experiments.Offload(experiments.OffloadParams{ScenarioParams: sp})
+	res, err := experiments.OffloadContext(context.Background(), experiments.OffloadParams{ScenarioParams: sp})
 	if err != nil {
 		t.Fatal(err)
 	}

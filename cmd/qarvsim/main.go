@@ -91,6 +91,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	sinks.Resolve()
+	if *slots <= 0 {
+		return fmt.Errorf("-slots %d: slot count must be positive", *slots)
+	}
 	if *allocName != "" && *devices <= 0 {
 		return fmt.Errorf("-alloc %q requires -devices", *allocName)
 	}
@@ -156,7 +159,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *contentAsset != "" {
 		fmt.Fprintf(out, "content           %s (measured byte/PSNR ladders)\n", scn.Params.Character)
 	}
-	fmt.Fprintf(out, "slots             %d\n", *slots)
+	fmt.Fprintf(out, "slots             %d\n", scn.Params.Slots)
 	fmt.Fprintf(out, "service rate      %.0f %s\n", scn.ServiceRate, unit)
 	if net.Factor != nil {
 		fmt.Fprintf(out, "network           %s\n", net.Factor.Name())
@@ -202,7 +205,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	}
-	return sinks.Export(out)
+	return sinks.Export(out, os.Stderr)
 }
 
 // runMulti drives the shared-edge multi-device scenario: n copies of the
@@ -274,7 +277,7 @@ func runMulti(ctx context.Context, out io.Writer, scn *qarv.Scenario, sinks *tel
 			return err
 		}
 	}
-	return sinks.Export(out)
+	return sinks.Export(out, os.Stderr)
 }
 
 // buildPolicy resolves -policy through the shared CLI grammar

@@ -127,6 +127,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), simArgs("-devices", "2", "-alloc", "fifo"), &bytes.Buffer{}); err == nil {
 		t.Error("unknown allocator must error")
 	}
+	// A horizon or V the run would not honor is an error, not a silent
+	// fallback to the scenario's 800 slots or the calibrated V.
+	for _, bad := range [][]string{
+		{"-slots", "-5"}, {"-slots", "0"},
+		{"-v", "NaN"}, {"-v", "-1"}, {"-v", "+Inf"},
+		{"-devices", "2", "-v", "-1"},
+	} {
+		var out bytes.Buffer
+		if err := run(context.Background(), simArgs(bad...), &out); err == nil {
+			t.Errorf("%v accepted; printed:\n%s", bad, out.String())
+		}
+	}
 }
 
 // TestRunNetworkDynamics pins the stdout of every -net class byte for

@@ -269,6 +269,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if o.jsonOut && o.chart {
 		return fmt.Errorf("-json and -chart are mutually exclusive: the chart would corrupt the JSON stream (use -csv alongside -json instead)")
 	}
+	if o.slots < 0 {
+		return fmt.Errorf("-slots %d: slot count must not be negative (0 = the scenario horizon)", o.slots)
+	}
 	axes := make([]qarv.SweepAxis, 0, len(o.axes))
 	for _, spec := range o.axes {
 		ax, err := buildAxis(spec, o)
@@ -332,7 +335,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err := enc.Encode(rep); err != nil {
 			return err
 		}
-		return o.sinks.Export(out)
+		return o.sinks.Export(out, os.Stderr)
 	}
 	if !o.quiet {
 		fmt.Fprintf(out, "sweep: %d cells over %s (backend %s, seed %d)\n\n",
@@ -352,5 +355,5 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 	}
-	return o.sinks.Export(out)
+	return o.sinks.Export(out, os.Stderr)
 }

@@ -135,6 +135,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-axis", "content=no-such-asset"},
 		{"-axis", "viewdist=2,4"},
 		{"-axis", "viewdist=loot:x"},
+		{"-axis", "v=1", "-slots", "-5"},
 	} {
 		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v: expected error", args)

@@ -218,10 +218,10 @@ func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*Share
 	return res, err
 }
 
-// runUplink is the one uplink engine, behind SharedUplink and Offload
-// alike. The fleet runs on sim.Kernel, each slot serving the capacity
-// the allocator grants, so every device's byte backlog follows the
-// Lindley recursion Q(t+1) = max(Q(t) + a(t) − b(t), 0). One
+// runUplink is the one uplink engine, behind SharedUplink and
+// OffloadContext alike. The fleet runs on sim.Kernel, each slot serving
+// the capacity the allocator grants, so every device's byte backlog
+// follows the Lindley recursion Q(t+1) = max(Q(t) + a(t) − b(t), 0). One
 // propagation pass then sends every completed frame across the
 // netem.Link in completion order. reg and rec, when non-nil, receive
 // the kernel's sim_*/alloc_* telemetry and the delivery pass's

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -225,7 +226,7 @@ func TestOffloadObserverReportsLoss(t *testing.T) {
 			t.Errorf("slot %d: kernel event reports a drop (%v bytes, %d frames)", e.Slot, e.Dropped, e.DroppedFrames)
 		}
 	}
-	res, err := Offload(p)
+	res, err := OffloadContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

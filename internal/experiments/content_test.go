@@ -210,7 +210,7 @@ func TestViewUtilityStabilizesController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(scn.SimConfig(ctrl))
+	res, err := sim.RunContext(context.Background(), scn.SimConfig(ctrl))
 	if err != nil {
 		t.Fatal(err)
 	}

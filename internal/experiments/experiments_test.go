@@ -109,7 +109,7 @@ func TestNewScenarioDepthOrder(t *testing.T) {
 }
 
 func TestFig1Reproduction(t *testing.T) {
-	rows, err := Fig1(ScenarioParams{Samples: 60_000, Seed: 1})
+	rows, err := Fig1Context(context.Background(), ScenarioParams{Samples: 60_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFig1RejectsDepthBeyondCapture(t *testing.T) {
 	// Parameters are validated before the capture: the default
 	// 400k-sample frame is never generated, and the error is the
 	// sentinel rather than an LOD failure after the capture.
-	rows, err := Fig1(ScenarioParams{CaptureDepth: 8, Depths: []int{5, 9}})
+	rows, err := Fig1Context(context.Background(), ScenarioParams{CaptureDepth: 8, Depths: []int{5, 9}})
 	if !errors.Is(err, ErrDepthBeyondCapture) {
 		t.Fatalf("Fig1 with depth 9 over an 8-deep capture: rows %v, err %v", rows, err)
 	}
@@ -161,7 +161,7 @@ func TestFig2ShapeMatchesPaper(t *testing.T) {
 	// The headline reproduction: max diverges, min converges, Proposed
 	// stabilizes with its knee at ~400 like the paper's Fig. 2.
 	s := sharedScenario(t)
-	res, err := Fig2(s)
+	res, err := Fig2Context(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFig2ShapeMatchesPaper(t *testing.T) {
 
 func TestFig2Tables(t *testing.T) {
 	s := sharedScenario(t)
-	res, err := Fig2(s)
+	res, err := Fig2Context(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

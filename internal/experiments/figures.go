@@ -28,19 +28,14 @@ type Fig1Row struct {
 	ColorPSNR  float64 // luma PSNR (dB) vs the full capture
 }
 
-// Fig1 regenerates the Fig. 1 artifact: per-depth resolution and fidelity
-// of the octree LOD ladder over the capture params describes, one row per
-// candidate depth. Only the capture fields (Character, Samples,
-// CaptureDepth, Seed) and Depths matter; zero values take the scenario
-// defaults.
-func Fig1(params ScenarioParams) ([]Fig1Row, error) {
-	return Fig1Context(context.Background(), params)
-}
-
-// Fig1Context is Fig1 under a cancelable context, checked before each
-// depth's (expensive) geometry comparison. Parameters are validated
-// before the capture, so a depth beyond the capture depth fails at once
-// with ErrDepthBeyondCapture.
+// Fig1Context regenerates the Fig. 1 artifact: per-depth resolution and
+// fidelity of the octree LOD ladder over the capture params describes,
+// one row per candidate depth. Only the capture fields (Character,
+// Samples, CaptureDepth, Seed) and Depths matter; zero values take the
+// scenario defaults. ctx is checked before each depth's (expensive)
+// geometry comparison. Parameters are validated before the capture, so
+// a depth beyond the capture depth fails at once with
+// ErrDepthBeyondCapture.
 func Fig1Context(ctx context.Context, params ScenarioParams) ([]Fig1Row, error) {
 	p := params.withDefaults()
 	if err := p.validate(); err != nil {
@@ -115,13 +110,9 @@ type Fig2Result struct {
 	MinDepth *sim.Result
 }
 
-// Fig2 runs the paper's three controls over the calibrated scenario.
-func Fig2(s *Scenario) (*Fig2Result, error) {
-	return Fig2Context(context.Background(), s)
-}
-
-// Fig2Context is Fig2 under a cancelable context: one policy grid of
-// the three controls on the pool backend at the scenario horizon.
+// Fig2Context runs the paper's three controls over the calibrated
+// scenario under a cancelable context: one policy grid of the three
+// controls on the pool backend at the scenario horizon.
 func Fig2Context(ctx context.Context, s *Scenario) (*Fig2Result, error) {
 	specs, err := policySpecs("proposed", "max", "min")
 	if err != nil {

@@ -154,7 +154,7 @@ func resolveLink(link *netem.LinkConfig, seed uint64) netem.LinkConfig {
 // NewByteScenario calibrates the scenario params describes in the bytes
 // domain: cost a(d) is the measured stream size of depth d, and the
 // service rate is the uplink bandwidth ServiceFraction sizes — the
-// calibration Offload runs at when its Link leaves the bandwidth unset.
+// calibration OffloadContext runs at when its Link leaves the bandwidth unset.
 func NewByteScenario(params ScenarioParams) (*Scenario, error) {
 	p := params.withDefaults()
 	if err := p.validate(); err != nil {
@@ -217,17 +217,12 @@ func latencySummary(latencies []float64) (mean, p95 float64, err error) {
 	return lat.Mean(), p95, nil
 }
 
-// Offload builds the capture, measures its per-depth stream sizes, sizes
-// the uplink, calibrates V against the byte workload, and runs the
-// control loop against the emulated link.
-func Offload(params OffloadParams) (*OffloadResult, error) {
-	return OffloadContext(context.Background(), params)
-}
-
-// OffloadContext is Offload under a cancelable context. The run is
-// SharedUplinkContext's at one unit device: the kernel serves each
-// slot's uplink capacity to the frames queued on it, and every
-// completed frame then crosses the link's propagation leg.
+// OffloadContext builds the capture, measures its per-depth stream
+// sizes, sizes the uplink, calibrates V against the byte workload, and
+// runs the control loop against the emulated link under a cancelable
+// context. The run is SharedUplinkContext's at one unit device: the
+// kernel serves each slot's uplink capacity to the frames queued on it,
+// and every completed frame then crosses the link's propagation leg.
 func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, error) {
 	up, scn, latencies, err := runUplink(ctx, SharedUplinkParams{
 		ScenarioParams: params.ScenarioParams,

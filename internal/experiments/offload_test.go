@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"math"
 	"slices"
@@ -29,7 +30,7 @@ func TestOffloadStabilizesUplink(t *testing.T) {
 		completed += len(e.Completed)
 		last = e
 	}
-	res, err := Offload(p)
+	res, err := OffloadContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestOffloadStabilizesUplink(t *testing.T) {
 }
 
 func TestOffloadBytesProfileDrivesCost(t *testing.T) {
-	res, err := Offload(offloadParams())
+	res, err := OffloadContext(context.Background(), offloadParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestOffloadBandwidthDropRecovery(t *testing.T) {
 	p := offloadParams()
 	p.Slots = 1600
 	p.Dynamics = dropTrace(t, 600, 1000, 0.5)
-	res, err := Offload(p)
+	res, err := OffloadContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestOffloadDegenerateLink(t *testing.T) {
 	p := offloadParams()
 	// Loss not quite 1 (validation), so the link loses essentially all.
 	p.Link = &netem.LinkConfig{LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.999}
-	if _, err := Offload(p); err == nil {
+	if _, err := OffloadContext(context.Background(), p); err == nil {
 		// Statistically ~0.1% delivered; accept either outcome but a
 		// totally dead link must not panic.
 		t.Log("some frames survived the 99.9% loss link")
@@ -160,7 +161,7 @@ func TestOffloadDegenerateLink(t *testing.T) {
 func TestOffloadBadCharacter(t *testing.T) {
 	p := offloadParams()
 	p.Character = "nobody"
-	if _, err := Offload(p); err == nil {
+	if _, err := OffloadContext(context.Background(), p); err == nil {
 		t.Error("unknown character must error")
 	}
 }
@@ -195,7 +196,7 @@ func TestOffloadDynamicsValidation(t *testing.T) {
 // deterministic per seed, and the dynamics name lands in the result.
 func TestOffloadMarkovDynamics(t *testing.T) {
 	base := offloadParams()
-	static, err := Offload(base)
+	static, err := OffloadContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestOffloadMarkovDynamics(t *testing.T) {
 			GoodRate: 1.5, BadRate: 0.5,
 			PGoodBad: 0.1, PBadGood: 0.1,
 		}
-		res, err := Offload(p)
+		res, err := OffloadContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +254,7 @@ func TestOffloadHandoffDynamics(t *testing.T) {
 		ScaleLo:           0.8,
 		ScaleHi:           1.2,
 	}
-	res, err := Offload(p)
+	res, err := OffloadContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestOffloadRecoveryDrainsAtLinkRate(t *testing.T) {
 	backlog := make([]float64, p.Slots)
 	arrived := make([]float64, p.Slots)
 	p.Observer = func(e sim.SlotEvent) { backlog[e.Slot], arrived[e.Slot] = e.Backlog, e.Arrived }
-	res, err := Offload(p)
+	res, err := OffloadContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestOffloadIsOneDeviceSharedUplink(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := offloadParams()
 			p.Link, p.Dynamics = tc.link, tc.dynamics
-			off, err := Offload(p)
+			off, err := OffloadContext(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -49,7 +50,7 @@ func TestUplinkRunsPinned(t *testing.T) {
 	offload := func(mutate func(*OffloadParams)) *OffloadResult {
 		p := base
 		mutate(&p)
-		res, err := Offload(p)
+		res, err := OffloadContext(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -166,9 +166,9 @@ func TestFleetMatchesSessionRuns(t *testing.T) {
 	if got, want := tot.Utility.Mean, utilitySum/slots; !closeRel(got, want, 1e-12) {
 		t.Errorf("mean utility %v, want %v (exact)", got, want)
 	}
-	if got := tot.Verdicts; got.Diverging != verdicts[qarv.VerdictDiverging] ||
-		got.Converged != verdicts[qarv.VerdictConverged] ||
-		got.Stabilized != verdicts[qarv.VerdictStabilized] {
+	if got := tot.Verdicts; got.Diverging != verdicts[queueing.VerdictDiverging] ||
+		got.Converged != verdicts[queueing.VerdictConverged] ||
+		got.Stabilized != verdicts[queueing.VerdictStabilized] {
 		t.Errorf("verdicts %+v, want session verdicts %v", got, verdicts)
 	}
 

@@ -21,7 +21,7 @@ func TestAABBEmpty(t *testing.T) {
 }
 
 func TestAABBContainsClosed(t *testing.T) {
-	b := NewAABB(V(0, 0, 0), V(1, 1, 1))
+	b := AABB{Min: V(0, 0, 0), Max: V(1, 1, 1)}
 	if !b.ContainsClosed(V(0, 0, 0)) || !b.ContainsClosed(V(1, 1, 1)) {
 		t.Error("both corners must be inside for closed query")
 	}
@@ -31,7 +31,7 @@ func TestAABBContainsClosed(t *testing.T) {
 }
 
 func TestAABBCubified(t *testing.T) {
-	b := NewAABB(V(0, 0, 0), V(2, 4, 1))
+	b := AABB{Min: V(0, 0, 0), Max: V(2, 4, 1)}
 	c := b.Cubified()
 	s := c.Size()
 	if s.X != 4 || s.Y != 4 || s.Z != 4 {
@@ -47,7 +47,7 @@ func TestAABBCubified(t *testing.T) {
 }
 
 func TestAABBExpanded(t *testing.T) {
-	b := NewAABB(V(0, 0, 0), V(1, 1, 1)).Expanded(0.5)
+	b := AABB{Min: V(0, 0, 0), Max: V(1, 1, 1)}.Expanded(0.5)
 	if b.Min != V(-0.5, -0.5, -0.5) || b.Max != V(1.5, 1.5, 1.5) {
 		t.Errorf("expanded = %v", b)
 	}

@@ -102,7 +102,7 @@ func octantDescent(b AABB, p Vec3) (int, AABB) {
 func TestMortonChildIndexMatchesOctantDescent(t *testing.T) {
 	// Descending the root cube octant by octant must follow the same path
 	// as the Morton key's per-level child indices.
-	box := NewAABB(V(0, 0, 0), V(1, 1, 1))
+	box := AABB{Min: V(0, 0, 0), Max: V(1, 1, 1)}
 	rng := NewRNG(5)
 	for n := 0; n < 200; n++ {
 		p := V(rng.Float64(), rng.Float64(), rng.Float64())
@@ -136,7 +136,7 @@ func TestLatticeCoordClamping(t *testing.T) {
 
 func TestVoxelCenterContainsPoint(t *testing.T) {
 	// The depth-d voxel center of a point must be within half a voxel of it.
-	box := NewAABB(V(-2, -2, -2), V(2, 2, 2))
+	box := AABB{Min: V(-2, -2, -2), Max: V(2, 2, 2)}
 	rng := NewRNG(11)
 	for n := 0; n < 200; n++ {
 		p := V(rng.Range(-2, 2), rng.Range(-2, 2), rng.Range(-2, 2))
@@ -155,7 +155,7 @@ func TestVoxelCenterContainsPoint(t *testing.T) {
 }
 
 func TestVoxelCenterDepthZero(t *testing.T) {
-	box := NewAABB(V(0, 0, 0), V(4, 4, 4))
+	box := AABB{Min: V(0, 0, 0), Max: V(4, 4, 4)}
 	if got := VoxelCenter(0, 0, box); got != box.Center() {
 		t.Errorf("depth-0 voxel center = %v, want box center", got)
 	}

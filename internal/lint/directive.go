@@ -35,6 +35,17 @@ type directiveSet struct {
 	malformed []Diagnostic
 }
 
+// covering returns the directive that allows analyzer's findings at
+// pos: one on the same line or on the line directly above.
+func (s *directiveSet) covering(pos token.Position, analyzer string) (directive, bool) {
+	for _, d := range s.allows {
+		if d.analyzer == analyzer && d.file == pos.Filename && (d.line == pos.Line || d.line+1 == pos.Line) {
+			return d, true
+		}
+	}
+	return directive{}, false
+}
+
 // collectDirectives scans a package's comments for allow directives,
 // validating each against the analyzer set.
 func collectDirectives(pkg *Package, analyzers []*Analyzer) directiveSet {
@@ -85,25 +96,11 @@ func quote(s string) string { return `"` + s + `"` }
 // filterAllowed drops diagnostics covered by a directive on the same
 // line or the line directly above.
 func filterAllowed(diags []Diagnostic, dirs directiveSet) []Diagnostic {
-	if len(dirs.allows) == 0 {
-		return diags
-	}
-	type key struct {
-		file     string
-		line     int
-		analyzer string
-	}
-	allowed := make(map[key]bool, 2*len(dirs.allows))
-	for _, d := range dirs.allows {
-		allowed[key{d.file, d.line, d.analyzer}] = true
-		allowed[key{d.file, d.line + 1, d.analyzer}] = true
-	}
 	kept := diags[:0]
 	for _, d := range diags {
-		if allowed[key{d.Pos.Filename, d.Pos.Line, d.Analyzer}] {
-			continue
+		if _, ok := dirs.covering(d.Pos, d.Analyzer); !ok {
+			kept = append(kept, d)
 		}
-		kept = append(kept, d)
 	}
 	return kept
 }

@@ -61,7 +61,11 @@ type Pass struct {
 	Info *types.Info
 	// PkgPath is the package's import path within the module.
 	PkgPath string
+	// ModuleDir is the root directory of the module the package
+	// belongs to.
+	ModuleDir string
 
+	dirs   *directiveSet
 	report func(Diagnostic)
 }
 
@@ -91,7 +95,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 }
 
-// Analyzers returns the full qarvcheck suite in report order.
+// Analyzers returns the full qarvcheck suite in report order. Each call
+// returns a fresh unreached analyzer, which links the module's programs
+// on the first package it checks.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NondeterminismAnalyzer,
@@ -99,6 +105,7 @@ func Analyzers() []*Analyzer {
 		ReseedCloneAnalyzer,
 		ErrstyleAnalyzer,
 		DoccheckAnalyzer,
+		newUnreachedAnalyzer(linkerReached),
 	}
 }
 
@@ -113,13 +120,15 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{
-				Analyzer: a,
-				Fset:     pkg.Fset,
-				Files:    pkg.Files,
-				Pkg:      pkg.Types,
-				Info:     pkg.Info,
-				PkgPath:  pkg.Path,
-				report:   func(d Diagnostic) { pkgDiags = append(pkgDiags, d) },
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				Info:      pkg.Info,
+				PkgPath:   pkg.Path,
+				ModuleDir: pkg.ModuleDir,
+				dirs:      &dirs,
+				report:    func(d Diagnostic) { pkgDiags = append(pkgDiags, d) },
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

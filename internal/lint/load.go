@@ -33,8 +33,8 @@ var (
 type Package struct {
 	// Path is the package's import path.
 	Path string
-	// Dir is the package's directory on disk.
-	Dir string
+	// ModuleDir is the root directory of the package's module.
+	ModuleDir string
 	// Fset is the loader's shared file set.
 	Fset *token.FileSet
 	// Files are the parsed non-test files, with comments, sorted by
@@ -223,12 +223,12 @@ func (l *Loader) Load(path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, errors.Join(typeErrs...))
 	}
 	pkg := &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  l.Fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
+		Path:      path,
+		ModuleDir: l.Dir,
+		Fset:      l.Fset,
+		Files:     files,
+		Types:     tpkg,
+		Info:      info,
 	}
 	l.pkgs[path] = pkg
 	return pkg, nil

@@ -108,27 +108,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations; zero on a nil receiver.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sk.Count()
-}
-
-// Quantile returns the q-quantile estimate (see
-// stats.QuantileSketch.Quantile); zero on a nil receiver.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sk.Quantile(q)
-}
-
 // Registry holds a process- or shard-local set of named instruments.
 // Instrument lookup is get-or-create; handles returned by Counter,
 // Gauge, and Histogram may be cached and used from multiple

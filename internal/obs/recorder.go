@@ -149,34 +149,6 @@ func (r *FlightRecorder) Reset() {
 	r.mu.Unlock()
 }
 
-// Merge copies every record currently held by o into r (subject to
-// r's ring eviction). Records keep their slots and tracks, so merging
-// per-shard recorders yields one combined timeline. No-op when either
-// side is nil.
-func (r *FlightRecorder) Merge(o *FlightRecorder) {
-	if r == nil || o == nil {
-		return
-	}
-	for _, rec := range o.Records() {
-		r.add(rec)
-	}
-}
-
-// WriteJSON writes the held records (in Records order) as an indented
-// JSON array.
-func (r *FlightRecorder) WriteJSON(w io.Writer) error {
-	recs := r.Records()
-	if recs == nil {
-		recs = []Record{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(recs); err != nil {
-		return fmt.Errorf("obs: encode records: %w", err)
-	}
-	return nil
-}
-
 // traceEvent is one entry of the Chrome trace_event JSON format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
 type traceEvent struct {

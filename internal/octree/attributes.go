@@ -153,14 +153,6 @@ type DecodedWithColors struct {
 	Colors []pointcloud.Color
 }
 
-// Cloud returns the decoded voxel centers with their colors.
-func (d *DecodedWithColors) Cloud() *pointcloud.Cloud {
-	c := d.Decoded.Cloud()
-	c.Colors = make([]pointcloud.Color, len(d.Colors))
-	copy(c.Colors, d.Colors)
-	return c
-}
-
 // DeserializeWithColorsBytes decodes a combined geometry+attribute stream
 // produced by SerializeWithColorsBytes. The stream must span data exactly;
 // trailing bytes are corruption.

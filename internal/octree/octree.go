@@ -83,14 +83,8 @@ func (k *keyOrder) Swap(i, j int) {
 	k.order[i], k.order[j] = k.order[j], k.order[i]
 }
 
-// Box returns the cubified root bounding box.
-func (o *Octree) Box() geom.AABB { return o.box }
-
 // MaxDepth returns the octree's maximum depth.
 func (o *Octree) MaxDepth() int { return o.maxDepth }
-
-// NumPoints returns the number of indexed points.
-func (o *Octree) NumPoints() int { return len(o.keys) }
 
 // OccupiedNodes returns the number of occupied voxels at depth d — the
 // paper's per-frame workload a(d): the number of points the renderer must
@@ -162,15 +156,6 @@ func (o *Octree) ForEachNode(d int, visit func(Node)) error {
 	return nil
 }
 
-// PointIndices returns the cloud indices covered by a node, in Morton order.
-func (o *Octree) PointIndices(n Node) []int {
-	out := make([]int, 0, n.Count())
-	for i := n.Start; i < n.End; i++ {
-		out = append(out, int(o.order[i]))
-	}
-	return out
-}
-
 // LODMode selects how LOD points are positioned.
 type LODMode int
 
@@ -228,26 +213,4 @@ func (o *Octree) LOD(d int, mode LODMode) (*pointcloud.Cloud, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Locate returns the depth-d node containing point p, if any.
-func (o *Octree) Locate(p geom.Vec3, d int) (Node, bool) {
-	if d < 0 || d > o.maxDepth {
-		return Node{}, false
-	}
-	target := geom.MortonAtDepth(geom.MortonFromPoint(p, o.box), d)
-	// Binary search for the first key with this prefix.
-	lo := sort.Search(len(o.keys), func(i int) bool {
-		return geom.MortonAtDepth(o.keys[i], d) >= target
-	})
-	if lo == len(o.keys) || geom.MortonAtDepth(o.keys[lo], d) != target {
-		return Node{}, false
-	}
-	hi := sort.Search(len(o.keys), func(i int) bool {
-		return geom.MortonAtDepth(o.keys[i], d) > target
-	})
-	if !o.box.ContainsClosed(p) {
-		return Node{}, false
-	}
-	return Node{Key: target, Depth: d, Start: lo, End: hi}, true
 }

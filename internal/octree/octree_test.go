@@ -135,7 +135,7 @@ func TestLODCentroidMatchesOccupancyAndBounds(t *testing.T) {
 		if !lod.HasColors() {
 			t.Errorf("depth %d: LOD lost colors", d)
 		}
-		box := o.Box()
+		box := o.box
 		for _, p := range lod.Points {
 			if !box.ContainsClosed(p) {
 				t.Fatalf("depth %d: LOD point %v outside box", d, p)
@@ -181,39 +181,6 @@ func TestLODDepthMonotoneQuality(t *testing.T) {
 			t.Fatalf("LOD size decreased at depth %d: %d -> %d", d, prev, lod.Len())
 		}
 		prev = lod.Len()
-	}
-}
-
-func TestLocate(t *testing.T) {
-	c := randomCloud(500, 8)
-	o, err := Build(c, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every original point must be locatable at every depth, in a node
-	// that covers it.
-	for i := 0; i < 50; i++ {
-		p := c.Points[i*7%c.Len()]
-		for _, d := range []int{1, 4, 8} {
-			n, ok := o.Locate(p, d)
-			if !ok {
-				t.Fatalf("point %v not located at depth %d", p, d)
-			}
-			found := false
-			for _, idx := range o.PointIndices(n) {
-				if c.Points[idx] == p {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("node at depth %d does not contain its query point", d)
-			}
-		}
-	}
-	// A far-away point must not be located.
-	if _, ok := o.Locate(geom.V(1e6, 1e6, 1e6), 4); ok {
-		t.Error("located a point far outside the box")
 	}
 }
 

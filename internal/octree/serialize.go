@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"qarv/internal/geom"
-	"qarv/internal/pointcloud"
 )
 
 // Occupancy-byte serialization, the standard compact octree encoding used
@@ -91,17 +90,10 @@ type Decoded struct {
 	Keys  []uint64 // depth-Depth Morton prefixes of occupied leaves, in order
 }
 
-// Cloud returns the decoded voxel centers as a point cloud.
-func (dec *Decoded) Cloud() *pointcloud.Cloud {
-	c := &pointcloud.Cloud{Points: make([]geom.Vec3, 0, len(dec.Keys))}
-	for _, k := range dec.Keys {
-		c.Points = append(c.Points, geom.VoxelCenter(k, dec.Depth, dec.Box))
-	}
-	return c
-}
-
 // DeserializeBytes decodes an occupancy stream produced by SerializeBytes.
 // The stream must span data exactly; trailing bytes are corruption.
+//
+//qarv:allow unreached (a) oracle: tests round-trip the reached SerializeBytes through it
 func DeserializeBytes(data []byte) (*Decoded, error) {
 	dec, n, err := decodeGeometry(data)
 	if err != nil {

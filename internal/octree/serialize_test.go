@@ -41,8 +41,8 @@ func TestSerializeRoundTripOccupancy(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if dec.Box != o.Box() {
-			t.Errorf("decoded box %v != %v", dec.Box, o.Box())
+		if dec.Box != o.box {
+			t.Errorf("decoded box %v != %v", dec.Box, o.box)
 		}
 	}
 }
@@ -61,17 +61,16 @@ func TestDecodedCloudMatchesVoxelCenters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := dec.Cloud()
 	want, err := o.LOD(5, LODVoxelCenter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("decoded cloud %d points, want %d", got.Len(), want.Len())
+	if len(dec.Keys) != want.Len() {
+		t.Fatalf("decoded %d voxels, want %d", len(dec.Keys), want.Len())
 	}
-	for i := range got.Points {
-		if got.Points[i].Dist(want.Points[i]) > 1e-9 {
-			t.Fatalf("point %d: %v != %v", i, got.Points[i], want.Points[i])
+	for i, k := range dec.Keys {
+		if got := geom.VoxelCenter(k, dec.Depth, dec.Box); got.Dist(want.Points[i]) > 1e-9 {
+			t.Fatalf("point %d: %v != %v", i, got, want.Points[i])
 		}
 	}
 }
@@ -183,9 +182,10 @@ func TestVoxelCenterRoundTripAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	voxelEdge := o.Box().Size().X / float64(int(1)<<8)
+	voxelEdge := o.box.Size().X / float64(int(1)<<8)
 	maxDist := voxelEdge * 0.87 // half diagonal = edge * sqrt(3)/2
-	for _, vc := range dec.Cloud().Points {
+	for _, k := range dec.Keys {
+		vc := geom.VoxelCenter(k, dec.Depth, dec.Box)
 		best := 1e18
 		for _, p := range c.Points {
 			if d := vc.Dist(p); d < best {
@@ -196,5 +196,4 @@ func TestVoxelCenterRoundTripAccuracy(t *testing.T) {
 			t.Fatalf("voxel center %v is %v from nearest point (max %v)", vc, best, maxDist)
 		}
 	}
-	_ = geom.Vec3{}
 }

@@ -37,11 +37,6 @@ type Cloud struct {
 // present but does not match the number of points.
 var ErrAttributeLength = errors.New("pointcloud: attribute length does not match point count")
 
-// New returns an empty cloud with capacity for n points.
-func New(n int) *Cloud {
-	return &Cloud{Points: make([]geom.Vec3, 0, n)}
-}
-
 // Len returns the number of points.
 func (c *Cloud) Len() int { return len(c.Points) }
 
@@ -62,23 +57,10 @@ func (c *Cloud) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of the cloud.
-func (c *Cloud) Clone() *Cloud {
-	out := &Cloud{Points: make([]geom.Vec3, len(c.Points))}
-	copy(out.Points, c.Points)
-	if c.HasColors() {
-		out.Colors = make([]Color, len(c.Colors))
-		copy(out.Colors, c.Colors)
-	}
-	if c.HasNormals() {
-		out.Normals = make([]geom.Vec3, len(c.Normals))
-		copy(out.Normals, c.Normals)
-	}
-	return out
-}
-
 // Append adds a point with optional attributes. Passing attributes to a
 // cloud that previously had none backfills defaults so the invariant holds.
+//
+//qarv:allow unreached (b) fixture builder: tests in six packages build clouds point by point with it
 func (c *Cloud) Append(p geom.Vec3, color *Color, normal *geom.Vec3) {
 	c.Points = append(c.Points, p)
 	if color != nil {
@@ -117,25 +99,4 @@ func (c *Cloud) RotateY(angle float64) {
 	for i := range c.Normals {
 		c.Normals[i] = c.Normals[i].RotateY(angle)
 	}
-}
-
-// Select returns a new cloud with the points at the given indices, in order.
-func (c *Cloud) Select(indices []int) *Cloud {
-	out := &Cloud{Points: make([]geom.Vec3, 0, len(indices))}
-	if c.HasColors() {
-		out.Colors = make([]Color, 0, len(indices))
-	}
-	if c.HasNormals() {
-		out.Normals = make([]geom.Vec3, 0, len(indices))
-	}
-	for _, i := range indices {
-		out.Points = append(out.Points, c.Points[i])
-		if c.HasColors() {
-			out.Colors = append(out.Colors, c.Colors[i])
-		}
-		if c.HasNormals() {
-			out.Normals = append(out.Normals, c.Normals[i])
-		}
-	}
-	return out
 }

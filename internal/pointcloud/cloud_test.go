@@ -10,7 +10,7 @@ import (
 
 func cubeCloud(n int, seed uint64) *Cloud {
 	rng := geom.NewRNG(seed)
-	c := New(n)
+	c := &Cloud{Points: make([]geom.Vec3, 0, n)}
 	for i := 0; i < n; i++ {
 		c.Append(geom.V(rng.Float64(), rng.Float64(), rng.Float64()), nil, nil)
 	}
@@ -41,18 +41,6 @@ func TestCloudValidate(t *testing.T) {
 	c.Normals = make([]geom.Vec3, 2)
 	if !errors.Is(c.Validate(), ErrAttributeLength) {
 		t.Fatal("mismatched normals not detected")
-	}
-}
-
-func TestCloudCloneIsDeep(t *testing.T) {
-	c := coloredCloud(5, 2)
-	c.Normals = make([]geom.Vec3, c.Len())
-	d := c.Clone()
-	d.Points[0] = geom.V(99, 99, 99)
-	d.Colors[0] = Color{R: 1}
-	d.Normals[0] = geom.V(9, 9, 9)
-	if c.Points[0] == d.Points[0] || c.Colors[0] == d.Colors[0] || c.Normals[0] == d.Normals[0] {
-		t.Fatal("clone shares storage with original")
 	}
 }
 
@@ -89,20 +77,6 @@ func TestCloudTransforms(t *testing.T) {
 	}
 	if c.Normals[0].Dist(geom.V(-1, 0, 0)) > 1e-12 {
 		t.Errorf("normal not rotated: %v", c.Normals[0])
-	}
-}
-
-func TestCloudSelect(t *testing.T) {
-	c := coloredCloud(10, 6)
-	s := c.Select([]int{3, 1, 7})
-	if s.Len() != 3 {
-		t.Fatalf("select len = %d", s.Len())
-	}
-	if s.Points[0] != c.Points[3] || s.Points[1] != c.Points[1] || s.Points[2] != c.Points[7] {
-		t.Error("select order wrong")
-	}
-	if s.Colors[0] != c.Colors[3] {
-		t.Error("select lost attributes")
 	}
 }
 

@@ -160,15 +160,3 @@ func (c *Cloud) MeanNeighborDistance(sample int, rng *geom.RNG) float64 {
 	}
 	return sum / float64(count)
 }
-
-// UniformSubsample keeps every k-th point (k ≥ 1), a cheap decimation.
-func (c *Cloud) UniformSubsample(k int) *Cloud {
-	if k <= 1 {
-		return c.Clone()
-	}
-	indices := make([]int, 0, c.Len()/k+1)
-	for i := 0; i < c.Len(); i += k {
-		indices = append(indices, i)
-	}
-	return c.Select(indices)
-}

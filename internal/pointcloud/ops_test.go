@@ -103,20 +103,6 @@ func TestVoxelDownsampleFinerKeepsMore(t *testing.T) {
 	}
 }
 
-func TestUniformSubsample(t *testing.T) {
-	c := cubeCloud(100, 11)
-	s := c.UniformSubsample(10)
-	if s.Len() != 10 {
-		t.Errorf("subsample len = %d", s.Len())
-	}
-	if s.Points[1] != c.Points[10] {
-		t.Error("subsample stride wrong")
-	}
-	if c.UniformSubsample(1).Len() != c.Len() {
-		t.Error("k=1 must keep everything")
-	}
-}
-
 func TestMeanNeighborDistanceLattice(t *testing.T) {
 	// Points on a unit lattice: every nearest neighbour is at distance 1.
 	c := &Cloud{}

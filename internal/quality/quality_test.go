@@ -67,7 +67,7 @@ func TestCompareGeometrySymmetricCatchesSubsets(t *testing.T) {
 	// A proper subset has zero test->ref error; the symmetric metric must
 	// still flag the missing coverage via the ref->test direction.
 	ref := grid(20, 0, 5)
-	subset := ref.Select([]int{0, 1, 2, 3, 4})
+	subset := &pointcloud.Cloud{Points: ref.Points[:5]}
 	rep, err := CompareGeometry(ref, subset)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestColorPSNR(t *testing.T) {
 		t.Errorf("identical colors: %v, %v", v, err)
 	}
 	// Wash out colors: PSNR must drop to a finite value.
-	noisy := ref.Clone()
+	noisy := &pointcloud.Cloud{Points: ref.Points, Colors: append([]pointcloud.Color(nil), ref.Colors...)}
 	for i := range noisy.Colors {
 		noisy.Colors[i].R += 40
 	}
@@ -113,7 +113,10 @@ func TestColorPSNR(t *testing.T) {
 
 func TestPointRatio(t *testing.T) {
 	ref := grid(10, 0, 8)
-	half := ref.UniformSubsample(2)
+	half := &pointcloud.Cloud{}
+	for i := 0; i < ref.Len(); i += 2 {
+		half.Append(ref.Points[i], nil, nil)
+	}
 	r, err := PointRatio(ref, half)
 	if err != nil {
 		t.Fatal(err)

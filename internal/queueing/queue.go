@@ -65,6 +65,8 @@ func (b *Backlog) TotalDropped() float64 { return b.dropped }
 
 // ConservationError returns |arrived − served − level|; it must be ~0 at
 // all times (the flow-conservation invariant under property test).
+//
+//qarv:allow unreached (a) oracle: the flow-conservation property test checks Step against it
 func (b *Backlog) ConservationError() float64 {
 	return math.Abs(b.arrived - b.served - b.level)
 }
@@ -116,6 +118,8 @@ func (q *FrameQueue) Len() int { return len(q.frames) - q.head }
 
 // WorkBacklog returns the total unserved work across queued frames; this
 // equals the scalar Q(t) when both are driven identically.
+//
+//qarv:allow unreached (a) oracle: queueing and sim tests check the frame queue against the scalar backlog with it
 func (q *FrameQueue) WorkBacklog() float64 {
 	var sum float64
 	for _, f := range q.frames[q.head:] {
@@ -417,6 +421,8 @@ func (l *LittleEstimator) ObserveCompletion(sojournSlots int) {
 }
 
 // L returns the time-average queue length.
+//
+//qarv:allow unreached (a) oracle: queueing and sim tests check Little's law with it
 func (l *LittleEstimator) L() float64 {
 	if l.slots == 0 {
 		return 0
@@ -425,6 +431,8 @@ func (l *LittleEstimator) L() float64 {
 }
 
 // Lambda returns the average arrival rate (frames/slot).
+//
+//qarv:allow unreached (a) oracle: queueing and sim tests check Little's law with it
 func (l *LittleEstimator) Lambda() float64 {
 	if l.slots == 0 {
 		return 0
@@ -441,6 +449,8 @@ func (l *LittleEstimator) W() float64 {
 }
 
 // LawGap returns |L − λ·W| / max(L, ε): the relative Little's-law residual.
+//
+//qarv:allow unreached (a) oracle: queueing and sim tests check Little's law with it
 func (l *LittleEstimator) LawGap() float64 {
 	lhs := l.L()
 	rhs := l.Lambda() * l.W()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -76,7 +77,7 @@ func TestNegativeArrivalsClamped(t *testing.T) {
 	fixed := &policy.FixedDepth{Depth: 5}
 	cfg := baseConfig(t, fixed, 400)
 	cfg.Arrivals = negativeArrivals{}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func multiFixtureConfig(t *testing.T, slots int) MultiConfig {
 // byte-for-byte (identical float arithmetic, identical call order).
 func TestEqualSplitMatchesLegacyTrajectories(t *testing.T) {
 	want := legacyRunMulti(multiFixtureConfig(t, 900))
-	got, err := RunMulti(multiFixtureConfig(t, 900))
+	got, err := RunMultiContext(context.Background(), multiFixtureConfig(t, 900))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestEqualSplitMatchesLegacyTrajectories(t *testing.T) {
 // TestMultiResultsCarryFrameAccounting: the unified loop gives every
 // device the per-frame statistics that used to be single-run-only.
 func TestMultiResultsCarryFrameAccounting(t *testing.T) {
-	res, err := RunMulti(multiFixtureConfig(t, 2000))
+	res, err := RunMultiContext(context.Background(), multiFixtureConfig(t, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestAllocatorStabilizesHeterogeneousFleet(t *testing.T) {
 	// (7.5) is far below the heavy device's 30.
 	run := func(a alloc.Allocator) *MultiResult {
 		t.Helper()
-		res, err := RunMulti(MultiConfig{
+		res, err := RunMultiContext(context.Background(), MultiConfig{
 			Devices:   fleet(),
 			Service:   &delay.ConstantService{Rate: 60},
 			Allocator: a,
@@ -293,7 +294,7 @@ func TestMultiObserverReportsDrops(t *testing.T) {
 	u, c := fixtures(t)
 	max, _ := policy.NewMaxDepth(testDepths)
 	var droppedSeen float64
-	res, err := RunMulti(MultiConfig{
+	res, err := RunMultiContext(context.Background(), MultiConfig{
 		Devices: []Device{{
 			Policy:     max,
 			Cost:       c,

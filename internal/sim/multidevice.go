@@ -133,14 +133,9 @@ func (r *MultiResult) Verdict() (queueing.Verdict, error) {
 	return queueing.ClassifyTrajectory(r.SummedBacklog(), 0)
 }
 
-// RunMulti executes N devices against a shared service budget.
-func RunMulti(cfg MultiConfig) (*MultiResult, error) {
-	return RunMultiContext(context.Background(), cfg)
-}
-
-// RunMultiContext is RunMulti under a cancelable context: the slot loop
-// polls ctx once per queueing.PollEvery slots and aborts with the
-// context's error.
+// RunMultiContext executes N devices against a shared service budget
+// under a cancelable context: the slot loop polls ctx once per
+// queueing.PollEvery slots and aborts with the context's error.
 func RunMultiContext(ctx context.Context, cfg MultiConfig) (*MultiResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -256,9 +256,6 @@ func (r *deviceRunner) finalize(slots int) *Result {
 	return res
 }
 
-// Run executes the simulation.
-func Run(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
-
 // RunContext executes the simulation under a context: the slot loop polls
 // ctx once per queueing.PollEvery slots and aborts with the context's
 // error, so even million-slot runs cancel promptly.

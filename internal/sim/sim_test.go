@@ -84,11 +84,11 @@ func TestValidation(t *testing.T) {
 	for i, tc := range cases {
 		cfg := valid
 		tc.mutate(&cfg)
-		if _, err := Run(cfg); !errors.Is(err, tc.want) {
+		if _, err := RunContext(context.Background(), cfg); !errors.Is(err, tc.want) {
 			t.Errorf("case %d: err = %v, want %v", i, err, tc.want)
 		}
 	}
-	if _, err := Run(valid); err != nil {
+	if _, err := RunContext(context.Background(), valid); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -98,7 +98,7 @@ func TestMaxDepthDiverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(baseConfig(t, max, 800))
+	res, err := RunContext(context.Background(), baseConfig(t, max, 800))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestMinDepthConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(baseConfig(t, min, 800))
+	res, err := RunContext(context.Background(), baseConfig(t, min, 800))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestMinDepthConverges(t *testing.T) {
 
 func TestControllerStabilizes(t *testing.T) {
 	ctrl := controller(t, 2e6)
-	res, err := Run(baseConfig(t, ctrl, 2000))
+	res, err := RunContext(context.Background(), baseConfig(t, ctrl, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestControllerStabilizes(t *testing.T) {
 	// Quality dominance: controller must beat min-depth's quality while
 	// staying stable.
 	min, _ := policy.NewMinDepth(testDepths)
-	minRes, err := Run(baseConfig(t, min, 2000))
+	minRes, err := RunContext(context.Background(), baseConfig(t, min, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestControllerStabilizes(t *testing.T) {
 
 func TestFlowConservation(t *testing.T) {
 	ctrl := controller(t, 1e6)
-	res, err := Run(baseConfig(t, ctrl, 500))
+	res, err := RunContext(context.Background(), baseConfig(t, ctrl, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestBoundedBacklogOverflow(t *testing.T) {
 	max, _ := policy.NewMaxDepth(testDepths)
 	cfg := baseConfig(t, max, 400)
 	cfg.MaxBacklog = 100_000
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestBoundedBacklogOverflow(t *testing.T) {
 
 func TestUtilityAccounting(t *testing.T) {
 	fixed := &policy.FixedDepth{Depth: 7}
-	res, err := Run(baseConfig(t, fixed, 100))
+	res, err := RunContext(context.Background(), baseConfig(t, fixed, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestFrameCompletionsUnderStableLoad(t *testing.T) {
 	// Stable fixed depth: every frame eventually completes with small
 	// sojourn; Little's law approximately holds.
 	fixed := &policy.FixedDepth{Depth: 8} // a(8)=110k < 170k service
-	res, err := Run(baseConfig(t, fixed, 300))
+	res, err := RunContext(context.Background(), baseConfig(t, fixed, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestRunMultiDistributedStability(t *testing.T) {
 			Arrivals: &queueing.DeterministicArrivals{PerSlot: 1},
 		}
 	}
-	res, err := RunMulti(MultiConfig{
+	res, err := RunMultiContext(context.Background(), MultiConfig{
 		Devices: devices,
 		Service: &delay.ConstantService{Rate: perDevice * float64(n)},
 		Slots:   2000,
@@ -303,7 +303,7 @@ func TestRunMultiDistributedStability(t *testing.T) {
 }
 
 func TestRunMultiValidation(t *testing.T) {
-	if _, err := RunMulti(MultiConfig{}); !errors.Is(err, ErrNoDevices) {
+	if _, err := RunMultiContext(context.Background(), MultiConfig{}); !errors.Is(err, ErrNoDevices) {
 		t.Errorf("no devices: %v", err)
 	}
 	u, c := fixtures(t)
@@ -313,12 +313,12 @@ func TestRunMultiValidation(t *testing.T) {
 		Utility:  u,
 		Arrivals: &queueing.DeterministicArrivals{PerSlot: 1},
 	}
-	if _, err := RunMulti(MultiConfig{Devices: []Device{dev}, Slots: 10}); !errors.Is(err, ErrNilService) {
+	if _, err := RunMultiContext(context.Background(), MultiConfig{Devices: []Device{dev}, Slots: 10}); !errors.Is(err, ErrNilService) {
 		t.Errorf("nil service: %v", err)
 	}
 	broken := dev
 	broken.Cost = nil
-	if _, err := RunMulti(MultiConfig{
+	if _, err := RunMultiContext(context.Background(), MultiConfig{
 		Devices: []Device{broken},
 		Service: &delay.ConstantService{Rate: 1},
 		Slots:   10,
@@ -340,7 +340,7 @@ func TestFailureInjectionThrottling(t *testing.T) {
 			{Slot: 1500, BytesPerSlot: 1},
 		}},
 	}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestObserverMatchesTrajectory(t *testing.T) {
 	cfg := baseConfig(t, controller(t, 5e5), 600)
 	var events []SlotEvent
 	cfg.Observer = func(e SlotEvent) { events = append(events, e) }
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestRunMultiObserverTagsDevices(t *testing.T) {
 	cfg := baseConfig(t, controller(t, 5e5), 50)
 	dev := Device{Policy: cfg.Policy, Cost: cfg.Cost, Utility: cfg.Utility, Arrivals: cfg.Arrivals}
 	seen := map[int]int{}
-	_, err := RunMulti(MultiConfig{
+	_, err := RunMultiContext(context.Background(), MultiConfig{
 		Devices:  []Device{dev, dev, dev},
 		Service:  cfg.Service,
 		Slots:    50,
@@ -483,7 +483,7 @@ func TestObserverCarriesFrameAccounting(t *testing.T) {
 		dropped += e.DroppedFrames
 		completed = append(completed, e.Completed...)
 	}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestResultCompletedSurvivesBufferReuse(t *testing.T) {
 		}
 		seen = append(seen, e.Completed...)
 	}
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestTelemetryCountsAndRecords(t *testing.T) {
 	cfg.MaxBacklog = 200_000 // max-depth at this service rate overflows
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Recorder = obs.NewFlightRecorder(1024)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +37,14 @@ func TestTelemetryCountsAndRecords(t *testing.T) {
 	if got := cfg.Metrics.Counter(MetricFramesCompleted).Value(); got != int64(len(res.Completed)) {
 		t.Fatalf("%s = %d, want %d", MetricFramesCompleted, got, len(res.Completed))
 	}
-	if got := cfg.Metrics.Histogram(MetricBacklog).Count(); got != 100 {
-		t.Fatalf("%s count = %d, want 100", MetricBacklog, got)
+	var backlogCount uint64
+	for _, h := range cfg.Metrics.Snapshot().Histograms {
+		if h.Name == MetricBacklog {
+			backlogCount = h.Count
+		}
+	}
+	if backlogCount != 100 {
+		t.Fatalf("%s count = %d, want 100", MetricBacklog, backlogCount)
 	}
 	if cfg.Recorder.Len() == 0 {
 		t.Fatal("recorder captured nothing")
@@ -63,7 +70,7 @@ func TestTelemetryDoesNotChangeResult(t *testing.T) {
 	}
 	plain := baseConfig(t, max, 200)
 	plain.MaxBacklog = 200_000
-	want, err := Run(plain)
+	want, err := RunContext(context.Background(), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +78,7 @@ func TestTelemetryDoesNotChangeResult(t *testing.T) {
 	instrumented.MaxBacklog = 200_000
 	instrumented.Metrics = obs.NewRegistry()
 	instrumented.Recorder = obs.NewFlightRecorder(256)
-	got, err := Run(instrumented)
+	got, err := RunContext(context.Background(), instrumented)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			if _, err := Run(cfg); err != nil {
+			if _, err := RunContext(context.Background(), cfg); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -401,6 +401,8 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) error {
 // BucketCount returns the number of live logarithmic buckets — the
 // sketch's bucket count under the sketchMaxBuckets cap (exposed for the
 // flat-memory property tests).
+//
+//qarv:allow unreached (a) oracle: stats and fleet tests pin the sketch memory cap with it
 func (s *QuantileSketch) BucketCount() int { return s.live }
 
 // Decimator retains a bounded, uniform-stride subsample of a series:

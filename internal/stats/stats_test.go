@@ -13,8 +13,8 @@ func TestRunningMoments(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		r.Add(x)
 	}
-	if r.Count() != 8 {
-		t.Errorf("count = %d", r.Count())
+	if r.n != 8 {
+		t.Errorf("count = %d", r.n)
 	}
 	if math.Abs(r.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %v", r.Mean())

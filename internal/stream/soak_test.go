@@ -122,7 +122,13 @@ func TestSoakFleetConservation(t *testing.T) {
 	if got := reg.Counter(MetricBytesAcked).Value(); got != totalBytes {
 		t.Errorf("%s = %d, want %d", MetricBytesAcked, got, totalBytes)
 	}
-	if reg.Histogram(MetricAllocShare).Count() == 0 {
+	var shares uint64
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name == MetricAllocShare {
+			shares = h.Count
+		}
+	}
+	if shares == 0 {
 		t.Errorf("allocator-share series empty despite a paced fleet")
 	}
 	if peak := reg.Gauge(MetricSessionsPeak).Value(); peak < 1 || peak > devices {

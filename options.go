@@ -10,25 +10,23 @@ type Option func(*sessionConfig)
 // sessionConfig is the raw accumulation of options before NewSession
 // resolves and validates it into a runnable Session.
 type sessionConfig struct {
-	scenario   *Scenario
-	policy     Policy
-	arrivals   ArrivalProcess
-	service    ServiceProcess
-	cost       CostModel
-	utility    UtilityModel
-	slots      int
-	slotsSet   bool
-	maxBacklog float64
-	maxSet     bool
-	content    *ContentProfile
-	devices    []Device
-	allocator  Allocator
-	offload    *OffloadParams
-	observers  []sim.Observer
-	seed       uint64
-	seedSet    bool
-	metrics    *MetricsRegistry
-	recorder   *FlightRecorder
+	scenario  *Scenario
+	policy    Policy
+	arrivals  ArrivalProcess
+	service   ServiceProcess
+	cost      CostModel
+	utility   UtilityModel
+	slots     int
+	slotsSet  bool
+	content   *ContentProfile
+	devices   []Device
+	allocator Allocator
+	offload   *OffloadParams
+	observers []sim.Observer
+	seed      uint64
+	seedSet   bool
+	metrics   *MetricsRegistry
+	recorder  *FlightRecorder
 }
 
 // WithScenario seeds the session from a calibrated Scenario: its cost,
@@ -83,12 +81,6 @@ func WithSlots(n int) Option {
 	return func(c *sessionConfig) { c.slots = n; c.slotsSet = true }
 }
 
-// WithMaxBacklog bounds the queue; overflow drops work (single-device
-// sessions only).
-func WithMaxBacklog(b float64) Option {
-	return func(c *sessionConfig) { c.maxBacklog = b; c.maxSet = true }
-}
-
 // WithDevices switches the session to a shared-service multi-device run:
 // each device brings its own policy, cost, utility, and arrivals, and
 // the session's service budget is split among them by the allocator
@@ -99,11 +91,11 @@ func WithDevices(devs ...Device) Option {
 
 // WithAllocator selects how a multi-device session splits the shared
 // per-slot edge budget across devices from their observed backlogs:
-// EqualSplit (the default — the paper's information-free baseline),
-// ProportionalBacklog, NewMaxWeight (longest queue first,
-// work-conserving), or NewWeightedRoundRobin. Only valid together with
-// WithDevices. Allocators may carry per-run state; build one session
-// per run for reproducible sweeps.
+// the equal split (the default — the paper's information-free
+// baseline), NewMaxWeight (longest queue first, work-conserving),
+// NewWeightedRoundRobin, or any AllocatorByName name. Only valid
+// together with WithDevices. Allocators may carry per-run state; build
+// one session per run for reproducible sweeps.
 func WithAllocator(a Allocator) Option {
 	return func(c *sessionConfig) { c.allocator = a }
 }

@@ -7,9 +7,10 @@
 //
 // The package is a facade over the implementation packages: it re-exports
 // the controller (Eq. (3) of the paper), the baseline policies, the
-// slotted simulator, the fleet-scale engine, the octree/point-cloud/PLY
+// slotted simulator, the fleet-scale engine, the octree/point-cloud
 // substrates, the synthetic 8i-like dataset generator, and the
-// figure-reproduction experiments. The exported names below are the
+// calibrated scenarios and sweeps the paper's figures are built from
+// (cmd/qarvfig draws them). The exported names below are the
 // supported public API; see README.md for the system tour and quickstart.
 //
 // # Sessions
@@ -25,7 +26,7 @@
 //	fmt.Println(rep.Verdict, rep.TimeAvgUtility, rep.TimeAvgBacklog)
 //
 // Options override any scenario default (WithPolicy, WithArrivals,
-// WithService, WithCost, WithUtility, WithSlots, WithMaxBacklog), switch
+// WithService, WithCost, WithUtility, WithSlots), switch
 // scenario kind (WithDevices, WithOffload), make every stochastic
 // component deterministic from one seed (WithSeed), and attach per-slot
 // streaming hooks (WithObserver). Batches of runs are grids on the
@@ -80,8 +81,6 @@
 package qarv
 
 import (
-	"io"
-
 	"qarv/internal/alloc"
 	"qarv/internal/content"
 	"qarv/internal/core"
@@ -90,7 +89,6 @@ import (
 	"qarv/internal/geom"
 	"qarv/internal/netem"
 	"qarv/internal/octree"
-	"qarv/internal/ply"
 	"qarv/internal/pointcloud"
 	"qarv/internal/policy"
 	"qarv/internal/quality"
@@ -129,14 +127,6 @@ type (
 	// FixedDepth always picks its configured depth.
 	FixedDepth = policy.FixedDepth
 )
-
-// NewMinDepthPolicy returns the paper's "only min-Depth" baseline.
-func NewMinDepthPolicy(depths []int) (Policy, error) { return policy.NewMinDepth(depths) }
-
-// NewThresholdPolicy returns the hysteresis baseline.
-func NewThresholdPolicy(depths []int, low, high float64) (Policy, error) {
-	return policy.NewThreshold(depths, low, high)
-}
 
 // NewRandomPolicy returns the uniform-random baseline.
 func NewRandomPolicy(depths []int, seed uint64) (Policy, error) {
@@ -187,32 +177,18 @@ func NewPointCostModel(profile []int, perPoint, perLevel, fixed float64) (*Point
 }
 
 // ---------------------------------------------------------------------------
-// Point clouds, octrees, PLY, synthetic dataset
+// Point clouds, octrees, synthetic dataset
 // ---------------------------------------------------------------------------
 
 type (
 	// Cloud is a point cloud with optional colors and normals.
 	Cloud = pointcloud.Cloud
-	// Color is an 8-bit RGB color.
-	Color = pointcloud.Color
-	// Vec3 is a 3-vector.
-	Vec3 = geom.Vec3
 	// Octree is a depth-controllable octree over a cloud.
 	Octree = octree.Octree
-	// LODMode selects LOD point placement.
-	LODMode = octree.LODMode
-	// Character is a synthetic body preset.
-	Character = synthetic.Character
 	// BodyConfig controls synthetic body generation.
 	BodyConfig = synthetic.Config
 	// Pose is a body stance (gait phase, yaw, lean).
 	Pose = synthetic.Pose
-)
-
-// LOD placement modes.
-const (
-	LODCentroid    = octree.LODCentroid
-	LODVoxelCenter = octree.LODVoxelCenter
 )
 
 // BuildOctree constructs an octree of the given max depth over a cloud.
@@ -220,25 +196,6 @@ func BuildOctree(c *Cloud, maxDepth int) (*Octree, error) { return octree.Build(
 
 // GenerateBody produces one synthetic voxelized full-body frame.
 func GenerateBody(cfg BodyConfig, pose Pose) (*Cloud, error) { return synthetic.Generate(cfg, pose) }
-
-// WritePLY encodes a cloud in the 8i vertex layout.
-// Formats: PLYASCII, PLYBinaryLE, PLYBinaryBE.
-func WritePLY(w io.Writer, c *Cloud, format PLYFormat, comments ...string) error {
-	return ply.WriteCloud(w, c, format, comments...)
-}
-
-// ReadPLY decodes a PLY stream into a cloud.
-func ReadPLY(r io.Reader) (*Cloud, error) { return ply.ReadCloud(r) }
-
-// PLYFormat identifies a PLY body encoding.
-type PLYFormat = ply.Format
-
-// Supported PLY encodings.
-const (
-	PLYASCII    = ply.ASCII
-	PLYBinaryLE = ply.BinaryLittleEndian
-	PLYBinaryBE = ply.BinaryBigEndian
-)
 
 // ---------------------------------------------------------------------------
 // Queueing and simulation
@@ -264,8 +221,6 @@ type (
 	// Allocator splits the shared per-slot edge budget across devices
 	// from their observed backlogs (see WithAllocator).
 	Allocator = alloc.Allocator
-	// EqualSplit is the information-free budget split (the default).
-	EqualSplit = alloc.EqualSplit
 	// MaxWeight serves the longest queues first (work-conserving).
 	MaxWeight = alloc.MaxWeight
 	// WeightedRoundRobin is a fluid deficit-round-robin split.
@@ -275,12 +230,9 @@ type (
 	SlotEvent = sim.SlotEvent
 )
 
-// Trajectory verdicts.
-const (
-	VerdictDiverging  = queueing.VerdictDiverging
-	VerdictConverged  = queueing.VerdictConverged
-	VerdictStabilized = queueing.VerdictStabilized
-)
+// VerdictDiverging is the verdict of a backlog that grows without
+// bound.
+const VerdictDiverging = queueing.VerdictDiverging
 
 // NewMaxWeight returns a longest-queue-first allocator.
 func NewMaxWeight() *MaxWeight { return alloc.NewMaxWeight() }
@@ -310,20 +262,6 @@ type (
 	// ContentProfile is an immutable measured workload profile: per-depth
 	// occupancy, stream-byte, and PSNR ladders over one asset.
 	ContentProfile = content.Profile
-	// ContentView configures the camera of view-quality measurement.
-	ContentView = content.View
-	// ContentQuality selects the utility metric of a content build.
-	ContentQuality = content.Quality
-)
-
-// Content quality metrics.
-const (
-	// ContentQualityGeometry measures D1 geometry PSNR per depth
-	// (viewpoint independent). Default.
-	ContentQualityGeometry = content.QualityGeometry
-	// ContentQualityView measures rendered-image PSNR per depth through
-	// the configured camera (viewpoint/distance dependent).
-	ContentQualityView = content.QualityView
 )
 
 // LoadContent returns the profile for cfg from the in-process content
@@ -344,7 +282,7 @@ func NewContentScenario(params ScenarioParams, prof *ContentProfile) (*Scenario,
 }
 
 // ---------------------------------------------------------------------------
-// Experiments (paper figures + ablations)
+// Experiments (scenarios, offload, shared uplinks)
 // ---------------------------------------------------------------------------
 
 type (
@@ -352,10 +290,6 @@ type (
 	ScenarioParams = experiments.ScenarioParams
 	// Scenario is the calibrated experimental setup.
 	Scenario = experiments.Scenario
-	// Fig1Row is one depth's Fig. 1 fidelity row.
-	Fig1Row = experiments.Fig1Row
-	// Fig2Result bundles the three compared Fig. 2 runs.
-	Fig2Result = experiments.Fig2Result
 	// OffloadParams controls the edge-offload scenario.
 	OffloadParams = experiments.OffloadParams
 	// OffloadResult is an edge-offload run's trajectory and delivery
@@ -371,9 +305,6 @@ type (
 	// AllocDeviceSpec shapes one device of a heterogeneous fleet
 	// (arrival rate and cost scale) in the allocator ablation.
 	AllocDeviceSpec = experiments.AllocDeviceSpec
-	// LinkConfig parameterizes the emulated uplink of an offload run
-	// (see OffloadParams.Link): bandwidth, latency, jitter, and loss.
-	LinkConfig = netem.LinkConfig
 	// MarkovBandwidth is a two-state (good/bad) Markov-modulated
 	// capacity process — the Gilbert–Elliott shape of a fading channel.
 	// It and the trace and handoff processes below are ServiceProcesses:
@@ -403,11 +334,6 @@ func NewTraceBandwidth(points []TracePoint, period int) (*TraceBandwidth, error)
 // CLIs' -net markov class. A nil rng pins the chain to its start state.
 func DefaultMarkovFactor(rng *RNG) *MarkovBandwidth { return netem.DefaultMarkovFactor(rng) }
 
-// DefaultHandoffFactor returns the default mobility factor process
-// (mean 250-slot cell dwells, 4-slot outages, new-cell scale in
-// [0.7, 1.2]) — the CLIs' -net handoff class. A nil rng never hands off.
-func DefaultHandoffFactor(rng *RNG) *HandoffBandwidth { return netem.DefaultHandoffFactor(rng) }
-
 // LoadFactorTrace loads a -net style factor trace. An empty path
 // returns the built-in 240-slot daily-load factor trace (dips to ×0.6
 // mid-cycle). Otherwise it loads the file — .json as the
@@ -434,12 +360,5 @@ func NewScenario(p ScenarioParams) (*Scenario, error) { return experiments.NewSc
 
 // NewByteScenario calibrates the same capture in the bytes domain of the
 // uplink runs: cost a(d) is the measured stream size of depth d and the
-// service rate the uplink bandwidth Offload calibrates at.
+// service rate the uplink bandwidth offload sessions calibrate at.
 func NewByteScenario(p ScenarioParams) (*Scenario, error) { return experiments.NewByteScenario(p) }
-
-// Fig1 regenerates the Fig. 1 per-depth resolution/fidelity rows over
-// the capture p describes (see experiments.Fig1).
-func Fig1(p ScenarioParams) ([]Fig1Row, error) { return experiments.Fig1(p) }
-
-// Fig2 runs the paper's three controls over a calibrated scenario.
-func Fig2(s *Scenario) (*Fig2Result, error) { return experiments.Fig2(s) }

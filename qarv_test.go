@@ -4,10 +4,17 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"qarv/internal/experiments"
+	"qarv/internal/ply"
+	"qarv/internal/policy"
 )
 
-// End-to-end integration tests through the public facade only: everything
-// a downstream user would touch, wired together the way README shows.
+// End-to-end integration tests through the public facade: everything a
+// downstream user would touch, wired together the way README shows. The
+// PLY codec, the figure runners and the min-depth and threshold
+// baselines have no facade constructor, so those steps call the
+// internal packages the commands use.
 
 func TestEndToEndPipeline(t *testing.T) {
 	// Capture.
@@ -21,10 +28,10 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Dataset IO round trip.
 	var buf bytes.Buffer
-	if err := WritePLY(&buf, cloud, PLYBinaryLE, "integration"); err != nil {
+	if err := ply.WriteCloud(&buf, cloud, ply.BinaryLittleEndian, "integration"); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadPLY(&buf)
+	loaded, err := ply.ReadCloud(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +102,14 @@ func TestFacadeScenarioAndFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Fig2(scn)
+	res, err := experiments.Fig2Context(context.Background(), scn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.CheckShape(); err != nil {
 		t.Fatalf("figure shape: %v", err)
 	}
-	rows, err := Fig1(ScenarioParams{Samples: 40_000, CaptureDepth: 9, Depths: []int{4, 6, 8}, Seed: 2})
+	rows, err := experiments.Fig1Context(context.Background(), ScenarioParams{Samples: 40_000, CaptureDepth: 9, Depths: []int{4, 6, 8}, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +120,7 @@ func TestFacadeScenarioAndFigures(t *testing.T) {
 
 func TestFacadePolicies(t *testing.T) {
 	depths := []int{5, 6, 7}
-	minP, err := NewMinDepthPolicy(depths)
+	minP, err := policy.NewMinDepth(depths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +128,7 @@ func TestFacadePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thrP, err := NewThresholdPolicy(depths, 10, 100)
+	thrP, err := policy.NewThreshold(depths, 10, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,9 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"qarv/internal/netem"
+	"qarv/internal/policy"
 )
 
 // stochasticSessionOpts builds a session where every seedable component
@@ -168,7 +171,7 @@ func TestWithSeedMarkovService(t *testing.T) {
 	}{
 		{"net markov", true, func() ServiceProcess { return DefaultMarkovFactor(nil) }},
 		{"net trace", false, func() ServiceProcess { return diurnal }},
-		{"net handoff", true, func() ServiceProcess { return DefaultHandoffFactor(nil) }},
+		{"net handoff", true, func() ServiceProcess { return netem.DefaultHandoffFactor(nil) }},
 		{"sweep static", false, shape(NetworkStatic())},
 		{"sweep markov", true, shape(NetworkMarkov(0.6))},
 		{"sweep markov dwell", true, shape(NetworkMarkovDwell(0.6, 20))},
@@ -179,7 +182,7 @@ func TestWithSeedMarkovService(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(seed uint64) []byte {
 				cost, util := cheapModels(t)
-				p, err := NewThresholdPolicy([]int{2, 3, 4, 5}, 3000, 9000)
+				p, err := policy.NewThreshold([]int{2, 3, 4, 5}, 3000, 9000)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -397,7 +400,7 @@ func TestContentSweepBackendsCoincide(t *testing.T) {
 // still Markov-modulated (both capacity levels appear).
 func TestMarkovServiceSurvivesSessionReRun(t *testing.T) {
 	cost, util := cheapModels(t)
-	p, err := NewThresholdPolicy([]int{2, 3, 4, 5}, 3000, 9000)
+	p, err := policy.NewThreshold([]int{2, 3, 4, 5}, 3000, 9000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	switch {
 	case c.offload != nil:
 		if c.scenario != nil || c.policy != nil || c.arrivals != nil || c.service != nil ||
-			c.cost != nil || c.utility != nil || c.maxSet || len(c.devices) > 0 {
+			c.cost != nil || c.utility != nil || len(c.devices) > 0 {
 			return nil, fmt.Errorf("%w: offload sessions configure capture and control through OffloadParams (WithSlots, WithSeed, WithObserver still apply)", ErrOptionConflict)
 		}
 		if c.allocator != nil {
@@ -137,7 +137,7 @@ func NewSession(opts ...Option) (*Session, error) {
 		return &Session{kind: KindOffload, offload: p}, nil
 
 	case len(c.devices) > 0:
-		if c.policy != nil || c.arrivals != nil || c.cost != nil || c.utility != nil || c.maxSet {
+		if c.policy != nil || c.arrivals != nil || c.cost != nil || c.utility != nil {
 			return nil, fmt.Errorf("%w: multi-device sessions configure policy, cost, utility, and arrivals per Device", ErrOptionConflict)
 		}
 		cfg := sim.MultiConfig{
@@ -176,16 +176,15 @@ func NewSession(opts ...Option) (*Session, error) {
 			return nil, ErrAllocatorWithoutDevices
 		}
 		cfg := sim.Config{
-			Policy:     c.policy,
-			Arrivals:   c.arrivals,
-			Cost:       c.cost,
-			Utility:    c.utility,
-			Service:    c.service,
-			Slots:      c.slots,
-			MaxBacklog: c.maxBacklog,
-			Observer:   obs,
-			Metrics:    c.metrics,
-			Recorder:   c.recorder,
+			Policy:   c.policy,
+			Arrivals: c.arrivals,
+			Cost:     c.cost,
+			Utility:  c.utility,
+			Service:  c.service,
+			Slots:    c.slots,
+			Observer: obs,
+			Metrics:  c.metrics,
+			Recorder: c.recorder,
 		}
 		if c.scenario != nil {
 			base := c.scenario.SimConfig(nil)

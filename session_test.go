@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"qarv/internal/alloc"
+	"qarv/internal/netem"
+	"qarv/internal/policy"
 	"qarv/internal/sim"
 )
 
@@ -30,7 +33,7 @@ func cheapModels(t *testing.T) (CostModel, UtilityModel) {
 func cheapSessionOpts(t *testing.T, slots int) []Option {
 	t.Helper()
 	cost, util := cheapModels(t)
-	p, err := NewThresholdPolicy([]int{2, 3, 4, 5}, 3000, 9000)
+	p, err := policy.NewThreshold([]int{2, 3, 4, 5}, 3000, 9000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +62,10 @@ func TestSessionOptionValidation(t *testing.T) {
 		{"missing arrivals", []Option{WithPolicy(fixed), WithCost(cost), WithUtility(util), WithService(svc), WithSlots(10)}, sim.ErrNilArrivals},
 		{"missing slots", []Option{WithPolicy(fixed), WithArrivals(arr), WithCost(cost), WithUtility(util), WithService(svc)}, sim.ErrBadSlots},
 		{"policy with devices", []Option{WithPolicy(fixed), WithDevices(Device{Policy: fixed, Cost: cost, Utility: util, Arrivals: arr}), WithService(svc), WithSlots(10)}, ErrOptionConflict},
-		{"max backlog with devices", []Option{WithMaxBacklog(5), WithDevices(Device{Policy: fixed, Cost: cost, Utility: util, Arrivals: arr}), WithService(svc), WithSlots(10)}, ErrOptionConflict},
 		{"offload with policy", []Option{WithOffload(OffloadParams{}), WithPolicy(fixed)}, ErrOptionConflict},
 		{"incomplete device", []Option{WithDevices(Device{Policy: fixed}), WithService(svc), WithSlots(10)}, sim.ErrNilCost},
 		{"no devices no policy", nil, sim.ErrNilPolicy},
-		{"allocator without devices", append(cheapSessionOpts(t, 10), WithAllocator(EqualSplit{})), ErrAllocatorWithoutDevices},
+		{"allocator without devices", append(cheapSessionOpts(t, 10), WithAllocator(alloc.EqualSplit{})), ErrAllocatorWithoutDevices},
 		{"allocator with offload", []Option{WithOffload(OffloadParams{}), WithAllocator(NewMaxWeight())}, ErrAllocatorWithoutDevices},
 	}
 	for _, tc := range cases {
@@ -82,10 +84,10 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := NewSession(WithOffload(OffloadParams{}), WithSlots(-5)); !errors.Is(err, sim.ErrBadSlots) {
 		t.Errorf("offload WithSlots(-5) = %v, want ErrBadSlots", err)
 	}
-	if _, err := NewSession(WithOffload(OffloadParams{Link: &LinkConfig{LossProb: -0.5}})); err == nil {
+	if _, err := NewSession(WithOffload(OffloadParams{Link: &netem.LinkConfig{LossProb: -0.5}})); err == nil {
 		t.Error("negative loss probability accepted at construction")
 	}
-	if _, err := NewSession(WithOffload(OffloadParams{Link: &LinkConfig{LatencySlots: -1}})); err == nil {
+	if _, err := NewSession(WithOffload(OffloadParams{Link: &netem.LinkConfig{LatencySlots: -1}})); err == nil {
 		t.Error("negative latency accepted at construction")
 	}
 	// Malformed dynamics are rejected at construction too.
@@ -268,7 +270,7 @@ func TestSessionScenarioDefaultsAndOverrides(t *testing.T) {
 	}
 
 	// Overrides: a different policy and horizon on the same scenario.
-	minP, err := NewMinDepthPolicy(scn.Params.Depths)
+	minP, err := policy.NewMinDepth(scn.Params.Depths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +360,7 @@ func TestSessionWithAllocator(t *testing.T) {
 }
 
 // withUplink returns base with its uplink set to l.
-func withUplink(base OffloadParams, l LinkConfig) OffloadParams {
+func withUplink(base OffloadParams, l netem.LinkConfig) OffloadParams {
 	base.Link = &l
 	return base
 }
@@ -370,7 +372,7 @@ func TestSessionOffloadWithLink(t *testing.T) {
 	}}
 	// The fixed bandwidth must sit below bytes(d_max) or V-calibration
 	// (correctly) refuses: every depth stable means no tradeoff to tune.
-	s, err := NewSession(WithOffload(withUplink(base, LinkConfig{
+	s, err := NewSession(WithOffload(withUplink(base, netem.LinkConfig{
 		BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001,
 	})))
 	if err != nil {
@@ -392,7 +394,7 @@ func TestSessionOffloadWithLink(t *testing.T) {
 
 	// A lossless link is expressible: explicit zeros are honored rather
 	// than re-defaulted to the offload's 1% loss / 2-slot latency.
-	s2, err := NewSession(WithOffload(withUplink(base, LinkConfig{
+	s2, err := NewSession(WithOffload(withUplink(base, netem.LinkConfig{
 		BytesPerSlot: 20_000, LatencySlots: 0, JitterSlots: 0, LossProb: 0,
 	})))
 	if err != nil {
@@ -408,7 +410,7 @@ func TestSessionOffloadWithLink(t *testing.T) {
 
 	// The link seed is respected: different seeds, different traces.
 	run := func(seed uint64) *OffloadResult {
-		s, err := NewSession(WithOffload(withUplink(base, LinkConfig{
+		s, err := NewSession(WithOffload(withUplink(base, netem.LinkConfig{
 			BytesPerSlot: 20_000, JitterSlots: 2, LossProb: 0.2, Seed: seed,
 		})))
 		if err != nil {
@@ -435,7 +437,7 @@ func TestSessionOffloadWithDynamics(t *testing.T) {
 			Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
 			KneeSlot: 50, Slots: 400, Seed: 3,
 		},
-		Link: &LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1},
+		Link: &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1},
 	}
 	run := func(seed uint64) *OffloadResult {
 		p := base
@@ -482,7 +484,7 @@ func TestSessionOffloadDynamicsConcurrentRuns(t *testing.T) {
 				Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
 				KneeSlot: 50, Slots: 200, Seed: 3,
 			},
-			Link: &LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1},
+			Link: &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1},
 			Dynamics: &MarkovBandwidth{
 				GoodRate: 1.3, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.2,
 			},

@@ -18,13 +18,9 @@ type (
 	// snapshots are byte-identical per seed at any shard or worker
 	// count. A nil registry is valid everywhere and records nothing.
 	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a registry's point-in-time export: sorted
-	// counter/gauge/histogram values, encodable as JSON
-	// (EncodeJSON) or Prometheus text exposition (WriteProm).
-	MetricsSnapshot = obs.Snapshot
 	// FlightRecorder is a fixed-size ring of slot-stamped span/event
-	// records, exportable as JSON (WriteJSON) or a Chrome trace_event
-	// file (WriteTrace). Concurrency-safe; keeps the newest records
+	// records, exportable as a Chrome trace_event file (WriteTrace).
+	// Concurrency-safe; keeps the newest records
 	// once full. A nil recorder is valid everywhere and records
 	// nothing.
 	FlightRecorder = obs.FlightRecorder

@@ -1,8 +1,9 @@
 package qarv
 
 // Golden pins for per-slot telemetry: the metric snapshot JSON and the
-// trace_event JSON of three small facade sessions — a single-device sim
-// run whose bounded backlog drops work, a shared-edge run of three
+// trace_event JSON of three small runs — a single-device sim run whose
+// bounded backlog drops work (sim.Config's MaxBacklog, which no session
+// option sets), and two facade sessions: a shared-edge run of three
 // devices under the EXP3 bandit allocator with Markov-modulated
 // service, and an offload run over a lossy uplink — must match the
 // files under testdata/telemetry byte for byte. The goldens were
@@ -20,6 +21,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"qarv/internal/geom"
+	"qarv/internal/netem"
+	"qarv/internal/policy"
+	"qarv/internal/sim"
 )
 
 var updateTelemetryGoldens = flag.Bool("update-telemetry-goldens", false,
@@ -29,7 +35,10 @@ func TestTelemetryGoldens(t *testing.T) {
 	const slots = 60
 	cases := []struct {
 		name string
-		opts func(t *testing.T) []Option
+		// simCfg, when set, is run directly; otherwise the session
+		// that opts builds is.
+		simCfg func(t *testing.T) sim.Config
+		opts   func(t *testing.T) []Option
 		// want lists trace records the case exists to cover, and
 		// positive the counters it must drive above zero.
 		want     []string
@@ -37,14 +46,29 @@ func TestTelemetryGoldens(t *testing.T) {
 	}{
 		{
 			name: "sim",
-			opts: func(t *testing.T) []Option {
+			simCfg: func(t *testing.T) sim.Config {
 				// Depth 5 costs 20000 against a 4000 service rate, so
 				// a 15000 cap overflows whenever the threshold policy
 				// climbs to it — by more than a whole frame when two
 				// arrive at once — and the capped backlog still crosses
 				// the policy's 9000 step-down threshold.
-				return append(cheapSessionOpts(t, slots), WithMaxBacklog(15000),
-					WithArrivals(&PoissonArrivals{Mean: 1.5}), WithSeed(3))
+				cost, util := cheapModels(t)
+				p, err := policy.NewThreshold([]int{2, 3, 4, 5}, 3000, 9000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := sim.Config{
+					Policy:     p,
+					Arrivals:   &PoissonArrivals{Mean: 1.5},
+					Cost:       cost,
+					Utility:    util,
+					Service:    &ConstantService{Rate: 4000},
+					Slots:      slots,
+					MaxBacklog: 15000,
+				}
+				// The streams WithSeed(3) hands a sim session.
+				reseed(geom.NewRNG(3), cfg.Policy, cfg.Arrivals, cfg.Service)
+				return cfg
 			},
 			want:     []string{`"name":"drop","cat":"sim"`, `"name":"depth","cat":"sim"`},
 			positive: []string{"sim_frames_dropped_total", "sim_frames_completed_total"},
@@ -55,7 +79,7 @@ func TestTelemetryGoldens(t *testing.T) {
 				cost, util := cheapModels(t)
 				devs := make([]Device, 3)
 				for i := range devs {
-					p, err := NewThresholdPolicy([]int{2, 3, 4, 5}, 3000, 9000)
+					p, err := policy.NewThreshold([]int{2, 3, 4, 5}, 3000, 9000)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -84,7 +108,7 @@ func TestTelemetryGoldens(t *testing.T) {
 				return []Option{
 					WithOffload(OffloadParams{
 						ScenarioParams: ScenarioParams{Samples: 40_000, KneeSlot: 50},
-						Link:           &LinkConfig{LatencySlots: 1, JitterSlots: 0.3, LossProb: 0.2},
+						Link:           &netem.LinkConfig{LatencySlots: 1, JitterSlots: 0.3, LossProb: 0.2},
 					}),
 					WithSlots(slots),
 					WithSeed(5),
@@ -98,13 +122,20 @@ func TestTelemetryGoldens(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewMetricsRegistry()
 			rec := NewFlightRecorder(0)
-			opts := append(tc.opts(t), WithTelemetry(reg), WithFlightRecorder(rec))
-			s, err := NewSession(opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.Run(context.Background()); err != nil {
-				t.Fatal(err)
+			if tc.simCfg != nil {
+				cfg := tc.simCfg(t)
+				cfg.Metrics, cfg.Recorder = reg, rec
+				if _, err := sim.RunContext(context.Background(), cfg); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				s, err := NewSession(append(tc.opts(t), WithTelemetry(reg), WithFlightRecorder(rec))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Run(context.Background()); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if rec.Dropped() != 0 {
 				t.Fatalf("flight recorder evicted %d records; the golden would be partial", rec.Dropped())

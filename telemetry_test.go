@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"qarv/internal/obs"
 )
 
 // telemetryProfile is a fully stochastic cheap fleet class, so shard
@@ -56,7 +58,7 @@ func runTelemetryFleet(t *testing.T, shards int, reg *MetricsRegistry) *FleetRep
 	return rep
 }
 
-func snapshotJSON(t *testing.T, s *MetricsSnapshot) string {
+func snapshotJSON(t *testing.T, s *obs.Snapshot) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := s.EncodeJSON(&buf); err != nil {
