@@ -191,13 +191,20 @@ type SharedUplinkResult struct {
 	Params    SharedUplinkParams
 	Allocator string
 	Bandwidth float64 // total uplink bytes/slot
-	Bytes     []int   // stream bytes per depth
+	// V is the calibrated scenario's V, the value a unit device's
+	// controller runs at (each device calibrates its own V against its
+	// scaled share).
+	V     float64
+	Bytes []int // stream bytes per depth
 
 	// Multi carries the full per-device byte-domain trajectories and
 	// frame accounting.
 	Multi     *sim.MultiResult
 	PerDevice []SharedUplinkDeviceRow
 
+	// Latency lists every delivered frame's end-to-end latency in
+	// slots, in delivery order.
+	Latency     []float64
 	MeanLatency float64
 	P95Latency  float64
 	LossCount   int
@@ -303,6 +310,7 @@ func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry
 		Params:    p,
 		Allocator: multi.Allocator,
 		Bandwidth: bandwidth,
+		V:         scn.V,
 		Bytes:     bytesProfile,
 		Multi:     multi,
 		PerDevice: make([]SharedUplinkDeviceRow, len(devices)),
@@ -338,6 +346,7 @@ func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry
 		row.MeanSojourn = r.MeanSojourn
 		row.MeanLatency = perDeviceLat[i].Mean()
 	}
+	res.Latency = allLat
 	if res.MeanLatency, res.P95Latency, err = latencySummary(allLat); err != nil {
 		return nil, nil, nil, err
 	}

@@ -348,6 +348,10 @@ func TestOffloadIsOneDeviceSharedUplink(t *testing.T) {
 			if !slices.Equal(off.BacklogBytes, dev.Backlog) || !slices.Equal(off.Depth, dev.Depth) {
 				t.Error("backlog or depth trajectories differ")
 			}
+			if off.V != up.V || !slices.Equal(off.Latency, up.Latency) {
+				t.Errorf("offload V %v and %d latencies != shared uplink V %v and %d latencies",
+					off.V, len(off.Latency), up.V, len(up.Latency))
+			}
 			if off.Bandwidth != up.Bandwidth || off.LossCount != up.LossCount ||
 				len(off.Latency) != up.PerDevice[0].Delivered ||
 				off.MeanLatency != up.MeanLatency || off.P95Latency != up.P95Latency {

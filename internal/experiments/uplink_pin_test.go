@@ -44,7 +44,10 @@ func pinDigest(t *testing.T, v any) string {
 // offload digest was re-pinned when Offload became SharedUplink at one
 // unit device: the kernel's byte backlog replaced the link's frozen
 // serialization schedule, latencies count whole completion slots, and
-// the dynamics draw from the shared uplink's seed.
+// the dynamics draw from the shared uplink's seed. The shared-uplink
+// digests were re-pinned when the result gained V and Latency; hashed
+// without those two fields, each gives its earlier digest. The
+// one-device cases are the offload cases run through SharedUplink.
 func TestUplinkRunsPinned(t *testing.T) {
 	base := offloadParams()
 	offload := func(mutate func(*OffloadParams)) *OffloadResult {
@@ -94,6 +97,39 @@ func TestUplinkRunsPinned(t *testing.T) {
 		}
 		return res
 	}
+	oneDevices := []struct {
+		name, want string
+		mutate     func(*SharedUplinkParams)
+	}{
+		{"default", "5899896428ed0616ea923118ddf1d4669500c2a6afe45830f439dcfdb48a5b3d", func(*SharedUplinkParams) {}},
+		{"link zeros", "ce14267cbc3fa6de6181773a77c1ab600a59a7b125fe76419b1fa81451f04690", func(p *SharedUplinkParams) {
+			p.Link = &netem.LinkConfig{}
+		}},
+		{"fixed 20k link", "386e2a7b93958c6af1c685ef8ebf6d0b74eae7c97e37d06d0680f7f99804b0d5", func(p *SharedUplinkParams) {
+			p.Link = &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001}
+		}},
+		{"drop window", "af7b3bea2907f89c231f3c71850a476243f231dd4da92805d93cfd959c3281cd", func(p *SharedUplinkParams) {
+			p.Slots = 1600
+			p.Dynamics = dropTrace(t, 600, 1000, 0.5)
+		}},
+		{"markov dynamics", "b3e9d8b9fb7f02c2a3acfa414e6ca71569739001e8b6e529ebd9862a9426dfa8", func(p *SharedUplinkParams) {
+			p.Dynamics = &netem.MarkovBandwidth{GoodRate: 1.5, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.1}
+		}},
+		{"old Bandwidth: 25000", "c2ca849738a07d5fb9d03141e3ed0f61180c66811b97ba284561612d46deb881", func(p *SharedUplinkParams) {
+			p.Link = &netem.LinkConfig{BytesPerSlot: 25_000, LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.01}
+		}},
+		{"old LossProb: 0.2", "557927d926e8af384839222942a8239255baf1e6c34d62065daf365c3aa0ccb4", func(p *SharedUplinkParams) {
+			p.Link = &netem.LinkConfig{LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.2}
+		}},
+	}
+	for _, tc := range oneDevices {
+		p := SharedUplinkParams{ScenarioParams: base.ScenarioParams, Devices: 1}
+		tc.mutate(&p)
+		if got := pinDigest(t, shared(p)); got != tc.want {
+			t.Errorf("one-device uplink %s: digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+
 	sdef := shared(SharedUplinkParams{
 		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3},
 		Devices:        3,
@@ -102,18 +138,18 @@ func TestUplinkRunsPinned(t *testing.T) {
 		name, want string
 		res        *SharedUplinkResult
 	}{
-		{"default", "44959db96afddf30d834c3c885b918ebb8cae98fd1f479658e87ad8066934763", sdef},
-		{"heterogeneous maxweight", "668c121056be152ae18fd3ab7e142e44112c6748b56b786c0a69bc36132b78c7", shared(SharedUplinkParams{
+		{"default", "ffbdbaf24c090afde0f6d7fee8a0057b7835f346b91b8c8eb6aff6f1a1776c02", sdef},
+		{"heterogeneous maxweight", "62a10a0fab34cbfbcfbdbf30537a459a3bcf132a6224c6082c731700cbadab04", shared(SharedUplinkParams{
 			ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 600, KneeSlot: 150, Seed: 3},
 			Specs:          HeterogeneousSpecs(4),
 			Allocator:      alloc.NewMaxWeight(),
 		})},
-		{"link zeros", "05acb5a554edb1b0b7f0e39d9307a89088b2e2d9223aea780be85eac15e58f5e", shared(SharedUplinkParams{
+		{"link zeros", "2dc4fbdeca62a805ffc9be2e6ca8391f73b9263d0b6be7727118eb6d38f315c2", shared(SharedUplinkParams{
 			ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 400, KneeSlot: 100, Seed: 3},
 			Devices:        2,
 			Link:           &netem.LinkConfig{},
 		})},
-		{"markov process", "9389d9f0c0c0c372817ec43aea83aa878dc1b8f0c311f72519770f5e5a4ee4fb", shared(SharedUplinkParams{
+		{"markov process", "b37e939bb9f3354f115a6b8ff4a42e24a28d8e8b3152cb4edc11f6c000c7f12d", shared(SharedUplinkParams{
 			ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3},
 			Devices:        3,
 			Allocator:      alloc.NewMaxWeight(),
