@@ -108,8 +108,8 @@ learn-smoke:
 # telemetry-smoke runs the observability layer end to end: the pin
 # tests proving metric snapshots are byte-identical per seed at any
 # shard/worker count, that telemetry never changes report bytes, and
-# that sim, multi-device and offload sessions record their golden
-# bytes, the CLI sink tests, then a real qarvfleet run and a real
+# that a sim run, a multi-device session and a one-device SharedUplink
+# run record their golden bytes, the CLI sink tests, then a real qarvfleet run and a real
 # four-device learned-allocator qarvsim run that must each emit a
 # non-empty snapshot and trace_event file.
 telemetry-smoke:

@@ -280,23 +280,25 @@ func BenchmarkMultiDevice(b *testing.B) {
 // octree streams (geometry + colors) over an emulated uplink; metrics
 // report delivery latency and the knee behaviour in the bytes domain.
 func BenchmarkOffloadUplink(b *testing.B) {
-	var res *OffloadResult
+	var res *SharedUplinkResult
 	for i := 0; i < b.N; i++ {
-		s, err := NewSession(WithOffload(OffloadParams{
+		var err error
+		res, err = SharedUplink(context.Background(), SharedUplinkParams{
 			ScenarioParams: ScenarioParams{Samples: 60_000, Slots: 800, KneeSlot: 400, Seed: 1},
-		}))
+			Devices:        1,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := s.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = rep.Offload
+	}
+	var depthSum float64
+	depths := res.Multi.PerDevice[0].Depth
+	for _, d := range depths {
+		depthSum += float64(d)
 	}
 	b.ReportMetric(res.MeanLatency, "mean_latency_slots")
 	b.ReportMetric(res.P95Latency, "p95_latency_slots")
-	b.ReportMetric(res.MeanDepth, "mean_depth")
+	b.ReportMetric(depthSum/float64(len(depths)), "mean_depth")
 	b.ReportMetric(float64(res.Bytes[10]), "bytes_at_depth10")
 }
 

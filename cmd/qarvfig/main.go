@@ -71,6 +71,9 @@ func parseFlags(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
+	if o.slots <= 0 {
+		return o, fmt.Errorf("-slots %d: slot count must be positive", o.slots)
+	}
 	o.seed = uint64(seed)
 	return o, nil
 }
@@ -173,33 +176,34 @@ func runGrid(ctx context.Context, o options, scn *qarv.Scenario, out io.Writer) 
 }
 
 func runOffload(ctx context.Context, o options, out io.Writer) error {
-	sess, err := qarv.NewSession(qarv.WithOffload(qarv.OffloadParams{
+	res, err := qarv.SharedUplink(ctx, qarv.SharedUplinkParams{
 		ScenarioParams: qarv.ScenarioParams{
 			Samples:  o.samples,
 			Slots:    o.slots,
 			KneeSlot: o.knee,
 			Seed:     o.seed,
 		},
-	}))
+		Devices: 1,
+	})
 	if err != nil {
 		return err
 	}
-	rep, err := sess.Run(ctx)
-	if err != nil {
+	dev := res.Multi.PerDevice[0]
+	tab := trace.NewTable("Time step", len(dev.Backlog))
+	if err := tab.Add(trace.Series{Name: "uplink backlog (bytes)", Values: dev.Backlog}); err != nil {
 		return err
 	}
-	res := rep.Offload
-	tab := trace.NewTable("Time step", len(res.BacklogBytes))
-	if err := tab.Add(trace.Series{Name: "uplink backlog (bytes)", Values: res.BacklogBytes}); err != nil {
-		return err
-	}
-	if err := tab.Add(trace.FromInts("depth", res.Depth)); err != nil {
+	if err := tab.Add(trace.FromInts("depth", dev.Depth)); err != nil {
 		return err
 	}
 	if err := writeFile(filepath.Join(o.outDir, "offload.csv"), tab.WriteCSV); err != nil {
 		return err
 	}
 	if !o.quiet {
+		var depthSum float64
+		for _, d := range dev.Depth {
+			depthSum += float64(d)
+		}
 		fmt.Fprintln(out, "\nEXT-OFFLOAD — octree streams over an emulated uplink")
 		if err := trace.RenderTextTable(out,
 			[]string{"metric", "value"},
@@ -207,8 +211,8 @@ func runOffload(ctx context.Context, o options, out io.Writer) error {
 				{"uplink bandwidth (B/slot)", fmt.Sprintf("%.0f", res.Bandwidth)},
 				{"bytes(5) .. bytes(10)", fmt.Sprintf("%d .. %d", res.Bytes[5], res.Bytes[10])},
 				{"calibrated V", fmt.Sprintf("%.4g", res.V)},
-				{"verdict", res.Verdict.String()},
-				{"mean depth", fmt.Sprintf("%.2f", res.MeanDepth)},
+				{"verdict", res.PerDevice[0].Verdict},
+				{"mean depth", fmt.Sprintf("%.2f", depthSum/float64(len(dev.Depth)))},
 				{"mean latency (slots)", fmt.Sprintf("%.2f", res.MeanLatency)},
 				{"p95 latency (slots)", fmt.Sprintf("%.2f", res.P95Latency)},
 				{"frames lost", strconv.Itoa(res.LossCount)},

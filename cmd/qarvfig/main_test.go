@@ -152,9 +152,29 @@ func TestRunFig2Golden(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: flags that name no run, or a horizon that is
+// not positive, fail before anything is computed or written, instead of
+// running a default horizon.
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(context.Background(), []string{"-nonsense"}, &bytes.Buffer{}); err == nil {
-		t.Error("bad flag must error")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown flag", []string{"-nonsense"}, "not defined"},
+		{"negative slots", []string{"-fig", "2a", "-samples", "30000", "-slots", "-5"}, "-slots -5: slot count must be positive"},
+		{"zero slots", []string{"-fig", "offload", "-slots", "0"}, "-slots 0: slot count must be positive"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "figs")
+			err := run(context.Background(), append(tc.args, "-out", out), &bytes.Buffer{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("rejected run left the output directory behind: stat err = %v", err)
+			}
+		})
 	}
 }
 

@@ -24,8 +24,8 @@
 //	bursty          proposed + on-off burst arrivals (2 frames / 2 slots)
 //	noisy           proposed + ±10% Gaussian service jitter per session
 //	offload         proposed in the bytes domain: the capture's measured
-//	                stream sizes against the uplink bandwidth offload
-//	                sessions calibrate
+//	                stream sizes against the uplink bandwidth a
+//	                one-device SharedUplink calibrates
 //	oracle          best fixed depth for the calibrated service rate
 //	delayed         proposed observing the backlog a control-loop delay
 //	                stale (the display-update lag regime)
@@ -291,7 +291,8 @@ func buildProfile(scn *qarv.Scenario, name string, weight float64) (qarv.Profile
 		}
 	case "offload":
 		// The same capture calibrated in the bytes domain: measured
-		// stream sizes against the uplink bandwidth offload sessions size.
+		// stream sizes against the uplink bandwidth a one-device
+		// SharedUplink sizes.
 		bs, err := qarv.NewByteScenario(scn.Params)
 		if err != nil {
 			return p, fmt.Errorf("offload: %w", err)

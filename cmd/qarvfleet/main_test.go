@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"qarv"
-	"qarv/internal/experiments"
 	"qarv/internal/octree"
 	"qarv/internal/synthetic"
 )
@@ -420,9 +419,9 @@ func TestOffloadProfileDepthOrder(t *testing.T) {
 
 // TestOffloadClassUsesMeasuredStreamBytes: the offload class prices
 // each depth at the capture's measured stream size (geometry and
-// colors) and serves at the bandwidth Offload calibrates for the same
-// scenario parameters, so fleet and single-run offload share one
-// byte-domain calibration.
+// colors) and serves at the bandwidth a one-device SharedUplink
+// calibrates for the same scenario parameters, so fleet and single-run
+// offload share one byte-domain calibration.
 func TestOffloadClassUsesMeasuredStreamBytes(t *testing.T) {
 	scn, err := qarv.NewScenario(qarv.ScenarioParams{Samples: 30_000})
 	if err != nil {
@@ -458,12 +457,12 @@ func TestOffloadClassUsesMeasuredStreamBytes(t *testing.T) {
 		}
 	}
 
-	res, err := experiments.OffloadContext(context.Background(), experiments.OffloadParams{ScenarioParams: sp})
+	res, err := qarv.SharedUplink(context.Background(), qarv.SharedUplinkParams{ScenarioParams: sp, Devices: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := prof.NewService(nil).Service(0); got != res.Bandwidth {
-		t.Errorf("offload class serves %v bytes/slot, Offload calibrates %v", got, res.Bandwidth)
+		t.Errorf("offload class serves %v bytes/slot, the one-device uplink calibrates %v", got, res.Bandwidth)
 	}
 }
 

@@ -2,7 +2,6 @@ package qarv
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -80,11 +79,6 @@ func TestWithContentScenarioKnobs(t *testing.T) {
 }
 
 func TestWithContentConflicts(t *testing.T) {
-	prof := facadeProfile(t)
-	_, err := NewSession(WithContent(prof), WithOffload(OffloadParams{}))
-	if !errors.Is(err, ErrOptionConflict) {
-		t.Fatalf("content with offload: err = %v, want ErrOptionConflict", err)
-	}
 	if _, err := NewSession(WithContent(nil), WithSlots(10)); err == nil {
 		// WithContent(nil) leaves the pointer nil, so this degrades to a
 		// sessions-without-models error rather than a content error.

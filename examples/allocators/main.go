@@ -132,7 +132,7 @@ func run() error {
 
 	// And the shared-uplink offload scenario: the same fleet contends
 	// for one emulated uplink's serialization bandwidth.
-	shared, err := qarv.SharedUplink(qarv.SharedUplinkParams{
+	shared, err := qarv.SharedUplink(context.Background(), qarv.SharedUplinkParams{
 		ScenarioParams: qarv.ScenarioParams{
 			Samples:  60_000,
 			Slots:    800,

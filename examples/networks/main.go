@@ -9,9 +9,9 @@
 //     processes (constant, Markov good/bad fading, piecewise trace
 //     replay, mobility handoffs) are service processes, so WithService
 //     plugs them straight into the slot loop.
-//  2. An offload session whose *uplink* is the network:
-//     OffloadParams.Dynamics, a factor on the calibrated bandwidth,
-//     sets the uplink's rate every slot while the controller
+//  2. A one-device offload run whose *uplink* is the network:
+//     SharedUplinkParams.Dynamics, a factor on the calibrated
+//     bandwidth, sets the uplink's rate every slot while the controller
 //     stabilizes the transmit queue in bytes.
 //  3. The volatility ablation: a sweep over NetworkMarkov shapes, a
 //     fleet per volatility point under a mean-preserving capacity
@@ -102,38 +102,31 @@ func run() error {
 	// none), and the controller watches the bytes still queued. This
 	// chain is good three slots in four, so it averages 1.1× the static
 	// bandwidth.
-	offload := func(dyn qarv.ServiceProcess) (*qarv.OffloadResult, error) {
-		s, err := qarv.NewSession(
-			qarv.WithOffload(qarv.OffloadParams{
-				ScenarioParams: qarv.ScenarioParams{Samples: 60_000, KneeSlot: 200},
-				Dynamics:       dyn,
-			}),
-			qarv.WithSeed(7),
-		)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := s.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return rep.Offload, nil
-	}
-	static, err := offload(nil)
-	if err != nil {
-		return err
-	}
-	faded, err := offload(&qarv.MarkovBandwidth{
+	fmt.Println()
+	for _, dyn := range []qarv.ServiceProcess{nil, &qarv.MarkovBandwidth{
 		GoodRate: 1.3, BadRate: 0.5,
 		PGoodBad: 0.05, PBadGood: 0.15,
-	})
-	if err != nil {
-		return err
+	}} {
+		res, err := qarv.SharedUplink(ctx, qarv.SharedUplinkParams{
+			ScenarioParams: qarv.ScenarioParams{Samples: 60_000, KneeSlot: 200, Seed: 7},
+			Devices:        1,
+			Dynamics:       dyn,
+		})
+		if err != nil {
+			return err
+		}
+		network := "static"
+		if dyn != nil {
+			network = dyn.Name()
+		}
+		var depthSum float64
+		depths := res.Multi.PerDevice[0].Depth
+		for _, d := range depths {
+			depthSum += float64(d)
+		}
+		fmt.Printf("offload uplink %-9s mean depth %.2f | mean latency %.1f slots | verdict %s\n",
+			network, depthSum/float64(len(depths)), res.MeanLatency, res.PerDevice[0].Verdict)
 	}
-	fmt.Printf("\noffload uplink %-9s mean depth %.2f | mean latency %.1f slots | verdict %s\n",
-		static.Network, static.MeanDepth, static.MeanLatency, static.Verdict)
-	fmt.Printf("offload uplink %-9s mean depth %.2f | mean latency %.1f slots | verdict %s\n",
-		faded.Network, faded.MeanDepth, faded.MeanLatency, faded.Verdict)
 	fmt.Println("the fading uplink averages 1.1x the static bandwidth: the same controller rides")
 	fmt.Println("its good stretches deeper and delivers sooner, while the backlog swings with the")
 	fmt.Println("fades — the tail-slope verdict reads the last swing up as diverging.")

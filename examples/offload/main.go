@@ -3,7 +3,9 @@
 // delta-coded colors) is shipped over a finite uplink to an edge renderer.
 // The controller's workload a(d) becomes the encoded stream size bytes(d)
 // and the service rate the uplink bandwidth — the same closed-form
-// decision of Eq. (3) now stabilizes the *transmit* queue.
+// decision of Eq. (3) now stabilizes the *transmit* queue. The run is
+// qarv.SharedUplink with one device: the uplink's whole bandwidth serves
+// that device's queue.
 //
 // Mid-session the uplink loses half its bandwidth (handover/congestion);
 // the controller sheds depth, keeps latency bounded, and recovers.
@@ -36,44 +38,42 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sess, err := qarv.NewSession(qarv.WithOffload(qarv.OffloadParams{
+	res, err := qarv.SharedUplink(context.Background(), qarv.SharedUplinkParams{
 		ScenarioParams: qarv.ScenarioParams{
 			Samples:  60_000,
 			Slots:    3000,
 			KneeSlot: 250,
 			Seed:     11,
 		},
+		Devices:  1,
 		Dynamics: drop, // uplink halves for 300 slots
-	}))
+	})
 	if err != nil {
 		return err
 	}
-	rep, err := sess.Run(context.Background())
-	if err != nil {
-		return err
+	dev, row := res.Multi.PerDevice[0], res.PerDevice[0]
+
+	// window is the mean depth over slots [lo, hi): over the whole run,
+	// and around the bandwidth drop.
+	window := func(lo, hi int) float64 {
+		var s float64
+		for _, d := range dev.Depth[lo:hi] {
+			s += float64(d)
+		}
+		return s / float64(hi-lo)
 	}
-	res := rep.Offload
 
 	fmt.Println("edge-offload session (octree streams over an emulated uplink)")
 	fmt.Printf("uplink bandwidth    %.0f B/slot (drops to 50%% during slots 900-1200)\n", res.Bandwidth)
 	fmt.Printf("stream sizes        depth 5: %d B ... depth 10: %d B\n", res.Bytes[5], res.Bytes[10])
 	fmt.Printf("calibrated V        %.4g\n", res.V)
 	fmt.Println()
-	fmt.Printf("verdict             %s\n", res.Verdict)
-	fmt.Printf("mean depth          %.2f\n", res.MeanDepth)
+	fmt.Printf("verdict             %s\n", row.Verdict)
+	fmt.Printf("mean depth          %.2f\n", window(0, len(dev.Depth)))
 	fmt.Printf("frames delivered    %d (lost %d to link-layer loss, %d still queued)\n",
-		len(res.Latency), res.LossCount, len(res.Depth)-len(res.Latency)-res.LossCount)
+		row.Delivered, row.Lost, len(dev.Depth)-row.Delivered-row.Lost)
 	fmt.Printf("mean latency        %.2f slots\n", res.MeanLatency)
 	fmt.Printf("p95 latency         %.2f slots\n", res.P95Latency)
-
-	// Depth response to the bandwidth drop.
-	window := func(lo, hi int) float64 {
-		var s float64
-		for _, d := range res.Depth[lo:hi] {
-			s += float64(d)
-		}
-		return s / float64(hi-lo)
-	}
 	fmt.Println()
 	fmt.Printf("mean depth before drop   %.2f\n", window(400, 900))
 	fmt.Printf("mean depth during drop   %.2f\n", window(950, 1200))

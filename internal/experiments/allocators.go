@@ -121,12 +121,14 @@ func fleetDevices(s *Scenario, specs []AllocDeviceSpec, perDeviceV bool) ([]sim.
 // devices stream their octree frames through one edge uplink whose
 // serialization bandwidth is divided per slot by an allocator; the
 // link's propagation leg (latency, jitter, loss) applies to every
-// delivered frame.
+// delivered frame. One unit device (Devices: 1) is the single-device
+// edge-offload run.
 type SharedUplinkParams struct {
-	// ScenarioParams sets the capture and the calibration, in the bytes
-	// domain as for OffloadParams: ServiceFraction places each unit
-	// device's reference bandwidth between bytes(d_max−1) and
-	// bytes(d_max).
+	// ScenarioParams sets the capture and the calibration, with the
+	// defaults of NewScenario. The controllers work in the bytes domain:
+	// ServiceFraction places each unit device's reference bandwidth
+	// between bytes(d_max−1) and bytes(d_max), and V is calibrated
+	// against it.
 	ScenarioParams
 	// Devices is the fleet size (default 4); Specs, when non-empty,
 	// overrides it with an explicit heterogeneous fleet.
@@ -135,24 +137,46 @@ type SharedUplinkParams struct {
 	// Allocator splits the uplink bandwidth per slot (default
 	// alloc.EqualSplit).
 	Allocator alloc.Allocator
-	// Link configures the uplink as in OffloadParams. The fleet's demand
-	// is the sum over devices of arrivals × cost scale. Link.BytesPerSlot,
-	// when positive, fixes the total bandwidth, and the reference
-	// bandwidth is that total divided by the demand; otherwise
-	// ServiceFraction sizes the reference bandwidth and the total is it
-	// times the demand. Each device's V is calibrated against its own
-	// scaled reference share either way.
+	// Link, when non-nil, configures the uplink exactly: its latency,
+	// jitter, and loss are used verbatim (zeros included), and its Seed
+	// (when nonzero) replaces Seed for the link RNG. A nil Link is the
+	// default uplink: 2 slots of latency, 0.3 slots of jitter, 1% loss,
+	// the bandwidth ServiceFraction sizes and the link RNG seeded from
+	// Seed. The fleet's demand is the sum over devices of arrivals ×
+	// cost scale. Link.BytesPerSlot, when positive, fixes the total
+	// bandwidth, and the reference bandwidth is that total divided by
+	// the demand; otherwise ServiceFraction sizes the reference
+	// bandwidth and the total is it times the demand. Each device's V
+	// is calibrated against its own scaled reference share either way.
 	Link *netem.LinkConfig
 	// Dynamics, when non-nil, makes the uplink's total capacity
-	// time-varying, as for OffloadParams: the allocator splits
-	// Bandwidth × Dynamics.Service(t) each slot. The static bandwidth
-	// still anchors V calibration and the propagation link. Each run
-	// works on a clone reseeded from Seed, so repeated runs replay the
-	// same capacity path.
+	// time-varying: it is a factor on the calibrated bandwidth, so the
+	// allocator splits Bandwidth × Dynamics.Service(t) each slot — a
+	// Markov fading chain, a trace (a one-off drop is the three-point
+	// trace {0:1, start:f, end:1}), mobility handoffs with outage gaps;
+	// a non-positive rate is an outage slot. The static bandwidth still
+	// anchors V calibration and the propagation link. Each run works on
+	// a clone reseeded from Seed, so repeated runs replay the same
+	// capacity path and the caller's process is never advanced.
 	Dynamics delay.ServiceProcess
-	// Observer receives every device's slot event (Device indexes the
-	// fleet); Arrived/Served/Backlog are in bytes.
+	// Observer receives every device's slot event as the control loop
+	// runs, after the run's own telemetry. The events are the slot
+	// kernel's, in bytes: Device indexes the fleet, Arrived is the
+	// frame's bytes, Served the bytes the uplink serialized that slot,
+	// and Completed the frames whose last byte left. Link loss, latency
+	// and jitter apply after the run, when the completed frames cross
+	// the propagation leg; they show in the result and in Metrics and
+	// Recorder, not in the events.
 	Observer sim.Observer
+	// Metrics, when non-nil, accumulates the kernel's sim_* and alloc_*
+	// series and the propagation leg's offload_frames_lost_total and
+	// offload_latency_slots.
+	Metrics *obs.Registry
+	// Recorder, when non-nil, receives slot-timestamped records: the
+	// kernel's per-slot spans and depth changes, the allocator's
+	// per-slot shares of the uplink, and an offload "loss" event, at its
+	// completion slot, for every frame the link drops.
+	Recorder *obs.FlightRecorder
 }
 
 func (p SharedUplinkParams) withDefaults() SharedUplinkParams {
@@ -210,35 +234,19 @@ type SharedUplinkResult struct {
 	LossCount   int
 }
 
-// SharedUplink runs the fleet against one emulated uplink.
-func SharedUplink(params SharedUplinkParams) (*SharedUplinkResult, error) {
-	return SharedUplinkContext(context.Background(), params)
-}
-
-// SharedUplinkContext is SharedUplink under a cancelable context. The
-// uplink's serialization bandwidth is the shared per-slot budget split
-// by the allocator (contention), and the netem.Link's propagation leg
-// (latency, jitter, loss) is applied to each frame as its last byte
-// serializes — lost frames still consumed uplink bytes.
-func SharedUplinkContext(ctx context.Context, params SharedUplinkParams) (*SharedUplinkResult, error) {
-	res, _, _, err := runUplink(ctx, params, nil, nil)
-	return res, err
-}
-
-// runUplink is the one uplink engine, behind SharedUplink and
-// OffloadContext alike. The fleet runs on sim.Kernel, each slot serving
-// the capacity the allocator grants, so every device's byte backlog
-// follows the Lindley recursion Q(t+1) = max(Q(t) + a(t) − b(t), 0). One
-// propagation pass then sends every completed frame across the
-// netem.Link in completion order. reg and rec, when non-nil, receive
-// the kernel's sim_*/alloc_* telemetry and the delivery pass's
-// offload_* series and loss events. Besides the result, runUplink
-// returns the calibrated scenario and the delivered frames' latencies
-// in delivery order.
-func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry, rec *obs.FlightRecorder) (*SharedUplinkResult, *Scenario, []float64, error) {
+// SharedUplink builds the capture, measures its per-depth stream
+// sizes, sizes the uplink, calibrates each device's V against the byte
+// workload, and runs the fleet against one emulated uplink under a
+// cancelable context. The fleet runs on sim.Kernel, each slot serving
+// the share of the uplink's serialization bandwidth the allocator
+// grants, so every device's byte backlog follows the Lindley recursion
+// Q(t+1) = max(Q(t) + a(t) − b(t), 0). One propagation pass then sends
+// every completed frame across the netem.Link (latency, jitter, loss)
+// in completion order; lost frames still consumed uplink bytes.
+func SharedUplink(ctx context.Context, params SharedUplinkParams) (*SharedUplinkResult, error) {
 	p := params.withDefaults()
 	if err := validateUplink(p.ScenarioParams, p.Link, p.Dynamics); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	// The scenario sits at the reference bandwidth of one unit device:
 	// a fixed Link bandwidth divided by the fleet's demand units (the
@@ -252,7 +260,7 @@ func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry
 	lc := resolveLink(p.Link, p.Seed)
 	scn, bytesProfile, err := byteScenario(p.ScenarioParams, lc.BytesPerSlot/demandUnits)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if lc.BytesPerSlot <= 0 {
 		lc.BytesPerSlot = scn.ServiceRate * demandUnits
@@ -266,7 +274,7 @@ func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry
 	// local control; only the server-side split is coordinated.
 	devices, err := fleetDevices(scn, p.Specs, true)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 
 	multi, err := sim.RunMultiContext(ctx, sim.MultiConfig{
@@ -275,11 +283,11 @@ func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry
 		Allocator: p.Allocator,
 		Slots:     p.Slots,
 		Observer:  p.Observer,
-		Metrics:   reg,
-		Recorder:  rec,
+		Metrics:   p.Metrics,
+		Recorder:  p.Recorder,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 
 	// Propagation leg: one netem.Link shared by the fleet. Completions
@@ -287,7 +295,7 @@ func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry
 	// index) so loss and jitter draws are deterministic.
 	link, err := netem.NewLink(lc)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	type completion struct {
 		device int
@@ -315,29 +323,28 @@ func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry
 		Multi:     multi,
 		PerDevice: make([]SharedUplinkDeviceRow, len(devices)),
 	}
-	lostTotal := reg.Counter(MetricOffloadLost)
-	latencyHist := reg.Histogram(MetricOffloadLatency)
+	lostTotal := p.Metrics.Counter(MetricOffloadLost)
+	latencyHist := p.Metrics.Histogram(MetricOffloadLatency)
 	perDeviceLat := make([]stats.Running, len(devices))
-	var allLat []float64
 	for _, c := range order {
 		deliveredSlot, lost := link.Deliver(float64(c.frame.CompletedAt))
 		if lost {
 			res.LossCount++
 			res.PerDevice[c.device].Lost++
 			lostTotal.Inc()
-			rec.Event(int64(c.frame.CompletedAt), "offload", "loss", int64(c.device), c.frame.Work)
+			p.Recorder.Event(int64(c.frame.CompletedAt), "offload", "loss", int64(c.device), c.frame.Work)
 			continue
 		}
 		lat := deliveredSlot - float64(c.frame.EnqueuedAt)
 		latencyHist.Observe(lat)
 		perDeviceLat[c.device].Add(lat)
-		allLat = append(allLat, lat)
+		res.Latency = append(res.Latency, lat)
 		res.PerDevice[c.device].Delivered++
 	}
 	for i, r := range multi.PerDevice {
 		verdict, err := r.Verdict()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		row := &res.PerDevice[i]
 		row.Device = i
@@ -346,9 +353,8 @@ func runUplink(ctx context.Context, params SharedUplinkParams, reg *obs.Registry
 		row.MeanSojourn = r.MeanSojourn
 		row.MeanLatency = perDeviceLat[i].Mean()
 	}
-	res.Latency = allLat
-	if res.MeanLatency, res.P95Latency, err = latencySummary(allLat); err != nil {
-		return nil, nil, nil, err
+	if res.MeanLatency, res.P95Latency, err = latencySummary(res.Latency); err != nil {
+		return nil, err
 	}
-	return res, scn, allLat, nil
+	return res, nil
 }

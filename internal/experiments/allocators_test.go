@@ -99,7 +99,7 @@ func TestFleetMinDemandMatchesSpecs(t *testing.T) {
 }
 
 func TestSharedUplinkFleetDelivers(t *testing.T) {
-	res, err := SharedUplink(SharedUplinkParams{
+	res, err := SharedUplink(context.Background(), SharedUplinkParams{
 		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3},
 		Devices:        3,
 	})
@@ -152,13 +152,13 @@ func TestSharedUplinkAllocatorShiftsContention(t *testing.T) {
 		},
 		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 600, KneeSlot: 150, Seed: 3},
 	}
-	equal, err := SharedUplink(base)
+	equal, err := SharedUplink(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mw := base
 	mw.Allocator = alloc.NewMaxWeight()
-	shifted, err := SharedUplink(mw)
+	shifted, err := SharedUplink(context.Background(), mw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSharedUplinkLosslessLinkOverride(t *testing.T) {
 	// A literal-zeros Link config must be honored verbatim: no loss, no
 	// propagation delay, no jitter, rather than the default shape a nil
 	// Link gets.
-	res, err := SharedUplink(SharedUplinkParams{
+	res, err := SharedUplink(context.Background(), SharedUplinkParams{
 		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 400, KneeSlot: 100, Seed: 3},
 		Devices:        2,
 		Link:           &netem.LinkConfig{},
@@ -198,7 +198,7 @@ func TestSharedUplinkLosslessLinkOverride(t *testing.T) {
 
 func TestSharedUplinkObserverTagsDevices(t *testing.T) {
 	seen := map[int]int{}
-	_, err := SharedUplink(SharedUplinkParams{
+	_, err := SharedUplink(context.Background(), SharedUplinkParams{
 		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 200, KneeSlot: 100, Seed: 3},
 		Devices:        2,
 		Observer:       func(e sim.SlotEvent) { seen[e.Device]++ },
@@ -226,10 +226,7 @@ func TestOffloadObserverReportsLoss(t *testing.T) {
 			t.Errorf("slot %d: kernel event reports a drop (%v bytes, %d frames)", e.Slot, e.Dropped, e.DroppedFrames)
 		}
 	}
-	res, err := OffloadContext(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, dev := offload(t, p)
 	if res.LossCount == 0 {
 		t.Error("1% loss link lost nothing over 800 frames")
 	}
@@ -239,7 +236,7 @@ func TestOffloadObserverReportsLoss(t *testing.T) {
 	// Every offered frame's bytes occupied the uplink: Arrived must sum
 	// to the full byte stream, lost frames included.
 	var want float64
-	for _, d := range res.Depth {
+	for _, d := range dev.Depth {
 		want += float64(res.Bytes[d])
 	}
 	if offered != want {
@@ -254,7 +251,7 @@ func TestOffloadObserverReportsLoss(t *testing.T) {
 func TestSharedUplinkTimeVaryingCapacity(t *testing.T) {
 	run := func() *SharedUplinkResult {
 		// Mean-preserving Markov around the auto-sized bandwidth.
-		res, err := SharedUplink(SharedUplinkParams{
+		res, err := SharedUplink(context.Background(), SharedUplinkParams{
 			ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 800, KneeSlot: 200, Seed: 3},
 			Devices:        3,
 			Allocator:      alloc.NewMaxWeight(),
@@ -288,7 +285,7 @@ func TestSharedUplinkTimeVaryingCapacity(t *testing.T) {
 		}
 	}
 	// An invalid process is rejected up front.
-	if _, err := SharedUplink(SharedUplinkParams{
+	if _, err := SharedUplink(context.Background(), SharedUplinkParams{
 		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 100, KneeSlot: 50, Seed: 3},
 		Devices:        2,
 		Dynamics:       &netem.MarkovBandwidth{GoodRate: -1},
@@ -301,7 +298,7 @@ func TestSharedUplinkTimeVaryingCapacity(t *testing.T) {
 // before the capture and the fleet run, so the observer never fires.
 func TestSharedUplinkValidatesBeforeRunning(t *testing.T) {
 	calls := 0
-	_, err := SharedUplink(SharedUplinkParams{
+	_, err := SharedUplink(context.Background(), SharedUplinkParams{
 		ScenarioParams: ScenarioParams{Samples: 40_000, Slots: 400, KneeSlot: 100, Seed: 3},
 		Devices:        2,
 		Link:           &netem.LinkConfig{LossProb: -0.5},
@@ -313,7 +310,7 @@ func TestSharedUplinkValidatesBeforeRunning(t *testing.T) {
 	if calls != 0 {
 		t.Errorf("observer fired %d times before the link was rejected", calls)
 	}
-	if _, err := SharedUplink(SharedUplinkParams{
+	if _, err := SharedUplink(context.Background(), SharedUplinkParams{
 		ScenarioParams: ScenarioParams{ServiceFraction: 2},
 	}); !errors.Is(err, ErrBadServiceFraction) {
 		t.Errorf("service fraction 2: err = %v, want ErrBadServiceFraction", err)

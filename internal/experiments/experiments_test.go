@@ -86,6 +86,53 @@ func TestNewScenarioRejectsBadDepths(t *testing.T) {
 	}
 }
 
+// TestScenarioRejectsNegativeParams: every entry point that resolves
+// ScenarioParams rejects a negative (or NaN) sample budget, horizon or
+// knee slot before building anything, where it used to run the default
+// in its place; zero still selects the default.
+func TestScenarioRejectsNegativeParams(t *testing.T) {
+	prof, _ := contentProfiles(t)
+	entries := []struct {
+		name string
+		run  func(ScenarioParams) error
+	}{
+		{"NewScenario", func(p ScenarioParams) error { _, err := NewScenario(p); return err }},
+		{"NewByteScenario", func(p ScenarioParams) error { _, err := NewByteScenario(p); return err }},
+		{"NewContentScenario", func(p ScenarioParams) error { _, err := NewContentScenario(p, prof); return err }},
+		{"Fig1Context", func(p ScenarioParams) error { _, err := Fig1Context(context.Background(), p); return err }},
+		{"SharedUplink", func(p ScenarioParams) error {
+			_, err := SharedUplink(context.Background(), SharedUplinkParams{ScenarioParams: p, Devices: 1})
+			return err
+		}},
+	}
+	cases := []struct {
+		name   string
+		mutate func(*ScenarioParams)
+	}{
+		{"negative samples", func(p *ScenarioParams) { p.Samples = -1 }},
+		{"negative slots", func(p *ScenarioParams) { p.Slots = -5 }},
+		{"negative knee", func(p *ScenarioParams) { p.KneeSlot = -3 }},
+		{"NaN knee", func(p *ScenarioParams) { p.KneeSlot = math.NaN() }},
+	}
+	for _, tc := range cases {
+		for _, e := range entries {
+			p := testParams()
+			tc.mutate(&p)
+			if err := e.run(p); !errors.Is(err, ErrNegativeParam) {
+				t.Errorf("%s with %s: err = %v, want ErrNegativeParam", e.name, tc.name, err)
+			}
+		}
+	}
+	p := ScenarioParams{}.withDefaults()
+	if p.Samples != 400_000 || p.Slots != 800 || p.KneeSlot != 400 {
+		t.Errorf("zero params resolve to samples %d, slots %d, knee %v; want the defaults 400000, 800, 400",
+			p.Samples, p.Slots, p.KneeSlot)
+	}
+	if err := p.validate(); err != nil {
+		t.Errorf("default params rejected: %v", err)
+	}
+}
+
 // TestNewScenarioDepthOrder: the candidate set is a set — listing it
 // deepest first, or in any other order, calibrates the same scenario.
 func TestNewScenarioDepthOrder(t *testing.T) {

@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"qarv/internal/delay"
 	"qarv/internal/netem"
-	"qarv/internal/obs"
 	"qarv/internal/quality"
-	"qarv/internal/queueing"
-	"qarv/internal/sim"
 	"qarv/internal/stats"
 	"qarv/internal/synthetic"
 )
@@ -22,65 +18,8 @@ import (
 // stream size and the "service rate" the uplink bandwidth — the same
 // drift-plus-penalty machinery stabilizes the transmit queue.
 
-// OffloadParams controls the offload scenario.
-type OffloadParams struct {
-	// ScenarioParams sets the capture and the calibration, with the
-	// defaults of NewScenario. The controller works in the bytes domain:
-	// ServiceFraction places the uplink bandwidth between bytes(d_max−1)
-	// and bytes(d_max), and V is calibrated against that bandwidth.
-	ScenarioParams
-	// Link, when non-nil, configures the uplink exactly: its latency,
-	// jitter, and loss are used verbatim (zeros included), its
-	// BytesPerSlot (when positive) fixes the bandwidth V is calibrated
-	// at, and its Seed (when nonzero) replaces Seed for the link RNG.
-	// A nil Link is the default uplink: 2 slots of latency, 0.3 slots of
-	// jitter, 1% loss, the bandwidth ServiceFraction sizes and the link
-	// RNG seeded from Seed.
-	Link *netem.LinkConfig
-	// Dynamics, when non-nil, makes the uplink time-varying: it is a
-	// factor on the calibrated bandwidth, so slot t serves
-	// Bandwidth × Dynamics.Service(t) bytes of the queued frames — a
-	// Markov fading chain, a trace (a one-off drop is the three-point
-	// trace {0:1, start:f, end:1}), mobility handoffs with outage gaps;
-	// a non-positive rate is an outage slot. V stays calibrated at the
-	// static bandwidth. Each run works on a clone reseeded from Seed, as
-	// SharedUplinkParams.Dynamics does, so reports stay byte-identical
-	// per seed and the caller's process is never advanced.
-	Dynamics delay.ServiceProcess
-	// Observer, when non-nil, receives every slot's event as the control
-	// loop runs, after the run's own telemetry. The events are the slot
-	// kernel's, in bytes, for the one device 0: Arrived is the frame's
-	// bytes, Served the bytes the uplink serialized that slot, and
-	// Completed the frames whose last byte left, so
-	// Q(t+1) = Q(t) + Arrived − Served holds. Link loss, latency and
-	// jitter apply after the run, when the completed frames cross the
-	// propagation leg; they show in the result and in Metrics and
-	// Recorder, not in the events.
-	Observer sim.Observer
-	// Metrics, when non-nil, accumulates the kernel's sim_* and alloc_*
-	// series and the propagation leg's offload_frames_lost_total and
-	// offload_latency_slots.
-	Metrics *obs.Registry
-	// Recorder, when non-nil, receives slot-timestamped records: the
-	// kernel's per-slot spans and depth changes, the allocator's
-	// per-slot share of the uplink (its capacity, at one device), and
-	// an offload "loss" event, at its completion slot, for every frame
-	// the link drops.
-	Recorder *obs.FlightRecorder
-}
-
-// Validate checks the parameters (after default resolution) without
-// building the capture: ServiceFraction must lie in (0,1), every
-// candidate depth must fit inside the capture lattice, the character
-// preset must exist, and the link shape and the Dynamics process must
-// be valid. The Session API calls this once at construction; the run
-// checks the same again, so direct callers get the same rejection.
-func (p OffloadParams) Validate() error {
-	return validateUplink(p.ScenarioParams.withDefaults(), p.Link, p.Dynamics)
-}
-
-// validateUplink holds the checks the uplink engine (runUplink) makes
-// before any capture: the resolved scenario parameters, the character
+// validateUplink holds the checks SharedUplink makes before any
+// capture: the resolved scenario parameters, the character
 // preset, the link's shape, and the dynamics process.
 func validateUplink(p ScenarioParams, link *netem.LinkConfig, dynamics delay.ServiceProcess) error {
 	if err := p.validate(); err != nil {
@@ -104,30 +43,6 @@ func validateUplink(p ScenarioParams, link *netem.LinkConfig, dynamics delay.Ser
 		return v.Validate()
 	}
 	return nil
-}
-
-// OffloadResult is the trajectory and delivery statistics of one offload
-// run.
-type OffloadResult struct {
-	// Params are the resolved parameters; Params.Link is the uplink the
-	// run used, bandwidth and seed included.
-	Params    OffloadParams
-	Bandwidth float64 // bytes/slot
-	V         float64
-	// Network names the uplink's dynamics ("static" for a
-	// fixed-parameter link).
-	Network string
-	Bytes   []int // stream bytes per depth (the cost profile)
-
-	BacklogBytes []float64 // uplink queue in bytes, per slot
-	Depth        []int     // chosen depth per slot
-	Latency      []float64 // end-to-end delivery latency per delivered frame
-
-	MeanLatency float64
-	P95Latency  float64
-	LossCount   int
-	MeanDepth   float64
-	Verdict     queueing.Verdict
 }
 
 // ErrNoDeliveries is returned when every frame was lost (degenerate link).
@@ -154,7 +69,8 @@ func resolveLink(link *netem.LinkConfig, seed uint64) netem.LinkConfig {
 // NewByteScenario calibrates the scenario params describes in the bytes
 // domain: cost a(d) is the measured stream size of depth d, and the
 // service rate is the uplink bandwidth ServiceFraction sizes — the
-// calibration OffloadContext runs at when its Link leaves the bandwidth unset.
+// calibration a one-device SharedUplink runs at when its Link leaves the
+// bandwidth unset.
 func NewByteScenario(params ScenarioParams) (*Scenario, error) {
 	p := params.withDefaults()
 	if err := p.validate(); err != nil {
@@ -215,53 +131,4 @@ func latencySummary(latencies []float64) (mean, p95 float64, err error) {
 		return 0, 0, err
 	}
 	return lat.Mean(), p95, nil
-}
-
-// OffloadContext builds the capture, measures its per-depth stream
-// sizes, sizes the uplink, calibrates V against the byte workload, and
-// runs the control loop against the emulated link under a cancelable
-// context. The run is SharedUplinkContext's at one unit device: the
-// kernel serves each slot's uplink capacity to the frames queued on it,
-// and every completed frame then crosses the link's propagation leg.
-func OffloadContext(ctx context.Context, params OffloadParams) (*OffloadResult, error) {
-	up, scn, latencies, err := runUplink(ctx, SharedUplinkParams{
-		ScenarioParams: params.ScenarioParams,
-		Specs:          []AllocDeviceSpec{{ArrivalsPerSlot: 1, CostScale: 1}},
-		Link:           params.Link,
-		Dynamics:       params.Dynamics,
-		Observer:       params.Observer,
-	}, params.Metrics, params.Recorder)
-	if err != nil {
-		return nil, err
-	}
-	dev := up.Multi.PerDevice[0]
-	verdict, err := dev.Verdict()
-	if err != nil {
-		return nil, err
-	}
-	p := params
-	p.ScenarioParams, p.Link = up.Params.ScenarioParams, up.Params.Link
-	network := "static"
-	if p.Dynamics != nil {
-		network = p.Dynamics.Name()
-	}
-	var depthSum float64
-	for _, d := range dev.Depth {
-		depthSum += float64(d)
-	}
-	return &OffloadResult{
-		Params:       p,
-		Bandwidth:    up.Bandwidth,
-		V:            scn.V,
-		Network:      network,
-		Bytes:        up.Bytes,
-		BacklogBytes: dev.Backlog,
-		Depth:        dev.Depth,
-		Latency:      latencies,
-		MeanLatency:  up.MeanLatency,
-		P95Latency:   up.P95Latency,
-		LossCount:    up.LossCount,
-		MeanDepth:    depthSum / float64(len(dev.Depth)),
-		Verdict:      verdict,
-	}, nil
 }

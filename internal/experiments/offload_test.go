@@ -13,13 +13,29 @@ import (
 	"qarv/internal/sim"
 )
 
-func offloadParams() OffloadParams {
-	return OffloadParams{ScenarioParams: ScenarioParams{
-		Samples:  40_000,
-		Slots:    800,
-		KneeSlot: 200,
-		Seed:     3,
-	}}
+// offloadParams is the single-device edge-offload run: one unit device
+// on the uplink.
+func offloadParams() SharedUplinkParams {
+	return SharedUplinkParams{
+		ScenarioParams: ScenarioParams{
+			Samples:  40_000,
+			Slots:    800,
+			KneeSlot: 200,
+			Seed:     3,
+		},
+		Devices: 1,
+	}
+}
+
+// offload runs p, failing the test on error, and returns the result
+// with its one device's trajectories.
+func offload(t *testing.T, p SharedUplinkParams) (*SharedUplinkResult, *sim.Result) {
+	t.Helper()
+	res, err := SharedUplink(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, res.Multi.PerDevice[0]
 }
 
 func TestOffloadStabilizesUplink(t *testing.T) {
@@ -30,20 +46,17 @@ func TestOffloadStabilizesUplink(t *testing.T) {
 		completed += len(e.Completed)
 		last = e
 	}
-	res, err := OffloadContext(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict == queueing.VerdictDiverging {
-		t.Errorf("uplink queue diverged (verdict %v)", res.Verdict)
+	res, dev := offload(t, p)
+	if verdict, err := dev.Verdict(); err != nil || verdict == queueing.VerdictDiverging {
+		t.Errorf("uplink queue diverged (verdict %v, err %v)", verdict, err)
 	}
 	// The knee behaviour carries over to the bytes domain: depth 10
 	// before the knee, lower after.
-	if res.Depth[0] != 10 {
-		t.Errorf("initial depth = %d, want 10", res.Depth[0])
+	if dev.Depth[0] != 10 {
+		t.Errorf("initial depth = %d, want 10", dev.Depth[0])
 	}
 	sawLower := false
-	for _, d := range res.Depth[200:] {
+	for _, d := range dev.Depth[200:] {
 		if d < 10 {
 			sawLower = true
 			break
@@ -65,12 +78,16 @@ func TestOffloadStabilizesUplink(t *testing.T) {
 		t.Errorf("delivered %d + lost %d != %d completed frames",
 			len(res.Latency), res.LossCount, completed)
 	}
+	if row := res.PerDevice[0]; row.Delivered != len(res.Latency) || row.Lost != res.LossCount {
+		t.Errorf("device row delivered %d, lost %d; the run delivered %d, lost %d",
+			row.Delivered, row.Lost, len(res.Latency), res.LossCount)
+	}
 	// The frames still queued at the horizon are the last ones offered,
 	// and they hold the final backlog: all of their bytes but what the
 	// head frame has already sent.
 	queued := res.Params.Slots - completed
 	var tail, head float64
-	for i, d := range res.Depth[completed:] {
+	for i, d := range dev.Depth[completed:] {
 		tail += float64(res.Bytes[d])
 		if i == 0 {
 			head = float64(res.Bytes[d])
@@ -88,10 +105,7 @@ func TestOffloadStabilizesUplink(t *testing.T) {
 }
 
 func TestOffloadBytesProfileDrivesCost(t *testing.T) {
-	res, err := OffloadContext(context.Background(), offloadParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := offload(t, offloadParams())
 	// The bytes profile must be strictly increasing over the candidate
 	// depths and the bandwidth sit between the top two.
 	for d := 6; d <= 10; d++ {
@@ -109,16 +123,13 @@ func TestOffloadBandwidthDropRecovery(t *testing.T) {
 	p := offloadParams()
 	p.Slots = 1600
 	p.Dynamics = dropTrace(t, 600, 1000, 0.5)
-	res, err := OffloadContext(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict == queueing.VerdictDiverging {
-		t.Error("controller diverged under bandwidth drop")
+	_, dev := offload(t, p)
+	if verdict, err := dev.Verdict(); err != nil || verdict == queueing.VerdictDiverging {
+		t.Errorf("controller diverged under bandwidth drop (verdict %v, err %v)", verdict, err)
 	}
 	// Depth must shed inside the drop window relative to steady state.
-	meanIn := meanDepthRange(res.Depth, 700, 1000)
-	meanOut := meanDepthRange(res.Depth, 300, 600)
+	meanIn := meanDepthRange(dev.Depth, 700, 1000)
+	meanOut := meanDepthRange(dev.Depth, 300, 600)
 	if meanIn >= meanOut {
 		t.Errorf("depth in drop window %.2f not below normal %.2f", meanIn, meanOut)
 	}
@@ -151,7 +162,7 @@ func TestOffloadDegenerateLink(t *testing.T) {
 	p := offloadParams()
 	// Loss not quite 1 (validation), so the link loses essentially all.
 	p.Link = &netem.LinkConfig{LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.999}
-	if _, err := OffloadContext(context.Background(), p); err == nil {
+	if _, err := SharedUplink(context.Background(), p); err == nil {
 		// Statistically ~0.1% delivered; accept either outcome but a
 		// totally dead link must not panic.
 		t.Log("some frames survived the 99.9% loss link")
@@ -161,7 +172,7 @@ func TestOffloadDegenerateLink(t *testing.T) {
 func TestOffloadBadCharacter(t *testing.T) {
 	p := offloadParams()
 	p.Character = "nobody"
-	if _, err := OffloadContext(context.Background(), p); err == nil {
+	if _, err := SharedUplink(context.Background(), p); err == nil {
 		t.Error("unknown character must error")
 	}
 }
@@ -172,67 +183,52 @@ func TestOffloadBadCharacter(t *testing.T) {
 
 func TestOffloadDynamicsValidation(t *testing.T) {
 	p := offloadParams()
-	p.Dynamics = &netem.MarkovBandwidth{GoodRate: -1}
-	if err := p.Validate(); !errors.Is(err, netem.ErrBadMarkov) {
-		t.Errorf("bad markov: %v", err)
-	}
-	// A forgotten constant factor would be a permanent outage.
-	p.Dynamics = &delay.ConstantService{}
-	if err := p.Validate(); !errors.Is(err, delay.ErrBadConstant) {
-		t.Errorf("zero constant: %v", err)
-	}
-	p.Dynamics = &netem.TraceBandwidth{}
-	if err := p.Validate(); !errors.Is(err, netem.ErrEmptyTrace) {
-		t.Errorf("empty trace: %v", err)
+	for _, tc := range []struct {
+		dynamics delay.ServiceProcess
+		want     error
+	}{
+		{&netem.MarkovBandwidth{GoodRate: -1}, netem.ErrBadMarkov},
+		// A forgotten constant factor would be a permanent outage.
+		{&delay.ConstantService{}, delay.ErrBadConstant},
+		{&netem.TraceBandwidth{}, netem.ErrEmptyTrace},
+	} {
+		p.Dynamics = tc.dynamics
+		if _, err := SharedUplink(context.Background(), p); !errors.Is(err, tc.want) {
+			t.Errorf("%T: err = %v, want %v", tc.dynamics, err, tc.want)
+		}
 	}
 	p.Dynamics = &delay.ConstantService{Rate: 1}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	offload(t, p)
 }
 
 // TestOffloadMarkovDynamics: a volatile uplink degrades delivered
-// quality relative to the static link of equal mean, the run stays
-// deterministic per seed, and the dynamics name lands in the result.
+// quality relative to the static link of equal mean, and the run stays
+// deterministic per seed.
 func TestOffloadMarkovDynamics(t *testing.T) {
-	base := offloadParams()
-	static, err := OffloadContext(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if static.Network != "static" {
-		t.Errorf("static run network = %q", static.Network)
-	}
+	_, static := offload(t, offloadParams())
 
-	run := func() *OffloadResult {
+	run := func() (*SharedUplinkResult, *sim.Result) {
 		p := offloadParams()
 		p.Dynamics = &netem.MarkovBandwidth{
 			GoodRate: 1.5, BadRate: 0.5,
 			PGoodBad: 0.1, PBadGood: 0.1,
 		}
-		res, err := OffloadContext(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return offload(t, p)
 	}
-	dyn := run()
-	if dyn.Network != "markov-bw" {
-		t.Errorf("network = %q", dyn.Network)
-	}
-	if dyn.MeanDepth >= static.MeanDepth {
-		t.Errorf("volatile uplink did not reduce mean depth: %v vs static %v",
-			dyn.MeanDepth, static.MeanDepth)
+	dyn, dynDev := run()
+	dynDepth := meanDepthRange(dynDev.Depth, 0, len(dynDev.Depth))
+	if staticDepth := meanDepthRange(static.Depth, 0, len(static.Depth)); dynDepth >= staticDepth {
+		t.Errorf("volatile uplink did not reduce mean depth: %v vs static %v", dynDepth, staticDepth)
 	}
 	// Byte-determinism: an identical spec replays the identical report.
-	again := run()
-	if dyn.MeanDepth != again.MeanDepth || dyn.MeanLatency != again.MeanLatency ||
+	again, againDev := run()
+	if !slices.Equal(dynDev.Depth, againDev.Depth) || dyn.MeanLatency != again.MeanLatency ||
 		dyn.LossCount != again.LossCount {
-		t.Errorf("dynamic offload not deterministic per seed: %+v vs %+v",
-			dyn.MeanDepth, again.MeanDepth)
+		t.Errorf("dynamic offload not deterministic per seed: mean depth %v vs %v",
+			dynDepth, meanDepthRange(againDev.Depth, 0, len(againDev.Depth)))
 	}
-	for i, q := range dyn.BacklogBytes {
-		if q != again.BacklogBytes[i] {
+	for i, q := range dynDev.Backlog {
+		if q != againDev.Backlog[i] {
 			t.Fatalf("backlog trajectory diverged at slot %d", i)
 		}
 	}
@@ -254,15 +250,9 @@ func TestOffloadHandoffDynamics(t *testing.T) {
 		ScaleLo:           0.8,
 		ScaleHi:           1.2,
 	}
-	res, err := OffloadContext(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Network != "handoff" {
-		t.Errorf("network = %q", res.Network)
-	}
-	half := len(res.BacklogBytes) / 2
-	first, second := slices.Max(res.BacklogBytes[:half]), slices.Max(res.BacklogBytes[half:])
+	res, dev := offload(t, p)
+	half := len(dev.Backlog) / 2
+	first, second := slices.Max(dev.Backlog[:half]), slices.Max(dev.Backlog[half:])
 	if limit := 50 * res.Bandwidth; first > limit || second > limit {
 		t.Errorf("backlog peaks %v, %v exceed 50 slots of bandwidth (%v)", first, second, limit)
 	}
@@ -292,10 +282,7 @@ func TestOffloadRecoveryDrainsAtLinkRate(t *testing.T) {
 	backlog := make([]float64, p.Slots)
 	arrived := make([]float64, p.Slots)
 	p.Observer = func(e sim.SlotEvent) { backlog[e.Slot], arrived[e.Slot] = e.Backlog, e.Arrived }
-	res, err := OffloadContext(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := offload(t, p)
 	bw := res.Bandwidth
 	checked := 0
 	for s := 200; s+1 < p.Slots; s++ {
@@ -311,54 +298,5 @@ func TestOffloadRecoveryDrainsAtLinkRate(t *testing.T) {
 	// exercised on (nearly) every slot after recovery.
 	if checked < 100 {
 		t.Fatalf("only %d slots after recovery had more than a slot's bandwidth queued", checked)
-	}
-}
-
-// TestOffloadIsOneDeviceSharedUplink: Offload and SharedUplink at one
-// unit device are one engine, so the same scenario, link and dynamics
-// give the same row from either entry point.
-func TestOffloadIsOneDeviceSharedUplink(t *testing.T) {
-	cases := []struct {
-		name     string
-		link     *netem.LinkConfig
-		dynamics delay.ServiceProcess
-	}{
-		{"static", nil, nil},
-		{"fixed 20k link", &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001}, nil},
-		{"markov", nil, &netem.MarkovBandwidth{GoodRate: 1.5, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.1}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := offloadParams()
-			p.Link, p.Dynamics = tc.link, tc.dynamics
-			off, err := OffloadContext(context.Background(), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			up, err := SharedUplink(SharedUplinkParams{
-				ScenarioParams: p.ScenarioParams,
-				Specs:          []AllocDeviceSpec{{ArrivalsPerSlot: 1, CostScale: 1}},
-				Link:           tc.link,
-				Dynamics:       tc.dynamics,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dev := up.Multi.PerDevice[0]
-			if !slices.Equal(off.BacklogBytes, dev.Backlog) || !slices.Equal(off.Depth, dev.Depth) {
-				t.Error("backlog or depth trajectories differ")
-			}
-			if off.V != up.V || !slices.Equal(off.Latency, up.Latency) {
-				t.Errorf("offload V %v and %d latencies != shared uplink V %v and %d latencies",
-					off.V, len(off.Latency), up.V, len(up.Latency))
-			}
-			if off.Bandwidth != up.Bandwidth || off.LossCount != up.LossCount ||
-				len(off.Latency) != up.PerDevice[0].Delivered ||
-				off.MeanLatency != up.MeanLatency || off.P95Latency != up.P95Latency {
-				t.Errorf("offload row (bw %v, lost %d, delivered %d, latency %v/%v) != shared uplink row (bw %v, lost %d, delivered %d, latency %v/%v)",
-					off.Bandwidth, off.LossCount, len(off.Latency), off.MeanLatency, off.P95Latency,
-					up.Bandwidth, up.LossCount, up.PerDevice[0].Delivered, up.MeanLatency, up.P95Latency)
-			}
-		})
 	}
 }

@@ -24,7 +24,8 @@ import (
 )
 
 // ScenarioParams controls the calibrated Fig. 2 setup. Zero values take
-// the published-experiment defaults.
+// the published-experiment defaults; a negative Samples, KneeSlot or
+// Slots is rejected with ErrNegativeParam.
 type ScenarioParams struct {
 	// Character selects the synthetic 8i-like subject (default longdress).
 	Character string
@@ -55,7 +56,7 @@ func (p ScenarioParams) withDefaults() ScenarioParams {
 	if p.Character == "" {
 		p.Character = "longdress"
 	}
-	if p.Samples <= 0 {
+	if p.Samples == 0 {
 		p.Samples = 400_000
 	}
 	if p.CaptureDepth <= 0 {
@@ -67,10 +68,10 @@ func (p ScenarioParams) withDefaults() ScenarioParams {
 	if p.ServiceFraction == 0 {
 		p.ServiceFraction = 0.6
 	}
-	if p.KneeSlot <= 0 {
+	if p.KneeSlot == 0 {
 		p.KneeSlot = 400
 	}
-	if p.Slots <= 0 {
+	if p.Slots == 0 {
 		p.Slots = 800
 	}
 	if p.Seed == 0 {
@@ -80,9 +81,18 @@ func (p ScenarioParams) withDefaults() ScenarioParams {
 }
 
 // validate checks resolved parameters before anything is captured: the
-// service fraction must lie in (0,1) and every candidate depth must fit
-// inside the capture lattice.
+// sample count, horizon and knee slot must not be negative (zero
+// resolves to the default), the service fraction must lie in (0,1) and
+// every candidate depth must fit inside the capture lattice.
 func (p ScenarioParams) validate() error {
+	switch {
+	case p.Samples < 0:
+		return fmt.Errorf("%w: Samples %d", ErrNegativeParam, p.Samples)
+	case p.Slots < 0:
+		return fmt.Errorf("%w: Slots %d", ErrNegativeParam, p.Slots)
+	case !(p.KneeSlot >= 0):
+		return fmt.Errorf("%w: KneeSlot %v", ErrNegativeParam, p.KneeSlot)
+	}
 	if !(p.ServiceFraction > 0 && p.ServiceFraction < 1) {
 		return fmt.Errorf("%w: %v", ErrBadServiceFraction, p.ServiceFraction)
 	}
@@ -115,6 +125,9 @@ var (
 	// ErrBadServiceFraction reports a ServiceFraction outside (0,1); zero
 	// selects the default instead.
 	ErrBadServiceFraction = errors.New("experiments: service fraction not in (0,1)")
+	// ErrNegativeParam reports a negative (or NaN) Samples, Slots or
+	// KneeSlot; zero selects the default instead.
+	ErrNegativeParam = errors.New("experiments: negative scenario parameter")
 )
 
 // NewScenario generates the synthetic frame, builds its octree profile,

@@ -36,62 +36,17 @@ func pinDigest(t *testing.T, v any) string {
 }
 
 // TestUplinkRunsPinned pins the byte-domain runs and the scenario
-// calibration. The "old ..." cases are the Bandwidth, LatencySlots,
+// calibration. The one-device cases are the single-device edge-offload
+// runs. Their "old ..." cases are the Bandwidth, LatencySlots,
 // JitterSlots and LossProb scalars the uplink was once shaped by,
-// rewritten as the Link their defaults resolved to. The Markov cases
-// were recorded with absolute-rate processes and are now written as
-// factors on the calibrated bandwidth, with the same bytes. Every
-// offload digest was re-pinned when Offload became SharedUplink at one
-// unit device: the kernel's byte backlog replaced the link's frozen
-// serialization schedule, latencies count whole completion slots, and
-// the dynamics draw from the shared uplink's seed. The shared-uplink
+// rewritten as the Link their defaults resolved to, and their Markov
+// case is a factor on the calibrated bandwidth. The shared-uplink
 // digests were re-pinned when the result gained V and Latency; hashed
-// without those two fields, each gives its earlier digest. The
-// one-device cases are the offload cases run through SharedUplink.
+// without those two fields, each gives its earlier digest.
 func TestUplinkRunsPinned(t *testing.T) {
 	base := offloadParams()
-	offload := func(mutate func(*OffloadParams)) *OffloadResult {
-		p := base
-		mutate(&p)
-		res, err := OffloadContext(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	offloads := []struct {
-		name, want string
-		mutate     func(*OffloadParams)
-	}{
-		{"default", "c1c062a2a2b7137147df518a69961dc83dfe2a0618200df4d15a1d579b49907e", func(*OffloadParams) {}},
-		{"link zeros", "6eee6ffee62b3725fc249e34f20c7741eabdde95076c1b1d8d2f2d2ae06dd78c", func(p *OffloadParams) {
-			p.Link = &netem.LinkConfig{}
-		}},
-		{"fixed 20k link", "e77e6833764b37d85bcab350fbe474a10653c26e484c2005faba1f14a22f8475", func(p *OffloadParams) {
-			p.Link = &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001}
-		}},
-		{"drop window", "7784d3615e024e4d047a0bddf5f0c73b81ebaeb767fded6adc99670166430c28", func(p *OffloadParams) {
-			p.Slots = 1600
-			p.Dynamics = dropTrace(t, 600, 1000, 0.5)
-		}},
-		{"markov dynamics", "d560bf88734f1f5f433418b052dd313fe423523eaccfd094979def93f5686aa3", func(p *OffloadParams) {
-			p.Dynamics = &netem.MarkovBandwidth{GoodRate: 1.5, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.1}
-		}},
-		{"old Bandwidth: 25000", "4b6a957e1b372c1cc8fb1456cd68cdc19309d441a3d715b3de4906431bc97706", func(p *OffloadParams) {
-			p.Link = &netem.LinkConfig{BytesPerSlot: 25_000, LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.01}
-		}},
-		{"old LossProb: 0.2", "c07b23364b5f71c8204327aaf0e25bd7d710dd9477cc64d5a952206f84ccec2d", func(p *OffloadParams) {
-			p.Link = &netem.LinkConfig{LatencySlots: 2, JitterSlots: 0.3, LossProb: 0.2}
-		}},
-	}
-	for _, tc := range offloads {
-		if got := pinDigest(t, offload(tc.mutate)); got != tc.want {
-			t.Errorf("offload %s: digest %s, want %s", tc.name, got, tc.want)
-		}
-	}
-
 	shared := func(p SharedUplinkParams) *SharedUplinkResult {
-		res, err := SharedUplink(p)
+		res, err := SharedUplink(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

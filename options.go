@@ -21,7 +21,6 @@ type sessionConfig struct {
 	content   *ContentProfile
 	devices   []Device
 	allocator Allocator
-	offload   *OffloadParams
 	observers []sim.Observer
 	seed      uint64
 	seedSet   bool
@@ -44,8 +43,7 @@ func WithScenario(s *Scenario) Option {
 // resolves it exactly like WithScenario. A scenario passed alongside
 // supplies the control-side knobs (KneeSlot, ServiceFraction, Slots);
 // the candidate depths come from the profile's measured ladder. Other
-// options still override the resolved defaults. Not valid with
-// WithOffload, which measures its own capture.
+// options still override the resolved defaults.
 func WithContent(p *ContentProfile) Option {
 	return func(c *sessionConfig) { c.content = p }
 }
@@ -100,15 +98,6 @@ func WithAllocator(a Allocator) Option {
 	return func(c *sessionConfig) { c.allocator = a }
 }
 
-// WithOffload switches the session to the edge-offload scenario: octree
-// streams over an emulated uplink, the controller stabilizing the
-// transmit queue. WithSlots and WithSeed still apply; the remaining
-// knobs, the uplink's shape (Link) and dynamics (Dynamics) included,
-// live on OffloadParams.
-func WithOffload(p OffloadParams) Option {
-	return func(c *sessionConfig) { c.offload = &p }
-}
-
 // WithSeed makes the session's stochastic components deterministic from
 // one seed: NewSession derives a splittable RNG from it and reseeds, in
 // a fixed documented order, every resolved component that implements
@@ -117,12 +106,6 @@ func WithOffload(p OffloadParams) Option {
 // Factor), and the random baseline policy among the built-ins (for sim
 // sessions: policy, arrivals, service; for multi sessions: the shared
 // service, then each device's policy and arrivals in device order).
-// Offload sessions instead get OffloadParams.Seed replaced, which drives
-// the capture, the link RNG (a nonzero OffloadParams.Link.Seed still
-// wins for the link) and the Dynamics process;
-// note offload runs normalize seed 0 to 1 — OffloadParams' zero-value
-// convention — so WithSeed(0) and WithSeed(1) coincide there, while
-// sim and multi sessions treat every seed value as distinct.
 //
 // Two sessions built with the same options and the same seed produce
 // byte-identical reports. Reseeding happens once, at NewSession — a
@@ -145,14 +128,12 @@ func WithObserver(fn func(SlotEvent)) Option {
 // WithTelemetry attaches a metrics registry: the session's telemetry,
 // an observer of the same slot stream WithObserver hooks see, folds
 // per-slot counters and sketch-backed histograms (sim_* series, plus
-// alloc_* for multi and offload sessions and the uplink's
-// offload_frames_lost_total and offload_latency_slots for offload
-// sessions) into r. Telemetry
-// never changes what the session computes — reports are byte-identical
-// with and without it — and a session run with a nil registry pays only
-// a pointer check per slot. Registries merge losslessly (Merge) and
-// snapshot deterministically (Snapshot), so one registry may be shared
-// across sessions or kept per run and folded afterwards.
+// alloc_* for multi sessions) into r. Telemetry never changes what the
+// session computes — reports are byte-identical with and without it —
+// and a session run with a nil registry pays only a pointer check per
+// slot. Registries merge losslessly (Merge) and snapshot
+// deterministically (Snapshot), so one registry may be shared across
+// sessions or kept per run and folded afterwards.
 func WithTelemetry(r *MetricsRegistry) Option {
 	return func(c *sessionConfig) { c.metrics = r }
 }

@@ -15,10 +15,10 @@
 //
 // # Sessions
 //
-// Every scenario — the single-device slotted simulation, the shared-budget
-// multi-device run, and the edge-offload uplink run — is driven through
-// one composable entry point, the Session: a functional-options builder
-// that validates once and runs under a context.
+// The slotted scenarios — the single-device simulation and the
+// shared-budget multi-device run — are driven through one composable
+// entry point, the Session: a functional-options builder that validates
+// once and runs under a context.
 //
 //	scn, _ := qarv.NewScenario(qarv.ScenarioParams{})
 //	s, _ := qarv.NewSession(qarv.WithScenario(scn))
@@ -26,15 +26,29 @@
 //	fmt.Println(rep.Verdict, rep.TimeAvgUtility, rep.TimeAvgBacklog)
 //
 // Options override any scenario default (WithPolicy, WithArrivals,
-// WithService, WithCost, WithUtility, WithSlots), switch
-// scenario kind (WithDevices, WithOffload), make every stochastic
-// component deterministic from one seed (WithSeed), and attach per-slot
-// streaming hooks (WithObserver). Batches of runs are grids on the
-// sweep engine (see NewSweep), which runs cells concurrently with rows
-// in grid order:
+// WithService, WithCost, WithUtility, WithSlots), switch to the
+// multi-device kind (WithDevices), make every stochastic component
+// deterministic from one seed (WithSeed), and attach per-slot streaming
+// hooks (WithObserver). Batches of runs are grids on the sweep engine
+// (see NewSweep), which runs cells concurrently with rows in grid
+// order:
 //
 //	sw, _ := qarv.NewSweep(scn, qarv.AxisV(0.5, 1, 2))
 //	rep, _ := sw.Run(ctx) // rep.Rows[i] belongs to the i-th V factor
+//
+// # Uplinks
+//
+// Edge offload moves the delay model onto the network: devices ship
+// their octree streams over an emulated uplink, so the workload a(d) is
+// the stream size in bytes and the service rate the uplink bandwidth.
+// SharedUplink runs it for a fleet of devices contending for one link;
+// the single-device offload run is a fleet of one:
+//
+//	up, _ := qarv.SharedUplink(ctx, qarv.SharedUplinkParams{
+//	    ScenarioParams: qarv.ScenarioParams{Seed: 11},
+//	    Devices:        1,
+//	})
+//	fmt.Println(up.Bandwidth, up.MeanLatency, up.PerDevice[0].Verdict)
 //
 // # Fleets
 //
@@ -81,6 +95,8 @@
 package qarv
 
 import (
+	"context"
+
 	"qarv/internal/alloc"
 	"qarv/internal/content"
 	"qarv/internal/core"
@@ -282,7 +298,7 @@ func NewContentScenario(params ScenarioParams, prof *ContentProfile) (*Scenario,
 }
 
 // ---------------------------------------------------------------------------
-// Experiments (scenarios, offload, shared uplinks)
+// Experiments (scenarios, shared uplinks)
 // ---------------------------------------------------------------------------
 
 type (
@@ -290,14 +306,10 @@ type (
 	ScenarioParams = experiments.ScenarioParams
 	// Scenario is the calibrated experimental setup.
 	Scenario = experiments.Scenario
-	// OffloadParams controls the edge-offload scenario.
-	OffloadParams = experiments.OffloadParams
-	// OffloadResult is an edge-offload run's trajectory and delivery
-	// statistics.
-	OffloadResult = experiments.OffloadResult
-	// SharedUplinkParams controls the shared-uplink multi-device offload
-	// scenario: N devices contending for one emulated uplink whose
-	// bandwidth is divided per slot by an Allocator.
+	// SharedUplinkParams controls the edge-offload scenario: N devices
+	// contending for one emulated uplink whose bandwidth is divided per
+	// slot by an Allocator (one device is the single-device offload
+	// run).
 	SharedUplinkParams = experiments.SharedUplinkParams
 	// SharedUplinkResult is a shared-uplink run's per-device trajectories
 	// and delivery statistics.
@@ -309,8 +321,7 @@ type (
 	// capacity process — the Gilbert–Elliott shape of a fading channel.
 	// It and the trace and handoff processes below are ServiceProcesses:
 	// a capacity under WithService, a unitless factor as
-	// OffloadParams.Dynamics, SharedUplinkParams.Dynamics or a
-	// ModulatedService Factor.
+	// SharedUplinkParams.Dynamics or a ModulatedService Factor.
 	MarkovBandwidth = netem.MarkovBandwidth
 	// TraceBandwidth replays a piecewise-constant recorded capacity
 	// trace, optionally wrapping every Period slots.
@@ -343,11 +354,14 @@ func DefaultMarkovFactor(rng *RNG) *MarkovBandwidth { return netem.DefaultMarkov
 // sensibly.
 func LoadFactorTrace(path string) (*TraceBandwidth, error) { return netem.LoadFactorTrace(path) }
 
-// SharedUplink runs N devices against one emulated uplink, its
-// serialization bandwidth split per slot by params.Allocator and its
-// propagation leg (latency, jitter, loss) applied to every delivery.
-func SharedUplink(params SharedUplinkParams) (*SharedUplinkResult, error) {
-	return experiments.SharedUplink(params)
+// SharedUplink runs N devices against one emulated uplink under a
+// cancelable context, its serialization bandwidth split per slot by
+// params.Allocator and its propagation leg (latency, jitter, loss)
+// applied to every delivery. It validates params before building the
+// capture; a fixed bandwidth at or above bytes(d_max), which
+// V-calibration rejects, fails only once the capture is measured.
+func SharedUplink(ctx context.Context, params SharedUplinkParams) (*SharedUplinkResult, error) {
+	return experiments.SharedUplink(ctx, params)
 }
 
 // HeterogeneousSpecs returns the canonical mixed fleet of the allocator
@@ -360,5 +374,6 @@ func NewScenario(p ScenarioParams) (*Scenario, error) { return experiments.NewSc
 
 // NewByteScenario calibrates the same capture in the bytes domain of the
 // uplink runs: cost a(d) is the measured stream size of depth d and the
-// service rate the uplink bandwidth offload sessions calibrate at.
+// service rate the uplink bandwidth a one-device SharedUplink calibrates
+// at.
 func NewByteScenario(p ScenarioParams) (*Scenario, error) { return experiments.NewByteScenario(p) }

@@ -13,13 +13,11 @@ import (
 // SessionKind identifies which scenario a Session drives.
 type SessionKind int
 
-// Session kinds, inferred from the options: WithOffload selects
-// KindOffload, WithDevices selects KindMulti, anything else is a
-// single-device KindSim run.
+// Session kinds, inferred from the options: WithDevices selects
+// KindMulti, anything else is a single-device KindSim run.
 const (
 	KindSim SessionKind = iota
 	KindMulti
-	KindOffload
 )
 
 // Session construction errors.
@@ -33,49 +31,42 @@ var (
 )
 
 // Report is the unified result of any session run. Exactly one of Sim,
-// Multi, Offload is non-nil, matching Kind; the summary fields are
-// always populated so sweeps can compare runs without switching on Kind.
+// Multi is non-nil, matching Kind; the summary fields are always
+// populated so sweeps can compare runs without switching on Kind.
 type Report struct {
 	Kind SessionKind
 
-	Sim     *SimResult     // KindSim runs
-	Multi   *MultiResult   // KindMulti runs
-	Offload *OffloadResult // KindOffload runs
+	Sim   *SimResult   // KindSim runs
+	Multi *MultiResult // KindMulti runs
 
 	// TimeAvgUtility is the run's time-average quality: the objective (1)
-	// for sim runs, the fleet mean for multi runs, 0 for offload runs
-	// (which track delivery latency instead).
+	// for sim runs, the fleet mean for multi runs.
 	TimeAvgUtility float64
 	// TimeAvgBacklog is the run's time-average backlog: constraint (2)
-	// for sim runs, the fleet total for multi runs, and the mean uplink
-	// queue in bytes for offload runs.
+	// for sim runs, the fleet total for multi runs.
 	TimeAvgBacklog float64
 	// Verdict classifies the backlog trajectory (the summed trajectory
 	// for multi runs); zero when the run is too short to classify.
 	Verdict Verdict
 }
 
-// Session is the single entry point for every QARV scenario: a validated,
-// immutable configuration assembled by NewSession from functional options
-// and driven by Run. The same Session value may be Run repeatedly, but
+// Session is the entry point for the slotted scenarios, single-device
+// and shared-budget multi-device (uplink runs go through SharedUplink):
+// a validated, immutable configuration assembled by NewSession from
+// functional options and driven by Run. The same Session value may be Run repeatedly, but
 // note that stateful policies (the threshold and random baselines) carry
 // state across runs — build one Session per run for reproducible sweeps.
 type Session struct {
-	kind    SessionKind
-	simCfg  sim.Config
-	multi   sim.MultiConfig
-	offload experiments.OffloadParams
+	kind   SessionKind
+	simCfg sim.Config
+	multi  sim.MultiConfig
 }
 
 // NewSession validates the options into a runnable Session. A Scenario
 // (WithScenario) supplies defaults — controller, cost, utility, constant
 // service at the calibrated rate, one-frame-per-slot arrivals, and the
-// horizon — each overridable by the matching option. Structural
-// validation happens here, once; sim and multi sessions cannot fail on
-// configuration at Run. Offload sessions can still fail at Run on
-// conditions only discoverable against the measured capture (e.g. a
-// fixed bandwidth at or above bytes(d_max), which V-calibration
-// rejects).
+// horizon — each overridable by the matching option. Validation
+// happens here, once; a session cannot fail on configuration at Run.
 func NewSession(opts ...Option) (*Session, error) {
 	var c sessionConfig
 	for _, o := range opts {
@@ -84,9 +75,6 @@ func NewSession(opts ...Option) (*Session, error) {
 	obs := sim.Join(c.observers...)
 
 	if c.content != nil {
-		if c.offload != nil {
-			return nil, fmt.Errorf("%w: offload sessions measure their own capture; WithContent applies to sim and multi sessions", ErrOptionConflict)
-		}
 		// Recalibrate the session scenario over the measured profile: the
 		// supplied scenario (if any) keeps its control-side knobs, while
 		// cost, utility, service rate, V, and the candidate depths come
@@ -104,38 +92,6 @@ func NewSession(opts ...Option) (*Session, error) {
 	}
 
 	switch {
-	case c.offload != nil:
-		if c.scenario != nil || c.policy != nil || c.arrivals != nil || c.service != nil ||
-			c.cost != nil || c.utility != nil || len(c.devices) > 0 {
-			return nil, fmt.Errorf("%w: offload sessions configure capture and control through OffloadParams (WithSlots, WithSeed, WithObserver still apply)", ErrOptionConflict)
-		}
-		if c.allocator != nil {
-			return nil, ErrAllocatorWithoutDevices
-		}
-		p := *c.offload
-		if c.slotsSet {
-			if c.slots <= 0 {
-				return nil, fmt.Errorf("%w: %d", sim.ErrBadSlots, c.slots)
-			}
-			p.Slots = c.slots
-		}
-		p.Observer = sim.Join(p.Observer, obs)
-		if c.metrics != nil {
-			p.Metrics = c.metrics
-		}
-		if c.recorder != nil {
-			p.Recorder = c.recorder
-		}
-		if c.seedSet {
-			// One seed drives capture and link alike; a nonzero
-			// OffloadParams.Link.Seed still wins for the link RNG.
-			p.Seed = c.seed
-		}
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		return &Session{kind: KindOffload, offload: p}, nil
-
 	case len(c.devices) > 0:
 		if c.policy != nil || c.arrivals != nil || c.cost != nil || c.utility != nil {
 			return nil, fmt.Errorf("%w: multi-device sessions configure policy, cost, utility, and arrivals per Device", ErrOptionConflict)
@@ -246,12 +202,6 @@ func (s *Session) Run(ctx context.Context) (*Report, error) {
 		ctx = context.Background()
 	}
 	switch s.kind {
-	case KindOffload:
-		res, err := experiments.OffloadContext(ctx, s.offload)
-		if err != nil {
-			return nil, err
-		}
-		return offloadReport(res), nil
 	case KindMulti:
 		res, err := sim.RunMultiContext(ctx, s.multi)
 		if err != nil {
@@ -289,22 +239,6 @@ func multiReport(res *sim.MultiResult) *Report {
 	}
 	if v, err := res.Verdict(); err == nil {
 		rep.Verdict = v
-	}
-	return rep
-}
-
-func offloadReport(res *experiments.OffloadResult) *Report {
-	rep := &Report{
-		Kind:    KindOffload,
-		Offload: res,
-		Verdict: res.Verdict,
-	}
-	var sum float64
-	for _, q := range res.BacklogBytes {
-		sum += q
-	}
-	if n := len(res.BacklogBytes); n > 0 {
-		rep.TimeAvgBacklog = sum / float64(n)
 	}
 	return rep
 }

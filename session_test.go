@@ -9,9 +9,12 @@ import (
 	"time"
 
 	"qarv/internal/alloc"
+	"qarv/internal/delay"
+	"qarv/internal/experiments"
 	"qarv/internal/netem"
 	"qarv/internal/policy"
 	"qarv/internal/sim"
+	"qarv/internal/synthetic"
 )
 
 // cheapModels builds a tiny hand-rolled sim configuration that needs no
@@ -62,11 +65,9 @@ func TestSessionOptionValidation(t *testing.T) {
 		{"missing arrivals", []Option{WithPolicy(fixed), WithCost(cost), WithUtility(util), WithService(svc), WithSlots(10)}, sim.ErrNilArrivals},
 		{"missing slots", []Option{WithPolicy(fixed), WithArrivals(arr), WithCost(cost), WithUtility(util), WithService(svc)}, sim.ErrBadSlots},
 		{"policy with devices", []Option{WithPolicy(fixed), WithDevices(Device{Policy: fixed, Cost: cost, Utility: util, Arrivals: arr}), WithService(svc), WithSlots(10)}, ErrOptionConflict},
-		{"offload with policy", []Option{WithOffload(OffloadParams{}), WithPolicy(fixed)}, ErrOptionConflict},
 		{"incomplete device", []Option{WithDevices(Device{Policy: fixed}), WithService(svc), WithSlots(10)}, sim.ErrNilCost},
 		{"no devices no policy", nil, sim.ErrNilPolicy},
 		{"allocator without devices", append(cheapSessionOpts(t, 10), WithAllocator(alloc.EqualSplit{})), ErrAllocatorWithoutDevices},
-		{"allocator with offload", []Option{WithOffload(OffloadParams{}), WithAllocator(NewMaxWeight())}, ErrAllocatorWithoutDevices},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,29 +76,32 @@ func TestSessionOptionValidation(t *testing.T) {
 			}
 		})
 	}
+}
 
-	if _, err := NewSession(WithOffload(OffloadParams{ScenarioParams: ScenarioParams{Character: "no-such-preset"}})); err == nil {
-		t.Error("bad offload character accepted")
+// TestSharedUplinkRejectsBadParams: an uplink run rejects the config
+// mistakes a session rejects at construction — an unknown preset, a
+// negative horizon, a malformed link or dynamics process — before it
+// builds the capture.
+func TestSharedUplinkRejectsBadParams(t *testing.T) {
+	cases := []struct {
+		name string
+		p    SharedUplinkParams
+		want error
+	}{
+		{"unknown preset", SharedUplinkParams{ScenarioParams: ScenarioParams{Character: "no-such-preset"}}, synthetic.ErrUnknownCharacter},
+		{"negative slots", SharedUplinkParams{ScenarioParams: ScenarioParams{Slots: -5}}, experiments.ErrNegativeParam},
+		{"negative loss", SharedUplinkParams{Link: &netem.LinkConfig{LossProb: -0.5}}, netem.ErrBadLoss},
+		{"negative latency", SharedUplinkParams{Link: &netem.LinkConfig{LatencySlots: -1}}, netem.ErrBadLatency},
+		{"zero constant dynamics", SharedUplinkParams{Dynamics: &ConstantService{}}, delay.ErrBadConstant},
+		{"invalid markov dynamics", SharedUplinkParams{Dynamics: &MarkovBandwidth{GoodRate: -1}}, netem.ErrBadMarkov},
 	}
-	// Offload sessions reject the same config mistakes the other kinds
-	// do, at construction: non-positive horizons and malformed links.
-	if _, err := NewSession(WithOffload(OffloadParams{}), WithSlots(-5)); !errors.Is(err, sim.ErrBadSlots) {
-		t.Errorf("offload WithSlots(-5) = %v, want ErrBadSlots", err)
-	}
-	if _, err := NewSession(WithOffload(OffloadParams{Link: &netem.LinkConfig{LossProb: -0.5}})); err == nil {
-		t.Error("negative loss probability accepted at construction")
-	}
-	if _, err := NewSession(WithOffload(OffloadParams{Link: &netem.LinkConfig{LatencySlots: -1}})); err == nil {
-		t.Error("negative latency accepted at construction")
-	}
-	// Malformed dynamics are rejected at construction too.
-	if _, err := NewSession(WithOffload(OffloadParams{Dynamics: &ConstantService{}})); err == nil {
-		t.Error("zero constant dynamics accepted at construction")
-	}
-	if _, err := NewSession(WithOffload(OffloadParams{
-		Dynamics: &MarkovBandwidth{GoodRate: -1},
-	})); err == nil {
-		t.Error("invalid markov dynamics accepted at construction")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.p.Devices = 1
+			if _, err := SharedUplink(context.Background(), tc.p); !errors.Is(err, tc.want) {
+				t.Errorf("SharedUplink = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -181,23 +185,20 @@ func TestSessionCancellationMulti(t *testing.T) {
 func TestSessionCancellationOffload(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s, err := NewSession(
-		WithOffload(OffloadParams{ScenarioParams: ScenarioParams{
+	_, err := SharedUplink(ctx, SharedUplinkParams{
+		ScenarioParams: ScenarioParams{
 			Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
-			KneeSlot: 50,
-		}}),
-		WithSlots(2_000_000),
-		WithObserver(func(e SlotEvent) {
+			KneeSlot: 50, Slots: 2_000_000,
+		},
+		Devices: 1,
+		Observer: func(e SlotEvent) {
 			if e.Slot == 300 {
 				cancel()
 			}
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("offload Run = %v, want context.Canceled", err)
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("uplink run = %v, want context.Canceled", err)
 	}
 }
 
@@ -359,68 +360,59 @@ func TestSessionWithAllocator(t *testing.T) {
 	}
 }
 
-// withUplink returns base with its uplink set to l.
-func withUplink(base OffloadParams, l netem.LinkConfig) OffloadParams {
-	base.Link = &l
-	return base
+// offloadParams is a cheap one-device uplink run.
+func offloadParams() SharedUplinkParams {
+	return SharedUplinkParams{
+		ScenarioParams: ScenarioParams{
+			Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
+			KneeSlot: 50, Slots: 400, Seed: 3,
+		},
+		Devices: 1,
+	}
+}
+
+// runUplink runs p, failing the test on error.
+func runUplink(t *testing.T, p SharedUplinkParams) *SharedUplinkResult {
+	t.Helper()
+	res, err := SharedUplink(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestSessionOffloadWithLink(t *testing.T) {
-	base := OffloadParams{ScenarioParams: ScenarioParams{
-		Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
-		KneeSlot: 50, Slots: 400, Seed: 3,
-	}}
+	withLink := func(l netem.LinkConfig) SharedUplinkParams {
+		p := offloadParams()
+		p.Link = &l
+		return p
+	}
 	// The fixed bandwidth must sit below bytes(d_max) or V-calibration
 	// (correctly) refuses: every depth stable means no tradeoff to tune.
-	s, err := NewSession(WithOffload(withUplink(base, netem.LinkConfig{
+	res := runUplink(t, withLink(netem.LinkConfig{
 		BytesPerSlot: 20_000, LatencySlots: 1, JitterSlots: 0.1, LossProb: 0.001,
-	})))
-	if err != nil {
-		t.Fatal(err)
+	}))
+	if res.Bandwidth != 20_000 {
+		t.Errorf("bandwidth = %v, want the Link override", res.Bandwidth)
 	}
-	rep, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Kind != KindOffload || rep.Offload == nil {
-		t.Fatalf("report = %+v", rep)
-	}
-	if rep.Offload.Bandwidth != 20_000 {
-		t.Errorf("bandwidth = %v, want the Link override", rep.Offload.Bandwidth)
-	}
-	if rep.TimeAvgBacklog <= 0 {
-		t.Error("offload summary backlog missing")
+	if res.PerDevice[0].TimeAvgBacklogBytes <= 0 {
+		t.Error("uplink backlog summary missing")
 	}
 
 	// A lossless link is expressible: explicit zeros are honored rather
-	// than re-defaulted to the offload's 1% loss / 2-slot latency.
-	s2, err := NewSession(WithOffload(withUplink(base, netem.LinkConfig{
+	// than re-defaulted to the default uplink's 1% loss / 2-slot latency.
+	lossless := runUplink(t, withLink(netem.LinkConfig{
 		BytesPerSlot: 20_000, LatencySlots: 0, JitterSlots: 0, LossProb: 0,
-	})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := s2.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Offload.LossCount != 0 {
-		t.Errorf("lossless link dropped %d frames", rep2.Offload.LossCount)
+	}))
+	if lossless.LossCount != 0 {
+		t.Errorf("lossless link dropped %d frames", lossless.LossCount)
 	}
 
 	// The link seed is respected: different seeds, different traces.
-	run := func(seed uint64) *OffloadResult {
-		s, err := NewSession(WithOffload(withUplink(base, netem.LinkConfig{
+	run := func(seed uint64) *SharedUplinkResult {
+		return runUplink(t, withLink(netem.LinkConfig{
 			BytesPerSlot: 20_000, JitterSlots: 2, LossProb: 0.2, Seed: seed,
-		})))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Offload
+		}))
 	}
 	a, b, c := run(1), run(2), run(1)
 	if a.LossCount != c.LossCount || !reflect.DeepEqual(a.Latency, c.Latency) {
@@ -432,77 +424,47 @@ func TestSessionOffloadWithLink(t *testing.T) {
 }
 
 func TestSessionOffloadWithDynamics(t *testing.T) {
-	base := OffloadParams{
-		ScenarioParams: ScenarioParams{
-			Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
-			KneeSlot: 50, Slots: 400, Seed: 3,
-		},
-		Link: &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1},
-	}
-	run := func(seed uint64) *OffloadResult {
-		p := base
+	run := func(seed uint64) *SharedUplinkResult {
+		p := offloadParams()
+		p.Seed = seed
+		p.Link = &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1}
 		p.Dynamics = &MarkovBandwidth{
 			GoodRate: 1.3, BadRate: 0.5,
 			PGoodBad: 0.1, PBadGood: 0.2,
 		}
-		s, err := NewSession(WithOffload(p), WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Kind != KindOffload || rep.Offload == nil {
-			t.Fatalf("report = %+v", rep)
-		}
-		return rep.Offload
+		return runUplink(t, p)
 	}
 	a, b, c := run(7), run(7), run(8)
-	if a.Network != "markov-bw" {
-		t.Errorf("network = %q", a.Network)
-	}
-	// WithSeed keeps the whole report byte-identical, dynamics included.
-	if !reflect.DeepEqual(a.BacklogBytes, b.BacklogBytes) || !reflect.DeepEqual(a.Latency, b.Latency) ||
-		a.LossCount != b.LossCount || a.MeanDepth != b.MeanDepth {
-		t.Error("same seed produced different dynamic-offload reports")
+	// One seed keeps the whole result byte-identical, dynamics included.
+	da, db, dc := a.Multi.PerDevice[0], b.Multi.PerDevice[0], c.Multi.PerDevice[0]
+	if !reflect.DeepEqual(da.Backlog, db.Backlog) || !reflect.DeepEqual(a.Latency, b.Latency) ||
+		a.LossCount != b.LossCount || !reflect.DeepEqual(da.Depth, db.Depth) {
+		t.Error("same seed produced different dynamic-offload results")
 	}
 	// A different seed drives a different capacity path.
-	if reflect.DeepEqual(a.BacklogBytes, c.BacklogBytes) {
+	if reflect.DeepEqual(da.Backlog, dc.Backlog) {
 		t.Error("different seeds produced identical capacity paths")
 	}
 }
 
-// Regression (review finding): offload runs clone the configured
-// dynamics before reseeding, so one Session can Run concurrently —
-// previously all offload state was rebuilt per run and Dynamics was
-// the first cross-run mutable exception.
+// Uplink runs clone the configured dynamics before reseeding, so one
+// params value, its Dynamics process included, can run concurrently.
 func TestSessionOffloadDynamicsConcurrentRuns(t *testing.T) {
-	s, err := NewSession(
-		WithOffload(OffloadParams{
-			ScenarioParams: ScenarioParams{
-				Samples: 8000, CaptureDepth: 8, Depths: []int{4, 5, 6, 7, 8},
-				KneeSlot: 50, Slots: 200, Seed: 3,
-			},
-			Link: &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1},
-			Dynamics: &MarkovBandwidth{
-				GoodRate: 1.3, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.2,
-			},
-		}),
-		WithSeed(7),
-	)
-	if err != nil {
-		t.Fatal(err)
+	p := offloadParams()
+	p.Slots, p.Seed = 200, 7
+	p.Link = &netem.LinkConfig{BytesPerSlot: 20_000, LatencySlots: 1}
+	p.Dynamics = &MarkovBandwidth{
+		GoodRate: 1.3, BadRate: 0.5, PGoodBad: 0.1, PBadGood: 0.2,
 	}
 	const n = 4
-	results := make([]*Report, n)
+	results := make([]*SharedUplinkResult, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.Run(context.Background())
+			results[i], errs[i] = SharedUplink(context.Background(), p)
 		}(i)
 	}
 	wg.Wait()
@@ -510,7 +472,7 @@ func TestSessionOffloadDynamicsConcurrentRuns(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("run %d: %v", i, errs[i])
 		}
-		if !reflect.DeepEqual(results[i].Offload.BacklogBytes, results[0].Offload.BacklogBytes) {
+		if !reflect.DeepEqual(results[i].Multi.PerDevice[0].Backlog, results[0].Multi.PerDevice[0].Backlog) {
 			t.Fatalf("concurrent run %d diverged from run 0", i)
 		}
 	}

@@ -3,10 +3,10 @@ package qarv
 // Golden pins for per-slot telemetry: the metric snapshot JSON and the
 // trace_event JSON of three small runs — a single-device sim run whose
 // bounded backlog drops work (sim.Config's MaxBacklog, which no session
-// option sets), and two facade sessions: a shared-edge run of three
-// devices under the EXP3 bandit allocator with Markov-modulated
-// service, and an offload run over a lossy uplink — must match the
-// files under testdata/telemetry byte for byte. The goldens were
+// option sets), a facade session sharing an edge among three devices
+// under the EXP3 bandit allocator with Markov-modulated service, and a
+// one-device SharedUplink run over a lossy uplink — must match the files
+// under testdata/telemetry byte for byte. The goldens were
 // generated on linux/amd64; regenerate them with
 //
 //	go test -run TestTelemetryGoldens -update-telemetry-goldens .
@@ -35,9 +35,10 @@ func TestTelemetryGoldens(t *testing.T) {
 	const slots = 60
 	cases := []struct {
 		name string
-		// simCfg, when set, is run directly; otherwise the session
-		// that opts builds is.
+		// simCfg or uplink, when set, is run directly; otherwise the
+		// session that opts builds is.
 		simCfg func(t *testing.T) sim.Config
+		uplink *SharedUplinkParams
 		opts   func(t *testing.T) []Option
 		// want lists trace records the case exists to cover, and
 		// positive the counters it must drive above zero.
@@ -104,15 +105,10 @@ func TestTelemetryGoldens(t *testing.T) {
 		},
 		{
 			name: "offload",
-			opts: func(t *testing.T) []Option {
-				return []Option{
-					WithOffload(OffloadParams{
-						ScenarioParams: ScenarioParams{Samples: 40_000, KneeSlot: 50},
-						Link:           &netem.LinkConfig{LatencySlots: 1, JitterSlots: 0.3, LossProb: 0.2},
-					}),
-					WithSlots(slots),
-					WithSeed(5),
-				}
+			uplink: &SharedUplinkParams{
+				ScenarioParams: ScenarioParams{Samples: 40_000, KneeSlot: 50, Slots: slots, Seed: 5},
+				Devices:        1,
+				Link:           &netem.LinkConfig{LatencySlots: 1, JitterSlots: 0.3, LossProb: 0.2},
 			},
 			want:     []string{`"name":"loss","cat":"offload"`, `"name":"depth","cat":"sim"`},
 			positive: []string{"offload_frames_lost_total"},
@@ -122,13 +118,20 @@ func TestTelemetryGoldens(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewMetricsRegistry()
 			rec := NewFlightRecorder(0)
-			if tc.simCfg != nil {
+			switch {
+			case tc.simCfg != nil:
 				cfg := tc.simCfg(t)
 				cfg.Metrics, cfg.Recorder = reg, rec
 				if _, err := sim.RunContext(context.Background(), cfg); err != nil {
 					t.Fatal(err)
 				}
-			} else {
+			case tc.uplink != nil:
+				p := *tc.uplink
+				p.Metrics, p.Recorder = reg, rec
+				if _, err := SharedUplink(context.Background(), p); err != nil {
+					t.Fatal(err)
+				}
+			default:
 				s, err := NewSession(append(tc.opts(t), WithTelemetry(reg), WithFlightRecorder(rec))...)
 				if err != nil {
 					t.Fatal(err)
