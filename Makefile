@@ -7,13 +7,14 @@ all: vet check build test
 # check runs the qarvcheck analyzer suite (cmd/qarvcheck) over the
 # whole module: nondeterminism (no wall clock, math/rand, or
 # map-iteration-ordered output in deterministic packages), ctxloop
-# (slot/shard loops must thread cancellation), reseedclone (types
-# holding *geom.RNG implement the full Reseed/Clone run-isolation
-# contract), errstyle (sentinels wrapped with %w, no discarded
+# (slot/shard loops must thread cancellation), reseed (types holding
+# *geom.RNG implement Reseed, and capacity processes among them declare
+# their own ForRun), errstyle (sentinels wrapped with %w, no discarded
 # errors), doccheck (exported identifiers documented), and unreached
 # (every func and method outside a main package is linked into some
-# program: it builds every main under cmd/ and examples/ plus perfbench
-# once with the linker's dependency dump, about 9 s of a warm run). The
+# program, and no code looks methods up through reflect: it builds
+# every main under cmd/ and examples/ plus perfbench once with the
+# linker's dependency dump, about 9 s of a warm run). The
 # tree must stay finding-free; deliberate exceptions carry a reasoned
 # //qarv:allow directive.
 check:

@@ -12,7 +12,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exit = %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"nondeterminism:", "ctxloop:", "reseedclone:", "errstyle:", "doccheck:", "unreached:"} {
+	for _, name := range []string{"nondeterminism:", "ctxloop:", "reseed:", "errstyle:", "doccheck:", "unreached:"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
 		}

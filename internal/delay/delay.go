@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 
 	"qarv/internal/geom"
 )
@@ -156,14 +155,11 @@ func (s *NoisyService) Name() string { return "noisy" }
 // drive every stochastic session component from one session seed.
 func (s *NoisyService) Reseed(rng *geom.RNG) { s.RNG = rng }
 
-// Clone returns a run-isolated copy: the RNG state is deep-copied, so
-// a cloned run never advances (or races) the original's stream.
-func (s *NoisyService) Clone() *NoisyService {
-	if s == nil {
-		return nil
-	}
+// ForRun returns a copy of the process reseeded with stream(), so a
+// run never advances (or races) the prototype's stream.
+func (s *NoisyService) ForRun(stream func() *geom.RNG) ServiceProcess {
 	c := *s
-	c.RNG = s.RNG.Clone()
+	c.Reseed(stream())
 	return &c
 }
 
@@ -206,47 +202,27 @@ func (s *ModulatedService) Reseed(rng *geom.RNG) {
 	}
 }
 
-// Clone returns a run-isolated copy whose Inner and Factor are cloned
-// through CloneProcess.
-func (s *ModulatedService) Clone() *ModulatedService {
-	if s == nil {
-		return nil
-	}
-	return &ModulatedService{Inner: CloneProcess(s.Inner), Factor: CloneProcess(s.Factor)}
+// ForRun draws one stream and hands Inner and then Factor each a
+// child stream of it through ForRun, the same streams Reseed hands
+// them, so a run reseeds its own copies and never the prototype's.
+func (s *ModulatedService) ForRun(stream func() *geom.RNG) ServiceProcess {
+	rng := stream()
+	return &ModulatedService{Inner: ForRun(s.Inner, rng.Split), Factor: ForRun(s.Factor, rng.Split)}
 }
 
-// CloneProcess returns a copy of p for one run, so per-run state never
-// leaks between runs. A process with a Clone method returning its own
-// type — the Reseed/Clone contract every stateful process in this
-// module implements, whichever package defines it — is deep-copied
-// through that method. Any other process is returned as is: it must
-// hold no per-run state (ConstantService and a trace replay are pure
-// functions of t), or its owner must not run it concurrently.
-func CloneProcess(p ServiceProcess) ServiceProcess {
-	if p == nil {
-		return nil
-	}
-	clone := reflect.ValueOf(p).MethodByName("Clone")
-	if !clone.IsValid() || clone.Type().NumIn() != 0 || clone.Type().NumOut() != 1 {
-		return p
-	}
-	if c, ok := clone.Call(nil)[0].Interface().(ServiceProcess); ok {
-		return c
-	}
-	return p
-}
-
-// ForRun turns a capacity shape into one run's process: a clone of p
-// (through CloneProcess; nil stays nil), reseeded with stream() when p
-// has a Reseed method. A shape that reseeds draws exactly one stream
-// per run; any other (a trace, a constant) calls stream never, so it
-// consumes none. It is the only place a shape prototype becomes a
-// run's process, so every run replays the same capacity path without
-// advancing the prototype.
+// ForRun turns a capacity shape into one run's process. A shape with
+// per-run state (NoisyService, ModulatedService and netem's Markov and
+// handoff processes) declares ForRun(stream) and returns its own copy,
+// reseeded from one stream() draw. Any other shape (nil, a constant, a
+// trace replay) is a pure function of t: it is returned as is, and
+// stream is never called, so it consumes no stream. It is the only
+// place a shape prototype becomes a run's process, so every run
+// replays the same capacity path without advancing the prototype.
 func ForRun(p ServiceProcess, stream func() *geom.RNG) ServiceProcess {
-	p = CloneProcess(p)
-	if r, ok := p.(interface{ Reseed(*geom.RNG) }); ok {
-		r.Reseed(stream())
+	if r, ok := p.(interface {
+		ForRun(func() *geom.RNG) ServiceProcess
+	}); ok {
+		return r.ForRun(stream)
 	}
 	return p
 }

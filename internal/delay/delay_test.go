@@ -128,10 +128,9 @@ func TestModulatedService(t *testing.T) {
 	}
 }
 
-// TestModulatedServiceReseedAndClone: Reseed and Clone reach both the
-// inner process and the factor, so no stochastic factor escapes a
-// session seed or leaks state between runs.
-func TestModulatedServiceReseedAndClone(t *testing.T) {
+// TestModulatedServiceReseed: Reseed reaches both the inner process
+// and the factor, so no stochastic factor escapes a session seed.
+func TestModulatedServiceReseed(t *testing.T) {
 	orig := &ModulatedService{
 		Inner:  &NoisyService{Mean: 100, Std: 10},
 		Factor: &NoisyService{Mean: 1, Std: 0.2},
@@ -141,42 +140,11 @@ func TestModulatedServiceReseedAndClone(t *testing.T) {
 	if inner.RNG == nil || factor.RNG == nil || inner.RNG == factor.RNG {
 		t.Fatal("Reseed must hand Inner and Factor distinct streams")
 	}
-	c := orig.Clone()
-	if c.Inner == orig.Inner || c.Factor == orig.Factor {
-		t.Fatal("Clone must deep-copy Inner and Factor")
-	}
-	for slot := 0; slot < 50; slot++ {
-		if a, b := orig.Service(slot), c.Service(slot); a != b {
-			t.Fatalf("slot %d: clone diverged from original: %v vs %v", slot, a, b)
-		}
-	}
-	if (*ModulatedService)(nil).Clone() != nil {
-		t.Error("nil clone not nil")
-	}
 }
 
-func TestCloneProcess(t *testing.T) {
-	if CloneProcess(nil) != nil {
-		t.Error("nil process cloned to non-nil")
-	}
-	// Stateless processes are shared; stateful ones deep-copied.
-	cs := &ConstantService{Rate: 5}
-	if CloneProcess(cs) != ServiceProcess(cs) {
-		t.Error("constant service should be shared")
-	}
-	ns := &NoisyService{Mean: 10, Std: 1, RNG: geom.NewRNG(1)}
-	c, ok := CloneProcess(ns).(*NoisyService)
-	if !ok || c == ns || c.RNG == ns.RNG {
-		t.Fatalf("noisy clone not deep: %#v", c)
-	}
-	if c.Service(0) != ns.Service(0) {
-		t.Error("clone must continue the original's stream")
-	}
-}
-
-// TestForRun: a shape that reseeds becomes a clone reseeded from one
-// stream, leaving the prototype untouched; nil and stateless shapes
-// draw no stream.
+// TestForRun: a shape with per-run state becomes a copy reseeded from
+// one stream, leaving the prototype untouched; nil and stateless
+// shapes draw no stream, and a composite draws one for all its parts.
 func TestForRun(t *testing.T) {
 	draws := 0
 	stream := func() *geom.RNG { draws++; return geom.NewRNG(9) }
@@ -191,6 +159,24 @@ func TestForRun(t *testing.T) {
 	}
 	if want := geom.NewRNG(9).NormMeanStd(10, 1); run.Service(0) != want {
 		t.Errorf("run serves %v, want %v from the drawn stream", run.Service(0), want)
+	}
+
+	// A modulated shape copies its stochastic Inner, shares its constant
+	// Factor, and replays the prototype reseeded with the same stream.
+	mod := &ModulatedService{Inner: &NoisyService{Mean: 100, Std: 10}, Factor: cs}
+	draws = 0
+	mrun, ok := ForRun(mod, stream).(*ModulatedService)
+	if !ok || mrun == mod || mrun.Inner == mod.Inner || mrun.Factor != ServiceProcess(cs) || draws != 1 {
+		t.Fatalf("modulated shape: run %#v, %d streams drawn", mrun, draws)
+	}
+	if mod.Inner.(*NoisyService).RNG != nil {
+		t.Fatal("ForRun reseeded the prototype's Inner")
+	}
+	mod.Reseed(geom.NewRNG(9))
+	for slot := 0; slot < 50; slot++ {
+		if a, b := mod.Service(slot), mrun.Service(slot); a != b {
+			t.Fatalf("slot %d: run diverged from the reseeded prototype: %v vs %v", slot, a, b)
+		}
 	}
 }
 

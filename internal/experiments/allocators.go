@@ -130,8 +130,9 @@ type SharedUplinkParams struct {
 	// between bytes(d_max−1) and bytes(d_max), and V is calibrated
 	// against it.
 	ScenarioParams
-	// Devices is the fleet size (default 4); Specs, when non-empty,
-	// overrides it with an explicit heterogeneous fleet.
+	// Devices is the fleet size (default 4; negative is rejected with
+	// ErrNegativeParam); Specs, when non-empty, overrides it with an
+	// explicit heterogeneous fleet.
 	Devices int
 	Specs   []AllocDeviceSpec
 	// Allocator splits the uplink bandwidth per slot (default
@@ -156,7 +157,7 @@ type SharedUplinkParams struct {
 	// trace {0:1, start:f, end:1}), mobility handoffs with outage gaps;
 	// a non-positive rate is an outage slot. The static bandwidth still
 	// anchors V calibration and the propagation link. Each run works on
-	// a clone reseeded from Seed, so repeated runs replay the same
+	// a copy reseeded from Seed, so repeated runs replay the same
 	// capacity path and the caller's process is never advanced.
 	Dynamics delay.ServiceProcess
 	// Observer receives every device's slot event as the control loop
@@ -181,7 +182,7 @@ type SharedUplinkParams struct {
 
 func (p SharedUplinkParams) withDefaults() SharedUplinkParams {
 	p.ScenarioParams = p.ScenarioParams.withDefaults()
-	if p.Devices <= 0 {
+	if p.Devices == 0 {
 		p.Devices = 4
 	}
 	if len(p.Specs) == 0 {
@@ -244,6 +245,9 @@ type SharedUplinkResult struct {
 // every completed frame across the netem.Link (latency, jitter, loss)
 // in completion order; lost frames still consumed uplink bytes.
 func SharedUplink(ctx context.Context, params SharedUplinkParams) (*SharedUplinkResult, error) {
+	if params.Devices < 0 {
+		return nil, fmt.Errorf("%w: Devices %d", ErrNegativeParam, params.Devices)
+	}
 	p := params.withDefaults()
 	if err := validateUplink(p.ScenarioParams, p.Link, p.Dynamics); err != nil {
 		return nil, err

@@ -113,9 +113,14 @@ func TestScenarioRejectsNegativeParams(t *testing.T) {
 		{"negative slots", func(p *ScenarioParams) { p.Slots = -5 }},
 		{"negative knee", func(p *ScenarioParams) { p.KneeSlot = -3 }},
 		{"NaN knee", func(p *ScenarioParams) { p.KneeSlot = math.NaN() }},
+		{"negative capture depth", func(p *ScenarioParams) { p.CaptureDepth = -3 }},
+		{"negative candidate depth", func(p *ScenarioParams) { p.Depths = []int{-1, 5, 6} }},
 	}
 	for _, tc := range cases {
 		for _, e := range entries {
+			if tc.name == "negative capture depth" && e.name == "NewContentScenario" {
+				continue // the profile fixes the capture depth
+			}
 			p := testParams()
 			tc.mutate(&p)
 			if err := e.run(p); !errors.Is(err, ErrNegativeParam) {

@@ -24,8 +24,8 @@ import (
 )
 
 // ScenarioParams controls the calibrated Fig. 2 setup. Zero values take
-// the published-experiment defaults; a negative Samples, KneeSlot or
-// Slots is rejected with ErrNegativeParam.
+// the published-experiment defaults; a negative Samples, CaptureDepth,
+// candidate depth, KneeSlot or Slots is rejected with ErrNegativeParam.
 type ScenarioParams struct {
 	// Character selects the synthetic 8i-like subject (default longdress).
 	Character string
@@ -59,7 +59,7 @@ func (p ScenarioParams) withDefaults() ScenarioParams {
 	if p.Samples == 0 {
 		p.Samples = 400_000
 	}
-	if p.CaptureDepth <= 0 {
+	if p.CaptureDepth == 0 {
 		p.CaptureDepth = 10
 	}
 	if len(p.Depths) == 0 {
@@ -81,13 +81,15 @@ func (p ScenarioParams) withDefaults() ScenarioParams {
 }
 
 // validate checks resolved parameters before anything is captured: the
-// sample count, horizon and knee slot must not be negative (zero
-// resolves to the default), the service fraction must lie in (0,1) and
-// every candidate depth must fit inside the capture lattice.
+// sample count, capture depth, horizon and knee slot must not be
+// negative (zero resolves to the default), the service fraction must
+// lie in (0,1) and every candidate depth must lie in 0..CaptureDepth.
 func (p ScenarioParams) validate() error {
 	switch {
 	case p.Samples < 0:
 		return fmt.Errorf("%w: Samples %d", ErrNegativeParam, p.Samples)
+	case p.CaptureDepth < 0:
+		return fmt.Errorf("%w: CaptureDepth %d", ErrNegativeParam, p.CaptureDepth)
 	case p.Slots < 0:
 		return fmt.Errorf("%w: Slots %d", ErrNegativeParam, p.Slots)
 	case !(p.KneeSlot >= 0):
@@ -97,6 +99,9 @@ func (p ScenarioParams) validate() error {
 		return fmt.Errorf("%w: %v", ErrBadServiceFraction, p.ServiceFraction)
 	}
 	for _, d := range p.Depths {
+		if d < 0 {
+			return fmt.Errorf("%w: depth %d", ErrNegativeParam, d)
+		}
 		if d > p.CaptureDepth {
 			return fmt.Errorf("%w: %d > %d", ErrDepthBeyondCapture, d, p.CaptureDepth)
 		}
@@ -125,8 +130,9 @@ var (
 	// ErrBadServiceFraction reports a ServiceFraction outside (0,1); zero
 	// selects the default instead.
 	ErrBadServiceFraction = errors.New("experiments: service fraction not in (0,1)")
-	// ErrNegativeParam reports a negative (or NaN) Samples, Slots or
-	// KneeSlot; zero selects the default instead.
+	// ErrNegativeParam reports a negative (or NaN) Samples,
+	// CaptureDepth, candidate depth, Slots, KneeSlot or shared-uplink
+	// Devices; zero selects the default instead.
 	ErrNegativeParam = errors.New("experiments: negative scenario parameter")
 )
 

@@ -10,29 +10,80 @@ import (
 
 	"qarv/internal/alloc"
 	"qarv/internal/netem"
+	"qarv/internal/queueing"
+	"qarv/internal/sim"
 )
 
-// pinDigest is the SHA-256 of v's JSON encoding. A struct is encoded
-// field by field with its Params left out: Params holds funcs and
-// changes shape by design, while every other field is the run's output.
+// pinDigest is the SHA-256 of v's JSON encoding.
 func pinDigest(t *testing.T, v any) string {
 	t.Helper()
-	rv := reflect.Indirect(reflect.ValueOf(v))
-	if rv.Kind() == reflect.Struct {
-		m := map[string]any{}
-		for i := 0; i < rv.NumField(); i++ {
-			if f := rv.Type().Field(i); f.Name != "Params" {
-				m[f.Name] = rv.Field(i).Interface()
-			}
-		}
-		v = m
-	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// pinnedResult is a sim.Result as the uplink pins encode it: the fields
+// in their order from when Result still kept the per-slot Arrived and
+// Served series, which the slot events carry now.
+type pinnedResult struct {
+	PolicyName     string
+	Backlog        []float64
+	Depth          []int
+	Arrived        []float64
+	Served         []float64
+	Utility        []float64
+	Completed      []queueing.Completed
+	DroppedWork    float64
+	DroppedFrames  int
+	MeanSojourn    float64
+	Little         queueing.LittleEstimator
+	TimeAvgUtility float64
+	TimeAvgBacklog float64
+	FinalBacklog   float64
+	MaxBacklog     float64
+}
+
+// uplinkPin runs p and returns what the pins hash: the result's fields
+// by name with Params left out (it holds funcs and changes shape by
+// design, while every other field is the run's output), and each
+// device's result with the Arrived and Served series its slot events
+// carried.
+func uplinkPin(t *testing.T, p SharedUplinkParams) map[string]any {
+	t.Helper()
+	var arrived, served [][]float64
+	p.Observer = func(e sim.SlotEvent) {
+		for len(arrived) <= e.Device {
+			arrived, served = append(arrived, nil), append(served, nil)
+		}
+		arrived[e.Device] = append(arrived[e.Device], e.Arrived)
+		served[e.Device] = append(served[e.Device], e.Served)
+	}
+	res, err := SharedUplink(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]any{}
+	rv := reflect.ValueOf(res).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Type().Field(i); f.Name != "Params" {
+			fields[f.Name] = rv.Field(i).Interface()
+		}
+	}
+	devices := make([]pinnedResult, len(res.Multi.PerDevice))
+	for i, r := range res.Multi.PerDevice {
+		devices[i] = pinnedResult{r.PolicyName, r.Backlog, r.Depth, arrived[i], served[i], r.Utility, r.Completed,
+			r.DroppedWork, r.DroppedFrames, r.MeanSojourn, r.Little, r.TimeAvgUtility, r.TimeAvgBacklog, r.FinalBacklog, r.MaxBacklog}
+	}
+	fields["Multi"] = struct {
+		PerDevice           []pinnedResult
+		Allocator           string
+		TotalTimeAvgBacklog float64
+		MeanTimeAvgUtility  float64
+	}{devices, res.Multi.Allocator, res.Multi.TotalTimeAvgBacklog, res.Multi.MeanTimeAvgUtility}
+	return fields
 }
 
 // TestUplinkRunsPinned pins the byte-domain runs and the scenario
@@ -45,13 +96,7 @@ func pinDigest(t *testing.T, v any) string {
 // without those two fields, each gives its earlier digest.
 func TestUplinkRunsPinned(t *testing.T) {
 	base := offloadParams()
-	shared := func(p SharedUplinkParams) *SharedUplinkResult {
-		res, err := SharedUplink(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
+	shared := func(p SharedUplinkParams) map[string]any { return uplinkPin(t, p) }
 	oneDevices := []struct {
 		name, want string
 		mutate     func(*SharedUplinkParams)
@@ -91,7 +136,7 @@ func TestUplinkRunsPinned(t *testing.T) {
 	})
 	shareds := []struct {
 		name, want string
-		res        *SharedUplinkResult
+		res        map[string]any
 	}{
 		{"default", "ffbdbaf24c090afde0f6d7fee8a0057b7835f346b91b8c8eb6aff6f1a1776c02", sdef},
 		{"heterogeneous maxweight", "62a10a0fab34cbfbcfbdbf30537a459a3bcf132a6224c6082c731700cbadab04", shared(SharedUplinkParams{

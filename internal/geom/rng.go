@@ -14,18 +14,6 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
-// Clone returns an independent copy of the generator at its current
-// position: clone and receiver emit identical streams from here on and
-// never share state. Component Clone methods use it so a cloned run
-// never advances the original's stream.
-func (r *RNG) Clone() *RNG {
-	if r == nil {
-		return nil
-	}
-	c := *r
-	return &c
-}
-
 // Split derives an independent child generator; the parent advances once.
 // Children seeded from distinct parent draws have uncorrelated streams for
 // practical simulation purposes.

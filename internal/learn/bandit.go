@@ -32,9 +32,8 @@ const (
 // feedback — scores the arm with reward = mean device utility minus a
 // backlog penalty, normalized online to [0,1].
 //
-// The only randomness is the arm draw, held in a *geom.RNG behind the
-// repo's Reseed/Clone contract; with the RNG pinned the whole
-// trajectory is deterministic.
+// The only randomness is the arm draw, held in a *geom.RNG behind
+// Reseed; with the RNG pinned the whole trajectory is deterministic.
 type Bandit struct {
 	arms    int
 	gamma   float64
@@ -95,24 +94,6 @@ func (b *Bandit) Name() string { return fmt.Sprintf("bandit:%d", b.arms) }
 // Reseed replaces the bandit's RNG — the hook engines use to drive the
 // arm draws from one run seed.
 func (b *Bandit) Reseed(rng *geom.RNG) { b.rng = rng }
-
-// Clone returns a run-isolated copy: learned state (weights, reward
-// statistics) is deep-copied and the RNG stream is forked, so a cloned
-// run never advances or observes the original's state.
-func (b *Bandit) Clone() *Bandit {
-	if b == nil {
-		return nil
-	}
-	c := *b
-	c.rng = b.rng.Clone()
-	c.tilts = append([]float64(nil), b.tilts...)
-	c.weights = append([]float64(nil), b.weights...)
-	c.probs = append([]float64(nil), b.probs...)
-	c.plays = append([]float64(nil), b.plays...)
-	c.meanReward = append([]float64(nil), b.meanReward...)
-	c.tel = nil // telemetry sinks are per-run; the clone binds its own
-	return &c
-}
 
 // BindTelemetry attaches the run's telemetry sinks (either may be
 // nil); the simulator calls it once before the slot loop.

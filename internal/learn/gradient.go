@@ -62,20 +62,6 @@ func (g *Gradient) BindTelemetry(reg *obs.Registry, rec *obs.FlightRecorder) {
 	g.tel = newTelemetry(reg, rec)
 }
 
-// Clone returns a run-isolated copy with the learned weights and
-// statistics deep-copied.
-func (g *Gradient) Clone() *Gradient {
-	if g == nil {
-		return nil
-	}
-	c := *g
-	c.weights = append([]float64(nil), g.weights...)
-	c.scores = append([]float64(nil), g.scores...)
-	c.umax = append([]float64(nil), g.umax...)
-	c.tel = nil // telemetry sinks are per-run; the clone binds its own
-	return &c
-}
-
 // resize (re)initializes the learned state for a fleet of n devices;
 // weights start uniform.
 func (g *Gradient) resize(n int) {

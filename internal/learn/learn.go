@@ -24,8 +24,8 @@
 // slots, modeling the stale state a remote controller actually sees.
 //
 // Everything here honors the repo's determinism contracts: the only
-// randomness is a *geom.RNG behind Reseed/Clone (machine-checked by
-// the reseedclone analyzer), and the package is in qarvcheck's
+// randomness is a *geom.RNG behind Reseed (machine-checked by the
+// reseed analyzer), and the package is in qarvcheck's
 // deterministic set. The package registers its allocators with
 // alloc.Register at init, so "bandit[:ARMS]" and "gradient[:STEP]"
 // resolve through alloc.ByName wherever this package is linked in

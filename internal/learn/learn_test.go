@@ -112,73 +112,6 @@ func TestBanditDeterminismAndConservation(t *testing.T) {
 	}
 }
 
-func TestBanditCloneIsolation(t *testing.T) {
-	// Two identically-seeded bandits with identical histories; advance
-	// a clone of the first with junk feedback; the originals must
-	// still emit identical continuations (the clone shared nothing).
-	mk := func() *Bandit {
-		b := NewBandit(4)
-		b.Reseed(geom.NewRNG(7))
-		backlogs := []float64{1, 2, 3}
-		shares := make([]float64, 3)
-		for slot := 0; slot < 10; slot++ {
-			b.Allocate(slot, 6, backlogs, shares)
-			b.Learn(slot, []float64{1, 1, 1}, backlogs)
-		}
-		return b
-	}
-	b1, b2 := mk(), mk()
-	c := b1.Clone()
-	backlogs := []float64{1, 2, 3}
-	cs := make([]float64, 3)
-	for slot := 10; slot < 20; slot++ {
-		c.Allocate(slot, 6, backlogs, cs)
-		c.Learn(slot, []float64{1, 0, 0}, []float64{9, 9, 9})
-	}
-	s1 := make([]float64, 3)
-	s2 := make([]float64, 3)
-	for slot := 10; slot < 20; slot++ {
-		b1.Allocate(slot, 6, backlogs, s1)
-		b2.Allocate(slot, 6, backlogs, s2)
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				t.Fatalf("slot %d: advancing a clone perturbed the original: %v vs %v", slot, s1, s2)
-			}
-		}
-		b1.Learn(slot, []float64{1, 1, 1}, backlogs)
-		b2.Learn(slot, []float64{1, 1, 1}, backlogs)
-	}
-}
-
-func TestBanditCloneMatchesOriginal(t *testing.T) {
-	mk := func() *Bandit {
-		b := NewBandit(5)
-		b.Reseed(geom.NewRNG(99))
-		return b
-	}
-	b := mk()
-	backlogs := []float64{4, 0, 2}
-	shares := make([]float64, 3)
-	for slot := 0; slot < 25; slot++ {
-		b.Allocate(slot, 9, backlogs, shares)
-		b.Learn(slot, []float64{0.3, 0.8, 0.1}, backlogs)
-	}
-	c := b.Clone()
-	s1 := make([]float64, 3)
-	s2 := make([]float64, 3)
-	for slot := 25; slot < 50; slot++ {
-		b.Allocate(slot, 9, backlogs, s1)
-		c.Allocate(slot, 9, backlogs, s2)
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				t.Fatalf("slot %d: clone diverged from original: %v vs %v", slot, s1, s2)
-			}
-		}
-		b.Learn(slot, []float64{0.3, 0.8, 0.1}, backlogs)
-		c.Learn(slot, []float64{0.3, 0.8, 0.1}, backlogs)
-	}
-}
-
 func TestBanditLearnsBestArm(t *testing.T) {
 	// Reward the top-tilt arm only: its EXP3 weight must end up
 	// dominating every other arm's.

@@ -102,7 +102,7 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NondeterminismAnalyzer,
 		CtxloopAnalyzer,
-		ReseedCloneAnalyzer,
+		ReseedAnalyzer,
 		ErrstyleAnalyzer,
 		DoccheckAnalyzer,
 		newUnreachedAnalyzer(linkerReached),

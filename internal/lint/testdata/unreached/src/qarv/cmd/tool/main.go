@@ -1,6 +1,9 @@
-// Command tool is a main package, which the analyzer skips.
+// Command tool is a main package: the analyzer reports none of its
+// declarations, but does report its reflective method lookup.
 package main
+
+import "reflect"
 
 func helper() {}
 
-func main() {}
+func main() { _, _ = reflect.TypeOf(helper).MethodByName("Run") }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/types"
 	"io"
 	"os"
 	"os/exec"
@@ -24,8 +25,9 @@ func newUnreachedAnalyzer(reached func(moduleDir string) (map[string]bool, error
 	var set map[string]bool
 	return &Analyzer{
 		Name: "unreached",
-		Doc:  "non-test funcs and methods outside main packages must be linked into some program of the module (every main and perfbench, by the linker's reachability); test oracles carry //qarv:allow unreached, and an allow on a reached declaration is a finding",
+		Doc:  "non-test funcs and methods outside main packages must be linked into some program of the module (every main and perfbench, by the linker's reachability); test oracles carry //qarv:allow unreached, and an allow on a reached declaration is a finding; no non-test code may look methods up through reflect, which keeps unreached methods linked",
 		Run: func(pass *Pass) error {
+			reportReflectMethods(pass)
 			if pass.Pkg.Name() == "main" {
 				return nil
 			}
@@ -56,6 +58,27 @@ func newUnreachedAnalyzer(reached func(moduleDir string) (map[string]bool, error
 			}
 			return nil
 		},
+	}
+}
+
+// reportReflectMethods reports every use of reflect's Method and
+// MethodByName (on a Value or a Type), main packages included: a
+// program that looks methods up by reflection makes the linker keep
+// methods no call reaches, and the reached set can no longer show them
+// unreached.
+func reportReflectMethods(pass *Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "reflect" && (fn.Name() == "Method" || fn.Name() == "MethodByName") {
+				pass.Reportf(sel.Pos(), "%s.%s makes the linker keep methods no call reaches, which unreached then cannot report; call the method through an interface", types.TypeString(pass.Info.TypeOf(sel.X), nil), fn.Name())
+			}
+			return true
+		})
 	}
 }
 

@@ -10,13 +10,15 @@ import (
 
 // unreachedFixtureDump is the fixture's reached set as -dumpdep lines:
 // a plain function, both receiver forms, a generic method at a shape
-// instantiation, and the function behind the stale allow.
+// instantiation, the function behind the stale allow, and the one that
+// looks methods up by reflection.
 const unreachedFixtureDump = `# qarv/cmd/tool
 main.main -> qarv/internal/sim.Reached
 main.main -> qarv/internal/sim.(*T).PtrReached
 type:qarv/internal/sim.T <UsedInIface> -> qarv/internal/sim.T.ValReached
 main.main -> qarv/internal/sim.(*Set[go.shape.int]).Add
 main.main -> qarv/internal/sim.Stale
+main.main -> qarv/internal/sim.Reflective
 `
 
 // unreachedFixtureDir is the fixture package the findings point into.
@@ -24,8 +26,14 @@ const unreachedFixtureDir = "testdata/unreached/src/qarv/internal/sim"
 
 // unreachedWant is the analyzer's expected findings on the fixture:
 // every unlinked declaration without a reasoned allow, the reasonless
-// allow, and the stale allow on a linked function.
-const unreachedWant = unreachedFixtureDir + "/sim.go:7: Unreached is linked into no program of the module; delete it, or keep a test oracle with //qarv:allow unreached and the reason (unreached)\n" +
+// allow, the stale allow on a linked function, and every reflective
+// method lookup, the main package's included.
+const unreachedWant = "testdata/unreached/src/qarv/cmd/tool/main.go:9: reflect.Type.MethodByName" + reflectFinding +
+	unreachedFixtureDir + "/reflect.go:8: reflect.Value.MethodByName" + reflectFinding +
+	unreachedFixtureDir + "/reflect.go:9: reflect.Value.Method" + reflectFinding +
+	unreachedFixtureDir + "/reflect.go:10: reflect.Type.MethodByName" + reflectFinding +
+	unreachedFixtureDir + "/reflect.go:11: reflect.Type.Method" + reflectFinding +
+	unreachedFixtureDir + "/sim.go:7: Unreached is linked into no program of the module; delete it, or keep a test oracle with //qarv:allow unreached and the reason (unreached)\n" +
 	unreachedFixtureDir + "/sim.go:12: (*T).PtrUnreached is linked into no program of the module; delete it, or keep a test oracle with //qarv:allow unreached and the reason (unreached)\n" +
 	unreachedFixtureDir + "/sim.go:14: T.ValUnreached is linked into no program of the module; delete it, or keep a test oracle with //qarv:allow unreached and the reason (unreached)\n" +
 	unreachedFixtureDir + "/sim.go:19: (*Set).Has is linked into no program of the module; delete it, or keep a test oracle with //qarv:allow unreached and the reason (unreached)\n" +
@@ -34,10 +42,14 @@ const unreachedWant = unreachedFixtureDir + "/sim.go:7: Unreached is linked into
 	unreachedFixtureDir + "/sim.go:29: Reasonless is linked into no program of the module; delete it, or keep a test oracle with //qarv:allow unreached and the reason (unreached)\n" +
 	unreachedFixtureDir + "/sim.go:31: qarv:allow unreached on Stale, which a program reaches; delete the directive (qarvallow)\n"
 
+// reflectFinding is the text after the method in a reflective lookup's
+// finding.
+const reflectFinding = " makes the linker keep methods no call reaches, which unreached then cannot report; call the method through an interface (unreached)\n"
+
 // TestUnreachedAnalyzerFindings runs the analyzer through the full
 // driver over the fixture with an injected reached set, so it needs no
 // build, and pins its findings; the fixture's main package reports
-// nothing.
+// only its reflective lookup.
 func TestUnreachedAnalyzerFindings(t *testing.T) {
 	set := make(map[string]bool)
 	if err := parseDumpdep(strings.NewReader(unreachedFixtureDump), "qarv", set, &bytes.Buffer{}); err != nil {

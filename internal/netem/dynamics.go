@@ -11,12 +11,12 @@ package netem
 // shared-uplink runs.
 //
 // Determinism: the stochastic processes (MarkovBandwidth,
-// HandoffBandwidth) draw from a geom.RNG and implement the Reseed/Clone
-// contract, so qarv.WithSeed keeps whole reports byte-identical. Every
-// consumer that runs a shape more than once — offload and shared-uplink
-// runs, sweep cells, the CLIs' -net classes — keeps it as a prototype
-// and gives each run its own copy through delay.ForRun, reseeded from
-// the run's seed, exactly as the link RNG is rebuilt per run.
+// HandoffBandwidth) draw from a geom.RNG and declare Reseed and ForRun,
+// so qarv.WithSeed keeps whole reports byte-identical. Every consumer
+// that runs a shape more than once — shared-uplink runs, sweep cells,
+// the CLIs' -net classes — keeps it as a prototype and gives each run
+// its own copy through delay.ForRun, reseeded from the run's seed,
+// exactly as the link RNG is rebuilt per run.
 //
 // A non-positive rate means nothing is served that slot (an outage).
 // The stateful processes treat a t regression as a restarted slot loop
@@ -129,14 +129,11 @@ func (m *MarkovBandwidth) Reseed(rng *geom.RNG) {
 	m.init = false
 }
 
-// Clone returns a run-isolated copy: chain position and RNG state are
-// deep-copied, so a cloned run never advances the original's stream.
-func (m *MarkovBandwidth) Clone() *MarkovBandwidth {
-	if m == nil {
-		return nil
-	}
+// ForRun returns a copy of the chain reseeded with stream() and reset
+// to its start state, so a run never advances the prototype's chain.
+func (m *MarkovBandwidth) ForRun(stream func() *geom.RNG) delay.ServiceProcess {
 	c := *m
-	c.RNG = m.RNG.Clone()
+	c.Reseed(stream())
 	return &c
 }
 
@@ -376,16 +373,14 @@ func (h *HandoffBandwidth) Reseed(rng *geom.RNG) {
 	}
 }
 
-// Clone returns a run-isolated copy: handoff schedule, cell scale, RNG
-// state, and the Base process are all deep-copied, so a cloned run
-// never advances the original's streams.
-func (h *HandoffBandwidth) Clone() *HandoffBandwidth {
-	if h == nil {
-		return nil
-	}
+// ForRun returns a copy of the process on one stream() draw, reset as
+// Reseed resets it; Base becomes its own run's process through
+// delay.ForRun on a child stream, the one Reseed would split, so a run
+// never advances the prototype or its Base.
+func (h *HandoffBandwidth) ForRun(stream func() *geom.RNG) delay.ServiceProcess {
 	c := *h
-	c.RNG = h.RNG.Clone()
-	c.Base = delay.CloneProcess(h.Base)
+	c.RNG, c.init = stream(), false
+	c.Base = delay.ForRun(h.Base, c.RNG.Split)
 	return &c
 }
 

@@ -346,39 +346,82 @@ func TestOutageDelaysFutureEnqueuesUnderStandingQueue(t *testing.T) {
 	}
 }
 
-func TestCloneProcessIsolatesState(t *testing.T) {
+// TestForRunIsolatesState: a run's process is a copy on its own
+// streams, so the prototype sees nothing of the run, equal streams
+// replay the same path, and a trace is shared, not copied.
+func TestForRunIsolatesState(t *testing.T) {
 	orig := &HandoffBandwidth{
 		BaseRate: 100, MeanIntervalSlots: 10, OutageSlots: 2,
 		ScaleLo: 0.5, ScaleHi: 1.5,
 		Base: &MarkovBandwidth{GoodRate: 1, BadRate: 0.5, PGoodBad: 0.2, PBadGood: 0.2},
 	}
 	seeded := func() delay.ServiceProcess {
-		c := delay.CloneProcess(orig)
-		c.(*HandoffBandwidth).Reseed(geom.NewRNG(5))
-		return c
+		return delay.ForRun(orig, func() *geom.RNG { return geom.NewRNG(5) })
 	}
 	c := seeded()
+	if c.(*HandoffBandwidth).Base == orig.Base {
+		t.Fatal("the run shares the prototype's Base")
+	}
 	for slot := 0; slot < 200; slot++ {
 		c.Service(slot)
 	}
-	// The original saw none of it: no RNG, no chain state, same Base.
+	// The prototype saw none of it: no RNG, no chain state, same Base.
 	if orig.RNG != nil || orig.init {
-		t.Error("clone leaked state into the original handoff process")
+		t.Error("the run leaked state into the prototype handoff process")
 	}
 	if mb := orig.Base.(*MarkovBandwidth); mb.RNG != nil || mb.init {
-		t.Error("clone leaked state into the original nested markov process")
+		t.Error("the run leaked state into the prototype's nested markov process")
 	}
-	// And two identically reseeded clones replay identical paths.
+	// And two runs on equal streams replay identical paths.
 	c2, c3 := seeded(), seeded()
 	for slot := 0; slot < 200; slot++ {
 		if a, b := c2.Service(slot), c3.Service(slot); a != b {
-			t.Fatalf("slot %d: identically seeded clones diverged: %v vs %v", slot, a, b)
+			t.Fatalf("slot %d: equally seeded runs diverged: %v vs %v", slot, a, b)
 		}
 	}
 	// A trace is a pure function of the slot: shared, not copied.
 	tb := DefaultDiurnalTrace()
-	if delay.CloneProcess(tb) != delay.ServiceProcess(tb) {
+	if delay.ForRun(tb, func() *geom.RNG { return geom.NewRNG(5) }) != delay.ServiceProcess(tb) {
 		t.Error("stateless trace was copied")
+	}
+}
+
+// TestForRunStreams: a composite shape draws one stream per run and
+// splits its parts' streams from it as Reseed does, so a run replays
+// the prototype reseeded with that one stream.
+func TestForRunStreams(t *testing.T) {
+	trace := DefaultDiurnalTrace()
+	cases := []struct {
+		name  string
+		build func() delay.ServiceProcess
+	}{
+		{"handoff(markov)", func() delay.ServiceProcess {
+			return &HandoffBandwidth{
+				BaseRate: 100, MeanIntervalSlots: 10, OutageSlots: 2, ScaleLo: 0.5, ScaleHi: 1.5,
+				Base: &MarkovBandwidth{GoodRate: 1, BadRate: 0.5, PGoodBad: 0.2, PBadGood: 0.2},
+			}
+		}},
+		{"modulated(noisy, trace)", func() delay.ServiceProcess {
+			return &delay.ModulatedService{Inner: &delay.NoisyService{Mean: 100, Std: 10}, Factor: trace}
+		}},
+	}
+	for _, tc := range cases {
+		draws := 0
+		run := delay.ForRun(tc.build(), func() *geom.RNG { draws++; return geom.NewRNG(7) })
+		if draws != 1 {
+			t.Errorf("%s: %d streams drawn, want 1", tc.name, draws)
+		}
+		want := tc.build()
+		want.(interface{ Reseed(*geom.RNG) }).Reseed(geom.NewRNG(7))
+		for slot := 0; slot < 300; slot++ {
+			if a, b := run.Service(slot), want.Service(slot); a != b {
+				t.Fatalf("%s slot %d: run %v, reseeded prototype %v", tc.name, slot, a, b)
+			}
+		}
+	}
+	mod := &delay.ModulatedService{Inner: &delay.NoisyService{Mean: 100, Std: 10}, Factor: trace}
+	if run := delay.ForRun(mod, func() *geom.RNG { return geom.NewRNG(7) }); run.(*delay.ModulatedService).Factor != delay.ServiceProcess(trace) {
+		t.Error("the modulated run copied its trace factor")
 	}
 }
 

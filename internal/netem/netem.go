@@ -45,10 +45,9 @@ var (
 // Link is an uplink's propagation leg: every frame handed to Deliver is
 // lost with probability LossProb or arrives LatencySlots plus
 // non-negative jitter after its last byte serialized. A run builds its
-// own Link from the run's LinkConfig, so there is nothing to reseed or
-// clone.
+// own Link from the run's LinkConfig, so there is nothing to reseed.
 //
-//qarv:allow reseedclone run-scoped: NewLink builds one per run, never shared
+//qarv:allow reseed run-scoped: NewLink builds one per run, never shared
 type Link struct {
 	cfg LinkConfig
 	rng *geom.RNG

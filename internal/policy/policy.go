@@ -138,18 +138,6 @@ func (p *Random) Name() string { return "random" }
 // drive every stochastic session component from one session seed.
 func (p *Random) Reseed(rng *geom.RNG) { p.rng = rng }
 
-// Clone returns a run-isolated copy: the candidate set stays shared
-// (it is immutable after construction) but the RNG state is
-// deep-copied, so a cloned run never advances the original's stream.
-func (p *Random) Clone() *Random {
-	if p == nil {
-		return nil
-	}
-	c := *p
-	c.rng = p.rng.Clone()
-	return &c
-}
-
 // Threshold is a two-watermark hysteresis controller: while the backlog is
 // below Low it steps the depth up one candidate; above High it steps down;
 // in between it holds. This is the natural hand-tuned heuristic an engineer

@@ -275,17 +275,6 @@ func (a *PoissonArrivals) Name() string { return "poisson" }
 // drive every stochastic session component from one session seed.
 func (a *PoissonArrivals) Reseed(rng *geom.RNG) { a.RNG = rng }
 
-// Clone returns a run-isolated copy: the RNG state is deep-copied, so
-// a cloned run never advances (or races) the original's stream.
-func (a *PoissonArrivals) Clone() *PoissonArrivals {
-	if a == nil {
-		return nil
-	}
-	c := *a
-	c.RNG = a.RNG.Clone()
-	return &c
-}
-
 // OnOffArrivals alternates between bursts of PerSlotOn frames for OnSlots
 // and silence for OffSlots — bursty telepresence traffic.
 type OnOffArrivals struct {

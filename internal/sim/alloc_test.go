@@ -95,20 +95,22 @@ func TestNegativeArrivalsClamped(t *testing.T) {
 }
 
 // legacyRunMulti reimplements the pre-allocator multi-device loop (equal
-// split, scalar backlogs only) as the byte-for-byte reference.
-func legacyRunMulti(cfg MultiConfig) []*Result {
+// split, scalar backlogs only) as the byte-for-byte reference. Besides
+// each device's Result it returns the work each device enqueued and was
+// served per slot, which the slot events carry.
+func legacyRunMulti(cfg MultiConfig) (results []*Result, arrived, served [][]float64) {
 	n := len(cfg.Devices)
-	results := make([]*Result, n)
+	results = make([]*Result, n)
+	arrived, served = make([][]float64, n), make([][]float64, n)
 	backlogs := make([]*queueing.Backlog, n)
 	for i, dev := range cfg.Devices {
 		results[i] = &Result{
 			PolicyName: dev.Policy.Name(),
 			Backlog:    make([]float64, cfg.Slots),
 			Depth:      make([]int, cfg.Slots),
-			Arrived:    make([]float64, cfg.Slots),
-			Served:     make([]float64, cfg.Slots),
 			Utility:    make([]float64, cfg.Slots),
 		}
+		arrived[i], served[i] = make([]float64, cfg.Slots), make([]float64, cfg.Slots)
 		backlogs[i] = &queueing.Backlog{}
 	}
 	utilSums := make([]float64, n)
@@ -132,8 +134,8 @@ func legacyRunMulti(cfg MultiConfig) []*Result {
 			for f := 0; f < dev.Arrivals.Frames(t); f++ {
 				work += dev.Cost.FrameCost(d)
 			}
-			res.Arrived[t] = work
-			res.Served[t] = backlogs[i].Step(work, share)
+			arrived[i][t] = work
+			served[i][t] = backlogs[i].Step(work, share)
 		}
 	}
 	for i, res := range results {
@@ -141,7 +143,7 @@ func legacyRunMulti(cfg MultiConfig) []*Result {
 		res.TimeAvgUtility = utilSums[i] / float64(cfg.Slots)
 		res.TimeAvgBacklog = backlogSums[i] / float64(cfg.Slots)
 	}
-	return results
+	return results, arrived, served
 }
 
 func multiFixtureConfig(t *testing.T, slots int) MultiConfig {
@@ -171,8 +173,14 @@ func multiFixtureConfig(t *testing.T, slots int) MultiConfig {
 // allocator must reproduce the pre-allocator multi-device trajectories
 // byte-for-byte (identical float arithmetic, identical call order).
 func TestEqualSplitMatchesLegacyTrajectories(t *testing.T) {
-	want := legacyRunMulti(multiFixtureConfig(t, 900))
-	got, err := RunMultiContext(context.Background(), multiFixtureConfig(t, 900))
+	want, wantArrived, wantServed := legacyRunMulti(multiFixtureConfig(t, 900))
+	cfg := multiFixtureConfig(t, 900)
+	arrived, served := make([][]float64, len(cfg.Devices)), make([][]float64, len(cfg.Devices))
+	cfg.Observer = func(e SlotEvent) {
+		arrived[e.Device] = append(arrived[e.Device], e.Arrived)
+		served[e.Device] = append(served[e.Device], e.Served)
+	}
+	got, err := RunMultiContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +191,7 @@ func TestEqualSplitMatchesLegacyTrajectories(t *testing.T) {
 		w, g := want[i], got.PerDevice[i]
 		for s := 0; s < 900; s++ {
 			if g.Backlog[s] != w.Backlog[s] || g.Depth[s] != w.Depth[s] ||
-				g.Arrived[s] != w.Arrived[s] || g.Served[s] != w.Served[s] ||
+				arrived[i][s] != wantArrived[i][s] || served[i][s] != wantServed[i][s] ||
 				g.Utility[s] != w.Utility[s] {
 				t.Fatalf("device %d slot %d diverges from legacy loop", i, s)
 			}

@@ -147,8 +147,6 @@ type Result struct {
 	// Per-slot series, each of length Slots.
 	Backlog []float64 // Q(t) observed at the start of slot t
 	Depth   []int     // d(t) chosen in slot t
-	Arrived []float64 // work enqueued in slot t
-	Served  []float64 // work served in slot t
 	Utility []float64 // pa(d(t))
 
 	// Frame accounting.
@@ -201,8 +199,6 @@ func newDeviceRunner(p policy.Policy, cost delay.CostModel, utility quality.Util
 			PolicyName: p.Name(),
 			Backlog:    make([]float64, slots),
 			Depth:      make([]int, slots),
-			Arrived:    make([]float64, slots),
-			Served:     make([]float64, slots),
 			Utility:    make([]float64, slots),
 		},
 	}
@@ -226,8 +222,6 @@ func (r *deviceRunner) step(t int, capacity float64, device int, observe Observe
 	res.Depth[t] = s.Depth
 	res.Utility[t] = s.Utility
 	r.utilSum += s.Utility
-	res.Arrived[t] = s.Arrived
-	res.Served[t] = s.Served
 	res.DroppedFrames += s.DroppedFrames
 	admitted := max(s.Frames-s.DroppedFrames, 0)
 	for _, c := range s.Completed {

@@ -173,15 +173,12 @@ func TestControllerStabilizes(t *testing.T) {
 }
 
 func TestFlowConservation(t *testing.T) {
-	ctrl := controller(t, 1e6)
-	res, err := RunContext(context.Background(), baseConfig(t, ctrl, 500))
+	cfg := baseConfig(t, controller(t, 1e6), 500)
+	var arrived, served float64
+	cfg.Observer = func(e SlotEvent) { arrived, served = arrived+e.Arrived, served+e.Served }
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var arrived, served float64
-	for i := range res.Arrived {
-		arrived += res.Arrived[i]
-		served += res.Served[i]
 	}
 	if diff := math.Abs(arrived - served - res.FinalBacklog); diff > 1e-6 {
 		t.Errorf("conservation violated by %v", diff)
@@ -391,10 +388,13 @@ func TestObserverMatchesTrajectory(t *testing.T) {
 		t.Fatalf("observer saw %d slots, want %d", len(events), cfg.Slots)
 	}
 	for i, e := range events {
+		next := res.FinalBacklog
+		if i+1 < len(events) {
+			next = res.Backlog[i+1]
+		}
 		if e.Slot != i || e.Device != -1 ||
 			e.Backlog != res.Backlog[i] || e.Depth != res.Depth[i] ||
-			e.Utility != res.Utility[i] || e.Arrived != res.Arrived[i] ||
-			e.Served != res.Served[i] {
+			e.Utility != res.Utility[i] || e.Backlog+e.Arrived-e.Served != next {
 			t.Fatalf("event %d = %+v disagrees with result", i, e)
 		}
 	}

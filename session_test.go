@@ -94,10 +94,14 @@ func TestSharedUplinkRejectsBadParams(t *testing.T) {
 		{"negative latency", SharedUplinkParams{Link: &netem.LinkConfig{LatencySlots: -1}}, netem.ErrBadLatency},
 		{"zero constant dynamics", SharedUplinkParams{Dynamics: &ConstantService{}}, delay.ErrBadConstant},
 		{"invalid markov dynamics", SharedUplinkParams{Dynamics: &MarkovBandwidth{GoodRate: -1}}, netem.ErrBadMarkov},
+		{"negative devices", SharedUplinkParams{Devices: -3}, experiments.ErrNegativeParam},
+		{"negative capture depth", SharedUplinkParams{ScenarioParams: ScenarioParams{CaptureDepth: -3}}, experiments.ErrNegativeParam},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.p.Devices = 1
+			if tc.p.Devices == 0 {
+				tc.p.Devices = 1
+			}
 			if _, err := SharedUplink(context.Background(), tc.p); !errors.Is(err, tc.want) {
 				t.Errorf("SharedUplink = %v, want %v", err, tc.want)
 			}
@@ -223,8 +227,12 @@ func TestSessionObserverSeesEverySlot(t *testing.T) {
 		if e.Slot != i || e.Device != -1 {
 			t.Fatalf("event %d = %+v", i, e)
 		}
+		next := rep.Sim.FinalBacklog
+		if i+1 < slots {
+			next = rep.Sim.Backlog[i+1]
+		}
 		if e.Backlog != rep.Sim.Backlog[i] || e.Depth != rep.Sim.Depth[i] ||
-			e.Arrived != rep.Sim.Arrived[i] || e.Served != rep.Sim.Served[i] {
+			e.Backlog+e.Arrived-e.Served != next {
 			t.Fatalf("event %d %+v disagrees with trajectory", i, e)
 		}
 	}
